@@ -9,6 +9,7 @@ import (
 	"systemr"
 	"systemr/internal/core"
 	"systemr/internal/exec"
+	"systemr/internal/plan"
 	"systemr/internal/sem"
 	"systemr/internal/sql"
 	"systemr/internal/testutil"
@@ -37,6 +38,41 @@ func runPlanned(t *testing.T, db *systemr.DB, query string, cfg core.Config) ([]
 		t.Fatalf("execute %q: %v\nplan:\n%s", query, err, q.Explain())
 	}
 	return rows, blk
+}
+
+// drainings executes q at batch sizes 1 (tuple-at-a-time), 3 (batches that
+// split every group and join loop), and 256 (the default), and once through
+// the row-at-a-time cursor; the operator protocol must make every one of
+// them return the same rows.
+func drainings(t *testing.T, db *systemr.DB, q *plan.Query) map[string][]value.Row {
+	t.Helper()
+	out := make(map[string][]value.Row)
+	for _, n := range []int{1, 3, 256} {
+		rt := db.Runtime()
+		rt.BatchSize = n
+		rows, _, err := exec.RunQuery(rt, q)
+		if err != nil {
+			t.Fatalf("batch size %d: %v\nplan:\n%s", n, err, q.Explain())
+		}
+		out[fmt.Sprintf("batch%d", n)] = rows
+	}
+	cur, err := exec.OpenQuery(db.Runtime(), q)
+	if err != nil {
+		t.Fatalf("cursor open: %v\nplan:\n%s", err, q.Explain())
+	}
+	var rows []value.Row
+	for {
+		r, ok, err := cur.Next()
+		if err != nil {
+			t.Fatalf("cursor: %v\nplan:\n%s", err, q.Explain())
+		}
+		if !ok {
+			break
+		}
+		rows = append(rows, r)
+	}
+	out["cursor"] = rows
+	return out
 }
 
 // ablations are the optimizer configurations under which every plan must
@@ -70,7 +106,8 @@ func ablations(base core.Config) map[string]core.Config {
 
 // TestDifferentialRandomQueries cross-checks optimizer+executor output
 // against the brute-force reference evaluator over randomized databases and
-// queries, under every optimizer ablation. DIFF_SEEDS and DIFF_TABLES extend
+// queries, under every optimizer ablation, each plan executed at several
+// batch sizes and through a cursor. DIFF_SEEDS and DIFF_TABLES extend
 // the campaign (e.g. DIFF_SEEDS=300 go test -run TestDifferentialRandom).
 func TestDifferentialRandomQueries(t *testing.T) {
 	seeds := 40
@@ -106,11 +143,15 @@ func TestDifferentialRandomQueries(t *testing.T) {
 					t.Fatalf("reference %q: %v", query, err)
 				}
 				for name, cfg := range ablations(db.OptimizerConfig()) {
-					got, _ := runPlanned(t, db, query, cfg)
-					if !testutil.SameMultiset(got, want) {
-						q, _ := core.New(db.Catalog(), cfg).Optimize(blk)
-						t.Fatalf("config %s: result mismatch for %q\nwant %d rows, got %d rows\nplan:\n%s",
-							name, query, len(want), len(got), q.Explain())
+					q, err := core.New(db.Catalog(), cfg).Optimize(blk)
+					if err != nil {
+						t.Fatalf("optimize %q: %v", query, err)
+					}
+					for drain, got := range drainings(t, db, q) {
+						if !testutil.SameMultiset(got, want) {
+							t.Fatalf("config %s, %s: result mismatch for %q\nwant %d rows, got %d rows\nplan:\n%s",
+								name, drain, query, len(want), len(got), q.Explain())
+						}
 					}
 				}
 			}

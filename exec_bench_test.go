@@ -1,16 +1,10 @@
 package systemr_test
 
-// Batched/parallel execution benchmarks: the per-row operator boundary cost
-// against the per-batch boundary (tuple- vs batch-at-a-time scan), the three
-// join methods head to head on a non-sargable equi-join, and the parallel
-// exchange at increasing worker counts. TestBenchExecJSON runs the same
-// comparisons once and writes BENCH_exec.json for CI trending; it also
-// asserts this PR's acceptance criteria — batching buys >=1.5x on the scan,
-// and the hash join beats nested loops on the equi-join.
+// Batched execution benchmarks: the per-row operator boundary cost against
+// the per-batch boundary (tuple- vs batch-at-a-time scan), and the three
+// join methods head to head on a non-sargable equi-join.
 
 import (
-	"encoding/json"
-	"os"
 	"strings"
 	"testing"
 
@@ -27,8 +21,6 @@ const (
 	// join method is the whole cost story.
 	joinQuery = "SELECT E.NAME, D.DNAME, J.TITLE FROM EMP E, DEPT D, JOB J " +
 		"WHERE E.DNO = D.DNO AND E.JOB = J.JOB"
-	// A segment scan over the unindexed MANAGER column: parallel-eligible.
-	parallelQuery = "SELECT NAME FROM EMP WHERE MANAGER < 100000"
 )
 
 func execBenchDB(tb testing.TB, engine systemr.Config) *systemr.DB {
@@ -93,107 +85,16 @@ func BenchmarkHashJoin(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelScan sweeps the exchange's worker count over a
-// parallel-eligible segment scan.
-func BenchmarkParallelScan(b *testing.B) {
-	for _, c := range []struct {
-		name string
-		dop  int
-	}{{"dop1", 1}, {"dop2", 2}, {"dop4", 4}, {"dop8", 8}} {
-		b.Run(c.name, func(b *testing.B) {
-			db := execBenchDB(b, systemr.Config{DegreeOfParallelism: c.dop})
-			warmRun(b, db, parallelQuery)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := db.Query(parallelQuery); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// execBenchReport is the BENCH_exec.json document.
-type execBenchReport struct {
-	ScanQuery        string             `json:"scan_query"`
-	TupleNsPerOp     float64            `json:"scan_tuple_ns_per_op"`
-	BatchNsPerOp     float64            `json:"scan_batch_ns_per_op"`
-	BatchSpeedup     float64            `json:"scan_batch_speedup"`
-	JoinQuery        string             `json:"join_query"`
-	JoinNsPerOp      map[string]float64 `json:"join_ns_per_op"`
-	ParallelQuery    string             `json:"parallel_query"`
-	ParallelNsPerOp  map[string]float64 `json:"parallel_ns_per_op"`
-	ParallelSpeedup8 float64            `json:"parallel_speedup_dop8"`
-}
-
-// TestBenchExecJSON measures the three comparisons and writes
-// BENCH_exec.json. It asserts the PR's acceptance criteria: batch execution
-// at least 1.5x faster than tuple-at-a-time on the scan, and the hash join
-// faster than nested loops on the non-sargable equi-join (merge keeps its
-// own wins where an interesting order pays — pinned by the plan goldens,
-// not timed here).
-func TestBenchExecJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark measurement; skipped in -short")
-	}
-	report := execBenchReport{
-		ScanQuery:       scanQuery,
-		JoinQuery:       joinQuery,
-		ParallelQuery:   parallelQuery,
-		JoinNsPerOp:     map[string]float64{},
-		ParallelNsPerOp: map[string]float64{},
-	}
-
-	const iters = 30
-	measure := func(engine systemr.Config, q string) float64 {
-		t.Helper()
-		db := execBenchDB(t, engine)
-		warmRun(t, db, q)
-		warmRun(t, db, q)
-		ns, err := timePerOp(iters, func() error { _, err := db.Query(q); return err })
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ns
-	}
-
-	report.TupleNsPerOp = measure(systemr.Config{ExecBatchSize: 1}, scanQuery)
-	report.BatchNsPerOp = measure(systemr.Config{ExecBatchSize: 256}, scanQuery)
-	report.BatchSpeedup = report.TupleNsPerOp / report.BatchNsPerOp
-
-	// The full search must actually pick hash for the join comparison to
-	// mean anything.
-	hashDB := execBenchDB(t, systemr.Config{})
-	if pl, err := hashDB.Explain(joinQuery); err != nil {
-		t.Fatal(err)
-	} else if !strings.Contains(pl, "HASHJOIN") {
-		t.Fatalf("full search did not pick hash for the equi-join:\n%s", pl)
-	}
-	report.JoinNsPerOp["nestedloops"] = measure(systemr.Config{NestedLoopsOnly: true}, joinQuery)
-	report.JoinNsPerOp["merge"] = measure(systemr.Config{MergeOnly: true}, joinQuery)
-	report.JoinNsPerOp["hash"] = measure(systemr.Config{}, joinQuery)
-
-	for _, dop := range []int{1, 2, 4, 8} {
-		ns := measure(systemr.Config{DegreeOfParallelism: dop}, parallelQuery)
-		report.ParallelNsPerOp[map[int]string{1: "dop1", 2: "dop2", 4: "dop4", 8: "dop8"}[dop]] = ns
-	}
-	report.ParallelSpeedup8 = report.ParallelNsPerOp["dop1"] / report.ParallelNsPerOp["dop8"]
-
-	if report.BatchSpeedup < 1.5 {
-		t.Errorf("batch execution speedup %.2fx below the 1.5x acceptance bar (tuple %.0f ns, batch %.0f ns)",
-			report.BatchSpeedup, report.TupleNsPerOp, report.BatchNsPerOp)
-	}
-	if report.JoinNsPerOp["hash"] >= report.JoinNsPerOp["nestedloops"] {
-		t.Errorf("hash join (%.0f ns) not faster than nested loops (%.0f ns) on the non-sargable equi-join",
-			report.JoinNsPerOp["hash"], report.JoinNsPerOp["nestedloops"])
-	}
-
-	data, err := json.MarshalIndent(report, "", "  ")
+// TestHashJoinChosenForEquiJoin checks that the full three-method search
+// picks the hash join for BenchmarkHashJoin's equi-join, so the benchmark's
+// "hash" case measures what its name says.
+func TestHashJoinChosenForEquiJoin(t *testing.T) {
+	db := execBenchDB(t, systemr.Config{})
+	pl, err := db.Explain(joinQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile("BENCH_exec.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
+	if !strings.Contains(pl, "HASHJOIN") {
+		t.Fatalf("full search did not pick hash for the equi-join:\n%s", pl)
 	}
-	t.Logf("BENCH_exec.json:\n%s", data)
 }

@@ -86,10 +86,14 @@ func TestQueryContextCancellationMidScan(t *testing.T) {
 func TestStatementTimeout(t *testing.T) {
 	db := newHeavyDB(t, workload.EmpConfig{})
 	// No way to set StatementTimeout after Open, so build a second engine
-	// with the knob. Small dataset keeps setup fast; the self-join is still
-	// far slower than 5ms.
+	// with the knob. The timeout bounds every statement of this engine,
+	// including the ~2000 setup INSERTs and the follow-up COUNT(*), which
+	// take about a millisecond each but can stall past a few milliseconds
+	// on a loaded machine. 200ms leaves those a wide margin while the
+	// self-join (about 2s on a laptop-class x86 core, longer under -race)
+	// still runs an order of magnitude past it.
 	db = workload.NewEmpDB(workload.EmpConfig{Emps: 2000, Depts: 50, Jobs: 10,
-		Engine: systemr.Config{StatementTimeout: 5 * time.Millisecond}})
+		Engine: systemr.Config{StatementTimeout: 200 * time.Millisecond}})
 	_, err := db.Query(heavyQuery)
 	if !errors.Is(err, systemr.ErrBudgetExceeded) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("timed-out query: got %v, want ErrBudgetExceeded wrapping DeadlineExceeded", err)
@@ -164,23 +168,39 @@ func TestCursorObservesCancellation(t *testing.T) {
 		cancel()
 		t.Fatal(err)
 	}
+	// Stream a few rows first, so the abort has partial work to report.
+	for i := 0; i < 10; i++ {
+		if _, ok, err := rows.Next(); err != nil || !ok {
+			cancel()
+			t.Fatalf("row %d before cancel: ok=%v err=%v", i, ok, err)
+		}
+	}
 	cancel()
-	sawErr := false
+	var abort error
 	for i := 0; i < 100000; i++ {
 		_, ok, err := rows.Next()
 		if err != nil {
 			if !errors.Is(err, systemr.ErrCanceled) {
 				t.Fatalf("cursor error: %v", err)
 			}
-			sawErr = true
+			abort = err
 			break
 		}
 		if !ok {
 			break
 		}
 	}
-	if !sawErr {
+	if abort == nil {
 		t.Fatal("cursor drained without observing cancellation")
+	}
+	// The aborted cursor's error carries the partial stats its close just
+	// published as LastStats.
+	var se *systemr.StatementError
+	if !errors.As(abort, &se) {
+		t.Fatalf("cursor abort %v is not a *StatementError", abort)
+	}
+	if se.Stats != db.LastStats() || se.Stats.RSICalls == 0 {
+		t.Fatalf("abort stats %+v, want LastStats %+v with RSICalls > 0", se.Stats, db.LastStats())
 	}
 	if err := rows.Close(); err != nil {
 		t.Fatalf("cursor close after abort: %v", err)

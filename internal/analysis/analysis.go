@@ -8,7 +8,9 @@
 //   - rsiclose: RSI scans, lock grants, and opened operator trees are
 //     closed/released on every path out of the acquiring function.
 //   - govtick: tuple/page-producing loops in the executor, the RSS, and the
-//     sorter contain a governor budget checkpoint.
+//     sorter contain a governor budget checkpoint; every NextBatch body in
+//     the batched operator protocol reaches one at least once per batch and
+//     never reads the pool's DB-global IOStats for its batch delta.
 //   - selclamp: selectivity factors pass through internal/core's single
 //     clamp entry point; raw float arithmetic never flows into F unclamped.
 //   - nakedpanic: library code panics only through the sanctioned
@@ -21,9 +23,6 @@
 //   - txnundo: every engine mutation flows through the undo-logged write
 //     path (txn.Txn over the rss Insert/Delete/Restore primitives) — a
 //     direct segment, page, or index mutation would survive rollback (PR 6).
-//   - govbatch: every NextBatch body in the batched operator protocol
-//     reaches a governor checkpoint at least once per batch and never reads
-//     the pool's DB-global IOStats for its batch delta (PR 7).
 //   - mvccvis: row versions are read only through the RSS visibility
 //     boundary (ReadVersioned + Snapshot.Visible) — raw Page.Record /
 //     DecodeRow / ParseVersionHeader in exec or txn would resurrect
@@ -208,7 +207,6 @@ var Suite = []*Analyzer{
 	NoPrint,
 	StmtIO,
 	TxnUndo,
-	GovBatch,
 	MVCCVis,
 	LockRank,
 	AtomicField,

@@ -1,7 +1,9 @@
 package analysis
 
 import (
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -16,6 +18,33 @@ func TestGovTickFixture(t *testing.T) {
 	expectAt(t, diags, path, line, "requires a reason")
 }
 
+// The batched-protocol rules (each nextBatch body reaches a checkpoint and
+// never differences the DB-global IOStats) run under govtick; their cases
+// live in testdata/govtick/exec/batch.go. Every finding there is govtick's
+// and answers a want comment.
+func TestGovBatchFixture(t *testing.T) {
+	diags := runFixture(t, GovTick, "govtick")
+	path := filepath.Join("testdata", "govtick", "exec", "batch.go")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Count(string(data), "// want ")
+	got := 0
+	for _, d := range diags {
+		if d.Pos.Filename != path {
+			continue
+		}
+		got++
+		if d.Analyzer != GovTick.Name {
+			t.Errorf("%s:%d: finding from %q, want %q", path, d.Pos.Line, d.Analyzer, GovTick.Name)
+		}
+	}
+	if want == 0 || got != want {
+		t.Errorf("%s: %d findings, want %d (one per want comment)", path, got, want)
+	}
+}
+
 func TestSelClampFixture(t *testing.T) { runFixture(t, SelClamp, "selclamp") }
 
 func TestNakedPanicFixture(t *testing.T) { runFixture(t, NakedPanic, "nakedpanic") }
@@ -27,8 +56,6 @@ func TestNoPrintFixture(t *testing.T) { runFixture(t, NoPrint, "noprint") }
 func TestStmtIOFixture(t *testing.T) { runFixture(t, StmtIO, "stmtio") }
 
 func TestTxnUndoFixture(t *testing.T) { runFixture(t, TxnUndo, "txnundo") }
-
-func TestGovBatchFixture(t *testing.T) { runFixture(t, GovBatch, "govbatch") }
 
 func TestMVCCVisFixture(t *testing.T) { runFixture(t, MVCCVis, "mvccvis") }
 

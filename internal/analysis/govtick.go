@@ -17,8 +17,21 @@ package analysis
 // Producers are: methods named Next/next returning (..., bool, error);
 // storage.BufferPool.Fetch; storage.Segment.Insert; and calls of
 // function-typed values with a (..., bool, error) result shape (e.g. a
-// sorter input). Dynamic calls can never be proven governed, so loops
-// driving them need their own checkpoint.
+// sorter input). Calls of function values can never be proven governed, so
+// loops driving them need their own checkpoint. A call through an interface
+// that has an unexported method can only dispatch to the declaring
+// package's own types, so it is governed once every one of them is — the
+// executor's shared batch fill drives its row sources that way.
+//
+// The same packages implement the batched operator protocol, whose boundary
+// ticks once per batch instead of once per row. That is only safe if every
+// NextBatch body still reaches a checkpoint at least once per batch —
+// directly, or by driving a governed producer — so a canceled or
+// over-budget statement cannot run a whole batch (or, with interior loops,
+// arbitrarily long) per boundary tick. The boundary also computes the
+// per-batch fetch delta, so a NextBatch body must never read the buffer
+// pool's DB-global IOStats, whose counters blend concurrent statements' I/O
+// into the delta.
 
 import (
 	"go/ast"
@@ -28,7 +41,7 @@ import (
 // GovTick is the governor-checkpoint analyzer.
 var GovTick = &Analyzer{
 	Name: "govtick",
-	Doc:  "tuple/page-producing loops in exec, rss, and xsort must contain a governor budget check",
+	Doc:  "tuple/page-producing loops and NextBatch bodies in exec, rss, and xsort must reach a governor budget check; NextBatch bodies must not read the pool's DB-global IOStats",
 	Run:  runGovTick,
 }
 
@@ -80,8 +93,31 @@ func runGovTick(pass *Pass) error {
 			checkGovLoop(pass, info, n, body)
 			return true
 		})
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil &&
+				(fd.Name.Name == "NextBatch" || fd.Name.Name == "nextBatch") {
+				checkBatchBody(pass, info, fd)
+			}
+		}
 	}
 	return nil
+}
+
+// checkBatchBody applies the batched-protocol rule to one NextBatch body.
+func checkBatchBody(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
+	name := fd.Name.Name
+	if !containsBudgetCall(info, fd.Body) && !callsGovernedFunc(pass, info, fd.Body) {
+		pass.Reportf(fd.Pos(),
+			"%s fills a batch without a governor checkpoint: tick the budget or drive a governed producer at least once per batch", name)
+	}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if ok && isMethodOn(calleeFunc(info, call), "Stats", "storage", "BufferPool") {
+			pass.Reportf(call.Pos(),
+				"%s reads the buffer pool's DB-global IOStats: batch deltas must come from the statement's StmtIO accumulator", name)
+		}
+		return true
+	})
 }
 
 func checkGovLoop(pass *Pass, info *types.Info, loop ast.Node, body *ast.BlockStmt) {
@@ -203,6 +239,7 @@ func computeGovernedFacts(pass *Pass) {
 			fns = append(fns, fn{obj: obj, body: fd.Body})
 		}
 	}
+	sealed := sealedDispatch(pass.Pkg.Types)
 	for changed := true; changed; {
 		changed = false
 		for _, f := range fns {
@@ -214,7 +251,61 @@ func computeGovernedFacts(pass *Pass) {
 				changed = true
 			}
 		}
+		for m, impls := range sealed {
+			if isGoverned(pass, m) {
+				continue
+			}
+			all := true
+			for _, impl := range impls {
+				all = all && isGoverned(pass, impl)
+			}
+			if all {
+				pass.ExportObjectFact(m, &governedFact{})
+				changed = true
+			}
+		}
 	}
+}
+
+// sealedDispatch maps each method of pkg's sealed interfaces — those with
+// an unexported method, which only pkg's own types can implement — to its
+// implementations among pkg's named types. Methods with no implementation
+// are left out: a call through them can never be shown governed.
+func sealedDispatch(pkg *types.Package) map[*types.Func][]*types.Func {
+	var ifaces []*types.Interface
+	var concrete []types.Type
+	scope := pkg.Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue
+		}
+		if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+			for i := 0; i < it.NumMethods(); i++ {
+				if !it.Method(i).Exported() {
+					ifaces = append(ifaces, it)
+					break
+				}
+			}
+			continue
+		}
+		concrete = append(concrete, types.NewPointer(tn.Type()))
+	}
+	out := make(map[*types.Func][]*types.Func)
+	for _, it := range ifaces {
+		for _, t := range concrete {
+			if !types.Implements(t, it) {
+				continue
+			}
+			for i := 0; i < it.NumMethods(); i++ {
+				m := it.Method(i)
+				if impl, _, _ := types.LookupFieldOrMethod(t, true, pkg, m.Name()); impl != nil {
+					out[m] = append(out[m], impl.(*types.Func))
+				}
+			}
+		}
+	}
+	return out
 }
 
 func callsGovernedFunc(facts factReader, info *types.Info, body *ast.BlockStmt) bool {

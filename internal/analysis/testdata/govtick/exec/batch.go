@@ -1,5 +1,5 @@
-// The govbatch cases: NextBatch bodies with a direct checkpoint, with a
-// governed producer, with neither, and one reading the DB-global ledger.
+// The batched-protocol cases: NextBatch bodies with a direct checkpoint,
+// with a governed producer, with neither, and one reading the global ledger.
 package exec
 
 import (

@@ -1,19 +1,20 @@
 package exec
 
-// Batch-oriented execution. The classic tuple-at-a-time Volcano protocol
-// pays the instrumented operator boundary — a governor tick, two wall-clock
-// reads, and two statement-counter reads — once per row. NextBatch moves
-// rows across that boundary a batch at a time, so the boundary cost is
-// amortized over DefaultBatchSize rows while the interior operators keep
-// their own governor checkpoints (scans check per tuple examined, exactly as
-// before).
+// Batch-oriented execution. The instrumented operator boundary — a governor
+// tick, two wall-clock reads, and two statement-counter reads — is paid once
+// per NextBatch call, so it is amortized over DefaultBatchSize rows while the
+// interior operators keep their own governor checkpoints (scans check per
+// tuple examined). The paper's cost model charges W per RSI call, never per
+// operator boundary, so the batch size changes no paper unit.
 //
-// Every operator instance is driven through exactly one protocol per run:
-// block execution drives the root with NextBatch, and composite operators
-// read their children through batchReaders; the row-at-a-time Next remains
-// for cursors, DML tuple location, and subquery evaluation, and a fallback
-// adapter in the op wrapper serves NextBatch for any operator body without a
-// native batch implementation.
+// NextBatch is the only protocol between operators. Scans and projection
+// fill batches natively from per-call arenas; the operators whose interior
+// logic is naturally row-at-a-time (joins, sort read-back, aggregation,
+// duplicate elimination) implement rowSource and share one fill loop;
+// composite operators read their children through batchReaders. Callers
+// that need one row per call — cursors and DML tuple location — drive the
+// root or leaf with a one-row batch, and Runtime.BatchSize=1 runs the whole
+// tree tuple-at-a-time (the ablation).
 
 // DefaultBatchSize is the number of rows an operator aims to move per
 // NextBatch call when the runtime does not configure a size.
@@ -54,11 +55,25 @@ func (b *Batch) Append(c comp) { b.rows = append(b.rows, c) }
 // Row returns row i.
 func (b *Batch) Row(i int) comp { return b.rows[i] }
 
-// batchImpl is implemented by operator bodies with a native batch fill; the
-// op wrapper dispatches NextBatch to it, falling back to a per-row loop
-// otherwise. On error the batch's contents are undefined.
-type batchImpl interface {
-	nextBatch(b *Batch) error
+// rowSource is an operator body whose interior logic yields one row at a
+// time. Every implementation reads its input through a batchReader or a
+// governed sorter, so its next reaches a governor checkpoint.
+type rowSource interface {
+	next() (comp, bool, error)
+}
+
+// fillRows is the one batch fill for rowSource bodies: it appends rows from
+// src until b is full or src is exhausted. On error the batch's contents are
+// undefined.
+func fillRows(b *Batch, src rowSource) error {
+	for !b.Full() {
+		c, ok, err := src.next()
+		if err != nil || !ok {
+			return err
+		}
+		b.Append(c)
+	}
+	return nil
 }
 
 // batchReader adapts a child operator's NextBatch stream back to one-row
@@ -73,16 +88,18 @@ type batchReader struct {
 	done bool
 }
 
-func (ctx *blockCtx) newBatchReader(src *op) *batchReader {
-	return &batchReader{src: src, buf: NewBatch(ctx.batchN)}
-}
-
-// reset discards buffered rows; callers reset after re-opening src (a
-// nested-loop inner) or before a fresh drain.
-func (r *batchReader) reset() {
+// reader returns a batchReader over src ready for a fresh drain: r itself
+// with its buffered rows discarded, or a new reader when r is nil. Callers
+// re-arm after (re-)opening src, so a nested-loop inner's reader and buffer
+// are reused across loops.
+func (ctx *blockCtx) reader(r *batchReader, src *op) *batchReader {
+	if r == nil {
+		return &batchReader{src: src, buf: NewBatch(ctx.batchN)}
+	}
 	r.buf.Reset()
 	r.i = 0
 	r.done = false
+	return r
 }
 
 // next serves one row, refilling from src as needed.

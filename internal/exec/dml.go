@@ -57,10 +57,11 @@ walk:
 	return collectFromScan(leaf)
 }
 
-// collectFromScan drives the leaf operator to completion, guaranteeing Close
-// on every exit path (including panics) and surfacing its error. The
-// operator's residual predicates already filtered the rows; the TID of each
-// surviving row comes from the scan's tidSource.
+// collectFromScan drives the leaf operator to completion with a one-row
+// batch, guaranteeing Close on every exit path (including panics) and
+// surfacing its error. The operator's residual predicates already filtered
+// the rows; the TID of each surviving row comes from the scan's tidSource,
+// which remembers the last row filled — hence one row per batch.
 func collectFromScan(leaf *op) (tids []storage.TID, rows []value.Row, err error) {
 	src, ok := leaf.impl.(tidSource)
 	if !ok {
@@ -80,16 +81,16 @@ func collectFromScan(leaf *op) (tids []storage.TID, rows []value.Row, err error)
 	if err := leaf.Open(); err != nil {
 		return nil, nil, err
 	}
+	one := NewBatch(1)
 	for {
-		c, ok, err := leaf.Next()
-		if err != nil {
+		if err := leaf.NextBatch(one); err != nil {
 			return nil, nil, err
 		}
-		if !ok {
+		if one.Len() == 0 {
 			return tids, rows, nil
 		}
 		tids = append(tids, src.lastTID())
-		rows = append(rows, c[relIdx])
+		rows = append(rows, one.Row(0)[relIdx])
 	}
 }
 

@@ -40,14 +40,10 @@ type Runtime struct {
 	// OnBatch, when non-nil, observes the size of every batch the block
 	// driver consumes from the root operator (metrics hook).
 	OnBatch func(rows int)
-	// OnParallel, when non-nil, observes the worker count of every parallel
-	// exchange opened (metrics hook).
-	OnParallel func(workers int)
 
 	// Snap is the MVCC snapshot every scan in this statement reads under:
 	// only versions visible to it cross the RSS interface. Nil means "latest
-	// committed" (bootstrap and lock-excluded callers). Worker contexts copy
-	// the whole Runtime, so parallel scans inherit it.
+	// committed" (bootstrap and lock-excluded callers).
 	Snap *storage.Snapshot
 }
 
@@ -165,10 +161,7 @@ func newBlockCtx(rt *Runtime, q *plan.Query, evals *int) *blockCtx {
 
 // fetchCount reads the statement's page-fetch counter — this statement's
 // fetches only, so attribution stays exact under concurrent statements.
-// Parallel workers post into their own attached accumulators, excluded here,
-// so synchronous deltas stay deterministic while workers run; worker I/O is
-// folded back in at Stats()-read time and in statement totals (Snapshot).
-func (ctx *blockCtx) fetchCount() int64 { return ctx.io.LocalFetchCount() }
+func (ctx *blockCtx) fetchCount() int64 { return ctx.io.FetchCount() }
 
 // opFetchBase is the counter operator instrumentation deltas: the
 // statement's fetches minus those spent inside subquery evaluations (which
@@ -192,9 +185,7 @@ func (ctx *blockCtx) run() (rows []value.Row, err error) {
 	if err := root.Open(); err != nil {
 		return nil, err
 	}
-	// Block execution is batch-driven: the root's instrumented boundary is
-	// paid once per batch instead of once per row. Cursors and DML tuple
-	// location keep the row-at-a-time Next.
+	// The root's instrumented boundary is paid once per batch.
 	b := NewBatch(ctx.batchN)
 	for {
 		if err := root.NextBatch(b); err != nil {
@@ -209,25 +200,6 @@ func (ctx *blockCtx) run() (rows []value.Row, err error) {
 		for _, c := range b.rows {
 			rows = append(rows, outRow(c))
 		}
-	}
-}
-
-// workerCtx derives an execution context for one parallel-scan worker: the
-// worker accounts its I/O into acc (already Attached to the statement's
-// accumulator) and shares the statement's governor budget and parameter
-// bindings. Parallel-eligible scans evaluate no residuals or subquery-bound
-// sargs, so the worker context carries no subquery state.
-func (ctx *blockCtx) workerCtx(acc *storage.IOStats) *blockCtx {
-	rt2 := *ctx.rt
-	rt2.IO = acc
-	return &blockCtx{
-		rt:         &rt2,
-		io:         ctx.rt.Pool.View(acc),
-		q:          ctx.q,
-		params:     ctx.params,
-		evals:      ctx.evals,
-		subFetches: new(int64),
-		batchN:     ctx.batchN,
 	}
 }
 
@@ -274,11 +246,15 @@ func (ctx *blockCtx) applyResidual(c comp, exprs []sem.Expr) (bool, error) {
 
 // Cursor streams a planned query's output rows one at a time — the
 // tuple-at-a-time host-language interface the paper's Section 2 describes
-// (generated code returning tuples to PL/I or COBOL programs). Stats are
-// finalized when the cursor closes or drains.
+// (generated code returning tuples to PL/I or COBOL programs). Each Next
+// drives the root with a one-row batch, so every cursor fetch crosses the
+// root's instrumented, governor-checked boundary exactly once while the
+// operators below it still exchange full batches. Stats are finalized when
+// the cursor closes or drains.
 type Cursor struct {
 	rt     *Runtime
 	root   *op
+	one    *Batch
 	before storage.IOStatsSnapshot
 	evals  int
 	rows   int
@@ -313,6 +289,7 @@ func OpenQueryArgs(rt *Runtime, q *plan.Query, args []value.Value) (*Cursor, err
 		return nil, err
 	}
 	c.root = root
+	c.one = NewBatch(1)
 	return c, nil
 }
 
@@ -323,16 +300,15 @@ func (c *Cursor) Next() (value.Row, bool, error) {
 	if c.done {
 		return nil, false, nil
 	}
-	cr, ok, err := c.root.Next()
-	if err != nil {
+	if err := c.root.NextBatch(c.one); err != nil {
 		c.finish()
 		return nil, false, err
 	}
-	if !ok {
+	if c.one.Len() == 0 {
 		return nil, false, c.finish()
 	}
 	c.rows++
-	return outRow(cr), true, nil
+	return outRow(c.one.Row(0)), true, nil
 }
 
 // Close releases the cursor; safe to call at any point and idempotent. It

@@ -24,43 +24,25 @@ func (it *projectOp) open() error {
 	if err := it.input.Open(); err != nil {
 		return err
 	}
-	if it.read == nil {
-		it.read = it.ctx.newBatchReader(it.input)
-	} else {
-		it.read.reset()
-	}
+	it.read = it.ctx.reader(it.read, it.input)
 	return nil
 }
 
-func (it *projectOp) next() (comp, bool, error) {
-	c, ok, err := it.read.next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	out := make(value.Row, len(it.exprs))
-	for i, e := range it.exprs {
-		v, err := it.ctx.evalExpr(c, e)
-		if err != nil {
-			return nil, false, err
-		}
-		out[i] = v
-	}
-	return outComp(out), true, nil
-}
-
 // nextBatch projects a batch at a time, allocating output rows and their
-// single-slot composites from per-call arenas (consumers may retain rows).
+// single-slot composites from per-call arenas (consumers may retain rows),
+// allocated on the first row so the end-of-input call allocates nothing.
 func (it *projectOp) nextBatch(b *Batch) error {
 	ne := len(it.exprs)
-	rowArena := make([]value.Value, b.Cap()*ne)
-	compArena := make([]value.Row, b.Cap())
+	var rowArena []value.Value
+	var compArena []value.Row
 	for !b.Full() {
 		c, ok, err := it.read.next()
-		if err != nil {
+		if err != nil || !ok {
 			return err
 		}
-		if !ok {
-			return nil
+		if compArena == nil {
+			rowArena = make([]value.Value, b.Cap()*ne)
+			compArena = make([]value.Row, b.Cap())
 		}
 		out := value.Row(rowArena[:ne:ne])
 		rowArena = rowArena[ne:]
@@ -95,14 +77,21 @@ type groupAggOp struct {
 	started bool
 	done    bool
 	pending comp // lookahead row belonging to the next group
+	read    *batchReader
 }
 
 func (it *groupAggOp) open() error {
 	it.curKey, it.curRep, it.states = nil, nil, nil
 	it.started, it.done = false, false
 	it.pending = nil
-	return it.input.Open()
+	if err := it.input.Open(); err != nil {
+		return err
+	}
+	it.read = it.ctx.reader(it.read, it.input)
+	return nil
 }
+
+func (it *groupAggOp) nextBatch(b *Batch) error { return fillRows(b, it) }
 
 func (it *groupAggOp) groupKey(c comp) value.Row {
 	key := make(value.Row, len(it.node.GroupCols))
@@ -124,7 +113,7 @@ func (it *groupAggOp) next() (comp, bool, error) {
 			c, ok = it.pending, true
 			it.pending = nil
 		} else {
-			c, ok, err = it.input.Next()
+			c, ok, err = it.read.next()
 			if err != nil {
 				return nil, false, err
 			}
@@ -336,11 +325,7 @@ func (it *distinctOp) open() error {
 	if err := it.input.Open(); err != nil {
 		return err
 	}
-	if it.read == nil {
-		it.read = it.ctx.newBatchReader(it.input)
-	} else {
-		it.read.reset()
-	}
+	it.read = it.ctx.reader(it.read, it.input)
 	return nil
 }
 
@@ -359,19 +344,6 @@ func (it *distinctOp) next() (comp, bool, error) {
 	}
 }
 
-// nextBatch fills b with distinct rows.
-func (it *distinctOp) nextBatch(b *Batch) error {
-	for !b.Full() {
-		c, ok, err := it.next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		b.Append(c)
-	}
-	return nil
-}
+func (it *distinctOp) nextBatch(b *Batch) error { return fillRows(b, it) }
 
 func (it *distinctOp) close() error { return it.input.Close() }

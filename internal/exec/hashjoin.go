@@ -38,7 +38,7 @@ func (it *hashJoinOp) open() error {
 	if err := it.inner.Open(); err != nil {
 		return err
 	}
-	build := it.ctx.newBatchReader(it.inner)
+	build := it.ctx.reader(nil, it.inner)
 	for {
 		c, ok, err := build.next()
 		if err != nil {
@@ -63,11 +63,7 @@ func (it *hashJoinOp) open() error {
 	if err := it.outer.Open(); err != nil {
 		return err
 	}
-	if it.outerRead == nil {
-		it.outerRead = it.ctx.newBatchReader(it.outer)
-	} else {
-		it.outerRead.reset()
-	}
+	it.outerRead = it.ctx.reader(it.outerRead, it.outer)
 	return nil
 }
 
@@ -99,19 +95,7 @@ func (it *hashJoinOp) next() (comp, bool, error) {
 	}
 }
 
-func (it *hashJoinOp) nextBatch(b *Batch) error {
-	for !b.Full() {
-		c, ok, err := it.next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		b.Append(c)
-	}
-	return nil
-}
+func (it *hashJoinOp) nextBatch(b *Batch) error { return fillRows(b, it) }
 
 func (it *hashJoinOp) close() error {
 	it.table, it.cur, it.curOuter = nil, nil, nil

@@ -33,12 +33,7 @@ func (it *nlJoinOp) open() error {
 	if err := it.outer.Open(); err != nil {
 		return err
 	}
-	if it.outerRead == nil {
-		it.outerRead = it.ctx.newBatchReader(it.outer)
-		it.innerRead = it.ctx.newBatchReader(it.inner)
-	} else {
-		it.outerRead.reset()
-	}
+	it.outerRead = it.ctx.reader(it.outerRead, it.outer)
 	return nil
 }
 
@@ -72,7 +67,7 @@ func (it *nlJoinOp) next() (comp, bool, error) {
 				return nil, false, err
 			}
 			it.innerOn = true
-			it.innerRead.reset()
+			it.innerRead = it.ctx.reader(it.innerRead, it.inner)
 		}
 		ic, ok, err := it.innerRead.next()
 		if err != nil {
@@ -93,21 +88,7 @@ func (it *nlJoinOp) next() (comp, bool, error) {
 	}
 }
 
-// nextBatch fills b by running the join loop; the per-row work is the same,
-// but rows cross this operator's own boundary a batch at a time.
-func (it *nlJoinOp) nextBatch(b *Batch) error {
-	for !b.Full() {
-		c, ok, err := it.next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		b.Append(c)
-	}
-	return nil
-}
+func (it *nlJoinOp) nextBatch(b *Batch) error { return fillRows(b, it) }
 
 // close releases both sides, returning the first error but always closing
 // the outer even when the inner's close fails.
@@ -155,13 +136,8 @@ func (it *mergeJoinOp) open() error {
 	if err := it.inner.Open(); err != nil {
 		return err
 	}
-	if it.outerRead == nil {
-		it.outerRead = it.ctx.newBatchReader(it.outer)
-		it.innerRead = it.ctx.newBatchReader(it.inner)
-	} else {
-		it.outerRead.reset()
-		it.innerRead.reset()
-	}
+	it.outerRead = it.ctx.reader(it.outerRead, it.outer)
+	it.innerRead = it.ctx.reader(it.innerRead, it.inner)
 	return nil
 }
 
@@ -274,20 +250,7 @@ func (it *mergeJoinOp) next() (comp, bool, error) {
 	}
 }
 
-// nextBatch fills b by running the merge loop per row.
-func (it *mergeJoinOp) nextBatch(b *Batch) error {
-	for !b.Full() {
-		c, ok, err := it.next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		b.Append(c)
-	}
-	return nil
-}
+func (it *mergeJoinOp) nextBatch(b *Batch) error { return fillRows(b, it) }
 
 func (it *mergeJoinOp) close() error {
 	firstErr := it.outer.Close()

@@ -1,16 +1,17 @@
 package exec
 
 // The unified physical operator tree. Every plan node executes as one
-// Operator with the classic OPEN/NEXT/CLOSE protocol; a single builder maps
-// plan.Nodes to operators, and a shared instrumentation wrapper around every
-// operator measures actual rows, NEXT calls, attributed page fetches
-// (buffer-pool counter deltas around each call), and wall time — the
-// per-operator feedback EXPLAIN ANALYZE reports against the optimizer's
-// Table 1 / Table 2 estimates. The wrapper is also the single place the
-// statement execution governor is consulted inside the executor: every row
-// crossing an operator boundary is a governor checkpoint (the RSS scans and
-// the sorter keep their own interior checkpoints so even operators that
-// examine many tuples per row returned abort promptly).
+// Operator with an OPEN / NEXTBATCH / CLOSE protocol: rows move between
+// operators only in batches (a one-row batch is the paper's tuple-at-a-time
+// NEXT). A single builder maps plan.Nodes to operators, and a shared
+// instrumentation wrapper around every operator measures actual rows,
+// attributed page fetches (statement-counter deltas around each call), and
+// wall time — the per-operator feedback EXPLAIN ANALYZE reports against the
+// optimizer's Table 1 / Table 2 estimates. The wrapper is also the single
+// place the statement execution governor is consulted inside the executor:
+// every batch crossing an operator boundary is a governor checkpoint (the
+// RSS scans and the sorter keep their own interior checkpoints so even
+// operators that examine many tuples per row returned abort promptly).
 
 import (
 	"fmt"
@@ -23,7 +24,7 @@ import (
 
 // OpStats is one operator's measured execution: the actuals column of
 // EXPLAIN ANALYZE. Fetches and Elapsed are inclusive of the operator's
-// children (a child's Next runs inside its parent's); self-attribution is
+// children (a child's NextBatch runs inside its parent's); self-attribution is
 // inclusive minus the sum of the children, computed at rendering time.
 // Fetches are deltas of the statement's own counter (with subquery
 // evaluations excluded), so a concurrent statement's I/O never appears here.
@@ -31,14 +32,15 @@ type OpStats struct {
 	// Opens counts Open calls — re-opens of a nested-loop inner make this
 	// the join's loop count.
 	Opens int64
-	// Nexts counts Next calls, including the final empty one.
+	// Nexts counts amortized NEXT calls: one per row returned, plus one
+	// per empty batch (the final end-of-input call).
 	Nexts int64
 	// Rows counts rows the operator returned.
 	Rows int64
 	// Fetches counts buffer-pool page fetches observed during the
-	// operator's Open and Next calls, children included.
+	// operator's Open and NextBatch calls, children included.
 	Fetches int64
-	// Elapsed is wall time spent inside Open and Next, children included.
+	// Elapsed is wall time spent inside Open and NextBatch, children included.
 	Elapsed time.Duration
 }
 
@@ -47,11 +49,8 @@ type OpStats struct {
 // parameter bindings (how a nested-loop join rescans its inner relation);
 // Close is idempotent and must release every resource on any exit path,
 // including a partially failed Open. Stats accumulate across restarts.
-// A single operator instance is driven through either Next or NextBatch for
-// the duration of a run, never a mix.
 type Operator interface {
 	Open() error
-	Next() (comp, bool, error)
 	// NextBatch fills b with up to its capacity of rows, resetting it first;
 	// a batch shorter than capacity is permitted mid-stream, and an empty
 	// batch means end of input. The boundary instrumentation (governor tick,
@@ -66,11 +65,12 @@ type Operator interface {
 	Children() []Operator
 }
 
-// opImpl is a concrete operator body. Implementations produce composite rows
-// and leave instrumentation and governor checks to the op wrapper.
+// opImpl is a concrete operator body. Implementations fill batches of
+// composite rows (b arrives empty) and leave instrumentation and the
+// boundary governor check to the op wrapper.
 type opImpl interface {
 	open() error
-	next() (comp, bool, error)
+	nextBatch(b *Batch) error
 	close() error
 }
 
@@ -93,30 +93,8 @@ type op struct {
 
 func (o *op) Plan() plan.Node { return o.node }
 
-// Stats returns the operator's measured actuals. Fetches folds in the I/O
-// posted by parallel workers in this operator's subtree: workers post into
-// their own accumulators (never the statement's own counter, keeping
-// synchronous deltas race-free), so worker I/O is re-attributed at read
-// time. The fold keeps the telescoping self = inclusive − children identity
-// exact: a parallel exchange's workers are its child operators, measured
-// against their own accumulators.
-func (o *op) Stats() OpStats {
-	s := o.stats
-	s.Fetches += o.asyncFetches()
-	return s
-}
-
-// asyncFetches sums the parallel-worker I/O in this operator's subtree.
-func (o *op) asyncFetches() int64 {
-	var n int64
-	if p, ok := o.impl.(*parallelOp); ok {
-		n += p.workerFetches()
-	}
-	for _, k := range o.kids {
-		n += k.asyncFetches()
-	}
-	return n
-}
+// Stats returns the operator's measured actuals.
+func (o *op) Stats() OpStats { return o.stats }
 
 func (o *op) Children() []Operator {
 	out := make([]Operator, len(o.kids))
@@ -141,60 +119,20 @@ func (o *op) Open() error {
 	return err
 }
 
-// Next returns the operator's next row. Every call is a governor checkpoint,
-// so cancellation and budget violations surface at operator boundaries no
-// matter which operator is doing the work.
-func (o *op) Next() (c comp, ok bool, err error) {
-	if err := o.ctx.rt.Budget.Tick(); err != nil {
-		return nil, false, err
-	}
-	start := time.Now()
-	f0 := o.ctx.opFetchBase()
-	c, ok, err = o.impl.next()
-	o.stats.Nexts++
-	if ok {
-		o.stats.Rows++
-	}
-	o.stats.Fetches += o.ctx.opFetchBase() - f0
-	o.stats.Elapsed += time.Since(start)
-	return c, ok, err
-}
-
 // NextBatch fills b with up to its capacity of rows, paying the boundary
-// instrumentation once per batch. Bodies with a native batch fill are
-// dispatched directly; any other body is served by a per-row fallback loop
-// (which keeps a per-row governor tick, since the body has no interior
-// checkpoints of its own at the batch boundary).
+// instrumentation once per batch. Every call is a governor checkpoint, so
+// cancellation and budget violations surface at operator boundaries no
+// matter which operator is doing the work.
 func (o *op) NextBatch(b *Batch) error {
 	if err := o.ctx.rt.Budget.Tick(); err != nil {
 		return err
 	}
 	start := time.Now()
 	f0 := o.ctx.opFetchBase()
-	var err error
-	if bi, ok := o.impl.(batchImpl); ok {
-		b.Reset()
-		err = bi.nextBatch(b)
-	} else {
-		b.Reset()
-		for !b.Full() {
-			if terr := o.ctx.rt.Budget.Tick(); terr != nil {
-				err = terr
-				break
-			}
-			c, ok, nerr := o.impl.next()
-			if nerr != nil {
-				err = nerr
-				break
-			}
-			if !ok {
-				break
-			}
-			b.Append(c)
-		}
-	}
+	b.Reset()
+	err := o.impl.nextBatch(b)
 	// Preserve the Rows <= Nexts invariant: a batch of n rows counts as n
-	// amortized Next calls; an empty batch is the final empty call.
+	// amortized NEXT calls; an empty batch is the final empty call.
 	n := int64(b.Len())
 	o.stats.Rows += n
 	if n == 0 {
@@ -208,17 +146,6 @@ func (o *op) NextBatch(b *Batch) error {
 }
 
 func (o *op) Close() error { return o.impl.close() }
-
-// selfFetches attributes page fetches to this operator alone: its inclusive
-// delta minus its children's. Both sides come from Stats() so the identity
-// holds through a parallel exchange (whose worker I/O is folded in there).
-func (o *op) selfFetches() int64 {
-	f := o.Stats().Fetches
-	for _, k := range o.kids {
-		f -= k.Stats().Fetches
-	}
-	return f
-}
 
 // newOp wraps impl for node with its child operators.
 func (ctx *blockCtx) newOp(n plan.Node, impl opImpl, kids ...*op) *op {
@@ -263,8 +190,6 @@ func (ctx *blockCtx) build(n plan.Node) (*op, error) {
 			return nil, err
 		}
 		return ctx.newOp(n, &hashJoinOp{ctx: ctx, node: x, outer: outer, inner: inner}, outer, inner), nil
-	case *plan.Parallel:
-		return ctx.buildParallel(x)
 	case *plan.Sort:
 		in, err := ctx.build(x.Input)
 		if err != nil {

@@ -25,48 +25,28 @@ func (it *segScanOp) open() error {
 	}
 	it.scan = &rss.SegmentScan{
 		Table: it.node.Table, Pool: it.ctx.rt.Pool, Sargs: sargs,
-		Part: it.node.Part, NParts: it.node.NParts,
 		Stmt: it.ctx.rt.IO, Budget: it.ctx.rt.Budget,
 		Snap: it.ctx.rt.Snap,
 	}
 	return it.scan.Open()
 }
 
-func (it *segScanOp) next() (comp, bool, error) {
-	for {
-		row, tid, ok, err := it.scan.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		c := make(comp, it.ctx.numRels())
-		c[it.node.RelIdx] = row
-		keep, err := it.ctx.applyResidual(c, it.node.Residual)
-		if err != nil {
-			return nil, false, err
-		}
-		if keep {
-			it.tid = tid
-			return c, true, nil
-		}
-	}
-}
-
 // nextBatch fills b with qualifying rows, allocating composites from one
-// per-call arena (consumers may retain the rows; the arena is never reused).
+// per-call arena (consumers may retain the rows; the arena is never reused),
+// allocated on the first row so the end-of-input call allocates nothing.
 // The scan keeps its own per-tuple governor checkpoint.
 func (it *segScanOp) nextBatch(b *Batch) error {
 	nr := it.ctx.numRels()
-	arena := make([]value.Row, b.Cap()*nr)
-	off := 0
+	var arena []value.Row
 	for !b.Full() {
 		row, tid, ok, err := it.scan.Next()
-		if err != nil {
+		if err != nil || !ok {
 			return err
 		}
-		if !ok {
-			return nil
+		if arena == nil {
+			arena = make([]value.Row, b.Cap()*nr)
 		}
-		c := comp(arena[off : off+nr : off+nr])
+		c := comp(arena[:nr:nr])
 		c[it.node.RelIdx] = row
 		keep, err := it.ctx.applyResidual(c, it.node.Residual)
 		if err != nil {
@@ -76,7 +56,7 @@ func (it *segScanOp) nextBatch(b *Batch) error {
 			c[it.node.RelIdx] = nil // reuse the arena slot
 			continue
 		}
-		off += nr
+		arena = arena[nr:]
 		it.tid = tid
 		b.Append(c)
 	}
@@ -128,46 +108,24 @@ func (it *indexScanOp) open() error {
 	return it.scan.Open()
 }
 
-func (it *indexScanOp) next() (comp, bool, error) {
-	if it.empty {
-		return nil, false, nil
-	}
-	for {
-		row, tid, ok, err := it.scan.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		c := make(comp, it.ctx.numRels())
-		c[it.node.RelIdx] = row
-		keep, err := it.ctx.applyResidual(c, it.node.Residual)
-		if err != nil {
-			return nil, false, err
-		}
-		if keep {
-			it.tid = tid
-			return c, true, nil
-		}
-	}
-}
-
-// nextBatch is the segment scan's batch fill for index scans: one per-call
-// arena of composites, per-tuple governor checkpoints inside the scan.
+// nextBatch is the segment scan's batch fill for index scans: one lazily
+// allocated per-call arena of composites, per-tuple governor checkpoints
+// inside the scan.
 func (it *indexScanOp) nextBatch(b *Batch) error {
 	if it.empty {
 		return nil
 	}
 	nr := it.ctx.numRels()
-	arena := make([]value.Row, b.Cap()*nr)
-	off := 0
+	var arena []value.Row
 	for !b.Full() {
 		row, tid, ok, err := it.scan.Next()
-		if err != nil {
+		if err != nil || !ok {
 			return err
 		}
-		if !ok {
-			return nil
+		if arena == nil {
+			arena = make([]value.Row, b.Cap()*nr)
 		}
-		c := comp(arena[off : off+nr : off+nr])
+		c := comp(arena[:nr:nr])
 		c[it.node.RelIdx] = row
 		keep, err := it.ctx.applyResidual(c, it.node.Residual)
 		if err != nil {
@@ -177,7 +135,7 @@ func (it *indexScanOp) nextBatch(b *Batch) error {
 			c[it.node.RelIdx] = nil
 			continue
 		}
-		off += nr
+		arena = arena[nr:]
 		it.tid = tid
 		b.Append(c)
 	}

@@ -91,11 +91,7 @@ func (it *sortOp) open() (err error) {
 	}
 	// Drain the input through a batch adapter so its boundary is paid per
 	// batch; the sorter keeps its own interior governor checkpoints.
-	if it.read == nil {
-		it.read = it.ctx.newBatchReader(it.input)
-	} else {
-		it.read.reset()
-	}
+	it.read = it.ctx.reader(it.read, it.input)
 	res, err := xsort.Sort(xsort.Config{
 		Pool: it.ctx.rt.Pool, Disk: it.ctx.rt.Disk,
 		Keys: keys, Desc: desc, CountRSI: true,
@@ -124,19 +120,7 @@ func (it *sortOp) next() (comp, bool, error) {
 
 // nextBatch streams a batch from the sorted temporary list. The result
 // reader checks the governor per tuple read back.
-func (it *sortOp) nextBatch(b *Batch) error {
-	for !b.Full() {
-		c, ok, err := it.next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		b.Append(c)
-	}
-	return nil
-}
+func (it *sortOp) nextBatch(b *Batch) error { return fillRows(b, it) }
 
 func (it *sortOp) close() error {
 	if it.res != nil {

@@ -7,11 +7,8 @@
 // A *Budget is created per statement and threaded through exec.Runtime into
 // every scan. All methods are nil-receiver safe: code paths that execute
 // without a governor (experiments, internal loading) pass a nil budget and
-// pay a single pointer comparison per checkpoint. One budget may be shared
-// by all goroutines executing a statement — the parallel exchange operator
-// hands the same budget to every scan worker — so its counters are atomics
-// and every checkpoint is safe to hit concurrently; a budget violation
-// observed by any worker aborts the whole statement.
+// pay a single pointer comparison per checkpoint. Its counters are atomics,
+// so every checkpoint is safe to hit from any goroutine.
 package governor
 
 import (
@@ -51,7 +48,7 @@ type Limits struct {
 }
 
 // Budget is one statement's governor state. rows and sinceCheck are atomics
-// because parallel-scan workers share their statement's budget.
+// so any goroutine may hit a checkpoint.
 type Budget struct {
 	ctx          context.Context
 	limits       Limits

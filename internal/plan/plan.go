@@ -65,9 +65,6 @@ type ParamBind struct {
 }
 
 // SegScan finds all tuples of a relation via its segment (cost TCARD/P).
-// When NParts > 1 the scan reads only its contiguous 1/NParts share of the
-// segment's pages (partition Part) — the shape a Parallel exchange clones
-// per worker.
 type SegScan struct {
 	est
 	Table    *catalog.Table
@@ -75,8 +72,6 @@ type SegScan struct {
 	RelName  string
 	Sargs    []sem.SargDNF // RSS search arguments, one DNF per boolean factor
 	Residual []sem.Expr    // non-sargable local factors
-	Part     int           // partition index in [0, NParts)
-	NParts   int           // total partitions; 0 or 1 = whole segment
 }
 
 // IndexScan walks an index between start and stop keys (Table 2 formulas).
@@ -129,14 +124,13 @@ type HashJoin struct {
 	BuildRows float64
 }
 
-// Parallel is the exchange operator: it partitions its input segment scan
-// across Degree workers and merges their batches through a bounded channel.
-// Row order across partitions is nondeterministic; the optimizer only plants
-// it where no downstream operator depends on input order.
+// Parallel was the intra-query exchange operator.
+//
+// Deprecated: the optimizer no longer plants it and the executor cannot run
+// it. The type stays only because bench/trace.go's operator-class type
+// switch names it.
 type Parallel struct {
 	est
-	Input  Node // the template scan; the executor clones it per partition
-	Degree int
 }
 
 // Sort orders composite rows by the given keys, materializing through the
@@ -188,9 +182,6 @@ func (n *SegScan) Label() string {
 	fmt.Fprintf(&b, "SEGSCAN %s", n.RelName)
 	if n.Table.Name != n.RelName {
 		fmt.Fprintf(&b, " (%s)", n.Table.Name)
-	}
-	if n.NParts > 1 {
-		fmt.Fprintf(&b, " part=%d/%d", n.Part, n.NParts)
 	}
 	writePreds(&b, n.Sargs, n.Residual)
 	return b.String()
@@ -307,11 +298,9 @@ func (n *HashJoin) Label() string {
 	return b.String()
 }
 
-func (n *Parallel) Children() []Node { return []Node{n.Input} }
+func (n *Parallel) Children() []Node { return nil }
 
-func (n *Parallel) Label() string {
-	return fmt.Sprintf("PARALLEL degree=%d", n.Degree)
-}
+func (n *Parallel) Label() string { return "PARALLEL" }
 
 func (n *Sort) Children() []Node { return []Node{n.Input} }
 

@@ -43,7 +43,6 @@ type dbMetrics struct {
 	deadlocks      *metrics.Counter
 	lockTimeouts   *metrics.Counter
 	execBatchRows  *metrics.Histogram
-	parallelDegree *metrics.Histogram
 
 	// Estimation feedback.
 	estMissFactor     *metrics.Histogram
@@ -99,9 +98,6 @@ func newDBMetrics(db *DB) *dbMetrics {
 		execBatchRows: reg.NewHistogram("systemr_exec_batch_rows",
 			"Rows per batch crossing each statement's root operator boundary",
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}),
-		parallelDegree: reg.NewHistogram("systemr_parallel_workers",
-			"Worker count of each parallel exchange opened",
-			[]float64{1, 2, 4, 8, 16}),
 		estMissFactor: reg.NewHistogram("systemr_estimate_miss_factor",
 			"Misestimation q-error max(est,act)/min(est,act) of each executed SELECT's result cardinality",
 			[]float64{1, 2, 5, 10, 100, 1000}),

@@ -10,7 +10,9 @@ package systemr_test
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"systemr"
 )
@@ -19,7 +21,13 @@ import (
 // i in [0, n).
 func mvccDB(t *testing.T, n int) *systemr.DB {
 	t.Helper()
-	db := systemr.Open(systemr.Config{})
+	return mvccDBWith(t, systemr.Config{}, n)
+}
+
+// mvccDBWith is mvccDB under the given engine configuration.
+func mvccDBWith(t *testing.T, cfg systemr.Config, n int) *systemr.DB {
+	t.Helper()
+	db := systemr.Open(cfg)
 	db.MustExec("CREATE TABLE T (A INTEGER, B INTEGER)")
 	stmt := "INSERT INTO T VALUES "
 	for i := 0; i < n; i++ {
@@ -265,5 +273,57 @@ func TestAutoVacuumTriggers(t *testing.T) {
 	}
 	if s := sumB(t, db.Query); s != 12+13 {
 		t.Fatalf("SUM(B) = %d, want 25", s)
+	}
+}
+
+// TestSnapshotReadersPassWriterLock is the scenario snapshot isolation exists
+// for: one transaction UPDATEs T and sits on its uncommitted exclusive lock.
+// Under snapshot reads concurrent readers all complete and see the committed
+// sum; under the two-phase-locking baseline (DisableSnapshotReads) every
+// reader queues behind the X lock until LockTimeout.
+func TestSnapshotReadersPassWriterLock(t *testing.T) {
+	const readers, reads = 4, 5
+	for _, c := range []struct {
+		name     string
+		cfg      systemr.Config
+		snapshot bool
+	}{
+		{"snapshot", systemr.Config{}, true},
+		{"2pl", systemr.Config{DisableSnapshotReads: true, LockTimeout: 10 * time.Millisecond}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			db := mvccDBWith(t, c.cfg, 200)
+			committed := sumB(t, db.Query)
+			x := db.Begin()
+			defer x.Rollback()
+			if _, err := x.Exec("UPDATE T SET B = B + 1"); err != nil {
+				t.Fatalf("writer update: %v", err)
+			}
+			errs := make(chan error, readers*reads)
+			var wg sync.WaitGroup
+			for r := 0; r < readers; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < reads; i++ {
+						res, err := db.Query("SELECT SUM(B) FROM T")
+						if err == nil && res.Rows[0][0] != committed {
+							err = fmt.Errorf("read SUM(B) = %v, want the committed %d", res.Rows[0][0], committed)
+						}
+						errs <- err
+					}
+				}()
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				if c.snapshot && err != nil {
+					t.Errorf("snapshot read under the uncommitted writer: %v", err)
+				}
+				if !c.snapshot && !errors.Is(err, systemr.ErrLockTimeout) {
+					t.Errorf("2PL read under the uncommitted writer: got %v, want ErrLockTimeout", err)
+				}
+			}
+		})
 	}
 }

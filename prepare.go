@@ -254,7 +254,9 @@ func (r *Rows) Next() (row []any, ok bool, err error) {
 		if cerr := r.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
-		return nil, false, wrapGovErr(err, ExecStats{})
+		// Close has just published the cursor's partial stats as LastStats;
+		// the governor error carries the same numbers.
+		return nil, false, wrapGovErr(err, execStatsFrom(r.cursor.Stats()))
 	}
 	return toNative(raw), true, nil
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"systemr"
+	"systemr/internal/compile"
 	"systemr/internal/workload"
 )
 
@@ -82,5 +83,61 @@ func TestSkewPlanFlip(t *testing.T) {
 	}
 	if !strings.Contains(coldPlan, "INDEXSCAN") {
 		t.Fatalf("cold key should keep the index scan:\n%s", coldPlan)
+	}
+}
+
+// TestHistogramsFlipPlans plans a mixed predicate set (hot/mid/cold
+// equality, ranges, BETWEEN, IN, an unindexed column) under both models:
+// histograms must cut the mean estimation q-error and flip exactly four of
+// the eight access-path choices.
+func TestHistogramsFlipPlans(t *testing.T) {
+	hist, hot := workload.NewSkewDB(workload.SkewConfig{Seed: skewSeed, Engine: skewEngine(false)})
+	uni, _ := workload.NewSkewDB(workload.SkewConfig{Seed: skewSeed, Engine: skewEngine(true)})
+	queries := []string{
+		fmt.Sprintf("SELECT VAL FROM EVENTS WHERE KEY = %d", hot),
+		"SELECT VAL FROM EVENTS WHERE KEY = 10",
+		"SELECT VAL FROM EVENTS WHERE KEY = 900",
+		"SELECT VAL FROM EVENTS WHERE KEY < 5",
+		"SELECT VAL FROM EVENTS WHERE KEY > 500",
+		fmt.Sprintf("SELECT VAL FROM EVENTS WHERE KEY BETWEEN %d AND %d", hot, hot+2),
+		fmt.Sprintf("SELECT VAL FROM EVENTS WHERE KEY IN (%d, 900)", hot),
+		"SELECT ID FROM EVENTS WHERE VAL < 100",
+	}
+	var uniSum, histSum float64
+	flips := 0
+	for _, q := range queries {
+		res, err := hist.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		actual := float64(len(res.Rows))
+		uq, err := uni.PlanSelect(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hq, err := hist.PlanSelect(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		uniSum += compile.MissFactor(uq.Root.Est().Rows, actual)
+		histSum += compile.MissFactor(hq.Root.Est().Rows, actual)
+		uniPlan, err := uni.Explain(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		histPlan, err := hist.Explain(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(uniPlan, "INDEXSCAN") != strings.Contains(histPlan, "INDEXSCAN") {
+			flips++
+		}
+	}
+	if histSum >= uniSum {
+		t.Errorf("histograms did not reduce the mean q-error: hist %.2f vs uniform %.2f",
+			histSum/float64(len(queries)), uniSum/float64(len(queries)))
+	}
+	if flips != 4 {
+		t.Errorf("histograms flipped %d of %d plans, want 4", flips, len(queries))
 	}
 }

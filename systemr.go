@@ -83,16 +83,6 @@ type Config struct {
 	// it never changes plan choice, so it does not participate in the plan
 	// cache key. Negative values are treated as the default.
 	ExecBatchSize int
-	// DegreeOfParallelism > 1 partitions eligible segment scans across that
-	// many worker goroutines via a Parallel exchange operator planted at
-	// compile time (so it salts the plan-cache key). 0 or 1 means serial.
-	DegreeOfParallelism int
-	// ParallelMinPages is the smallest relation (in segment pages) worth a
-	// Parallel exchange: scans of smaller relations stay serial even when
-	// DegreeOfParallelism > 1, because worker startup and row hand-off cost
-	// more than they save on a handful of pages. 0 means the default (8);
-	// negative means no threshold (every eligible scan parallelizes).
-	ParallelMinPages int
 
 	// DisableSnapshotReads turns MVCC snapshot reads off: SELECTs take
 	// shared table locks again (pure strict 2PL, the pre-MVCC engine) and
@@ -178,11 +168,6 @@ type DB struct {
 // Config.PlanCacheSize is zero.
 const DefaultPlanCacheSize = 256
 
-// DefaultParallelMinPages is the parallel-scan page threshold when
-// Config.ParallelMinPages is zero: a few multiples of the executor's batch
-// size in pages, below which exchange overhead dominates.
-const DefaultParallelMinPages = 8
-
 // DefaultVacuumEvery is the auto-vacuum commit interval when
 // Config.VacuumEvery is zero.
 const DefaultVacuumEvery = 512
@@ -231,16 +216,10 @@ func Open(cfg Config) *DB {
 	if cfg.ExecBatchSize <= 0 {
 		cfg.ExecBatchSize = exec.DefaultBatchSize
 	}
-	if cfg.DegreeOfParallelism <= 0 {
-		cfg.DegreeOfParallelism = 1
-	}
 	disk := storage.NewDisk()
 	stats := &storage.IOStats{}
 	cat := catalog.New(disk)
 	cat.BTreeOrder = cfg.BTreeOrder
-	if cfg.ParallelMinPages == 0 {
-		cfg.ParallelMinPages = DefaultParallelMinPages
-	}
 	if cfg.VacuumEvery == 0 {
 		cfg.VacuumEvery = DefaultVacuumEvery
 	}
@@ -498,15 +477,9 @@ func (db *DB) SetMutationFault(hook func(n int64) error) {
 	db.mutFault.Store(txn.FaultFunc(hook))
 }
 
-// planKey builds the plan-cache key for a normalized SELECT. The degree of
-// parallelism salts the key because it changes the compiled plan's shape —
-// the Parallel exchange is planted at compile time — so plans compiled under
-// a different DOP can never be served. ExecBatchSize is execution-only and
-// deliberately does not participate.
+// planKey builds the plan-cache key for a normalized SELECT.
+// ExecBatchSize is execution-only and deliberately does not participate.
 func (db *DB) planKey(norm, argSig string) string {
-	if db.cfg.DegreeOfParallelism > 1 {
-		argSig = fmt.Sprintf("dop=%d\x00%s", db.cfg.DegreeOfParallelism, argSig)
-	}
 	return compile.Key(norm, argSig)
 }
 
@@ -650,13 +623,12 @@ func (db *DB) RunPlanned(q *plan.Query) ([]value.Row, *exec.Stats, error) {
 // accumulator, so every page access and RSI call of the statement is
 // measured on its own ledger — exact under concurrency — while still
 // aggregating into the pool's DB-global counters. The configured batch size
-// and the batch/parallel metric observers ride along.
+// and the batch metric observer ride along.
 func (db *DB) runtime(g *governor.Budget, snap *storage.Snapshot) *exec.Runtime {
 	rt := &exec.Runtime{Pool: db.pool, Disk: db.disk, Budget: g, IO: g.IO(),
 		BatchSize: db.cfg.ExecBatchSize, Snap: snap}
 	if m := db.metrics; m != nil {
 		rt.OnBatch = func(rows int) { m.execBatchRows.Observe(float64(rows)) }
-		rt.OnParallel = func(workers int) { m.parallelDegree.Observe(float64(workers)) }
 	}
 	return rt
 }
@@ -685,8 +657,6 @@ func (db *DB) OptimizerConfig() core.Config {
 		MergeOnly:                db.cfg.MergeOnly,
 		DisableHashJoin:          db.cfg.DisableHashJoin,
 		DisableHistograms:        db.cfg.DisableHistograms,
-		DegreeOfParallelism:      db.cfg.DegreeOfParallelism,
-		ParallelMinPages:         db.cfg.ParallelMinPages,
 	}
 }
 
