@@ -37,7 +37,7 @@ func (c *Conn) Exec(text string) (*Result, error) {
 // twice); everything else runs on the open transaction if there is one, else
 // autocommits.
 func (c *Conn) ExecContext(ctx context.Context, text string) (*Result, error) {
-	switch sql.LeadingKeyword(text) {
+	switch kw := sql.LeadingKeyword(text); kw {
 	case "BEGIN":
 		if err := parseTxnControl(text); err != nil {
 			return nil, err
@@ -47,27 +47,18 @@ func (c *Conn) ExecContext(ctx context.Context, text string) (*Result, error) {
 		}
 		c.tx = c.db.Begin()
 		return &Result{}, nil
-	case "COMMIT":
+	case "COMMIT", "ROLLBACK":
 		if err := parseTxnControl(text); err != nil {
 			return nil, err
 		}
 		if c.tx == nil {
 			return nil, errors.New("systemr: no transaction in progress")
 		}
-		err := c.tx.Commit()
-		c.tx = nil
-		if err != nil {
-			return nil, err
+		end := c.tx.Commit
+		if kw == "ROLLBACK" {
+			end = c.tx.Rollback
 		}
-		return &Result{}, nil
-	case "ROLLBACK":
-		if err := parseTxnControl(text); err != nil {
-			return nil, err
-		}
-		if c.tx == nil {
-			return nil, errors.New("systemr: no transaction in progress")
-		}
-		err := c.tx.Rollback()
+		err := end()
 		c.tx = nil
 		if err != nil {
 			return nil, err
@@ -102,13 +93,7 @@ func (c *Conn) Query(text string) (*Result, error) {
 // QueryContext is Query observing ctx.
 func (c *Conn) QueryContext(ctx context.Context, text string) (*Result, error) {
 	res, err := c.ExecContext(ctx, text)
-	if err != nil {
-		return nil, err
-	}
-	if res.Columns == nil {
-		return nil, fmt.Errorf("systemr: statement is not a query: %s", text)
-	}
-	return res, nil
+	return queryOnly(text, res, err)
 }
 
 // InTxn reports whether a transaction is open on the session.

@@ -221,20 +221,59 @@ func (p panicInjector) PageFetch(n int64, id storage.PageID) error {
 }
 
 func TestPanicContainment(t *testing.T) {
-	db := newEmpDeptJobDB(t)
-	db.Pool().SetFaultInjector(panicInjector{n: 3})
-	db.Pool().Flush()
-	_, err := db.Query("SELECT E.NAME, D.DNAME FROM EMP E, DEPT D WHERE E.DNO = D.DNO ORDER BY E.NAME")
-	var pe *systemr.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("panicking fetch: got %v, want *PanicError", err)
+	const query = "SELECT E.NAME, D.DNAME FROM EMP E, DEPT D WHERE E.DNO = D.DNO ORDER BY E.NAME"
+	// The same join entering the statement lifecycle three ways: ad hoc, as
+	// a prepared run, and as a cursor drained row by row. The sort drains
+	// its input at Open, so the cursor's panicking fetch comes later, inside
+	// a Next.
+	inputs := []struct {
+		name  string
+		fetch int64
+		run   func(db *systemr.DB, stmt *systemr.Stmt) error
+	}{
+		{"query", 3, func(db *systemr.DB, _ *systemr.Stmt) error {
+			_, err := db.Query(query)
+			return err
+		}},
+		{"prepared_run", 3, func(_ *systemr.DB, stmt *systemr.Stmt) error {
+			_, err := stmt.Run()
+			return err
+		}},
+		{"cursor", 8, func(_ *systemr.DB, stmt *systemr.Stmt) error {
+			rows, err := stmt.Open()
+			if err != nil {
+				return fmt.Errorf("Open failed before any Next: %v", err)
+			}
+			for {
+				_, ok, err := rows.Next()
+				if err != nil || !ok {
+					return err
+				}
+			}
+		}},
 	}
-	if len(pe.Stack) == 0 || pe.Value == nil {
-		t.Fatalf("PanicError missing diagnostics: %+v", pe)
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			db := newEmpDeptJobDB(t)
+			stmt, err := db.Prepare(query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db.Pool().SetFaultInjector(panicInjector{n: in.fetch})
+			db.Pool().Flush()
+			err = in.run(db, stmt)
+			var pe *systemr.PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("panicking fetch: got %v, want *PanicError", err)
+			}
+			if len(pe.Stack) == 0 || pe.Value == nil {
+				t.Fatalf("PanicError missing diagnostics: %+v", pe)
+			}
+			assertClean(t, db)
+			db.Pool().SetFaultInjector(nil)
+			assertUsable(t, db, 300)
+		})
 	}
-	assertClean(t, db)
-	db.Pool().SetFaultInjector(nil)
-	assertUsable(t, db, 300)
 }
 
 // TestFaultInjectionSweep fails every page fetch position of a three-table

@@ -9,24 +9,18 @@
 //     closed/released on every path out of the acquiring function.
 //   - govtick: tuple/page-producing loops in the executor, the RSS, and the
 //     sorter contain a governor budget checkpoint; every NextBatch body in
-//     the batched operator protocol reaches one at least once per batch and
-//     never reads the pool's DB-global IOStats for its batch delta.
+//     the batched operator protocol reaches one at least once per batch.
 //   - selclamp: selectivity factors pass through internal/core's single
 //     clamp entry point; raw float arithmetic never flows into F unclamped.
 //   - nakedpanic: library code panics only through the sanctioned
-//     internal/check helper (contained at the execStmt boundary).
+//     internal/check helper (contained at the statement boundary).
 //   - errlost: errors from Close/Unlock/Release are not silently dropped.
 //   - noprint: library code never writes to stdout/stderr.
-//   - stmtio: the executor layers never read the buffer pool's DB-global
-//     IOStats for per-operator deltas — attribution goes through the
-//     statement's own StmtIO accumulator (PR 5).
-//   - txnundo: every engine mutation flows through the undo-logged write
-//     path (txn.Txn over the rss Insert/Delete/Restore primitives) — a
-//     direct segment, page, or index mutation would survive rollback (PR 6).
-//   - mvccvis: row versions are read only through the RSS visibility
-//     boundary (ReadVersioned + Snapshot.Visible) — raw Page.Record /
-//     DecodeRow / ParseVersionHeader in exec or txn would resurrect
-//     delete-marked or uncommitted versions (PR 8).
+//   - layering: one table of layer boundaries — the executor layers never
+//     read the buffer pool's DB-global IOStats for per-operator or batch
+//     deltas (PR 5); row versions are read only through the RSS visibility
+//     boundary, never as raw records in exec or txn (PR 8); every engine
+//     mutation flows through the undo-logged write path (PR 6).
 //   - lockrank: mutexes and table locks are acquired in the declared rank
 //     order, program-wide — no lock.Manager acquisition while holding a
 //     buffer-pool, registry, or page mutex (the deadlock shapes the runtime
@@ -205,9 +199,7 @@ var Suite = []*Analyzer{
 	NakedPanic,
 	ErrLost,
 	NoPrint,
-	StmtIO,
-	TxnUndo,
-	MVCCVis,
+	Layering,
 	LockRank,
 	AtomicField,
 	SnapPin,

@@ -18,10 +18,9 @@ func TestGovTickFixture(t *testing.T) {
 	expectAt(t, diags, path, line, "requires a reason")
 }
 
-// The batched-protocol rules (each nextBatch body reaches a checkpoint and
-// never differences the DB-global IOStats) run under govtick; their cases
-// live in testdata/govtick/exec/batch.go. Every finding there is govtick's
-// and answers a want comment.
+// The batched-protocol rule (each nextBatch body reaches a checkpoint) runs
+// under govtick; its cases live in testdata/govtick/exec/batch.go. Every
+// finding there is govtick's and answers a want comment.
 func TestGovBatchFixture(t *testing.T) {
 	diags := runFixture(t, GovTick, "govtick")
 	path := filepath.Join("testdata", "govtick", "exec", "batch.go")
@@ -53,11 +52,12 @@ func TestErrLostFixture(t *testing.T) { runFixture(t, ErrLost, "errlost") }
 
 func TestNoPrintFixture(t *testing.T) { runFixture(t, NoPrint, "noprint") }
 
-func TestStmtIOFixture(t *testing.T) { runFixture(t, StmtIO, "stmtio") }
+// The layering analyzer's table rows keep one fixture per discipline.
+func TestStmtIOFixture(t *testing.T) { runFixture(t, Layering, "stmtio") }
 
-func TestTxnUndoFixture(t *testing.T) { runFixture(t, TxnUndo, "txnundo") }
+func TestTxnUndoFixture(t *testing.T) { runFixture(t, Layering, "txnundo") }
 
-func TestMVCCVisFixture(t *testing.T) { runFixture(t, MVCCVis, "mvccvis") }
+func TestMVCCVisFixture(t *testing.T) { runFixture(t, Layering, "mvccvis") }
 
 func TestLockRankFixture(t *testing.T) { runFixture(t, LockRank, "lockrank") }
 

@@ -28,10 +28,9 @@ package analysis
 // NextBatch body still reaches a checkpoint at least once per batch —
 // directly, or by driving a governed producer — so a canceled or
 // over-budget statement cannot run a whole batch (or, with interior loops,
-// arbitrarily long) per boundary tick. The boundary also computes the
-// per-batch fetch delta, so a NextBatch body must never read the buffer
-// pool's DB-global IOStats, whose counters blend concurrent statements' I/O
-// into the delta.
+// arbitrarily long) per boundary tick. (That a NextBatch body never reads
+// the pool's DB-global IOStats for its fetch delta is the layering
+// analyzer's stmtio rule, which covers the same packages.)
 
 import (
 	"go/ast"
@@ -41,7 +40,7 @@ import (
 // GovTick is the governor-checkpoint analyzer.
 var GovTick = &Analyzer{
 	Name: "govtick",
-	Doc:  "tuple/page-producing loops and NextBatch bodies in exec, rss, and xsort must reach a governor budget check; NextBatch bodies must not read the pool's DB-global IOStats",
+	Doc:  "tuple/page-producing loops and NextBatch bodies in exec, rss, and xsort must reach a governor budget check",
 	Run:  runGovTick,
 }
 
@@ -105,19 +104,10 @@ func runGovTick(pass *Pass) error {
 
 // checkBatchBody applies the batched-protocol rule to one NextBatch body.
 func checkBatchBody(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
-	name := fd.Name.Name
 	if !containsBudgetCall(info, fd.Body) && !callsGovernedFunc(pass, info, fd.Body) {
 		pass.Reportf(fd.Pos(),
-			"%s fills a batch without a governor checkpoint: tick the budget or drive a governed producer at least once per batch", name)
+			"%s fills a batch without a governor checkpoint: tick the budget or drive a governed producer at least once per batch", fd.Name.Name)
 	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if ok && isMethodOn(calleeFunc(info, call), "Stats", "storage", "BufferPool") {
-			pass.Reportf(call.Pos(),
-				"%s reads the buffer pool's DB-global IOStats: batch deltas must come from the statement's StmtIO accumulator", name)
-		}
-		return true
-	})
 }
 
 func checkGovLoop(pass *Pass, info *types.Info, loop ast.Node, body *ast.BlockStmt) {

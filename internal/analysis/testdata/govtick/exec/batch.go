@@ -1,5 +1,5 @@
 // The batched-protocol cases: NextBatch bodies with a direct checkpoint,
-// with a governed producer, with neither, and one reading the global ledger.
+// with a governed producer, and with neither.
 package exec
 
 import (
@@ -60,25 +60,5 @@ func (r *rogue) NextBatch(b *batch) error { // want "fills a batch without a gov
 	for !b.full() {
 		b.rows = append(b.rows, len(b.rows))
 	}
-	return nil
-}
-
-type globalReader struct {
-	budget  *governor.Budget
-	pool    *storage.BufferPool
-	fetches int64
-}
-
-// Ticked, but differencing the pool's global counter blends concurrent
-// statements' I/O into the batch delta.
-func (g *globalReader) nextBatch(b *batch) error {
-	if err := g.budget.Tick(); err != nil {
-		return err
-	}
-	f0 := g.pool.Stats().FetchCount() // want "DB-global IOStats"
-	for !b.full() {
-		b.rows = append(b.rows, 1)
-	}
-	g.fetches += g.pool.Stats().FetchCount() - f0 // want "DB-global IOStats"
 	return nil
 }

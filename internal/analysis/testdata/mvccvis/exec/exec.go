@@ -44,7 +44,7 @@ func visibleScan(p *storage.Page, s *storage.Snapshot, n uint16) []storage.Row {
 
 // The escape hatch: a directive with a reason silences the finding.
 func dumpForTest(p *storage.Page) []byte {
-	//sysrcheck:ignore mvccvis test-only raw dump, compared against the oracle heap
+	//sysrcheck:ignore layering test-only raw dump, compared against the oracle heap
 	rec, _, _ := p.Record(0)
 	return rec
 }

@@ -25,6 +25,6 @@ func (o *op) nextLocal() {
 
 // The escape hatch: a directive with a reason silences the finding.
 func (o *op) debugDump() int64 {
-	//sysrcheck:ignore stmtio debugging helper reports the global ledger on purpose
+	//sysrcheck:ignore layering debugging helper reports the global ledger on purpose
 	return o.pool.Stats().FetchCount()
 }

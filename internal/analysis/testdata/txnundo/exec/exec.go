@@ -25,6 +25,6 @@ func patchIndex(t *btree.BTree, rec []byte, tid storage.TID) {
 
 // The escape hatch: a directive with a reason silences the finding.
 func rebuildForTest(p *storage.Page, rec []byte) {
-	//sysrcheck:ignore txnundo test-only page surgery, reverted by the harness
+	//sysrcheck:ignore layering test-only page surgery, reverted by the harness
 	p.Restore(0, 0, rec)
 }

@@ -205,8 +205,6 @@ type Catalog struct {
 	// materialization does not bump: it only adds read-side tables no
 	// existing plan can reference.
 	version atomic.Uint64
-	// BTreeOrder overrides index fan-out (tests use small orders).
-	BTreeOrder int
 }
 
 // New creates an empty catalog over disk.
@@ -396,7 +394,7 @@ func (c *Catalog) CreateIndex(name, table string, columns []string, unique, clus
 			entries = append(entries, btree.Entry{Key: ix.KeyFor(row), TID: storage.TID{Page: pid, Slot: s}})
 		}
 	}
-	ix.Tree = btree.BulkLoad(c.disk, btree.Config{Order: c.BTreeOrder}, entries)
+	ix.Tree = btree.BulkLoad(c.disk, btree.Config{}, entries)
 	if unique {
 		if key, dup := firstDuplicateKey(c.disk, t.ID, ix.Tree); dup {
 			return nil, fmt.Errorf("catalog: duplicate key %v violates unique index %s", key, name)
@@ -438,7 +436,10 @@ func (c *Catalog) DropIndex(name string) error {
 // vacuum are indexed but cannot violate uniqueness.
 func firstDuplicateKey(disk *storage.Disk, rel storage.RelID, tree *btree.BTree) (value.Row, bool) {
 	live := func(e btree.Entry) bool {
-		//sysrcheck:ignore snappin CREATE INDEX checks uniqueness against the latest committed versions under the schema X lock; snapshot semantics are wrong here — a duplicate visible to any current snapshot but already deleted must not fail the build
+		// CREATE INDEX checks uniqueness against the latest committed
+		// versions under the schema X lock; snapshot semantics are wrong
+		// here — a duplicate visible to any current snapshot but already
+		// deleted must not fail the build.
 		h, _, r, ok, err := disk.Page(e.TID.Page).ReadVersioned(e.TID.Slot)
 		return err == nil && ok && r == rel && h.Xmax == 0
 	}

@@ -10,9 +10,8 @@
 // (table, index, statistics) changed.
 //
 // A shared, concurrency-safe LRU Cache (cache.go) sits in front of the
-// pipeline, keyed by normalized SQL text + host-variable type signature;
-// entries carry their compile-time version and are invalidated on lookup
-// when the catalog has moved.
+// pipeline, keyed by normalized SQL text; entries carry their compile-time
+// version and are invalidated on lookup when the catalog has moved.
 package compile
 
 import (
@@ -86,13 +85,10 @@ type CompiledPlan struct {
 	// statistics a feedback-triggered refresh recollects.
 	Reads []string
 
-	// worstMiss is the largest misestimation q-error observed across
-	// executions of this plan, as math.Float64bits (atomics hold integers).
-	// recompile is set once worstMiss crosses the engine's recompile
-	// threshold; the next execution's single winner takes it and refreshes
-	// statistics, after which the catalog version bump retires the plan
-	// through the ordinary staleness path.
-	worstMiss atomic.Uint64
+	// recompile is set once an execution's misestimation q-error crosses
+	// the engine's recompile threshold; the next execution's single winner
+	// takes it and refreshes statistics, after which the catalog version
+	// bump retires the plan through the ordinary staleness path.
 	recompile atomic.Bool
 }
 
@@ -106,26 +102,6 @@ func MissFactor(estimated, actual float64) float64 {
 		return est / act
 	}
 	return act / est
-}
-
-// NoteMiss records one execution's misestimation factor, keeping the worst
-// seen. Safe for concurrent executions of the same plan.
-func (cp *CompiledPlan) NoteMiss(factor float64) {
-	for {
-		old := cp.worstMiss.Load()
-		if factor <= math.Float64frombits(old) {
-			return
-		}
-		if cp.worstMiss.CompareAndSwap(old, math.Float64bits(factor)) {
-			return
-		}
-	}
-}
-
-// WorstMissFactor returns the largest misestimation factor recorded so far
-// (0 when no execution has reported).
-func (cp *CompiledPlan) WorstMissFactor() float64 {
-	return math.Float64frombits(cp.worstMiss.Load())
 }
 
 // MarkRecompile flags the plan for statistics refresh + recompilation.
@@ -224,8 +200,10 @@ func (p *Pipeline) CompileSelectText(gov *governor.Budget, text string) (*Compil
 	return p.CompileSelect(gov, sel, norm)
 }
 
-// Key builds the plan-cache key from normalized text and the host-variable
-// type signature. The catalog version is not part of the key — entries carry
+// Key builds the plan-cache key from normalized text and a host-variable
+// type signature, which the engine always passes empty: compilation never
+// sees the bindings, so every signature would hold the same plan. The
+// catalog version is not part of the key — entries carry
 // their compile-time version and are invalidated on lookup — so one
 // statement occupies one slot instead of leaking an entry per epoch.
 func Key(norm, argSig string) string {
@@ -235,8 +213,10 @@ func Key(norm, argSig string) string {
 	return norm + "\x00" + argSig
 }
 
-// ArgSig summarizes host-variable argument types as one letter each, so a
-// statement run with different binding types occupies distinct cache slots.
+// ArgSig summarizes host-variable argument types as one letter each.
+//
+// Deprecated: the engine keys prepared runs on the normalized text alone.
+// ArgSig stays only because bench/trace.go calls it.
 func ArgSig(args []value.Value) string {
 	if len(args) == 0 {
 		return ""

@@ -52,9 +52,6 @@ type Config struct {
 	// experiments keep their original search space.
 	NestedLoopsOnly bool
 	MergeOnly       bool
-	// DisableHashJoin removes the hash-join method from enumeration,
-	// restoring the paper's original two-method search space.
-	DisableHashJoin bool
 	// DisableHistograms ignores per-column histogram statistics so every
 	// selectivity estimate comes from Table 1 and index ICARDs alone — the
 	// paper's original behavior, kept for experiments and comparison runs.

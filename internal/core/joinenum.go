@@ -411,7 +411,7 @@ func (o *Optimizer) joinCandidates(ssOuter *subsetSols, s sem.RelSet, r int, ss2
 	// interesting order is produced (probing scrambles nothing today, but
 	// order is deliberately not promised), so a downstream order requirement
 	// is won by merge and order-free joins by hash.
-	if o.cfg.DisableHashJoin || o.cfg.MergeOnly {
+	if o.cfg.MergeOnly {
 		return
 	}
 	for _, fi := range applicable {

@@ -370,11 +370,9 @@ func (m *Manager) detectLocked(start *Txn) *Txn {
 
 // ---- statement-scope compatibility surface ----
 //
-// A statement outside an explicit transaction locks through an ephemeral
-// transaction created per call: Acquire returns a Held whose Release is the
-// ephemeral transaction's ReleaseAll. This keeps autocommit statements,
-// prepared-statement runs, cursors, and dumps on their old statement-scope
-// semantics on top of transaction-owned locks.
+// Work that is not a statement — preparing one, dumping the database,
+// vacuum — locks through an ephemeral transaction created per call: Acquire
+// returns a Held whose Release is the ephemeral transaction's ReleaseAll.
 
 // Held represents one ephemeral transaction's granted locks; Release returns
 // them. Safe to Release repeatedly.

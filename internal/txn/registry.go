@@ -61,33 +61,6 @@ func (r *Registry) Begin() *Reg {
 	return reg
 }
 
-// Refresh recaptures reg's snapshot against the current state: the ceiling
-// advances to the newest allocated XID and the active set is re-read. Used
-// by autocommitted statements after their table locks are granted, so a
-// writer that waited behind a committing transaction reads the post-commit
-// state instead of conflicting with it. The pinned minimum only moves
-// forward, so the vacuum horizon remains safe.
-func (r *Registry) Refresh(reg *Reg) {
-	if reg == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	snap := &storage.Snapshot{Self: reg.ID, Max: r.next, Active: make(map[storage.XID]struct{}, len(r.active))}
-	min := reg.ID
-	for xid := range r.active {
-		if xid == reg.ID {
-			continue
-		}
-		snap.Active[xid] = struct{}{}
-		if xid < min {
-			min = xid
-		}
-	}
-	reg.Snap = snap
-	reg.min = min
-}
-
 // Finish deregisters a transaction (commit or completed rollback): its XID
 // stops pinning the vacuum horizon and stops appearing in new snapshots'
 // active sets. Nil-safe and idempotent.

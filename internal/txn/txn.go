@@ -115,8 +115,9 @@ type Txn struct {
 
 // New creates an Active transaction owning locks through lt, stamping its
 // versions with (and reading under the snapshot of) the registration reg.
-// A nil reg yields XID 0 (FrozenXID) and a nil snapshot — bootstrap and
-// storage-level tests only.
+// A nil reg yields XID 0 (FrozenXID) and a nil snapshot until Register
+// attaches one; it must not read or write before then except in bootstrap
+// and storage-level tests.
 func New(lt *lock.Txn, disk *storage.Disk, reg *Reg) *Txn {
 	return &Txn{Locks: lt, disk: disk, reg: reg}
 }
@@ -124,6 +125,11 @@ func New(lt *lock.Txn, disk *storage.Disk, reg *Reg) *Txn {
 // Reg returns the transaction's registry registration (nil for bootstrap
 // transactions).
 func (t *Txn) Reg() *Reg { return t.reg }
+
+// Register attaches reg to a transaction created without one. An
+// autocommitted statement registers only once its locks are granted, so its
+// snapshot already includes every transaction it waited behind.
+func (t *Txn) Register(reg *Reg) { t.reg = reg }
 
 // XID returns the transaction's ID (FrozenXID when unregistered).
 func (t *Txn) XID() storage.XID {

@@ -206,9 +206,6 @@ func (db *DB) Metrics() *metrics.Registry { return db.metrics.reg }
 // when the error was a governor abort — which budget family tripped.
 func (db *DB) observeStatement(start time.Time, err error) {
 	m := db.metrics
-	if m == nil {
-		return
-	}
 	m.statements.Inc()
 	m.stmtSeconds.Observe(time.Since(start).Seconds())
 	if err == nil {
@@ -234,8 +231,5 @@ func (db *DB) observeStatement(start time.Time, err error) {
 
 // observeCompile records one compilation's duration.
 func (db *DB) observeCompile(start time.Time) {
-	if db.metrics == nil {
-		return
-	}
 	db.metrics.compileSeconds.Observe(time.Since(start).Seconds())
 }

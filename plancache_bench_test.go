@@ -97,4 +97,20 @@ func TestPlanCacheHitsCompileOnce(t *testing.T) {
 				q.name, s.Compilations, s.Hits, runs, runs-1)
 		}
 	}
+
+	// A host-variable statement compiles without seeing its bindings, so
+	// runs binding an int and a float share the one plan and cache entry.
+	db := plancacheDB(0)
+	stmt, err := db.Prepare("SELECT NAME FROM EMP WHERE SAL > ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, arg := range []any{20000, 20000.5} {
+		if _, err := stmt.Run(arg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := db.PlanCacheStats(); s.Compilations != 1 || s.Entries != 1 {
+		t.Errorf("host-variable runs: %d compilations and %d entries, want 1 and 1", s.Compilations, s.Entries)
+	}
 }

@@ -11,7 +11,7 @@ func TestPlanKeyKnobPolicy(t *testing.T) {
 	serial := Open(Config{})
 	batched := Open(Config{ExecBatchSize: 16})
 
-	if serial.planKey(norm, "sig") != batched.planKey(norm, "sig") {
+	if serial.planKey(norm) != batched.planKey(norm) {
 		t.Fatal("ExecBatchSize changed the plan-cache key: batch size is execution-only and must not fragment the cache")
 	}
 }

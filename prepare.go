@@ -17,12 +17,10 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"systemr/internal/compile"
 	"systemr/internal/exec"
 	"systemr/internal/governor"
-	"systemr/internal/lock"
 	"systemr/internal/sql"
 	"systemr/internal/txn"
 	"systemr/internal/value"
@@ -55,7 +53,7 @@ func (db *DB) Prepare(text string) (*Stmt, error) {
 	norm, _ := sql.Normalize(text)
 	held := db.locks.Acquire(compile.LockRequests(parsed, !db.cfg.DisableSnapshotReads))
 	defer held.Release()
-	cp, _, err := db.resolveSelect(nil, norm, "", sel)
+	cp, _, err := db.resolveSelect(nil, norm, sel, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -69,35 +67,6 @@ func (s *Stmt) current() *compile.CompiledPlan {
 	return s.cp
 }
 
-// planFor returns a catalog-current plan for this statement, recompiling if
-// DDL or a statistics refresh has moved the catalog version since the held
-// plan was compiled. Must be called with the statement's locks held (the
-// shared catalog lock pins the version through execution). vals are the
-// run's host-variable bindings: with the cache enabled they select the cache
-// slot, so runs with different binding types keep distinct entries.
-func (s *Stmt) planFor(gov *governor.Budget, vals []value.Value) (*compile.CompiledPlan, error) {
-	if s.db.plans == nil {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.cp.Version != s.db.cat.Version() {
-			cp, err := s.db.compiler.CompileSelectText(gov, s.norm)
-			if err != nil {
-				return nil, wrapGovErr(err, ExecStats{})
-			}
-			s.cp = cp
-		}
-		return s.cp, nil
-	}
-	cp, _, err := s.db.resolveSelect(gov, s.norm, compile.ArgSig(vals), nil)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.cp = cp
-	s.mu.Unlock()
-	return cp, nil
-}
-
 // Run executes the compiled plan (no parsing, no re-optimization unless the
 // catalog changed), binding one value per '?' host variable in statement
 // order. Accepted argument types: int, int64, float64, string, nil.
@@ -106,48 +75,41 @@ func (s *Stmt) Run(args ...any) (*Result, error) {
 }
 
 // RunContext is Run observing ctx: cancellation, deadlines, and the
-// configured resource budgets abort execution as in ExecContext.
-func (s *Stmt) RunContext(ctx context.Context, args ...any) (res *Result, err error) {
-	start := time.Now()
-	defer func() { s.db.observeStatement(start, err) }()
-	vals, err := hostValues(args)
-	if err != nil {
+// configured resource budgets abort execution as in ExecContext. The run
+// reads under its own snapshot, registered once its locks are granted.
+func (s *Stmt) RunContext(ctx context.Context, args ...any) (*Result, error) {
+	st := statement{prep: s, args: args}
+	if err := s.db.lifecycle(ctx, nil, &st); err != nil {
 		return nil, err
 	}
-	if s.db.cfg.StatementTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.db.cfg.StatementTimeout)
-		defer cancel()
-	}
-	held, err := s.db.locks.AcquireContext(ctx, s.current().Locks)
+	return st.res, nil
+}
+
+// exec is a prepared run's body: revalidate the plan's catalog version
+// under the statement's locks — recompiling after DDL or a statistics
+// refresh — then run it, or open a cursor over it.
+func (s *Stmt) exec(gov *governor.Budget, t *txn.Txn, st *statement) error {
+	cp, _, err := s.db.resolveSelect(gov, s.norm, nil, s.current())
 	if err != nil {
-		return nil, lockErr(err)
+		return err
 	}
-	defer held.Release()
-	// Register the run as a reader: it captures a statement snapshot and
-	// pins the vacuum horizon for its duration.
-	reg := s.db.txns.Begin()
-	defer s.db.txns.Finish(reg)
-	gov := s.db.newGovernor(ctx)
-	cp, err := s.planFor(gov, vals)
+	s.mu.Lock()
+	s.cp = cp
+	s.mu.Unlock()
+	if st.cursor {
+		c, err := exec.OpenQueryArgs(s.db.runtime(gov, t.Snapshot()), cp.Query, st.vals)
+		if err != nil {
+			return wrapGovErr(err, ExecStats{})
+		}
+		st.rows = &Rows{db: s.db, cols: outNames(cp.Query), cursor: c, t: t}
+		return nil
+	}
+	rows, _, err := s.db.runPlan(gov, t, cp.Query, st.vals, false)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	rows, stats, err := exec.RunQueryArgs(s.db.runtime(gov, reg.Snap), cp.Query, vals)
-	es := execStatsFrom(stats)
-	s.db.setLast(es)
-	if err != nil {
-		return nil, wrapGovErr(err, es)
-	}
-	out := make([][]any, len(rows))
-	for i, r := range rows {
-		out[i] = toNative(r)
-	}
-	cols := cp.Query.OutNames
-	if cols == nil {
-		cols = []string{}
-	}
-	return &Result{Columns: cols, Rows: out}, nil
+	st.res = queryResult(cp.Query, rows)
+	return nil
 }
 
 // Explain returns the statement's current compiled plan.
@@ -187,13 +149,13 @@ func hostValues(args []any) ([]value.Value, error) {
 
 // Rows is a streaming result cursor over a compiled statement — the
 // tuple-at-a-time interface application programs used in System R. The
-// statement's table locks are held until Close.
+// cursor's transaction — its table locks and its snapshot, with the vacuum
+// horizon it pins — is held until Close.
 type Rows struct {
 	db     *DB
 	cols   []string
 	cursor *exec.Cursor
-	held   *lock.Held
-	reg    *txn.Reg
+	t      *txn.Txn
 	closed bool
 }
 
@@ -209,38 +171,15 @@ func (s *Stmt) Open(args ...any) (*Rows, error) {
 // not layered here — a cursor's pacing belongs to the application; pass a
 // deadline ctx to bound it.) Like RunContext, it revalidates the plan's
 // catalog version under the statement's locks, which are held until Close —
-// so the plan stays valid for the cursor's whole lifetime.
+// so the plan stays valid for the cursor's whole lifetime. The cursor reads
+// under one snapshot: rows committed (or vacuumed) while it is open are
+// invisible to it.
 func (s *Stmt) OpenContext(ctx context.Context, args ...any) (*Rows, error) {
-	vals, err := hostValues(args)
-	if err != nil {
+	st := statement{prep: s, args: args, cursor: true}
+	if err := s.db.lifecycle(ctx, nil, &st); err != nil {
 		return nil, err
 	}
-	held, err := s.db.locks.AcquireContext(ctx, s.current().Locks)
-	if err != nil {
-		return nil, lockErr(err)
-	}
-	// The cursor reads under one snapshot, captured here and held — with
-	// the vacuum horizon it pins — until Close: rows committed (or
-	// vacuumed) while the cursor is open are invisible to it.
-	reg := s.db.txns.Begin()
-	gov := s.db.newGovernor(ctx)
-	cp, err := s.planFor(gov, vals)
-	if err != nil {
-		s.db.txns.Finish(reg)
-		held.Release()
-		return nil, err
-	}
-	cur, err := exec.OpenQueryArgs(s.db.runtime(gov, reg.Snap), cp.Query, vals)
-	if err != nil {
-		s.db.txns.Finish(reg)
-		held.Release()
-		return nil, wrapGovErr(err, ExecStats{})
-	}
-	cols := cp.Query.OutNames
-	if cols == nil {
-		cols = []string{}
-	}
-	return &Rows{db: s.db, cols: cols, cursor: cur, held: held, reg: reg}, nil
+	return st.rows, nil
 }
 
 // Columns returns the output column names.
@@ -249,7 +188,7 @@ func (r *Rows) Columns() []string { return r.cols }
 // Next returns the next row as native Go values; ok reports whether a row
 // was produced. The final Next (ok=false) releases the locks.
 func (r *Rows) Next() (row []any, ok bool, err error) {
-	raw, ok, err := r.cursor.Next()
+	raw, ok, err := r.fetch()
 	if err != nil || !ok {
 		if cerr := r.Close(); cerr != nil && err == nil {
 			err = cerr
@@ -259,6 +198,14 @@ func (r *Rows) Next() (row []any, ok bool, err error) {
 		return nil, false, wrapGovErr(err, execStatsFrom(r.cursor.Stats()))
 	}
 	return toNative(raw), true, nil
+}
+
+// fetch advances the cursor inside the panic-containment boundary: a panic
+// in the plan fails the fetch, and Next closes the cursor like after any
+// other failure.
+func (r *Rows) fetch() (raw value.Row, ok bool, err error) {
+	defer contain(&err)
+	return r.cursor.Next()
 }
 
 // Close releases the cursor and its locks; safe to call repeatedly. It
@@ -276,7 +223,6 @@ func (r *Rows) Close() error {
 	if st := r.cursor.Stats(); st != nil {
 		r.db.setLast(execStatsFrom(st))
 	}
-	r.db.txns.Finish(r.reg)
-	r.held.Release()
+	r.db.endTxn(r.t, false, true)
 	return err
 }

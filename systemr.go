@@ -27,7 +27,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -58,17 +57,12 @@ type Config struct {
 	// W is the optimizer's CPU weighting factor (default 0.033):
 	// COST = PAGE FETCHES + W * RSI CALLS.
 	W float64
-	// BTreeOrder overrides index node fan-out (testing knob; 0 = default).
-	BTreeOrder int
 	// Optimizer ablations (see core.Config).
 	DisableJoinHeuristic     bool
 	DisableInterestingOrders bool
 	DisableSargs             bool
 	NestedLoopsOnly          bool
 	MergeOnly                bool
-	// DisableHashJoin removes the hash-join method from enumeration,
-	// restoring the paper's original two-method search space.
-	DisableHashJoin bool
 	// DisableHistograms ignores the per-column equi-depth histograms UPDATE
 	// STATISTICS builds, reverting every selectivity estimate to Table 1
 	// defaults and index ICARDs — the paper's original estimation model.
@@ -96,8 +90,8 @@ type Config struct {
 	VacuumEvery int
 
 	// PlanCacheSize bounds the shared compiled-plan cache in entries: a
-	// repeated SELECT (same normalized text, same host-variable types,
-	// unchanged catalog version) executes its cached plan and skips
+	// repeated SELECT (same normalized text, unchanged catalog version),
+	// ad hoc or prepared, executes its cached plan and skips
 	// parse/sem/optimize entirely. 0 means the default (256); negative
 	// disables caching, recompiling every statement as the seed engine did.
 	PlanCacheSize int
@@ -219,7 +213,6 @@ func Open(cfg Config) *DB {
 	disk := storage.NewDisk()
 	stats := &storage.IOStats{}
 	cat := catalog.New(disk)
-	cat.BTreeOrder = cfg.BTreeOrder
 	if cfg.VacuumEvery == 0 {
 		cfg.VacuumEvery = DefaultVacuumEvery
 	}
@@ -275,195 +268,14 @@ func (db *DB) ExecContext(ctx context.Context, text string) (*Result, error) {
 	return db.execText(ctx, nil, text)
 }
 
-// execText runs one statement, either autocommitted (cur == nil: an
-// ephemeral transaction scoped to the statement) or inside the explicit
-// transaction cur, whose locks and undo log accumulate across statements.
-// Statement atomicity is uniform: the undo-log position is marked before
-// dispatch and every mutation logged after the mark is reverted — while the
-// statement's exclusive locks are still held — if the statement fails.
-func (db *DB) execText(ctx context.Context, cur *txn.Txn, text string) (res *Result, err error) {
-	start := time.Now()
-	defer func() { db.observeStatement(start, err) }()
-	if db.cfg.StatementTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, db.cfg.StatementTimeout)
-		defer cancel()
-	}
-	explicit := cur != nil
-	if explicit {
-		switch cur.State() {
-		case txn.Aborted:
-			return nil, fmt.Errorf("%w; ROLLBACK to start over", ErrTxnAborted)
-		case txn.Finished:
-			return nil, errors.New("systemr: transaction has already committed or rolled back")
-		}
-	}
-	norm, normOK := sql.Normalize(text)
-	if normOK && db.plans != nil {
-		if e, ok := db.plans.Peek(db.planKey(norm, "")); ok {
-			return db.execCachedSelect(ctx, cur, norm, e)
-		}
-	}
-	stmt, err := sql.Parse(text)
-	if err != nil {
+// execText runs SQL text through the statement lifecycle, autocommitted
+// (cur == nil) or inside the explicit transaction cur.
+func (db *DB) execText(ctx context.Context, cur *txn.Txn, text string) (*Result, error) {
+	st := statement{text: text}
+	if err := db.lifecycle(ctx, cur, &st); err != nil {
 		return nil, err
 	}
-	switch stmt.(type) {
-	case *sql.BeginStmt, *sql.CommitStmt, *sql.RollbackStmt:
-		return nil, errors.New("systemr: transaction control needs a session: use DB.Conn (SQL) or DB.Begin (API)")
-	case *sql.CreateTableStmt, *sql.CreateIndexStmt, *sql.DropTableStmt,
-		*sql.DropIndexStmt, *sql.UpdateStatsStmt:
-		if explicit {
-			return nil, errors.New("systemr: DDL and UPDATE STATISTICS cannot run inside a transaction (catalog changes are not undoable); commit first")
-		}
-	}
-	if !explicit {
-		cur = db.beginTxn()
-		defer db.finishAuto(cur)
-	}
-	if err := cur.Locks.AcquireContext(ctx, compile.LockRequests(stmt, !db.cfg.DisableSnapshotReads)); err != nil {
-		return nil, db.lockFailed(cur, explicit, err)
-	}
-	if !explicit {
-		// The statement snapshot is (re)captured after its locks are granted:
-		// a writer that waited behind a committing transaction must read the
-		// post-commit state, not conflict with it. Explicit transactions keep
-		// their BEGIN-time snapshot (repeatable reads) — there the conflict
-		// is the correct first-updater-wins outcome.
-		db.txns.Refresh(cur.Reg())
-	}
-	mark := cur.Mark()
-	res, err = db.execStmt(ctx, cur, norm, stmt)
-	if err != nil {
-		if errors.Is(err, txn.ErrWriteConflict) {
-			return nil, db.writeConflict(cur, explicit, err)
-		}
-		if uerr := cur.UndoTo(mark); uerr != nil {
-			err = errors.Join(err, uerr)
-		}
-		return nil, err
-	}
-	return res, nil
-}
-
-// writeConflict handles a first-updater-wins conflict: the statement's
-// snapshot is stale against a concurrently committed writer, so no statement
-// of this transaction can proceed on it — the whole transaction rolls back,
-// like a deadlock victim, and the caller retries from BEGIN. An explicit
-// transaction is left Aborted until the session acknowledges with ROLLBACK;
-// an autocommitted statement's deferred cleanup releases the rest.
-func (db *DB) writeConflict(cur *txn.Txn, explicit bool, err error) error {
-	if uerr := cur.UndoAll(); uerr != nil {
-		err = errors.Join(err, uerr)
-	}
-	if explicit {
-		cur.MarkAborted()
-		db.txns.Finish(cur.Reg())
-		cur.Locks.ReleaseAll()
-		db.activeTxns.Add(-1)
-		if m := db.metrics; m != nil {
-			m.txnRollbacks.Inc()
-		}
-	}
-	return &StatementError{Err: err}
-}
-
-// execCachedSelect is the plan-cache fast path. The peeked entry supplies
-// the statement's lock set; the catalog-version check happens after those
-// locks are held (the shared catalog lock excludes DDL, pinning the
-// version), so a plan that went stale between the peek and the acquire is
-// recompiled, never executed.
-func (db *DB) execCachedSelect(ctx context.Context, cur *txn.Txn, norm string, e *compile.CompiledPlan) (res *Result, err error) {
-	// Feedback: a plan whose estimates missed by the configured ratio gets
-	// its statistics refreshed before this execution acquires any locks; the
-	// refresh bumps the catalog version, so resolveSelect below recompiles
-	// against the new statistics instead of serving the discredited plan.
-	if e.NeedsRecompile() {
-		db.refreshFeedbackStats(e)
-	}
-	explicit := cur != nil
-	if !explicit {
-		cur = db.beginTxn()
-		defer db.finishAuto(cur)
-	}
-	if lerr := cur.Locks.AcquireContext(ctx, e.Locks); lerr != nil {
-		return nil, db.lockFailed(cur, explicit, lerr)
-	}
-	if !explicit {
-		db.txns.Refresh(cur.Reg()) // statement snapshot: see execText
-	}
-	gov := db.newGovernor(ctx)
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, &PanicError{Value: r, Stack: debug.Stack()}
-		}
-	}()
-	cp, _, err := db.resolveSelect(gov, norm, "", nil)
-	if err != nil {
-		return nil, err
-	}
-	return db.runSelect(gov, cur, cp)
-}
-
-// beginTxn creates a transaction over the engine's lock manager and disk,
-// registered with the XID/snapshot registry and carrying the installed
-// mutation fault hook. Used both for explicit transactions (Begin) and the
-// ephemeral transaction backing each autocommitted statement — so an
-// explicit transaction reads under one snapshot for its whole life
-// (repeatable reads) while autocommit captures a fresh snapshot per
-// statement.
-func (db *DB) beginTxn() *txn.Txn {
-	t := txn.New(db.locks.Begin(), db.disk, db.txns.Begin())
-	if f, ok := db.mutFault.Load().(txn.FaultFunc); ok && f != nil {
-		t.SetFault(f)
-	}
-	return t
-}
-
-// finishAuto ends an autocommitted statement's ephemeral transaction: any
-// failed statement already undid its mutations, so all that remains is to
-// deregister its snapshot — before lock release, so the registry's commit
-// point stays inside the statement's exclusive-lock window — release the
-// statement's locks, and account a writing commit toward auto-vacuum.
-func (db *DB) finishAuto(t *txn.Txn) {
-	t.Finish()
-	db.txns.Finish(t.Reg())
-	t.Locks.ReleaseAll()
-	if t.Mutations() > 0 {
-		db.noteCommit()
-	}
-}
-
-// lockFailed handles a failed lock acquisition. A deadlock-victim or
-// lock-timeout abort inside an explicit transaction rolls the whole
-// transaction back immediately — its locks are what the rest of the cycle
-// is waiting on — leaving it Aborted until the session acknowledges with
-// ROLLBACK. Autocommitted statements hold no prior state; their deferred
-// cleanup releases whatever was granted.
-func (db *DB) lockFailed(cur *txn.Txn, explicit bool, err error) error {
-	if explicit && (errors.Is(err, lock.ErrDeadlock) || errors.Is(err, lock.ErrLockTimeout)) {
-		if uerr := cur.UndoAll(); uerr != nil {
-			err = errors.Join(err, uerr)
-		}
-		cur.MarkAborted()
-		db.txns.Finish(cur.Reg())
-		cur.Locks.ReleaseAll()
-		db.activeTxns.Add(-1)
-		if m := db.metrics; m != nil {
-			m.txnRollbacks.Inc()
-		}
-	}
-	return lockErr(err)
-}
-
-// lockErr wraps a lock-acquisition failure as a *StatementError. Deadlock
-// and lock-timeout sentinels pass through for errors.Is dispatch; context
-// failures are classified by the governor (canceled vs deadline).
-func lockErr(err error) error {
-	if errors.Is(err, lock.ErrDeadlock) || errors.Is(err, lock.ErrLockTimeout) {
-		return &StatementError{Err: err}
-	}
-	return &StatementError{Err: governor.CtxErr(err)}
+	return st.res, nil
 }
 
 // SetMutationFault installs a fault hook consulted before every logged
@@ -477,10 +289,11 @@ func (db *DB) SetMutationFault(hook func(n int64) error) {
 	db.mutFault.Store(txn.FaultFunc(hook))
 }
 
-// planKey builds the plan-cache key for a normalized SELECT.
-// ExecBatchSize is execution-only and deliberately does not participate.
-func (db *DB) planKey(norm, argSig string) string {
-	return compile.Key(norm, argSig)
+// planKey builds the plan-cache key for a normalized SELECT. Host-variable
+// types do not participate: compilation never sees the bindings. Neither
+// does ExecBatchSize, which is execution-only.
+func (db *DB) planKey(norm string) string {
+	return compile.Key(norm, "")
 }
 
 // resolveSelect produces an executable plan for a SELECT: served from the
@@ -490,18 +303,22 @@ func (db *DB) planKey(norm, argSig string) string {
 // version between the check and execution. sel, when non-nil, is the
 // already-parsed statement matching norm (the cold path reuses its parse);
 // otherwise norm itself is parsed (Normalize preserves identifier case, so
-// the recompiled plan is textually faithful, output names included).
-func (db *DB) resolveSelect(gov *governor.Budget, norm, argSig string, sel *sql.SelectStmt) (*compile.CompiledPlan, bool, error) {
-	key := db.planKey(norm, argSig)
+// the recompiled plan is textually faithful, output names included). held,
+// when non-nil, is a prepared statement's current plan: with caching
+// disabled it is reused while its version is current.
+func (db *DB) resolveSelect(gov *governor.Budget, norm string, sel *sql.SelectStmt, held *compile.CompiledPlan) (*compile.CompiledPlan, bool, error) {
+	key := db.planKey(norm)
 	version := db.cat.Version()
-	if db.plans != nil {
-		if e, ok := db.plans.Peek(key); ok {
-			if e.Version == version {
-				db.plans.Hit(key)
-				return e, true, nil
-			}
-			db.plans.Invalidate(key, e)
+	if db.plans == nil {
+		if held != nil && held.Version == version {
+			return held, false, nil
 		}
+	} else if e, ok := db.plans.Peek(key); ok {
+		if e.Version == version {
+			db.plans.Hit(key)
+			return e, true, nil
+		}
+		db.plans.Invalidate(key, e)
 	}
 	var cp *compile.CompiledPlan
 	var err error
@@ -539,13 +356,16 @@ func (db *DB) Query(text string) (*Result, error) {
 // QueryContext is Query observing ctx (see ExecContext).
 func (db *DB) QueryContext(ctx context.Context, text string) (*Result, error) {
 	res, err := db.ExecContext(ctx, text)
-	if err != nil {
-		return nil, err
-	}
-	if res.Columns == nil {
+	return queryOnly(text, res, err)
+}
+
+// queryOnly passes a statement's outcome through unless it succeeded
+// without returning rows: the Query entry points accept queries only.
+func queryOnly(text string, res *Result, err error) (*Result, error) {
+	if err == nil && res.Columns == nil {
 		return nil, fmt.Errorf("systemr: statement is not a query: %s", text)
 	}
-	return res, nil
+	return res, err
 }
 
 // Explain plans a SELECT and returns the optimizer's chosen plan as text.
@@ -555,11 +375,7 @@ func (db *DB) Explain(text string) (string, error) {
 
 // ExplainContext is Explain observing ctx (see ExecContext).
 func (db *DB) ExplainContext(ctx context.Context, text string) (string, error) {
-	res, err := db.ExecContext(ctx, "EXPLAIN "+text)
-	if err != nil {
-		return "", err
-	}
-	return res.Plan, nil
+	return db.explain(ctx, "EXPLAIN "+text)
 }
 
 // ExplainAnalyze plans a SELECT, executes it, and returns the plan annotated
@@ -572,7 +388,12 @@ func (db *DB) ExplainAnalyze(text string) (string, error) {
 // ExplainAnalyzeContext is ExplainAnalyze observing ctx (see ExecContext);
 // the measured execution is governed like any other statement.
 func (db *DB) ExplainAnalyzeContext(ctx context.Context, text string) (string, error) {
-	res, err := db.ExecContext(ctx, "EXPLAIN ANALYZE "+text)
+	return db.explain(ctx, "EXPLAIN ANALYZE "+text)
+}
+
+// explain runs an EXPLAIN [ANALYZE] statement and returns its plan text.
+func (db *DB) explain(ctx context.Context, text string) (string, error) {
+	res, err := db.ExecContext(ctx, text)
 	if err != nil {
 		return "", err
 	}
@@ -625,12 +446,10 @@ func (db *DB) RunPlanned(q *plan.Query) ([]value.Row, *exec.Stats, error) {
 // aggregating into the pool's DB-global counters. The configured batch size
 // and the batch metric observer ride along.
 func (db *DB) runtime(g *governor.Budget, snap *storage.Snapshot) *exec.Runtime {
-	rt := &exec.Runtime{Pool: db.pool, Disk: db.disk, Budget: g, IO: g.IO(),
-		BatchSize: db.cfg.ExecBatchSize, Snap: snap}
-	if m := db.metrics; m != nil {
-		rt.OnBatch = func(rows int) { m.execBatchRows.Observe(float64(rows)) }
-	}
-	return rt
+	m := db.metrics
+	return &exec.Runtime{Pool: db.pool, Disk: db.disk, Budget: g, IO: g.IO(),
+		BatchSize: db.cfg.ExecBatchSize, Snap: snap,
+		OnBatch: func(rows int) { m.execBatchRows.Observe(float64(rows)) }}
 }
 
 // newGovernor creates one statement's execution budget from the configured
@@ -655,7 +474,6 @@ func (db *DB) OptimizerConfig() core.Config {
 		DisableSargs:             db.cfg.DisableSargs,
 		NestedLoopsOnly:          db.cfg.NestedLoopsOnly,
 		MergeOnly:                db.cfg.MergeOnly,
-		DisableHashJoin:          db.cfg.DisableHashJoin,
 		DisableHistograms:        db.cfg.DisableHistograms,
 	}
 }
@@ -687,11 +505,9 @@ func (db *DB) Vacuum() int {
 	}
 	defer db.vacuuming.Store(false)
 	horizon := db.txns.Horizon()
-	var onChain func(int)
-	if m := db.metrics; m != nil {
-		m.vacuumRuns.Inc()
-		onChain = func(length int) { m.versionChainLen.Observe(float64(length)) }
-	}
+	m := db.metrics
+	m.vacuumRuns.Inc()
+	onChain := func(length int) { m.versionChainLen.Observe(float64(length)) }
 	total := 0
 	for _, t := range db.cat.Tables() {
 		if t.System {
@@ -703,9 +519,7 @@ func (db *DB) Vacuum() int {
 			break
 		}
 	}
-	if m := db.metrics; m != nil {
-		m.vacuumReclaimed.Add(float64(total))
-	}
+	m.vacuumReclaimed.Add(float64(total))
 	return total
 }
 
@@ -786,54 +600,30 @@ func (db *DB) PlanCacheStats() PlanCacheStats {
 	return s
 }
 
-// execStmt dispatches one parsed statement under a fresh governor budget,
+// execStmt dispatches one parsed statement under the statement's governor,
 // writing through cur's undo log. norm is the statement's normalized text
 // ("" only if normalization failed, which implies parsing failed first).
-// execStmt is the panic-containment boundary: an internal panic is recovered
-// here and converted to a *PanicError, which the caller treats like any
-// statement failure — undo to the statement mark, locks and scans released —
-// so the database stays usable and consistent.
-func (db *DB) execStmt(ctx context.Context, cur *txn.Txn, norm string, stmt sql.Statement) (res *Result, err error) {
-	gov := db.newGovernor(ctx)
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, &PanicError{Value: r, Stack: debug.Stack()}
-		}
-	}()
+func (db *DB) execStmt(gov *governor.Budget, cur *txn.Txn, norm string, stmt sql.Statement) (*Result, error) {
+	var err error
 	switch st := stmt.(type) {
 	case *sql.CreateTableStmt:
 		cols := make([]catalog.Column, len(st.Cols))
 		for i, c := range st.Cols {
 			cols[i] = catalog.Column{Name: c.Name, Type: c.Type}
 		}
-		if _, err := db.cat.CreateTable(st.Name, cols, st.Segment); err != nil {
-			return nil, err
-		}
-		return &Result{}, nil
+		_, err = db.cat.CreateTable(st.Name, cols, st.Segment)
 	case *sql.CreateIndexStmt:
-		if _, err := db.cat.CreateIndex(st.Name, st.Table, st.Columns, st.Unique, st.Clustered); err != nil {
-			return nil, err
-		}
-		return &Result{}, nil
+		_, err = db.cat.CreateIndex(st.Name, st.Table, st.Columns, st.Unique, st.Clustered)
 	case *sql.DropTableStmt:
-		if err := db.cat.DropTable(st.Name); err != nil {
-			return nil, err
-		}
-		return &Result{}, nil
+		err = db.cat.DropTable(st.Name)
 	case *sql.DropIndexStmt:
-		if err := db.cat.DropIndex(st.Name); err != nil {
-			return nil, err
-		}
-		return &Result{}, nil
+		err = db.cat.DropIndex(st.Name)
 	case *sql.UpdateStatsStmt:
-		if st.Table != "" {
-			if !db.cat.UpdateStatisticsFor(st.Table) {
-				return nil, fmt.Errorf("systemr: table %s does not exist", st.Table)
-			}
-			return &Result{}, nil
+		if st.Table == "" {
+			db.cat.UpdateStatistics()
+		} else if !db.cat.UpdateStatisticsFor(st.Table) {
+			err = fmt.Errorf("systemr: table %s does not exist", st.Table)
 		}
-		db.cat.UpdateStatistics()
-		return &Result{}, nil
 	case *sql.InsertStmt:
 		return db.execInsert(gov, cur, st)
 	case *sql.SelectStmt:
@@ -847,6 +637,10 @@ func (db *DB) execStmt(ctx context.Context, cur *txn.Txn, norm string, stmt sql.
 	default:
 		return nil, fmt.Errorf("systemr: unsupported statement %T", stmt)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return &Result{}, nil
 }
 
 // evalConstExpr evaluates INSERT VALUES expressions: literals and constant
@@ -906,12 +700,11 @@ func (db *DB) setLast(s ExecStats) {
 	db.mu.Lock()
 	db.last = s
 	db.mu.Unlock()
-	if m := db.metrics; m != nil {
-		m.stmtCost.Add(s.Cost(db.cfg.W))
-		m.stmtFetches.Add(float64(s.PageFetches + s.PagesWritten))
-		m.stmtRSI.Add(float64(s.RSICalls))
-		m.stmtRows.Add(float64(s.Rows))
-	}
+	m := db.metrics
+	m.stmtCost.Add(s.Cost(db.cfg.W))
+	m.stmtFetches.Add(float64(s.PageFetches + s.PagesWritten))
+	m.stmtRSI.Add(float64(s.RSICalls))
+	m.stmtRows.Add(float64(s.Rows))
 }
 
 // wrapGovErr converts a governor abort (cancellation, deadline, budget) into
@@ -952,58 +745,82 @@ func (db *DB) execInsert(gov *governor.Budget, cur *txn.Txn, st *sql.InsertStmt)
 	return &Result{Affected: n}, nil
 }
 
-// execSelect is the cold (cache-miss or cache-disabled) SELECT path: resolve
-// a plan — which caches the freshly compiled plan for next time — then run it.
+// execSelect runs a SQL-text SELECT: resolve a plan — which caches a
+// freshly compiled plan for next time — run it, and feed the estimation
+// loop with the outcome.
 func (db *DB) execSelect(gov *governor.Budget, cur *txn.Txn, norm string, sel *sql.SelectStmt) (*Result, error) {
-	cp, _, err := db.resolveSelect(gov, norm, "", sel)
+	cp, _, err := db.resolveSelect(gov, norm, sel, nil)
 	if err != nil {
 		return nil, err
 	}
-	return db.runSelect(gov, cur, cp)
+	rows, _, err := db.runPlan(gov, cur, cp.Query, nil, false)
+	if err != nil {
+		return nil, err
+	}
+	db.noteFeedback(cp, float64(len(rows)))
+	return queryResult(cp.Query, rows), nil
 }
 
-// runSelect executes a compiled plan under the statement's governor and
-// transaction snapshot, and materializes the result. The plan itself is
-// never mutated — all execution state lives in the run — so cached plans
-// execute concurrently.
-func (db *DB) runSelect(gov *governor.Budget, cur *txn.Txn, cp *compile.CompiledPlan) (*Result, error) {
-	rows, stats, err := exec.RunQuery(db.runtime(gov, cur.Snapshot()), cp.Query)
+// runPlan executes a plan under the statement's governor and transaction
+// snapshot, binding vals to its host variables, and publishes the measured
+// cost as LastStats; a governor abort carries the same partial stats. The
+// plan itself is never mutated — all execution state lives in the run — so
+// cached plans execute concurrently. analyze keeps the instrumented operator
+// tree for EXPLAIN ANALYZE.
+func (db *DB) runPlan(gov *governor.Budget, t *txn.Txn, q *plan.Query, vals []value.Value, analyze bool) ([]value.Row, *exec.Analysis, error) {
+	rt := db.runtime(gov, t.Snapshot())
+	var rows []value.Row
+	var stats *exec.Stats
+	var an *exec.Analysis
+	var err error
+	if analyze {
+		rows, stats, an, err = exec.RunQueryAnalyze(rt, q, vals)
+	} else {
+		rows, stats, err = exec.RunQueryArgs(rt, q, vals)
+	}
 	es := execStatsFrom(stats)
 	db.setLast(es)
 	if err != nil {
-		return nil, wrapGovErr(err, es)
+		return nil, nil, wrapGovErr(err, es)
 	}
+	return rows, an, nil
+}
+
+// queryResult materializes a query's rows as native Go values.
+func queryResult(q *plan.Query, rows []value.Row) *Result {
 	out := make([][]any, len(rows))
 	for i, r := range rows {
 		out[i] = toNative(r)
 	}
-	cols := cp.Query.OutNames
-	if cols == nil {
-		cols = []string{}
+	return &Result{Columns: outNames(q), Rows: out}
+}
+
+// outNames returns a query's output column names, never nil: a nil Columns
+// marks a Result that is not a query's.
+func outNames(q *plan.Query) []string {
+	if q.OutNames == nil {
+		return []string{}
 	}
-	db.noteFeedback(cp, float64(len(rows)))
-	return &Result{Columns: cols, Rows: out}, nil
+	return q.OutNames
 }
 
 // noteFeedback compares a finished execution's actual result rows with the
-// plan's compile-time estimate and records the symmetric miss factor on the
-// plan. Crossing the configured ratio marks the plan: the next execution
-// refreshes statistics on the tables it reads and recompiles.
+// plan's compile-time estimate as the symmetric miss factor. Crossing the
+// configured ratio marks the plan: the next execution refreshes statistics
+// on the tables it reads and recompiles. Only SQL-text SELECTs and EXPLAIN
+// ANALYZE feed the loop. A prepared plan's host-variable estimates are
+// value-blind, so its miss factor measures the bindings, not the
+// statistics, and feedback would refresh statistics on every run.
 func (db *DB) noteFeedback(cp *compile.CompiledPlan, actual float64) {
 	ratio := db.cfg.RecompileMissRatio
 	if ratio < 0 || cp.Query == nil || cp.Query.Root == nil {
 		return
 	}
 	miss := compile.MissFactor(cp.Query.Root.Est().Rows, actual)
-	cp.NoteMiss(miss)
-	if m := db.metrics; m != nil {
-		m.estMissFactor.Observe(miss)
-	}
+	db.metrics.estMissFactor.Observe(miss)
 	if miss >= ratio && !cp.NeedsRecompile() {
 		cp.MarkRecompile()
-		if m := db.metrics; m != nil {
-			m.feedbackMarks.Inc()
-		}
+		db.metrics.feedbackMarks.Inc()
 	}
 }
 
@@ -1026,9 +843,7 @@ func (db *DB) refreshFeedbackStats(e *compile.CompiledPlan) {
 	for _, t := range e.Reads {
 		db.cat.UpdateStatisticsFor(t)
 	}
-	if m := db.metrics; m != nil {
-		m.feedbackRefreshes.Inc()
-	}
+	db.metrics.feedbackRefreshes.Inc()
 }
 
 // selectNorm recovers a SELECT's normalized text from its EXPLAIN wrapper's,
@@ -1053,7 +868,7 @@ func (db *DB) execExplain(gov *governor.Budget, cur *txn.Txn, norm string, st *s
 	var cp *compile.CompiledPlan
 	switch inner := st.Stmt.(type) {
 	case *sql.SelectStmt:
-		sel, hit, err := db.resolveSelect(gov, selectNorm(norm), "", inner)
+		sel, hit, err := db.resolveSelect(gov, selectNorm(norm), inner, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -1084,14 +899,11 @@ func (db *DB) execExplain(gov *governor.Budget, cur *txn.Txn, norm string, st *s
 	if !st.Analyze {
 		return &Result{Plan: q.Explain() + cacheNote}, nil
 	}
-	rows, stats, analysis, err := exec.RunQueryAnalyze(db.runtime(gov, cur.Snapshot()), q, nil)
-	es := execStatsFrom(stats)
-	db.setLast(es)
+	rows, analysis, err := db.runPlan(gov, cur, q, nil, true)
 	if err != nil {
-		return nil, wrapGovErr(err, es)
+		return nil, err
 	}
 	if cp != nil {
-		// EXPLAIN ANALYZE executions feed the estimation loop like any other.
 		db.noteFeedback(cp, float64(len(rows)))
 	}
 	return &Result{Plan: analysis.Format(db.cfg.W) + cacheNote}, nil
@@ -1101,16 +913,20 @@ func (db *DB) execExplain(gov *governor.Budget, cur *txn.Txn, norm string, st *s
 // optimizer's chosen access path (the paper: "retrieval for data
 // manipulation is treated similarly"). The scan runs under the statement's
 // snapshot: the tuples a writer modifies are exactly the tuples it sees.
-func (db *DB) collectMatches(gov *governor.Budget, cur *txn.Txn, blk *sem.Block) ([]storage.TID, []value.Row, error) {
+// System catalogs are read-only.
+func (db *DB) collectMatches(gov *governor.Budget, cur *txn.Txn, blk *sem.Block) (*plan.Query, []storage.TID, []value.Row, error) {
+	if t := blk.Rels[0].Table; t.System {
+		return nil, nil, nil, fmt.Errorf("systemr: %s is a read-only system catalog", t.Name)
+	}
 	q, err := db.planBlock(gov, blk)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	tids, rows, err := exec.CollectTIDs(db.runtime(gov, cur.Snapshot()), q)
 	if err != nil {
-		return nil, nil, wrapGovErr(err, ExecStats{Rows: int(gov.RowsScanned())})
+		return nil, nil, nil, wrapGovErr(err, ExecStats{Rows: int(gov.RowsScanned())})
 	}
-	return tids, rows, nil
+	return q, tids, rows, nil
 }
 
 func (db *DB) execDelete(gov *governor.Budget, cur *txn.Txn, st *sql.DeleteStmt) (*Result, error) {
@@ -1118,10 +934,7 @@ func (db *DB) execDelete(gov *governor.Budget, cur *txn.Txn, st *sql.DeleteStmt)
 	if err != nil {
 		return nil, err
 	}
-	if blk.Rels[0].Table.System {
-		return nil, fmt.Errorf("systemr: %s is a read-only system catalog", blk.Rels[0].Table.Name)
-	}
-	tids, rows, err := db.collectMatches(gov, cur, blk)
+	_, tids, rows, err := db.collectMatches(gov, cur, blk)
 	if err != nil {
 		return nil, err
 	}
@@ -1142,14 +955,7 @@ func (db *DB) execUpdate(gov *governor.Budget, cur *txn.Txn, st *sql.UpdateStmt)
 	if err != nil {
 		return nil, err
 	}
-	if blk.Rels[0].Table.System {
-		return nil, fmt.Errorf("systemr: %s is a read-only system catalog", blk.Rels[0].Table.Name)
-	}
-	tids, rows, err := db.collectMatches(gov, cur, blk)
-	if err != nil {
-		return nil, err
-	}
-	q, err := db.planBlock(gov, blk)
+	q, tids, rows, err := db.collectMatches(gov, cur, blk)
 	if err != nil {
 		return nil, err
 	}

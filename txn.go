@@ -36,11 +36,9 @@ type Txn struct {
 // Begin starts a transaction. The API-level equivalent of executing BEGIN on
 // a Conn.
 func (db *DB) Begin() *Txn {
-	t := db.beginTxn()
+	t := db.newTxn(db.txns.Begin())
 	db.activeTxns.Add(1)
-	if m := db.metrics; m != nil {
-		m.txnBegins.Inc()
-	}
+	db.metrics.txnBegins.Inc()
 	return &Txn{db: db, t: t}
 }
 
@@ -67,13 +65,7 @@ func (x *Txn) Query(text string) (*Result, error) {
 // QueryContext is Query observing ctx.
 func (x *Txn) QueryContext(ctx context.Context, text string) (*Result, error) {
 	res, err := x.ExecContext(ctx, text)
-	if err != nil {
-		return nil, err
-	}
-	if res.Columns == nil {
-		return nil, fmt.Errorf("systemr: statement is not a query: %s", text)
-	}
-	return res, nil
+	return queryOnly(text, res, err)
 }
 
 // Commit makes the transaction's mutations permanent and releases its locks.
@@ -91,19 +83,7 @@ func (x *Txn) Commit() error {
 		x.t.Finish()
 		return fmt.Errorf("systemr: cannot commit: %w", ErrTxnAborted)
 	}
-	x.t.Finish()
-	// Deregister before releasing locks: the transaction's exclusive locks
-	// still exclude writers at the instant its versions become "committed"
-	// to the registry, so snapshot order matches lock-serialization order.
-	x.db.txns.Finish(x.t.Reg())
-	x.t.Locks.ReleaseAll()
-	x.db.activeTxns.Add(-1)
-	if m := x.db.metrics; m != nil {
-		m.txnCommits.Inc()
-	}
-	if x.t.Mutations() > 0 {
-		x.db.noteCommit()
-	}
+	x.db.endTxn(x.t, true, true)
 	return nil
 }
 
@@ -119,16 +99,10 @@ func (x *Txn) Rollback() error {
 		x.t.Finish()
 		return nil
 	}
-	err := x.t.UndoAll()
-	x.t.Finish()
-	// Deregister only after the undo completed: mid-rollback, this
+	// The undo completes before endTxn deregisters: mid-rollback, this
 	// transaction's XID must still read as active to every snapshot.
-	x.db.txns.Finish(x.t.Reg())
-	x.t.Locks.ReleaseAll()
-	x.db.activeTxns.Add(-1)
-	if m := x.db.metrics; m != nil {
-		m.txnRollbacks.Inc()
-	}
+	err := x.t.UndoAll()
+	x.db.endTxn(x.t, true, false)
 	return err
 }
 
