@@ -133,8 +133,8 @@ func BenchmarkPlanQuality(b *testing.B) {
 		mut  func(*core.Config)
 	}{
 		{"chosen", func(*core.Config) {}},
-		{"nlonly", func(c *core.Config) { c.NestedLoopsOnly = true }},
-		{"mergeonly", func(c *core.Config) { c.MergeOnly = true }},
+		{"nlonly", func(c *core.Config) { c.Joins = core.NestedLoopsOnly }},
+		{"mergeonly", func(c *core.Config) { c.Joins = core.MergeOnly }},
 		{"nosargs", func(c *core.Config) { c.DisableSargs = true }},
 		{"noorders", func(c *core.Config) { c.DisableInterestingOrders = true }},
 	}
@@ -260,8 +260,8 @@ func BenchmarkJoinMethods(b *testing.B) {
 			name string
 			mut  func(*core.Config)
 		}{
-			{"nestedloops", func(c *core.Config) { c.NestedLoopsOnly = true }},
-			{"mergescan", func(c *core.Config) { c.MergeOnly = true }},
+			{"nestedloops", func(c *core.Config) { c.Joins = core.NestedLoopsOnly }},
+			{"mergescan", func(c *core.Config) { c.Joins = core.MergeOnly }},
 			{"optimizer_choice", func(*core.Config) {}},
 		} {
 			b.Run(fmt.Sprintf("%dx%d/%s", size.outer, size.inner, m.name), func(b *testing.B) {

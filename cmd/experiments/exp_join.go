@@ -36,7 +36,7 @@ func expJoinMethods() {
 		w := core.DefaultW
 
 		nlCfg := db.OptimizerConfig()
-		nlCfg.NestedLoopsOnly = true
+		nlCfg.Joins = core.NestedLoopsOnly
 		qNL, _, err := planWith(db, nlCfg, query)
 		if err != nil {
 			panic(err)
@@ -44,7 +44,7 @@ func expJoinMethods() {
 		nlStats, _ := measurePlanned(db, qNL)
 
 		mgCfg := db.OptimizerConfig()
-		mgCfg.MergeOnly = true
+		mgCfg.Joins = core.MergeOnly
 		qMG, _, err := planWith(db, mgCfg, query)
 		if err != nil {
 			panic(err)

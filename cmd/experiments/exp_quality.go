@@ -37,8 +37,8 @@ func qualityVariants(db *systemr.DB) map[string]core.Config {
 	}
 	return map[string]core.Config{
 		"chosen":    base,
-		"nlonly":    mk(func(c *core.Config) { c.NestedLoopsOnly = true }),
-		"mergeonly": mk(func(c *core.Config) { c.MergeOnly = true }),
+		"nlonly":    mk(func(c *core.Config) { c.Joins = core.NestedLoopsOnly }),
+		"mergeonly": mk(func(c *core.Config) { c.Joins = core.MergeOnly }),
 		"nosargs":   mk(func(c *core.Config) { c.DisableSargs = true }),
 		"noorders":  mk(func(c *core.Config) { c.DisableInterestingOrders = true }),
 	}

@@ -97,7 +97,7 @@ func TestCursorMidStreamClose(t *testing.T) {
 			"SELECT E.NAME, D.DNAME FROM EMP E, DEPT D WHERE E.DNO = D.DNO"},
 		// Merge-only engine with ORDER BY: the close lands mid merge-join
 		// and mid sort-result, releasing temporary lists.
-		{"merge-join-sort", systemr.Config{MergeOnly: true},
+		{"merge-join-sort", systemr.Config{Joins: systemr.MergeOnly},
 			"SELECT E.NAME, D.DNAME FROM EMP E, DEPT D WHERE E.DNO = D.DNO ORDER BY E.NAME"},
 	}
 	for _, sc := range scenarios {

@@ -88,16 +88,16 @@ func ablations(base core.Config) map[string]core.Config {
 		"noheuristic": mk(func(c *core.Config) { c.DisableJoinHeuristic = true }),
 		"noorders":    mk(func(c *core.Config) { c.DisableInterestingOrders = true }),
 		"nosargs":     mk(func(c *core.Config) { c.DisableSargs = true }),
-		"nlonly":      mk(func(c *core.Config) { c.NestedLoopsOnly = true }),
-		"mergeonly":   mk(func(c *core.Config) { c.MergeOnly = true }),
+		"nlonly":      mk(func(c *core.Config) { c.Joins = core.NestedLoopsOnly }),
+		"mergeonly":   mk(func(c *core.Config) { c.Joins = core.MergeOnly }),
 		"tinybuffer":  mk(func(c *core.Config) { c.BufferPages = 2 }),
 		"bigW":        mk(func(c *core.Config) { c.W = 10 }),
 		"nlonly_nosargs": mk(func(c *core.Config) {
-			c.NestedLoopsOnly = true
+			c.Joins = core.NestedLoopsOnly
 			c.DisableSargs = true
 		}),
 		"mergeonly_noorders_tiny": mk(func(c *core.Config) {
-			c.MergeOnly = true
+			c.Joins = core.MergeOnly
 			c.DisableInterestingOrders = true
 			c.BufferPages = 2
 		}),

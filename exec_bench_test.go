@@ -68,8 +68,8 @@ func BenchmarkHashJoin(b *testing.B) {
 		name   string
 		engine systemr.Config
 	}{
-		{"nestedloops", systemr.Config{NestedLoopsOnly: true}},
-		{"merge", systemr.Config{MergeOnly: true}},
+		{"nestedloops", systemr.Config{Joins: systemr.NestedLoopsOnly}},
+		{"merge", systemr.Config{Joins: systemr.MergeOnly}},
 		{"hash", systemr.Config{}},
 	} {
 		b.Run(c.name, func(b *testing.B) {

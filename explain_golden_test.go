@@ -58,7 +58,7 @@ func TestExplainGolden(t *testing.T) {
 // TestExplainGoldenMergeJoin pins the merging-scans plan shape: both inputs
 // sorted into temporary lists on the join column, then merged.
 func TestExplainGoldenMergeJoin(t *testing.T) {
-	db := abDB(t, systemr.Config{MergeOnly: true})
+	db := abDB(t, systemr.Config{Joins: systemr.MergeOnly})
 	got, err := db.Explain("SELECT A.V, B.W FROM A, B WHERE A.K = B.K")
 	if err != nil {
 		t.Fatal(err)

@@ -123,16 +123,14 @@ func (cp *CompiledPlan) TakeRecompile() bool {
 type Pipeline struct {
 	cat           *catalog.Catalog
 	cfg           core.Config
-	naive         bool
 	snapshotReads bool
 	compilations  atomic.Int64
 }
 
-// NewPipeline creates a compile pipeline over cat. naive selects the
-// no-optimizer baseline plans; snapshotReads selects the MVCC lock sets
-// (no shared table locks on reads) for compiled plans.
-func NewPipeline(cat *catalog.Catalog, cfg core.Config, naive, snapshotReads bool) *Pipeline {
-	return &Pipeline{cat: cat, cfg: cfg, naive: naive, snapshotReads: snapshotReads}
+// NewPipeline creates a compile pipeline over cat. snapshotReads selects
+// the MVCC lock sets (no shared table locks on reads) for compiled plans.
+func NewPipeline(cat *catalog.Catalog, cfg core.Config, snapshotReads bool) *Pipeline {
+	return &Pipeline{cat: cat, cfg: cfg, snapshotReads: snapshotReads}
 }
 
 // Compilations returns how many plans the optimizer has produced — the
@@ -144,11 +142,7 @@ func (p *Pipeline) Compilations() int64 { return p.compilations.Load() }
 // funnel through here, so Compilations counts every optimizer invocation.
 func (p *Pipeline) PlanBlock(blk *sem.Block) (*plan.Query, error) {
 	p.compilations.Add(1)
-	opt := core.New(p.cat, p.cfg)
-	if p.naive {
-		return core.NaivePlan(opt, blk)
-	}
-	return opt.Optimize(blk)
+	return core.New(p.cat, p.cfg).Optimize(blk)
 }
 
 // CompileSelect runs the back half of the pipeline on an already-parsed

@@ -21,7 +21,7 @@ func testPipeline(t *testing.T) (*Pipeline, *catalog.Catalog) {
 	}, ""); err != nil {
 		t.Fatal(err)
 	}
-	return NewPipeline(cat, core.Config{W: core.DefaultW, BufferPages: 64}, false, false), cat
+	return NewPipeline(cat, core.Config{W: core.DefaultW, BufferPages: 64}, false), cat
 }
 
 func TestCompileSelectText(t *testing.T) {

@@ -63,18 +63,27 @@ func (o *Optimizer) localFactors(rel int) (sargable, residual []*factorInfo) {
 	return sargable, residual
 }
 
+// accessPaths is genPaths' result for one relation: every access path, the
+// cheapest of them, and the relation's local cardinalities — RSICARD, the
+// tuples the search arguments let across the RSI, and rows, those that also
+// pass the residual filters.
+type accessPaths struct {
+	all           []pathCand
+	cheapest      pathCand
+	rsicard, rows float64
+}
+
 // genPaths enumerates every access path on relation rel: one per index plus
 // the segment scan, with the relation's local boolean factors (and any
 // pushed join predicates) applied as search arguments, index start/stop
 // keys, or residual filters.
-func (o *Optimizer) genPaths(rel int, pushed []pushedPred) []pathCand {
+func (o *Optimizer) genPaths(rel int, pushed []pushedPred) accessPaths {
 	t := o.blk.Rels[rel].Table
 	st := t.Stats
 	relName := o.blk.Rels[rel].Name
 
+	// Selectivity bookkeeping, in the order sargable, residual, pushed.
 	sargable, residual := o.localFactors(rel)
-
-	// Selectivity bookkeeping.
 	selSarg, selAll := 1.0, 1.0
 	for _, fi := range sargable {
 		selSarg = clamp01(selSarg * fi.sel)
@@ -150,7 +159,14 @@ func (o *Optimizer) genPaths(rel int, pushed []pushedPred) []pathCand {
 			}
 		}
 	}
-	return paths
+
+	best := paths[0]
+	for _, p := range paths[1:] {
+		if p.cost.Total(o.cfg.W) < best.cost.Total(o.cfg.W) {
+			best = p
+		}
+	}
+	return accessPaths{all: paths, cheapest: best, rsicard: rsicard, rows: rows}
 }
 
 // correlatedResidual recognizes a residual factor whose subqueries all
@@ -254,10 +270,6 @@ func (o *Optimizer) intervalSources(col sem.ColumnID, pushed []pushedPred) []int
 func (o *Optimizer) indexPath(rel int, ix *catalog.Index, pushed []pushedPred,
 	sargs []sem.SargDNF, resExprs []sem.Expr, rsicard, rows float64) pathCand {
 
-	t := ix.Table
-	st := t.Stats
-	ist := ix.Stats
-
 	var lo, hi []sem.Bound
 	loInc, hiInc := true, true
 	matchSel := 1.0
@@ -323,35 +335,8 @@ func (o *Optimizer) indexPath(rel int, ix *catalog.Index, pushed []pushedPred,
 		Lo: lo, LoInc: loInc, Hi: hi, HiInc: hiInc,
 		Sargs: sargs, Residual: resExprs, Matching: matched,
 	}
-
-	var cost plan.Cost
-	switch {
-	case ix.Unique && eqCols == len(ix.ColIdxs):
-		// Unique index matching an equal predicate: 1 index page + 1 data
-		// page + W (one RSI call).
-		cost = plan.Cost{Pages: 2, RSI: 1}
-	case matched:
-		f := matchSel
-		if ix.Clustered {
-			cost = plan.Cost{Pages: f * (ist.EffNIndx() + st.EffTCard()), RSI: rsicard}
-		} else {
-			pages := f * (ist.EffNIndx() + st.EffNCard())
-			if alt := f * (ist.EffNIndx() + st.EffTCard()); alt <= float64(o.cfg.BufferPages) {
-				pages = alt
-			}
-			cost = plan.Cost{Pages: pages, RSI: rsicard}
-		}
-	default:
-		if ix.Clustered {
-			cost = plan.Cost{Pages: ist.EffNIndx() + st.EffTCard(), RSI: rsicard}
-		} else {
-			pages := ist.EffNIndx() + st.EffNCard()
-			if alt := ist.EffNIndx() + st.EffTCard(); alt <= float64(o.cfg.BufferPages) {
-				pages = alt
-			}
-			cost = plan.Cost{Pages: pages, RSI: rsicard}
-		}
-	}
+	// matchSel is still 1 when no predicate matched.
+	cost := o.indexCost(ix, ix.Unique && eqCols == len(ix.ColIdxs), matchSel, rsicard)
 	node.SetEst(plan.Estimate{Cost: cost, Rows: rows})
 	return pathCand{
 		node: node,
@@ -361,23 +346,26 @@ func (o *Optimizer) indexPath(rel int, ix *catalog.Index, pushed []pushedPred,
 	}
 }
 
-// innerGroupCost is C_inner(path) for joins: the cost of fetching the inner
-// tuples matching one outer tuple through the given index, treating the join
-// predicate as an equal predicate with selectivity fJoin (Table 2's matching
-// formulas with F = fJoin × local matching selectivity folded in by the
-// caller).
-func (o *Optimizer) innerGroupCost(rel int, ix *catalog.Index, fJoin, rsicardGroup float64) plan.Cost {
-	st := ix.Table.Stats
-	ist := ix.Stats
-	if ix.Unique && len(ix.ColIdxs) == 1 {
+// indexCost is Table 2's index rows: the cost of scanning index ix for the
+// tuples its matching predicates select, with combined selectivity f, when
+// rsicard of them cross the RSI. uniqueProbe is the unique index matching an
+// equal predicate. An index matching no predicate has f = 1, which turns
+// each matching row into the corresponding "not matching" row exactly.
+func (o *Optimizer) indexCost(ix *catalog.Index, uniqueProbe bool, f, rsicard float64) plan.Cost {
+	if uniqueProbe {
+		// 1 index page + 1 data page + W (one RSI call).
 		return plan.Cost{Pages: 2, RSI: 1}
 	}
+	st := ix.Table.Stats
+	nindx := ix.Stats.EffNIndx()
 	if ix.Clustered {
-		return plan.Cost{Pages: fJoin * (ist.EffNIndx() + st.EffTCard()), RSI: rsicardGroup}
+		return plan.Cost{Pages: f * (nindx + st.EffTCard()), RSI: rsicard}
 	}
-	pages := fJoin * (ist.EffNIndx() + st.EffNCard())
-	if alt := fJoin * (ist.EffNIndx() + st.EffTCard()); alt <= float64(o.cfg.BufferPages) {
+	// Non-clustered: one page fetch per tuple, or per data page when the
+	// pages touched fit in the System R buffer.
+	pages := f * (nindx + st.EffNCard())
+	if alt := f * (nindx + st.EffTCard()); alt <= float64(o.cfg.BufferPages) {
 		pages = alt
 	}
-	return plan.Cost{Pages: pages, RSI: rsicardGroup}
+	return plan.Cost{Pages: pages, RSI: rsicard}
 }

@@ -14,50 +14,15 @@ import (
 	"systemr/internal/sem"
 )
 
-// NaivePlan builds the unoptimized plan for a block (and, recursively, for
-// its nested blocks).
-func NaivePlan(o *Optimizer, blk *sem.Block) (*plan.Query, error) {
-	// Nested blocks first, naively as well.
-	subPlans := make([]*plan.SubPlan, 0, len(blk.Subqueries))
-	subInfo := make(map[*sem.Subquery]subStats, len(blk.Subqueries))
-	for _, sub := range blk.Subqueries {
-		sp, err := NaivePlan(o, sub.Block)
-		if err != nil {
-			return nil, err
-		}
-		relProd := 1.0
-		for _, r := range sub.Block.Rels {
-			relProd *= r.Table.Stats.EffNCard()
-		}
-		subPlan := &plan.SubPlan{Sub: sub, Query: sp}
-		subPlans = append(subPlans, subPlan)
-		subInfo[sub] = subStats{plan: subPlan, qcard: sp.Root.Est().Rows, relProd: relProd}
-	}
-
-	// Reuse the optimizer's per-block state for selectivities, equivalence
-	// classes, and the required-order computation (estimates only; the plan
-	// shape below ignores them).
-	o.blk = blk
-	o.nextParam = blk.NumParams
-	o.subInfo = subInfo
-	o.classes = newOrderClasses()
-	for _, f := range blk.Factors {
-		if f.EquiJoin != nil {
-			o.classes.union(f.EquiJoin.Left, f.EquiJoin.Right)
-		}
-	}
-	o.factors = make([]*factorInfo, len(blk.Factors))
-	for i, f := range blk.Factors {
-		rels := f.Rels
-		if rels == 0 {
-			rels = rels.Set(0)
-		}
-		o.factors[i] = &factorInfo{f: f, sel: o.selectivity(f.Expr), rels: rels}
-	}
-
+// naiveJoin replaces the search for Config.Naive: a left-deep nested-loop
+// join of segment scans in FROM order, with a final sort when the block
+// requires an order. planBlock has already planned the nested blocks (the
+// same way) and set up the block's selectivities, which only feed the
+// estimates here.
+func (o *Optimizer) naiveJoin() *solution {
 	node := o.naiveScan(0)
 	covered := sem.RelSet(0).Set(0)
-	for r := 1; r < len(blk.Rels); r++ {
+	for r := 1; r < len(o.blk.Rels); r++ {
 		inner := o.naiveScan(r)
 		next := covered.Set(r)
 		var residual []sem.Expr
@@ -78,20 +43,12 @@ func NaivePlan(o *Optimizer, blk *sem.Block) (*plan.Query, error) {
 	}
 
 	if req := o.requiredOrder(); len(req) > 0 {
-		full := covered
-		sc := o.sortCost(node.Est().Rows, o.setWidth(full))
-		sortNode := &plan.Sort{Input: node, Keys: o.sortKeysFor(req, full)}
+		sc := o.sortCost(node.Est().Rows, o.setWidth(covered))
+		sortNode := &plan.Sort{Input: node, Keys: o.sortKeysFor(req, covered)}
 		sortNode.SetEst(plan.Estimate{Cost: node.Est().Cost.Add(sc), Rows: node.Est().Rows})
 		node = sortNode
 	}
-	root := o.assemble(&solution{set: covered, node: node, cost: node.Est().Cost})
-	return &plan.Query{
-		Block:     blk,
-		Root:      root,
-		Subs:      subPlans,
-		NumParams: o.nextParam,
-		OutNames:  blk.SelectNames,
-	}, nil
+	return &solution{set: covered, node: node, cost: node.Est().Cost}
 }
 
 // naiveScan is a segment scan with every local factor as a residual filter.

@@ -47,19 +47,34 @@ type Config struct {
 	// that all filtering happens above the RSI (every tuple costs an RSI
 	// call); used by the sargability experiments.
 	DisableSargs bool
-	// NestedLoopsOnly and MergeOnly restrict the join methods considered.
-	// Either one also excludes hash joins, so the paper's two-method
-	// experiments keep their original search space.
-	NestedLoopsOnly bool
-	MergeOnly       bool
+	// Joins restricts the join methods considered; the zero value allows
+	// all three.
+	Joins JoinMethod
 	// DisableHistograms ignores per-column histogram statistics so every
 	// selectivity estimate comes from Table 1 and index ICARDs alone — the
 	// paper's original behavior, kept for experiments and comparison runs.
 	DisableHistograms bool
+	// Naive replaces the join search with the no-optimizer baseline (see
+	// naiveJoin) in every query block.
+	Naive bool
 
 	// Trace, when non-nil, records the search tree (Figures 2-6).
 	Trace *Trace
 }
+
+// JoinMethod is the set of join methods the search may use.
+type JoinMethod uint8
+
+const (
+	// AllJoins considers nested loops, merging scans and hash joins.
+	AllJoins JoinMethod = iota
+	// NestedLoopsOnly considers nested loops alone.
+	NestedLoopsOnly
+	// MergeOnly considers merging scans, and nested loops only for a join
+	// step no equi-join applies to. Together with NestedLoopsOnly it keeps
+	// the paper's two-method experiments in their original search space.
+	MergeOnly
+)
 
 // DefaultW is the default CPU weighting factor.
 const DefaultW = 0.033
@@ -167,19 +182,20 @@ func (o *Optimizer) planBlock(blk *sem.Block) (*plan.Query, error) {
 	}
 	o.interest = o.interestingOrders()
 
-	best, err := o.search()
-	if err != nil {
+	var best *solution
+	var err error
+	if o.cfg.Naive {
+		best = o.naiveJoin()
+	} else if best, err = o.search(); err != nil {
 		return nil, err
 	}
-	root := o.assemble(best)
-	q := &plan.Query{
+	return &plan.Query{
 		Block:     blk,
-		Root:      root,
+		Root:      o.assemble(best),
 		Subs:      subPlans,
 		NumParams: o.nextParam,
 		OutNames:  blk.SelectNames,
-	}
-	return q, nil
+	}, nil
 }
 
 // cardOf estimates the composite cardinality of a relation subset: the

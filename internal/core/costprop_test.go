@@ -57,7 +57,7 @@ func TestCostInvariants(t *testing.T) {
 		cat := randomCostDB(t, rnd)
 		base := fmt.Sprintf("SELECT A FROM R WHERE B > %d", rnd.Intn(100))
 		_, o := planFor(t, cat, Config{}, base)
-		basePaths := o.genPaths(0, nil)
+		basePaths := o.genPaths(0, nil).all
 		for _, p := range basePaths {
 			if p.cost.Pages < 0 || p.cost.RSI < 0 ||
 				math.IsNaN(p.cost.Pages) || math.IsInf(p.cost.Pages, 0) {
@@ -68,7 +68,7 @@ func TestCostInvariants(t *testing.T) {
 		// Add one more sargable factor: RSI estimates must not grow.
 		narrower := base + fmt.Sprintf(" AND A = %d", rnd.Intn(10))
 		_, o2 := planFor(t, cat, Config{}, narrower)
-		narrowPaths := o2.genPaths(0, nil)
+		narrowPaths := o2.genPaths(0, nil).all
 		for i := range basePaths {
 			if narrowPaths[i].cost.RSI > basePaths[i].cost.RSI+1e-9 {
 				t.Fatalf("trial %d: extra predicate increased RSI estimate for %s: %v > %v",
@@ -82,7 +82,7 @@ func TestCostInvariants(t *testing.T) {
 			bound: sem.Bound{Kind: sem.BoundParam, Param: o.nextParam}, sel: 0.1,
 		}}
 		o.nextParam++
-		pushedPaths := o.genPaths(0, pushed)
+		pushedPaths := o.genPaths(0, pushed).all
 		for i := range basePaths {
 			if pushedPaths[i].cost.RSI > basePaths[i].cost.RSI+1e-9 {
 				t.Fatalf("trial %d: pushed predicate increased RSI for %s", trial, basePaths[i].desc)
@@ -96,7 +96,7 @@ func TestCostInvariants(t *testing.T) {
 func TestUniquePathAlwaysCheapestForPointLookup(t *testing.T) {
 	cat := uniqueDB(t)
 	_, o := planFor(t, cat, Config{}, "SELECT D FROM U WHERE A = 123")
-	paths := o.genPaths(0, nil)
+	paths := o.genPaths(0, nil).all
 	var uniqueCost, minCost float64
 	minCost = math.Inf(1)
 	for _, p := range paths {

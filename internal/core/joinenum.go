@@ -114,14 +114,17 @@ func (o *Optimizer) search() (*solution, error) {
 	w := o.cfg.W
 	sols := make(map[sem.RelSet]*subsetSols)
 
-	// Level 1: single-relation access paths.
+	// Level 1: single-relation access paths, kept for every join step that
+	// adds the relation.
+	level1 := make([]accessPaths, n)
 	for r := 0; r < n; r++ {
 		var s sem.RelSet
 		s = s.Set(r)
 		ss := &subsetSols{card: o.cardOf(s), classes: o.classesFor(s), best: make(map[string]*solution)}
 		sols[s] = ss
 		o.cfg.Trace.enterSubset(o, s)
-		for _, p := range o.genPaths(r, nil) {
+		level1[r] = o.genPaths(r, nil)
+		for _, p := range level1[r].all {
 			o.propose(ss, &solution{set: s, ord: p.ord, cost: p.cost, node: p.node, desc: p.desc})
 		}
 	}
@@ -149,7 +152,7 @@ func (o *Optimizer) search() (*solution, error) {
 					sols[s2] = ss2
 					o.cfg.Trace.enterSubset(o, s2)
 				}
-				o.joinCandidates(sols[s], s, r, ss2)
+				o.joinCandidates(sols[s], s, r, ss2, &level1[r])
 			}
 		}
 	}
@@ -221,11 +224,22 @@ func (o *Optimizer) connected(s sem.RelSet, r int) bool {
 	return false
 }
 
-// joinCandidates proposes every way of joining relation r to subset s:
-// nested loops against each retained outer solution, and merging scans on
-// each applicable equi-join predicate with sort/no-sort alternatives on both
-// sides.
-func (o *Optimizer) joinCandidates(ssOuter *subsetSols, s sem.RelSet, r int, ss2 *subsetSols) {
+// equiJoin is an equi-join predicate applicable at a join step, oriented so
+// innerCol belongs to the relation being added. Merging scans and hash joins
+// use it as the join predicate and apply every other predicate of the step
+// as a residual ("one of them is used as the join predicate and the others
+// are treated as ordinary predicates").
+type equiJoin struct {
+	fi                 *factorInfo
+	innerCol, outerCol sem.ColumnID
+	residual           []sem.Expr
+}
+
+// joinCandidates proposes every way of joining relation r (whose level-1
+// access paths are acc) to subset s: nested loops against each retained outer
+// solution, and merging scans and hash joins on each applicable equi-join
+// predicate, merging with sort/no-sort alternatives on both sides.
+func (o *Optimizer) joinCandidates(ssOuter *subsetSols, s sem.RelSet, r int, ss2 *subsetSols, acc *accessPaths) {
 	s2 := s.Set(r)
 	var rOnly sem.RelSet
 	rOnly = rOnly.Set(r)
@@ -237,25 +251,36 @@ func (o *Optimizer) joinCandidates(ssOuter *subsetSols, s sem.RelSet, r int, ss2
 			applicable = append(applicable, fi)
 		}
 	}
+	var equis []equiJoin
+	for _, fi := range applicable {
+		ej := fi.f.EquiJoin
+		if ej == nil {
+			continue
+		}
+		e := equiJoin{fi: fi}
+		switch {
+		case ej.Left.Rel == r && s.Has(ej.Right.Rel):
+			e.innerCol, e.outerCol = ej.Left, ej.Right
+		case ej.Right.Rel == r && s.Has(ej.Left.Rel):
+			e.innerCol, e.outerCol = ej.Right, ej.Left
+		default:
+			continue
+		}
+		for _, other := range applicable {
+			if other != fi {
+				e.residual = append(e.residual, other.f.Expr)
+			}
+		}
+		equis = append(equis, e)
+	}
 
 	rows := ss2.card
 	nOuter := ssOuter.card
 
-	// Does any equi-join predicate connect r to s? Merging scans apply only
-	// to equi-joins, so without one the step must use nested loops even when
-	// the configuration prefers merge.
-	hasEquiJoin := false
-	for _, fi := range applicable {
-		if ej := fi.f.EquiJoin; ej != nil {
-			if (ej.Left.Rel == r && s.Has(ej.Right.Rel)) || (ej.Right.Rel == r && s.Has(ej.Left.Rel)) {
-				hasEquiJoin = true
-				break
-			}
-		}
-	}
-
 	// ---- Nested loops ----
-	if !o.cfg.MergeOnly || !hasEquiJoin {
+	// Merging scans apply only to equi-joins, so a step without one uses
+	// nested loops even when the configuration prefers merge.
+	if o.cfg.Joins != MergeOnly || len(equis) == 0 {
 		var pushed []pushedPred
 		var binds []plan.ParamBind
 		var residual []sem.Expr
@@ -274,13 +299,11 @@ func (o *Optimizer) joinCandidates(ssOuter *subsetSols, s sem.RelSet, r int, ss2
 			}
 		}
 		// Cheapest inner path: the inner's ordering is irrelevant for nested
-		// loops (the composite's order is the outer's order).
-		var inner *pathCand
-		for _, p := range o.genPaths(r, pushed) {
-			p := p
-			if inner == nil || p.cost.Total(o.cfg.W) < inner.cost.Total(o.cfg.W) {
-				inner = &p
-			}
+		// loops (the composite's order is the outer's order). Only pushed
+		// join predicates make its access paths differ from level 1's.
+		inner := acc.cheapest
+		if len(pushed) > 0 {
+			inner = o.genPaths(r, pushed).cheapest
 		}
 		for _, outer := range ssOuter.distinctSolutions() {
 			cost := outer.cost.Add(inner.cost.Scale(nOuter))
@@ -294,35 +317,12 @@ func (o *Optimizer) joinCandidates(ssOuter *subsetSols, s sem.RelSet, r int, ss2
 	}
 
 	// ---- Merging scans (equi-joins only) ----
-	if o.cfg.NestedLoopsOnly {
+	if o.cfg.Joins == NestedLoopsOnly {
 		return
 	}
-	for _, fi := range applicable {
-		ej := fi.f.EquiJoin
-		if ej == nil {
-			continue
-		}
-		var innerCol, outerCol sem.ColumnID
-		switch {
-		case ej.Left.Rel == r && s.Has(ej.Right.Rel):
-			innerCol, outerCol = ej.Left, ej.Right
-		case ej.Right.Rel == r && s.Has(ej.Left.Rel):
-			innerCol, outerCol = ej.Right, ej.Left
-		default:
-			continue
-		}
-		mergeOrd := order{orderEl{class: innerCol}}
-		outerOrd := order{orderEl{class: outerCol}}
-
-		// Residual: every other applicable predicate ("one of them is used as
-		// the join predicate and the others are treated as ordinary
-		// predicates").
-		var residual []sem.Expr
-		for _, other := range applicable {
-			if other != fi {
-				residual = append(residual, other.f.Expr)
-			}
-		}
+	for _, ej := range equis {
+		mergeOrd := order{orderEl{class: ej.innerCol}}
+		outerOrd := order{orderEl{class: ej.outerCol}}
 
 		// Outer alternatives: an already-ordered solution, or sort the
 		// cheapest unordered one into a temporary list.
@@ -351,44 +351,35 @@ func (o *Optimizer) joinCandidates(ssOuter *subsetSols, s sem.RelSet, r int, ss2
 			desc  string
 		}
 		var inners []innerOpt
-		selSarg, selAll := o.localSel(r)
-		ncard := o.blk.Rels[r].Table.Stats.EffNCard()
-		// (a) index scans already in join-column order: per-group cost via the
-		// eq-matching formulas, applied N times.
-		for _, p := range o.genPaths(r, nil) {
+		// (a) index scans already in join-column order: per outer tuple,
+		// Table 2's matching cost with the join predicate as an equal
+		// predicate, applied N times.
+		for _, p := range acc.all {
 			ixScan, ok := p.node.(*plan.IndexScan)
 			if !ok || !p.ord.satisfies(mergeOrd) {
 				continue
 			}
-			group := o.innerGroupCost(r, ixScan.Index, fi.sel, ncard*selSarg*fi.sel)
+			ix := ixScan.Index
+			group := o.indexCost(ix, ix.Unique && len(ix.ColIdxs) == 1, ej.fi.sel, acc.rsicard*ej.fi.sel)
 			inners = append(inners, innerOpt{node: p.node, total: group.Scale(nOuter), desc: p.desc})
 		}
 		// (b) sort the cheapest inner path into a temporary list; during the
 		// merge each temp page is fetched once (the C_inner(sorted list)
 		// case).
-		var base *pathCand
-		for _, p := range o.genPaths(r, nil) {
-			p := p
-			if base == nil || p.cost.Total(o.cfg.W) < base.cost.Total(o.cfg.W) {
-				base = &p
-			}
-		}
-		if base != nil {
-			cardLocal := ncard * selAll
-			sc := o.sortCost(cardLocal, o.rowWidth(r))
-			sortNode := &plan.Sort{Input: base.node, Keys: []sem.OrderKey{{Col: innerCol}}}
-			total := base.cost.Add(sc)
-			sortNode.SetEst(plan.Estimate{Cost: total, Rows: cardLocal})
-			inners = append(inners, innerOpt{node: sortNode, total: total, desc: "sort " + base.desc})
-		}
+		base := acc.cheapest
+		sc := o.sortCost(acc.rows, o.rowWidth(r))
+		sortNode := &plan.Sort{Input: base.node, Keys: []sem.OrderKey{{Col: ej.innerCol}}}
+		total := base.cost.Add(sc)
+		sortNode.SetEst(plan.Estimate{Cost: total, Rows: acc.rows})
+		inners = append(inners, innerOpt{node: sortNode, total: total, desc: "sort " + base.desc})
 
 		for _, out := range outers {
 			for _, in := range inners {
 				cost := out.cost.Add(in.total)
 				node := &plan.MergeJoin{
 					Outer: out.node, Inner: in.node,
-					OuterCol: outerCol, InnerCol: innerCol,
-					Residual: residual,
+					OuterCol: ej.outerCol, InnerCol: ej.innerCol,
+					Residual: ej.residual,
 				}
 				node.SetEst(plan.Estimate{Cost: cost, Rows: rows})
 				o.propose(ss2, &solution{
@@ -411,54 +402,25 @@ func (o *Optimizer) joinCandidates(ssOuter *subsetSols, s sem.RelSet, r int, ss2
 	// interesting order is produced (probing scrambles nothing today, but
 	// order is deliberately not promised), so a downstream order requirement
 	// is won by merge and order-free joins by hash.
-	if o.cfg.MergeOnly {
+	if o.cfg.Joins == MergeOnly || len(equis) == 0 {
 		return
 	}
-	for _, fi := range applicable {
-		ej := fi.f.EquiJoin
-		if ej == nil {
-			continue
-		}
-		var innerCol, outerCol sem.ColumnID
-		switch {
-		case ej.Left.Rel == r && s.Has(ej.Right.Rel):
-			innerCol, outerCol = ej.Left, ej.Right
-		case ej.Right.Rel == r && s.Has(ej.Left.Rel):
-			innerCol, outerCol = ej.Right, ej.Left
-		default:
-			continue
-		}
-		var residual []sem.Expr
-		for _, other := range applicable {
-			if other != fi {
-				residual = append(residual, other.f.Expr)
-			}
-		}
-		var base *pathCand
-		for _, p := range o.genPaths(r, nil) {
-			p := p
-			if base == nil || p.cost.Total(o.cfg.W) < base.cost.Total(o.cfg.W) {
-				base = &p
-			}
-		}
-		outer, ok := ssOuter.best[""]
-		if base == nil || !ok {
-			continue
-		}
-		_, selAll := o.localSel(r)
-		buildRows := o.blk.Rels[r].Table.Stats.EffNCard() * selAll
-		buildCost := base.cost.Add(plan.Cost{RSI: buildRows})
-		if tp := tempPages(buildRows, o.rowWidth(r)); tp > float64(o.cfg.BufferPages) {
-			// The build side does not fit the System R buffer: charge a
-			// write-out and read-back of the spilled temporary, as the sorted
-			// temp-list formulas do.
-			buildCost = buildCost.Add(plan.Cost{Pages: 2 * tp})
-		}
-		cost := outer.cost.Add(buildCost).Add(plan.Cost{RSI: nOuter})
+	outer := ssOuter.best[""]
+	base := acc.cheapest
+	buildRows := acc.rows
+	buildCost := base.cost.Add(plan.Cost{RSI: buildRows})
+	if tp := tempPages(buildRows, o.rowWidth(r)); tp > float64(o.cfg.BufferPages) {
+		// The build side does not fit the System R buffer: charge a
+		// write-out and read-back of the spilled temporary, as the sorted
+		// temp-list formulas do.
+		buildCost = buildCost.Add(plan.Cost{Pages: 2 * tp})
+	}
+	cost := outer.cost.Add(buildCost).Add(plan.Cost{RSI: nOuter})
+	for _, ej := range equis {
 		node := &plan.HashJoin{
 			Outer: outer.node, Inner: base.node,
-			OuterCol: outerCol, InnerCol: innerCol,
-			Residual: residual, BuildRows: buildRows,
+			OuterCol: ej.outerCol, InnerCol: ej.innerCol,
+			Residual: ej.residual, BuildRows: buildRows,
 		}
 		node.SetEst(plan.Estimate{Cost: cost, Rows: rows})
 		o.propose(ss2, &solution{
@@ -466,21 +428,6 @@ func (o *Optimizer) joinCandidates(ssOuter *subsetSols, s sem.RelSet, r int, ss2
 			desc: "hash join (" + outer.desc + " ⋈ " + base.desc + ")",
 		})
 	}
-}
-
-// localSel returns the products of the sargable and of all local-factor
-// selectivities for one relation.
-func (o *Optimizer) localSel(rel int) (selSarg, selAll float64) {
-	selSarg, selAll = 1, 1
-	sargable, residual := o.localFactors(rel)
-	for _, fi := range sargable {
-		selSarg = clamp01(selSarg * fi.sel)
-		selAll = clamp01(selAll * fi.sel)
-	}
-	for _, fi := range residual {
-		selAll = clamp01(selAll * fi.sel)
-	}
-	return selSarg, selAll
 }
 
 // pushable reports whether a factor can be applied on the inner relation of

@@ -3,15 +3,19 @@ package core
 import (
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"systemr/internal/catalog"
+	"systemr/internal/exec"
 	"systemr/internal/plan"
 	"systemr/internal/rss"
 	"systemr/internal/sem"
 	"systemr/internal/sql"
 	"systemr/internal/storage"
+	"systemr/internal/testutil"
 	"systemr/internal/value"
 )
 
@@ -174,7 +178,7 @@ func TestTable2BufferFitAlternative(t *testing.T) {
 		t.Fatalf("test precondition: predicate too selective (f=%v)", fr)
 	}
 	var cPath *pathCand
-	for _, p := range oSmall.genPaths(0, nil) {
+	for _, p := range oSmall.genPaths(0, nil).all {
 		p := p
 		if ix, ok := p.node.(*plan.IndexScan); ok && ix.Index.Name == "U_C" {
 			cPath = &p
@@ -347,7 +351,7 @@ func TestChosenPlanIsCheapestEstimate(t *testing.T) {
 // the join column index with a parameter bound.
 func TestNestedLoopPushesJoinPredicate(t *testing.T) {
 	cat := joinDB(t, 2, 200)
-	q, _ := planFor(t, cat, Config{NestedLoopsOnly: true},
+	q, _ := planFor(t, cat, Config{Joins: NestedLoopsOnly},
 		"SELECT T1.V FROM T1, T2 WHERE T1.K = T2.K")
 	nl, ok := scanNodeOf(t, q).(*plan.NLJoin)
 	if !ok {
@@ -370,7 +374,7 @@ func TestNestedLoopPushesJoinPredicate(t *testing.T) {
 // and produce a MergeJoin node.
 func TestMergeJoinPlanShape(t *testing.T) {
 	cat := joinDB(t, 2, 500)
-	q, _ := planFor(t, cat, Config{MergeOnly: true},
+	q, _ := planFor(t, cat, Config{Joins: MergeOnly},
 		"SELECT T1.V FROM T1, T2 WHERE T1.K = T2.K")
 	mj, ok := scanNodeOf(t, q).(*plan.MergeJoin)
 	if !ok {
@@ -381,22 +385,61 @@ func TestMergeJoinPlanShape(t *testing.T) {
 	}
 }
 
-// TestTraceRenderFigures: the trace renders the Figures 2-6 sections.
+// TestTraceRenderFigures pins the rendered search tree (the Figures 2-6
+// sections) byte for byte against testdata/search_*.golden: every candidate
+// each join step proposes, its cost, its order and whether it was kept, plus
+// the exact search statistics. A refactor of access path selection that
+// keeps the paper's cost model must leave both unchanged.
 func TestTraceRenderFigures(t *testing.T) {
-	cat := joinDB(t, 3, 100)
-	tr := &Trace{}
-	planFor(t, cat, Config{Trace: tr},
-		"SELECT T1.V FROM T1, T2, T3 WHERE T1.K = T2.K AND T2.K = T3.K")
-	out := tr.Render()
-	for _, frag := range []string{
-		"single relations (cf. Figures 2-3)",
-		"pairs of relations (cf. Figures 4-5)",
-		"3 relations (cf. Figure 6)",
-		"KEPT", "pruned",
+	for _, c := range []struct {
+		name  string
+		cat   func(t *testing.T) *catalog.Catalog
+		query string
+		stats SearchStats
+	}{
+		{
+			name:  "chain3",
+			cat:   func(t *testing.T) *catalog.Catalog { return joinDB(t, 3, 100) },
+			query: "SELECT T1.V FROM T1, T2, T3 WHERE T1.K = T2.K AND T2.K = T3.K",
+			stats: SearchStats{CandidatesConsidered: 48, SolutionsStored: 12, SubsetsExpanded: 5},
+		},
+		{
+			// Four relations with a unique, a clustered and plain indexes; two
+			// hash-eligible equi-joins, a non-equi join predicate pushed into
+			// nested-loop inners, a sargable and a residual local factor, and
+			// an ORDER BY that keeps ordered solutions alive.
+			name: "join4",
+			cat: func(t *testing.T) *catalog.Catalog {
+				cat := joinDB(t, 4, 120)
+				if _, err := cat.CreateIndex("T3_V", "T3", []string{"V"}, true, false); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := cat.CreateIndex("T2_V", "T2", []string{"V"}, false, true); err != nil {
+					t.Fatal(err)
+				}
+				cat.UpdateStatistics()
+				return cat
+			},
+			query: "SELECT T1.V, T4.K FROM T1, T2, T3, T4 WHERE T1.K = T2.K AND T2.V < T3.V" +
+				" AND T3.V = T4.V AND T4.K > 3 AND T1.V + 0 > 5 ORDER BY T2.K",
+			stats: SearchStats{CandidatesConsidered: 68, SolutionsStored: 23, SubsetsExpanded: 9},
+		},
 	} {
-		if !strings.Contains(out, frag) {
-			t.Fatalf("trace output lacks %q:\n%s", frag, out)
-		}
+		t.Run(c.name, func(t *testing.T) {
+			tr := &Trace{}
+			_, o := planFor(t, c.cat(t), Config{Trace: tr}, c.query)
+			if got := o.Stats(); got != c.stats {
+				t.Errorf("search stats = %+v, want %+v", got, c.stats)
+			}
+			path := filepath.Join("testdata", "search_"+c.name+".golden")
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := tr.Render(); got != string(want) {
+				t.Fatalf("search trace drifted from %s.\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
+			}
+		})
 	}
 	var nilTrace *Trace
 	if nilTrace.Render() == "" {
@@ -451,46 +494,69 @@ func TestScalarSubqueryBoundUsableAsIndexKey(t *testing.T) {
 	}
 }
 
-// TestNaivePlanShape: the baseline uses segment scans and FROM-order NL
-// joins only.
+// TestNaivePlanShape: in every query block, nested ones included, the
+// baseline uses segment scans without search arguments and FROM-order
+// nested-loop joins only, and it returns the optimized plan's rows.
 func TestNaivePlanShape(t *testing.T) {
 	cat := joinDB(t, 3, 100)
-	blk := analyzeQuery(t, cat, "SELECT T1.V FROM T1, T2, T3 WHERE T1.K = T2.K AND T2.K = T3.K AND T3.V = 5")
-	o := New(cat, Config{})
-	q, err := NaivePlan(o, blk)
-	if err != nil {
-		t.Fatal(err)
+	rt := &exec.Runtime{Pool: storage.NewBufferPool(cat.Disk(), 32, &storage.IOStats{}), Disk: cat.Disk()}
+	for _, c := range []struct {
+		name, query string
+		seg, nl     int // over all blocks
+	}{
+		{"join", "SELECT T1.V FROM T1, T2, T3 WHERE T1.K = T2.K AND T2.K = T3.K AND T3.V = 5", 3, 2},
+		{"in_subquery", "SELECT T1.V FROM T1 WHERE T1.K IN (SELECT T2.K FROM T2, T3 WHERE T2.V = T3.V AND T3.V < 10)", 3, 1},
+		{"correlated", "SELECT T1.V FROM T1 WHERE T1.V > (SELECT MIN(T2.V) FROM T2, T3 WHERE T2.K = T3.K AND T2.K = T1.K)", 3, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			naive, err := New(cat, Config{Naive: true}).Optimize(analyzeQuery(t, cat, c.query))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var seg, nl int
+			var walk func(n plan.Node)
+			walk = func(n plan.Node) {
+				switch x := n.(type) {
+				case *plan.SegScan:
+					seg++
+					if len(x.Sargs) > 0 {
+						t.Errorf("naive plan uses search arguments: %s", x.Label())
+					}
+				case *plan.NLJoin:
+					nl++
+				case *plan.IndexScan, *plan.MergeJoin, *plan.HashJoin:
+					t.Errorf("naive plan contains %s", n.Label())
+				}
+				for _, ch := range n.Children() {
+					walk(ch)
+				}
+			}
+			var walkQuery func(q *plan.Query)
+			walkQuery = func(q *plan.Query) {
+				walk(q.Root)
+				for _, sp := range q.Subs {
+					walkQuery(sp.Query)
+				}
+			}
+			walkQuery(naive)
+			if seg != c.seg || nl != c.nl {
+				t.Fatalf("naive plan shape: seg=%d nl=%d, want %d and %d\n%s", seg, nl, c.seg, c.nl, naive.Explain())
+			}
+
+			opt, _ := planFor(t, cat, Config{}, c.query)
+			got, _, err := exec.RunQuery(rt, naive)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _, err := exec.RunQuery(rt, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == 0 || !testutil.SameMultiset(got, want) {
+				t.Fatalf("naive plan returned %d rows, optimized %d (or they differ)", len(got), len(want))
+			}
+		})
 	}
-	var countSeg, countNL, countIdx int
-	var walk func(n plan.Node)
-	walk = func(n plan.Node) {
-		switch n.(type) {
-		case *plan.SegScan:
-			countSeg++
-		case *plan.NLJoin:
-			countNL++
-		case *plan.IndexScan:
-			countIdx++
-		}
-		for _, c := range n.Children() {
-			walk(c)
-		}
-	}
-	walk(q.Root)
-	if countSeg != 3 || countNL != 2 || countIdx != 0 {
-		t.Fatalf("naive plan shape: seg=%d nl=%d idx=%d\n%s", countSeg, countNL, countIdx, q.Explain())
-	}
-	// Naive plans must carry no SARGs.
-	var checkSargs func(n plan.Node)
-	checkSargs = func(n plan.Node) {
-		if s, ok := n.(*plan.SegScan); ok && len(s.Sargs) > 0 {
-			t.Fatal("naive plan must not use search arguments")
-		}
-		for _, c := range n.Children() {
-			checkSargs(c)
-		}
-	}
-	checkSargs(q.Root)
 }
 
 // TestExplainOutput: EXPLAIN includes costs, rows, and subquery blocks.

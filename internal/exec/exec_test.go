@@ -78,8 +78,8 @@ func (e *env) loadPair(t testing.TB) {
 
 func TestJoinDuplicateSemantics(t *testing.T) {
 	for _, cfg := range []core.Config{
-		{NestedLoopsOnly: true},
-		{MergeOnly: true},
+		{Joins: core.NestedLoopsOnly},
+		{Joins: core.MergeOnly},
 	} {
 		e := newEnv(t)
 		e.loadPair(t)
@@ -107,7 +107,7 @@ func TestMergeJoinNullKeysMatchNothing(t *testing.T) {
 	rss.Insert(r, value.Row{value.Null()}, storage.FrozenXID, storage.NoPrevTID, e.disk)
 	rss.Insert(r, value.Row{value.NewInt(1)}, storage.FrozenXID, storage.NoPrevTID, e.disk)
 	e.cat.UpdateStatistics()
-	for _, cfg := range []core.Config{{MergeOnly: true}, {NestedLoopsOnly: true}} {
+	for _, cfg := range []core.Config{{Joins: core.MergeOnly}, {Joins: core.NestedLoopsOnly}} {
 		rows, _ := e.exec(t, "SELECT L.K FROM L, R WHERE L.K = R.K", cfg)
 		if len(rows) != 1 {
 			t.Fatalf("NULL keys must not join (cfg %+v): %v", cfg, rows)
@@ -275,7 +275,7 @@ func TestNLJoinRebindsParameters(t *testing.T) {
 	e.loadPair(t)
 	// Force NL with the index on R: every outer row re-opens the inner scan
 	// with its own key, so results must pair correctly.
-	rows, _ := e.exec(t, "SELECT L.K, R.K FROM L, R WHERE L.K = R.K", core.Config{NestedLoopsOnly: true})
+	rows, _ := e.exec(t, "SELECT L.K, R.K FROM L, R WHERE L.K = R.K", core.Config{Joins: core.NestedLoopsOnly})
 	for _, r := range rows {
 		if r[0].Int != r[1].Int {
 			t.Fatalf("parameter rebinding broken: %v", r)
@@ -397,7 +397,7 @@ func TestManyJoinKeysStress(t *testing.T) {
 	e.cat.CreateIndex("R_K", "R", []string{"K"}, false, false)
 	e.cat.UpdateStatistics()
 	want := 25 * 3 * 2
-	for _, cfg := range []core.Config{{MergeOnly: true}, {NestedLoopsOnly: true}, {}} {
+	for _, cfg := range []core.Config{{Joins: core.MergeOnly}, {Joins: core.NestedLoopsOnly}, {}} {
 		rows, _ := e.exec(t, "SELECT L.K FROM L, R WHERE L.K = R.K", cfg)
 		if len(rows) != want {
 			t.Fatalf("cfg %+v: %d rows, want %d", cfg, len(rows), want)
@@ -431,7 +431,7 @@ func TestMergeJoinResidualPredicates(t *testing.T) {
 	e := newEnv(t)
 	e.loadPair(t)
 	rows, _ := e.exec(t,
-		"SELECT L.V, R.W FROM L, R WHERE L.K = R.K AND L.V + R.W > 102", core.Config{MergeOnly: true})
+		"SELECT L.V, R.W FROM L, R WHERE L.K = R.K AND L.V + R.W > 102", core.Config{Joins: core.MergeOnly})
 	for _, r := range rows {
 		if r[0].Int+r[1].Int <= 102 {
 			t.Fatalf("residual not applied: %v", r)

@@ -48,6 +48,17 @@ import (
 	"systemr/internal/value"
 )
 
+// JoinMethod is the set of join methods the optimizer may use.
+type JoinMethod = core.JoinMethod
+
+// The join-method sets: all three methods, nested loops alone, or merging
+// scans with nested loops only for join steps no equi-join applies to.
+const (
+	AllJoins        = core.AllJoins
+	NestedLoopsOnly = core.NestedLoopsOnly
+	MergeOnly       = core.MergeOnly
+)
+
 // Config tunes a database instance.
 type Config struct {
 	// BufferPages is the buffer-pool size in 4K pages (default 64). It is
@@ -57,12 +68,9 @@ type Config struct {
 	// W is the optimizer's CPU weighting factor (default 0.033):
 	// COST = PAGE FETCHES + W * RSI CALLS.
 	W float64
-	// Optimizer ablations (see core.Config).
-	DisableJoinHeuristic     bool
-	DisableInterestingOrders bool
-	DisableSargs             bool
-	NestedLoopsOnly          bool
-	MergeOnly                bool
+	// Joins restricts the join methods the optimizer considers (default
+	// AllJoins: nested loops, merging scans and hash joins).
+	Joins JoinMethod
 	// DisableHistograms ignores the per-column equi-depth histograms UPDATE
 	// STATISTICS builds, reverting every selectivity estimate to Table 1
 	// defaults and index ICARDs — the paper's original estimation model.
@@ -231,7 +239,7 @@ func Open(cfg Config) *DB {
 	if cfg.LockTimeout > 0 {
 		db.locks.SetLockTimeout(cfg.LockTimeout)
 	}
-	db.compiler = compile.NewPipeline(cat, db.OptimizerConfig(), cfg.Naive, !cfg.DisableSnapshotReads)
+	db.compiler = compile.NewPipeline(cat, db.OptimizerConfig(), !cfg.DisableSnapshotReads)
 	if cfg.PlanCacheSize >= 0 {
 		size := cfg.PlanCacheSize
 		if size == 0 {
@@ -467,14 +475,11 @@ func (db *DB) newGovernor(ctx context.Context) *governor.Budget {
 // plans with.
 func (db *DB) OptimizerConfig() core.Config {
 	return core.Config{
-		W:                        db.cfg.W,
-		BufferPages:              db.cfg.BufferPages,
-		DisableJoinHeuristic:     db.cfg.DisableJoinHeuristic,
-		DisableInterestingOrders: db.cfg.DisableInterestingOrders,
-		DisableSargs:             db.cfg.DisableSargs,
-		NestedLoopsOnly:          db.cfg.NestedLoopsOnly,
-		MergeOnly:                db.cfg.MergeOnly,
-		DisableHistograms:        db.cfg.DisableHistograms,
+		W:                 db.cfg.W,
+		BufferPages:       db.cfg.BufferPages,
+		Joins:             db.cfg.Joins,
+		DisableHistograms: db.cfg.DisableHistograms,
+		Naive:             db.cfg.Naive,
 	}
 }
 
