@@ -14,7 +14,7 @@ package analysis
 // packages through the fact store: exec loops driving rss scan Next calls
 // pass because rss's Next methods check the budget internally.
 //
-// Producers are: methods named Next/next returning (..., bool, error);
+// Producers are: methods named Next/next/NextInto returning (..., bool, error);
 // storage.BufferPool.Fetch; storage.Segment.Insert; and calls of
 // function-typed values with a (..., bool, error) result shape (e.g. a
 // sorter input). Calls of function values can never be proven governed, so
@@ -140,7 +140,7 @@ func checkGovLoop(pass *Pass, info *types.Info, loop ast.Node, body *ast.BlockSt
 // so whether the callee is known to contain its own governor checkpoint.
 func classifyProducer(facts factReader, info *types.Info, call *ast.CallExpr) (kind string, governed bool) {
 	if f := calleeFunc(info, call); f != nil {
-		if (f.Name() == "Next" || f.Name() == "next") && producerShape(f.Type().(*types.Signature)) {
+		if (f.Name() == "Next" || f.Name() == "next" || f.Name() == "NextInto") && producerShape(f.Type().(*types.Signature)) {
 			return "Next", isGoverned(facts, f)
 		}
 		if isMethodOn(f, "Fetch", "storage", "BufferPool") {

@@ -69,8 +69,8 @@ var layerRules = []layerRule{
 		msg: "reads the buffer pool's DB-global IOStats: per-operator deltas must come from the statement's StmtIO accumulator"},
 	{pkgs: mvccVisPkgs, callees: []string{"storage.Page.Record"},
 		msg: "raw Page.Record bypasses MVCC visibility: read through the RSS scans (ReadVersioned + Snapshot.Visible)"},
-	{pkgs: mvccVisPkgs, callees: []string{"storage.DecodeRow"},
-		msg: "storage.DecodeRow on a heap record bypasses MVCC visibility: rows reach this layer already decoded by the RSS"},
+	{pkgs: mvccVisPkgs, callees: []string{"storage.DecodeRow", "storage.AppendDecodedRow"},
+		msg: "{callee} on a heap record bypasses MVCC visibility: rows reach this layer already decoded by the RSS"},
 	{pkgs: mvccVisPkgs, callees: []string{"storage.ParseVersionHeader"},
 		msg: "hand-rolled version-header parsing bypasses MVCC visibility: use the RSS scans over ReadVersioned"},
 	{pkgs: txnUndoPkgs, exempt: rssWritePath,

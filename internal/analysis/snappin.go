@@ -54,6 +54,7 @@ var SnapPin = &Analyzer{
 
 func isSnapSink(fn *types.Func) bool {
 	return isMethodOn(fn, "ReadVersioned", "storage", "Page") ||
+		isMethodOn(fn, "ReadVersionedInto", "storage", "Page") ||
 		isMethodOn(fn, "Visible", "storage", "Snapshot")
 }
 

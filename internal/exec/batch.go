@@ -8,9 +8,9 @@ package exec
 // operator boundary, so the batch size changes no paper unit.
 //
 // NextBatch is the only protocol between operators. Scans and projection
-// fill batches natively from per-call arenas; the operators whose interior
-// logic is naturally row-at-a-time (joins, sort read-back, aggregation,
-// duplicate elimination) implement rowSource and share one fill loop;
+// fill batches natively; the operators whose interior logic is naturally
+// row-at-a-time (joins, sort read-back, aggregation, duplicate
+// elimination) implement rowSource and share one fill loop;
 // composite operators read their children through batchReaders. Callers
 // that need one row per call — cursors and DML tuple location — drive the
 // root or leaf with a one-row batch, and Runtime.BatchSize=1 runs the whole
@@ -21,10 +21,16 @@ package exec
 const DefaultBatchSize = 256
 
 // Batch is a reusable buffer of composite rows. The backing array is reused
-// across NextBatch calls; the rows themselves are freshly allocated by the
-// producing operator (from per-call arenas), so a consumer may retain them
-// across batches — merge-join groups and nested-loop outer rows depend on
-// that.
+// across NextBatch calls; the rows themselves are allocated by the producing
+// operator, which never writes them again, so a consumer may retain them
+// across batches — nested-loop outer rows, merge-join groups, hash builds
+// and grouping representatives depend on that.
+//
+// Producers allocate per batch, not per row: a scan decodes every version
+// into a stage it reuses (see scan.go) and copies the batch's accepted rows
+// out into one exactly sized value chunk and one composite chunk;
+// projection and sort read-back carve their rows from chunks sized for the
+// rows at hand. Nothing in a batch aliases a buffer its producer reuses.
 type Batch struct {
 	rows []comp
 }
@@ -101,6 +107,10 @@ func (ctx *blockCtx) reader(r *batchReader, src *op) *batchReader {
 	r.done = false
 	return r
 }
+
+// buffered returns how many rows the reader holds beyond the last one next
+// returned: what is left of the child's current batch.
+func (r *batchReader) buffered() int { return r.buf.Len() - r.i }
 
 // next serves one row, refilling from src as needed.
 func (r *batchReader) next() (comp, bool, error) {

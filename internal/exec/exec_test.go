@@ -362,13 +362,15 @@ func TestCompLayoutRoundTrip(t *testing.T) {
 		value.Row{value.NewInt(1), value.NewString("x")},
 		nil,
 	}
-	flat := l.flatten(c)
-	if len(flat) != l.total {
-		t.Fatalf("flat width %d != %d", len(flat), l.total)
-	}
-	back := l.unflatten(flat)
+	flat := make(value.Row, l.total)
+	l.flatten(flat, c)
+	back := make(comp, len(blk.Rels))
+	l.unflatten(back, flat)
 	if back[1] != nil {
 		t.Fatal("missing slot must stay nil")
+	}
+	if len(back[0]) != 2 || cap(back[0]) != 2 {
+		t.Fatalf("unflattened slot len %d cap %d, want 2 and 2", len(back[0]), cap(back[0]))
 	}
 	if value.Compare(back[0][0], c[0][0]) != 0 || value.Compare(back[0][1], c[0][1]) != 0 {
 		t.Fatalf("round trip: %v", back)

@@ -138,7 +138,8 @@ func (ctx *blockCtx) evalExpr(c comp, e sem.Expr) (value.Value, error) {
 		if err != nil {
 			return value.Value{}, err
 		}
-		found := set[string(storage.EncodeRow(value.Row{v}))]
+		var kb [32]byte // the lookup's key converts without allocating
+		found := set[string(storage.AppendEncodedRow(kb[:0], value.Row{v}))]
 		if x.Negated {
 			return boolVal(!found), nil
 		}

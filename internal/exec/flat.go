@@ -28,9 +28,10 @@ func (it *projectOp) open() error {
 	return nil
 }
 
-// nextBatch projects a batch at a time, allocating output rows and their
-// single-slot composites from per-call arenas (consumers may retain rows),
-// allocated on the first row so the end-of-input call allocates nothing.
+// nextBatch projects a batch at a time. Output rows and their single-slot
+// composites come from arenas sized for the rows left in the input's
+// current batch (consumers may retain rows), allocated on the first row so
+// the end-of-input call allocates nothing.
 func (it *projectOp) nextBatch(b *Batch) error {
 	ne := len(it.exprs)
 	var rowArena []value.Value
@@ -40,9 +41,10 @@ func (it *projectOp) nextBatch(b *Batch) error {
 		if err != nil || !ok {
 			return err
 		}
-		if compArena == nil {
-			rowArena = make([]value.Value, b.Cap()*ne)
-			compArena = make([]value.Row, b.Cap())
+		if len(compArena) == 0 {
+			n := min(it.read.buffered()+1, b.Cap()-b.Len())
+			rowArena = make([]value.Value, n*ne)
+			compArena = make([]value.Row, n)
 		}
 		out := value.Row(rowArena[:ne:ne])
 		rowArena = rowArena[ne:]
@@ -71,8 +73,7 @@ type groupAggOp struct {
 	input *op
 	node  *plan.GroupAgg
 
-	curKey  value.Row
-	curRep  comp // representative composite for group-column output values
+	curRep  comp // the group's first row: its grouping columns are the group key
 	states  []aggState
 	started bool
 	done    bool
@@ -81,7 +82,7 @@ type groupAggOp struct {
 }
 
 func (it *groupAggOp) open() error {
-	it.curKey, it.curRep, it.states = nil, nil, nil
+	it.curRep, it.states = nil, nil
 	it.started, it.done = false, false
 	it.pending = nil
 	if err := it.input.Open(); err != nil {
@@ -93,12 +94,15 @@ func (it *groupAggOp) open() error {
 
 func (it *groupAggOp) nextBatch(b *Batch) error { return fillRows(b, it) }
 
-func (it *groupAggOp) groupKey(c comp) value.Row {
-	key := make(value.Row, len(it.node.GroupCols))
-	for i, g := range it.node.GroupCols {
-		key[i] = c[g.Rel][g.Col]
+// sameGroup compares c's grouping columns with the current group's in
+// place: no key is built per row.
+func (it *groupAggOp) sameGroup(c comp) bool {
+	for _, g := range it.node.GroupCols {
+		if value.Compare(c[g.Rel][g.Col], it.curRep[g.Rel][g.Col]) != 0 {
+			return false
+		}
 	}
-	return key
+	return true
 }
 
 func (it *groupAggOp) next() (comp, bool, error) {
@@ -141,30 +145,25 @@ func (it *groupAggOp) next() (comp, bool, error) {
 		}
 		if !it.started {
 			it.started = true
-			it.curKey = it.groupKey(c)
 			it.curRep = c
 			it.states = newAggStates(it.node.Aggs)
-		} else if len(it.node.GroupCols) > 0 {
-			key := it.groupKey(c)
-			if value.CompareKey(key, it.curKey) != 0 {
-				// Group boundary: emit the finished group (unless HAVING
-				// filters it), start the next.
-				row, keep, err := it.emit(it.curRep)
-				if err != nil {
-					return nil, false, err
-				}
-				it.curKey = key
-				it.curRep = c
-				it.states = newAggStates(it.node.Aggs)
-				it.pending = c
-				if err := it.accumulatePending(); err != nil {
-					return nil, false, err
-				}
-				if keep {
-					return outComp(row), true, nil
-				}
-				continue
+		} else if !it.sameGroup(c) {
+			// Group boundary: emit the finished group (unless HAVING
+			// filters it), start the next.
+			row, keep, err := it.emit(it.curRep)
+			if err != nil {
+				return nil, false, err
 			}
+			it.curRep = c
+			it.states = newAggStates(it.node.Aggs)
+			it.pending = c
+			if err := it.accumulatePending(); err != nil {
+				return nil, false, err
+			}
+			if keep {
+				return outComp(row), true, nil
+			}
+			continue
 		}
 		if err := it.accumulate(c); err != nil {
 			return nil, false, err
@@ -317,6 +316,7 @@ type distinctOp struct {
 	ctx   *blockCtx
 	input *op
 	seen  map[string]bool
+	key   []byte // reused encoding buffer: only a new row allocates its key
 	read  *batchReader
 }
 
@@ -335,11 +335,11 @@ func (it *distinctOp) next() (comp, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		key := string(storage.EncodeRow(outRow(c)))
-		if it.seen[key] {
+		it.key = storage.AppendEncodedRow(it.key[:0], outRow(c))
+		if it.seen[string(it.key)] {
 			continue
 		}
-		it.seen[key] = true
+		it.seen[string(it.key)] = true
 		return c, true, nil
 	}
 }

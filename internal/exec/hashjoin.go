@@ -8,6 +8,8 @@ package exec
 // interesting order pays downstream.
 
 import (
+	"unsafe"
+
 	"systemr/internal/plan"
 	"systemr/internal/storage"
 	"systemr/internal/value"
@@ -19,7 +21,12 @@ type hashJoinOp struct {
 	outer *op // probe side
 	inner *op // build side
 
-	table map[string][]comp
+	// table maps an encoded join value to its group's index in groups, so
+	// adding a row to an existing group and probing both look the key up
+	// without allocating; only a new key allocates its string.
+	table  map[string]int
+	groups [][]comp
+	key    []byte // reused encoding buffer for build and probe keys
 	// buildRows and buildBytes are the measured build-side actuals EXPLAIN
 	// ANALYZE reports against the estimate the table was pre-sized from.
 	buildRows  int64
@@ -32,7 +39,8 @@ type hashJoinOp struct {
 }
 
 func (it *hashJoinOp) open() error {
-	it.table = make(map[string][]comp, int(it.node.BuildRows)+1)
+	it.table = make(map[string]int, int(it.node.BuildRows)+1)
+	it.groups = it.groups[:0]
 	it.buildRows, it.buildBytes = 0, 0
 	it.curOuter, it.cur, it.ci = nil, nil, 0
 	if err := it.inner.Open(); err != nil {
@@ -51,10 +59,15 @@ func (it *hashJoinOp) open() error {
 		if k.IsNull() {
 			continue // NULL join keys match nothing
 		}
-		key := string(storage.EncodeRow(value.Row{k}))
-		it.table[key] = append(it.table[key], c)
+		it.key = storage.AppendEncodedRow(it.key[:0], value.Row{k})
+		if g, ok := it.table[string(it.key)]; ok {
+			it.groups[g] = append(it.groups[g], c)
+		} else {
+			it.table[string(it.key)] = len(it.groups)
+			it.groups = append(it.groups, []comp{c})
+		}
 		it.buildRows++
-		it.buildBytes += int64(len(key)) + compBytes(c)
+		it.buildBytes += int64(len(it.key)) + compBytes(c)
 	}
 	// The build side is exhausted; release its scan before probing starts.
 	if err := it.inner.Close(); err != nil {
@@ -89,7 +102,11 @@ func (it *hashJoinOp) next() (comp, bool, error) {
 		if k.IsNull() {
 			continue
 		}
-		it.cur = it.table[string(storage.EncodeRow(value.Row{k}))]
+		it.key = storage.AppendEncodedRow(it.key[:0], value.Row{k})
+		it.cur = nil
+		if g, ok := it.table[string(it.key)]; ok {
+			it.cur = it.groups[g]
+		}
 		it.ci = 0
 		it.curOuter = oc
 	}
@@ -98,7 +115,7 @@ func (it *hashJoinOp) next() (comp, bool, error) {
 func (it *hashJoinOp) nextBatch(b *Batch) error { return fillRows(b, it) }
 
 func (it *hashJoinOp) close() error {
-	it.table, it.cur, it.curOuter = nil, nil, nil
+	it.table, it.groups, it.cur, it.curOuter = nil, nil, nil, nil
 	firstErr := it.outer.Close()
 	if err := it.inner.Close(); err != nil && firstErr == nil {
 		firstErr = err
@@ -106,12 +123,17 @@ func (it *hashJoinOp) close() error {
 	return firstErr
 }
 
-// compBytes estimates the retained bytes of a buffered composite row.
+// compBytes estimates the retained bytes of a buffered composite row: per
+// filled slot, the row's slice header, its values, and its strings' bytes.
 func compBytes(c comp) int64 {
 	var n int64
 	for _, r := range c {
-		if r != nil {
-			n += 16 + 8*int64(len(r))
+		if r == nil {
+			continue
+		}
+		n += 16 + int64(unsafe.Sizeof(value.Value{}))*int64(len(r))
+		for _, v := range r {
+			n += int64(len(v.Str))
 		}
 	}
 	return n

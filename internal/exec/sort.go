@@ -17,6 +17,13 @@ type sortOp struct {
 	layout *compLayout
 	res    *xsort.Result
 	read   *batchReader
+
+	// Rows are flattened into, and read-back composites carved from, shared
+	// chunks (never reused, so consumers may retain rows): flat holds the
+	// unused tail of the current input chunk, comps of the output chunk.
+	flat  value.Row
+	comps []value.Row
+	left  int // sorted rows not yet delivered
 }
 
 // compLayout maps (relation, column) to positions in a flattened row:
@@ -41,8 +48,8 @@ func newCompLayout(blk *sem.Block) *compLayout {
 
 func (l *compLayout) pos(id sem.ColumnID) int { return l.offsets[id.Rel] + 1 + id.Col }
 
-func (l *compLayout) flatten(c comp) value.Row {
-	out := make(value.Row, l.total)
+// flatten writes c's flattened form into out (len l.total).
+func (l *compLayout) flatten(out value.Row, c comp) {
 	for i := range l.offsets {
 		if c[i] == nil {
 			out[l.offsets[i]] = value.NewInt(0)
@@ -54,26 +61,24 @@ func (l *compLayout) flatten(c comp) value.Row {
 		out[l.offsets[i]] = value.NewInt(1)
 		copy(out[l.offsets[i]+1:], c[i])
 	}
-	return out
 }
 
-func (l *compLayout) unflatten(row value.Row) comp {
-	c := make(comp, len(l.offsets))
-	for i := range l.offsets {
-		if row[l.offsets[i]].Int == 0 {
+// unflatten fills c (len = relations) with capacity-clipped slices of a
+// flattened row: the read-back row is shared, never copied.
+func (l *compLayout) unflatten(c comp, row value.Row) {
+	for i, off := range l.offsets {
+		if row[off].Int == 0 {
 			continue
 		}
-		r := make(value.Row, l.widths[i])
-		copy(r, row[l.offsets[i]+1:l.offsets[i]+1+l.widths[i]])
-		c[i] = r
+		end := off + 1 + l.widths[i]
+		c[i] = row[off+1 : end : end]
 	}
-	return c
 }
 
 // open drains the input into the sorter. The input is closed as soon as it
 // is consumed; the operator then streams from the sorted temporary list.
 func (it *sortOp) open() (err error) {
-	it.res = nil
+	it.res, it.flat, it.comps, it.left = nil, nil, nil, 0
 	if err := it.input.Open(); err != nil {
 		return err
 	}
@@ -101,8 +106,18 @@ func (it *sortOp) open() (err error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		return it.layout.flatten(c), true, nil
+		// One chunk per input batch, sized for the rows it still holds.
+		w := it.layout.total
+		if len(it.flat) < w {
+			it.flat = make(value.Row, (it.read.buffered()+1)*w)
+		}
+		out := it.flat[:w:w]
+		it.flat = it.flat[w:]
+		it.layout.flatten(out, c)
+		it.left++
+		return out, true, nil
 	})
+	it.flat = nil
 	if err != nil {
 		return err
 	}
@@ -115,7 +130,16 @@ func (it *sortOp) next() (comp, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	return it.layout.unflatten(row), true, nil
+	// One composite chunk per batch's worth of the rows still to come.
+	nr := len(it.layout.offsets)
+	if len(it.comps) < nr {
+		it.comps = make([]value.Row, min(max(it.left, 1), it.ctx.batchN)*nr)
+	}
+	c := comp(it.comps[:nr:nr])
+	it.comps = it.comps[nr:]
+	it.left--
+	it.layout.unflatten(c, row)
+	return c, true, nil
 }
 
 // nextBatch streams a batch from the sorted temporary list. The result
@@ -127,5 +151,6 @@ func (it *sortOp) close() error {
 		it.res.Close()
 		it.res = nil
 	}
+	it.comps = nil
 	return it.input.Close()
 }

@@ -114,8 +114,10 @@ func (ctx *blockCtx) evaluate(c comp, sub *sem.Subquery) (*subState, error) {
 		}
 	} else {
 		st.set = make(map[string]bool, len(rows))
+		var key []byte
 		for _, r := range rows {
-			st.set[string(storage.EncodeRow(value.Row{r[0]}))] = true
+			key = storage.AppendEncodedRow(key[:0], value.Row{r[0]})
+			st.set[string(key)] = true
 		}
 	}
 	return st, nil

@@ -163,6 +163,7 @@ type SegmentScan struct {
 	nslots uint16
 	page   *storage.Page
 	open   bool
+	stage  value.Row // Next's decode buffer, reused across calls
 }
 
 // Open positions the scan before the first page.
@@ -183,23 +184,42 @@ func (s *SegmentScan) Open() error {
 	return nil
 }
 
-// Next returns the next qualifying tuple of the relation.
+// Next returns the next qualifying tuple of the relation in a fresh row.
+// Rejected versions are decoded into a buffer the scan reuses, so only the
+// tuples returned allocate.
 func (s *SegmentScan) Next() (value.Row, storage.TID, bool, error) {
-	if !s.open {
-		return nil, storage.TID{}, false, fmt.Errorf("rss: Next on closed segment scan of %s", s.Table.Name)
+	row, tid, ok, err := s.NextInto(s.stage[:0])
+	s.stage = row[:0]
+	if !ok || err != nil {
+		return nil, storage.TID{}, ok, err
 	}
+	return row.Clone(), tid, true, nil
+}
+
+// NextInto is Next decoding onto the end of dst: it returns dst extended by
+// the next qualifying tuple's columns, or with its original length at the
+// end of the scan and on error, growing it as append does. Each version
+// examined is decoded into dst's spare capacity and truncated away again
+// when the relation check, the snapshot or the SARGs reject it, so a caller
+// that reuses dst pays no allocation per tuple. The returned columns share
+// dst's backing array: the caller copies out what it hands on.
+func (s *SegmentScan) NextInto(dst value.Row) (value.Row, storage.TID, bool, error) {
+	if !s.open {
+		return dst, storage.TID{}, false, fmt.Errorf("rss: Next on closed segment scan of %s", s.Table.Name)
+	}
+	base := len(dst)
 	for {
 		if s.page == nil || s.slot >= s.nslots {
 			s.pi++
 			if s.pi >= len(s.pages) {
-				return nil, storage.TID{}, false, nil
+				return dst, storage.TID{}, false, nil
 			}
 			if err := s.Budget.Check(); err != nil {
-				return nil, storage.TID{}, false, err
+				return dst, storage.TID{}, false, err
 			}
 			page, err := s.io.Fetch(s.pages[s.pi])
 			if err != nil {
-				return nil, storage.TID{}, false, err
+				return dst, storage.TID{}, false, err
 			}
 			s.page = page
 			// The slot window is frozen at page entry: versions appended to
@@ -211,26 +231,29 @@ func (s *SegmentScan) Next() (value.Row, storage.TID, bool, error) {
 		}
 		slot := s.slot
 		s.slot++
-		h, row, rel, ok, err := s.page.ReadVersioned(slot)
+		h, out, rel, ok, err := s.page.ReadVersionedInto(slot, dst)
 		if err != nil {
-			return nil, storage.TID{}, false, err
+			return dst, storage.TID{}, false, err
 		}
 		if !ok || rel != s.Table.ID {
+			dst = out[:base]
 			continue
 		}
 		if !s.Snap.Visible(h) {
 			s.io.AddVersionScanned(true)
+			dst = out[:base]
 			continue
 		}
 		s.io.AddVersionScanned(false)
 		if err := s.Budget.CheckRow(); err != nil {
-			return nil, storage.TID{}, false, err
+			return out[:base], storage.TID{}, false, err
 		}
-		if !s.Sargs.Match(row) {
+		if !s.Sargs.Match(out[base:]) {
+			dst = out[:base]
 			continue
 		}
 		s.io.AddRSICall()
-		return row, storage.TID{Page: s.pages[s.pi], Slot: slot}, true, nil
+		return out, storage.TID{Page: s.pages[s.pi], Slot: slot}, true, nil
 	}
 }
 
@@ -266,9 +289,10 @@ type IndexScan struct {
 	// arbitrates visibility here exactly as in the segment scan.
 	Snap *storage.Snapshot
 
-	io   storage.StmtIO
-	it   *btree.Iterator
-	open bool
+	io    storage.StmtIO
+	it    *btree.Iterator
+	open  bool
+	stage value.Row // Next's decode buffer, reused across calls
 }
 
 // Open descends the B-tree to the starting key.
@@ -285,18 +309,30 @@ func (s *IndexScan) Open() error {
 	return nil
 }
 
-// Next returns the next qualifying tuple in index key order.
+// Next returns the next qualifying tuple in index key order in a fresh row
+// (see SegmentScan.Next).
 func (s *IndexScan) Next() (value.Row, storage.TID, bool, error) {
-	if !s.open {
-		return nil, storage.TID{}, false, fmt.Errorf("rss: Next on closed index scan of %s", s.Index.Name)
+	row, tid, ok, err := s.NextInto(s.stage[:0])
+	s.stage = row[:0]
+	if !ok || err != nil {
+		return nil, storage.TID{}, ok, err
 	}
+	return row.Clone(), tid, true, nil
+}
+
+// NextInto is Next decoding onto the end of dst (see SegmentScan.NextInto).
+func (s *IndexScan) NextInto(dst value.Row) (value.Row, storage.TID, bool, error) {
+	if !s.open {
+		return dst, storage.TID{}, false, fmt.Errorf("rss: Next on closed index scan of %s", s.Index.Name)
+	}
+	base := len(dst)
 	for {
 		e, ok := s.it.Next()
 		if !ok {
-			return nil, storage.TID{}, false, nil
+			return dst, storage.TID{}, false, nil
 		}
 		if err := s.Budget.CheckRow(); err != nil {
-			return nil, storage.TID{}, false, err
+			return dst, storage.TID{}, false, err
 		}
 		if len(s.Lo) > 0 && !s.LoInc && btree.ComparePrefix(e.Key, s.Lo) == 0 {
 			continue // strictly-greater start bound
@@ -304,30 +340,33 @@ func (s *IndexScan) Next() (value.Row, storage.TID, bool, error) {
 		if len(s.Hi) > 0 {
 			cmp := btree.ComparePrefix(e.Key, s.Hi)
 			if cmp > 0 || (cmp == 0 && !s.HiInc) {
-				return nil, storage.TID{}, false, nil
+				return dst, storage.TID{}, false, nil
 			}
 		}
 		page, err := s.io.Fetch(e.TID.Page)
 		if err != nil {
-			return nil, storage.TID{}, false, err
+			return dst, storage.TID{}, false, err
 		}
-		h, row, rel, live, err := page.ReadVersioned(e.TID.Slot)
+		h, out, rel, live, err := page.ReadVersionedInto(e.TID.Slot, dst)
 		if err != nil {
-			return nil, storage.TID{}, false, err
+			return dst, storage.TID{}, false, err
 		}
 		if !live || rel != s.Index.Table.ID {
+			dst = out[:base]
 			continue // stale index entry (vacuumed or undone version)
 		}
 		if !s.Snap.Visible(h) {
 			s.io.AddVersionScanned(true)
+			dst = out[:base]
 			continue
 		}
 		s.io.AddVersionScanned(false)
-		if !s.Sargs.Match(row) {
+		if !s.Sargs.Match(out[base:]) {
+			dst = out[:base]
 			continue
 		}
 		s.io.AddRSICall()
-		return row, e.TID, true, nil
+		return out, e.TID, true, nil
 	}
 }
 

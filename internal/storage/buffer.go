@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 )
@@ -147,16 +146,34 @@ func (a IOStatsSnapshot) Cost(w float64) float64 {
 // capacity (in pages) is the "System R buffer" that Table 2's alternative
 // cost formulas refer to: a retrieved set that fits in the buffer is fetched
 // once per page; one that does not refits a fetch per access.
+//
+// The recency list is intrusive: up to capacity frames, each linked to its
+// neighbours by index, and a table from page ID to frame. Once every frame
+// has been handed out, neither a hit nor a miss allocates.
 type BufferPool struct {
-	mu        sync.Mutex // guards lru/resident/injector/fetchN only — never stats
-	disk      *Disk
-	capacity  int
-	stats     *IOStats
-	lru       *list.List               // front = most recent; values are PageID
-	resident  map[PageID]*list.Element // pages currently buffered
-	injector  FaultInjector            // consulted by Fetch on misses; nil = no faults
-	fetchN    int64                    // Fetch misses since the injector was installed
-	evictions atomic.Int64             // capacity evictions (not explicit Evict calls)
+	mu       sync.Mutex // guards the frames, the table, injector and fetchN — never stats
+	disk     *Disk
+	capacity int
+	stats    *IOStats
+	frames   []frame // frames handed out so far; at most capacity
+	// frameOf[id] is 1 + the index of the frame holding page id, or 0 when
+	// id is not resident. Page IDs are dense (Disk allocates them in order),
+	// so a slice indexed by ID replaces a map and never rehashes.
+	frameOf   []int32
+	head      int32         // most recently used frame; -1 when empty
+	tail      int32         // least recently used frame: the next victim
+	free      int32         // frames released by Evict, chained through next; -1 when none
+	resident  int           // pages currently buffered
+	injector  FaultInjector // consulted by Fetch on misses; nil = no faults
+	fetchN    int64         // Fetch misses since the injector was installed
+	evictions atomic.Int64  // capacity evictions (not explicit Evict calls)
+}
+
+// frame is one buffer slot: the page it holds and its neighbours in recency
+// order (frame indexes, -1 at either end).
+type frame struct {
+	id         PageID
+	prev, next int32
 }
 
 // NewBufferPool creates a pool of the given page capacity over disk,
@@ -165,13 +182,7 @@ func NewBufferPool(disk *Disk, capacity int, stats *IOStats) *BufferPool {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &BufferPool{
-		disk:     disk,
-		capacity: capacity,
-		stats:    stats,
-		lru:      list.New(),
-		resident: make(map[PageID]*list.Element),
-	}
+	return &BufferPool{disk: disk, capacity: capacity, stats: stats, head: -1, tail: -1, free: -1}
 }
 
 // Capacity returns the pool size in pages.
@@ -238,8 +249,9 @@ func (bp *BufferPool) admit(stmt *IOStats, id PageID, injectable bool) error {
 func (bp *BufferPool) install(id PageID, injectable bool) (miss bool, err error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	if el, ok := bp.resident[id]; ok {
-		bp.lru.MoveToFront(el)
+	if f := bp.lookup(id); f >= 0 {
+		bp.unlink(f)
+		bp.pushFront(f)
 		return false, nil
 	}
 	if injectable && bp.injector != nil {
@@ -248,15 +260,65 @@ func (bp *BufferPool) install(id PageID, injectable bool) (miss bool, err error)
 			return true, err // the failed I/O was still issued
 		}
 	}
-	// Miss: evict if full, then install.
-	if bp.lru.Len() >= bp.capacity {
-		oldest := bp.lru.Back()
-		bp.lru.Remove(oldest)
-		delete(bp.resident, oldest.Value.(PageID))
+	// Miss: reuse the least recently used frame if full, else a free one.
+	var f int32
+	switch {
+	case bp.resident >= bp.capacity:
+		f = bp.tail
+		bp.unlink(f)
+		bp.frameOf[bp.frames[f].id] = 0
+		bp.resident--
 		bp.evictions.Add(1)
+	case bp.free >= 0:
+		f = bp.free
+		bp.free = bp.frames[f].next
+	default:
+		f = int32(len(bp.frames))
+		bp.frames = append(bp.frames, frame{})
 	}
-	bp.resident[id] = bp.lru.PushFront(id)
+	if int(id) >= len(bp.frameOf) {
+		bp.frameOf = append(bp.frameOf, make([]int32, int(id)+1-len(bp.frameOf))...)
+	}
+	bp.frames[f].id = id
+	bp.frameOf[id] = f + 1
+	bp.resident++
+	bp.pushFront(f)
 	return true, nil
+}
+
+// lookup returns the frame holding id, or -1.
+func (bp *BufferPool) lookup(id PageID) int32 {
+	if int(id) >= len(bp.frameOf) {
+		return -1
+	}
+	return bp.frameOf[id] - 1
+}
+
+// unlink removes frame f from the recency list.
+func (bp *BufferPool) unlink(f int32) {
+	fr := &bp.frames[f]
+	if fr.prev >= 0 {
+		bp.frames[fr.prev].next = fr.next
+	} else {
+		bp.head = fr.next
+	}
+	if fr.next >= 0 {
+		bp.frames[fr.next].prev = fr.prev
+	} else {
+		bp.tail = fr.prev
+	}
+}
+
+// pushFront makes frame f the most recently used.
+func (bp *BufferPool) pushFront(f int32) {
+	bp.frames[f].prev = -1
+	bp.frames[f].next = bp.head
+	if bp.head >= 0 {
+		bp.frames[bp.head].prev = f
+	} else {
+		bp.tail = f
+	}
+	bp.head = f
 }
 
 // MarkWritten accounts a page write (used by sorts materializing temporary
@@ -276,9 +338,12 @@ func (bp *BufferPool) markWritten(stmt *IOStats, id PageID) {
 func (bp *BufferPool) Evict(id PageID) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	if el, ok := bp.resident[id]; ok {
-		bp.lru.Remove(el)
-		delete(bp.resident, id)
+	if f := bp.lookup(id); f >= 0 {
+		bp.unlink(f)
+		bp.frameOf[id] = 0
+		bp.resident--
+		bp.frames[f].next = bp.free
+		bp.free = f
 	}
 }
 
@@ -286,8 +351,7 @@ func (bp *BufferPool) Evict(id PageID) {
 func (bp *BufferPool) Resident(id PageID) bool {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	_, ok := bp.resident[id]
-	return ok
+	return bp.lookup(id) >= 0
 }
 
 // Flush empties the pool, so the next access to every page is a fetch.
@@ -295,6 +359,10 @@ func (bp *BufferPool) Resident(id PageID) bool {
 func (bp *BufferPool) Flush() {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	bp.lru.Init()
-	bp.resident = make(map[PageID]*list.Element)
+	for f := bp.head; f >= 0; f = bp.frames[f].next {
+		bp.frameOf[bp.frames[f].id] = 0
+	}
+	bp.frames = bp.frames[:0]
+	bp.head, bp.tail, bp.free = -1, -1, -1
+	bp.resident = 0
 }

@@ -52,11 +52,9 @@ type VersionHeader struct {
 
 // EncodeVersionedRow serializes a version header followed by the row.
 func EncodeVersionedRow(h VersionHeader, r value.Row) []byte {
-	body := EncodeRow(r)
-	rec := make([]byte, VersionHeaderSize+len(body))
+	rec := make([]byte, VersionHeaderSize, VersionHeaderSize+EncodedSize(r))
 	putVersionHeader(rec, h)
-	copy(rec[VersionHeaderSize:], body)
-	return rec
+	return AppendEncodedRow(rec, r)
 }
 
 func putVersionHeader(rec []byte, h VersionHeader) {
@@ -154,19 +152,34 @@ func (p *Page) SlotCount() uint16 {
 // for missing or (physically) deleted slots; err reports a record that does
 // not parse as header + row.
 func (p *Page) ReadVersioned(i uint16) (h VersionHeader, row value.Row, rel RelID, ok bool, err error) {
+	return p.readVersioned(i, nil)
+}
+
+// ReadVersionedInto is ReadVersioned decoding onto the end of dst (see
+// AppendDecodedRow): row is dst extended by the version's columns, or dst
+// unchanged when ok is false or err is set. A scan that decodes every
+// version into one reused buffer and truncates it on rejection pays no
+// allocation for the versions it rejects.
+func (p *Page) ReadVersionedInto(i uint16, dst value.Row) (h VersionHeader, row value.Row, rel RelID, ok bool, err error) {
+	return p.readVersioned(i, dst)
+}
+
+// readVersioned is the body of both read forms: each is a visibility sink
+// for the snappin analyzer, so neither calls the other.
+func (p *Page) readVersioned(i uint16, dst value.Row) (h VersionHeader, row value.Row, rel RelID, ok bool, err error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	rec, rel, ok := p.record(i)
 	if !ok {
-		return VersionHeader{}, nil, 0, false, nil
+		return VersionHeader{}, dst, 0, false, nil
 	}
 	h, body, err := ParseVersionHeader(rec)
 	if err != nil {
-		return VersionHeader{}, nil, rel, false, err
+		return VersionHeader{}, dst, rel, false, err
 	}
-	row, err = DecodeRow(body)
+	row, err = AppendDecodedRow(dst, body)
 	if err != nil {
-		return VersionHeader{}, nil, rel, false, err
+		return VersionHeader{}, row, rel, false, err
 	}
 	return h, row, rel, true, nil
 }

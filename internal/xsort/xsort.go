@@ -66,6 +66,9 @@ type runReader struct {
 	pi     int
 	slot   uint16
 	page   *storage.Page
+	left   int       // rows of the run not yet read
+	chunk  value.Row // unused tail of the shared chunk rows are decoded into
+	width  int       // columns of the last row read
 }
 
 type heapEntry struct {
@@ -166,7 +169,7 @@ func Sort(cfg Config, in Input) (*Result, error) {
 	return res, nil
 }
 
-func rowBytes(r value.Row) int { return len(storage.EncodeRow(r)) }
+func rowBytes(r value.Row) int { return storage.EncodedSize(r) }
 
 func sortRows(rows []value.Row, keys []int, desc []bool) {
 	sort.SliceStable(rows, func(i, j int) bool {
@@ -178,11 +181,13 @@ func sortRows(rows []value.Row, keys []int, desc []bool) {
 // writes (and optionally RSI calls) to the pool.
 func writeRun(cfg Config, rows []value.Row, countRSI bool) (*run, error) {
 	seg := storage.NewSegment(-1, cfg.Disk)
+	var enc []byte // one encode buffer for the whole run: Insert copies the record
 	for _, row := range rows {
 		if err := cfg.Budget.Tick(); err != nil {
 			return nil, err
 		}
-		if _, err := seg.Insert(1, storage.EncodeRow(row)); err != nil {
+		enc = storage.AppendEncodedRow(enc[:0], row)
+		if _, err := seg.Insert(1, enc); err != nil {
 			return nil, fmt.Errorf("xsort: writing temporary list: %w", err)
 		}
 		if countRSI && cfg.CountRSI {
@@ -244,7 +249,30 @@ func releaseRun(cfg Config, r *run) {
 func (cfg Config) io() storage.StmtIO { return cfg.Pool.View(cfg.Stmt) }
 
 func newRunReader(cfg Config, r *run) *runReader {
-	return &runReader{disk: cfg.Disk, io: cfg.io(), budget: cfg.Budget, pages: r.pages}
+	return &runReader{disk: cfg.Disk, io: cfg.io(), budget: cfg.Budget, pages: r.pages, left: r.rows}
+}
+
+// readChunkRows is how many read-back rows share one allocation.
+const readChunkRows = 256
+
+// decode reads one record of the run into the shared chunk, starting a new
+// chunk — sized for at most readChunkRows of the rows still to come, so the
+// last chunk of a run is exact — when the current one has no room for a row
+// as wide as the last. Rows are never overwritten once returned, so
+// consumers may retain them; each is capacity-clipped, so appending to one
+// cannot reach its neighbour.
+func (rd *runReader) decode(rec []byte) (value.Row, error) {
+	if cap(rd.chunk) < rd.width {
+		rd.chunk = make(value.Row, 0, min(rd.left, readChunkRows)*rd.width)
+	}
+	out, err := storage.AppendDecodedRow(rd.chunk, rec)
+	if err != nil {
+		return nil, err
+	}
+	rd.chunk = out[len(out):]
+	rd.width = len(out)
+	rd.left--
+	return out[:len(out):len(out)], nil
 }
 
 // next reads the following row of the run, fetching temp pages through the
@@ -272,7 +300,7 @@ func (rd *runReader) next() (value.Row, bool, error) {
 		if !ok {
 			continue
 		}
-		row, err := storage.DecodeRow(rec)
+		row, err := rd.decode(rec)
 		if err != nil {
 			return nil, false, err
 		}
