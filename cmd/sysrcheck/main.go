@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -172,7 +173,9 @@ func selectAnalyzers(names string) ([]*analysis.Analyzer, error) {
 		if !ok {
 			return nil, fmt.Errorf("unknown analyzer %q", n)
 		}
-		out = append(out, a)
+		if !slices.Contains(out, a) {
+			out = append(out, a)
+		}
 	}
 	return out, nil
 }

@@ -9,7 +9,9 @@
 //     closed/released on every path out of the acquiring function.
 //   - govtick: tuple/page-producing loops in the executor, the RSS, and the
 //     sorter contain a governor budget checkpoint; every NextBatch body in
-//     the batched operator protocol reaches one at least once per batch.
+//     the batched operator protocol reaches one at least once per batch;
+//     and a producing loop anywhere else ticks locally unless every call
+//     chain reaching it passes through a ticking function.
 //   - selclamp: selectivity factors pass through internal/core's single
 //     clamp entry point; raw float arithmetic never flows into F unclamped.
 //   - nakedpanic: library code panics only through the sanctioned
@@ -21,38 +23,31 @@
 //     deltas (PR 5); row versions are read only through the RSS visibility
 //     boundary, never as raw records in exec or txn (PR 8); every engine
 //     mutation flows through the undo-logged write path (PR 6).
+//     Its last row forbids sync/atomic's function forms everywhere: a
+//     shared counter is atomic by its type (atomic.Int64), never plainly.
 //   - lockrank: mutexes and table locks are acquired in the declared rank
 //     order, program-wide — no lock.Manager acquisition while holding a
 //     buffer-pool, registry, or page mutex (the deadlock shapes the runtime
 //     wait-for-graph detector can only observe, caught at build time).
-//   - atomicfield: a struct field accessed through sync/atomic anywhere is
-//     accessed only through sync/atomic everywhere — static race detection
-//     for the IOStats/metrics/governor counter style.
 //   - snappin: every call chain that reaches the MVCC read boundary
 //     (Page.ReadVersioned / Snapshot.Visible) originates from a function
 //     that captured and pinned a snapshot (txn.Registry.Begin), and the pin
 //     is released (Registry.Finish) on every return path.
-//   - govprop: interprocedural govtick — a row-producing loop anywhere in
-//     the engine either ticks the governor locally or is only reachable
-//     from ticking callers.
 //
 // The suite mirrors the shape of golang.org/x/tools/go/analysis (Analyzer /
-// Pass / Diagnostic / Fact, a multichecker driver in cmd/sysrcheck,
-// want-annotated fixtures) but is built on the standard library alone: the
-// container this repository builds in has no module proxy access, so the
-// x/tools dependency is gated off and the subset sysrcheck needs is
-// implemented here. Should x/tools become available, each Analyzer converts
-// mechanically (the Run signature is the same modulo package types).
+// Pass / Diagnostic, a multichecker driver in cmd/sysrcheck, want-annotated
+// fixtures) but is built on the standard library alone, implementing the
+// subset of x/tools that sysrcheck needs, so the module keeps no
+// third-party dependency.
 //
-// Since PR 9 the framework is interprocedural: every Run loads and
-// type-checks each package exactly once, shared by all analyzers; a
-// whole-program call graph (static calls plus class-hierarchy-resolved
-// interface dispatch) is built once over the load; analyzers export typed
-// Facts on functions, fields, and types while walking packages in
-// dependency order and consume them across package boundaries; and an
-// optional RunProgram pass runs after all packages with the full graph in
-// view. Analyzers execute in parallel — each one owns its fact namespace,
-// and the loaded packages and call graph are read-only by then.
+// Every Run loads and type-checks each package exactly once, shared by all
+// analyzers, into one types universe, and builds one whole-program call
+// graph (static calls plus class-hierarchy-resolved interface dispatch)
+// over the load. Per-package analyzers implement Run; the interprocedural
+// ones implement RunProgram and see every package and the graph at once,
+// so a property that crosses packages is a plain map keyed by types
+// objects — no fact store is needed. Analyzers execute in parallel: the
+// loaded packages and the call graph are read-only by then.
 package analysis
 
 import (
@@ -75,13 +70,11 @@ type Analyzer struct {
 	// Doc is the one-line invariant statement.
 	Doc string
 	// Run inspects one package and reports diagnostics through the pass.
-	// Packages arrive in dependency order, so facts exported while
-	// analyzing an imported package are visible here. Optional when
-	// RunProgram is set.
+	// Packages arrive in dependency order. Optional when RunProgram is set.
 	Run func(*Pass) error
 	// RunProgram, when set, runs once after every package's Run, with the
-	// whole program — all packages, the call graph, and the facts this
-	// analyzer exported — in view. The interprocedural analyzers live here.
+	// whole program — all packages and the call graph — in view. The
+	// interprocedural analyzers live here.
 	RunProgram func(*ProgramPass) error
 }
 
@@ -90,11 +83,8 @@ type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
 	// Prog is the whole loaded program (all packages and the call graph).
-	// The packages after this one in dependency order are present but
-	// should be treated as opaque until RunProgram.
 	Prog *Program
 
-	facts  *factSet
 	report func(Diagnostic)
 }
 
@@ -107,29 +97,12 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ExportObjectFact attaches a fact to obj in this analyzer's namespace;
-// later packages and the program pass can read it back.
-func (p *Pass) ExportObjectFact(obj types.Object, f Fact) { p.facts.exportObject(obj, f) }
-
-// ImportObjectFact copies the fact of f's type attached to obj into f,
-// reporting whether one was found.
-func (p *Pass) ImportObjectFact(obj types.Object, f Fact) bool { return p.facts.importObject(obj, f) }
-
-// ExportPackageFact attaches a fact to the package being analyzed.
-func (p *Pass) ExportPackageFact(f Fact) { p.facts.exportPackage(p.Pkg.Types, f) }
-
-// ImportPackageFact copies the fact of f's type attached to pkg into f.
-func (p *Pass) ImportPackageFact(pkg *types.Package, f Fact) bool {
-	return p.facts.importPackage(pkg, f)
-}
-
 // ProgramPass is one analyzer's whole-program view, handed to RunProgram
 // after every package has been visited.
 type ProgramPass struct {
 	Analyzer *Analyzer
 	Prog     *Program
 
-	facts  *factSet
 	report func(Diagnostic)
 }
 
@@ -143,15 +116,6 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ImportObjectFact copies the fact of f's type attached to obj into f.
-func (p *ProgramPass) ImportObjectFact(obj types.Object, f Fact) bool {
-	return p.facts.importObject(obj, f)
-}
-
-// ObjectsWithFact returns every object the analyzer attached a fact of f's
-// concrete type to.
-func (p *ProgramPass) ObjectsWithFact(f Fact) []types.Object { return p.facts.objectsWith(f) }
-
 // Program is one loaded, type-checked program: every package of a Run in
 // dependency order, the shared file set, and the call graph built once over
 // all of them.
@@ -159,26 +123,17 @@ type Program struct {
 	Pkgs      []*Package
 	Fset      *token.FileSet
 	CallGraph *CallGraph
-
-	pkgOf map[*types.Package]*Package
 }
 
 // NewProgram assembles the program view over pkgs (dependency order, as
 // Load returns them) and builds the call graph.
 func NewProgram(pkgs []*Package) *Program {
-	prog := &Program{Pkgs: pkgs, pkgOf: make(map[*types.Package]*Package, len(pkgs))}
+	prog := &Program{Pkgs: pkgs, CallGraph: buildCallGraph(pkgs)}
 	if len(pkgs) > 0 {
 		prog.Fset = pkgs[0].Fset
 	}
-	for _, p := range pkgs {
-		prog.pkgOf[p.Types] = p
-	}
-	prog.CallGraph = buildCallGraph(pkgs)
 	return prog
 }
-
-// PackageOf returns the loaded package wrapping tp, or nil.
-func (prog *Program) PackageOf(tp *types.Package) *Package { return prog.pkgOf[tp] }
 
 // Diagnostic is one reported invariant violation.
 type Diagnostic struct {
@@ -201,9 +156,7 @@ var Suite = []*Analyzer{
 	NoPrint,
 	Layering,
 	LockRank,
-	AtomicField,
 	SnapPin,
-	GovProp,
 }
 
 // AnalyzerTiming records how long one analyzer took over the whole program.
@@ -235,7 +188,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 // RunSuite is Run with per-analyzer timings. The package set is loaded and
 // type-checked exactly once (by the caller, through Load) and shared by
 // every analyzer; the call graph is built once; analyzers then execute in
-// parallel, each against its own fact namespace and diagnostic buffer.
+// parallel, each into its own diagnostic buffer.
 func RunSuite(pkgs []*Package, analyzers []*Analyzer) (*Result, error) {
 	prog := NewProgram(pkgs)
 	dirs := collectDirectives(pkgs)
@@ -258,20 +211,19 @@ func RunSuite(pkgs []*Package, analyzers []*Analyzer) (*Result, error) {
 				}
 			}()
 			start := time.Now()
-			facts := newFactSet()
 			report := func(d Diagnostic) { out.diags = append(out.diags, d) }
 			for _, pkg := range pkgs {
 				if a.Run == nil {
 					break
 				}
-				pass := &Pass{Analyzer: a, Pkg: pkg, Prog: prog, facts: facts, report: report}
+				pass := &Pass{Analyzer: a, Pkg: pkg, Prog: prog, report: report}
 				if err := a.Run(pass); err != nil {
 					out.err = fmt.Errorf("%s on %s: %w", a.Name, pkg.Path, err)
 					return
 				}
 			}
 			if a.RunProgram != nil {
-				pp := &ProgramPass{Analyzer: a, Prog: prog, facts: facts, report: report}
+				pp := &ProgramPass{Analyzer: a, Prog: prog, report: report}
 				if err := a.RunProgram(pp); err != nil {
 					out.err = fmt.Errorf("%s (program pass): %w", a.Name, err)
 					return

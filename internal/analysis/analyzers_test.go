@@ -61,8 +61,13 @@ func TestMVCCVisFixture(t *testing.T) { runFixture(t, Layering, "mvccvis") }
 
 func TestLockRankFixture(t *testing.T) { runFixture(t, LockRank, "lockrank") }
 
-func TestAtomicFieldFixture(t *testing.T) { runFixture(t, AtomicField, "atomicfield") }
+// The typed-atomics row of layering: every function-form sync/atomic call
+// is a finding, including the atomic half of a mixed plain/atomic access;
+// typed atomics are not.
+func TestAtomicFieldFixture(t *testing.T) { runFixture(t, Layering, "atomicfield") }
 
 func TestSnapPinFixture(t *testing.T) { runFixture(t, SnapPin, "snappin") }
 
-func TestGovPropFixture(t *testing.T) { runFixture(t, GovProp, "govprop") }
+// The unticked-reachability rule of govtick: loops outside exec, rss, and
+// xsort that some non-ticking entry point reaches.
+func TestGovPropFixture(t *testing.T) { runFixture(t, GovTick, "govprop") }

@@ -23,6 +23,7 @@ import (
 	"go/ast"
 	"go/types"
 	"sort"
+	"strings"
 )
 
 // CallGraph is the program's call graph.
@@ -49,9 +50,6 @@ type CallEdge struct {
 	// Site is the call expression (one representative site; a pair of
 	// functions linked by several sites keeps the first in source order).
 	Site *ast.CallExpr
-	// Dynamic marks edges added by interface-dispatch resolution rather
-	// than a direct static call.
-	Dynamic bool
 }
 
 // Roots returns the nodes with no callers in the graph — the program's
@@ -108,7 +106,7 @@ func buildCallGraph(pkgs []*Package) *CallGraph {
 	// scanned for calls; interface-method callees fan out over the
 	// implementing concrete types.
 	seen := make(map[[2]*CallNode]bool)
-	addEdge := func(from *CallNode, to *types.Func, site *ast.CallExpr, dynamic bool) {
+	addEdge := func(from *CallNode, to *types.Func, site *ast.CallExpr) {
 		callee, ok := g.Nodes[to]
 		if !ok {
 			return // no body in this load (stdlib or external)
@@ -117,7 +115,7 @@ func buildCallGraph(pkgs []*Package) *CallGraph {
 			return
 		}
 		seen[[2]*CallNode{from, callee}] = true
-		e := &CallEdge{Caller: from, Callee: callee, Site: site, Dynamic: dynamic}
+		e := &CallEdge{Caller: from, Callee: callee, Site: site}
 		from.Out = append(from.Out, e)
 		callee.In = append(callee.In, e)
 	}
@@ -139,7 +137,7 @@ func buildCallGraph(pkgs []*Package) *CallGraph {
 			}
 			recv := sig.Recv()
 			if recv == nil || !types.IsInterface(recv.Type()) {
-				addEdge(n, f, call, false)
+				addEdge(n, f, call)
 				return true
 			}
 			// Interface dispatch: resolve to every implementing type's
@@ -158,7 +156,7 @@ func buildCallGraph(pkgs []*Package) *CallGraph {
 				}
 				m, _, _ := types.LookupFieldOrMethod(impl, true, f.Pkg(), f.Name())
 				if mf, ok := m.(*types.Func); ok {
-					addEdge(n, mf, call, true)
+					addEdge(n, mf, call)
 				}
 			}
 			return true
@@ -185,4 +183,55 @@ func (g *CallGraph) SortedNodes() []*CallNode {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Fn.Pos() < out[j].Fn.Pos() })
 	return out
+}
+
+// Reached is the result of a Reach walk: every node it reached, mapped to
+// the node it was first reached from (nil for a root).
+type Reached map[*CallNode]*CallNode
+
+// Reach walks breadth-first from the graph's roots without crossing a
+// frontier: blocked(caller, callee) refuses the step into callee, and
+// blocked(nil, root) refuses a root. The interprocedural checks ask "what
+// runs with no X anywhere on the stack?" — the frontier is where X happens
+// (a governor tick, a snapshot pin), and everything reached lacks it.
+func (g *CallGraph) Reach(blocked func(caller, callee *CallNode) bool) Reached {
+	reached := make(Reached)
+	var queue []*CallNode
+	for _, r := range g.Roots() {
+		if !blocked(nil, r) {
+			reached[r] = nil
+			queue = append(queue, r)
+		}
+	}
+	for len(queue) > 0 {
+		n := queue[0]
+		queue = queue[1:]
+		for _, e := range n.Out {
+			c := e.Callee
+			if _, seen := reached[c]; seen || blocked(n, c) {
+				continue
+			}
+			reached[c] = n
+			queue = append(queue, c)
+		}
+	}
+	return reached
+}
+
+// Chain renders the path root → … → n by which the walk reached n,
+// truncated after seven names.
+func (r Reached) Chain(n *CallNode) string {
+	var names []string
+	for at := n; at != nil; at = r[at] {
+		names = append(names, funcDisplayName(at.Fn))
+		if len(names) > 6 {
+			names = append(names, "…")
+			break
+		}
+	}
+	// Reverse into root-first order.
+	for i, j := 0, len(names)-1; i < j; i, j = i+1, j-1 {
+		names[i], names[j] = names[j], names[i]
+	}
+	return strings.Join(names, " → ")
 }

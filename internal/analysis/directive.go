@@ -10,13 +10,15 @@ package analysis
 // placed on the flagged line or the line directly above it. Both comment
 // forms work: `//`-prefixed line comments and `/* */` block comments (the
 // directive may sit on any line inside the block; its effective position is
-// that line). A directive without a reason is itself reported, and so is a
-// well-formed directive that suppresses nothing: the escape hatch exists to
-// record *why* an invariant does not apply, not to turn checks off silently
-// — and not to outlive the finding it excused.
+// that line). A directive without a reason or naming an analyzer outside
+// the suite is itself reported, and so is a well-formed directive that
+// suppresses nothing: the escape hatch exists to record *why* an invariant
+// does not apply, not to turn checks off silently — and not to outlive the
+// finding it excused.
 
 import (
 	"go/token"
+	"slices"
 	"strings"
 )
 
@@ -134,6 +136,14 @@ func (ds *directiveSet) add(pos token.Position, rest string) {
 			})
 			continue
 		}
+		if !slices.ContainsFunc(Suite, func(a *Analyzer) bool { return a.Name == name }) {
+			ds.malformed = append(ds.malformed, Diagnostic{
+				Pos:      pos,
+				Analyzer: "sysrcheck",
+				Message:  "ignore directive names unknown analyzer " + name,
+			})
+			continue
+		}
 		d := &directive{pos: pos, analyzer: name}
 		ds.all = append(ds.all, d)
 		lines[pos.Line] = append(lines[pos.Line], d)
@@ -160,9 +170,10 @@ func (ds *directiveSet) suppresses(d Diagnostic) bool {
 }
 
 // unused returns a diagnostic for every directive naming an analyzer in the
-// running set that suppressed nothing. Directives for analyzers outside the
-// set are skipped — a partial run (-checks, single-analyzer fixtures) must
-// not condemn directives it never exercised.
+// running set that suppressed nothing. Directives for suite analyzers
+// outside the set are skipped — a partial run (-checks, single-analyzer
+// fixtures) must not condemn directives it never exercised; a name outside
+// the suite was already reported by add.
 func (ds *directiveSet) unused(running map[string]bool) []Diagnostic {
 	var out []Diagnostic
 	for _, dir := range ds.all {

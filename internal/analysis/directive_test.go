@@ -42,7 +42,13 @@ func TestDirectiveFixture(t *testing.T) {
 	// to excuse it is also unused.
 	expectAt(t, diags, bad, emptyName, "unused ignore directive for nakedpanic")
 
-	// The govtick directive names an analyzer outside this run's set:
+	// A name outside the suite is malformed, whether a typo or retired.
+	typo := lineOfTrimmed(t, bad, "//sysrcheck:ignore govtik fixture: misspelled analyzer name")
+	expectAt(t, diags, bad, typo, "names unknown analyzer govtik")
+	retired := lineOfTrimmed(t, bad, "//sysrcheck:ignore govprop fixture: retired analyzer name")
+	expectAt(t, diags, bad, retired, "names unknown analyzer govprop")
+
+	// The govtick directive names a suite analyzer outside this run's set:
 	// neither used nor condemned.
 	notRunning := lineOfTrimmed(t, bad, "//sysrcheck:ignore govtick fixture: govtick is not in this run")
 	for _, d := range diags {

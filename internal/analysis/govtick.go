@@ -1,153 +1,154 @@
 package analysis
 
-// govtick enforces the PR 1 invariant that no tuple- or page-producing loop
-// runs ungoverned: inside internal/exec, internal/rss, and internal/xsort,
-// every loop whose body produces tuples or pages must reach a statement-
-// governor checkpoint, so a canceled or over-budget statement aborts even
-// when the work happens below the operator boundary (spill loops, page
-// walks, run merges).
+// govtick enforces the governor's invariant that no tuple- or
+// page-producing loop runs ungoverned, so a canceled or over-budget
+// statement aborts even when the work happens below the operator boundary
+// (spill loops, page walks, run merges). Three rules share one governed
+// set:
 //
-// A loop is governed when its body either calls a *governor.Budget method
-// directly, or calls only producers that are themselves governed — the
-// governed property is computed per function (to a fixpoint, so helpers
-// that delegate to governed functions inherit it) and shared across
-// packages through the fact store: exec loops driving rss scan Next calls
-// pass because rss's Next methods check the budget internally.
+//   - local: inside internal/exec, internal/rss, and internal/xsort, every
+//     loop whose body produces tuples or pages reaches a statement-governor
+//     checkpoint itself;
+//   - batch: those packages implement the batched operator protocol, whose
+//     boundary ticks once per batch instead of once per row. That is only
+//     safe if every NextBatch body still reaches a checkpoint at least once
+//     per batch — directly, or by driving a governed producer — so a
+//     canceled statement cannot run a whole batch (or, with interior loops,
+//     arbitrarily long) per boundary tick;
+//   - unticked reachability: anywhere else in the engine, a helper whose
+//     loop relies on *its caller* having ticked is fine while every caller
+//     ticks, and silently ungoverned once some entry point calls it with no
+//     budget on the stack. Walking the call graph from every non-ticking
+//     entry point, without entering a function that calls the budget
+//     directly, every producing loop reached must tick locally; the finding
+//     carries the unticked chain. cmd packages are exempt as loop sites
+//     (drivers loop over results outside any statement) but still count as
+//     entry points.
+//
+// A loop is governed when its body calls a *governor.Budget method
+// directly, or calls only producers that are themselves governed. The
+// governed set is computed once, program-wide, to a fixpoint: a function is
+// governed when its body calls the budget directly or calls a governed
+// function — so exec loops driving rss scan Next calls pass because rss's
+// Next methods check the budget internally. A call through an interface
+// that has an unexported method can only dispatch to the declaring
+// package's own types, so it is governed once every one of them is — the
+// executor's shared batch fill drives its row sources that way.
 //
 // Producers are: methods named Next/next/NextInto returning (..., bool, error);
 // storage.BufferPool.Fetch; storage.Segment.Insert; and calls of
 // function-typed values with a (..., bool, error) result shape (e.g. a
 // sorter input). Calls of function values can never be proven governed, so
-// loops driving them need their own checkpoint. A call through an interface
-// that has an unexported method can only dispatch to the declaring
-// package's own types, so it is governed once every one of them is — the
-// executor's shared batch fill drives its row sources that way.
-//
-// The same packages implement the batched operator protocol, whose boundary
-// ticks once per batch instead of once per row. That is only safe if every
-// NextBatch body still reaches a checkpoint at least once per batch —
-// directly, or by driving a governed producer — so a canceled or
-// over-budget statement cannot run a whole batch (or, with interior loops,
-// arbitrarily long) per boundary tick. (That a NextBatch body never reads
-// the pool's DB-global IOStats for its fetch delta is the layering
-// analyzer's stmtio rule, which covers the same packages.)
+// loops driving them need their own checkpoint. (That a NextBatch body
+// never reads the pool's DB-global IOStats for its fetch delta is the
+// layering analyzer's stmtio rule, which covers the same packages.)
 
 import (
 	"go/ast"
 	"go/types"
+	"maps"
+	"slices"
 )
 
 // GovTick is the governor-checkpoint analyzer.
 var GovTick = &Analyzer{
-	Name: "govtick",
-	Doc:  "tuple/page-producing loops and NextBatch bodies in exec, rss, and xsort must reach a governor budget check",
-	Run:  runGovTick,
+	Name:       "govtick",
+	Doc:        "tuple/page-producing loops must reach a governor budget check: locally in exec, rss, and xsort (NextBatch bodies once per batch), and anywhere reachable with no ticking caller",
+	RunProgram: runGovTick,
 }
 
-// govtickPackages are the path tails the loop rule applies to. Fact
-// computation runs everywhere so governed helpers in other packages (e.g.
-// storage) are visible.
+// govtickPackages are the path tails the local and batch rules apply to.
 var govtickPackages = map[string]bool{"exec": true, "rss": true, "xsort": true}
 
-// governedFact marks a function whose body (transitively) reaches a
-// statement-governor checkpoint. Exported per function object by
-// computeGovernedFacts; any analyzer that needs the property computes it
-// into its own namespace (fact namespaces are per-analyzer so the suite can
-// run in parallel).
-type governedFact struct{}
-
-func (*governedFact) AFact() {}
-
-// isGoverned reports whether fn carries a governed fact in this analyzer's
-// namespace.
-func isGoverned(facts factReader, fn *types.Func) bool {
-	if fn == nil {
-		return false
-	}
-	return facts.ImportObjectFact(fn, &governedFact{})
-}
-
-// factReader is the read surface shared by Pass and ProgramPass.
-type factReader interface {
-	ImportObjectFact(obj types.Object, f Fact) bool
-}
-
-func runGovTick(pass *Pass) error {
-	computeGovernedFacts(pass)
-	if !govtickPackages[pathTail(pass.Pkg.Path)] {
-		return nil
-	}
-	info := pass.Pkg.Info
-	for _, f := range pass.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch loop := n.(type) {
-			case *ast.ForStmt:
-				body = loop.Body
-			case *ast.RangeStmt:
-				body = loop.Body
-			default:
-				return true
-			}
-			checkGovLoop(pass, info, n, body)
-			return true
-		})
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil &&
-				(fd.Name.Name == "NextBatch" || fd.Name.Name == "nextBatch") {
-				checkBatchBody(pass, info, fd)
+func runGovTick(pass *ProgramPass) error {
+	g := pass.Prog.CallGraph
+	governed := governedFuncs(pass.Prog)
+	unticked := g.Reach(func(_, callee *CallNode) bool {
+		return containsBudgetCall(callee.Pkg.Info, callee.Decl.Body)
+	})
+	for _, pkg := range pass.Prog.Pkgs {
+		local := govtickPackages[pathTail(pkg.Path)]
+		if !local && inCmd(pkg.Path) {
+			continue
+		}
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				var node *CallNode
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
+					node = g.FuncOf(fn)
+					if local && node != nil && (fd.Name.Name == "NextBatch" || fd.Name.Name == "nextBatch") && !governed[fn] {
+						pass.Reportf(fd.Pos(),
+							"%s fills a batch without a governor checkpoint: tick the budget or drive a governed producer at least once per batch", fd.Name.Name)
+					}
+				}
+				// Each loop is reported once: the local rule covers its
+				// packages, so unticked reachability only speaks elsewhere.
+				_, exposed := unticked[node]
+				switch {
+				case local:
+					ungovernedLoops(governed, pkg.Info, decl, func(loop ast.Node, call *ast.CallExpr) {
+						pass.Reportf(loop.Pos(),
+							"loop produces tuples/pages (%s) without a governor budget check; add a Budget.Tick/Check or call only governed producers",
+							describeCall(call))
+					})
+				case exposed:
+					ungovernedLoops(governed, pkg.Info, decl, func(loop ast.Node, call *ast.CallExpr) {
+						pass.Reportf(loop.Pos(),
+							"loop drives %s with no governor anywhere on the call stack: %s never ticks — add a Budget check here or in a caller",
+							describeCall(call), unticked.Chain(node))
+					})
+				}
 			}
 		}
 	}
 	return nil
 }
 
-// checkBatchBody applies the batched-protocol rule to one NextBatch body.
-func checkBatchBody(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
-	if !containsBudgetCall(info, fd.Body) && !callsGovernedFunc(pass, info, fd.Body) {
-		pass.Reportf(fd.Pos(),
-			"%s fills a batch without a governor checkpoint: tick the budget or drive a governed producer at least once per batch", fd.Name.Name)
-	}
-}
-
-func checkGovLoop(pass *Pass, info *types.Info, loop ast.Node, body *ast.BlockStmt) {
-	if containsBudgetCall(info, body) {
-		return
-	}
-	var offending ast.Node
-	ast.Inspect(body, func(n ast.Node) bool {
-		if offending != nil {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
+// ungovernedLoops calls report for each loop in n that drives an ungoverned
+// producer (the first such call) without a checkpoint of its own.
+func ungovernedLoops(governed map[*types.Func]bool, info *types.Info, n ast.Node, report func(loop ast.Node, call *ast.CallExpr)) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		var body *ast.BlockStmt
+		switch loop := n.(type) {
+		case *ast.ForStmt:
+			body = loop.Body
+		case *ast.RangeStmt:
+			body = loop.Body
+		default:
 			return true
 		}
-		kind, governed := classifyProducer(pass, info, call)
-		if kind != "" && !governed {
-			offending = call
+		if containsBudgetCall(info, body) {
+			return true
+		}
+		var offending *ast.CallExpr
+		ast.Inspect(body, func(inner ast.Node) bool {
+			if call, ok := inner.(*ast.CallExpr); ok && offending == nil {
+				if kind, ok := classifyProducer(governed, info, call); kind != "" && !ok {
+					offending = call
+				}
+			}
+			return offending == nil
+		})
+		if offending != nil {
+			report(n, offending)
 		}
 		return true
 	})
-	if offending != nil {
-		pass.Reportf(loop.Pos(),
-			"loop produces tuples/pages (%s) without a governor budget check; add a Budget.Tick/Check or call only governed producers",
-			describeCall(offending.(*ast.CallExpr)))
-	}
 }
 
 // classifyProducer reports whether call produces tuples or pages, and if
 // so whether the callee is known to contain its own governor checkpoint.
-func classifyProducer(facts factReader, info *types.Info, call *ast.CallExpr) (kind string, governed bool) {
+func classifyProducer(governed map[*types.Func]bool, info *types.Info, call *ast.CallExpr) (kind string, covered bool) {
 	if f := calleeFunc(info, call); f != nil {
 		if (f.Name() == "Next" || f.Name() == "next" || f.Name() == "NextInto") && producerShape(f.Type().(*types.Signature)) {
-			return "Next", isGoverned(facts, f)
+			return "Next", governed[f]
 		}
 		if isMethodOn(f, "Fetch", "storage", "BufferPool") {
-			return "page fetch", isGoverned(facts, f)
+			return "page fetch", governed[f]
 		}
 		if isMethodOn(f, "Insert", "storage", "Segment") {
-			return "page insert", isGoverned(facts, f)
+			return "page insert", governed[f]
 		}
 		return "", false
 	}
@@ -205,56 +206,47 @@ func containsBudgetCall(info *types.Info, n ast.Node) bool {
 	return found
 }
 
-// computeGovernedFacts marks this package's functions that (transitively)
-// reach a governor checkpoint, exporting a governedFact per function into
-// the calling analyzer's namespace. Packages are analyzed in dependency
-// order, so facts about imported packages are already present.
-func computeGovernedFacts(pass *Pass) {
-	info := pass.Pkg.Info
-	type fn struct {
-		obj  *types.Func
-		body *ast.BlockStmt
-	}
-	var fns []fn
-	for _, f := range pass.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, ok := info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			fns = append(fns, fn{obj: obj, body: fd.Body})
+// governedFuncs computes the governed set once for the whole program: a
+// declared function is governed when its body calls the budget directly or
+// calls a governed function, and a sealed interface method is governed when
+// every implementation is. Iterated to a fixpoint so delegating helpers
+// inherit the property across package boundaries.
+func governedFuncs(prog *Program) map[*types.Func]bool {
+	governed := make(map[*types.Func]bool)
+	callees := make(map[*types.Func][]*types.Func)
+	for fn, n := range prog.CallGraph.Nodes {
+		if containsBudgetCall(n.Pkg.Info, n.Decl.Body) {
+			governed[fn] = true
+			continue
 		}
+		ast.Inspect(n.Decl.Body, func(nd ast.Node) bool {
+			if call, ok := nd.(*ast.CallExpr); ok {
+				if f := calleeFunc(n.Pkg.Info, call); f != nil {
+					callees[fn] = append(callees[fn], f)
+				}
+			}
+			return true
+		})
 	}
-	sealed := sealedDispatch(pass.Pkg.Types)
+	sealed := make(map[*types.Func][]*types.Func)
+	for _, pkg := range prog.Pkgs {
+		maps.Copy(sealed, sealedDispatch(pkg.Types))
+	}
+	isGoverned := func(f *types.Func) bool { return governed[f] }
 	for changed := true; changed; {
 		changed = false
-		for _, f := range fns {
-			if isGoverned(pass, f.obj) {
-				continue
-			}
-			if containsBudgetCall(info, f.body) || callsGovernedFunc(pass, info, f.body) {
-				pass.ExportObjectFact(f.obj, &governedFact{})
-				changed = true
+		for fn, cs := range callees {
+			if !governed[fn] && slices.ContainsFunc(cs, isGoverned) {
+				governed[fn], changed = true, true
 			}
 		}
 		for m, impls := range sealed {
-			if isGoverned(pass, m) {
-				continue
-			}
-			all := true
-			for _, impl := range impls {
-				all = all && isGoverned(pass, impl)
-			}
-			if all {
-				pass.ExportObjectFact(m, &governedFact{})
-				changed = true
+			if !governed[m] && !slices.ContainsFunc(impls, func(f *types.Func) bool { return !governed[f] }) {
+				governed[m], changed = true, true
 			}
 		}
 	}
+	return governed
 }
 
 // sealedDispatch maps each method of pkg's sealed interfaces — those with
@@ -296,23 +288,6 @@ func sealedDispatch(pkg *types.Package) map[*types.Func][]*types.Func {
 		}
 	}
 	return out
-}
-
-func callsGovernedFunc(facts factReader, info *types.Info, body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			if f := calleeFunc(info, call); f != nil && isGoverned(facts, f) {
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return found
 }
 
 func describeCall(call *ast.CallExpr) string {

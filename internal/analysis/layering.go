@@ -3,7 +3,7 @@ package analysis
 // layering enforces the engine's layer boundaries as one table: each rule
 // names the packages it polices, the callees forbidden there, the
 // enclosing functions that implement the boundary and are therefore
-// exempt, and the message. Three disciplines share it:
+// exempt, and the message. Four disciplines share it:
 //
 //   - per-statement I/O accounting (PR 5). The executor attributes page
 //     fetches to operators by differencing a counter before and after each
@@ -33,6 +33,13 @@ package analysis
 //     exempt. The catalog bootstraps system tables with direct segment
 //     writes and is out of scope: DDL is not undoable and is rejected
 //     inside transactions.
+//   - typed atomics. A field touched through sync/atomic's function forms
+//     (atomic.AddInt64(&s.n, 1)) is atomic only by convention: one plain
+//     read or write of it anywhere is a data race that -race catches only
+//     when two goroutines collide under test. So no package calls those
+//     functions at all; a shared counter is declared with a sync/atomic
+//     type (atomic.Int64 & co.), which has no plain access form, and vet's
+//     copylocks check flags copies of it.
 
 import (
 	"go/ast"
@@ -43,14 +50,16 @@ import (
 // Layering is the table-driven layer-boundary analyzer.
 var Layering = &Analyzer{
 	Name: "layering",
-	Doc:  "per-statement I/O, MVCC visibility, and undo logging each have one sanctioned layer: no DB-global IOStats in the executor layers, no raw version reads above the RSS, no mutation outside the undo-logged write path",
+	Doc:  "per-statement I/O, MVCC visibility, undo logging, and atomics each have one sanctioned form: no DB-global IOStats in the executor layers, no raw version reads above the RSS, no mutation outside the undo-logged write path, no sync/atomic function calls",
 	Run:  runLayering,
 }
 
 // layerRule is one row of the table. Callees are written as funcDisplayName
-// renders them (pkgtail.Func, pkgtail.Type.Method); exempt functions as
-// pkgtail.Func. In msg, {callee} stands for the callee's short name
-// (Type.Method, or pkgtail.Func for a function).
+// renders them (pkgtail.Func, pkgtail.Type.Method), and pkgtail.* names
+// every package-level function of a package; exempt functions as
+// pkgtail.Func. A row without pkgs applies to every package. In msg,
+// {callee} stands for the callee's short name (Type.Method, or
+// pkgtail.Func for a function).
 type layerRule struct {
 	pkgs    []string
 	callees []string
@@ -80,13 +89,29 @@ var layerRules = []layerRule{
 		msg: "direct index mutation {callee} escapes the undo log: write through txn.Txn"},
 	{pkgs: txnUndoPkgs, exempt: rssWritePath, callees: []string{"rss.Insert", "rss.MarkDeleted", "rss.ClearDeleted", "rss.Remove"},
 		msg: "{callee} called outside the transaction layer: mutations must flow through txn.Txn, which logs undo"},
+	{callees: []string{"atomic.*"},
+		msg: "{callee} makes a field atomic only by convention, so a plain access elsewhere races: declare it with a sync/atomic type (atomic.Int64, ...)"},
+}
+
+// calleeMatches reports whether callees names the function rendered as name.
+func calleeMatches(callees []string, name string) bool {
+	for _, c := range callees {
+		if prefix, ok := strings.CutSuffix(c, "*"); ok {
+			if rest, ok := strings.CutPrefix(name, prefix); ok && !strings.Contains(rest, ".") {
+				return true
+			}
+		} else if c == name {
+			return true
+		}
+	}
+	return false
 }
 
 func runLayering(pass *Pass) error {
 	tail := pathTail(pass.Pkg.Path)
 	var rules []layerRule
 	for _, r := range layerRules {
-		if slices.Contains(r.pkgs, tail) {
+		if r.pkgs == nil || slices.Contains(r.pkgs, tail) {
 			rules = append(rules, r)
 		}
 	}
@@ -106,7 +131,7 @@ func runLayering(pass *Pass) error {
 			}
 			name := funcDisplayName(fn)
 			for _, r := range rules {
-				if slices.Contains(r.callees, name) && !slices.Contains(r.exempt, tail+"."+enclosingFuncName(stack)) {
+				if calleeMatches(r.callees, name) && !slices.Contains(r.exempt, tail+"."+enclosingFuncName(stack)) {
 					short := name
 					if recvNamed(fn) != nil {
 						short = name[strings.IndexByte(name, '.')+1:]

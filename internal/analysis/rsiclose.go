@@ -28,6 +28,7 @@ package analysis
 // own body (each literal is a scope of its own).
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -48,17 +49,56 @@ func runRSIClose(pass *Pass) error {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if ok && fd.Body != nil {
-				checkScope(pass, fd.Body)
+				checkScope(pass, pass.Pkg, fd.Body, closeRule)
 			}
 		}
 	}
 	return nil
 }
 
-// checkScope analyzes one function body, then recurses into the function
-// literals it contains (each one is its own scope).
-func checkScope(pass *Pass, body *ast.BlockStmt) {
-	info := pass.Pkg.Info
+// leakRule is one resource discipline checked by the path walker: how an
+// acquisition is recognized, and how its leaks read. rsiclose and snappin's
+// pin-release check differ only here.
+type leakRule struct {
+	// acquire recognizes an acquisition at n, or returns nil.
+	acquire func(info *types.Info, n ast.Node) *acquisition
+	// leaked describes a return path that may leave a (acquired at line)
+	// open; never describes an a that no path releases.
+	leaked func(a *acquisition, line int) string
+	never  func(a *acquisition) string
+}
+
+// closeRule is rsiclose's discipline: scans, lock grants, and operator
+// trees, released by their own Close/Release.
+var closeRule = &leakRule{
+	acquire: func(info *types.Info, n ast.Node) *acquisition {
+		switch s := n.(type) {
+		case *ast.AssignStmt:
+			return acquisitionFromAssign(info, s)
+		case *ast.ExprStmt:
+			if call, ok := s.X.(*ast.CallExpr); ok {
+				return openAcquisition(info, call, nil)
+			}
+		}
+		return nil
+	},
+	leaked: func(a *acquisition, line int) string {
+		return fmt.Sprintf("%s acquired from %s (line %d) may not be %sd on this return path",
+			a.name, a.what, line, lowerClose(a.closeName))
+	},
+	never: func(a *acquisition) string {
+		return fmt.Sprintf("%s acquired from %s is never %sd", a.name, a.what, lowerClose(a.closeName))
+	},
+}
+
+// reporter is the diagnostic surface shared by Pass and ProgramPass.
+type reporter interface {
+	Reportf(pos token.Pos, format string, args ...any)
+}
+
+// checkScope analyzes one function body of pkg under rule, then recurses
+// into the function literals it contains (each one is its own scope).
+func checkScope(r reporter, pkg *Package, body *ast.BlockStmt, rule *leakRule) {
 	var acqs []*acquisition
 	var lits []*ast.FuncLit
 
@@ -70,27 +110,18 @@ func checkScope(pass *Pass, body *ast.BlockStmt) {
 				lits = append(lits, lit)
 				return false
 			}
-			switch s := n.(type) {
-			case *ast.AssignStmt:
-				if a := acquisitionFromAssign(info, s); a != nil {
-					acqs = append(acqs, a)
-				}
-			case *ast.ExprStmt:
-				if call, ok := s.X.(*ast.CallExpr); ok {
-					if a := openAcquisition(info, call, nil); a != nil {
-						acqs = append(acqs, a)
-					}
-				}
+			if a := rule.acquire(pkg.Info, n); a != nil {
+				acqs = append(acqs, a)
 			}
 			return true
 		})
 	}
 
 	for _, a := range acqs {
-		checkAcquisition(pass, body, a)
+		checkAcquisition(r, pkg, body, a, rule)
 	}
 	for _, lit := range lits {
-		checkScope(pass, lit.Body)
+		checkScope(r, pkg, lit.Body, rule)
 	}
 }
 
@@ -234,8 +265,8 @@ func localVarOf(info *types.Info, id *ast.Ident) *types.Var {
 
 // checkAcquisition walks the scope after the acquisition and reports
 // returns that leak the resource.
-func checkAcquisition(pass *Pass, body *ast.BlockStmt, a *acquisition) {
-	w := &leakWalker{info: pass.Pkg.Info, a: a}
+func checkAcquisition(r reporter, pkg *Package, body *ast.BlockStmt, a *acquisition, rule *leakRule) {
+	w := &leakWalker{info: pkg.Info, a: a}
 	// A deferred close anywhere in the scope covers every exit, no matter
 	// where the defer sits relative to the acquisition (e.g. a close
 	// deferred before a later Open — the blockCtx.run pattern).
@@ -257,11 +288,10 @@ func checkAcquisition(pass *Pass, body *ast.BlockStmt, a *acquisition) {
 		return
 	}
 	for _, pos := range w.leaks {
-		pass.Reportf(pos, "%s acquired from %s (line %d) may not be %sd on this return path",
-			a.name, a.what, pass.Pkg.Fset.Position(a.pos).Line, lowerClose(a.closeName))
+		r.Reportf(pos, "%s", rule.leaked(a, pkg.Fset.Position(a.pos).Line))
 	}
 	if len(w.leaks) == 0 && !closedAtEnd && !w.everClosed {
-		pass.Reportf(a.pos, "%s acquired from %s is never %sd", a.name, a.what, lowerClose(a.closeName))
+		r.Reportf(a.pos, "%s", rule.never(a))
 	}
 }
 

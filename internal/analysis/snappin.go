@@ -40,9 +40,9 @@ package analysis
 // down next to the code that depends on it.
 
 import (
+	"fmt"
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // SnapPin is the snapshot-pinning analyzer.
@@ -88,27 +88,18 @@ func runSnapPin(pass *ProgramPass) error {
 		})
 	}
 
-	// Check 1: unpinned reachability. BFS from every non-pinning root; a
+	// Check 1: unpinned reachability. Walk from every non-pinning root; a
 	// pinning function is a frontier we do not cross. A root whose signature
 	// *receives* a snapshot (a parameter or receiver carrying
 	// storage.Snapshot, e.g. exec.OpenQuery's *Runtime) is a contract
 	// boundary: its callers are outside the program we can see, and the
 	// signature moves the pin obligation to them — internal callers of the
-	// same function are still walked through it.
-	parent := make(map[*CallNode]*CallNode)
-	var queue []*CallNode
-	inQueue := make(map[*CallNode]bool)
-	for _, r := range g.Roots() {
-		if !pins[r] && !receivesSnapshot(r.Fn) {
-			queue = append(queue, r)
-			inQueue[r] = true
-		}
-	}
-	// An edge into a snapshot-receiving function is covered when the caller
-	// derives the snapshot it passes from a pin it holds (cur.Snapshot() on
-	// a transaction, reg.Snap on a registration): the pin is alive for the
-	// call's duration. Callers that conjure a runtime with no snapshot
-	// (db.runtime(nil, nil)) derive nothing and are still walked through.
+	// same function are still walked through it. An edge into such a
+	// function is covered when the caller derives the snapshot it passes
+	// from a pin it holds (cur.Snapshot() on a transaction, reg.Snap on a
+	// registration): the pin is alive for the call's duration. Callers that
+	// conjure a runtime with no snapshot (db.runtime(nil, nil)) derive
+	// nothing and are still walked through.
 	derives := make(map[*CallNode]bool)
 	derivesSnap := func(n *CallNode) bool {
 		if d, ok := derives[n]; ok {
@@ -118,24 +109,11 @@ func runSnapPin(pass *ProgramPass) error {
 		derives[n] = d
 		return d
 	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, e := range n.Out {
-			c := e.Callee
-			if pins[c] || inQueue[c] {
-				continue
-			}
-			if receivesSnapshot(c.Fn) && derivesSnap(n) {
-				continue
-			}
-			parent[c] = n
-			inQueue[c] = true
-			queue = append(queue, c)
-		}
-	}
+	unpinned := g.Reach(func(caller, callee *CallNode) bool {
+		return pins[callee] || receivesSnapshot(callee.Fn) && (caller == nil || derivesSnap(caller))
+	})
 	for _, n := range nodes {
-		if !inQueue[n] || pins[n] {
+		if _, ok := unpinned[n]; !ok {
 			continue
 		}
 		for _, e := range n.Out {
@@ -144,18 +122,52 @@ func runSnapPin(pass *ProgramPass) error {
 			}
 			pass.Reportf(e.Site.Pos(),
 				"%s reaches %s without a pinned snapshot: no Registry.Begin on the chain %s — vacuum may reclaim versions mid-read",
-				funcDisplayName(n.Fn), funcDisplayName(e.Callee.Fn), snapChain(parent, n))
+				funcDisplayName(n.Fn), funcDisplayName(e.Callee.Fn), unpinned.Chain(n))
 		}
 	}
 
 	// Check 2: every pin bound to a local is released on all return paths.
 	for _, n := range nodes {
-		if !pins[n] {
-			continue
+		if pins[n] {
+			checkScope(pass, n.Pkg, n.Decl.Body, pinRule)
 		}
-		checkPinRelease(pass, n)
 	}
 	return nil
+}
+
+// pinRule is the release discipline for `reg := x.Begin()` bindings, run
+// through rsiclose's path walker with the release-by-argument form
+// (`x.Finish(reg)`, selected by closeName "Finish").
+var pinRule = &leakRule{
+	acquire: func(info *types.Info, n ast.Node) *acquisition {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || len(as.Rhs) != 1 || len(as.Lhs) != 1 {
+			return nil
+		}
+		call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
+		if !ok || !isPinCall(info, call) {
+			return nil
+		}
+		id, ok := as.Lhs[0].(*ast.Ident)
+		if !ok {
+			return nil
+		}
+		v := localVarOf(info, id)
+		if v == nil {
+			return nil
+		}
+		return &acquisition{
+			v: v, name: id.Name, what: "Registry.Begin", closeName: "Finish",
+			pos: as.Pos(), after: as.End(),
+		}
+	},
+	leaked: func(a *acquisition, line int) string {
+		return fmt.Sprintf("snapshot pin %s from Registry.Begin (line %d) may not be released on this return path: call Finish or defer it",
+			a.name, line)
+	},
+	never: func(a *acquisition) string {
+		return fmt.Sprintf("snapshot pin %s from Registry.Begin is never released: an unreleased pin stalls the vacuum horizon", a.name)
+	},
 }
 
 // isNamedIn matches a named type (possibly behind a pointer) by name and
@@ -262,99 +274,4 @@ func receivesSnapshot(fn *types.Func) bool {
 		}
 	}
 	return false
-}
-
-// snapChain renders the BFS path root → … → n.
-func snapChain(parent map[*CallNode]*CallNode, n *CallNode) string {
-	var names []string
-	for at := n; at != nil; at = parent[at] {
-		names = append(names, funcDisplayName(at.Fn))
-		if len(names) > 6 {
-			names = append(names, "…")
-			break
-		}
-	}
-	// Reverse into root-first order.
-	for i, j := 0, len(names)-1; i < j; i, j = i+1, j-1 {
-		names[i], names[j] = names[j], names[i]
-	}
-	return strings.Join(names, " → ")
-}
-
-// checkPinRelease walks a pinning function for `reg := x.Begin()` bindings
-// and verifies Finish-on-every-path, reusing rsiclose's path walker with
-// the release-by-argument form (`x.Finish(reg)`, selected by closeName
-// "Finish"). Function literals are scopes of their own.
-func checkPinRelease(pass *ProgramPass, n *CallNode) {
-	checkPinScope(pass, n.Pkg.Info, n.Decl.Body)
-}
-
-func checkPinScope(pass *ProgramPass, info *types.Info, body *ast.BlockStmt) {
-	var acqs []*acquisition
-	var lits []*ast.FuncLit
-	for _, stmt := range body.List {
-		ast.Inspect(stmt, func(nd ast.Node) bool {
-			if lit, ok := nd.(*ast.FuncLit); ok {
-				lits = append(lits, lit)
-				return false
-			}
-			as, ok := nd.(*ast.AssignStmt)
-			if !ok || len(as.Rhs) != 1 || len(as.Lhs) != 1 {
-				return true
-			}
-			call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
-			if !ok || !isPinCall(info, call) {
-				return true
-			}
-			id, ok := as.Lhs[0].(*ast.Ident)
-			if !ok || id.Name == "_" {
-				return true
-			}
-			v := localVarOf(info, id)
-			if v == nil {
-				return true
-			}
-			acqs = append(acqs, &acquisition{
-				v: v, name: id.Name, what: "Registry.Begin", closeName: "Finish",
-				pos: as.Pos(), after: as.End(),
-			})
-			return true
-		})
-	}
-	for _, a := range acqs {
-		w := &leakWalker{info: info, a: a}
-		for _, s := range body.List {
-			ast.Inspect(s, func(nd ast.Node) bool {
-				if d, ok := nd.(*ast.DeferStmt); ok {
-					if w.mentionsClose(d.Call) || w.callMentionsVar(d.Call) {
-						w.safe = true
-					}
-				}
-				return !w.safe
-			})
-			if w.safe {
-				break
-			}
-		}
-		if w.safe {
-			continue
-		}
-		closedAtEnd := w.walkStmts(body.List, false)
-		if w.safe {
-			continue
-		}
-		for _, pos := range w.leaks {
-			pass.Reportf(pos,
-				"snapshot pin %s from Registry.Begin (line %d) may not be released on this return path: call Finish or defer it",
-				a.name, pass.Prog.Fset.Position(a.pos).Line)
-		}
-		if len(w.leaks) == 0 && !closedAtEnd && !w.everClosed {
-			pass.Reportf(a.pos,
-				"snapshot pin %s from Registry.Begin is never released: an unreleased pin stalls the vacuum horizon",
-				a.name)
-		}
-	}
-	for _, lit := range lits {
-		checkPinScope(pass, info, lit.Body)
-	}
 }

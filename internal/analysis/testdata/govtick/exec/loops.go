@@ -168,3 +168,17 @@ func wrongName(bp *storage.BufferPool, ids []int) {
 		_, _ = bp.Fetch(id)
 	}
 }
+
+// Both the local rule and unticked reachability see this loop: it drives
+// an ungoverned Next with no checkpoint, and Pump reaches it with no tick
+// anywhere on the stack. One loop, one finding.
+func pumpRaw(it *rawIter) {
+	for { // want "loop produces tuples/pages .* without a governor budget check"
+		_, ok, _ := it.Next()
+		if !ok {
+			return
+		}
+	}
+}
+
+func Pump(it *rawIter) { pumpRaw(it) }
