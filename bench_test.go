@@ -158,7 +158,7 @@ func BenchmarkPlanQuality(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				db.Pool().Flush()
-				_, st, err := exec.RunQuery(db.Runtime(), q)
+				_, st, err := exec.RunQuery(db.Runtime(), q, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -275,7 +275,7 @@ func BenchmarkJoinMethods(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					db.Pool().Flush()
-					_, st, err := exec.RunQuery(db.Runtime(), q)
+					_, st, err := exec.RunQuery(db.Runtime(), q, nil)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -359,7 +359,7 @@ func BenchmarkSargFiltering(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				db.Pool().Flush()
-				_, st, err := exec.RunQuery(db.Runtime(), q)
+				_, st, err := exec.RunQuery(db.Runtime(), q, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -396,7 +396,7 @@ func BenchmarkInterestingOrders(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				db.Pool().Flush()
-				_, st, err := exec.RunQuery(db.Runtime(), q)
+				_, st, err := exec.RunQuery(db.Runtime(), q, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -410,23 +410,24 @@ func BenchmarkInterestingOrders(b *testing.B) {
 
 // BenchmarkPrepareVsAdhoc measures the conclusion's amortization claim:
 // compiled statements skip parsing and optimization on every run. The ad hoc
-// side runs with the plan cache disabled so it still pays full compilation
-// per statement (the cached ad hoc path is measured in plancache_bench_test.go).
+// side varies one literal per run so every text misses the plan cache and
+// still pays full compilation (the cached ad hoc path is measured in
+// plancache_bench_test.go).
 func BenchmarkPrepareVsAdhoc(b *testing.B) {
-	db := workload.NewEmpDB(workload.EmpConfig{
-		Emps: 2000, Depts: 50, Jobs: 10, Seed: 43,
-		Engine: systemr.Config{PlanCacheSize: -1},
-	})
-	query := "SELECT NAME FROM EMP WHERE DNO = 7 AND SAL > 20000 ORDER BY NAME"
+	const query = "SELECT NAME FROM EMP WHERE DNO = 7 AND SAL > 20000 ORDER BY NAME"
+	const cold = "SELECT NAME FROM EMP WHERE DNO = 7 AND SAL > 20%03d ORDER BY NAME"
 	b.Run("adhoc", func(b *testing.B) {
+		db := plancacheDB()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := db.Query(query); err != nil {
+			if _, err := db.Query(coldText(cold, i)); err != nil {
 				b.Fatal(err)
 			}
 		}
+		assertNoHits(b, db)
 	})
 	b.Run("prepared", func(b *testing.B) {
-		stmt, err := db.Prepare(query)
+		stmt, err := plancacheDB().Prepare(query)
 		if err != nil {
 			b.Fatal(err)
 		}

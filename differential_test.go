@@ -33,7 +33,7 @@ func runPlanned(t *testing.T, db *systemr.DB, query string, cfg core.Config) ([]
 	if err != nil {
 		t.Fatalf("optimize %q: %v", query, err)
 	}
-	rows, _, err := exec.RunQuery(db.Runtime(), q)
+	rows, _, err := exec.RunQuery(db.Runtime(), q, nil)
 	if err != nil {
 		t.Fatalf("execute %q: %v\nplan:\n%s", query, err, q.Explain())
 	}
@@ -50,13 +50,13 @@ func drainings(t *testing.T, db *systemr.DB, q *plan.Query) map[string][]value.R
 	for _, n := range []int{1, 3, 256} {
 		rt := db.Runtime()
 		rt.BatchSize = n
-		rows, _, err := exec.RunQuery(rt, q)
+		rows, _, err := exec.RunQuery(rt, q, nil)
 		if err != nil {
 			t.Fatalf("batch size %d: %v\nplan:\n%s", n, err, q.Explain())
 		}
 		out[fmt.Sprintf("batch%d", n)] = rows
 	}
-	cur, err := exec.OpenQuery(db.Runtime(), q)
+	cur, err := exec.OpenQuery(db.Runtime(), q, nil)
 	if err != nil {
 		t.Fatalf("cursor open: %v\nplan:\n%s", err, q.Explain())
 	}

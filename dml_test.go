@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"systemr"
 	"systemr/internal/workload"
 )
 
@@ -176,5 +177,37 @@ func TestExplainDML(t *testing.T) {
 	}
 	if !strings.Contains(res.Plan, "SEGSCAN") {
 		t.Fatalf("update on unindexed column should segment-scan:\n%s", res.Plan)
+	}
+}
+
+// TestInsertValuesOperandTypes: INSERT VALUES rejects a non-numeric operand
+// of arithmetic or negation with the same error SELECT and UPDATE give, and
+// stores nothing; NULL operands still pass.
+func TestInsertValuesOperandTypes(t *testing.T) {
+	db := systemr.Open(systemr.Config{})
+	db.MustExec("CREATE TABLE T (A VARCHAR, B INTEGER)")
+	db.MustExec("INSERT INTO T VALUES ('x', 1)")
+	for _, c := range []struct{ expr, want string }{
+		{"-'abc'", "semantic error: cannot negate VARCHAR value 'abc'"},
+		{"'a' * 2", "semantic error: arithmetic on non-numeric VARCHAR 'a'"},
+		{"'a' + 'b'", "semantic error: arithmetic on non-numeric VARCHAR 'a'"},
+	} {
+		for _, stmt := range []string{
+			"INSERT INTO T VALUES (" + c.expr + ", 2)",
+			"SELECT " + c.expr + " FROM T",
+			"UPDATE T SET A = " + c.expr,
+		} {
+			if _, err := db.Exec(stmt); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s: err = %v, want %q", stmt, err, c.want)
+			}
+		}
+	}
+	db.MustExec("INSERT INTO T VALUES (NULL, -NULL + 1)")
+	res, err := db.Query("SELECT COUNT(*) FROM T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Rows[0][0]; got != int64(2) {
+		t.Fatalf("rows = %v, want 2: the rejected INSERTs stored rows", got)
 	}
 }

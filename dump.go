@@ -91,8 +91,8 @@ func sqlRow(row value.Row) string {
 }
 
 // RunScript executes a multi-statement SQL script (statements separated by
-// ';'), stopping at the first error. Line comments (--) are honored by the
-// lexer. It returns the number of statements executed.
+// ';'), stopping at the first error. Line comments (--) are dropped. It
+// returns the number of statements executed.
 func (db *DB) RunScript(r io.Reader) (int, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -111,7 +111,8 @@ func (db *DB) RunScript(r io.Reader) (int, error) {
 	return n, nil
 }
 
-// splitStatements splits on ';' outside string literals.
+// splitStatements splits on ';' outside string literals, dropping line
+// comments (from "--" outside a string literal to the end of the line).
 func splitStatements(script string) []string {
 	var out []string
 	var cur strings.Builder
@@ -122,6 +123,10 @@ func splitStatements(script string) []string {
 		case c == '\'':
 			inString = !inString
 			cur.WriteByte(c)
+		case c == '-' && !inString && strings.HasPrefix(script[i:], "--"):
+			for i+1 < len(script) && script[i+1] != '\n' { // keep the newline
+				i++
+			}
 		case c == ';' && !inString:
 			out = append(out, cur.String())
 			cur.Reset()

@@ -101,3 +101,25 @@ func TestRunScriptErrorPosition(t *testing.T) {
 		t.Fatalf("string with semicolon: %v", res.Rows)
 	}
 }
+
+// TestRunScriptLineComments: an apostrophe or a semicolon inside a "--"
+// comment neither opens a string nor splits a statement, and "--" inside a
+// string literal is data, not a comment.
+func TestRunScriptLineComments(t *testing.T) {
+	db := systemr.Open(systemr.Config{})
+	script := "-- don't split here\n" +
+		"CREATE TABLE S (A VARCHAR); -- it's one statement; not two\n" +
+		"INSERT INTO S VALUES ('a--b');\n" +
+		"INSERT INTO S VALUES ('c') -- no newline after this comment"
+	n, err := db.RunScript(strings.NewReader(script))
+	if err != nil || n != 3 {
+		t.Fatalf("n=%d err=%v, want 3 statements", n, err)
+	}
+	res, err := db.Query("SELECT A FROM S ORDER BY A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 2 || res.Rows[0][0] != "a--b" || res.Rows[1][0] != "c" {
+		t.Fatalf("rows = %v, want [a--b] [c]", res.Rows)
+	}
+}

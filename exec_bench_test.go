@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"systemr"
+	"systemr/internal/exec"
 	"systemr/internal/workload"
 )
 
@@ -41,18 +42,24 @@ func warmRun(tb testing.TB, db *systemr.DB, q string) {
 
 // BenchmarkExecBatch compares tuple-at-a-time execution (batch size 1: every
 // row pays a governor tick, a fetch-delta read, and a timestamp pair at every
-// operator boundary) against the default 256-row batches.
+// operator boundary) against the default 256-row batches, running the planned
+// scan directly through the executor.
 func BenchmarkExecBatch(b *testing.B) {
+	db := execBenchDB(b, systemr.Config{})
+	warmRun(b, db, scanQuery)
+	q, err := db.PlanSelect(scanQuery)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, c := range []struct {
 		name string
 		size int
-	}{{"tuple", 1}, {"batch256", 256}} {
+	}{{"tuple", 1}, {"batch256", exec.DefaultBatchSize}} {
 		b.Run(c.name, func(b *testing.B) {
-			db := execBenchDB(b, systemr.Config{ExecBatchSize: c.size})
-			warmRun(b, db, scanQuery)
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := db.Query(scanQuery); err != nil {
+				rt := db.Runtime()
+				rt.BatchSize = c.size
+				if _, _, err := exec.RunQuery(rt, q, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,11 +1,11 @@
 package systemr_test
 
 // Feedback-driven re-optimization: a cached plan whose runtime row count
-// misses its compile-time estimate by the configured ratio (default 10×) is
+// misses its compile-time estimate by DefaultRecompileMissRatio (10×) is
 // marked; the next execution refreshes statistics on the tables the plan
 // reads, which bumps the catalog version and recompiles the statement against
 // honest numbers. The loop is advisory — it must never recompile well-behaved
-// plans, and it must be disableable.
+// plans.
 
 import (
 	"fmt"
@@ -17,12 +17,9 @@ import (
 
 // feedbackDB: T(K, V) with 100 unique K values, indexed and analyzed, so
 // "K = 5" compiles with an exact estimate of one row.
-func feedbackDB(t *testing.T, cfg systemr.Config) *systemr.DB {
+func feedbackDB(t *testing.T) *systemr.DB {
 	t.Helper()
-	if cfg.BufferPages == 0 {
-		cfg.BufferPages = 32
-	}
-	db := systemr.Open(cfg)
+	db := systemr.Open(systemr.Config{BufferPages: 32})
 	db.MustExec("CREATE TABLE T (K INTEGER, V INTEGER)")
 	var vals []string
 	for i := 0; i < 100; i++ {
@@ -34,12 +31,13 @@ func feedbackDB(t *testing.T, cfg systemr.Config) *systemr.DB {
 	return db
 }
 
-// skewT invalidates the statistics without telling the optimizer: 50 more
-// rows with K = 5, so the analyzed one-row estimate is off by 51×.
-func skewT(t *testing.T, db *systemr.DB) {
+// skewT invalidates the statistics without telling the optimizer: it adds
+// extra rows with K = 5, so the analyzed one-row estimate is off by
+// (extra+1)×.
+func skewT(t *testing.T, db *systemr.DB, extra int) {
 	t.Helper()
 	var vals []string
-	for i := 0; i < 50; i++ {
+	for i := 0; i < extra; i++ {
 		vals = append(vals, "(5, 0)")
 	}
 	db.MustExec("INSERT INTO T VALUES " + strings.Join(vals, ", "))
@@ -59,7 +57,7 @@ func countRows(t *testing.T, db *systemr.DB, q string) int {
 // execution refreshes statistics and recompiles → the recompiled plan is
 // served from cache afterwards.
 func TestFeedbackRecompilesMissedPlan(t *testing.T) {
-	db := feedbackDB(t, systemr.Config{})
+	db := feedbackDB(t)
 	const q = "SELECT V FROM T WHERE K = 5"
 
 	if got := countRows(t, db, q); got != 1 {
@@ -67,7 +65,7 @@ func TestFeedbackRecompilesMissedPlan(t *testing.T) {
 	}
 	s1 := db.PlanCacheStats()
 
-	skewT(t, db)
+	skewT(t, db, 50)
 
 	// Served from cache: the stale plan runs once more, observes 51 actual
 	// rows against its 1-row estimate, and is marked for recompilation.
@@ -116,40 +114,22 @@ func TestFeedbackRecompilesMissedPlan(t *testing.T) {
 	}
 }
 
-// TestFeedbackDisabled: RecompileMissRatio < 0 turns the loop off — the
-// stale plan keeps being served no matter how wrong it is.
-func TestFeedbackDisabled(t *testing.T) {
-	db := feedbackDB(t, systemr.Config{RecompileMissRatio: -1})
+// TestFeedbackThreshold: a 5× miss is below DefaultRecompileMissRatio, so
+// the plan stays cached.
+func TestFeedbackThreshold(t *testing.T) {
+	db := feedbackDB(t)
 	const q = "SELECT V FROM T WHERE K = 5"
 	countRows(t, db, q)
 	s1 := db.PlanCacheStats()
-	skewT(t, db)
+	skewT(t, db, 4)
 	for i := 0; i < 3; i++ {
-		if got := countRows(t, db, q); got != 51 {
-			t.Fatalf("rows = %d, want 51", got)
+		if got := countRows(t, db, q); got != 5 {
+			t.Fatalf("rows = %d, want 5", got)
 		}
 	}
 	s2 := db.PlanCacheStats()
 	if s2.Compilations != s1.Compilations {
-		t.Fatalf("disabled feedback must never recompile: %d -> %d compilations",
-			s1.Compilations, s2.Compilations)
-	}
-}
-
-// TestFeedbackThreshold: the ratio is configurable — a 51× miss under a
-// 100× threshold stays cached.
-func TestFeedbackThreshold(t *testing.T) {
-	db := feedbackDB(t, systemr.Config{RecompileMissRatio: 100})
-	const q = "SELECT V FROM T WHERE K = 5"
-	countRows(t, db, q)
-	s1 := db.PlanCacheStats()
-	skewT(t, db)
-	for i := 0; i < 3; i++ {
-		countRows(t, db, q)
-	}
-	s2 := db.PlanCacheStats()
-	if s2.Compilations != s1.Compilations {
-		t.Fatalf("51x miss under a 100x threshold must not recompile: %d -> %d",
-			s1.Compilations, s2.Compilations)
+		t.Fatalf("5x miss under the %dx threshold must not recompile: %d -> %d",
+			systemr.DefaultRecompileMissRatio, s1.Compilations, s2.Compilations)
 	}
 }

@@ -35,14 +35,14 @@ import (
 const CatalogLock = "__CATALOG__"
 
 // LockRequests derives a statement's table lock set: exclusive on every
-// table written, and DDL exclusively locks the catalog. Tables only read
-// take shared locks when snapshotReads is false (pure two-phase locking);
-// under MVCC snapshot reads they take none at all — visibility rules at the
-// RSS boundary isolate readers from in-flight writers, so readers never
-// block and are never blocked. Every statement still locks the catalog
-// shared, pinning the catalog version against DDL. The set depends only on
-// the statement text and the engine mode, so it is stored on the compiled
-// plan and stays valid across recompilations.
+// table written, and DDL exclusively locks the catalog. The engine reads
+// under MVCC snapshots (snapshotReads true), so tables only read take no
+// locks at all — visibility rules at the RSS boundary isolate readers from
+// in-flight writers, so readers never block and are never blocked. With
+// snapshotReads false they take shared locks (pure two-phase locking).
+// Every statement still locks the catalog shared, pinning the catalog
+// version against DDL. The set depends only on the statement text, so it is
+// stored on the compiled plan and stays valid across recompilations.
 func LockRequests(stmt sql.Statement, snapshotReads bool) []lock.Request {
 	reqs := []lock.Request{{Table: CatalogLock, Mode: lock.Shared}}
 	switch stmt.(type) {
@@ -121,16 +121,15 @@ func (cp *CompiledPlan) TakeRecompile() bool {
 // for concurrent use (compilation itself must run under the engine's shared
 // catalog lock, like any statement).
 type Pipeline struct {
-	cat           *catalog.Catalog
-	cfg           core.Config
-	snapshotReads bool
-	compilations  atomic.Int64
+	cat          *catalog.Catalog
+	cfg          core.Config
+	compilations atomic.Int64
 }
 
-// NewPipeline creates a compile pipeline over cat. snapshotReads selects
-// the MVCC lock sets (no shared table locks on reads) for compiled plans.
-func NewPipeline(cat *catalog.Catalog, cfg core.Config, snapshotReads bool) *Pipeline {
-	return &Pipeline{cat: cat, cfg: cfg, snapshotReads: snapshotReads}
+// NewPipeline creates a compile pipeline over cat. Compiled plans carry the
+// MVCC lock sets: no shared table locks on reads.
+func NewPipeline(cat *catalog.Catalog, cfg core.Config) *Pipeline {
+	return &Pipeline{cat: cat, cfg: cfg}
 }
 
 // Compilations returns how many plans the optimizer has produced — the
@@ -171,7 +170,7 @@ func (p *Pipeline) CompileSelect(gov *governor.Budget, sel *sql.SelectStmt, norm
 		Norm:    norm,
 		Version: version,
 		Query:   q,
-		Locks:   LockRequests(sel, p.snapshotReads),
+		Locks:   LockRequests(sel, true),
 		Reads:   reads,
 	}, nil
 }

@@ -544,11 +544,11 @@ func TestNaivePlanShape(t *testing.T) {
 			}
 
 			opt, _ := planFor(t, cat, Config{}, c.query)
-			got, _, err := exec.RunQuery(rt, naive)
+			got, _, err := exec.RunQuery(rt, naive, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, _, err := exec.RunQuery(rt, opt)
+			want, _, err := exec.RunQuery(rt, opt, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

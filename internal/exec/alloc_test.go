@@ -133,7 +133,7 @@ func TestSortAllocsPerTempPage(t *testing.T) {
 	allocs := testing.AllocsPerRun(3, func() {
 		e.rt.IO = &storage.IOStats{}
 		var err error
-		rows, _, err = RunQuery(e.rt, q)
+		rows, _, err = RunQuery(e.rt, q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,7 +35,7 @@ type Analysis struct {
 	IO storage.IOStatsSnapshot
 }
 
-// RunQueryAnalyze is RunQueryArgs keeping the instrumented operator tree for
+// RunQueryAnalyze is RunQuery keeping the instrumented operator tree for
 // rendering. The Analysis is returned even when execution aborts (canceled,
 // budget exceeded, storage fault), carrying the actuals up to the abort —
 // nil only if the plan could not be built.

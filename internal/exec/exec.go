@@ -64,21 +64,16 @@ type Stats struct {
 	Rows          int
 }
 
-// RunQuery executes a planned query block and returns the output rows. The
-// plan must not contain host variables (use RunQueryArgs).
-func RunQuery(rt *Runtime, q *plan.Query) ([]value.Row, *Stats, error) {
-	return RunQueryArgs(rt, q, nil)
-}
-
-// RunQueryArgs executes a planned query block with host-variable values
-// bound positionally (the paper's program-supplied values at execution
-// time).
-func RunQueryArgs(rt *Runtime, q *plan.Query, args []value.Value) ([]value.Row, *Stats, error) {
+// RunQuery executes a planned query block and returns the output rows, with
+// host-variable values bound positionally from args (the paper's
+// program-supplied values at execution time; nil for a plan without host
+// variables).
+func RunQuery(rt *Runtime, q *plan.Query, args []value.Value) ([]value.Row, *Stats, error) {
 	rows, stats, _, err := runQuery(rt, q, args)
 	return rows, stats, err
 }
 
-// runQuery is the shared body of RunQueryArgs and RunQueryAnalyze: execute
+// runQuery is the shared body of RunQuery and RunQueryAnalyze: execute
 // the block and return the rows, the statement stats, and the block context
 // whose operator tree now holds the per-operator actuals.
 func runQuery(rt *Runtime, q *plan.Query, args []value.Value) ([]value.Row, *Stats, *blockCtx, error) {
@@ -262,15 +257,10 @@ type Cursor struct {
 	stats  *Stats
 }
 
-// OpenQuery begins streaming execution of a planned block (no host
-// variables; use OpenQueryArgs otherwise).
-func OpenQuery(rt *Runtime, q *plan.Query) (*Cursor, error) {
-	return OpenQueryArgs(rt, q, nil)
-}
-
-// OpenQueryArgs begins streaming execution with host-variable values bound.
-// A failed open releases any scans the plan managed to open before failing.
-func OpenQueryArgs(rt *Runtime, q *plan.Query, args []value.Value) (*Cursor, error) {
+// OpenQuery begins streaming execution of a planned block with host-variable
+// values bound from args (nil for a plan without host variables). A failed
+// open releases any scans the plan managed to open before failing.
+func OpenQuery(rt *Runtime, q *plan.Query, args []value.Value) (*Cursor, error) {
 	c := &Cursor{rt: rt, before: rt.ensureIO().Snapshot()}
 	ctx := newBlockCtx(rt, q, &c.evals)
 	if err := bindHostArgs(ctx, q, args); err != nil {

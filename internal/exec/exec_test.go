@@ -50,7 +50,7 @@ func (e *env) exec(t testing.TB, query string, cfg core.Config) ([]value.Row, *S
 	if err != nil {
 		t.Fatalf("optimize %q: %v", query, err)
 	}
-	rows, stats, err := RunQuery(e.rt, q)
+	rows, stats, err := RunQuery(e.rt, q, nil)
 	if err != nil {
 		t.Fatalf("execute %q: %v\n%s", query, err, q.Explain())
 	}
@@ -169,7 +169,7 @@ func TestScalarSubqueryCardinalityError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RunQuery(e.rt, q); err == nil || !strings.Contains(err.Error(), "returned 2 rows") {
+	if _, _, err := RunQuery(e.rt, q, nil); err == nil || !strings.Contains(err.Error(), "returned 2 rows") {
 		t.Fatalf("want cardinality error, got %v", err)
 	}
 }
@@ -347,7 +347,7 @@ func TestExplainMatchesExecutionShape(t *testing.T) {
 	if !strings.Contains(out, "JOIN") || !strings.Contains(out, "PROJECT") {
 		t.Fatalf("explain shape:\n%s", out)
 	}
-	if _, _, err := RunQuery(e.rt, q); err != nil {
+	if _, _, err := RunQuery(e.rt, q, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -453,7 +453,7 @@ func TestCursorStreamsAndStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, err := OpenQuery(e.rt, q)
+	cur, err := OpenQuery(e.rt, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +485,7 @@ func TestCursorStreamsAndStats(t *testing.T) {
 	cur.Close() // idempotent
 
 	// Early close finalizes stats.
-	cur2, _ := OpenQuery(e.rt, q)
+	cur2, _ := OpenQuery(e.rt, q, nil)
 	cur2.Next()
 	cur2.Close()
 	if cur2.Stats() == nil {
@@ -547,7 +547,7 @@ func TestCursorCloseIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, err := OpenQuery(e.rt, q)
+	cur, err := OpenQuery(e.rt, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -181,7 +181,7 @@ func TestRetainedRowsSurviveLaterBatches(t *testing.T) {
 				t.Fatalf("%s returned no rows", tc.name)
 			}
 
-			rows, _, err := RunQuery(e.rt, q)
+			rows, _, err := RunQuery(e.rt, q, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -225,7 +225,7 @@ func TestScanRowsSurviveStageReuse(t *testing.T) {
 			t.Fatalf("unexpected access path:\n%s", q.Explain())
 		}
 		got := drainRetained(t, scan, 16)
-		rows, _, err := RunQuery(e.rt, q)
+		rows, _, err := RunQuery(e.rt, q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -272,8 +272,8 @@ func (a *analyzer) resolveExpr(e sql.Expr, allowAgg bool) (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !inner.Type().Arithmetic() && inner.Type() != value.KindNull {
-			return nil, fmt.Errorf("semantic error: cannot negate %s value %s", inner.Type(), inner)
+		if err := NegOperand(inner); err != nil {
+			return nil, err
 		}
 		return &Neg{E: inner}, nil
 	case *sql.NotExpr:
@@ -308,7 +308,7 @@ func (a *analyzer) resolveExpr(e sql.Expr, allowAgg bool) (Expr, error) {
 				return nil, err
 			}
 		default: // arithmetic
-			if err := arithmeticOperands(l, r); err != nil {
+			if err := ArithOperands(l, r); err != nil {
 				return nil, err
 			}
 		}
@@ -524,7 +524,16 @@ func comparable(l, r Expr) error {
 	return fmt.Errorf("semantic error: cannot compare %s %s with %s %s", lt, l, rt, r)
 }
 
-func arithmeticOperands(l, r Expr) error {
+// NegOperand rejects negating a non-numeric operand; NULL passes.
+func NegOperand(e Expr) error {
+	if t := e.Type(); !t.Arithmetic() && t != value.KindNull {
+		return fmt.Errorf("semantic error: cannot negate %s value %s", t, e)
+	}
+	return nil
+}
+
+// ArithOperands rejects arithmetic on a non-numeric operand; NULL passes.
+func ArithOperands(l, r Expr) error {
 	for _, e := range []Expr{l, r} {
 		t := e.Type()
 		if !t.Arithmetic() && t != value.KindNull {

@@ -129,13 +129,13 @@ func (db *DB) lockSet(st *statement, explicit bool) ([]lock.Request, error) {
 	}
 	norm, normOK := sql.Normalize(st.text)
 	st.norm = norm
-	if normOK && db.plans != nil {
+	if normOK {
 		if e, ok := db.plans.Peek(db.planKey(norm)); ok {
-			// Feedback: a plan whose estimates missed by the configured
-			// ratio gets its statistics refreshed before this execution
-			// acquires any locks; the refresh bumps the catalog version, so
-			// resolveSelect recompiles against the new statistics instead of
-			// serving the discredited plan.
+			// Feedback: a plan whose estimates missed by
+			// DefaultRecompileMissRatio gets its statistics refreshed before
+			// this execution acquires any locks; the refresh bumps the
+			// catalog version, so resolveSelect recompiles against the new
+			// statistics instead of serving the discredited plan.
 			if e.NeedsRecompile() {
 				db.refreshFeedbackStats(e)
 			}
@@ -156,7 +156,7 @@ func (db *DB) lockSet(st *statement, explicit bool) ([]lock.Request, error) {
 		}
 	}
 	st.parsed = stmt
-	return compile.LockRequests(stmt, !db.cfg.DisableSnapshotReads), nil
+	return compile.LockRequests(stmt, true), nil
 }
 
 // runBody runs the statement's body under its governor and transaction.

@@ -146,7 +146,7 @@ func newDBMetrics(db *DB) *dbMetrics {
 	cacheEntries := reg.NewGauge("systemr_plan_cache_entries",
 		"Compiled plans currently cached")
 	cacheCapacity := reg.NewGauge("systemr_plan_cache_capacity",
-		"Plan cache capacity in entries (0 = caching disabled)")
+		"Plan cache capacity in entries")
 	compilations := reg.NewGauge("systemr_compilations",
 		"Optimizer invocations since startup")
 	catalogVersion := reg.NewGauge("systemr_catalog_version",

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"systemr"
 )
@@ -21,13 +20,7 @@ import (
 // i in [0, n).
 func mvccDB(t *testing.T, n int) *systemr.DB {
 	t.Helper()
-	return mvccDBWith(t, systemr.Config{}, n)
-}
-
-// mvccDBWith is mvccDB under the given engine configuration.
-func mvccDBWith(t *testing.T, cfg systemr.Config, n int) *systemr.DB {
-	t.Helper()
-	db := systemr.Open(cfg)
+	db := systemr.Open(systemr.Config{})
 	db.MustExec("CREATE TABLE T (A INTEGER, B INTEGER)")
 	stmt := "INSERT INTO T VALUES "
 	for i := 0; i < n; i++ {
@@ -251,79 +244,71 @@ func TestVacuumRespectsOpenSnapshots(t *testing.T) {
 	}
 }
 
-// TestAutoVacuumTriggers: with VacuumEvery=1 every committed write runs a
-// vacuum pass, so dead versions never accumulate and an explicit Vacuum
-// finds nothing left.
+// TestAutoVacuumTriggers: a vacuum pass runs after every DefaultVacuumEvery
+// writing commits and not before. One INSERT and then UPDATEs of its row,
+// each leaving one dead version: the pass on the last commit reclaims them
+// all, so an explicit Vacuum finds nothing left.
 func TestAutoVacuumTriggers(t *testing.T) {
-	db := systemr.Open(systemr.Config{VacuumEvery: 1})
+	db := systemr.Open(systemr.Config{})
 	db.MustExec("CREATE TABLE T (A INTEGER, B INTEGER)")
-	db.MustExec("INSERT INTO T VALUES (1, 1), (2, 2), (3, 3)")
-	db.MustExec("UPDATE T SET B = B + 10") // dead versions; commit triggers vacuum
-	db.MustExec("DELETE FROM T WHERE A = 1")
-
-	m := sampleMap(db)
-	if got := m["systemr_vacuum_runs_total"].Value; got < 2 {
-		t.Fatalf("vacuum_runs_total = %g, want >= 2", got)
+	db.MustExec("INSERT INTO T VALUES (1, 0)")
+	for i := 2; i < systemr.DefaultVacuumEvery; i++ {
+		db.MustExec("UPDATE T SET B = B + 1")
 	}
-	if got := m["systemr_vacuum_reclaimed_total"].Value; got < 3 {
-		t.Fatalf("vacuum_reclaimed_total = %g, want >= 3", got)
+	if got := sampleMap(db)["systemr_vacuum_runs_total"].Value; got != 0 {
+		t.Fatalf("vacuum_runs_total = %g after %d writing commits, want 0", got, systemr.DefaultVacuumEvery-1)
+	}
+	db.MustExec("UPDATE T SET B = B + 1")
+	m := sampleMap(db)
+	if got := m["systemr_vacuum_runs_total"].Value; got != 1 {
+		t.Fatalf("vacuum_runs_total = %g after %d writing commits, want 1", got, systemr.DefaultVacuumEvery)
+	}
+	if got, want := m["systemr_vacuum_reclaimed_total"].Value, float64(systemr.DefaultVacuumEvery-1); got != want {
+		t.Fatalf("vacuum_reclaimed_total = %g, want %g", got, want)
 	}
 	if got := db.Vacuum(); got != 0 {
 		t.Fatalf("explicit vacuum after auto-vacuum reclaimed %d, want 0", got)
 	}
-	if s := sumB(t, db.Query); s != 12+13 {
-		t.Fatalf("SUM(B) = %d, want 25", s)
+	if s := sumB(t, db.Query); s != systemr.DefaultVacuumEvery-1 {
+		t.Fatalf("SUM(B) = %d, want %d", s, systemr.DefaultVacuumEvery-1)
 	}
 }
 
 // TestSnapshotReadersPassWriterLock is the scenario snapshot isolation exists
 // for: one transaction UPDATEs T and sits on its uncommitted exclusive lock.
 // Under snapshot reads concurrent readers all complete and see the committed
-// sum; under the two-phase-locking baseline (DisableSnapshotReads) every
-// reader queues behind the X lock until LockTimeout.
+// sum.
 func TestSnapshotReadersPassWriterLock(t *testing.T) {
 	const readers, reads = 4, 5
-	for _, c := range []struct {
-		name     string
-		cfg      systemr.Config
-		snapshot bool
-	}{
-		{"snapshot", systemr.Config{}, true},
-		{"2pl", systemr.Config{DisableSnapshotReads: true, LockTimeout: 10 * time.Millisecond}, false},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			db := mvccDBWith(t, c.cfg, 200)
-			committed := sumB(t, db.Query)
-			x := db.Begin()
-			defer x.Rollback()
-			if _, err := x.Exec("UPDATE T SET B = B + 1"); err != nil {
-				t.Fatalf("writer update: %v", err)
-			}
-			errs := make(chan error, readers*reads)
-			var wg sync.WaitGroup
-			for r := 0; r < readers; r++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < reads; i++ {
-						res, err := db.Query("SELECT SUM(B) FROM T")
-						if err == nil && res.Rows[0][0] != committed {
-							err = fmt.Errorf("read SUM(B) = %v, want the committed %d", res.Rows[0][0], committed)
-						}
-						errs <- err
+	t.Run("snapshot", func(t *testing.T) {
+		db := mvccDB(t, 200)
+		committed := sumB(t, db.Query)
+		x := db.Begin()
+		defer x.Rollback()
+		if _, err := x.Exec("UPDATE T SET B = B + 1"); err != nil {
+			t.Fatalf("writer update: %v", err)
+		}
+		errs := make(chan error, readers*reads)
+		var wg sync.WaitGroup
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < reads; i++ {
+					res, err := db.Query("SELECT SUM(B) FROM T")
+					if err == nil && res.Rows[0][0] != committed {
+						err = fmt.Errorf("read SUM(B) = %v, want the committed %d", res.Rows[0][0], committed)
 					}
-				}()
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				if c.snapshot && err != nil {
-					t.Errorf("snapshot read under the uncommitted writer: %v", err)
+					errs <- err
 				}
-				if !c.snapshot && !errors.Is(err, systemr.ErrLockTimeout) {
-					t.Errorf("2PL read under the uncommitted writer: got %v, want ErrLockTimeout", err)
-				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Errorf("snapshot read under the uncommitted writer: %v", err)
 			}
-		})
-	}
+		}
+	})
 }

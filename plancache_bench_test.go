@@ -2,29 +2,45 @@ package systemr_test
 
 // Plan cache benchmarks: the compile-once/execute-many payoff. Two
 // statement shapes — a SARGable single-relation SELECT and the EMP/DEPT/JOB
-// three-table join — each executed three ways: ad hoc with the cache
-// disabled (cold: parse + sem + optimize every time), ad hoc through the
-// warm plan cache, and prepared. TestPlanCacheHitsCompileOnce checks the
-// cache's half of the bargain without a stopwatch.
+// three-table join — each executed three ways: ad hoc with one literal
+// varied per run so every text misses the cache (cold: parse + sem +
+// optimize every time), ad hoc through the warm plan cache, and prepared.
+// TestPlanCacheHitsCompileOnce checks the cache's half of the bargain
+// without a stopwatch.
 
 import (
+	"fmt"
 	"testing"
 
 	"systemr"
 	"systemr/internal/workload"
 )
 
-var plancacheQueries = []struct{ name, query string }{
-	{"sargable_select", "SELECT NAME FROM EMP WHERE DNO = 7 AND SAL > 20000"},
+// plancacheQueries gives each shape's text and, for the cold runs, a format
+// that replaces the low three digits of its literal with a run counter.
+var plancacheQueries = []struct{ name, query, cold string }{
+	{"sargable_select", "SELECT NAME FROM EMP WHERE DNO = 7 AND SAL > 20000",
+		"SELECT NAME FROM EMP WHERE DNO = 7 AND SAL > 20%03d"},
 	{"join3", "SELECT E.NAME, D.DNAME, J.TITLE FROM EMP E, DEPT D, JOB J " +
-		"WHERE E.DNO = D.DNO AND E.JOB = J.JOB AND E.EMPNO = 1234"},
+		"WHERE E.DNO = D.DNO AND E.JOB = J.JOB AND E.EMPNO = 1234",
+		"SELECT E.NAME, D.DNAME, J.TITLE FROM EMP E, DEPT D, JOB J " +
+			"WHERE E.DNO = D.DNO AND E.JOB = J.JOB AND E.EMPNO = 1%03d"},
 }
 
-func plancacheDB(cacheSize int) *systemr.DB {
-	return workload.NewEmpDB(workload.EmpConfig{
-		Emps: 2000, Depts: 50, Jobs: 10, Seed: 43,
-		Engine: systemr.Config{PlanCacheSize: cacheSize},
-	})
+func plancacheDB() *systemr.DB {
+	return workload.NewEmpDB(workload.EmpConfig{Emps: 2000, Depts: 50, Jobs: 10, Seed: 43})
+}
+
+// coldText is the cold run i's text: 1,000 distinct texts cycle through the
+// plan cache, more than it holds, so each is evicted before it recurs.
+func coldText(format string, i int) string { return fmt.Sprintf(format, i%1000) }
+
+// assertNoHits fails a cold benchmark whose texts were served from the cache.
+func assertNoHits(b *testing.B, db *systemr.DB) {
+	b.Helper()
+	if s := db.PlanCacheStats(); s.Hits != 0 {
+		b.Fatalf("cold loop was served from cache: %+v", s)
+	}
 }
 
 // BenchmarkPlanCache compares cold compilation against warm cache hits per
@@ -32,16 +48,17 @@ func plancacheDB(cacheSize int) *systemr.DB {
 func BenchmarkPlanCache(b *testing.B) {
 	for _, q := range plancacheQueries {
 		b.Run(q.name+"/cold", func(b *testing.B) {
-			db := plancacheDB(-1)
+			db := plancacheDB()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := db.Query(q.query); err != nil {
+				if _, err := db.Query(coldText(q.cold, i)); err != nil {
 					b.Fatal(err)
 				}
 			}
+			assertNoHits(b, db)
 		})
 		b.Run(q.name+"/cached", func(b *testing.B) {
-			db := plancacheDB(0)
+			db := plancacheDB()
 			if _, err := db.Query(q.query); err != nil { // warm the cache
 				b.Fatal(err)
 			}
@@ -56,7 +73,7 @@ func BenchmarkPlanCache(b *testing.B) {
 			}
 		})
 		b.Run(q.name+"/prepared", func(b *testing.B) {
-			db := plancacheDB(0)
+			db := plancacheDB()
 			stmt, err := db.Prepare(q.query)
 			if err != nil {
 				b.Fatal(err)
@@ -77,7 +94,7 @@ func BenchmarkPlanCache(b *testing.B) {
 func TestPlanCacheHitsCompileOnce(t *testing.T) {
 	const runs = 20
 	for _, q := range plancacheQueries {
-		db := plancacheDB(0)
+		db := plancacheDB()
 		for i := 0; i < runs; i++ {
 			if _, err := db.Query(q.query); err != nil {
 				t.Fatal(err)
@@ -100,7 +117,7 @@ func TestPlanCacheHitsCompileOnce(t *testing.T) {
 
 	// A host-variable statement compiles without seeing its bindings, so
 	// runs binding an int and a float share the one plan and cache entry.
-	db := plancacheDB(0)
+	db := plancacheDB()
 	stmt, err := db.Prepare("SELECT NAME FROM EMP WHERE SAL > ?")
 	if err != nil {
 		t.Fatal(err)

@@ -63,23 +63,6 @@ func TestPlanCacheHitSkipsCompilation(t *testing.T) {
 	}
 }
 
-// TestPlanCacheDisabled: PlanCacheSize < 0 restores recompile-every-time.
-func TestPlanCacheDisabled(t *testing.T) {
-	db := systemr.Open(systemr.Config{PlanCacheSize: -1})
-	db.MustExec("CREATE TABLE T (A INTEGER)")
-	db.MustExec("INSERT INTO T VALUES (1)")
-	before := db.PlanCacheStats()
-	db.MustExec("SELECT A FROM T")
-	db.MustExec("SELECT A FROM T")
-	after := db.PlanCacheStats()
-	if after.Hits != 0 || after.Misses != 0 || after.Capacity != 0 {
-		t.Fatalf("disabled cache recorded traffic: %+v", after)
-	}
-	if after.Compilations-before.Compilations != 2 {
-		t.Fatalf("disabled cache should compile each run: %+v", after)
-	}
-}
-
 // TestPlanCacheDropIndexInvalidation is the stale-plan regression test: a
 // cached plan probing an index must flip to a segment scan after DROP INDEX,
 // and back through an index scan after the index is recreated.
@@ -238,25 +221,6 @@ func TestPreparedStmtRevalidation(t *testing.T) {
 	}
 	if !strings.Contains(stmt.Explain(), "INDEXSCAN EMP via EMP_EMPNO") {
 		t.Fatalf("cursor open did not recompile against the recreated index:\n%s", stmt.Explain())
-	}
-}
-
-// TestPreparedStmtRevalidationNoCache: the same contract with the cache
-// disabled — revalidation is the statement's own duty then.
-func TestPreparedStmtRevalidationNoCache(t *testing.T) {
-	db := workload.NewEmpDB(workload.EmpConfig{
-		Emps: 500, Seed: 3, Engine: systemr.Config{PlanCacheSize: -1},
-	})
-	stmt, err := db.Prepare("SELECT NAME FROM EMP WHERE EMPNO = ?")
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.MustExec("DROP INDEX EMP_EMPNO")
-	if _, err := stmt.Run(7); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(stmt.Explain(), "EMP_EMPNO") {
-		t.Fatalf("uncached prepared statement executed a stale plan:\n%s", stmt.Explain())
 	}
 }
 

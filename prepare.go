@@ -38,9 +38,8 @@ type Stmt struct {
 	cp *compile.CompiledPlan
 }
 
-// Prepare compiles a SELECT statement: the optimizer runs once, now. When the
-// plan cache is enabled the compiled plan is shared with (and revalidated
-// through) the cache.
+// Prepare compiles a SELECT statement: the optimizer runs once, now. The
+// compiled plan is shared with (and revalidated through) the plan cache.
 func (db *DB) Prepare(text string) (*Stmt, error) {
 	parsed, err := sql.Parse(text)
 	if err != nil {
@@ -51,9 +50,9 @@ func (db *DB) Prepare(text string) (*Stmt, error) {
 		return nil, fmt.Errorf("systemr: Prepare supports SELECT statements, got %T", parsed)
 	}
 	norm, _ := sql.Normalize(text)
-	held := db.locks.Acquire(compile.LockRequests(parsed, !db.cfg.DisableSnapshotReads))
+	held := db.locks.Acquire(compile.LockRequests(parsed, true))
 	defer held.Release()
-	cp, _, err := db.resolveSelect(nil, norm, sel, nil)
+	cp, _, err := db.resolveSelect(nil, norm, sel)
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +88,7 @@ func (s *Stmt) RunContext(ctx context.Context, args ...any) (*Result, error) {
 // under the statement's locks — recompiling after DDL or a statistics
 // refresh — then run it, or open a cursor over it.
 func (s *Stmt) exec(gov *governor.Budget, t *txn.Txn, st *statement) error {
-	cp, _, err := s.db.resolveSelect(gov, s.norm, nil, s.current())
+	cp, _, err := s.db.resolveSelect(gov, s.norm, nil)
 	if err != nil {
 		return err
 	}
@@ -97,7 +96,7 @@ func (s *Stmt) exec(gov *governor.Budget, t *txn.Txn, st *statement) error {
 	s.cp = cp
 	s.mu.Unlock()
 	if st.cursor {
-		c, err := exec.OpenQueryArgs(s.db.runtime(gov, t.Snapshot()), cp.Query, st.vals)
+		c, err := exec.OpenQuery(s.db.runtime(gov, t.Snapshot()), cp.Query, st.vals)
 		if err != nil {
 			return wrapGovErr(err, ExecStats{})
 		}

@@ -19,14 +19,9 @@ import (
 
 const skewSeed = 7
 
-// noFeedback keeps plans stable while the test inspects them.
-func skewEngine(disableHist bool) systemr.Config {
-	return systemr.Config{DisableHistograms: disableHist, RecompileMissRatio: -1}
-}
-
 func TestSkewPlanFlip(t *testing.T) {
-	hist, hot := workload.NewSkewDB(workload.SkewConfig{Seed: skewSeed, Engine: skewEngine(false)})
-	uni, _ := workload.NewSkewDB(workload.SkewConfig{Seed: skewSeed, Engine: skewEngine(true)})
+	hist, hot := workload.NewSkewDB(workload.SkewConfig{Seed: skewSeed})
+	uni, _ := workload.NewSkewDB(workload.SkewConfig{Seed: skewSeed, Engine: systemr.Config{DisableHistograms: true}})
 
 	hotQ := fmt.Sprintf("SELECT VAL FROM EVENTS WHERE KEY = %d", hot)
 
@@ -91,8 +86,8 @@ func TestSkewPlanFlip(t *testing.T) {
 // histograms must cut the mean estimation q-error and flip exactly four of
 // the eight access-path choices.
 func TestHistogramsFlipPlans(t *testing.T) {
-	hist, hot := workload.NewSkewDB(workload.SkewConfig{Seed: skewSeed, Engine: skewEngine(false)})
-	uni, _ := workload.NewSkewDB(workload.SkewConfig{Seed: skewSeed, Engine: skewEngine(true)})
+	hist, hot := workload.NewSkewDB(workload.SkewConfig{Seed: skewSeed})
+	uni, _ := workload.NewSkewDB(workload.SkewConfig{Seed: skewSeed, Engine: systemr.Config{DisableHistograms: true}})
 	queries := []string{
 		fmt.Sprintf("SELECT VAL FROM EVENTS WHERE KEY = %d", hot),
 		"SELECT VAL FROM EVENTS WHERE KEY = 10",

@@ -80,40 +80,6 @@ type Config struct {
 	// baseline of the evaluation harness.
 	Naive bool
 
-	// ExecBatchSize is the number of rows the executor moves per operator
-	// batch (0 = default 256). It only amortizes per-row instrumentation —
-	// it never changes plan choice, so it does not participate in the plan
-	// cache key. Negative values are treated as the default.
-	ExecBatchSize int
-
-	// DisableSnapshotReads turns MVCC snapshot reads off: SELECTs take
-	// shared table locks again (pure strict 2PL, the pre-MVCC engine) and
-	// block behind writers. Reads are still version-aware — they see the
-	// latest committed versions — so the switch only changes concurrency,
-	// not results. Benchmark baseline and escape hatch.
-	DisableSnapshotReads bool
-	// VacuumEvery triggers automatic version garbage collection after that
-	// many committed writing transactions (0 = default 512; negative
-	// disables). Vacuum also runs on demand via DB.Vacuum.
-	VacuumEvery int
-
-	// PlanCacheSize bounds the shared compiled-plan cache in entries: a
-	// repeated SELECT (same normalized text, unchanged catalog version),
-	// ad hoc or prepared, executes its cached plan and skips
-	// parse/sem/optimize entirely. 0 means the default (256); negative
-	// disables caching, recompiling every statement as the seed engine did.
-	PlanCacheSize int
-
-	// RecompileMissRatio closes the estimation feedback loop: after every
-	// execution of a cached plan, the engine compares the optimizer's
-	// estimated result rows with the measured actual rows, and once the
-	// symmetric miss factor max(est,act)/min(est,act) reaches this ratio the
-	// plan is marked; the next execution refreshes statistics on the tables
-	// the plan reads (non-blocking — skipped under catalog contention) and
-	// recompiles against them. 0 means the default (10); negative disables
-	// feedback entirely.
-	RecompileMissRatio float64
-
 	// Execution governor knobs (0 = unlimited). Violations surface as a
 	// *StatementError wrapping ErrBudgetExceeded, with the partial ExecStats
 	// attached.
@@ -153,7 +119,7 @@ type DB struct {
 	cat      *catalog.Catalog
 	locks    *lock.Manager
 	compiler *compile.Pipeline
-	plans    *compile.Cache // nil when caching is disabled
+	plans    *compile.Cache
 	metrics  *dbMetrics
 	last     ExecStats
 
@@ -166,17 +132,23 @@ type DB struct {
 	vacuuming atomic.Bool  // serializes vacuum passes (auto and manual)
 }
 
-// DefaultPlanCacheSize is the plan cache's entry bound when
-// Config.PlanCacheSize is zero.
+// DefaultPlanCacheSize bounds the shared compiled-plan cache in entries: a
+// repeated SELECT (same normalized text, unchanged catalog version), ad hoc
+// or prepared, executes its cached plan and skips parse/sem/optimize.
 const DefaultPlanCacheSize = 256
 
-// DefaultVacuumEvery is the auto-vacuum commit interval when
-// Config.VacuumEvery is zero.
+// DefaultVacuumEvery is the auto-vacuum interval: version garbage collection
+// runs after that many committed writing transactions (and on demand via
+// DB.Vacuum).
 const DefaultVacuumEvery = 512
 
-// DefaultRecompileMissRatio is the misestimation factor that marks a cached
-// plan for statistics refresh + recompilation when Config.RecompileMissRatio
-// is zero: an order of magnitude off in either direction.
+// DefaultRecompileMissRatio closes the estimation feedback loop: after every
+// execution of a cached plan, the engine compares the optimizer's estimated
+// result rows with the measured actual rows, and once the symmetric miss
+// factor max(est,act)/min(est,act) reaches this ratio — an order of magnitude
+// off in either direction — the plan is marked; the next execution refreshes
+// statistics on the tables the plan reads (non-blocking — skipped under
+// catalog contention) and recompiles against them.
 const DefaultRecompileMissRatio = 10
 
 // Result is the outcome of a statement.
@@ -215,18 +187,9 @@ func Open(cfg Config) *DB {
 	if cfg.W == 0 {
 		cfg.W = core.DefaultW
 	}
-	if cfg.ExecBatchSize <= 0 {
-		cfg.ExecBatchSize = exec.DefaultBatchSize
-	}
 	disk := storage.NewDisk()
 	stats := &storage.IOStats{}
 	cat := catalog.New(disk)
-	if cfg.VacuumEvery == 0 {
-		cfg.VacuumEvery = DefaultVacuumEvery
-	}
-	if cfg.RecompileMissRatio == 0 {
-		cfg.RecompileMissRatio = DefaultRecompileMissRatio
-	}
 	db := &DB{
 		cfg:   cfg,
 		disk:  disk,
@@ -234,19 +197,13 @@ func Open(cfg Config) *DB {
 		pool:  storage.NewBufferPool(disk, cfg.BufferPages, stats),
 		cat:   cat,
 		locks: lock.NewManager(),
+		plans: compile.NewCache(DefaultPlanCacheSize),
 		txns:  txn.NewRegistry(),
 	}
 	if cfg.LockTimeout > 0 {
 		db.locks.SetLockTimeout(cfg.LockTimeout)
 	}
-	db.compiler = compile.NewPipeline(cat, db.OptimizerConfig(), !cfg.DisableSnapshotReads)
-	if cfg.PlanCacheSize >= 0 {
-		size := cfg.PlanCacheSize
-		if size == 0 {
-			size = DefaultPlanCacheSize
-		}
-		db.plans = compile.NewCache(size)
-	}
+	db.compiler = compile.NewPipeline(cat, db.OptimizerConfig())
 	db.metrics = newDBMetrics(db)
 	return db
 }
@@ -298,8 +255,7 @@ func (db *DB) SetMutationFault(hook func(n int64) error) {
 }
 
 // planKey builds the plan-cache key for a normalized SELECT. Host-variable
-// types do not participate: compilation never sees the bindings. Neither
-// does ExecBatchSize, which is execution-only.
+// types do not participate: compilation never sees the bindings.
 func (db *DB) planKey(norm string) string {
 	return compile.Key(norm, "")
 }
@@ -311,18 +267,11 @@ func (db *DB) planKey(norm string) string {
 // version between the check and execution. sel, when non-nil, is the
 // already-parsed statement matching norm (the cold path reuses its parse);
 // otherwise norm itself is parsed (Normalize preserves identifier case, so
-// the recompiled plan is textually faithful, output names included). held,
-// when non-nil, is a prepared statement's current plan: with caching
-// disabled it is reused while its version is current.
-func (db *DB) resolveSelect(gov *governor.Budget, norm string, sel *sql.SelectStmt, held *compile.CompiledPlan) (*compile.CompiledPlan, bool, error) {
+// the recompiled plan is textually faithful, output names included).
+func (db *DB) resolveSelect(gov *governor.Budget, norm string, sel *sql.SelectStmt) (*compile.CompiledPlan, bool, error) {
 	key := db.planKey(norm)
-	version := db.cat.Version()
-	if db.plans == nil {
-		if held != nil && held.Version == version {
-			return held, false, nil
-		}
-	} else if e, ok := db.plans.Peek(key); ok {
-		if e.Version == version {
+	if e, ok := db.plans.Peek(key); ok {
+		if e.Version == db.cat.Version() {
 			db.plans.Hit(key)
 			return e, true, nil
 		}
@@ -340,10 +289,8 @@ func (db *DB) resolveSelect(gov *governor.Budget, norm string, sel *sql.SelectSt
 	if err != nil {
 		return nil, false, wrapGovErr(err, ExecStats{})
 	}
-	if db.plans != nil {
-		db.plans.Miss()
-		db.plans.Put(key, cp)
-	}
+	db.plans.Miss()
+	db.plans.Put(key, cp)
 	return cp, false, nil
 }
 
@@ -444,19 +391,18 @@ func (db *DB) Runtime() *exec.Runtime { return db.runtime(nil, nil) }
 func (db *DB) RunPlanned(q *plan.Query) ([]value.Row, *exec.Stats, error) {
 	reg := db.txns.Begin()
 	defer db.txns.Finish(reg)
-	return exec.RunQuery(db.runtime(nil, reg.Snap), q)
+	return exec.RunQuery(db.runtime(nil, reg.Snap), q, nil)
 }
 
 // runtime binds an executor runtime with the statement's governor budget,
 // the MVCC snapshot its scans read under, and the statement's own I/O
 // accumulator, so every page access and RSI call of the statement is
 // measured on its own ledger — exact under concurrency — while still
-// aggregating into the pool's DB-global counters. The configured batch size
-// and the batch metric observer ride along.
+// aggregating into the pool's DB-global counters. The batch metric observer
+// rides along.
 func (db *DB) runtime(g *governor.Budget, snap *storage.Snapshot) *exec.Runtime {
 	m := db.metrics
-	return &exec.Runtime{Pool: db.pool, Disk: db.disk, Budget: g, IO: g.IO(),
-		BatchSize: db.cfg.ExecBatchSize, Snap: snap,
+	return &exec.Runtime{Pool: db.pool, Disk: db.disk, Budget: g, IO: g.IO(), Snap: snap,
 		OnBatch: func(rows int) { m.execBatchRows.Observe(float64(rows)) }}
 }
 
@@ -484,13 +430,10 @@ func (db *DB) OptimizerConfig() core.Config {
 }
 
 // noteCommit accounts one committed writing transaction toward the
-// auto-vacuum trigger and runs a vacuum pass every Config.VacuumEvery
+// auto-vacuum trigger and runs a vacuum pass every DefaultVacuumEvery
 // commits. Called after the transaction released its locks.
 func (db *DB) noteCommit() {
-	if db.cfg.VacuumEvery <= 0 {
-		return
-	}
-	if db.commits.Add(1)%int64(db.cfg.VacuumEvery) == 0 {
+	if db.commits.Add(1)%DefaultVacuumEvery == 0 {
 		db.Vacuum()
 	}
 }
@@ -502,7 +445,7 @@ func (db *DB) noteCommit() {
 // acquired without waiting — tables locked by concurrent writers are simply
 // skipped until the next pass, so vacuum never blocks or deadlocks user
 // work. It returns the number of versions reclaimed. Runs automatically
-// every Config.VacuumEvery committed writes; call it directly for immediate
+// every DefaultVacuumEvery committed writes; call it directly for immediate
 // reclamation (tests, maintenance windows).
 func (db *DB) Vacuum() int {
 	if !db.vacuuming.CompareAndSwap(false, true) {
@@ -574,8 +517,7 @@ func (db *DB) planBlock(gov *governor.Budget, blk *sem.Block) (*plan.Query, erro
 
 // PlanCacheStats reports plan-cache observability: served hits, compiling
 // misses, version invalidations, LRU evictions, occupancy, the pipeline's
-// total optimizer invocations, and the current catalog version. All zero
-// counters with Capacity 0 means caching is disabled.
+// total optimizer invocations, and the current catalog version.
 type PlanCacheStats struct {
 	Hits          int64
 	Misses        int64
@@ -592,17 +534,17 @@ type PlanCacheStats struct {
 
 // PlanCacheStats returns a snapshot of the plan cache counters.
 func (db *DB) PlanCacheStats() PlanCacheStats {
-	s := PlanCacheStats{
+	cs := db.plans.Stats()
+	return PlanCacheStats{
+		Hits:           cs.Hits,
+		Misses:         cs.Misses,
+		Invalidations:  cs.Invalidations,
+		Evictions:      cs.Evictions,
+		Entries:        cs.Entries,
+		Capacity:       cs.Capacity,
 		Compilations:   db.compiler.Compilations(),
 		CatalogVersion: db.cat.Version(),
 	}
-	if db.plans != nil {
-		cs := db.plans.Stats()
-		s.Hits, s.Misses = cs.Hits, cs.Misses
-		s.Invalidations, s.Evictions = cs.Invalidations, cs.Evictions
-		s.Entries, s.Capacity = cs.Entries, cs.Capacity
-	}
-	return s
 }
 
 // execStmt dispatches one parsed statement under the statement's governor,
@@ -648,8 +590,12 @@ func (db *DB) execStmt(gov *governor.Budget, cur *txn.Txn, norm string, stmt sql
 	return &Result{}, nil
 }
 
+// constArith maps the SQL arithmetic operators to value.Arith's.
+var constArith = map[sql.BinOp]byte{sql.OpAdd: '+', sql.OpSub: '-', sql.OpMul: '*', sql.OpDiv: '/'}
+
 // evalConstExpr evaluates INSERT VALUES expressions: literals and constant
-// arithmetic.
+// arithmetic, whose operands pass the same type checks as in SELECT and
+// UPDATE.
 func evalConstExpr(e sql.Expr) (value.Value, error) {
 	switch x := e.(type) {
 	case *sql.Literal:
@@ -657,6 +603,9 @@ func evalConstExpr(e sql.Expr) (value.Value, error) {
 	case *sql.NegExpr:
 		v, err := evalConstExpr(x.E)
 		if err != nil {
+			return value.Value{}, err
+		}
+		if err := sem.NegOperand(&sem.Const{Val: v}); err != nil {
 			return value.Value{}, err
 		}
 		return value.Arith('-', value.NewInt(0), v), nil
@@ -669,15 +618,11 @@ func evalConstExpr(e sql.Expr) (value.Value, error) {
 		if err != nil {
 			return value.Value{}, err
 		}
-		switch x.Op {
-		case sql.OpAdd:
-			return value.Arith('+', l, r), nil
-		case sql.OpSub:
-			return value.Arith('-', l, r), nil
-		case sql.OpMul:
-			return value.Arith('*', l, r), nil
-		case sql.OpDiv:
-			return value.Arith('/', l, r), nil
+		if op, ok := constArith[x.Op]; ok {
+			if err := sem.ArithOperands(&sem.Const{Val: l}, &sem.Const{Val: r}); err != nil {
+				return value.Value{}, err
+			}
+			return value.Arith(op, l, r), nil
 		}
 	}
 	return value.Value{}, fmt.Errorf("systemr: VALUES requires constant expressions, got %s", e)
@@ -754,7 +699,7 @@ func (db *DB) execInsert(gov *governor.Budget, cur *txn.Txn, st *sql.InsertStmt)
 // freshly compiled plan for next time — run it, and feed the estimation
 // loop with the outcome.
 func (db *DB) execSelect(gov *governor.Budget, cur *txn.Txn, norm string, sel *sql.SelectStmt) (*Result, error) {
-	cp, _, err := db.resolveSelect(gov, norm, sel, nil)
+	cp, _, err := db.resolveSelect(gov, norm, sel)
 	if err != nil {
 		return nil, err
 	}
@@ -781,7 +726,7 @@ func (db *DB) runPlan(gov *governor.Budget, t *txn.Txn, q *plan.Query, vals []va
 	if analyze {
 		rows, stats, an, err = exec.RunQueryAnalyze(rt, q, vals)
 	} else {
-		rows, stats, err = exec.RunQueryArgs(rt, q, vals)
+		rows, stats, err = exec.RunQuery(rt, q, vals)
 	}
 	es := execStatsFrom(stats)
 	db.setLast(es)
@@ -810,20 +755,19 @@ func outNames(q *plan.Query) []string {
 }
 
 // noteFeedback compares a finished execution's actual result rows with the
-// plan's compile-time estimate as the symmetric miss factor. Crossing the
-// configured ratio marks the plan: the next execution refreshes statistics
+// plan's compile-time estimate as the symmetric miss factor. Reaching
+// DefaultRecompileMissRatio marks the plan: the next execution refreshes statistics
 // on the tables it reads and recompiles. Only SQL-text SELECTs and EXPLAIN
 // ANALYZE feed the loop. A prepared plan's host-variable estimates are
 // value-blind, so its miss factor measures the bindings, not the
 // statistics, and feedback would refresh statistics on every run.
 func (db *DB) noteFeedback(cp *compile.CompiledPlan, actual float64) {
-	ratio := db.cfg.RecompileMissRatio
-	if ratio < 0 || cp.Query == nil || cp.Query.Root == nil {
+	if cp.Query == nil || cp.Query.Root == nil {
 		return
 	}
 	miss := compile.MissFactor(cp.Query.Root.Est().Rows, actual)
 	db.metrics.estMissFactor.Observe(miss)
-	if miss >= ratio && !cp.NeedsRecompile() {
+	if miss >= DefaultRecompileMissRatio && !cp.NeedsRecompile() {
 		cp.MarkRecompile()
 		db.metrics.feedbackMarks.Inc()
 	}
@@ -873,7 +817,7 @@ func (db *DB) execExplain(gov *governor.Budget, cur *txn.Txn, norm string, st *s
 	var cp *compile.CompiledPlan
 	switch inner := st.Stmt.(type) {
 	case *sql.SelectStmt:
-		sel, hit, err := db.resolveSelect(gov, selectNorm(norm), inner, nil)
+		sel, hit, err := db.resolveSelect(gov, selectNorm(norm), inner)
 		if err != nil {
 			return nil, err
 		}
