@@ -14,16 +14,13 @@
 //
 //	-checks a,b   run only the named analyzers
 //	-list         print the suite and exit
-//	-json         write the findings and per-analyzer timings as JSON
 //	-sarif        write the findings as a SARIF 2.1.0 log (CI artifact)
 //	-timings      print per-analyzer wall-clock times to stderr
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"slices"
 	"sort"
@@ -36,7 +33,6 @@ import (
 func main() {
 	checks := flag.String("checks", "", "comma-separated analyzer names to run (default: all)")
 	list := flag.Bool("list", false, "list the analyzers and exit")
-	jsonOut := flag.Bool("json", false, "write findings and timings as JSON to stdout")
 	sarifOut := flag.Bool("sarif", false, "write findings as SARIF 2.1.0 to stdout")
 	timings := flag.Bool("timings", false, "print per-analyzer wall-clock times to stderr")
 	flag.Parse()
@@ -46,10 +42,6 @@ func main() {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
 		}
 		return
-	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(os.Stderr, "sysrcheck: -json and -sarif are mutually exclusive")
-		os.Exit(2)
 	}
 
 	suite, err := selectAnalyzers(*checks)
@@ -94,18 +86,12 @@ func main() {
 		}
 	}
 
-	switch {
-	case *jsonOut:
-		if err := writeJSON(os.Stdout, root, res); err != nil {
-			fmt.Fprintln(os.Stderr, "sysrcheck:", err)
-			os.Exit(2)
-		}
-	case *sarifOut:
+	if *sarifOut {
 		if err := writeSARIF(os.Stdout, root, suite, res.Diags); err != nil {
 			fmt.Fprintln(os.Stderr, "sysrcheck:", err)
 			os.Exit(2)
 		}
-	default:
+	} else {
 		for _, d := range res.Diags {
 			fmt.Println(d)
 		}
@@ -114,48 +100,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sysrcheck: %d finding(s)\n", len(res.Diags))
 		os.Exit(1)
 	}
-}
-
-// jsonReport is the -json output shape: one object per finding plus the
-// per-analyzer wall-clock times, for scripting against the gate.
-type jsonReport struct {
-	Findings []jsonFinding `json:"findings"`
-	Timings  []jsonTiming  `json:"timings"`
-}
-
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-type jsonTiming struct {
-	Analyzer string  `json:"analyzer"`
-	Millis   float64 `json:"millis"`
-}
-
-func writeJSON(w io.Writer, root string, res *analysis.Result) error {
-	rep := jsonReport{Findings: []jsonFinding{}, Timings: []jsonTiming{}}
-	for _, d := range res.Diags {
-		rep.Findings = append(rep.Findings, jsonFinding{
-			File:     relativeURI(root, d.Pos.Filename),
-			Line:     d.Pos.Line,
-			Column:   d.Pos.Column,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-		})
-	}
-	for _, tm := range res.Timings {
-		rep.Timings = append(rep.Timings, jsonTiming{
-			Analyzer: tm.Name,
-			Millis:   float64(tm.Duration.Microseconds()) / 1000,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }
 
 func selectAnalyzers(names string) ([]*analysis.Analyzer, error) {

@@ -184,26 +184,14 @@ func producerShape(sig *types.Signature) bool {
 // by the loop still counts, and over-approximating here only silences the
 // lint, never breaks the build).
 func containsBudgetCall(info *types.Info, n ast.Node) bool {
-	found := false
-	ast.Inspect(n, func(n ast.Node) bool {
-		if found {
-			return false
-		}
+	return anyNode(n, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
-			return true
+			return false
 		}
-		if f := calleeFunc(info, call); f != nil {
-			if nm := recvNamed(f); nm != nil && nm.Obj().Name() == "Budget" {
-				if p := nm.Obj().Pkg(); p != nil && pathTail(p.Path()) == "governor" {
-					found = true
-					return false
-				}
-			}
-		}
-		return true
+		f := calleeFunc(info, call)
+		return f != nil && recvNamed(f) != nil && isNamedIn(recvNamed(f), "Budget", "governor")
 	})
-	return found
 }
 
 // governedFuncs computes the governed set once for the whole program: a

@@ -43,6 +43,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 )
 
@@ -97,8 +98,10 @@ func runLockRank(pass *ProgramPass) error {
 
 	// Per-function direct acquisitions (locks taken anywhere in the body,
 	// closures included — a closure runs on some goroutine while the
-	// program is in this function's dynamic extent or later; conservative).
-	direct := make(map[*CallNode]acquireSummary, len(nodes))
+	// program is in this function's dynamic extent or later; conservative),
+	// then propagated to a fixpoint: a function may acquire everything its
+	// callees may acquire.
+	summary := make(map[*CallNode]acquireSummary, len(nodes))
 	for _, n := range nodes {
 		s := acquireSummary{}
 		ast.Inspect(n.Decl.Body, func(nd ast.Node) bool {
@@ -113,17 +116,6 @@ func runLockRank(pass *ProgramPass) error {
 			}
 			return true
 		})
-		direct[n] = s
-	}
-
-	// Propagate to a fixpoint: a function may acquire everything its
-	// callees may acquire.
-	summary := make(map[*CallNode]acquireSummary, len(nodes))
-	for _, n := range nodes {
-		s := acquireSummary{}
-		for r, p := range direct[n] {
-			s[r] = p
-		}
 		summary[n] = s
 	}
 	for changed := true; changed; {
@@ -143,7 +135,7 @@ func runLockRank(pass *ProgramPass) error {
 
 	// Walk each function with held-set tracking.
 	for _, n := range nodes {
-		w := &rankWalker{pass: pass, node: n, summary: summary}
+		w := &rankWalker{pass: pass, fn: n, summary: summary, reported: map[[3]int]bool{}}
 		w.walkBody(n.Decl.Body)
 	}
 	return nil
@@ -153,6 +145,9 @@ func runLockRank(pass *ProgramPass) error {
 // Lock/RLock on a mutex field in the rank table, or a lock.Manager
 // table-lock grant.
 func rankedAcquisition(info *types.Info, call *ast.CallExpr) (rank int, ok bool) {
+	if rank, op, ok := mutexLockOp(info, call); ok {
+		return rank, op > 0
+	}
 	f := calleeFunc(info, call)
 	if f == nil {
 		return 0, false
@@ -166,24 +161,16 @@ func rankedAcquisition(info *types.Info, call *ast.CallExpr) (rank int, ok bool)
 				return rankTableLock, true
 			}
 		}
-		return 0, false
-	case "Lock", "RLock", "TryLock", "TryRLock":
-		key, ok := mutexKey(info, call)
-		if !ok {
-			return 0, false
-		}
-		r, ranked := lockRanks[key]
-		return r, ranked
 	}
 	return 0, false
 }
 
-// mutexLockOp classifies a mutex method call as acquire (+1), release (-1),
-// or neither, plus the ranked identity it operates on.
-func mutexLockOp(info *types.Info, call *ast.CallExpr) (key string, rank, op int, ok bool) {
+// mutexLockOp classifies a method call on a ranked mutex as acquire (+1)
+// or release (-1), with the mutex's rank.
+func mutexLockOp(info *types.Info, call *ast.CallExpr) (rank, op int, ok bool) {
 	f := calleeFunc(info, call)
 	if f == nil {
-		return "", 0, 0, false
+		return 0, 0, false
 	}
 	switch f.Name() {
 	case "Lock", "RLock", "TryLock", "TryRLock":
@@ -191,17 +178,14 @@ func mutexLockOp(info *types.Info, call *ast.CallExpr) (key string, rank, op int
 	case "Unlock", "RUnlock":
 		op = -1
 	default:
-		return "", 0, 0, false
+		return 0, 0, false
 	}
 	key, keyOK := mutexKey(info, call)
 	if !keyOK {
-		return "", 0, 0, false
+		return 0, 0, false
 	}
 	rank, ranked := lockRanks[key]
-	if !ranked {
-		return "", 0, 0, false
-	}
-	return key, rank, op, true
+	return rank, op, ranked
 }
 
 // mutexKey resolves the receiver of a sync.(RW)Mutex method call of the
@@ -243,291 +227,99 @@ func mutexKey(info *types.Info, call *ast.CallExpr) (string, bool) {
 	return pathTail(tn.Pkg().Path()) + "." + tn.Name() + "." + v.Name(), true
 }
 
-// rankWalker tracks the held ranked mutexes through one function body.
-// Statements are interpreted structurally: branches (if/switch/select) are
-// each walked from the state at entry and merged by per-rank minimum over
-// the branches that fall through — so the `mu.Unlock(); select { case:
-// mu.Lock(); return }; mu.Lock()` hand-off pattern in the lock manager is
-// tracked correctly rather than counted cumulatively.
+// rankWalker is the flow transfer for one function body: the state maps
+// each held ranked mutex's rank to its hold count (counting keeps
+// re-entrant RLocks and unbalanced branches from going negative), and the
+// meet keeps the per-rank minimum. Meeting branches, rather than counting
+// cumulatively, tracks the lock manager's `mu.Unlock(); select { case:
+// mu.Lock(); return }; mu.Lock()` hand-off correctly.
 type rankWalker struct {
 	pass    *ProgramPass
-	node    *CallNode
+	fn      *CallNode
 	summary map[*CallNode]acquireSummary
-	// held maps rank → hold count (re-entrant tracking keeps unbalanced
-	// branch walks from going negative).
-	held map[int]int
-	// heldName maps rank → the identity string for diagnostics.
-	heldName map[int]string
+	// reported holds (pos, rank, held rank) of each finding: a loop body
+	// may be walked twice.
+	reported map[[3]int]bool
 }
+
+type heldRanks = map[int]int
 
 func (w *rankWalker) walkBody(body *ast.BlockStmt) {
-	w.held = map[int]int{}
-	w.heldName = map[int]string{}
-	var lits []*ast.FuncLit
-	w.walkStmts(body.List, &lits)
-	// Each function literal runs with its own held set (it executes later,
-	// from some other dynamic context).
-	for _, lit := range lits {
-		sub := &rankWalker{pass: w.pass, node: w.node, summary: w.summary}
-		sub.walkBody(lit.Body)
-	}
-}
-
-// walkStmts walks a statement list, reporting whether it always terminates
-// the enclosing path (return/branch reached).
-func (w *rankWalker) walkStmts(stmts []ast.Stmt, lits *[]*ast.FuncLit) bool {
-	term := false
-	for _, s := range stmts {
-		if w.walkStmt(s, lits) {
-			term = true
+	walkFlow[heldRanks](w, body, heldRanks{})
+	// Each function literal, goroutine bodies included, runs with its own
+	// held set (it executes later, from some other dynamic context).
+	ast.Inspect(body, func(n ast.Node) bool {
+		lit, ok := n.(*ast.FuncLit)
+		if ok {
+			w.walkBody(lit.Body)
 		}
-	}
-	return term
-}
-
-// branchOut captures the held state at the end of one branch.
-type branchOut struct {
-	held  map[int]int
-	names map[int]string
-}
-
-// walkBranch walks stmts from a copy of the current state and returns the
-// resulting state without disturbing the walker; terminated branches return
-// a nil state (they contribute nothing to the merge).
-func (w *rankWalker) walkBranch(stmts []ast.Stmt, lits *[]*ast.FuncLit) *branchOut {
-	saveH, saveN := w.held, w.heldName
-	w.held, w.heldName = copyRankCounts(saveH), copyRankNames(saveN)
-	term := w.walkStmts(stmts, lits)
-	out := &branchOut{held: w.held, names: w.heldName}
-	w.held, w.heldName = saveH, saveN
-	if term {
-		return nil
-	}
-	return out
-}
-
-// mergeBranches sets the walker state to the per-rank minimum across the
-// non-terminated branches. No surviving branch leaves the state at entry
-// (everything after is unreachable; entry is the conservative stand-in).
-func (w *rankWalker) mergeBranches(outs []*branchOut) {
-	var live []*branchOut
-	for _, o := range outs {
-		if o != nil {
-			live = append(live, o)
-		}
-	}
-	if len(live) == 0 {
-		return
-	}
-	merged := map[int]int{}
-	names := map[int]string{}
-	for r := range live[0].held {
-		min := live[0].held[r]
-		for _, o := range live[1:] {
-			if o.held[r] < min {
-				min = o.held[r]
-			}
-		}
-		if min > 0 {
-			merged[r] = min
-		}
-	}
-	for _, o := range live {
-		for r, name := range o.names {
-			names[r] = name
-		}
-	}
-	w.held, w.heldName = merged, names
-}
-
-func copyRankCounts(m map[int]int) map[int]int {
-	c := make(map[int]int, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
-}
-
-func copyRankNames(m map[int]string) map[int]string {
-	c := make(map[int]string, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
-}
-
-func (w *rankWalker) walkStmt(s ast.Stmt, lits *[]*ast.FuncLit) bool {
-	info := w.node.Pkg.Info
-	switch st := s.(type) {
-	case nil:
-		return false
-
-	case *ast.BlockStmt:
-		return w.walkStmts(st.List, lits)
-
-	case *ast.ReturnStmt:
-		for _, r := range st.Results {
-			w.walkExpr(r, lits)
-		}
-		return true
-
-	case *ast.BranchStmt:
-		// break/continue/goto leave the construct; treat as terminating the
-		// current straight-line path.
-		return true
-
-	case *ast.DeferStmt:
-		// A deferred unlock releases at return — the mutex stays held for
-		// the remainder of the walk, which is exactly the tracking we want.
-		// A deferred ranked *acquisition* (rare) is checked at the defer
-		// site, conservatively.
-		if _, _, op, ok := mutexLockOp(info, st.Call); ok && op < 0 {
-			return false
-		}
-		w.walkExpr(st.Call, lits)
-		return false
-
-	case *ast.GoStmt:
-		// The goroutine runs on its own stack with its own held set; only
-		// collect its literals for separate analysis.
-		ast.Inspect(st.Call, func(nd ast.Node) bool {
-			if lit, ok := nd.(*ast.FuncLit); ok {
-				*lits = append(*lits, lit)
-				return false
-			}
-			return true
-		})
-		return false
-
-	case *ast.IfStmt:
-		w.walkStmt(st.Init, lits)
-		w.walkExpr(st.Cond, lits)
-		thenOut := w.walkBranch(st.Body.List, lits)
-		var elseOut *branchOut
-		elseTerm := false
-		switch e := st.Else.(type) {
-		case *ast.BlockStmt:
-			elseOut = w.walkBranch(e.List, lits)
-			elseTerm = elseOut == nil
-		case *ast.IfStmt:
-			elseOut = w.walkBranch([]ast.Stmt{e}, lits)
-			elseTerm = elseOut == nil
-		case nil:
-			// No else: entry state falls through.
-			elseOut = &branchOut{held: w.held, names: w.heldName}
-		}
-		w.mergeBranches([]*branchOut{thenOut, elseOut})
-		return thenOut == nil && elseTerm
-
-	case *ast.ForStmt:
-		w.walkStmt(st.Init, lits)
-		w.walkExpr(st.Cond, lits)
-		body := append([]ast.Stmt{}, st.Body.List...)
-		if st.Post != nil {
-			body = append(body, st.Post)
-		}
-		w.walkBranch(body, lits) // reports inside; loop may run zero times
-		return false
-
-	case *ast.RangeStmt:
-		w.walkExpr(st.X, lits)
-		w.walkBranch(st.Body.List, lits)
-		return false
-
-	case *ast.SwitchStmt:
-		w.walkStmt(st.Init, lits)
-		w.walkExpr(st.Tag, lits)
-		return w.walkClauses(st.Body, lits, true)
-
-	case *ast.TypeSwitchStmt:
-		w.walkStmt(st.Init, lits)
-		return w.walkClauses(st.Body, lits, true)
-
-	case *ast.SelectStmt:
-		return w.walkClauses(st.Body, lits, false)
-
-	case *ast.LabeledStmt:
-		return w.walkStmt(st.Stmt, lits)
-
-	default:
-		w.walkExpr(s, lits)
-		return false
-	}
-}
-
-// walkClauses merges switch/select clause bodies. withEntry includes the
-// entry state in the merge (a switch without a matching case falls through
-// unchanged; a select always takes some case, but including entry only
-// lowers counts — conservative toward silence).
-func (w *rankWalker) walkClauses(body *ast.BlockStmt, lits *[]*ast.FuncLit, withEntry bool) bool {
-	var outs []*branchOut
-	for _, c := range body.List {
-		var stmts []ast.Stmt
-		switch cc := c.(type) {
-		case *ast.CaseClause:
-			for _, e := range cc.List {
-				w.walkExpr(e, lits)
-			}
-			stmts = cc.Body
-		case *ast.CommClause:
-			if cc.Comm != nil {
-				w.walkStmt(cc.Comm, lits)
-			}
-			stmts = cc.Body
-		}
-		outs = append(outs, w.walkBranch(stmts, lits))
-	}
-	allTerm := true
-	for _, o := range outs {
-		if o != nil {
-			allTerm = false
-		}
-	}
-	if withEntry || len(outs) == 0 {
-		outs = append(outs, &branchOut{held: w.held, names: w.heldName})
-		allTerm = false
-	}
-	w.mergeBranches(outs)
-	return allTerm && len(body.List) > 0
-}
-
-// walkExpr visits an expression (or simple statement) in source order,
-// checking calls and collecting function literals without entering them.
-func (w *rankWalker) walkExpr(n ast.Node, lits *[]*ast.FuncLit) {
-	if n == nil {
-		return
-	}
-	info := w.node.Pkg.Info
-	ast.Inspect(n, func(nd ast.Node) bool {
-		switch x := nd.(type) {
-		case *ast.FuncLit:
-			*lits = append(*lits, x)
-			return false
-		case *ast.CallExpr:
-			w.checkCall(info, x)
-		}
-		return true
+		return !ok
 	})
 }
 
+func (w *rankWalker) copy(held heldRanks) heldRanks { return maps.Clone(held) }
+func (w *rankWalker) equal(a, b heldRanks) bool     { return maps.Equal(a, b) }
+
+func (w *rankWalker) meet(a, b heldRanks) heldRanks {
+	m := heldRanks{}
+	for r, n := range a {
+		if n = min(n, b[r]); n > 0 {
+			m[r] = n
+		}
+	}
+	return m
+}
+
+func (w *rankWalker) ret(st *ast.ReturnStmt, held heldRanks) {
+	for _, r := range st.Results {
+		w.node(r, held)
+	}
+}
+
+// deferGo: a deferred unlock releases at return, so the mutex stays held
+// for the rest of the walk; a deferred ranked acquisition (rare) is checked
+// at the defer site, conservatively. A go statement is not checked here:
+// the goroutine runs with its own held set.
+func (w *rankWalker) deferGo(st ast.Stmt, held heldRanks) heldRanks {
+	if d, ok := st.(*ast.DeferStmt); ok {
+		if _, op, ok := mutexLockOp(w.fn.Pkg.Info, d.Call); !ok || op > 0 {
+			w.node(d.Call, held)
+		}
+	}
+	return held
+}
+
+func (w *rankWalker) branch(_ ast.Expr, held heldRanks) heldRanks { return held }
+
+// node visits a simple statement or expression in source order, checking
+// calls without entering function literals.
+func (w *rankWalker) node(n ast.Node, held heldRanks) heldRanks {
+	ast.Inspect(n, func(nd ast.Node) bool {
+		if call, ok := nd.(*ast.CallExpr); ok {
+			w.checkCall(held, call)
+		}
+		_, lit := nd.(*ast.FuncLit)
+		return !lit
+	})
+	return held
+}
+
 // checkCall updates the held set and reports out-of-rank acquisitions.
-func (w *rankWalker) checkCall(info *types.Info, call *ast.CallExpr) {
+func (w *rankWalker) checkCall(held heldRanks, call *ast.CallExpr) {
+	info := w.fn.Pkg.Info
 	// Mutex operation on a ranked mutex?
-	if key, rank, op, ok := mutexLockOp(info, call); ok {
+	if rank, op, ok := mutexLockOp(info, call); ok {
 		if op > 0 {
-			w.reportIfHeldConflicts(call.Pos(), rank, key, nil)
-			w.held[rank]++
-			w.heldName[rank] = key
-		} else {
-			if w.held[rank] > 0 {
-				w.held[rank]--
-			}
+			w.reportIfHeldConflicts(held, call.Pos(), rank, nil)
+			held[rank]++
+		} else if held[rank] > 0 {
+			held[rank]--
 		}
 		return
 	}
 	// Table-lock acquisition?
 	if rank, ok := rankedAcquisition(info, call); ok && rank == rankTableLock {
-		w.reportIfHeldConflicts(call.Pos(), rankTableLock, "lock.Manager table locks", nil)
+		w.reportIfHeldConflicts(held, call.Pos(), rankTableLock, nil)
 		return
 	}
 	// A call with a summary: everything the callee may acquire is checked
@@ -547,32 +339,36 @@ func (w *rankWalker) checkCall(info *types.Info, call *ast.CallExpr) {
 	}
 	sort.Ints(ranks)
 	for _, r := range ranks {
-		w.reportIfHeldConflicts(call.Pos(), r, lockRankName(r), callee)
+		w.reportIfHeldConflicts(held, call.Pos(), r, callee)
 	}
 }
 
 // reportIfHeldConflicts reports when a held rank forbids acquiring rank at
 // pos; via names the callee the acquisition is reached through, when
 // indirect.
-func (w *rankWalker) reportIfHeldConflicts(pos token.Pos, rank int, what string, via *CallNode) {
-	for heldRank, count := range w.held {
-		if count <= 0 || heldRank < rank {
+func (w *rankWalker) reportIfHeldConflicts(held heldRanks, pos token.Pos, rank int, via *CallNode) {
+	what := lockRankName(rank)
+	for heldRank, count := range held {
+		key := [3]int{int(pos), rank, heldRank}
+		if count <= 0 || heldRank < rank || w.reported[key] {
 			continue
 		}
+		w.reported[key] = true
+		heldName := lockRankName(heldRank)
 		if heldRank == rank && via == nil {
 			// Direct re-acquisition of the same ranked mutex: self-deadlock
 			// with sync.Mutex. Report it as its own shape.
-			w.pass.Reportf(pos, "reacquires %s already held by this function (self-deadlock)", w.heldName[heldRank])
+			w.pass.Reportf(pos, "reacquires %s already held by this function (self-deadlock)", heldName)
 			continue
 		}
 		if via != nil {
 			w.pass.Reportf(pos,
 				"call to %s may acquire %s (rank %d) while holding %s (rank %d): declared lock order requires %s before %s",
-				funcDisplayName(via.Fn), what, rank, w.heldName[heldRank], heldRank, what, w.heldName[heldRank])
+				funcDisplayName(via.Fn), what, rank, heldName, heldRank, what, heldName)
 		} else {
 			w.pass.Reportf(pos,
 				"acquires %s (rank %d) while holding %s (rank %d): declared lock order requires %s before %s",
-				what, rank, w.heldName[heldRank], heldRank, what, w.heldName[heldRank])
+				what, rank, heldName, heldRank, what, heldName)
 		}
 	}
 }

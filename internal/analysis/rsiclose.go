@@ -18,8 +18,9 @@ package analysis
 // From the acquisition point the analyzer walks the function's structured
 // control flow. A path is satisfied when the value is closed/released or
 // escapes the function (returned, stored into a field or another value,
-// passed to a call — ownership moved); a deferred close anywhere in the
-// function satisfies every path. A `return` reached with the resource
+// passed to a call — ownership moved); a deferred close satisfies every
+// path, wherever the defer sits (also inside a function literal called
+// after the acquisition). A `return` reached with the resource
 // still open is reported. The error-check branch of the acquisition itself
 // (`if err != nil { return ... }`) is exempt: on that path nothing was
 // acquired, per Go convention and per the rss/lock implementations.
@@ -32,6 +33,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
+	"strings"
 )
 
 // RSIClose is the scan/lock/cursor leak analyzer.
@@ -57,11 +60,13 @@ func runRSIClose(pass *Pass) error {
 }
 
 // leakRule is one resource discipline checked by the path walker: how an
-// acquisition is recognized, and how its leaks read. rsiclose and snappin's
-// pin-release check differ only here.
+// acquisition is recognized, how it is released, and how its leaks read.
+// rsiclose and snappin's pin-release check differ only here.
 type leakRule struct {
 	// acquire recognizes an acquisition at n, or returns nil.
 	acquire func(info *types.Info, n ast.Node) *acquisition
+	// release recognizes a call releasing the value isV matches.
+	release func(call *ast.CallExpr, isV func(ast.Expr) bool) bool
 	// leaked describes a return path that may leave a (acquired at line)
 	// open; never describes an a that no path releases.
 	leaked func(a *acquisition, line int) string
@@ -82,12 +87,16 @@ var closeRule = &leakRule{
 		}
 		return nil
 	},
+	release: func(call *ast.CallExpr, isV func(ast.Expr) bool) bool {
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		return ok && (sel.Sel.Name == "Close" || sel.Sel.Name == "Release") && isV(sel.X)
+	},
 	leaked: func(a *acquisition, line int) string {
 		return fmt.Sprintf("%s acquired from %s (line %d) may not be %sd on this return path",
-			a.name, a.what, line, lowerClose(a.closeName))
+			a.name, a.what, line, strings.ToLower(a.closeName))
 	},
 	never: func(a *acquisition) string {
-		return fmt.Sprintf("%s acquired from %s is never %sd", a.name, a.what, lowerClose(a.closeName))
+		return fmt.Sprintf("%s acquired from %s is never %sd", a.name, a.what, strings.ToLower(a.closeName))
 	},
 }
 
@@ -104,18 +113,16 @@ func checkScope(r reporter, pkg *Package, body *ast.BlockStmt, rule *leakRule) {
 
 	// Collect acquisitions in this scope only — literals are analyzed
 	// separately.
-	for _, stmt := range body.List {
-		ast.Inspect(stmt, func(n ast.Node) bool {
-			if lit, ok := n.(*ast.FuncLit); ok {
-				lits = append(lits, lit)
-				return false
-			}
-			if a := rule.acquire(pkg.Info, n); a != nil {
-				acqs = append(acqs, a)
-			}
-			return true
-		})
-	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.FuncLit); ok {
+			lits = append(lits, lit)
+			return false
+		}
+		if a := rule.acquire(pkg.Info, n); a != nil {
+			acqs = append(acqs, a)
+		}
+		return true
+	})
 
 	for _, a := range acqs {
 		checkAcquisition(r, pkg, body, a, rule)
@@ -249,11 +256,7 @@ func acquiringName(name string) bool {
 // localVarOf resolves an identifier to the local or parameter variable it
 // names (package-level vars and fields are out of scope for the analysis).
 func localVarOf(info *types.Info, id *ast.Ident) *types.Var {
-	obj := info.Uses[id]
-	if obj == nil {
-		obj = info.Defs[id]
-	}
-	v, ok := obj.(*types.Var)
+	v, ok := info.ObjectOf(id).(*types.Var)
 	if !ok || v.IsField() || v.Parent() == nil || v.Pkg() == nil {
 		return nil
 	}
@@ -263,55 +266,40 @@ func localVarOf(info *types.Info, id *ast.Ident) *types.Var {
 	return v
 }
 
-// checkAcquisition walks the scope after the acquisition and reports
-// returns that leak the resource.
+// checkAcquisition walks the scope and reports returns that leak the
+// resource.
 func checkAcquisition(r reporter, pkg *Package, body *ast.BlockStmt, a *acquisition, rule *leakRule) {
-	w := &leakWalker{info: pkg.Info, a: a}
-	// A deferred close anywhere in the scope covers every exit, no matter
-	// where the defer sits relative to the acquisition (e.g. a close
-	// deferred before a later Open — the blockCtx.run pattern).
-	for _, s := range body.List {
-		ast.Inspect(s, func(n ast.Node) bool {
-			if d, ok := n.(*ast.DeferStmt); ok {
-				if w.mentionsClose(d.Call) || w.callMentionsVar(d.Call) {
-					w.safe = true
-				}
-			}
-			return !w.safe
-		})
-		if w.safe {
-			return
-		}
-	}
-	closedAtEnd := w.walkStmts(body.List, false)
+	w := &leakWalker{info: pkg.Info, a: a, rule: rule}
+	end := walkFlow[leakState](w, body, leakReleased)
 	if w.safe {
 		return
 	}
 	for _, pos := range w.leaks {
 		r.Reportf(pos, "%s", rule.leaked(a, pkg.Fset.Position(a.pos).Line))
 	}
-	if len(w.leaks) == 0 && !closedAtEnd && !w.everClosed {
+	if len(w.leaks) == 0 && end.live && end.s == leakOpen && !w.everClosed {
 		r.Reportf(a.pos, "%s", rule.never(a))
 	}
 }
 
-func lowerClose(name string) string {
-	if name == "Release" {
-		return "release"
-	}
-	return "close"
-}
+// leakState is where one path stands with the acquisition; where paths
+// join, the lower state holds.
+type leakState uint8
 
-// leakWalker interprets structured control flow, tracking whether the
-// resource has been closed on the current path. Vacuous truth keeps the
-// merge rules simple: a branch that returns reports its own leaks and
-// contributes "closed" to the merge, because no flow continues out of it.
+const (
+	leakOpen     leakState = iota // acquired and not yet released
+	leakReleased                  // released, or not yet acquired
+	leakFailed                    // on the acquisition's own failure path
+)
+
+// leakWalker is the flow transfer for one acquisition.
 type leakWalker struct {
-	info    *types.Info
-	a       *acquisition
-	started bool
-	// safe short-circuits everything: deferred close or escape.
-	safe       bool
+	info *types.Info
+	a    *acquisition
+	rule *leakRule
+	// safe short-circuits everything: a deferred close, or an escape.
+	safe bool
+	// everClosed: a path other than the failure path releases.
 	everClosed bool
 	leaks      []token.Pos
 	// errInvalidated: a.errVar has been rebound since the acquisition, so
@@ -319,223 +307,116 @@ type leakWalker struct {
 	errInvalidated bool
 }
 
-// walkStmts walks a statement list with the given closed state and returns
-// the state after the list.
-func (w *leakWalker) walkStmts(stmts []ast.Stmt, closed bool) bool {
-	for _, s := range stmts {
-		closed = w.walkStmt(s, closed)
-		if w.safe {
-			return true
-		}
+func (w *leakWalker) copy(s leakState) leakState    { return s }
+func (w *leakWalker) meet(a, b leakState) leakState { return min(a, b) }
+func (w *leakWalker) equal(a, b leakState) bool     { return a == b }
+
+func (w *leakWalker) node(n ast.Node, s leakState) leakState {
+	switch {
+	case n.End() <= w.a.pos:
+		return s // before the acquisition
+	case n.Pos() <= w.a.pos && w.a.after <= n.End():
+		w.errInvalidated = false
+		return leakOpen // the acquiring statement itself
 	}
-	return closed
-}
-
-func (w *leakWalker) walkStmt(s ast.Stmt, closed bool) bool {
-	if !w.started {
-		if s.End() <= w.a.pos {
-			return closed // entirely before the acquisition
-		}
-		w.started = true
-		if s.End() <= w.a.after {
-			return closed // this is the acquiring statement itself
-		}
-		// The acquisition is nested inside s (if-init form): analyze s.
-	} else if s.End() <= w.a.pos {
-		return closed
-	}
-
-	switch st := s.(type) {
-	case *ast.ReturnStmt:
-		if w.returnsResource(st) {
-			return true // ownership transferred on this path
-		}
-		if !closed {
-			w.leaks = append(w.leaks, st.Pos())
-		}
-		return true // path ends; vacuous for the merge
-
-	case *ast.DeferStmt:
-		if w.mentionsClose(st.Call) || w.callMentionsVar(st.Call) {
-			w.safe = true
-		}
-		return closed
-
+	switch st := n.(type) {
+	case ast.Expr:
+		w.checkEscapeExpr(st)
+		return s
 	case *ast.ExprStmt:
 		if w.isCloseCall(st.X) {
-			w.everClosed = true
-			return true
+			return w.release(s)
 		}
-		w.checkEscape(s)
-		return closed
-
 	case *ast.AssignStmt:
-		if st.End() > w.a.after {
-			w.noteErrReassign(st)
+		if s != leakFailed && slices.ContainsFunc(st.Lhs, w.isErrVar) {
+			w.errInvalidated = true
 		}
-		for _, rhs := range st.Rhs {
-			if w.isCloseCall(rhs) {
-				w.everClosed = true
-				return true
-			}
+		if slices.ContainsFunc(st.Rhs, w.isCloseCall) {
+			return w.release(s)
 		}
-		w.checkEscape(s)
-		return closed
+	}
+	w.checkEscape(n.(ast.Stmt))
+	return s
+}
 
-	case *ast.IfStmt:
-		if st.Init != nil {
-			closed = w.walkStmt(st.Init, closed)
-		}
-		w.checkEscapeExpr(st.Cond)
-		var thenClosed bool
-		if w.isAcquisitionErrGuard(st.Cond) {
-			// The acquisition's own failure branch: nothing was acquired
-			// there, so its returns are exempt; still honor escapes.
-			sub := *w
-			sub.walkStmts(st.Body.List, true)
-			if sub.safe {
-				w.safe = true
-			}
-			thenClosed = true
-		} else {
-			thenClosed = w.walkStmts(st.Body.List, closed)
-		}
-		elseClosed := closed
-		switch e := st.Else.(type) {
-		case *ast.BlockStmt:
-			elseClosed = w.walkStmts(e.List, closed)
-		case *ast.IfStmt:
-			elseClosed = w.walkStmt(e, closed)
-		case nil:
-			return closed // flow may skip the branch entirely
-		}
-		return thenClosed && elseClosed
+// release applies a release of the resource to a path in state s. On the
+// failure path it records nothing: nothing was acquired there.
+func (w *leakWalker) release(s leakState) leakState {
+	if s == leakFailed {
+		return s
+	}
+	w.everClosed = true
+	return leakReleased
+}
 
-	case *ast.BlockStmt:
-		return w.walkStmts(st.List, closed)
+func (w *leakWalker) ret(st *ast.ReturnStmt, s leakState) {
+	if s != leakOpen || slices.ContainsFunc(st.Results, w.mentionsVar) {
+		return
+	}
+	if !slices.Contains(w.leaks, st.Pos()) { // a loop body may be walked twice
+		w.leaks = append(w.leaks, st.Pos())
+	}
+}
 
-	case *ast.ForStmt:
-		if st.Init != nil {
-			closed = w.walkStmt(st.Init, closed)
-		}
-		w.walkStmts(st.Body.List, closed)
-		return closed // the loop may run zero times
-
-	case *ast.RangeStmt:
-		w.checkEscapeExpr(st.X)
-		w.walkStmts(st.Body.List, closed)
-		return closed
-
-	case *ast.SwitchStmt:
-		if st.Init != nil {
-			closed = w.walkStmt(st.Init, closed)
-		}
-		w.checkEscapeExpr(st.Tag)
-		return w.walkCases(st.Body, closed)
-
-	case *ast.TypeSwitchStmt:
-		return w.walkCases(st.Body, closed)
-
-	case *ast.SelectStmt:
-		for _, c := range st.Body.List {
-			w.walkStmts(c.(*ast.CommClause).Body, closed)
-		}
-		return closed
-
-	case *ast.LabeledStmt:
-		return w.walkStmt(st.Stmt, closed)
-
+// deferGo marks the walker safe on a deferred close, which covers every
+// exit wherever the defer sits, or on a resource handed to a goroutine.
+func (w *leakWalker) deferGo(st ast.Stmt, s leakState) leakState {
+	var call *ast.CallExpr
+	switch st := st.(type) {
+	case *ast.DeferStmt:
+		call = st.Call
 	case *ast.GoStmt:
-		if w.mentionsClose(st.Call) || w.callMentionsVar(st.Call) {
-			w.safe = true // ownership handed to the goroutine
-		}
-		return closed
-
-	default:
-		w.checkEscape(s)
-		return closed
+		call = st.Call
 	}
+	if w.handsOff(call) {
+		w.safe = true
+	}
+	return s
 }
 
-// walkCases merges switch cases: every path out of the switch is closed
-// when each case body ends closed (vacuously for returning cases) and a
-// default exists (otherwise flow can bypass all cases).
-func (w *leakWalker) walkCases(body *ast.BlockStmt, closed bool) bool {
-	all := true
-	hasDefault := false
-	for _, c := range body.List {
-		cc := c.(*ast.CaseClause)
-		if cc.List == nil {
-			hasDefault = true
-		}
-		if !w.walkStmts(cc.Body, closed) {
-			all = false
-		}
-	}
-	if closed {
-		return true
-	}
-	return all && hasDefault && len(body.List) > 0
+// handsOff reports a deferred or goroutine call that releases the resource
+// or takes it.
+func (w *leakWalker) handsOff(call *ast.CallExpr) bool {
+	return w.mentionsClose(call) || w.callMentionsVar(call)
 }
 
-// isCloseCall matches `v.Close()` / `v.Release()` on the tracked variable.
+// branch gives the acquisition's own failure branch (`<errVar> != nil`,
+// errVar not rebound since) the failed state.
+func (w *leakWalker) branch(cond ast.Expr, s leakState) leakState {
+	bin, ok := ast.Unparen(cond).(*ast.BinaryExpr)
+	if !ok || bin.Op != token.NEQ || s != leakOpen || w.errInvalidated {
+		return s
+	}
+	if w.isErrVar(bin.X) || w.isErrVar(bin.Y) {
+		return leakFailed
+	}
+	return s
+}
+
+func (w *leakWalker) isVar(e ast.Expr) bool    { return refersTo(w.info, e, w.a.v) }
+func (w *leakWalker) isErrVar(e ast.Expr) bool { return refersTo(w.info, e, w.a.errVar) }
+
+// isCloseCall matches the rule's release of the tracked variable.
 func (w *leakWalker) isCloseCall(e ast.Expr) bool {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	if w.a.closeName == "Finish" {
-		// Release-by-argument form (snappin): x.Finish(v) releases v.
-		if sel.Sel.Name != "Finish" {
-			return false
-		}
-		for _, arg := range call.Args {
-			if id, ok := ast.Unparen(arg).(*ast.Ident); ok && w.isTracked(id) {
-				return true
-			}
-		}
-		return false
-	}
-	if sel.Sel.Name != "Close" && sel.Sel.Name != "Release" {
-		return false
-	}
-	id, ok := ast.Unparen(sel.X).(*ast.Ident)
-	return ok && w.isTracked(id)
+	return ok && w.rule.release(call, w.isVar)
 }
 
-// mentionsClose reports a Close/Release of the tracked variable anywhere
-// inside n (for defer/go closures).
+// mentionsClose reports a release of the tracked variable anywhere inside
+// n (for defer/go closures).
 func (w *leakWalker) mentionsClose(n ast.Node) bool {
-	found := false
-	ast.Inspect(n, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && w.isCloseCall(call) {
-			found = true
-		}
-		return !found
+	return anyNode(n, func(n ast.Node) bool {
+		e, ok := n.(ast.Expr)
+		return ok && w.isCloseCall(e)
 	})
-	return found
 }
 
-func (w *leakWalker) isTracked(id *ast.Ident) bool {
-	obj := w.info.Uses[id]
-	if obj == nil {
-		obj = w.info.Defs[id]
-	}
-	return obj != nil && obj == types.Object(w.a.v)
-}
+// mentionsVar reports a use of the tracked variable anywhere inside e.
+func (w *leakWalker) mentionsVar(e ast.Expr) bool { return anyNode(e, w.isVarNode) }
 
-// returnsResource reports whether the return hands the resource out.
-func (w *leakWalker) returnsResource(ret *ast.ReturnStmt) bool {
-	for _, r := range ret.Results {
-		if w.exprMentionsVar(r) {
-			return true
-		}
-	}
-	return false
+func (w *leakWalker) isVarNode(n ast.Node) bool {
+	e, ok := n.(ast.Expr)
+	return ok && w.isVar(e)
 }
 
 // checkEscape marks the walker safe when the statement moves the resource
@@ -548,132 +429,73 @@ func (w *leakWalker) checkEscape(s ast.Stmt) {
 			if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && w.isOwnMethodCall(call) {
 				continue // driving the resource is not an escape
 			}
-			if w.exprMentionsVar(rhs) {
+			if w.mentionsVar(rhs) {
 				w.safe = true
 			}
 		}
 	case *ast.ExprStmt:
 		w.checkEscapeExpr(st.X)
 	case *ast.SendStmt:
-		if w.exprMentionsVar(st.Value) {
+		if w.mentionsVar(st.Value) {
 			w.safe = true
 		}
 	case *ast.DeclStmt:
-		if w.exprMentionsDecl(st) {
+		if anyNode(st, w.isVarNode) {
 			w.safe = true
 		}
 	}
 }
 
-// checkEscapeExpr scans an expression for calls that capture the resource.
+// checkEscapeExpr scans an expression for calls that capture the resource,
+// and for function literals that defer its release (an immediately
+// invoked `func() { defer v.Close(); ... }()`).
 func (w *leakWalker) checkEscapeExpr(e ast.Expr) {
-	if e == nil {
-		return
+	escapes := anyNode(e, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			return !w.isCloseCall(n) && !w.isOwnMethodCall(n) && w.callMentionsVar(n)
+		case *ast.DeferStmt:
+			return w.handsOff(n.Call)
+		}
+		return false
+	})
+	if escapes {
+		w.safe = true
 	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if !w.isCloseCall(call) && !w.isOwnMethodCall(call) && w.callMentionsVar(call) {
-				w.safe = true
-			}
-		}
-		return !w.safe
-	})
-}
-
-func (w *leakWalker) exprMentionsDecl(st *ast.DeclStmt) bool {
-	found := false
-	ast.Inspect(st, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && w.isTracked(id) {
-			found = true
-		}
-		return !found
-	})
-	return found
 }
 
 // isOwnMethodCall matches `v.Method(...)` with no self-reference in the
 // arguments.
 func (w *leakWalker) isOwnMethodCall(call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
+	if !ok || !w.isVar(sel.X) {
 		return false
 	}
-	id, ok := ast.Unparen(sel.X).(*ast.Ident)
-	if !ok || !w.isTracked(id) {
-		return false
-	}
-	for _, arg := range call.Args {
-		if w.exprMentionsVar(arg) {
-			return false
-		}
-	}
-	return true
+	return !slices.ContainsFunc(call.Args, w.mentionsVar)
 }
 
+// callMentionsVar reports the tracked variable among the call's arguments,
+// or as the receiver of a method value (`defer v.Close`).
 func (w *leakWalker) callMentionsVar(call *ast.CallExpr) bool {
-	for _, arg := range call.Args {
-		if w.exprMentionsVar(arg) {
-			return true
-		}
+	if slices.ContainsFunc(call.Args, w.mentionsVar) {
+		return true
 	}
-	// Method value on the resource (e.g. `defer v.Close`).
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok && w.isTracked(id) {
-			return true
-		}
-	}
-	return false
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	return ok && w.isVar(sel.X)
 }
 
-func (w *leakWalker) exprMentionsVar(e ast.Expr) bool {
+// refersTo reports whether e is an identifier naming v.
+func refersTo(info *types.Info, e ast.Expr, v *types.Var) bool {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	return ok && v != nil && info.ObjectOf(id) == types.Object(v)
+}
+
+// anyNode reports whether pred holds for some node in n.
+func anyNode(n ast.Node, pred func(ast.Node) bool) bool {
 	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && w.isTracked(id) {
-			found = true
-		}
+	ast.Inspect(n, func(n ast.Node) bool {
+		found = found || n != nil && pred(n)
 		return !found
 	})
 	return found
-}
-
-// isAcquisitionErrGuard matches `<errVar> != nil` where errVar is the error
-// bound at the acquisition and has not been reassigned since.
-func (w *leakWalker) isAcquisitionErrGuard(cond ast.Expr) bool {
-	if w.a.errVar == nil || w.errInvalidated {
-		return false
-	}
-	bin, ok := ast.Unparen(cond).(*ast.BinaryExpr)
-	if !ok || bin.Op != token.NEQ {
-		return false
-	}
-	id, ok := ast.Unparen(bin.X).(*ast.Ident)
-	if !ok {
-		if id, ok = ast.Unparen(bin.Y).(*ast.Ident); !ok {
-			return false
-		}
-	}
-	obj := w.info.Uses[id]
-	if obj == nil {
-		obj = w.info.Defs[id]
-	}
-	return obj != nil && obj == types.Object(w.a.errVar)
-}
-
-// noteErrReassign invalidates the acquisition error guard once the error
-// variable is rebound by a later statement.
-func (w *leakWalker) noteErrReassign(st *ast.AssignStmt) {
-	if w.a.errVar == nil || w.errInvalidated {
-		return
-	}
-	for _, lhs := range st.Lhs {
-		if id, ok := lhs.(*ast.Ident); ok {
-			obj := w.info.Uses[id]
-			if obj == nil {
-				obj = w.info.Defs[id]
-			}
-			if obj != nil && obj == types.Object(w.a.errVar) {
-				w.errInvalidated = true
-			}
-		}
-	}
 }

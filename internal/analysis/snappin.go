@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
+	"slices"
 )
 
 // SnapPin is the snapshot-pinning analyzer.
@@ -78,13 +79,9 @@ func runSnapPin(pass *ProgramPass) error {
 			pins[n] = true
 			continue
 		}
-		info := n.Pkg.Info
-		ast.Inspect(n.Decl.Body, func(nd ast.Node) bool {
-			if call, ok := nd.(*ast.CallExpr); ok && isPinCall(info, call) {
-				pins[n] = true
-				return false
-			}
-			return true
+		pins[n] = anyNode(n.Decl.Body, func(nd ast.Node) bool {
+			call, ok := nd.(*ast.CallExpr)
+			return ok && isPinCall(n.Pkg.Info, call)
 		})
 	}
 
@@ -136,8 +133,8 @@ func runSnapPin(pass *ProgramPass) error {
 }
 
 // pinRule is the release discipline for `reg := x.Begin()` bindings, run
-// through rsiclose's path walker with the release-by-argument form
-// (`x.Finish(reg)`, selected by closeName "Finish").
+// through rsiclose's path walker; the release is by argument,
+// `x.Finish(reg)`.
 var pinRule = &leakRule{
 	acquire: func(info *types.Info, n ast.Node) *acquisition {
 		as, ok := n.(*ast.AssignStmt)
@@ -157,9 +154,12 @@ var pinRule = &leakRule{
 			return nil
 		}
 		return &acquisition{
-			v: v, name: id.Name, what: "Registry.Begin", closeName: "Finish",
-			pos: as.Pos(), after: as.End(),
+			v: v, name: id.Name, what: "Registry.Begin", pos: as.Pos(), after: as.End(),
 		}
+	},
+	release: func(call *ast.CallExpr, isV func(ast.Expr) bool) bool {
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		return ok && sel.Sel.Name == "Finish" && slices.ContainsFunc(call.Args, isV)
 	},
 	leaked: func(a *acquisition, line int) string {
 		return fmt.Sprintf("snapshot pin %s from Registry.Begin (line %d) may not be released on this return path: call Finish or defer it",
@@ -234,30 +234,21 @@ func carriesReg(t types.Type, seen map[types.Type]bool) bool {
 // read on a txn.Reg.
 func derivesSnapFromPin(n *CallNode) bool {
 	info := n.Pkg.Info
-	found := false
-	ast.Inspect(n.Decl.Body, func(nd ast.Node) bool {
-		if found {
-			return false
-		}
+	return anyNode(n.Decl.Body, func(nd ast.Node) bool {
 		switch x := nd.(type) {
 		case *ast.CallExpr:
 			if sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Snapshot" {
-				if tv, ok := info.Types[sel.X]; ok && tv.Type != nil && carriesReg(tv.Type, nil) {
-					found = true
-					return false
-				}
+				tv, ok := info.Types[sel.X]
+				return ok && tv.Type != nil && carriesReg(tv.Type, nil)
 			}
 		case *ast.SelectorExpr:
 			if x.Sel.Name == "Snap" {
-				if tv, ok := info.Types[x.X]; ok && tv.Type != nil && isNamedIn(tv.Type, "Reg", "txn") {
-					found = true
-					return false
-				}
+				tv, ok := info.Types[x.X]
+				return ok && tv.Type != nil && isNamedIn(tv.Type, "Reg", "txn")
 			}
 		}
-		return true
+		return false
 	})
-	return found
 }
 
 // receivesSnapshot reports whether fn's receiver or any parameter carries a

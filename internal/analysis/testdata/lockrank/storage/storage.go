@@ -63,3 +63,90 @@ func (p *BufferPool) sequential(pg *Page) {
 	p.mu.Lock()
 	p.mu.Unlock()
 }
+
+// breakOut holds the pool lock across the break that leaves the loop.
+func (p *BufferPool) breakOut(n int) error {
+	for {
+		p.mu.Lock()
+		if n > 0 {
+			break
+		}
+		p.mu.Unlock()
+	}
+	defer p.mu.Unlock()
+	return p.locks.Acquire("emp") // want "while holding storage.BufferPool.mu"
+}
+
+// switchAllLock locks in every case, default included, so the lock is held
+// on every path out of the switch.
+func (p *BufferPool) switchAllLock(n int) error {
+	switch n {
+	case 0:
+		p.mu.Lock()
+	default:
+		p.mu.Lock()
+	}
+	defer p.mu.Unlock()
+	return p.locks.Acquire("emp") // want "while holding storage.BufferPool.mu"
+}
+
+// continueHeld: the unlocked path continues to the loop head; only the
+// break, with the lock held, leaves the loop.
+func (p *BufferPool) continueHeld(n int) error {
+	for {
+		p.mu.Lock()
+		if n > 0 {
+			p.mu.Unlock()
+			continue
+		}
+		break
+	}
+	defer p.mu.Unlock()
+	return p.locks.Acquire("emp") // want "while holding storage.BufferPool.mu"
+}
+
+// labeledBreak leaves the loop, not the select, with the lock held.
+func (p *BufferPool) labeledBreak(ch chan int) error {
+outer:
+	for {
+		select {
+		case <-ch:
+			p.mu.Lock()
+			break outer
+		default:
+		}
+	}
+	defer p.mu.Unlock()
+	return p.locks.Acquire("emp") // want "while holding storage.BufferPool.mu"
+}
+
+// Disk mirrors the rank-90 page-table mutex.
+type Disk struct {
+	mu sync.Mutex
+}
+
+// unlockInLoop gives up the pool lock inside the loop, so the body is
+// walked a second time from the lower loop head. The page latch is held on
+// both walks; the inversion under it is reported once.
+func (p *BufferPool) unlockInLoop(pg *Page, d *Disk, n int) {
+	p.mu.Lock()
+	pg.mu.RLock()
+	defer pg.mu.RUnlock()
+	for i := 0; i < n; i++ {
+		d.mu.Lock() // want "while holding storage.Page.mu"
+		d.mu.Unlock()
+		p.mu.Unlock()
+	}
+}
+
+// goLocked: a goroutine's body is walked with its own held set. Taking the
+// pool lock there is no self-deadlock, but a table lock under it is.
+func (p *BufferPool) goLocked() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	go func() {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		_ = p.locks.Acquire("emp") // want "while holding storage.BufferPool.mu"
+	}()
+}

@@ -62,3 +62,28 @@ func forgottenPin(r *txn.Registry) {
 		panic("registry issued a pin with no snapshot")
 	}
 }
+
+// finishThenBreak releases the pin just before the break that leaves the
+// loop, so the return after it is covered.
+func finishThenBreak(r *txn.Registry, s *rss.Scan) bool {
+	reg := r.Begin()
+	for {
+		if _, ok := s.Next(); !ok {
+			r.Finish(reg)
+			break
+		}
+	}
+	return true
+}
+
+// pinPerItem takes a pin in every iteration and never releases it, so the
+// return after the loop may leave the last one pinned.
+func pinPerItem(r *txn.Registry, xs []int) bool {
+	for range xs {
+		reg := r.Begin()
+		if reg.Snap == nil {
+			panic("registry issued a pin with no snapshot")
+		}
+	}
+	return true // want "not be released on this return path"
+}
