@@ -103,22 +103,32 @@ func TestConcurrentAttributionExact(t *testing.T) {
 }
 
 // TestConcurrentLastStatsConsistent checks the statement-scoped ledger from
-// the API side: under the same disjoint-table race, LastStats — whatever
-// statement it describes — always carries one statement's self-consistent
-// numbers, never a blend (a blend shows up as a cost exceeding any single
-// statement's solo cost).
+// the API side: under the same disjoint-table race, with each goroutine also
+// updating a table of its own, LastStats — whatever statement it describes —
+// always carries one statement's self-consistent numbers, never a blend (a
+// blend shows up as a cost exceeding any single statement's solo cost).
 func TestConcurrentLastStatsConsistent(t *testing.T) {
 	db := attributionDB(t)
 	queries := []string{
 		"SELECT A, B FROM T1 WHERE A < 50 ORDER BY B",
 		"SELECT B FROM T2 WHERE A < 120",
 	}
+	const goroutines = 4
+	updates := make([]string, goroutines)
+	for g := range updates {
+		db.MustExec(fmt.Sprintf("CREATE TABLE U%d (A INTEGER, B INTEGER)", g))
+		db.MustExec(fmt.Sprintf("CREATE INDEX U%d_A ON U%d (A)", g, g))
+		for j := 0; j < 20; j++ {
+			db.MustExec(fmt.Sprintf("INSERT INTO U%d VALUES (%d, %d)", g, j, j))
+		}
+		updates[g] = fmt.Sprintf("UPDATE U%d SET B = B + 1 WHERE A < 10", g)
+	}
 	maxCost := 0.0
-	for _, q := range queries {
-		if _, err := db.Query(q); err != nil {
+	for _, stmt := range append(queries, updates...) {
+		if _, err := db.Exec(stmt); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := db.Query(q); err != nil { // steady state
+		if _, err := db.Exec(stmt); err != nil { // steady state
 			t.Fatal(err)
 		}
 		if c := db.LastStats().Cost(0.033); c > maxCost {
@@ -126,14 +136,14 @@ func TestConcurrentLastStatsConsistent(t *testing.T) {
 		}
 	}
 	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for g := 0; g < 4; g++ {
-		q := queries[g%len(queries)]
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		stmts := []string{queries[g%len(queries)], updates[g]}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for n := 0; n < 10; n++ {
-				if _, err := db.Query(q); err != nil {
+			for n := 0; n < 20; n++ {
+				if _, err := db.Exec(stmts[n%2]); err != nil {
 					errs <- err
 					return
 				}

@@ -211,3 +211,106 @@ func TestInsertValuesOperandTypes(t *testing.T) {
 		t.Fatalf("rows = %v, want 2: the rejected INSERTs stored rows", got)
 	}
 }
+
+// TestLastStatsEveryStatement: every statement publishes its own
+// measurements. A scan runs before each statement, so one that published
+// nothing would leave the scan's RSI calls in LastStats.
+func TestLastStatsEveryStatement(t *testing.T) {
+	db := newEmpDeptJobDB(t)
+	for _, c := range []struct {
+		stmt string
+		want systemr.ExecStats
+	}{
+		{"CREATE TABLE T (A INTEGER)", systemr.ExecStats{}},
+		{"INSERT INTO T VALUES (1), (2), (3)", systemr.ExecStats{Rows: 3}},
+		{"UPDATE STATISTICS", systemr.ExecStats{}},
+		{"EXPLAIN SELECT NAME FROM EMP WHERE DNO = 3", systemr.ExecStats{}},
+		{"EXPLAIN DELETE FROM EMP WHERE DNO = 3", systemr.ExecStats{}},
+	} {
+		if _, err := db.Query("SELECT NAME FROM EMP"); err != nil {
+			t.Fatal(err)
+		}
+		if db.LastStats().RSICalls == 0 {
+			t.Fatal("the scan measured no RSI calls")
+		}
+		db.MustExec(c.stmt)
+		if got := db.LastStats(); got != c.want {
+			t.Errorf("%s: LastStats = %+v, want %+v", c.stmt, got, c.want)
+		}
+	}
+}
+
+// TestLastStatsDMLMatchesSelect: "retrieval for data manipulation is treated
+// similarly", so a DELETE or UPDATE makes exactly the RSI calls and logical
+// reads of SELECT * with the same predicate on the same data, its Rows are
+// the rows it affected, and the statement counters grow by its numbers.
+func TestLastStatsDMLMatchesSelect(t *testing.T) {
+	db := newEmpDeptJobDB(t)
+	for _, c := range []struct{ dml, where string }{
+		{"DELETE FROM EMP", "WHERE DNO = 3"},
+		{"UPDATE EMP SET SAL = SAL + 1", "WHERE JOB = 6 AND SAL > 11000"},
+		{"UPDATE EMP SET DNO = 3", "WHERE DNO + 0 = 4"},
+		{"DELETE FROM EMP", "WHERE SAL > (SELECT AVG(SAL) FROM EMP)"},
+	} {
+		if _, err := db.Query("SELECT * FROM EMP " + c.where); err != nil {
+			t.Fatal(err)
+		}
+		sel := db.LastStats()
+		if sel.Rows == 0 {
+			t.Fatalf("%s matches no row", c.where)
+		}
+		// A different statement in between: stale stats cannot pass.
+		if _, err := db.Query("SELECT * FROM JOB"); err != nil {
+			t.Fatal(err)
+		}
+		before := sampleMap(db)
+		res := db.MustExec(c.dml + " " + c.where)
+		got := db.LastStats()
+		if got.RSICalls != sel.RSICalls || got.LogicalReads != sel.LogicalReads {
+			t.Errorf("%s %s: RSI calls %d, logical reads %d; SELECT * made %d and %d",
+				c.dml, c.where, got.RSICalls, got.LogicalReads, sel.RSICalls, sel.LogicalReads)
+		}
+		if got.Rows != res.Affected || got.Rows != sel.Rows {
+			t.Errorf("%s %s: Rows = %d, affected %d, SELECT * returned %d", c.dml, c.where, got.Rows, res.Affected, sel.Rows)
+		}
+		after := sampleMap(db)
+		for name, want := range map[string]int64{
+			"systemr_statement_rsi_calls_total": got.RSICalls,
+			"systemr_statement_rows_total":      int64(got.Rows),
+		} {
+			if grew := after[name].Value - before[name].Value; grew != float64(want) {
+				t.Errorf("%s %s: %s grew by %g, want %d", c.dml, c.where, name, grew, want)
+			}
+		}
+	}
+}
+
+// TestUpdateSetCheckedAtAnalysis: whether an UPDATE is valid must not depend
+// on the rows it matches, so a SET value its column cannot store fails
+// whether or not the WHERE clause matches a row, and so does a column
+// assigned twice. INTEGER into FLOAT and NULL still store.
+func TestUpdateSetCheckedAtAnalysis(t *testing.T) {
+	db := systemr.Open(systemr.Config{})
+	db.MustExec("CREATE TABLE T (A INTEGER, B INTEGER, F FLOAT)")
+	db.MustExec("INSERT INTO T VALUES (1, 2, 1.5)")
+	for _, c := range []struct{ stmt, want string }{
+		{"UPDATE T SET A = 'zz' WHERE B = 99", "semantic error: cannot store VARCHAR 'zz' in INTEGER column A"},
+		{"UPDATE T SET A = 'zz' WHERE B = 2", "semantic error: cannot store VARCHAR 'zz' in INTEGER column A"},
+		{"UPDATE T SET A = F WHERE B = 99", "semantic error: cannot store FLOAT T.F in INTEGER column A"},
+		{"UPDATE T SET A = F WHERE B = 2", "semantic error: cannot store FLOAT T.F in INTEGER column A"},
+		{"UPDATE T SET A = 5, A = 6", "semantic error: column A is assigned more than once"},
+		{"UPDATE T SET F = A + 1, A = NULL WHERE B = 2", ""},
+	} {
+		_, err := db.Exec(c.stmt)
+		if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("%s: err = %v, want %q", c.stmt, err, c.want)
+		}
+	}
+	res, err := db.Query("SELECT A, B, F FROM T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(res.Rows); got != "[[<nil> 2 2]]" {
+		t.Fatalf("rows = %s, want [[<nil> 2 2]]", got)
+	}
+}

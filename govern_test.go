@@ -115,6 +115,18 @@ func TestMaxRowsScanned(t *testing.T) {
 		t.Fatalf("row budget abort: error %v lacks partial stats", err)
 	}
 	assertClean(t, db)
+	// A DELETE or UPDATE locates its targets through the same governed scan:
+	// its abort carries the partial stats it published as LastStats.
+	for _, stmt := range []string{"DELETE FROM EMP WHERE SAL > 0", "UPDATE EMP SET SAL = SAL + 1"} {
+		_, err := db.Exec(stmt)
+		if !errors.Is(err, systemr.ErrBudgetExceeded) || !errors.As(err, &se) {
+			t.Fatalf("%s over row budget: got %v, want a *StatementError wrapping ErrBudgetExceeded", stmt, err)
+		}
+		if se.Stats != db.LastStats() || se.Stats.RSICalls == 0 {
+			t.Fatalf("%s: abort stats %+v, want LastStats %+v with RSICalls > 0", stmt, se.Stats, db.LastStats())
+		}
+		assertClean(t, db)
+	}
 	// A statement under the budget still works.
 	if _, err := db.Query("SELECT DNAME FROM DEPT"); err != nil {
 		t.Fatalf("small query under row budget: %v", err)

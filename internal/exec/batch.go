@@ -11,10 +11,10 @@ package exec
 // fill batches natively; the operators whose interior logic is naturally
 // row-at-a-time (joins, sort read-back, aggregation, duplicate
 // elimination) implement rowSource and share one fill loop;
-// composite operators read their children through batchReaders. Callers
-// that need one row per call — cursors and DML tuple location — drive the
-// root or leaf with a one-row batch, and Runtime.BatchSize=1 runs the whole
-// tree tuple-at-a-time (the ablation).
+// composite operators read their children through batchReaders. A cursor,
+// which needs one row per call, drives the root with a one-row batch, and
+// Runtime.BatchSize=1 runs the whole tree tuple-at-a-time (the ablation, and
+// DML tuple location).
 
 // DefaultBatchSize is the number of rows an operator aims to move per
 // NextBatch call when the runtime does not configure a size.

@@ -1,11 +1,13 @@
 package exec
 
 // Tuple location for DELETE and UPDATE: "Retrieval for data manipulation
-// (UPDATE, DELETE) is treated similarly" (Section 1) — the WHERE clause is
-// analyzed as a single-relation query block and the optimizer's chosen
-// access path (index probe or segment scan, with SARGs) locates the affected
-// tuples. Targets are fully collected before any mutation, which also avoids
-// re-visiting tuples the statement itself moves (the Halloween problem).
+// (UPDATE, DELETE) is treated similarly" (Section 1). The statement is
+// analyzed as the single-relation block SELECT *, <SET values> FROM t WHERE
+// ... (sem.AnalyzeDML), so the optimizer's chosen access path (index probe
+// or segment scan, with SARGs) locates the affected tuples and one operator
+// tree yields each one's stored image and new values. Targets are fully
+// collected before any mutation, which also avoids re-visiting tuples the
+// statement itself moves (the Halloween problem).
 
 import (
 	"fmt"
@@ -16,81 +18,43 @@ import (
 	"systemr/internal/value"
 )
 
-// CollectTIDs drives the access path of a planned single-relation block and
-// returns the TIDs and images of every tuple satisfying all of the block's
-// boolean factors. The scan runs as a physical operator, so it goes through
-// the same instrumented, governor-checked boundary as query execution.
-func CollectTIDs(rt *Runtime, q *plan.Query) ([]storage.TID, []value.Row, error) {
-	if len(q.Block.Rels) != 1 {
-		return nil, nil, fmt.Errorf("exec: CollectTIDs requires a single-relation block, got %d relations", len(q.Block.Rels))
-	}
-	evals := 0
-	ctx := newBlockCtx(rt, q, &evals)
-
-	// Locate the access path under the wrapper nodes. DML blocks have no
-	// aggregation; the plan is Project(scan), possibly with a sort the DML
-	// caller does not need.
-	n := q.Root
-walk:
-	for {
-		switch x := n.(type) {
-		case *plan.Project:
-			n = x.Input
-		case *plan.Sort:
-			n = x.Input
-		case *plan.Distinct:
-			n = x.Input
-		default:
-			break walk
-		}
-	}
-
-	switch n.(type) {
-	case *plan.SegScan, *plan.IndexScan:
-	default:
-		return nil, nil, fmt.Errorf("exec: unexpected DML access path %T", n)
-	}
-	leaf, err := ctx.build(n)
-	if err != nil {
-		return nil, nil, err
-	}
-	return collectFromScan(leaf)
+// Target is one tuple a DELETE or UPDATE affects.
+type Target struct {
+	TID  storage.TID
+	Row  value.Row     // the stored image
+	Sets []value.Value // the SET values in SET order; empty for DELETE
 }
 
-// collectFromScan drives the leaf operator to completion with a one-row
-// batch, guaranteeing Close on every exit path (including panics) and
-// surfacing its error. The operator's residual predicates already filtered
-// the rows; the TID of each surviving row comes from the scan's tidSource,
-// which remembers the last row filled — hence one row per batch.
-func collectFromScan(leaf *op) (tids []storage.TID, rows []value.Row, err error) {
-	src, ok := leaf.impl.(tidSource)
-	if !ok {
-		return nil, nil, fmt.Errorf("exec: access path %T does not expose TIDs", leaf.impl)
+// CollectTargets runs a planned DML block to completion and returns its
+// targets and the subquery evaluations the run made. It sets rt.BatchSize
+// to 1 and runs the block as a cursor: every fill below the root holds one
+// row, so after each fetch the access path's last TID names the row just
+// projected. The scan goes through the same instrumented, governor-checked
+// boundary as query execution.
+func CollectTargets(rt *Runtime, q *plan.Query) (ts []Target, evals int, err error) {
+	rt.BatchSize = 1
+	c, err := OpenQuery(rt, q, nil)
+	if err != nil {
+		return nil, 0, err
 	}
-	relIdx := 0
-	if seg, ok := leaf.node.(*plan.SegScan); ok {
-		relIdx = seg.RelIdx
-	} else if idx, ok := leaf.node.(*plan.IndexScan); ok {
-		relIdx = idx.RelIdx
-	}
+	// Next closes the cursor at the end and on error; this Close covers the
+	// other exits, panics included.
 	defer func() {
-		if cerr := leaf.Close(); cerr != nil && err == nil {
-			tids, rows, err = nil, nil, cerr
+		if cerr := c.Close(); cerr != nil && err == nil {
+			ts, err = nil, cerr
 		}
 	}()
-	if err := leaf.Open(); err != nil {
-		return nil, nil, err
+	src, ok := c.root.kids[0].impl.(tidSource)
+	if !ok {
+		return nil, 0, fmt.Errorf("exec: DML access path %T does not expose TIDs", c.root.kids[0].impl)
 	}
-	one := NewBatch(1)
+	n := len(q.Block.Rels[0].Table.Columns)
 	for {
-		if err := leaf.NextBatch(one); err != nil {
-			return nil, nil, err
+		row, ok, err := c.Next()
+		if err != nil || !ok {
+			return ts, c.evals, err
 		}
-		if one.Len() == 0 {
-			return tids, rows, nil
-		}
-		tids = append(tids, src.lastTID())
-		rows = append(rows, one.Row(0)[relIdx])
+		ts = append(ts, Target{TID: src.lastTID(), Row: row[:n:n], Sets: row[n:]})
 	}
 }
 

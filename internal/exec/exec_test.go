@@ -302,38 +302,6 @@ func TestProjectionExpressions(t *testing.T) {
 	}
 }
 
-func TestPredContext(t *testing.T) {
-	e := newEnv(t)
-	tab, _ := e.cat.CreateTable("T", []catalog.Column{{Name: "V", Type: value.KindInt}}, "")
-	for i := 0; i < 10; i++ {
-		rss.Insert(tab, value.Row{value.NewInt(int64(i))}, storage.FrozenXID, storage.NoPrevTID, e.disk)
-	}
-	e.cat.UpdateStatistics()
-	st, _ := sql.Parse("DELETE FROM T WHERE V >= (SELECT AVG(V) FROM T)")
-	blk, err := sem.AnalyzeDelete(st.(*sql.DeleteStmt), e.cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := core.New(e.cat, core.Config{}).Optimize(blk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc := NewPredContext(e.rt, q)
-	matches := 0
-	for i := 0; i < 10; i++ {
-		ok, err := pc.Matches(value.Row{value.NewInt(int64(i))})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
-			matches++
-		}
-	}
-	if matches != 5 { // AVG = 4.5 → V in {5,6,7,8,9}
-		t.Fatalf("matches = %d, want 5", matches)
-	}
-}
-
 func TestExplainMatchesExecutionShape(t *testing.T) {
 	e := newEnv(t)
 	e.loadPair(t)
@@ -493,11 +461,14 @@ func TestCursorStreamsAndStats(t *testing.T) {
 	}
 }
 
-func TestCollectTIDsViaIndexPath(t *testing.T) {
-	e := newEnv(t)
-	e.loadPair(t)
-	st, _ := sql.Parse("DELETE FROM R WHERE K = 2")
-	blk, err := sem.AnalyzeDelete(st.(*sql.DeleteStmt), e.cat)
+// dmlPlan analyzes and plans a DELETE or UPDATE.
+func (e *env) dmlPlan(t *testing.T, text string) *plan.Query {
+	t.Helper()
+	st, err := sql.Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk, _, err := sem.AnalyzeDML(st, e.cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,28 +476,57 @@ func TestCollectTIDsViaIndexPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tids, rows, err := CollectTIDs(e.rt, q)
+	return q
+}
+
+func TestCollectTargetsViaIndexPath(t *testing.T) {
+	e := newEnv(t)
+	// Two rows per key over enough pages that a key probes the index.
+	r, _ := e.cat.CreateTable("R", []catalog.Column{
+		{Name: "K", Type: value.KindInt}, {Name: "W", Type: value.KindInt}}, "")
+	for i := int64(0); i < 2000; i++ {
+		rss.Insert(r, value.Row{value.NewInt(i / 2), value.NewInt(100 + i)}, storage.FrozenXID, storage.NoPrevTID, e.disk)
+	}
+	e.cat.CreateIndex("R_K", "R", []string{"K"}, false, false)
+	e.cat.UpdateStatistics()
+
+	q := e.dmlPlan(t, "UPDATE R SET W = W + 1 WHERE K = 2")
+	if _, ok := q.Root.(*plan.Project).Input.(*plan.IndexScan); !ok {
+		t.Fatalf("K = 2 should probe R_K:\n%s", q.Explain())
+	}
+	ts, _, err := CollectTargets(e.rt, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tids) != 2 || len(rows) != 2 {
-		t.Fatalf("collected %d tids", len(tids))
+	if len(ts) != 2 {
+		t.Fatalf("collected %d targets, want 2", len(ts))
 	}
-	for _, r := range rows {
-		if r[0].Int != 2 {
-			t.Fatalf("wrong row collected: %v", r)
+	tids := map[storage.TID]bool{}
+	for _, tg := range ts {
+		if len(tg.Row) != 2 || tg.Row[0].Int != 2 {
+			t.Fatalf("wrong row collected: %v", tg.Row)
 		}
+		if len(tg.Sets) != 1 || tg.Sets[0].Int != tg.Row[1].Int+1 {
+			t.Fatalf("SET value %v for row %v, want W + 1", tg.Sets, tg.Row)
+		}
+		tids[tg.TID] = true
 	}
-	// Residual-only predicate (non-sargable) still collects correctly.
-	st, _ = sql.Parse("DELETE FROM R WHERE K + 0 = 2")
-	blk, _ = sem.AnalyzeDelete(st.(*sql.DeleteStmt), e.cat)
-	q, _ = core.New(e.cat, core.Config{}).Optimize(blk)
-	tids2, _, err := CollectTIDs(e.rt, q)
+	// Residual-only predicate (non-sargable) locates the same tuples.
+	q = e.dmlPlan(t, "DELETE FROM R WHERE K + 0 = 2")
+	if _, ok := q.Root.(*plan.Project).Input.(*plan.SegScan); !ok {
+		t.Fatalf("K + 0 = 2 should segment-scan:\n%s", q.Explain())
+	}
+	ts, _, err = CollectTargets(e.rt, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tids2) != 2 {
-		t.Fatalf("residual path collected %d", len(tids2))
+	if len(ts) != 2 {
+		t.Fatalf("residual path collected %d targets, want 2", len(ts))
+	}
+	for _, tg := range ts {
+		if !tids[tg.TID] || len(tg.Sets) != 0 {
+			t.Fatalf("residual path target %+v is not one the index path located (%v)", tg, tids)
+		}
 	}
 }
 

@@ -132,14 +132,6 @@ func (b *Budget) Check() error {
 	return nil
 }
 
-// RowsScanned returns the tuples examined so far.
-func (b *Budget) RowsScanned() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.rows.Load()
-}
-
 // CtxErr maps a non-nil context error to the governor's typed errors: an
 // expired deadline is a spent time budget, everything else is a
 // cancellation. The context error stays in the chain for errors.Is.

@@ -286,27 +286,31 @@ func TestRelSet(t *testing.T) {
 func TestAnalyzeDeleteUpdate(t *testing.T) {
 	cat := newCat(t)
 	st, _ := sql.Parse("DELETE FROM EMP E WHERE E.SAL > 100")
-	blk, err := AnalyzeDelete(st.(*sql.DeleteStmt), cat)
+	blk, cols, err := AnalyzeDML(st, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(blk.Rels) != 1 || len(blk.Factors) != 1 || blk.Rels[0].Name != "E" {
 		t.Fatalf("delete block: %+v", blk)
 	}
+	if ncols := len(blk.Rels[0].Table.Columns); len(cols) != 0 || len(blk.Select) != ncols {
+		t.Fatalf("delete outputs %d values for %d columns, SET columns %v", len(blk.Select), ncols, cols)
+	}
 
 	st, _ = sql.Parse("UPDATE EMP SET SAL = SAL * 2 WHERE DNO = 1")
-	ublk, sets, err := AnalyzeUpdate(st.(*sql.UpdateStmt), cat)
+	ublk, cols, err := AnalyzeDML(st, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sets) != 1 || sets[0].Col != 3 {
-		t.Fatalf("update sets: %+v", sets)
+	ncols := len(ublk.Rels[0].Table.Columns)
+	if len(cols) != 1 || cols[0] != 3 || len(ublk.Select) != ncols+1 || ublk.Select[ncols].String() != "(EMP.SAL * 2)" {
+		t.Fatalf("update SET columns %v, outputs %v", cols, ublk.Select)
 	}
 	if len(ublk.Factors) != 1 {
 		t.Fatal("update where")
 	}
 	st, _ = sql.Parse("UPDATE EMP SET NOPE = 1")
-	if _, _, err := AnalyzeUpdate(st.(*sql.UpdateStmt), cat); err == nil {
+	if _, _, err := AnalyzeDML(st, cat); err == nil {
 		t.Fatal("unknown SET column must fail")
 	}
 }

@@ -36,6 +36,28 @@ type statement struct {
 	vals   []value.Value
 	res    *Result
 	rows   *Rows
+
+	// The measurements: gov's ledger holds the I/O; the body records the
+	// rows (result rows, rows a cursor streamed, or rows INSERT, DELETE or
+	// UPDATE affected; 0 for DDL and plain EXPLAIN) and subquery evaluations.
+	gov   *governor.Budget
+	nrows int
+	evals int
+}
+
+// stats reads the statement's measurements: its I/O from the governor's
+// ledger, which every runtime of the statement counts into, and the rows
+// and subquery evaluations its body recorded.
+func (st *statement) stats() ExecStats {
+	io := st.gov.IO().Snapshot()
+	return ExecStats{
+		PageFetches:   io.PageFetches,
+		PagesWritten:  io.PagesWritten,
+		LogicalReads:  io.LogicalReads,
+		RSICalls:      io.RSICalls,
+		SubqueryEvals: st.evals,
+		Rows:          st.nrows,
+	}
 }
 
 // lifecycle runs one statement, autocommitted (cur == nil: an ephemeral
@@ -43,7 +65,8 @@ type statement struct {
 // explicit transaction cur, whose locks and undo log accumulate across
 // statements. In order, it:
 //
-//  1. applies StatementTimeout (a cursor is exempt: the application paces it);
+//  1. applies StatementTimeout (a cursor is exempt: the application paces it)
+//     and creates the governor, whose ledger measures the statement;
 //  2. refuses an explicit transaction that was aborted or has ended;
 //  3. derives the statement's lock set and acquires it;
 //  4. on a lock failure, aborts;
@@ -51,19 +74,20 @@ type statement struct {
 //     so a writer that waited behind a committing transaction reads its
 //     commit instead of conflicting with it (an explicit transaction keeps
 //     its BEGIN-time snapshot: repeatable reads, first-updater-wins);
-//  6. marks the undo log, creates the governor, and contains panics;
+//  6. marks the undo log and contains panics;
 //  7. runs the body;
 //  8. aborts on a write conflict, else undoes a failure back to the mark;
 //  9. ends an autocommitted transaction, unless a cursor keeps it;
-//  10. counts the statement in the metrics.
+//  10. on every return, publishes the statement's stats (see publish).
 func (db *DB) lifecycle(ctx context.Context, cur *txn.Txn, st *statement) (err error) {
 	start := time.Now()
-	defer func() { db.observeStatement(start, err) }()
 	if db.cfg.StatementTimeout > 0 && !st.cursor {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, db.cfg.StatementTimeout)
 		defer cancel()
 	}
+	st.gov = db.newGovernor(ctx)
+	defer func() { err = db.publish(start, st, err) }()
 	explicit := cur != nil
 	if explicit {
 		switch cur.State() {
@@ -98,7 +122,7 @@ func (db *DB) lifecycle(ctx context.Context, cur *txn.Txn, st *statement) (err e
 		cur.Register(db.txns.Begin())
 	}
 	mark := cur.Mark()
-	err = db.runBody(db.newGovernor(ctx), cur, st)
+	err = db.runBody(cur, st)
 	switch {
 	case errors.Is(err, txn.ErrWriteConflict):
 		return &StatementError{Err: db.abort(cur, explicit, err)}
@@ -159,20 +183,63 @@ func (db *DB) lockSet(st *statement, explicit bool) ([]lock.Request, error) {
 	return compile.LockRequests(stmt, true), nil
 }
 
+// publish ends the statement's measurement, once, on every return from
+// lifecycle: it sets LastStats and the systemr_statement_* counters from
+// st.stats() and counts the statement in the metrics. A governor abort's
+// error becomes a *StatementError carrying the same stats. A cursor that
+// stays open publishes at Rows.Close instead, where its statement ends.
+func (db *DB) publish(start time.Time, st *statement, err error) error {
+	if !st.cursor || err != nil {
+		s := st.stats()
+		db.setLast(s)
+		err = withStats(err, s)
+	}
+	db.observeStatement(start, err)
+	return err
+}
+
+// setLast records the statement's measured statistics (including the partial
+// cost of an aborted statement).
+func (db *DB) setLast(s ExecStats) {
+	db.mu.Lock()
+	db.last = s
+	db.mu.Unlock()
+	m := db.metrics
+	m.stmtCost.Add(s.Cost(db.cfg.W))
+	m.stmtFetches.Add(float64(s.PageFetches + s.PagesWritten))
+	m.stmtRSI.Add(float64(s.RSICalls))
+	m.stmtRows.Add(float64(s.Rows))
+}
+
+// withStats attaches a statement's stats to its error: a *StatementError
+// the lifecycle built gets them, a governor abort (cancellation, deadline,
+// budget) is wrapped in one, and any other error passes through.
+func withStats(err error, s ExecStats) error {
+	var se *StatementError
+	if errors.As(err, &se) {
+		se.Stats = s
+		return err
+	}
+	if errors.Is(err, governor.ErrCanceled) || errors.Is(err, governor.ErrBudgetExceeded) {
+		return &StatementError{Err: err, Stats: s}
+	}
+	return err
+}
+
 // runBody runs the statement's body under its governor and transaction.
 // A plan-cache hit's body is its SELECT; the catalog-version check happens
 // here, under the locks (the shared catalog lock excludes DDL, pinning the
 // version), so a plan that went stale between the peek and the acquire is
 // recompiled, never executed.
-func (db *DB) runBody(gov *governor.Budget, t *txn.Txn, st *statement) (err error) {
+func (db *DB) runBody(t *txn.Txn, st *statement) (err error) {
 	defer contain(&err)
 	switch {
 	case st.prep != nil:
-		return st.prep.exec(gov, t, st)
+		return st.prep.exec(t, st)
 	case st.parsed == nil:
-		st.res, err = db.execSelect(gov, t, st.norm, nil)
+		st.res, err = db.execSelect(t, st, nil)
 	default:
-		st.res, err = db.execStmt(gov, t, st.norm, st.parsed)
+		st.res, err = db.execStmt(t, st)
 	}
 	return err
 }

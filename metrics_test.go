@@ -47,9 +47,10 @@ func TestMetricsStatementCounters(t *testing.T) {
 	if got := m["systemr_compile_seconds"].Count; got != 2 {
 		t.Fatalf("compile_seconds count = %d, want 2", got)
 	}
-	// The SELECT returned 3 rows and cost > 0 in the paper's units.
-	if got := m["systemr_statement_rows_total"].Value; got != 3 {
-		t.Fatalf("statement_rows_total = %g, want 3", got)
+	// The INSERT affected 3 rows and the SELECT returned 3; the SELECT cost
+	// > 0 in the paper's units.
+	if got := m["systemr_statement_rows_total"].Value; got != 6 {
+		t.Fatalf("statement_rows_total = %g, want 6", got)
 	}
 	if got := m["systemr_statement_cost_total"].Value; got <= 0 {
 		t.Fatalf("statement_cost_total = %g, want > 0", got)

@@ -20,7 +20,6 @@ import (
 
 	"systemr/internal/compile"
 	"systemr/internal/exec"
-	"systemr/internal/governor"
 	"systemr/internal/sql"
 	"systemr/internal/txn"
 	"systemr/internal/value"
@@ -87,8 +86,8 @@ func (s *Stmt) RunContext(ctx context.Context, args ...any) (*Result, error) {
 // exec is a prepared run's body: revalidate the plan's catalog version
 // under the statement's locks — recompiling after DDL or a statistics
 // refresh — then run it, or open a cursor over it.
-func (s *Stmt) exec(gov *governor.Budget, t *txn.Txn, st *statement) error {
-	cp, _, err := s.db.resolveSelect(gov, s.norm, nil)
+func (s *Stmt) exec(t *txn.Txn, st *statement) error {
+	cp, _, err := s.db.resolveSelect(st.gov, s.norm, nil)
 	if err != nil {
 		return err
 	}
@@ -96,14 +95,14 @@ func (s *Stmt) exec(gov *governor.Budget, t *txn.Txn, st *statement) error {
 	s.cp = cp
 	s.mu.Unlock()
 	if st.cursor {
-		c, err := exec.OpenQuery(s.db.runtime(gov, t.Snapshot()), cp.Query, st.vals)
+		c, err := exec.OpenQuery(s.db.runtime(st.gov, t.Snapshot()), cp.Query, st.vals)
 		if err != nil {
-			return wrapGovErr(err, ExecStats{})
+			return err
 		}
-		st.rows = &Rows{db: s.db, cols: outNames(cp.Query), cursor: c, t: t}
+		st.rows = &Rows{db: s.db, st: st, cols: outNames(cp.Query), cursor: c, t: t}
 		return nil
 	}
-	rows, _, err := s.db.runPlan(gov, t, cp.Query, st.vals, false)
+	rows, _, err := s.db.runPlan(t, st, cp.Query, false)
 	if err != nil {
 		return err
 	}
@@ -152,6 +151,7 @@ func hostValues(args []any) ([]value.Value, error) {
 // horizon it pins — is held until Close.
 type Rows struct {
 	db     *DB
+	st     *statement
 	cols   []string
 	cursor *exec.Cursor
 	t      *txn.Txn
@@ -194,7 +194,7 @@ func (r *Rows) Next() (row []any, ok bool, err error) {
 		}
 		// Close has just published the cursor's partial stats as LastStats;
 		// the governor error carries the same numbers.
-		return nil, false, wrapGovErr(err, execStatsFrom(r.cursor.Stats()))
+		return nil, false, withStats(err, r.st.stats())
 	}
 	return toNative(raw), true, nil
 }
@@ -219,9 +219,9 @@ func (r *Rows) Close() error {
 	}
 	r.closed = true
 	err := r.cursor.Close()
-	if st := r.cursor.Stats(); st != nil {
-		r.db.setLast(execStatsFrom(st))
-	}
+	cs := r.cursor.Stats()
+	r.st.nrows, r.st.evals = cs.Rows, cs.SubqueryEvals
+	r.db.setLast(r.st.stats())
 	r.db.endTxn(r.t, false, true)
 	return err
 }

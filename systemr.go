@@ -25,7 +25,6 @@ package systemr
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -163,8 +162,12 @@ type Result struct {
 	Plan string
 }
 
-// ExecStats reports the measured cost of the last statement in the paper's
-// units.
+// ExecStats reports one statement's measured cost in the paper's units, read
+// from the statement's own I/O ledger. Rows counts the result rows of a query
+// (EXPLAIN ANALYZE included), the rows a cursor streamed before it closed,
+// and the rows an INSERT, DELETE or UPDATE affected, including the partial
+// count of an aborted one; it is 0 for DDL, UPDATE STATISTICS and plain
+// EXPLAIN.
 type ExecStats struct {
 	PageFetches   int64
 	PagesWritten  int64
@@ -287,7 +290,7 @@ func (db *DB) resolveSelect(gov *governor.Budget, norm string, sel *sql.SelectSt
 	}
 	db.observeCompile(cstart)
 	if err != nil {
-		return nil, false, wrapGovErr(err, ExecStats{})
+		return nil, false, err
 	}
 	db.plans.Miss()
 	db.plans.Put(key, cp)
@@ -356,7 +359,9 @@ func (db *DB) explain(ctx context.Context, text string) (string, error) {
 }
 
 // LastStats returns the measured execution statistics of the most recent
-// statement.
+// statement of any kind, published when it ended: on return for a
+// statement, at Rows.Close for a cursor. A failed or aborted statement
+// publishes what it measured up to the failure.
 func (db *DB) LastStats() ExecStats {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -507,7 +512,7 @@ func (db *DB) PlanSelect(text string) (*plan.Query, error) {
 // compile pipeline, under the statement's governor budget when one is given.
 func (db *DB) planBlock(gov *governor.Budget, blk *sem.Block) (*plan.Query, error) {
 	if err := gov.Check(); err != nil {
-		return nil, wrapGovErr(err, ExecStats{})
+		return nil, err
 	}
 	cstart := time.Now()
 	q, err := db.compiler.PlanBlock(blk)
@@ -548,41 +553,39 @@ func (db *DB) PlanCacheStats() PlanCacheStats {
 }
 
 // execStmt dispatches one parsed statement under the statement's governor,
-// writing through cur's undo log. norm is the statement's normalized text
+// writing through cur's undo log. st.norm is the statement's normalized text
 // ("" only if normalization failed, which implies parsing failed first).
-func (db *DB) execStmt(gov *governor.Budget, cur *txn.Txn, norm string, stmt sql.Statement) (*Result, error) {
+func (db *DB) execStmt(cur *txn.Txn, st *statement) (*Result, error) {
 	var err error
-	switch st := stmt.(type) {
+	switch x := st.parsed.(type) {
 	case *sql.CreateTableStmt:
-		cols := make([]catalog.Column, len(st.Cols))
-		for i, c := range st.Cols {
+		cols := make([]catalog.Column, len(x.Cols))
+		for i, c := range x.Cols {
 			cols[i] = catalog.Column{Name: c.Name, Type: c.Type}
 		}
-		_, err = db.cat.CreateTable(st.Name, cols, st.Segment)
+		_, err = db.cat.CreateTable(x.Name, cols, x.Segment)
 	case *sql.CreateIndexStmt:
-		_, err = db.cat.CreateIndex(st.Name, st.Table, st.Columns, st.Unique, st.Clustered)
+		_, err = db.cat.CreateIndex(x.Name, x.Table, x.Columns, x.Unique, x.Clustered)
 	case *sql.DropTableStmt:
-		err = db.cat.DropTable(st.Name)
+		err = db.cat.DropTable(x.Name)
 	case *sql.DropIndexStmt:
-		err = db.cat.DropIndex(st.Name)
+		err = db.cat.DropIndex(x.Name)
 	case *sql.UpdateStatsStmt:
-		if st.Table == "" {
+		if x.Table == "" {
 			db.cat.UpdateStatistics()
-		} else if !db.cat.UpdateStatisticsFor(st.Table) {
-			err = fmt.Errorf("systemr: table %s does not exist", st.Table)
+		} else if !db.cat.UpdateStatisticsFor(x.Table) {
+			err = fmt.Errorf("systemr: table %s does not exist", x.Table)
 		}
 	case *sql.InsertStmt:
-		return db.execInsert(gov, cur, st)
+		return db.execInsert(cur, st, x)
 	case *sql.SelectStmt:
-		return db.execSelect(gov, cur, norm, st)
+		return db.execSelect(cur, st, x)
 	case *sql.ExplainStmt:
-		return db.execExplain(gov, cur, norm, st)
-	case *sql.DeleteStmt:
-		return db.execDelete(gov, cur, st)
-	case *sql.UpdateStmt:
-		return db.execUpdate(gov, cur, st)
+		return db.execExplain(cur, st, x)
+	case *sql.DeleteStmt, *sql.UpdateStmt:
+		return db.execDML(cur, st)
 	default:
-		return nil, fmt.Errorf("systemr: unsupported statement %T", stmt)
+		return nil, fmt.Errorf("systemr: unsupported statement %T", x)
 	}
 	if err != nil {
 		return nil, err
@@ -628,56 +631,17 @@ func evalConstExpr(e sql.Expr) (value.Value, error) {
 	return value.Value{}, fmt.Errorf("systemr: VALUES requires constant expressions, got %s", e)
 }
 
-// execStatsFrom converts the executor's measured statistics to the public
-// ExecStats.
-func execStatsFrom(stats *exec.Stats) ExecStats {
-	if stats == nil {
-		return ExecStats{}
-	}
-	return ExecStats{
-		PageFetches:   stats.IO.PageFetches,
-		PagesWritten:  stats.IO.PagesWritten,
-		LogicalReads:  stats.IO.LogicalReads,
-		RSICalls:      stats.IO.RSICalls,
-		SubqueryEvals: stats.SubqueryEvals,
-		Rows:          stats.Rows,
-	}
-}
-
-// setLast records the statement's measured statistics (including the partial
-// cost of an aborted statement).
-func (db *DB) setLast(s ExecStats) {
-	db.mu.Lock()
-	db.last = s
-	db.mu.Unlock()
-	m := db.metrics
-	m.stmtCost.Add(s.Cost(db.cfg.W))
-	m.stmtFetches.Add(float64(s.PageFetches + s.PagesWritten))
-	m.stmtRSI.Add(float64(s.RSICalls))
-	m.stmtRows.Add(float64(s.Rows))
-}
-
-// wrapGovErr converts a governor abort (cancellation, deadline, budget) into
-// a *StatementError carrying the partial stats; other errors pass through.
-func wrapGovErr(err error, stats ExecStats) error {
-	if errors.Is(err, governor.ErrCanceled) || errors.Is(err, governor.ErrBudgetExceeded) {
-		return &StatementError{Err: err, Stats: stats}
-	}
-	return err
-}
-
-func (db *DB) execInsert(gov *governor.Budget, cur *txn.Txn, st *sql.InsertStmt) (*Result, error) {
-	t, ok := db.cat.Table(st.Table)
+func (db *DB) execInsert(cur *txn.Txn, st *statement, ins *sql.InsertStmt) (*Result, error) {
+	t, ok := db.cat.Table(ins.Table)
 	if !ok {
-		return nil, fmt.Errorf("systemr: table %s does not exist", st.Table)
+		return nil, fmt.Errorf("systemr: table %s does not exist", ins.Table)
 	}
 	if t.System {
 		return nil, fmt.Errorf("systemr: %s is a read-only system catalog", t.Name)
 	}
-	n := 0
-	for _, rowExprs := range st.Rows {
-		if err := gov.Tick(); err != nil {
-			return nil, wrapGovErr(err, ExecStats{Rows: n})
+	for _, rowExprs := range ins.Rows {
+		if err := st.gov.Tick(); err != nil {
+			return nil, err
 		}
 		row := make(value.Row, len(rowExprs))
 		for i, e := range rowExprs {
@@ -690,20 +654,20 @@ func (db *DB) execInsert(gov *governor.Budget, cur *txn.Txn, st *sql.InsertStmt)
 		if _, err := cur.Insert(t, row, storage.NoPrevTID); err != nil {
 			return nil, err
 		}
-		n++
+		st.nrows++
 	}
-	return &Result{Affected: n}, nil
+	return &Result{Affected: st.nrows}, nil
 }
 
 // execSelect runs a SQL-text SELECT: resolve a plan — which caches a
 // freshly compiled plan for next time — run it, and feed the estimation
 // loop with the outcome.
-func (db *DB) execSelect(gov *governor.Budget, cur *txn.Txn, norm string, sel *sql.SelectStmt) (*Result, error) {
-	cp, _, err := db.resolveSelect(gov, norm, sel)
+func (db *DB) execSelect(cur *txn.Txn, st *statement, sel *sql.SelectStmt) (*Result, error) {
+	cp, _, err := db.resolveSelect(st.gov, st.norm, sel)
 	if err != nil {
 		return nil, err
 	}
-	rows, _, err := db.runPlan(gov, cur, cp.Query, nil, false)
+	rows, _, err := db.runPlan(cur, st, cp.Query, false)
 	if err != nil {
 		return nil, err
 	}
@@ -712,28 +676,24 @@ func (db *DB) execSelect(gov *governor.Budget, cur *txn.Txn, norm string, sel *s
 }
 
 // runPlan executes a plan under the statement's governor and transaction
-// snapshot, binding vals to its host variables, and publishes the measured
-// cost as LastStats; a governor abort carries the same partial stats. The
-// plan itself is never mutated — all execution state lives in the run — so
-// cached plans execute concurrently. analyze keeps the instrumented operator
-// tree for EXPLAIN ANALYZE.
-func (db *DB) runPlan(gov *governor.Budget, t *txn.Txn, q *plan.Query, vals []value.Value, analyze bool) ([]value.Row, *exec.Analysis, error) {
-	rt := db.runtime(gov, t.Snapshot())
+// snapshot, binding the statement's host-variable values, and records the
+// result rows and subquery evaluations on the statement. The plan itself is
+// never mutated — all execution state lives in the run — so cached plans
+// execute concurrently. analyze keeps the instrumented operator tree for
+// EXPLAIN ANALYZE.
+func (db *DB) runPlan(t *txn.Txn, st *statement, q *plan.Query, analyze bool) ([]value.Row, *exec.Analysis, error) {
+	rt := db.runtime(st.gov, t.Snapshot())
 	var rows []value.Row
 	var stats *exec.Stats
 	var an *exec.Analysis
 	var err error
 	if analyze {
-		rows, stats, an, err = exec.RunQueryAnalyze(rt, q, vals)
+		rows, stats, an, err = exec.RunQueryAnalyze(rt, q, st.vals)
 	} else {
-		rows, stats, err = exec.RunQuery(rt, q, vals)
+		rows, stats, err = exec.RunQuery(rt, q, st.vals)
 	}
-	es := execStatsFrom(stats)
-	db.setLast(es)
-	if err != nil {
-		return nil, nil, wrapGovErr(err, es)
-	}
-	return rows, an, nil
+	st.nrows, st.evals = stats.Rows, stats.SubqueryEvals
+	return rows, an, err
 }
 
 // queryResult materializes a query's rows as native Go values.
@@ -808,16 +768,16 @@ func selectNorm(norm string) string {
 // exactly like a plain SELECT. EXPLAIN of a SELECT goes through the plan
 // cache — sharing the plain SELECT's slot — and annotates the plan with a
 // note when it was served from cache.
-func (db *DB) execExplain(gov *governor.Budget, cur *txn.Txn, norm string, st *sql.ExplainStmt) (*Result, error) {
-	if err := gov.Check(); err != nil {
-		return nil, wrapGovErr(err, ExecStats{})
+func (db *DB) execExplain(cur *txn.Txn, st *statement, ex *sql.ExplainStmt) (*Result, error) {
+	if err := st.gov.Check(); err != nil {
+		return nil, err
 	}
 	var q *plan.Query
 	var cacheNote string
 	var cp *compile.CompiledPlan
-	switch inner := st.Stmt.(type) {
+	switch inner := ex.Stmt.(type) {
 	case *sql.SelectStmt:
-		sel, hit, err := db.resolveSelect(gov, selectNorm(norm), inner)
+		sel, hit, err := db.resolveSelect(st.gov, selectNorm(st.norm), inner)
 		if err != nil {
 			return nil, err
 		}
@@ -826,29 +786,21 @@ func (db *DB) execExplain(gov *governor.Budget, cur *txn.Txn, norm string, st *s
 		}
 		cp = sel
 		q = cp.Query
-	case *sql.DeleteStmt:
-		blk, err := sem.AnalyzeDelete(inner, db.cat)
+	case *sql.DeleteStmt, *sql.UpdateStmt:
+		blk, _, err := sem.AnalyzeDML(inner, db.cat)
 		if err != nil {
 			return nil, err
 		}
-		if q, err = db.planBlock(gov, blk); err != nil {
-			return nil, err
-		}
-	case *sql.UpdateStmt:
-		blk, _, err := sem.AnalyzeUpdate(inner, db.cat)
-		if err != nil {
-			return nil, err
-		}
-		if q, err = db.planBlock(gov, blk); err != nil {
+		if q, err = db.planBlock(st.gov, blk); err != nil {
 			return nil, err
 		}
 	default:
-		return nil, fmt.Errorf("systemr: EXPLAIN does not support %T", st.Stmt)
+		return nil, fmt.Errorf("systemr: EXPLAIN does not support %T", ex.Stmt)
 	}
-	if !st.Analyze {
+	if !ex.Analyze {
 		return &Result{Plan: q.Explain() + cacheNote}, nil
 	}
-	rows, analysis, err := db.runPlan(gov, cur, q, nil, true)
+	rows, analysis, err := db.runPlan(cur, st, q, true)
 	if err != nil {
 		return nil, err
 	}
@@ -858,82 +810,51 @@ func (db *DB) execExplain(gov *governor.Budget, cur *txn.Txn, norm string, st *s
 	return &Result{Plan: analysis.Format(db.cfg.W) + cacheNote}, nil
 }
 
-// collectMatches locates the tuples a DELETE/UPDATE affects through the
-// optimizer's chosen access path (the paper: "retrieval for data
-// manipulation is treated similarly"). The scan runs under the statement's
-// snapshot: the tuples a writer modifies are exactly the tuples it sees.
-// System catalogs are read-only.
-func (db *DB) collectMatches(gov *governor.Budget, cur *txn.Txn, blk *sem.Block) (*plan.Query, []storage.TID, []value.Row, error) {
-	if t := blk.Rels[0].Table; t.System {
-		return nil, nil, nil, fmt.Errorf("systemr: %s is a read-only system catalog", t.Name)
-	}
-	q, err := db.planBlock(gov, blk)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	tids, rows, err := exec.CollectTIDs(db.runtime(gov, cur.Snapshot()), q)
-	if err != nil {
-		return nil, nil, nil, wrapGovErr(err, ExecStats{Rows: int(gov.RowsScanned())})
-	}
-	return q, tids, rows, nil
-}
-
-func (db *DB) execDelete(gov *governor.Budget, cur *txn.Txn, st *sql.DeleteStmt) (*Result, error) {
-	blk, err := sem.AnalyzeDelete(st, db.cat)
-	if err != nil {
-		return nil, err
-	}
-	_, tids, rows, err := db.collectMatches(gov, cur, blk)
+// execDML runs a DELETE or UPDATE. The optimizer's chosen access path
+// locates the targets under the statement's snapshot, so the tuples a writer
+// modifies are exactly the tuples it sees, and every target is collected
+// before the first mutation. Then, per target, it ticks the governor and
+// deletes; UPDATE is mark+insert per row: the old version is delete-marked
+// in place (older snapshots keep seeing it) and the new version links back
+// to it. Undo reverses both halves — removing the new version and clearing
+// the old one's mark. System catalogs are read-only.
+func (db *DB) execDML(cur *txn.Txn, st *statement) (*Result, error) {
+	blk, cols, err := sem.AnalyzeDML(st.parsed, db.cat)
 	if err != nil {
 		return nil, err
 	}
 	t := blk.Rels[0].Table
-	for i, tid := range tids {
-		if err := gov.Tick(); err != nil {
-			return nil, wrapGovErr(err, ExecStats{Rows: i})
-		}
-		if err := cur.Delete(t, tid, rows[i]); err != nil {
+	if t.System {
+		return nil, fmt.Errorf("systemr: %s is a read-only system catalog", t.Name)
+	}
+	q, err := db.planBlock(st.gov, blk)
+	if err != nil {
+		return nil, err
+	}
+	targets, evals, err := exec.CollectTargets(db.runtime(st.gov, cur.Snapshot()), q)
+	st.evals = evals
+	if err != nil {
+		return nil, err
+	}
+	for _, tg := range targets {
+		if err := st.gov.Tick(); err != nil {
 			return nil, err
 		}
-	}
-	return &Result{Affected: len(tids)}, nil
-}
-
-func (db *DB) execUpdate(gov *governor.Budget, cur *txn.Txn, st *sql.UpdateStmt) (*Result, error) {
-	blk, sets, err := sem.AnalyzeUpdate(st, db.cat)
-	if err != nil {
-		return nil, err
-	}
-	q, tids, rows, err := db.collectMatches(gov, cur, blk)
-	if err != nil {
-		return nil, err
-	}
-	pc := exec.NewPredContext(db.runtime(gov, cur.Snapshot()), q)
-	t := blk.Rels[0].Table
-	for i, tid := range tids {
-		if err := gov.Tick(); err != nil {
-			return nil, wrapGovErr(err, ExecStats{Rows: i})
+		if err := cur.Delete(t, tg.TID, tg.Row); err != nil {
+			return nil, err
 		}
-		newRow := rows[i].Clone()
-		for _, set := range sets {
-			v, err := pc.Eval(rows[i], set.Expr)
-			if err != nil {
+		if len(cols) > 0 {
+			row := tg.Row.Clone()
+			for i, c := range cols {
+				row[c] = tg.Sets[i]
+			}
+			if _, err := cur.Insert(t, row, tg.TID); err != nil {
 				return nil, err
 			}
-			newRow[set.Col] = v
 		}
-		// UPDATE is mark+insert per row: the old version is delete-marked in
-		// place (older snapshots keep seeing it) and the new version links
-		// back to it. Undo reverses both halves — removing the new version
-		// and clearing the old one's mark.
-		if err := cur.Delete(t, tid, rows[i]); err != nil {
-			return nil, err
-		}
-		if _, err := cur.Insert(t, newRow, tid); err != nil {
-			return nil, err
-		}
+		st.nrows++
 	}
-	return &Result{Affected: len(tids)}, nil
+	return &Result{Affected: st.nrows}, nil
 }
 
 func toNative(r value.Row) []any {
