@@ -7,6 +7,7 @@ package systemr
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -14,22 +15,29 @@ import (
 
 	"systemr/internal/compile"
 	"systemr/internal/lock"
-	"systemr/internal/storage"
 	"systemr/internal/value"
 )
 
 // DumpSQL writes CREATE TABLE / CREATE INDEX / INSERT / UPDATE STATISTICS
 // statements reproducing the current database. System catalogs are skipped
 // (they regenerate). Tables dump in name order; rows in physical order.
+//
+// The shared catalog lock holds DDL off while the schema is read, and the
+// rows are read under a snapshot pinned once that lock is granted: the dump
+// holds exactly the transactions committed by then, whatever writers run
+// beside it. A failed lock acquisition (deadlock victim, Config.LockTimeout)
+// is returned.
 func (db *DB) DumpSQL(w io.Writer) error {
+	held, err := db.locks.AcquireContext(context.Background(),
+		[]lock.Request{{Table: compile.CatalogLock, Mode: lock.Shared}})
+	if err != nil {
+		return fmt.Errorf("systemr: dump: %w", err)
+	}
+	defer held.Release()
+	reg := db.txns.Begin()
+	defer db.txns.Finish(reg)
 	tables := db.cat.Tables()
 	sort.Slice(tables, func(i, j int) bool { return tables[i].Name < tables[j].Name })
-	reqs := []lock.Request{{Table: compile.CatalogLock, Mode: lock.Shared}}
-	for _, t := range tables {
-		reqs = append(reqs, lock.Request{Table: t.Name, Mode: lock.Shared})
-	}
-	held := db.locks.Acquire(reqs)
-	defer held.Release()
 
 	bw := bufio.NewWriter(w)
 
@@ -42,26 +50,15 @@ func (db *DB) DumpSQL(w io.Writer) error {
 			cols[i] = c.Name + " " + c.Type.String()
 		}
 		fmt.Fprintf(bw, "CREATE TABLE %s (%s);\n", t.Name, strings.Join(cols, ", "))
-		// The held shared locks exclude every writer, so "no delete mark"
-		// is exactly "latest committed": dead versions awaiting vacuum are
-		// skipped, live versions dump in physical order.
 		for _, pid := range t.Segment.Pages() {
 			page := db.disk.Page(pid)
-			for s := uint16(0); s < page.NumSlots(); s++ {
-				rec, rel, ok := page.Record(s)
-				if !ok || rel != t.ID {
-					continue
-				}
-				h, body, err := storage.ParseVersionHeader(rec)
+			for s, n := uint16(0), page.SlotCount(); s < n; s++ {
+				h, row, rel, ok, err := page.ReadVersioned(s)
 				if err != nil {
 					return fmt.Errorf("systemr: dumping %s: %w", t.Name, err)
 				}
-				if h.Xmax != 0 {
+				if !ok || rel != t.ID || !reg.Snap.Visible(h) {
 					continue
-				}
-				row, err := storage.DecodeRow(body)
-				if err != nil {
-					return fmt.Errorf("systemr: dumping %s: %w", t.Name, err)
 				}
 				fmt.Fprintf(bw, "INSERT INTO %s VALUES (%s);\n", t.Name, sqlRow(row))
 			}

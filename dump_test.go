@@ -3,6 +3,7 @@ package systemr_test
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"systemr"
 	"systemr/internal/testutil"
@@ -52,6 +53,35 @@ func TestDumpAndRestore(t *testing.T) {
 	if !emp.Stats.HasStats || emp.Stats.NCard != 290 {
 		t.Fatalf("restored stats: %+v", emp.Stats)
 	}
+}
+
+// TestDumpSQLUnderWriter: a dump beside an open writing transaction neither
+// waits for the writer's table lock nor sees its uncommitted rows: it writes
+// the committed state, byte for byte the dump taken before the write.
+func TestDumpSQLUnderWriter(t *testing.T) {
+	db := systemr.Open(systemr.Config{LockTimeout: 50 * time.Millisecond})
+	db.MustExec("CREATE TABLE T (A INTEGER)")
+	db.MustExec("INSERT INTO T VALUES (1)")
+	db.MustExec("INSERT INTO T VALUES (2)")
+	var before strings.Builder
+	if err := db.DumpSQL(&before); err != nil {
+		t.Fatal(err)
+	}
+	w := db.Begin()
+	if _, err := w.Exec("UPDATE T SET A = 999"); err != nil {
+		t.Fatal(err)
+	}
+	var during strings.Builder
+	if err := db.DumpSQL(&during); err != nil {
+		t.Fatalf("dump beside an open writer: %v", err)
+	}
+	if during.String() != before.String() {
+		t.Fatalf("dump beside an open writer is not the committed state:\n%s", during.String())
+	}
+	if err := w.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	assertClean(t, db)
 }
 
 func mustRows(t *testing.T, db *systemr.DB, q string) []value.Row {

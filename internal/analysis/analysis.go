@@ -1,9 +1,8 @@
 // Package analysis is sysrcheck: a project-specific static-analysis suite
 // that enforces this codebase's load-bearing invariants at build time —
-// the ones the governor (PR 1), the operator contract (PR 2), the
-// selectivity clamp (PR 3), the I/O attribution split (PR 5), the
-// transaction layer (PR 6/8), and the lock hierarchy introduced but nothing
-// enforced:
+// the ones the governor (PR 1), the operator contract (PR 2), the I/O
+// attribution split (PR 5), the transaction layer (PR 6/8), and the lock
+// hierarchy introduced but nothing enforced:
 //
 //   - rsiclose: RSI scans, lock grants, and opened operator trees are
 //     closed/released on every path out of the acquiring function.
@@ -12,8 +11,6 @@
 //     the batched operator protocol reaches one at least once per batch;
 //     and a producing loop anywhere else ticks locally unless every call
 //     chain reaching it passes through a ticking function.
-//   - selclamp: selectivity factors pass through internal/core's single
-//     clamp entry point; raw float arithmetic never flows into F unclamped.
 //   - nakedpanic: library code panics only through the sanctioned
 //     internal/check helper (contained at the statement boundary).
 //   - errlost: errors from Close/Unlock/Release are not silently dropped.
@@ -150,7 +147,6 @@ func (d Diagnostic) String() string {
 var Suite = []*Analyzer{
 	RSIClose,
 	GovTick,
-	SelClamp,
 	NakedPanic,
 	ErrLost,
 	NoPrint,

@@ -44,8 +44,6 @@ func TestGovBatchFixture(t *testing.T) {
 	}
 }
 
-func TestSelClampFixture(t *testing.T) { runFixture(t, SelClamp, "selclamp") }
-
 func TestNakedPanicFixture(t *testing.T) { runFixture(t, NakedPanic, "nakedpanic") }
 
 func TestErrLostFixture(t *testing.T) { runFixture(t, ErrLost, "errlost") }

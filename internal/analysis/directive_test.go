@@ -106,7 +106,7 @@ func TestDirectiveSetAccounting(t *testing.T) {
 	if ds.suppresses(at(12, "lockrank")) {
 		t.Error("directive suppressed two lines below")
 	}
-	if ds.suppresses(at(10, "selclamp")) {
+	if ds.suppresses(at(10, "snappin")) {
 		t.Error("directive suppressed an analyzer it does not name")
 	}
 

@@ -34,10 +34,10 @@ package analysis
 //     registration to the session's Txn).
 //
 // Sanctioned nil-snapshot readers (catalog statistics under the exclusive
-// catalog lock, dumps under table S locks, vacuum itself reading under the
-// horizon) carry reasoned //sysrcheck:ignore directives at the reporting
-// site — the point of the analyzer is that each such exemption is written
-// down next to the code that depends on it.
+// catalog lock, vacuum itself reading under the horizon) carry reasoned
+// //sysrcheck:ignore directives at the reporting site — the point of the
+// analyzer is that each such exemption is written down next to the code
+// that depends on it.
 
 import (
 	"fmt"

@@ -16,9 +16,8 @@ package catalog
 // holds, and the hottest keys are estimated exactly.
 //
 // Everything here answers in ROW COUNTS, not fractions. Selectivity
-// fractions are computed (and clamped) only in internal/core, behind its
-// clamp01 single entry point — the PR 4 invariant the selclamp analyzer
-// enforces.
+// fractions are computed only in internal/core, and clamped to [0, 1] where
+// every factor's F is assigned (core's selectivity).
 
 import (
 	"sort"

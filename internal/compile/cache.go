@@ -8,14 +8,15 @@ import (
 // Cache is a concurrency-safe LRU plan cache. Lookup is split in two so the
 // caller can validate the catalog version under the statement's locks:
 //
-//	e, ok := cache.Peek(key)          // lock-free w.r.t. the catalog
-//	held := locks.Acquire(e.Locks)    // pins the catalog version
+//	e, ok := cache.Peek(key)                    // lock-free w.r.t. the catalog
+//	err := t.Locks.AcquireContext(ctx, e.Locks) // pins the catalog version
 //	if e.Version == cat.Version() { cache.Hit(key); execute(e) }
 //	else { cache.Invalidate(key, e); recompile; cache.Put(key, fresh) }
 //
 // Peeking before the locks is safe because plans are immutable and the
 // version check happens after the shared catalog lock is held: a plan that
-// went stale between Peek and Acquire fails the version check and recompiles.
+// went stale between Peek and the grant fails the version check and
+// recompiles.
 type Cache struct {
 	mu       sync.Mutex
 	capacity int

@@ -86,15 +86,15 @@ func (o *Optimizer) genPaths(rel int, pushed []pushedPred) accessPaths {
 	sargable, residual := o.localFactors(rel)
 	selSarg, selAll := 1.0, 1.0
 	for _, fi := range sargable {
-		selSarg = clamp01(selSarg * fi.sel)
-		selAll = clamp01(selAll * fi.sel)
+		selSarg *= fi.sel
+		selAll *= fi.sel
 	}
 	for _, fi := range residual {
-		selAll = clamp01(selAll * fi.sel)
+		selAll *= fi.sel
 	}
 	for _, p := range pushed {
-		selSarg = clamp01(selSarg * p.sel)
-		selAll = clamp01(selAll * p.sel)
+		selSarg *= p.sel
+		selAll *= p.sel
 	}
 	ncard := st.EffNCard()
 	rsicard := ncard * selSarg
@@ -285,7 +285,7 @@ func (o *Optimizer) indexPath(rel int, ix *catalog.Index, pushed []pushedPred,
 			if src.eq {
 				lo = append(lo, *src.lo)
 				hi = append(hi, *src.hi)
-				matchSel = clamp01(matchSel * src.sel)
+				matchSel *= src.sel
 				eqCols++
 				matched = true
 				found = true
@@ -316,7 +316,7 @@ func (o *Optimizer) indexPath(rel int, ix *catalog.Index, pushed []pushedPred,
 				used = true
 			}
 			if used {
-				matchSel = clamp01(matchSel * src.sel)
+				matchSel *= src.sel
 				matched = true
 			}
 		}

@@ -61,7 +61,7 @@ func (o *Optimizer) naiveScan(rel int) plan.Node {
 	for _, fi := range o.factors {
 		if fi.rels == single {
 			residual = append(residual, fi.f.Expr)
-			selAll = clamp01(selAll * fi.sel)
+			selAll *= fi.sel
 		}
 	}
 	st := t.Stats

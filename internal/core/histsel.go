@@ -9,12 +9,11 @@ package core
 //     original statistics), and
 //  3. the Table 1 default for the predicate shape.
 //
-// Histogram answers come back as row counts; the fraction — and its clamp —
-// happens here, behind clamp01, keeping the PR 4 single-entry-point
-// invariant. Out-of-range constants (possible whenever statistics are stale
-// relative to the data) are floored at one key's worth of rows rather than
-// rounding to zero, so a point query past a stale high key never plans
-// against QCARD 0.
+// Histogram answers come back as row counts; the fraction is computed here
+// and, like every F, clamped to [0, 1] by selectivity's return. Out-of-range
+// constants (possible whenever statistics are stale relative to the data)
+// are floored at one key's worth of rows rather than rounding to zero, so a
+// point query past a stale high key never plans against QCARD 0.
 
 import (
 	"math"
@@ -64,14 +63,14 @@ func (o *Optimizer) eqSel(col *sem.Col, other sem.Expr) float64 {
 			if !inRange {
 				// Outside the analyzed key range: the statistics may simply
 				// be stale, so floor at one key's worth of rows.
-				return clamp01(1 / cs.EffNDistinct())
+				return 1 / cs.EffNDistinct()
 			}
-			return clamp01(rows / cs.Hist.TotalRows())
+			return rows / cs.Hist.TotalRows()
 		}
-		return clamp01(1 / cs.EffNDistinct())
+		return 1 / cs.EffNDistinct()
 	}
 	if st := o.colStats(col.ID); st != nil && st.HasStats {
-		return clamp01(1 / st.EffICardLead())
+		return 1 / st.EffICardLead()
 	}
 	return defEq
 }
@@ -100,7 +99,7 @@ func (o *Optimizer) histRangeSel(cs *catalog.ColStats, op sem.BinOp, v value.Val
 	default:
 		return 0, false
 	}
-	return clamp01(math.Max(rows/total, rowFloor(cs, total))), true
+	return math.Max(rows/total, rowFloor(cs, total)), true
 }
 
 // rowFloor is the minimum fraction any sargable range/point estimate may
@@ -109,7 +108,7 @@ func rowFloor(cs *catalog.ColStats, total float64) float64 {
 	if total <= 0 {
 		return 0
 	}
-	return clamp01(1 / cs.EffNDistinct())
+	return 1 / cs.EffNDistinct()
 }
 
 // histBetweenSel estimates "col BETWEEN lo AND hi" from the histogram as the
@@ -121,5 +120,5 @@ func (o *Optimizer) histBetweenSel(cs *catalog.ColStats, lo, hi value.Value) (fl
 	}
 	total := h.TotalRows()
 	rows := h.LeRows(hi) - h.LtRows(lo)
-	return clamp01(math.Max(rows/total, rowFloor(cs, total))), true
+	return math.Max(rows/total, rowFloor(cs, total)), true
 }

@@ -34,8 +34,12 @@ const (
 // selectivity assigns F to one boolean factor's expression. Whatever the
 // branch below produces, the result is clamped to [0, 1]: a selectivity
 // factor is a fraction of tuples, and letting a stats anomaly (empty index,
-// zero-cardinality relation, inverted min/max) push F outside that range
-// corrupts every downstream QCARD and cost product.
+// zero-cardinality relation, inverted min/max, NaN keys) push F outside that
+// range corrupts every downstream QCARD and cost product. This return is
+// where F is clamped: every boolean factor's F is assigned from it, and every
+// other F in the optimizer (a path's RSICARD fraction, an index's matching
+// F(preds)) is a product of those factors, so it stays in [0, 1] by
+// construction. Estimators under selectivityRaw return raw values.
 func (o *Optimizer) selectivity(e sem.Expr) float64 {
 	return clamp01(o.selectivityRaw(e))
 }
@@ -47,11 +51,11 @@ func (o *Optimizer) selectivityRaw(e sem.Expr) float64 {
 		case x.Op == sem.OpAnd:
 			// (pred1) AND (pred2): F1*F2 — "assumes column values are
 			// independent".
-			return clamp01(o.selectivity(x.L) * o.selectivity(x.R))
+			return o.selectivity(x.L) * o.selectivity(x.R)
 		case x.Op == sem.OpOr:
 			// (pred1) OR (pred2): F1 + F2 - F1*F2.
 			f1, f2 := o.selectivity(x.L), o.selectivity(x.R)
-			return clamp01(f1 + f2 - f1*f2)
+			return f1 + f2 - f1*f2
 		case x.Op.IsComparison():
 			return o.comparisonSel(x)
 		default:
@@ -59,7 +63,7 @@ func (o *Optimizer) selectivityRaw(e sem.Expr) float64 {
 		}
 	case *sem.Not:
 		// NOT pred: F = 1 - F(pred).
-		return clamp01(1 - o.selectivity(x.E))
+		return 1 - o.selectivity(x.E)
 	case *sem.Between:
 		return o.betweenSel(x)
 	case *sem.InList:
@@ -125,7 +129,7 @@ func (o *Optimizer) comparisonSel(x *sem.Bin) float64 {
 	case lIsCol:
 		return o.colValueSel(x.Op, lcol, x.R)
 	case rIsCol:
-		return o.colValueSel(flipCmp(x.Op), rcol, x.L)
+		return o.colValueSel(x.Op.Flip(), rcol, x.L)
 	default:
 		// Neither side is a bare column (arithmetic over columns, constants):
 		// Table 1 has no entry; use the unknown default, except constant-only
@@ -145,20 +149,6 @@ func (o *Optimizer) comparisonSel(x *sem.Bin) float64 {
 	}
 }
 
-func flipCmp(op sem.BinOp) sem.BinOp {
-	switch op {
-	case sem.OpLt:
-		return sem.OpGt
-	case sem.OpLe:
-		return sem.OpGe
-	case sem.OpGt:
-		return sem.OpLt
-	case sem.OpGe:
-		return sem.OpLe
-	}
-	return op
-}
-
 // colColSel: "column1 = column2":
 //
 //	F = 1/MAX(ICARD(column1 index), ICARD(column2 index)) with both indexes
@@ -175,17 +165,17 @@ func (o *Optimizer) colColSel(op sem.BinOp, l, r *sem.Col) float64 {
 		li, ri := o.icardOf(l.ID), o.icardOf(r.ID)
 		switch {
 		case li > 0 && ri > 0:
-			return clamp01(1 / math.Max(li, ri))
+			return 1 / math.Max(li, ri)
 		case li > 0:
-			return clamp01(1 / li)
+			return 1 / li
 		case ri > 0:
-			return clamp01(1 / ri)
+			return 1 / ri
 		default:
 			return defEq
 		}
 	}()
 	if op == sem.OpNe {
-		return clamp01(1 - eq)
+		return 1 - eq
 	}
 	return eq
 }
@@ -201,7 +191,7 @@ func (o *Optimizer) colValueSel(op sem.BinOp, col *sem.Col, other sem.Expr) floa
 		// values". Otherwise 1/10.
 		return o.eqSel(col, other)
 	case sem.OpNe:
-		return clamp01(1 - o.eqSel(col, other))
+		return 1 - o.eqSel(col, other)
 	default:
 		// Open-ended comparison with a known value: bucket-fraction
 		// interpolation from the histogram, else linear interpolation
@@ -228,13 +218,13 @@ func (o *Optimizer) colValueSel(op sem.BinOp, col *sem.Col, other sem.Expr) floa
 		// Interpolated estimates are floored at one key's worth of rows:
 		// a constant outside [low, high] — always possible once statistics
 		// go stale — must clamp to the floor, not to zero.
-		floor := clamp01(1 / st.EffICardLead())
+		floor := 1 / st.EffICardLead()
 		vf := v.AsFloat()
 		switch op {
 		case sem.OpGt, sem.OpGe:
-			return clamp01(math.Max((high-vf)/(high-low), floor))
+			return math.Max((high-vf)/(high-low), floor)
 		default: // OpLt, OpLe
-			return clamp01(math.Max((vf-low)/(high-low), floor))
+			return math.Max((vf-low)/(high-low), floor)
 		}
 	}
 }
@@ -274,12 +264,15 @@ func (o *Optimizer) betweenSel(x *sem.Between) float64 {
 		// counts — a window hanging past either end (or entirely outside)
 		// must not inflate the ratio. Floored like open-ended ranges: a
 		// window beyond stale statistics estimates one key's rows, not zero.
-		floor := clamp01(1 / st.EffICardLead())
+		// A NaN low or high key (a FLOAT column can store NaN) makes the
+		// ratio NaN; clamping it here makes it 0 before NOT BETWEEN takes
+		// the complement, so that form still estimates 1 - F.
+		floor := 1 / st.EffICardLead()
 		overlap := math.Min(hiV.AsFloat(), high) - math.Max(loV.AsFloat(), low)
 		return clamp01(math.Max(overlap/(high-low), floor))
 	}()
 	if x.Negated {
-		return clamp01(1 - f)
+		return 1 - f
 	}
 	return f
 }
@@ -293,8 +286,9 @@ func (o *Optimizer) betweenSel(x *sem.Between) float64 {
 //
 // The 1/2 cap applies only to the positive form: it encodes "an IN list
 // rarely matches more than half the table", which says nothing about NOT IN.
-// The negated form is computed from the uncapped sum (clamped to [0, 1]) —
-// capping first would floor every NOT IN at 1/2 no matter how wide the list.
+// The negated form is 1 - (uncapped sum), which selectivity clamps at 0 when
+// the items cover every key — capping first would floor every NOT IN at 1/2
+// no matter how wide the list.
 func (o *Optimizer) inListSel(x *sem.InList) float64 {
 	var sum float64
 	if col, ok := x.E.(*sem.Col); ok {
@@ -304,11 +298,10 @@ func (o *Optimizer) inListSel(x *sem.InList) float64 {
 	} else {
 		sum = float64(len(x.List)) * defEq
 	}
-	sum = clamp01(sum)
 	if x.Negated {
-		return clamp01(1 - sum)
+		return 1 - sum
 	}
-	return clamp01(math.Min(sum, inListCap))
+	return math.Min(sum, inListCap)
 }
 
 // inSubSel: "columnA IN subquery":
@@ -319,10 +312,10 @@ func (o *Optimizer) inListSel(x *sem.InList) float64 {
 func (o *Optimizer) inSubSel(x *sem.InSub) float64 {
 	f := defUnknown
 	if st, ok := o.subInfo[x.Sub]; ok && st.relProd > 0 {
-		f = clamp01(st.qcard / st.relProd)
+		f = st.qcard / st.relProd
 	}
 	if x.Negated {
-		return clamp01(1 - f)
+		return 1 - f
 	}
 	return f
 }

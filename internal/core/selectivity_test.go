@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"systemr/internal/catalog"
+	"systemr/internal/plan"
 	"systemr/internal/rss"
 	"systemr/internal/sem"
 	"systemr/internal/sql"
@@ -18,11 +19,19 @@ import (
 //	R(A INTEGER indexed [values 0..49, uniform ×4],
 //	  B INTEGER no index [values 0..9],
 //	  C VARCHAR indexed [20 distinct],
-//	  D FLOAT no index)
+//	  D FLOAT no index,
+//	  K INTEGER no index [the single value 7])
 //
 // 200 rows, statistics updated. A second relation S(A indexed 0..9, E no
 // index) with 50 rows supports join selectivities.
 func testDB(t testing.TB) *catalog.Catalog {
+	t.Helper()
+	return testDBWith(t, 200, true)
+}
+
+// testDBWith is testDB with rows rows in R (and rows/4 in S), analyzed or
+// not.
+func testDBWith(t testing.TB, rows int, analyze bool) *catalog.Catalog {
 	t.Helper()
 	cat := catalog.New(storage.NewDisk())
 	r, err := cat.CreateTable("R", []catalog.Column{
@@ -30,16 +39,18 @@ func testDB(t testing.TB) *catalog.Catalog {
 		{Name: "B", Type: value.KindInt},
 		{Name: "C", Type: value.KindString},
 		{Name: "D", Type: value.KindFloat},
+		{Name: "K", Type: value.KindInt},
 	}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 200; i++ {
+	for i := 0; i < rows; i++ {
 		_, _, err := rss.Insert(r, value.Row{
 			value.NewInt(int64(i % 50)),
 			value.NewInt(int64(i % 10)),
 			value.NewString(fmt.Sprintf("C%02d", i%20)),
 			value.NewFloat(float64(i)),
+			value.NewInt(7),
 		}, storage.FrozenXID, storage.NoPrevTID, cat.Disk())
 		if err != nil {
 			t.Fatal(err)
@@ -58,7 +69,7 @@ func testDB(t testing.TB) *catalog.Catalog {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 50; i++ {
+	for i := 0; i < rows/4; i++ {
 		if _, _, err := rss.Insert(s, value.Row{value.NewInt(int64(i % 10)), value.NewInt(int64(i))}, storage.FrozenXID, storage.NoPrevTID, cat.Disk()); err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +77,9 @@ func testDB(t testing.TB) *catalog.Catalog {
 	if _, err := cat.CreateIndex("S_A", "S", []string{"A"}, false, false); err != nil {
 		t.Fatal(err)
 	}
-	cat.UpdateStatistics()
+	if analyze {
+		cat.UpdateStatistics()
+	}
 	return cat
 }
 
@@ -81,6 +94,13 @@ func factorSel(t testing.TB, cat *catalog.Catalog, from, pred string) float64 {
 
 // factorSelCfg is factorSel under an explicit optimizer configuration.
 func factorSelCfg(t testing.TB, cat *catalog.Catalog, from, pred string, cfg Config) float64 {
+	t.Helper()
+	return plannedWhere(t, cat, from, pred, cfg).factors[0].sel
+}
+
+// plannedWhere optimizes "SELECT R.A FROM <from> WHERE <pred>" and returns
+// the optimizer, whose factors hold the selectivities planning assigned.
+func plannedWhere(t testing.TB, cat *catalog.Catalog, from, pred string, cfg Config) *Optimizer {
 	t.Helper()
 	st, err := sql.Parse("SELECT R.A FROM " + from + " WHERE " + pred)
 	if err != nil {
@@ -98,7 +118,7 @@ func factorSelCfg(t testing.TB, cat *catalog.Catalog, from, pred string, cfg Con
 	if len(o.factors) == 0 {
 		t.Fatalf("no factors for %q", pred)
 	}
-	return o.factors[0].sel
+	return o
 }
 
 func approx(t testing.TB, got, want float64, what string) {
@@ -192,21 +212,155 @@ func TestTable1Combinators(t *testing.T) {
 	approx(t, factorSel(t, cat, "R", "A <> 3"), 1-f1, "ne")
 }
 
-// TestSelectivityAlwaysInUnitRange is the property the rest of the optimizer
-// depends on.
-func TestSelectivityAlwaysInUnitRange(t *testing.T) {
-	cat := testDB(t)
-	preds := []string{
-		"A = 1", "A > 1000", "A < -5", "A BETWEEN 40 AND 900",
-		"NOT (A = 1 OR B = 2)", "A IN (1,1,1,1)", "B <> 5",
-		"A NOT IN (1,2)", "A NOT BETWEEN 10 AND 20",
-		"(A = 1 OR A = 2) AND (B = 1 OR B = 2)",
-		"A + B = 3", "A * 2 > B", "1 = 1", "1 = 2",
+// unitShapes are the predicate shapes checkUnitRange plans under every
+// statistics fixture. K holds a single value, so each item
+// of "K NOT IN (7, 8)" estimates F = 1 by histogram and the raw NOT IN is
+// 1 - 2 = -1.
+var unitShapes = []string{
+	"A = 1", "A = 7", "A <> 7", "B <> 5", "A = B",
+	"A > 39", "A > 1000", "A < -5", "A < 10", "C > 'C10'", "D > 100",
+	"A BETWEEN 10 AND 19", "A BETWEEN 40 AND 900", "A NOT BETWEEN 10 AND 20",
+	"A IN (1,2,3)", "A IN (1,1,1,1)", "A NOT IN (1,2)", "A NOT IN (1,2,3)",
+	"K NOT IN (7, 8)",
+	"NOT A = 1", "NOT (A = 1 OR B = 2)", "(A = 1 OR A = 2) AND (B = 1 OR B = 2)",
+	"A IN (SELECT A FROM S WHERE E > 3)", "A NOT IN (SELECT A FROM S WHERE E > 3)",
+	"A + B = 3", "A * 2 > B", "1 = 1", "1 = 2",
+}
+
+// unitComplements pairs negated forms with their positive forms: each
+// negation's F must be 1 - F(positive form). (NOT IN is left out: its
+// positive form is capped at 1/2, its negation is not.)
+var unitComplements = [][2]string{
+	{"A <> 7", "A = 7"},
+	{"A NOT BETWEEN 10 AND 19", "A BETWEEN 10 AND 19"},
+	{"A NOT IN (SELECT A FROM S WHERE E > 3)", "A IN (SELECT A FROM S WHERE E > 3)"},
+}
+
+// statsFixture is testDB under some state of its statistics. Each must
+// degrade to the Table 1 defaults or a floored estimate — never to NaN, Inf,
+// or a value outside [0, 1].
+type statsFixture struct {
+	name  string
+	build func(t *testing.T) *catalog.Catalog
+}
+
+// degenerateFixtures are testDB with relation R's statistics corrupted.
+var degenerateFixtures = []statsFixture{
+	{"inverted low/high keys", mutatedR(func(r *catalog.Table) {
+		for _, ix := range r.Indexes {
+			ix.Stats.Low, ix.Stats.High = ix.Stats.High, ix.Stats.Low
+		}
+	})},
+	{"NaN low/high keys", mutatedR(func(r *catalog.Table) {
+		for _, ix := range r.Indexes {
+			ix.Stats.Low = value.NewFloat(math.NaN())
+			ix.Stats.High = value.NewFloat(math.NaN())
+		}
+	})},
+	{"zero distinct counts", mutatedR(func(r *catalog.Table) {
+		for _, ix := range r.Indexes {
+			ix.Stats.ICard, ix.Stats.ICardLead = 0, 0
+		}
+		for i := range r.ColStats {
+			r.ColStats[i].NDistinct = 0
+		}
+	})},
+	{"empty histograms", mutatedR(func(r *catalog.Table) {
+		for i := range r.ColStats {
+			if r.ColStats[i].Hist != nil {
+				r.ColStats[i].Hist.NRows = 0
+			}
+		}
+	})},
+}
+
+// mutatedR builds testDB and corrupts relation R's statistics with mutate.
+func mutatedR(mutate func(r *catalog.Table)) func(t *testing.T) *catalog.Catalog {
+	return func(t *testing.T) *catalog.Catalog {
+		cat := testDB(t)
+		r, ok := cat.Table("R")
+		if !ok {
+			t.Fatal("no relation R")
+		}
+		mutate(r)
+		return cat
 	}
-	for _, p := range preds {
-		f := factorSel(t, cat, "R", p)
-		if f < 0 || f > 1 || math.IsNaN(f) {
-			t.Fatalf("selectivity of %q out of range: %v", p, f)
+}
+
+// TestSelectivityAlwaysInUnitRange is the property the rest of the optimizer
+// depends on, checked under healthy and missing statistics.
+func TestSelectivityAlwaysInUnitRange(t *testing.T) {
+	checkUnitRange(t, []statsFixture{
+		{"healthy", func(t *testing.T) *catalog.Catalog { return testDB(t) }},
+		{"unanalyzed", func(t *testing.T) *catalog.Catalog { return testDBWith(t, 200, false) }},
+	})
+}
+
+// TestEmptyRelationSelectivities: an analyzed empty relation has ICARD = 0 on
+// every index; 1/ICARD must not produce Inf/NaN (EffICardLead floors at 1).
+func TestEmptyRelationSelectivities(t *testing.T) {
+	checkUnitRange(t, []statsFixture{
+		{"analyzed empty", func(t *testing.T) *catalog.Catalog { return testDBWith(t, 0, true) }},
+	})
+}
+
+// TestDegenerateStatsSelectivities: corrupted, empty, or non-arithmetic
+// statistics keep the unit-range property.
+func TestDegenerateStatsSelectivities(t *testing.T) {
+	checkUnitRange(t, degenerateFixtures)
+}
+
+// checkUnitRange plans every shape under every fixture, with histograms on
+// and off: each boolean factor's F and each access path's fractions are
+// finite and in [0, 1], and each negation is the complement of its positive
+// form.
+func checkUnitRange(t *testing.T, fixtures []statsFixture) {
+	t.Helper()
+	inUnit := func(f float64) bool { return f >= 0 && f <= 1 } // false for NaN
+	for _, fx := range fixtures {
+		cat := fx.build(t)
+		for _, cfg := range []Config{{}, {DisableHistograms: true}} {
+			where := fmt.Sprintf("%s (DisableHistograms=%v)", fx.name, cfg.DisableHistograms)
+			for _, p := range unitShapes {
+				o := plannedWhere(t, cat, "R", p, cfg)
+				for _, fi := range o.factors {
+					if !inUnit(fi.sel) {
+						t.Fatalf("%s: selectivity of %q out of range: %v", where, p, fi.sel)
+					}
+				}
+				checkPathFractions(t, o, where+": "+p)
+			}
+			for _, c := range unitComplements {
+				neg := factorSelCfg(t, cat, "R", c[0], cfg)
+				pos := factorSelCfg(t, cat, "R", c[1], cfg)
+				approx(t, neg, 1-pos, where+": "+c[0]+" against "+c[1])
+			}
+		}
+	}
+}
+
+// checkPathFractions fails unless every access path on relation 0 keeps its
+// fractions in [0, 1]: RSICARD/NCARD and rows/NCARD, and an index path's
+// matching F(preds). F is read off the path's cost: indexCost grows with F,
+// so F in [0, 1] bounds the pages between 0 and the same index at F = 1.
+func checkPathFractions(t *testing.T, o *Optimizer, where string) {
+	t.Helper()
+	acc := o.genPaths(0, nil)
+	ncard := o.blk.Rels[0].Table.Stats.EffNCard()
+	for _, p := range acc.all {
+		est := p.node.Est()
+		for _, f := range []float64{p.cost.RSI, est.Rows} {
+			if math.IsNaN(f) || math.IsInf(f, 0) || f < 0 || f > ncard {
+				t.Fatalf("%s: %s: cardinality %v outside [0, NCARD=%v]", where, p.desc, f, ncard)
+			}
+		}
+		ix, ok := p.node.(*plan.IndexScan)
+		if !ok {
+			continue
+		}
+		full := o.indexCost(ix.Index, false, 1, acc.rsicard).Pages
+		if pg := p.cost.Pages; math.IsNaN(pg) || pg < 0 || pg > full {
+			t.Fatalf("%s: %s: %v pages outside [0, %v], so F(preds) is outside [0, 1]", where, p.desc, pg, full)
 		}
 	}
 }
@@ -238,34 +392,4 @@ func TestDefaultStatisticsSelectivities(t *testing.T) {
 		t.Fatal(err)
 	}
 	approx(t, o.factors[0].sel, 1.0/catalog.DefaultICard, "default icard eq")
-}
-
-// TestEmptyRelationSelectivities: an analyzed empty relation has ICARD = 0 on
-// every index; 1/ICARD must not produce Inf/NaN (EffICardLead floors at 1)
-// and every factor F stays in [0, 1].
-func TestEmptyRelationSelectivities(t *testing.T) {
-	cat := catalog.New(storage.NewDisk())
-	if _, err := cat.CreateTable("R", []catalog.Column{
-		{Name: "A", Type: value.KindInt},
-		{Name: "B", Type: value.KindInt},
-	}, ""); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cat.CreateIndex("R_A", "R", []string{"A"}, false, false); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cat.CreateIndex("R_B", "R", []string{"B"}, false, false); err != nil {
-		t.Fatal(err)
-	}
-	cat.UpdateStatistics() // analyzed, but every ICARD/NCARD is zero
-	preds := []string{
-		"A = 1", "A <> 1", "A = B", "A IN (1,2,3)",
-		"A > 5", "A BETWEEN 1 AND 2", "NOT A = 1",
-	}
-	for _, p := range preds {
-		f := factorSel(t, cat, "R", p)
-		if f < 0 || f > 1 || math.IsNaN(f) || math.IsInf(f, 0) {
-			t.Fatalf("empty-relation selectivity of %q out of range: %v", p, f)
-		}
-	}
 }

@@ -2,8 +2,8 @@
 // "locking (in a multi-user environment)" among the storage system's
 // responsibilities). Granularity is reduced to table-level shared/exclusive
 // locks — a documented simplification (DESIGN.md): access path selection does
-// not depend on lock granularity, and the engine's measurements assume a
-// single active statement.
+// not depend on lock granularity, and each statement's measurements come from
+// its own I/O ledger, so concurrent statements do not blur them.
 //
 // Locks are owned by transactions (Txn), granted for the transaction's whole
 // lifetime and released together at commit or rollback — strict two-phase
@@ -381,7 +381,10 @@ type Held struct {
 }
 
 // Acquire blocks until every requested lock is granted. Duplicate tables are
-// collapsed (exclusive wins); grants happen in sorted order.
+// collapsed (exclusive wins); grants happen in sorted order. It returns nil
+// when the acquisition fails — the ephemeral transaction was a deadlock
+// victim or a wait exceeded the lock timeout — and the error is lost: code
+// that must know uses AcquireContext.
 func (m *Manager) Acquire(reqs []Request) *Held {
 	h, _ := m.AcquireContext(context.Background(), reqs)
 	return h

@@ -294,7 +294,7 @@ func (a *analyzer) resolveExpr(e sql.Expr, allowAgg bool) (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		op := BinOp(x.Op)
+		op := x.Op
 		switch {
 		case op == OpAnd || op == OpOr:
 			if err := requireBoolean(l); err != nil {

@@ -214,7 +214,7 @@ func (a *analyzer) simplePred(e Expr) *SimplePred {
 			if !colOK {
 				return nil
 			}
-			op = flip(op)
+			op = op.Flip()
 		}
 		if _, isCol := other.(*Col); isCol {
 			return nil // column = column is a join or intra-relation predicate
@@ -257,20 +257,6 @@ func (a *analyzer) simplePred(e Expr) *SimplePred {
 	default:
 		return nil
 	}
-}
-
-func flip(op BinOp) BinOp {
-	switch op {
-	case OpLt:
-		return OpGt
-	case OpLe:
-		return OpGe
-	case OpGt:
-		return OpLt
-	case OpGe:
-		return OpLe
-	}
-	return op
 }
 
 // equiJoin recognizes T1.c1 = T2.c2 across two distinct relations.
@@ -356,7 +342,7 @@ func (a *analyzer) sargLeaf(e Expr, rel int) ([][]SargTerm, bool) {
 			if !colOK {
 				return nil, false
 			}
-			op = flip(op)
+			op = op.Flip()
 		}
 		if col.ID.Rel != rel {
 			return nil, false

@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"systemr/internal/catalog"
+	"systemr/internal/sql"
 	"systemr/internal/value"
 )
 
@@ -108,38 +109,26 @@ type Bin struct {
 	L, R Expr
 }
 
-// BinOp mirrors sql.BinOp to keep sem free of a parser dependency in its
-// public surface.
-type BinOp uint8
+// BinOp is the parser's operator enumeration: an analyzed expression
+// carries the parsed operator unchanged.
+type BinOp = sql.BinOp
 
-// Binary operators.
+// Binary operators, re-exported so that the packages that read analyzed
+// trees need not import the parser.
 const (
-	OpAdd BinOp = iota
-	OpSub
-	OpMul
-	OpDiv
-	OpEq
-	OpNe
-	OpLt
-	OpLe
-	OpGt
-	OpGe
-	OpAnd
-	OpOr
+	OpAdd = sql.OpAdd
+	OpSub = sql.OpSub
+	OpMul = sql.OpMul
+	OpDiv = sql.OpDiv
+	OpEq  = sql.OpEq
+	OpNe  = sql.OpNe
+	OpLt  = sql.OpLt
+	OpLe  = sql.OpLe
+	OpGt  = sql.OpGt
+	OpGe  = sql.OpGe
+	OpAnd = sql.OpAnd
+	OpOr  = sql.OpOr
 )
-
-// String returns the SQL spelling.
-func (op BinOp) String() string {
-	return [...]string{"+", "-", "*", "/", "=", "<>", "<", "<=", ">", ">=", "AND", "OR"}[op]
-}
-
-// IsComparison reports whether op is one of the six scalar comparisons.
-func (op BinOp) IsComparison() bool { return op >= OpEq && op <= OpGe }
-
-// CmpOp converts to the value-level comparison operator.
-func (op BinOp) CmpOp() value.CmpOp {
-	return [...]value.CmpOp{0, 0, 0, 0, value.OpEq, value.OpNe, value.OpLt, value.OpLe, value.OpGt, value.OpGe}[op]
-}
 
 // Not is logical negation.
 type Not struct{ E Expr }

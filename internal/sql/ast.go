@@ -177,6 +177,22 @@ func (op BinOp) String() string {
 // IsComparison reports whether op is one of the six scalar comparisons.
 func (op BinOp) IsComparison() bool { return op >= OpEq && op <= OpGe }
 
+// Flip returns the comparison with its operands swapped
+// (a op b == b op.Flip() a); every other operator is returned unchanged.
+func (op BinOp) Flip() BinOp {
+	switch op {
+	case OpLt:
+		return OpGt
+	case OpLe:
+		return OpGe
+	case OpGt:
+		return OpLt
+	case OpGe:
+		return OpLe
+	}
+	return op
+}
+
 // CmpOp converts a comparison BinOp to the value-level operator.
 func (op BinOp) CmpOp() value.CmpOp {
 	switch op {

@@ -49,7 +49,10 @@ func (db *DB) Prepare(text string) (*Stmt, error) {
 		return nil, fmt.Errorf("systemr: Prepare supports SELECT statements, got %T", parsed)
 	}
 	norm, _ := sql.Normalize(text)
-	held := db.locks.Acquire(compile.LockRequests(parsed, true))
+	held, err := db.locks.AcquireContext(context.Background(), compile.LockRequests(parsed, true))
+	if err != nil {
+		return nil, fmt.Errorf("systemr: Prepare: %w", err)
+	}
 	defer held.Release()
 	cp, _, err := db.resolveSelect(nil, norm, sel)
 	if err != nil {

@@ -1,8 +1,14 @@
 package systemr_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
+	"time"
+
+	"systemr"
+	"systemr/internal/compile"
+	"systemr/internal/lock"
 )
 
 func TestPrepareRunMany(t *testing.T) {
@@ -54,5 +60,33 @@ func TestPrepareRejectsNonSelect(t *testing.T) {
 	}
 	if _, err := db.Prepare("SELECT x FROM nope"); err == nil {
 		t.Fatal("Prepare of invalid query must fail")
+	}
+}
+
+// TestPrepareAndDumpLockTimeout: while DDL holds the catalog lock
+// exclusively, Prepare and DumpSQL report the failed lock wait instead of
+// compiling or dumping without their lock.
+func TestPrepareAndDumpLockTimeout(t *testing.T) {
+	db := systemr.Open(systemr.Config{LockTimeout: 50 * time.Millisecond})
+	db.MustExec("CREATE TABLE T (A INTEGER)")
+	ddl := db.Locks().Acquire([]lock.Request{{Table: compile.CatalogLock, Mode: lock.Exclusive}})
+	if ddl == nil {
+		t.Fatal("could not take the catalog lock")
+	}
+	stmt, err := db.Prepare("SELECT A FROM T")
+	if !errors.Is(err, systemr.ErrLockTimeout) || stmt != nil {
+		t.Fatalf("Prepare under an exclusive catalog lock: %v, %v; want ErrLockTimeout", stmt, err)
+	}
+	var script strings.Builder
+	if err := db.DumpSQL(&script); !errors.Is(err, systemr.ErrLockTimeout) {
+		t.Fatalf("DumpSQL under an exclusive catalog lock: %v; want ErrLockTimeout", err)
+	}
+	ddl.Release()
+	assertClean(t, db)
+	if _, err := db.Prepare("SELECT A FROM T"); err != nil {
+		t.Fatalf("Prepare after the lock is free: %v", err)
+	}
+	if err := db.DumpSQL(&script); err != nil {
+		t.Fatalf("DumpSQL after the lock is free: %v", err)
 	}
 }

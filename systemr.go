@@ -107,8 +107,10 @@ type Config struct {
 // transaction, atomic under undo logging, with locks released at statement
 // end. Begin and Conn open multi-statement transactions that retain locks to
 // commit/rollback (strict 2PL) with wait-for-graph deadlock detection.
-// Measured statistics (LastStats) describe the whole engine and are only
-// meaningful for single-client measurement runs.
+// LastStats are one statement's own measurements, read from its private
+// I/O ledger. With several clients, the last statement to end may be
+// another client's: a client that needs its own figures reads them while it
+// runs alone, or, for a failed statement, from its *StatementError.
 type DB struct {
 	mu       sync.Mutex // guards last
 	cfg      Config
