@@ -1,8 +1,9 @@
 package systemr_test
 
 // Batched execution benchmarks: the per-row operator boundary cost against
-// the per-batch boundary (tuple- vs batch-at-a-time scan), and the three
-// join methods head to head on a non-sargable equi-join.
+// the per-batch boundary (tuple- vs batch-at-a-time scan), the three join
+// methods head to head on a non-sargable equi-join, and the memory a
+// prepared statement that moves a handful of rows costs.
 
 import (
 	"strings"
@@ -85,6 +86,47 @@ func BenchmarkHashJoin(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := db.Query(joinQuery); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPreparedLookup runs the four prepared statement shapes of the
+// bench's point_lookup workload through Stmt.Run on resident data: a unique
+// point select, a non-unique equality with a residual, a 10-row BETWEEN on
+// the unique key, and a unique-key join. Its B/op and allocs/op are the
+// per-shape memory of the statement lifecycle and executor, which should
+// follow the rows each statement returns, not the batch target.
+func BenchmarkPreparedLookup(b *testing.B) {
+	db := execBenchDB(b, systemr.Config{})
+	for _, c := range []struct {
+		name, text string
+		args       []any
+		rows       int // expected result rows; -1 when the data decides
+	}{
+		{"point", "SELECT EMPNO, NAME, SAL FROM EMP WHERE EMPNO = ?", []any{1234}, 1},
+		{"dept", "SELECT EMPNO, SAL FROM EMP WHERE DNO = ? AND SAL > ?", []any{7, 40000.5}, -1},
+		{"range", "SELECT EMPNO, NAME FROM EMP WHERE EMPNO BETWEEN ? AND ?", []any{1000, 1009}, 10},
+		{"join", "SELECT EMP.EMPNO, DEPT.DNO, DNAME FROM EMP, DEPT WHERE EMP.EMPNO = ? AND EMP.DNO = DEPT.DNO", []any{1234}, 1},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			st, err := db.Prepare(c.text)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := st.Run(c.args...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if c.rows >= 0 && len(res.Rows) != c.rows {
+				b.Fatalf("%s: %d rows, want %d", c.text, len(res.Rows), c.rows)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := st.Run(c.args...); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,6 +1,9 @@
 package systemr_test
 
 import (
+	"fmt"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -103,5 +106,50 @@ func TestExplainGoldenInterestingOrder(t *testing.T) {
 	}, "\n")
 	if got != want {
 		t.Fatalf("interesting-order golden plan drifted.\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
+// TestExplainNonFiniteKeys: a FLOAT column can store NaN, which sorts
+// lowest, and infinities. An index over (NaN, 1.5, 2.5) has a NaN low key
+// and one over (1.5, 2.5, +Inf) an infinite high key: neither bounds a
+// usable key range. A range predicate then takes Table 1's 1/3 default, not
+// a NaN interpolation read as F = 0, so the plan estimates at least one row.
+func TestExplainNonFiniteKeys(t *testing.T) {
+	rowsRe := regexp.MustCompile(`rows=([0-9.]+)`)
+	const q = "SELECT B FROM T WHERE A > 2"
+	for _, tc := range []struct {
+		name string
+		keys [3]string
+		want int // rows q returns
+	}{
+		{"NaN low key", [3]string{"1e308*10 - 1e308*10", "1.5", "2.5"}, 1},
+		{"infinite high key", [3]string{"1.5", "2.5", "1e308*10"}, 2},
+	} {
+		for _, cfg := range []systemr.Config{{}, {DisableHistograms: true}} {
+			where := fmt.Sprintf("%s, DisableHistograms=%v", tc.name, cfg.DisableHistograms)
+			db := systemr.Open(cfg)
+			db.MustExec("CREATE TABLE T (A FLOAT, B INTEGER)")
+			for i, k := range tc.keys {
+				db.MustExec(fmt.Sprintf("INSERT INTO T VALUES (%s, %d)", k, i))
+			}
+			db.MustExec("CREATE INDEX T_A ON T (A)")
+			db.MustExec("UPDATE STATISTICS")
+			res, err := db.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != tc.want {
+				t.Fatalf("%s: %s returned %v, want %d rows", where, q, res.Rows, tc.want)
+			}
+			pl, err := db.Explain(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range rowsRe.FindAllStringSubmatch(pl, -1) {
+				if est, _ := strconv.ParseFloat(m[1], 64); est < 1 {
+					t.Errorf("%s: %s estimates %s rows, want >= 1:\n%s", where, q, m[1], pl)
+				}
+			}
+		}
 	}
 }

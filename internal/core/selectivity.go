@@ -211,8 +211,8 @@ func (o *Optimizer) colValueSel(op sem.BinOp, col *sem.Col, other sem.Expr) floa
 		if !col.Typ.Arithmetic() || !v.Kind.Arithmetic() {
 			return defRange
 		}
-		high, low := st.High.AsFloat(), st.Low.AsFloat()
-		if !st.High.Kind.Arithmetic() || !st.Low.Kind.Arithmetic() || high <= low {
+		low, high, ok := keyRange(st)
+		if !ok {
 			return defRange
 		}
 		// Interpolated estimates are floored at one key's worth of rows:
@@ -227,6 +227,21 @@ func (o *Optimizer) colValueSel(op sem.BinOp, col *sem.Col, other sem.Expr) floa
 			return math.Max((vf-low)/(high-low), floor)
 		}
 	}
+}
+
+// keyRange returns an index's analyzed low and high keys as floats, with ok
+// false when they bound no usable range and Table 1's default applies: a
+// non-arithmetic key, or a width high - low that is not both positive and
+// finite. That covers inverted keys and non-finite ones: a FLOAT column can
+// store NaN, which sorts lowest and so becomes the low key, and a plain
+// high <= low test is false for NaN.
+func keyRange(st *catalog.IndexStats) (low, high float64, ok bool) {
+	if !st.High.Kind.Arithmetic() || !st.Low.Kind.Arithmetic() {
+		return 0, 0, false
+	}
+	low, high = st.Low.AsFloat(), st.High.AsFloat()
+	w := high - low
+	return low, high, w > 0 && !math.IsInf(w, 1)
 }
 
 // betweenSel: "column BETWEEN value1 AND value2":
@@ -256,20 +271,21 @@ func (o *Optimizer) betweenSel(x *sem.Between) float64 {
 			!col.Typ.Arithmetic() || !loV.Kind.Arithmetic() || !hiV.Kind.Arithmetic() {
 			return defBetween
 		}
-		high, low := st.High.AsFloat(), st.Low.AsFloat()
-		if !st.High.Kind.Arithmetic() || !st.Low.Kind.Arithmetic() || high <= low {
+		low, high, ok := keyRange(st)
+		if !ok {
 			return defBetween
 		}
 		// Only the window's overlap with the analyzed [low, high] key range
 		// counts — a window hanging past either end (or entirely outside)
 		// must not inflate the ratio. Floored like open-ended ranges: a
 		// window beyond stale statistics estimates one key's rows, not zero.
-		// A NaN low or high key (a FLOAT column can store NaN) makes the
-		// ratio NaN; clamping it here makes it 0 before NOT BETWEEN takes
-		// the complement, so that form still estimates 1 - F.
+		// F needs no clamp before NOT BETWEEN takes the complement: the
+		// constants are finite (the lexer rejects out-of-range literals) and
+		// keyRange's width is finite and positive, so the overlap is at most
+		// that width and F lies in [floor, 1], with floor in (0, 1].
 		floor := 1 / st.EffICardLead()
 		overlap := math.Min(hiV.AsFloat(), high) - math.Max(loV.AsFloat(), low)
-		return clamp01(math.Max(overlap/(high-low), floor))
+		return math.Max(overlap/(high-low), floor)
 	}()
 	if x.Negated {
 		return 1 - f

@@ -257,6 +257,11 @@ var degenerateFixtures = []statsFixture{
 			ix.Stats.High = value.NewFloat(math.NaN())
 		}
 	})},
+	{"NaN low key", mutatedR(func(r *catalog.Table) {
+		for _, ix := range r.Indexes {
+			ix.Stats.Low = value.NewFloat(math.NaN())
+		}
+	})},
 	{"zero distinct counts", mutatedR(func(r *catalog.Table) {
 		for _, ix := range r.Indexes {
 			ix.Stats.ICard, ix.Stats.ICardLead = 0, 0

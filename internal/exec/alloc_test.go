@@ -6,10 +6,12 @@ package exec
 // allocation counts, so these run only without it). Scans decode into a
 // reused stage and hand each batch out in two exact chunks, and sorts read
 // runs back into shared chunks, so allocation grows with batches and temp
-// pages, never with rows.
+// pages, never with rows; and batches hold room only for the rows that
+// cross them, so a statement's bytes follow the rows it moves.
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"systemr/internal/catalog"
@@ -53,10 +55,11 @@ func loadWide(t *testing.T, n int) *env {
 
 // TestScanAllocsPerBatch: a segment scan and an index range scan, with
 // SARG, residual and snapshot rejections, allocate at most a fixed number
-// of times per 256-row batch, beyond what OPEN allocates to resolve its
-// bounds and SARGs — the same bound at 256 rows as at 10k. The operator is
-// reused across runs, as a nested-loop inner is, so its stage has reached
-// its working size.
+// of times per batch, beyond what OPEN allocates to resolve its bounds and
+// SARGs — the same bound at 256 rows as at 10k. The operator and the batch
+// are reused across runs, as a nested-loop inner's are, so the scan's stage
+// and the batch's backing array have grown to their working size in the
+// warm-up run.
 func TestScanAllocsPerBatch(t *testing.T) {
 	const perOpen, perBatch = 10, 2
 	for _, n := range []int{320, 12500} { // 256 and 10k rows survive the deletes
@@ -108,6 +111,58 @@ func TestScanAllocsPerBatch(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSmallResultBytes: a statement's executor memory follows the rows it
+// moves, not the batch target. A one-row probe and a 10-row range on T's
+// clustered key, run whole through RunQuery, stay within a fixed byte
+// budget per run; reserving the target's 256 row slots up front, in the
+// root's batch and in the projection's reader, costs some 12 KB by itself.
+func TestSmallResultBytes(t *testing.T) {
+	e := loadWide(t, 320)
+	for _, tc := range []struct {
+		query  string
+		rows   int
+		budget uint64 // bytes per run
+	}{
+		{"SELECT A, B, C FROM T WHERE A = 17", 1, 4 << 10},
+		{"SELECT A, B FROM T WHERE A BETWEEN 100 AND 111", 10, 8 << 10},
+	} {
+		_, q := e.plan(t, tc.query, core.Config{})
+		if findOp[*plan.IndexScan](mustBuild(t, e, q)) == nil {
+			t.Fatalf("%s: no index scan:\n%s", tc.query, q.Explain())
+		}
+		var rows []value.Row
+		run := func() {
+			var err error
+			if rows, _, err = RunQuery(e.rt, q, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		perRun := bytesPerRun(20, run)
+		if len(rows) != tc.rows {
+			t.Fatalf("%s: %d rows, want %d", tc.query, len(rows), tc.rows)
+		}
+		if perRun > tc.budget {
+			t.Errorf("%s: %d bytes allocated per run for %d rows, want <= %d",
+				tc.query, perRun, tc.rows, tc.budget)
+		}
+	}
+}
+
+// bytesPerRun returns the heap bytes f allocates per call, averaged over
+// runs calls after a warm-up call, on one P as testing.AllocsPerRun
+// measures.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
 // TestSortAllocsPerTempPage: a whole sorted query — scan, flatten, run

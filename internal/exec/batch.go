@@ -2,10 +2,14 @@ package exec
 
 // Batch-oriented execution. The instrumented operator boundary — a governor
 // tick, two wall-clock reads, and two statement-counter reads — is paid once
-// per NextBatch call, so it is amortized over DefaultBatchSize rows while the
-// interior operators keep their own governor checkpoints (scans check per
+// per NextBatch call, so it is amortized over up to DefaultBatchSize rows while
+// the interior operators keep their own governor checkpoints (scans check per
 // tuple examined). The paper's cost model charges W per RSI call, never per
 // operator boundary, so the batch size changes no paper unit.
+//
+// The batch size is a target that bounds one fill, not an allocation: a
+// batch's memory follows the rows that actually cross it, so a statement
+// that moves one row pays for one row however large the target is.
 //
 // NextBatch is the only protocol between operators. Scans and projection
 // fill batches natively; the operators whose interior logic is naturally
@@ -16,41 +20,54 @@ package exec
 // Runtime.BatchSize=1 runs the whole tree tuple-at-a-time (the ablation, and
 // DML tuple location).
 
+import "slices"
+
 // DefaultBatchSize is the number of rows an operator aims to move per
 // NextBatch call when the runtime does not configure a size.
 const DefaultBatchSize = 256
 
-// Batch is a reusable buffer of composite rows. The backing array is reused
-// across NextBatch calls; the rows themselves are allocated by the producing
-// operator, which never writes them again, so a consumer may retain them
-// across batches — nested-loop outer rows, merge-join groups, hash builds
-// and grouping representatives depend on that.
+// Batch is a reusable buffer of composite rows with a target fill size. Its
+// backing array starts empty, grows as rows arrive, and is reused across
+// NextBatch calls, so it holds room for the largest fill so far. The rows
+// themselves are allocated by the producing operator, which never writes
+// them again, so a consumer may retain them across batches — nested-loop
+// outer rows, merge-join groups, hash builds and grouping representatives
+// depend on that. No consumer retains the batch's own slice of rows.
 //
 // Producers allocate per batch, not per row: a scan decodes every version
 // into a stage it reuses (see scan.go) and copies the batch's accepted rows
 // out into one exactly sized value chunk and one composite chunk;
 // projection and sort read-back carve their rows from chunks sized for the
-// rows at hand. Nothing in a batch aliases a buffer its producer reuses.
+// rows at hand. Producers that know how many rows they are about to add
+// reserve room for them with grow; the row-at-a-time fill appends. Nothing
+// in a batch aliases a buffer its producer reuses.
 type Batch struct {
-	rows []comp
+	rows   []comp
+	target int
 }
 
-// NewBatch creates a batch with capacity n (the target rows per fill).
+// NewBatch creates an empty batch whose fills aim at n rows. It allocates
+// no room for rows: the first fill does, for the rows it brings.
 func NewBatch(n int) *Batch {
-	if n < 1 {
-		n = 1
-	}
-	return &Batch{rows: make([]comp, 0, n)}
+	return &Batch{target: max(n, 1)}
 }
 
 // Len returns the number of rows currently in the batch.
 func (b *Batch) Len() int { return len(b.rows) }
 
 // Cap returns the batch's target fill size.
-func (b *Batch) Cap() int { return cap(b.rows) }
+func (b *Batch) Cap() int { return b.target }
 
 // Full reports whether the batch reached its target size.
-func (b *Batch) Full() bool { return len(b.rows) == cap(b.rows) }
+func (b *Batch) Full() bool { return len(b.rows) >= b.target }
+
+// grow reserves room for n more rows, up to the target, so a producer that
+// knows its row count appends them without regrowing the backing array.
+func (b *Batch) grow(n int) {
+	if n = min(n, b.target-len(b.rows)); n > 0 {
+		b.rows = slices.Grow(b.rows, n)
+	}
+}
 
 // Reset empties the batch, keeping its backing array.
 func (b *Batch) Reset() { b.rows = b.rows[:0] }

@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"systemr/internal/governor"
 	"systemr/internal/plan"
@@ -120,7 +121,7 @@ type blockCtx struct {
 	io      storage.StmtIO // statement-scoped accounting view of the pool
 	q       *plan.Query
 	params  []value.Value
-	subs    map[*sem.Subquery]*subState
+	subs    map[*sem.Subquery]*subState // nil when the plan has no subqueries
 	aggVals []value.Value
 	evals   *int // shared subquery-evaluation counter
 	// subFetches tracks, across the whole statement, the page fetches spent
@@ -140,7 +141,6 @@ func newBlockCtx(rt *Runtime, q *plan.Query, evals *int) *blockCtx {
 		io:         rt.Pool.View(rt.ensureIO()),
 		q:          q,
 		params:     make([]value.Value, q.NumParams),
-		subs:       make(map[*sem.Subquery]*subState, len(q.Subs)),
 		evals:      evals,
 		subFetches: new(int64),
 		batchN:     rt.BatchSize,
@@ -148,8 +148,11 @@ func newBlockCtx(rt *Runtime, q *plan.Query, evals *int) *blockCtx {
 	if ctx.batchN < 1 {
 		ctx.batchN = DefaultBatchSize
 	}
-	for _, sp := range q.Subs {
-		ctx.subs[sp.Sub] = &subState{sp: sp}
+	if len(q.Subs) > 0 {
+		ctx.subs = make(map[*sem.Subquery]*subState, len(q.Subs))
+		for _, sp := range q.Subs {
+			ctx.subs[sp.Sub] = &subState{sp: sp}
+		}
 	}
 	return ctx
 }
@@ -192,6 +195,7 @@ func (ctx *blockCtx) run() (rows []value.Row, err error) {
 		if f := ctx.rt.OnBatch; f != nil {
 			f(b.Len())
 		}
+		rows = slices.Grow(rows, b.Len())
 		for _, c := range b.rows {
 			rows = append(rows, outRow(c))
 		}

@@ -31,7 +31,7 @@ func (it *projectOp) open() error {
 // nextBatch projects a batch at a time. Output rows and their single-slot
 // composites come from arenas sized for the rows left in the input's
 // current batch (consumers may retain rows), allocated on the first row so
-// the end-of-input call allocates nothing.
+// the end-of-input call allocates nothing; b reserves room for as many.
 func (it *projectOp) nextBatch(b *Batch) error {
 	ne := len(it.exprs)
 	var rowArena []value.Value
@@ -45,6 +45,7 @@ func (it *projectOp) nextBatch(b *Batch) error {
 			n := min(it.read.buffered()+1, b.Cap()-b.Len())
 			rowArena = make([]value.Value, n*ne)
 			compArena = make([]value.Row, n)
+			b.grow(n)
 		}
 		out := value.Row(rowArena[:ne:ne])
 		rowArena = rowArena[ne:]

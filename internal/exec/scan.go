@@ -71,8 +71,8 @@ func (st *scanStage) accept(ctx *blockCtx, vals value.Row, relIdx int, residual 
 }
 
 // emit copies the accepted rows out of the stage into b: one value chunk
-// and one composite chunk, both exactly sized. An empty stage (end of
-// input) allocates nothing.
+// and one composite chunk, both exactly sized, with room reserved in b for
+// exactly those rows. An empty stage (end of input) allocates nothing.
 func (st *scanStage) emit(ctx *blockCtx, b *Batch, relIdx int) {
 	if len(st.ends) == 0 {
 		return
@@ -81,6 +81,7 @@ func (st *scanStage) emit(ctx *blockCtx, b *Batch, relIdx int) {
 	vals := make(value.Row, len(st.vals))
 	copy(vals, st.vals)
 	comps := make([]value.Row, len(st.ends)*nr)
+	b.grow(len(st.ends))
 	start := 0
 	for _, end := range st.ends {
 		c := comp(comps[:nr:nr])

@@ -43,6 +43,9 @@ type dbMetrics struct {
 	deadlocks      *metrics.Counter
 	lockTimeouts   *metrics.Counter
 	execBatchRows  *metrics.Histogram
+	// observeBatch records one root batch in execBatchRows: every
+	// statement's Runtime.OnBatch, built once here rather than per statement.
+	observeBatch func(rows int)
 
 	// Estimation feedback.
 	estMissFactor     *metrics.Histogram
@@ -115,6 +118,7 @@ func newDBMetrics(db *DB) *dbMetrics {
 			"Version-chain length behind each live row version, observed at vacuum",
 			[]float64{1, 2, 4, 8, 16, 32, 64}),
 	}
+	m.observeBatch = func(rows int) { m.execBatchRows.Observe(float64(rows)) }
 
 	// Collect-on-scrape gauges from live engine state.
 	bufReads := reg.NewGauge("systemr_buffer_logical_reads",

@@ -199,7 +199,7 @@ func (r *Rows) Next() (row []any, ok bool, err error) {
 		// the governor error carries the same numbers.
 		return nil, false, withStats(err, r.st.stats())
 	}
-	return toNative(raw), true, nil
+	return toNative(make([]any, len(raw)), raw), true, nil
 }
 
 // fetch advances the cursor inside the panic-containment boundary: a panic

@@ -408,9 +408,8 @@ func (db *DB) RunPlanned(q *plan.Query) ([]value.Row, *exec.Stats, error) {
 // aggregating into the pool's DB-global counters. The batch metric observer
 // rides along.
 func (db *DB) runtime(g *governor.Budget, snap *storage.Snapshot) *exec.Runtime {
-	m := db.metrics
 	return &exec.Runtime{Pool: db.pool, Disk: db.disk, Budget: g, IO: g.IO(), Snap: snap,
-		OnBatch: func(rows int) { m.execBatchRows.Observe(float64(rows)) }}
+		OnBatch: db.metrics.observeBatch}
 }
 
 // newGovernor creates one statement's execution budget from the configured
@@ -698,11 +697,18 @@ func (db *DB) runPlan(t *txn.Txn, st *statement, q *plan.Query, analyze bool) ([
 	return rows, an, err
 }
 
-// queryResult materializes a query's rows as native Go values.
+// queryResult materializes a query's rows as native Go values, carving
+// every row's cells from one chunk.
 func queryResult(q *plan.Query, rows []value.Row) *Result {
+	n := 0
+	for _, r := range rows {
+		n += len(r)
+	}
+	cells := make([]any, n)
 	out := make([][]any, len(rows))
 	for i, r := range rows {
-		out[i] = toNative(r)
+		out[i] = toNative(cells[:len(r):len(r)], r)
+		cells = cells[len(r):]
 	}
 	return &Result{Columns: outNames(q), Rows: out}
 }
@@ -859,8 +865,9 @@ func (db *DB) execDML(cur *txn.Txn, st *statement) (*Result, error) {
 	return &Result{Affected: st.nrows}, nil
 }
 
-func toNative(r value.Row) []any {
-	out := make([]any, len(r))
+// toNative converts r's values into out, which has r's length, and returns
+// out.
+func toNative(out []any, r value.Row) []any {
 	for i, v := range r {
 		switch v.Kind {
 		case value.KindInt:
