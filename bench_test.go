@@ -14,7 +14,6 @@ import (
 
 	"systemr"
 	"systemr/internal/core"
-	"systemr/internal/exec"
 	"systemr/internal/sem"
 	"systemr/internal/sql"
 	"systemr/internal/workload"
@@ -30,6 +29,31 @@ func runCold(b *testing.B, db *systemr.DB, query string, pages, rsi *int64) {
 	st := db.LastStats()
 	*pages += st.PageFetches + st.PagesWritten
 	*rsi += st.RSICalls
+}
+
+// runPlannedCold plans blk with db's optimizer configuration as mut adjusts
+// it, then executes the plan b.N times on a cold buffer and reports the
+// cost metrics.
+func runPlannedCold(b *testing.B, db *systemr.DB, blk *sem.Block, mut func(*core.Config)) {
+	b.Helper()
+	cfg := db.OptimizerConfig()
+	mut(&cfg)
+	q, err := core.New(db.Catalog(), cfg).Optimize(blk)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var pages, rsi int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		db.Pool().Flush()
+		_, st, err := db.RunPlanned(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pages += st.IO.PageFetches + st.IO.PagesWritten
+		rsi += st.IO.RSICalls
+	}
+	reportCost(b, pages, rsi)
 }
 
 func reportCost(b *testing.B, pages, rsi int64) {
@@ -81,22 +105,23 @@ func BenchmarkTable2AccessPaths(b *testing.B) {
 }
 
 // BenchmarkFigure1ExampleJoin runs the paper's example join with full access
-// path selection and with the naive baseline.
+// path selection and with the naive baseline, on one database.
 func BenchmarkFigure1ExampleJoin(b *testing.B) {
+	db := workload.NewEmpDB(workload.EmpConfig{Emps: 1500, Depts: 40, Jobs: 8, Seed: 7})
+	stmt, err := sql.Parse(workload.Figure1Query)
+	if err != nil {
+		b.Fatal(err)
+	}
+	blk, err := sem.Analyze(stmt.(*sql.SelectStmt), db.Catalog())
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, mode := range []struct {
 		name  string
 		naive bool
 	}{{"optimized", false}, {"naive", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			db := workload.NewEmpDB(workload.EmpConfig{
-				Emps: 1500, Depts: 40, Jobs: 8, Seed: 7, Naive: mode.naive,
-			})
-			var pages, rsi int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				runCold(b, db, workload.Figure1Query, &pages, &rsi)
-			}
-			reportCost(b, pages, rsi)
+			runPlannedCold(b, db, blk, func(c *core.Config) { c.Naive = mode.naive })
 		})
 	}
 }
@@ -148,24 +173,7 @@ func BenchmarkPlanQuality(b *testing.B) {
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
-			cfg := db.OptimizerConfig()
-			v.mut(&cfg)
-			q, err := core.New(db.Catalog(), cfg).Optimize(blk)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var pages, rsi int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				db.Pool().Flush()
-				_, st, err := exec.RunQuery(db.Runtime(), q, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				pages += st.IO.PageFetches + st.IO.PagesWritten
-				rsi += st.IO.RSICalls
-			}
-			reportCost(b, pages, rsi)
+			runPlannedCold(b, db, blk, v.mut)
 		})
 	}
 }
@@ -265,24 +273,7 @@ func BenchmarkJoinMethods(b *testing.B) {
 			{"optimizer_choice", func(*core.Config) {}},
 		} {
 			b.Run(fmt.Sprintf("%dx%d/%s", size.outer, size.inner, m.name), func(b *testing.B) {
-				cfg := db.OptimizerConfig()
-				m.mut(&cfg)
-				q, err := core.New(db.Catalog(), cfg).Optimize(blk)
-				if err != nil {
-					b.Fatal(err)
-				}
-				var pages, rsi int64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					db.Pool().Flush()
-					_, st, err := exec.RunQuery(db.Runtime(), q, nil)
-					if err != nil {
-						b.Fatal(err)
-					}
-					pages += st.IO.PageFetches + st.IO.PagesWritten
-					rsi += st.IO.RSICalls
-				}
-				reportCost(b, pages, rsi)
+				runPlannedCold(b, db, blk, m.mut)
 			})
 		}
 	}
@@ -349,24 +340,7 @@ func BenchmarkSargFiltering(b *testing.B) {
 		disable bool
 	}{{"sargs", false}, {"nosargs", true}} {
 		b.Run(c.name, func(b *testing.B) {
-			cfg := db.OptimizerConfig()
-			cfg.DisableSargs = c.disable
-			q, err := core.New(db.Catalog(), cfg).Optimize(blk)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var pages, rsi int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				db.Pool().Flush()
-				_, st, err := exec.RunQuery(db.Runtime(), q, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				pages += st.IO.PageFetches + st.IO.PagesWritten
-				rsi += st.IO.RSICalls
-			}
-			reportCost(b, pages, rsi)
+			runPlannedCold(b, db, blk, func(cfg *core.Config) { cfg.DisableSargs = c.disable })
 		})
 	}
 }
@@ -386,24 +360,7 @@ func BenchmarkInterestingOrders(b *testing.B) {
 		disable bool
 	}{{"index_order", false}, {"forced_sort", true}} {
 		b.Run(c.name, func(b *testing.B) {
-			cfg := db.OptimizerConfig()
-			cfg.DisableInterestingOrders = c.disable
-			q, err := core.New(db.Catalog(), cfg).Optimize(blk)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var pages, rsi int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				db.Pool().Flush()
-				_, st, err := exec.RunQuery(db.Runtime(), q, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				pages += st.IO.PageFetches + st.IO.PagesWritten
-				rsi += st.IO.RSICalls
-			}
-			reportCost(b, pages, rsi)
+			runPlannedCold(b, db, blk, func(cfg *core.Config) { cfg.DisableInterestingOrders = c.disable })
 		})
 	}
 }

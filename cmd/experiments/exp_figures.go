@@ -27,10 +27,8 @@ func expFigure1() {
 	fmt.Printf("\nMeasured: %d rows, %d page fetches, %d pages written, %d RSI calls, weighted cost %.1f\n",
 		stats.Rows, stats.PageFetches, stats.PagesWritten, stats.RSICalls, stats.Cost(core.DefaultW))
 
-	// Contrast with the naive (no optimizer) execution on an identical
-	// database.
-	naive := workload.NewEmpDB(workload.EmpConfig{Emps: 2000, Depts: 40, Jobs: 8, Seed: 17, Naive: true})
-	_, nstats, err := measure(naive, workload.Figure1Query)
+	// Contrast with the naive (no optimizer) execution.
+	nstats, err := measureNaive(db, workload.Figure1Query)
 	if err != nil {
 		fmt.Println("naive error:", err)
 		return

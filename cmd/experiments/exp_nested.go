@@ -13,6 +13,7 @@ package main
 import (
 	"fmt"
 
+	"systemr"
 	"systemr/internal/workload"
 )
 
@@ -31,10 +32,15 @@ func expNested() {
 		{"no optimizer (segment scan)", false, true},
 	} {
 		db := workload.NewEmpDB(workload.EmpConfig{
-			Emps: 2000, Depts: 50, Jobs: 10, Seed: 31,
-			ClusterEmpByDno: c.clustered, Naive: c.naive,
+			Emps: 2000, Depts: 50, Jobs: 10, Seed: 31, ClusterEmpByDno: c.clustered,
 		})
-		_, stats, err := measure(db, query)
+		var stats systemr.ExecStats
+		var err error
+		if c.naive {
+			stats, err = measureNaive(db, query)
+		} else {
+			_, stats, err = measure(db, query)
+		}
 		if err != nil {
 			panic(err)
 		}

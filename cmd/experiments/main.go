@@ -92,12 +92,10 @@ func measure(db *systemr.DB, query string) (*plan.Query, systemr.ExecStats, erro
 func measurePlanned(db *systemr.DB, q *plan.Query) (systemr.ExecStats, error) {
 	db.Pool().Flush()
 	db.Pool().Stats().Reset()
-	before := db.Pool().Stats().Snapshot()
 	_, st, err := db.RunPlanned(q)
 	if err != nil {
 		return systemr.ExecStats{}, err
 	}
-	_ = before
 	return systemr.ExecStats{
 		PageFetches:   st.IO.PageFetches,
 		PagesWritten:  st.IO.PagesWritten,
@@ -106,6 +104,18 @@ func measurePlanned(db *systemr.DB, q *plan.Query) (systemr.ExecStats, error) {
 		SubqueryEvals: st.SubqueryEvals,
 		Rows:          st.Rows,
 	}, nil
+}
+
+// measureNaive plans a query with the no-optimizer baseline (segment scans,
+// FROM-order nested loops, no search arguments) and executes it cold.
+func measureNaive(db *systemr.DB, query string) (systemr.ExecStats, error) {
+	cfg := db.OptimizerConfig()
+	cfg.Naive = true
+	q, _, err := planWith(db, cfg, query)
+	if err != nil {
+		return systemr.ExecStats{}, err
+	}
+	return measurePlanned(db, q)
 }
 
 // planWith analyzes and optimizes a query under an explicit optimizer

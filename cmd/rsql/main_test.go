@@ -80,11 +80,8 @@ func TestShellTiming(t *testing.T) {
 }
 
 // TestShellCache runs a SELECT twice and checks \cache reports the repeat as
-// a hit, plus a catalog version that moved past 1 with the DDL. Statistics
-// are refreshed first so the cached plan's estimate is accurate — on a
-// never-analyzed table the default NCARD of 100 misses the 1-row actual by
-// 100× and the estimation feedback loop would recompile the repeat instead
-// of serving it.
+// a hit, plus a catalog version that each catalog change moved: the DDL and
+// the statistics refresh, both before the SELECTs.
 func TestShellCache(t *testing.T) {
 	out := script(t,
 		"CREATE TABLE T (A INTEGER);",

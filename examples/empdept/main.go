@@ -41,7 +41,8 @@ func main() {
 	fmt.Println("Chosen plan:")
 	fmt.Print(q.Explain())
 
-	// Execute through the public API and report the paper's cost terms.
+	// Execute cold through the public API and report the paper's cost terms.
+	db.Pool().Flush()
 	res, err := db.Query(workload.Figure1Query)
 	if err != nil {
 		panic(err)
@@ -50,13 +51,19 @@ func main() {
 	fmt.Printf("\n%d clerks in Denver departments; measured %d page fetches, %d RSI calls (cost %.1f)\n",
 		len(res.Rows), st.PageFetches, st.RSICalls, st.Cost(core.DefaultW))
 
-	// The same database and query without access path selection.
-	naive := workload.NewEmpDB(workload.EmpConfig{Emps: 1500, Depts: 40, Jobs: 8, Seed: 7, Naive: true})
-	if _, err := naive.Query(workload.Figure1Query); err != nil {
+	// The same database and query, cold, without access path selection.
+	cfg = db.OptimizerConfig()
+	cfg.Naive = true
+	nq, err := core.New(db.Catalog(), cfg).Optimize(blk)
+	if err != nil {
 		panic(err)
 	}
-	nst := naive.LastStats()
+	db.Pool().Flush()
+	_, nst, err := db.RunPlanned(nq)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("Naive baseline: %d page fetches, %d RSI calls (cost %.1f) — %.0fx more expensive\n",
-		nst.PageFetches, nst.RSICalls, nst.Cost(core.DefaultW),
-		nst.Cost(core.DefaultW)/st.Cost(core.DefaultW))
+		nst.IO.PageFetches, nst.IO.RSICalls, nst.IO.Cost(core.DefaultW),
+		nst.IO.Cost(core.DefaultW)/st.Cost(core.DefaultW))
 }

@@ -67,8 +67,10 @@ func LockRequests(stmt sql.Statement, snapshotReads bool) []lock.Request {
 }
 
 // CompiledPlan is the immutable product of one trip through the pipeline —
-// the access module. It is safe to execute concurrently from many
-// goroutines: all execution state lives in the executor's per-run context.
+// the access module. Nothing in it changes after compilation, so it is safe
+// to execute concurrently from many goroutines: all execution state lives in
+// the executor's per-run context. Only a catalog version bump (DDL or UPDATE
+// STATISTICS) retires it.
 type CompiledPlan struct {
 	// Norm is the statement's normalized text (sql.Normalize) — the cache
 	// key base and the parseable text a stale plan recompiles from.
@@ -81,15 +83,6 @@ type CompiledPlan struct {
 	// Locks is the statement's lock set (derived from the text, stable
 	// across recompiles): acquire these before validating Version.
 	Locks []lock.Request
-	// Reads lists the tables the statement reads — the tables whose
-	// statistics a feedback-triggered refresh recollects.
-	Reads []string
-
-	// recompile is set once an execution's misestimation q-error crosses
-	// the engine's recompile threshold; the next execution's single winner
-	// takes it and refreshes statistics, after which the catalog version
-	// bump retires the plan through the ordinary staleness path.
-	recompile atomic.Bool
 }
 
 // MissFactor is the symmetric misestimation q-error max(est,act)/min(est,act),
@@ -102,18 +95,6 @@ func MissFactor(estimated, actual float64) float64 {
 		return est / act
 	}
 	return act / est
-}
-
-// MarkRecompile flags the plan for statistics refresh + recompilation.
-func (cp *CompiledPlan) MarkRecompile() { cp.recompile.Store(true) }
-
-// NeedsRecompile reports whether the plan has been marked.
-func (cp *CompiledPlan) NeedsRecompile() bool { return cp.recompile.Load() }
-
-// TakeRecompile claims the recompile flag; exactly one concurrent caller
-// wins, so one statistics refresh runs per marked plan.
-func (cp *CompiledPlan) TakeRecompile() bool {
-	return cp.recompile.CompareAndSwap(true, false)
 }
 
 // Pipeline compiles statements against one catalog with one optimizer
@@ -136,8 +117,8 @@ func NewPipeline(cat *catalog.Catalog, cfg core.Config) *Pipeline {
 // counter cache-hit tests assert does NOT move on a repeated statement.
 func (p *Pipeline) Compilations() int64 { return p.compilations.Load() }
 
-// PlanBlock runs access path selection (or the naive baseline) over an
-// analyzed block. All compile paths — SELECT, EXPLAIN, DML match planning —
+// PlanBlock runs access path selection over an analyzed block with the
+// pipeline's optimizer configuration. All compile paths — SELECT, EXPLAIN, DML match planning —
 // funnel through here, so Compilations counts every optimizer invocation.
 func (p *Pipeline) PlanBlock(blk *sem.Block) (*plan.Query, error) {
 	p.compilations.Add(1)
@@ -165,13 +146,11 @@ func (p *Pipeline) CompileSelect(gov *governor.Budget, sel *sql.SelectStmt, norm
 	if err != nil {
 		return nil, err
 	}
-	reads, _ := sql.TablesReferenced(sel)
 	return &CompiledPlan{
 		Norm:    norm,
 		Version: version,
 		Query:   q,
 		Locks:   LockRequests(sel, true),
-		Reads:   reads,
 	}, nil
 }
 

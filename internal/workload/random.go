@@ -14,11 +14,12 @@ import (
 
 // RandomDBConfig controls randomized database generation.
 type RandomDBConfig struct {
-	Tables      int // default 3
-	MaxRows     int // default 40 per table
-	MaxCols     int // default 4 data columns (plus the K join column)
-	BufferPages int
+	Tables  int // default 3
+	MaxRows int // default 40 per table
 }
+
+// randomMaxCols bounds a random table's data columns (plus K and SERIAL).
+const randomMaxCols = 4
 
 // RandomDB builds a small randomized database. Every table Ti has an integer
 // join column K (values drawn from a shared small domain so joins produce
@@ -31,13 +32,10 @@ func RandomDB(rnd *rand.Rand, cfg RandomDBConfig) *systemr.DB {
 	if cfg.MaxRows == 0 {
 		cfg.MaxRows = 40
 	}
-	if cfg.MaxCols == 0 {
-		cfg.MaxCols = 4
-	}
-	db := systemr.Open(systemr.Config{BufferPages: cfg.BufferPages})
+	db := systemr.Open(systemr.Config{})
 	for t := 0; t < cfg.Tables; t++ {
 		name := fmt.Sprintf("T%d", t)
-		nCols := 1 + rnd.Intn(cfg.MaxCols)
+		nCols := 1 + rnd.Intn(randomMaxCols)
 		cols := []string{"K INTEGER", "SERIAL INTEGER"}
 		for c := 0; c < nCols; c++ {
 			switch rnd.Intn(3) {

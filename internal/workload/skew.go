@@ -21,12 +21,7 @@ type SkewConfig struct {
 	Keys int     // distinct KEY values drawn from (default 1000)
 	S    float64 // Zipf exponent > 1 (default 1.3)
 	Seed int64
-	// BufferPages configures the database instance (default 64).
-	BufferPages int
-	// NoStatistics skips UPDATE STATISTICS after loading.
-	NoStatistics bool
-	// Engine supplies further engine configuration; BufferPages above
-	// overrides its field.
+	// Engine is the database's configuration, used as given.
 	Engine systemr.Config
 }
 
@@ -56,9 +51,7 @@ func NewSkewDB(cfg SkewConfig) (*systemr.DB, int64) {
 	cfg = cfg.withDefaults()
 	rnd := rand.New(rand.NewSource(cfg.Seed))
 	zipf := rand.NewZipf(rnd, cfg.S, 1, uint64(cfg.Keys-1))
-	ecfg := cfg.Engine
-	ecfg.BufferPages = cfg.BufferPages
-	db := systemr.Open(ecfg)
+	db := systemr.Open(cfg.Engine)
 
 	db.MustExec("CREATE TABLE EVENTS (ID INTEGER, KEY INTEGER, VAL INTEGER)")
 
@@ -87,9 +80,7 @@ func NewSkewDB(cfg SkewConfig) (*systemr.DB, int64) {
 
 	db.MustExec("CREATE UNIQUE INDEX EVENTS_ID ON EVENTS (ID)")
 	db.MustExec("CREATE INDEX EVENTS_KEY ON EVENTS (KEY)")
-	if !cfg.NoStatistics {
-		db.MustExec("UPDATE STATISTICS")
-	}
+	db.MustExec("UPDATE STATISTICS")
 
 	hot, hotCount := int64(0), 0
 	for k, c := range counts {

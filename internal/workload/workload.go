@@ -22,16 +22,12 @@ type EmpConfig struct {
 	ClusterEmpByDno bool
 	// SharedSegment stores DEPT and JOB in one segment so P(T) < 1.
 	SharedSegment bool
-	// BufferPages configures the database instance (default 64).
-	BufferPages int
-	// Naive opens the database with the no-optimizer baseline planner.
-	Naive bool
 	// NoStatistics skips UPDATE STATISTICS, exercising the paper's
 	// "lack of statistics implies the relation is small" defaults.
 	NoStatistics bool
-	// Engine supplies further engine configuration (governor budgets,
-	// timeouts); BufferPages and Naive above override its fields. Note the
-	// limits also govern the loading statements, so keep them above the
+	// Engine is the database's configuration (buffer pool size, optimizer
+	// knobs, governor budgets, timeouts), used as given. Note the limits
+	// also govern the loading statements, so keep them above the
 	// per-statement cost of a single-row INSERT.
 	Engine systemr.Config
 }
@@ -63,10 +59,7 @@ var Locations = []string{"DENVER", "SAN JOSE", "TUCSON", "BOSTON", "AUSTIN"}
 func NewEmpDB(cfg EmpConfig) *systemr.DB {
 	cfg = cfg.withDefaults()
 	rnd := rand.New(rand.NewSource(cfg.Seed))
-	ecfg := cfg.Engine
-	ecfg.BufferPages = cfg.BufferPages
-	ecfg.Naive = cfg.Naive
-	db := systemr.Open(ecfg)
+	db := systemr.Open(cfg.Engine)
 
 	seg := ""
 	if cfg.SharedSegment {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"systemr"
 	"systemr/internal/sem"
 	"systemr/internal/sql"
 )
@@ -69,6 +70,15 @@ func TestNewEmpDBNoStatistics(t *testing.T) {
 	// Queries still run on the paper's defaults.
 	if _, err := db.Query("SELECT NAME FROM EMP WHERE DNO = 1"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEngineConfigUsedAsGiven: the Engine configuration reaches the
+// database unchanged, its buffer pool size included.
+func TestEngineConfigUsedAsGiven(t *testing.T) {
+	db := NewEmpDB(EmpConfig{Emps: 50, Seed: 5, Engine: systemr.Config{BufferPages: 4096}})
+	if got := db.Pool().Capacity(); got != 4096 {
+		t.Fatalf("buffer pool capacity = %d pages, want the configured 4096", got)
 	}
 }
 

@@ -155,14 +155,6 @@ func (db *DB) lockSet(st *statement, explicit bool) ([]lock.Request, error) {
 	st.norm = norm
 	if normOK {
 		if e, ok := db.plans.Peek(db.planKey(norm)); ok {
-			// Feedback: a plan whose estimates missed by
-			// DefaultRecompileMissRatio gets its statistics refreshed before
-			// this execution acquires any locks; the refresh bumps the
-			// catalog version, so resolveSelect recompiles against the new
-			// statistics instead of serving the discredited plan.
-			if e.NeedsRecompile() {
-				db.refreshFeedbackStats(e)
-			}
 			return e.Locks, nil
 		}
 	}

@@ -47,10 +47,8 @@ type dbMetrics struct {
 	// statement's Runtime.OnBatch, built once here rather than per statement.
 	observeBatch func(rows int)
 
-	// Estimation feedback.
-	estMissFactor     *metrics.Histogram
-	feedbackMarks     *metrics.Counter
-	feedbackRefreshes *metrics.Counter
+	// Estimation quality.
+	estMissFactor *metrics.Histogram
 
 	// MVCC.
 	writeConflicts  *metrics.Counter
@@ -104,10 +102,6 @@ func newDBMetrics(db *DB) *dbMetrics {
 		estMissFactor: reg.NewHistogram("systemr_estimate_miss_factor",
 			"Misestimation q-error max(est,act)/min(est,act) of each executed SELECT's result cardinality",
 			[]float64{1, 2, 5, 10, 100, 1000}),
-		feedbackMarks: reg.NewCounter("systemr_feedback_marks_total",
-			"Cached plans marked for recompilation after missing estimates by the configured ratio"),
-		feedbackRefreshes: reg.NewCounter("systemr_feedback_refreshes_total",
-			"Feedback-triggered statistics refreshes (UPDATE STATISTICS on a marked plan's tables)"),
 		writeConflicts: reg.NewCounter("systemr_write_conflicts_total",
 			"Transactions aborted by first-updater-wins write conflicts"),
 		vacuumRuns: reg.NewCounter("systemr_vacuum_runs_total",

@@ -64,10 +64,6 @@ func TestMetricsCollectGauges(t *testing.T) {
 	db := systemr.Open(systemr.Config{W: 0.05})
 	db.MustExec("CREATE TABLE T (A INTEGER)")
 	db.MustExec("INSERT INTO T VALUES (1), (2), (3)")
-	// Analyze so the cached plan's estimate is exact — the unanalyzed
-	// default NCARD (100) would miss the 3-row actual by 33× and the
-	// feedback loop would recompile the repeat instead of serving the hit.
-	db.MustExec("UPDATE STATISTICS")
 	db.MustExec("SELECT A FROM T")
 	db.MustExec("SELECT A FROM T")
 	m := sampleMap(db)

@@ -109,7 +109,9 @@ func TestPlanCacheDropIndexInvalidation(t *testing.T) {
 }
 
 // TestPlanCacheUpdateStatisticsInvalidation: a statistics refresh is a
-// dependency change — cached plans recompile against the new statistics.
+// dependency change — cached plans recompile against the new statistics —
+// and only the refresh is: data that drifts under a cached plan, however far
+// from its estimate, leaves the plan serving until UPDATE STATISTICS runs.
 func TestPlanCacheUpdateStatisticsInvalidation(t *testing.T) {
 	db := empDB(t)
 	const q = "SELECT COUNT(*) FROM EMP WHERE DNO = 7"
@@ -131,6 +133,56 @@ func TestPlanCacheUpdateStatisticsInvalidation(t *testing.T) {
 	}
 	if final.Compilations == before.Compilations {
 		t.Fatal("stale plan was served without recompilation")
+	}
+
+	// T(K, V) with 100 unique keys, indexed and analyzed: "K = 5" compiles
+	// with an exact one-row estimate.
+	db = systemr.Open(systemr.Config{BufferPages: 32})
+	db.MustExec("CREATE TABLE T (K INTEGER, V INTEGER)")
+	vals := make([]string, 100)
+	for i := range vals {
+		vals[i] = fmt.Sprintf("(%d, %d)", i, i*10)
+	}
+	db.MustExec("INSERT INTO T VALUES " + strings.Join(vals, ", "))
+	db.MustExec("CREATE INDEX T_K ON T (K)")
+	db.MustExec("UPDATE STATISTICS")
+	const skewQ = "SELECT V FROM T WHERE K = 5"
+	run := func(want int) {
+		t.Helper()
+		res, err := db.Query(skewQ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != want {
+			t.Fatalf("%s: %d rows, want %d", skewQ, len(res.Rows), want)
+		}
+	}
+	run(1)
+	s1 := db.PlanCacheStats()
+
+	// Fifty more K = 5 rows put the cached plan's estimate 51× off. It keeps
+	// serving: no recompilation, no statistics refresh.
+	db.MustExec("INSERT INTO T VALUES " + strings.Repeat("(5, 0), ", 49) + "(5, 0)")
+	for i := 0; i < 3; i++ {
+		run(51)
+	}
+	s2 := db.PlanCacheStats()
+	if s2.Compilations != s1.Compilations || s2.CatalogVersion != s1.CatalogVersion {
+		t.Fatalf("a misestimating plan must keep serving until UPDATE STATISTICS: %+v -> %+v", s1, s2)
+	}
+
+	// An explicit refresh recompiles it against the skewed key's 51 rows.
+	db.MustExec("UPDATE STATISTICS")
+	run(51)
+	if s3 := db.PlanCacheStats(); s3.Compilations != s2.Compilations+1 {
+		t.Fatalf("UPDATE STATISTICS must recompile the plan once: %+v -> %+v", s2, s3)
+	}
+	plan, err := db.Explain(skewQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(plan, "rows=51.0") {
+		t.Fatalf("the recompiled plan should estimate the skewed key's 51 rows:\n%s", plan)
 	}
 }
 

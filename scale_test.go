@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"systemr"
 	"systemr/internal/workload"
 )
 
@@ -16,8 +17,8 @@ func TestScale(t *testing.T) {
 	}
 	const emps, depts, jobs = 50000, 500, 40
 	db := workload.NewEmpDB(workload.EmpConfig{
-		Emps: emps, Depts: depts, Jobs: jobs, Seed: 71,
-		BufferPages: 256, ClusterEmpByDno: true,
+		Emps: emps, Depts: depts, Jobs: jobs, Seed: 71, ClusterEmpByDno: true,
+		Engine: systemr.Config{BufferPages: 256},
 	})
 
 	// Full count.

@@ -74,10 +74,6 @@ type Config struct {
 	// STATISTICS builds, reverting every selectivity estimate to Table 1
 	// defaults and index ICARDs — the paper's original estimation model.
 	DisableHistograms bool
-	// Naive bypasses access path selection entirely: segment scans,
-	// FROM-order nested loops, no search arguments — the no-optimizer
-	// baseline of the evaluation harness.
-	Naive bool
 
 	// Execution governor knobs (0 = unlimited). Violations surface as a
 	// *StatementError wrapping ErrBudgetExceeded, with the partial ExecStats
@@ -142,15 +138,6 @@ const DefaultPlanCacheSize = 256
 // runs after that many committed writing transactions (and on demand via
 // DB.Vacuum).
 const DefaultVacuumEvery = 512
-
-// DefaultRecompileMissRatio closes the estimation feedback loop: after every
-// execution of a cached plan, the engine compares the optimizer's estimated
-// result rows with the measured actual rows, and once the symmetric miss
-// factor max(est,act)/min(est,act) reaches this ratio — an order of magnitude
-// off in either direction — the plan is marked; the next execution refreshes
-// statistics on the tables the plan reads (non-blocking — skipped under
-// catalog contention) and recompiles against them.
-const DefaultRecompileMissRatio = 10
 
 // Result is the outcome of a statement.
 type Result struct {
@@ -431,7 +418,6 @@ func (db *DB) OptimizerConfig() core.Config {
 		BufferPages:       db.cfg.BufferPages,
 		Joins:             db.cfg.Joins,
 		DisableHistograms: db.cfg.DisableHistograms,
-		Naive:             db.cfg.Naive,
 	}
 }
 
@@ -661,8 +647,8 @@ func (db *DB) execInsert(cur *txn.Txn, st *statement, ins *sql.InsertStmt) (*Res
 }
 
 // execSelect runs a SQL-text SELECT: resolve a plan — which caches a
-// freshly compiled plan for next time — run it, and feed the estimation
-// loop with the outcome.
+// freshly compiled plan for next time — run it, and observe its
+// misestimation.
 func (db *DB) execSelect(cur *txn.Txn, st *statement, sel *sql.SelectStmt) (*Result, error) {
 	cp, _, err := db.resolveSelect(st.gov, st.norm, sel)
 	if err != nil {
@@ -672,7 +658,7 @@ func (db *DB) execSelect(cur *txn.Txn, st *statement, sel *sql.SelectStmt) (*Res
 	if err != nil {
 		return nil, err
 	}
-	db.noteFeedback(cp, float64(len(rows)))
+	db.observeMiss(cp.Query, float64(len(rows)))
 	return queryResult(cp.Query, rows), nil
 }
 
@@ -722,45 +708,14 @@ func outNames(q *plan.Query) []string {
 	return q.OutNames
 }
 
-// noteFeedback compares a finished execution's actual result rows with the
-// plan's compile-time estimate as the symmetric miss factor. Reaching
-// DefaultRecompileMissRatio marks the plan: the next execution refreshes statistics
-// on the tables it reads and recompiles. Only SQL-text SELECTs and EXPLAIN
-// ANALYZE feed the loop. A prepared plan's host-variable estimates are
-// value-blind, so its miss factor measures the bindings, not the
-// statistics, and feedback would refresh statistics on every run.
-func (db *DB) noteFeedback(cp *compile.CompiledPlan, actual float64) {
-	if cp.Query == nil || cp.Query.Root == nil {
-		return
-	}
-	miss := compile.MissFactor(cp.Query.Root.Est().Rows, actual)
-	db.metrics.estMissFactor.Observe(miss)
-	if miss >= DefaultRecompileMissRatio && !cp.NeedsRecompile() {
-		cp.MarkRecompile()
-		db.metrics.feedbackMarks.Inc()
-	}
-}
-
-// refreshFeedbackStats runs the statistics refresh a marked plan asked for:
-// UPDATE STATISTICS on each table the plan reads, under a non-blocking
-// exclusive catalog lock (the same discipline as the SQL statement). Exactly
-// one concurrent execution wins the mark; under catalog contention the
-// refresh is skipped and the mark restored, so a later execution retries —
-// feedback is advisory and must never block or deadlock a query.
-func (db *DB) refreshFeedbackStats(e *compile.CompiledPlan) {
-	if !e.TakeRecompile() {
-		return
-	}
-	held := db.locks.TryAcquire([]lock.Request{{Table: compile.CatalogLock, Mode: lock.Exclusive}})
-	if held == nil {
-		e.MarkRecompile()
-		return
-	}
-	defer held.Release()
-	for _, t := range e.Reads {
-		db.cat.UpdateStatisticsFor(t)
-	}
-	db.metrics.feedbackRefreshes.Inc()
+// observeMiss records a finished SELECT's misestimation q-error — its
+// root's compile-time row estimate against the rows it returned — in the
+// systemr_estimate_miss_factor histogram. It is an observation only: plans
+// and statistics change only through DDL and UPDATE STATISTICS. Prepared
+// runs are not observed, since a host variable's estimate is value-blind
+// and its miss measures the bindings, not the statistics.
+func (db *DB) observeMiss(q *plan.Query, actual float64) {
+	db.metrics.estMissFactor.Observe(compile.MissFactor(q.Root.Est().Rows, actual))
 }
 
 // selectNorm recovers a SELECT's normalized text from its EXPLAIN wrapper's,
@@ -782,17 +737,16 @@ func (db *DB) execExplain(cur *txn.Txn, st *statement, ex *sql.ExplainStmt) (*Re
 	}
 	var q *plan.Query
 	var cacheNote string
-	var cp *compile.CompiledPlan
+	_, isSelect := ex.Stmt.(*sql.SelectStmt)
 	switch inner := ex.Stmt.(type) {
 	case *sql.SelectStmt:
-		sel, hit, err := db.resolveSelect(st.gov, selectNorm(st.norm), inner)
+		cp, hit, err := db.resolveSelect(st.gov, selectNorm(st.norm), inner)
 		if err != nil {
 			return nil, err
 		}
 		if hit {
-			cacheNote = fmt.Sprintf("plan cache: hit (compiled at catalog version %d)\n", sel.Version)
+			cacheNote = fmt.Sprintf("plan cache: hit (compiled at catalog version %d)\n", cp.Version)
 		}
-		cp = sel
 		q = cp.Query
 	case *sql.DeleteStmt, *sql.UpdateStmt:
 		blk, _, err := sem.AnalyzeDML(inner, db.cat)
@@ -812,8 +766,8 @@ func (db *DB) execExplain(cur *txn.Txn, st *statement, ex *sql.ExplainStmt) (*Re
 	if err != nil {
 		return nil, err
 	}
-	if cp != nil {
-		db.noteFeedback(cp, float64(len(rows)))
+	if isSelect {
+		db.observeMiss(q, float64(len(rows)))
 	}
 	return &Result{Plan: analysis.Format(db.cfg.W) + cacheNote}, nil
 }
