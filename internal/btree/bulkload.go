@@ -6,7 +6,7 @@ package btree
 // splits (and a smaller NINDX) than tuple-at-a-time insertion.
 
 import (
-	"sort"
+	"slices"
 
 	"systemr/internal/storage"
 )
@@ -22,9 +22,11 @@ func BulkLoad(disk *storage.Disk, cfg Config, entries []Entry) *BTree {
 	if len(entries) == 0 {
 		return t
 	}
-	sorted := make([]Entry, len(entries))
-	copy(sorted, entries)
-	sort.SliceStable(sorted, func(i, j int) bool { return compareEntries(sorted[i], sorted[j]) < 0 })
+	// compareEntries is a total order on (key, TID), and entries it calls
+	// equal collapse into one below, so an unstable sort builds the same
+	// tree as a stable one.
+	sorted := slices.Clone(entries)
+	slices.SortFunc(sorted, compareEntries)
 	// Collapse exact duplicates.
 	dedup := sorted[:1]
 	for _, e := range sorted[1:] {

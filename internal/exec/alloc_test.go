@@ -113,6 +113,114 @@ func TestScanAllocsPerBatch(t *testing.T) {
 	}
 }
 
+// loadJoin loads a fact relation F(K, V, G) of n rows, K = G = V mod 64,
+// and a dimension D(K) of the 64 keys, each with an index on K but none on
+// G, so every D row joins n/64 F rows.
+func loadJoin(t *testing.T, n int) *env {
+	t.Helper()
+	e := newEnv(t)
+	f, err := e.cat.CreateTable("F", []catalog.Column{
+		{Name: "K", Type: value.KindInt}, {Name: "V", Type: value.KindInt}, {Name: "G", Type: value.KindInt}}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := e.cat.CreateTable("D", []catalog.Column{{Name: "K", Type: value.KindInt}}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if _, _, err := rss.Insert(f, value.Row{value.NewInt(int64(i % 64)), value.NewInt(int64(i)), value.NewInt(int64(i % 64))}, storage.FrozenXID, storage.NoPrevTID, e.disk); err != nil {
+			t.Fatal(err)
+		}
+		if i < 64 {
+			if _, _, err := rss.Insert(d, value.Row{value.NewInt(int64(i))}, storage.FrozenXID, storage.NoPrevTID, e.disk); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, ix := range [][2]string{{"F_K", "F"}, {"D_K", "D"}} {
+		if _, err := e.cat.CreateIndex(ix[0], ix[1], []string{"K"}, false, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.cat.UpdateStatistics()
+	e.rt.Snap = &storage.Snapshot{Self: 10, Max: 10}
+	return e
+}
+
+// TestJoinAllocsPerBatch: each join method allocates per batch and per
+// (re-)open of an operator below it, never per joined row — the residual
+// is evaluated in place and kept rows are carved from chunks. The nested
+// loops and the merge join on the indexed K; the hash join on the
+// unindexed G, probing its 64-row build once per F row, with a residual
+// that rejects the 64 candidates with V = K between the kept ones. A
+// composite per joined row would cost some 10k allocations here.
+func TestJoinAllocsPerBatch(t *testing.T) {
+	const perOpen, perBatch = 10, 4
+	const n = 10000
+	e := loadJoin(t, n)
+	for _, tc := range []struct {
+		name, col string
+		cfg       core.Config
+		find      func(*op) *op
+	}{
+		{"nested loops", "K", core.Config{Joins: core.NestedLoopsOnly}, findOp[*plan.NLJoin]},
+		{"merge", "K", core.Config{Joins: core.MergeOnly}, findOp[*plan.MergeJoin]},
+		{"hash", "G", core.Config{}, findOp[*plan.HashJoin]},
+	} {
+		_, q := e.plan(t, "SELECT F.V, D.K FROM F, D WHERE F."+tc.col+" = D.K AND F.V <> D.K", tc.cfg)
+		join := tc.find(mustBuild(t, e, q))
+		if join == nil {
+			t.Fatalf("%s: no such join:\n%s", tc.name, q.Explain())
+		}
+		b := NewBatch(DefaultBatchSize)
+		rows, batches, opens := 0, 0, int64(0)
+		allocs := testing.AllocsPerRun(3, func() {
+			opens0 := subtreeOpens(join)
+			rows, batches = 0, 0
+			if err := join.Open(); err != nil {
+				t.Fatal(err)
+			}
+			for {
+				if err := join.NextBatch(b); err != nil {
+					t.Fatal(err)
+				}
+				if b.Len() == 0 {
+					break
+				}
+				rows += b.Len()
+				batches++
+			}
+			if err := join.Close(); err != nil {
+				t.Fatal(err)
+			}
+			opens = subtreeOpens(join) - opens0
+		})
+		if rows != n-64 {
+			t.Fatalf("%s: %d rows, want %d", tc.name, rows, n-64)
+		}
+		// A hash build allocates a key string and a group slice per build row
+		// at most.
+		var keys int64
+		if h, ok := join.impl.(*hashJoinOp); ok {
+			keys = h.buildRows
+		}
+		if allocs > float64(perOpen*opens+perBatch*int64(batches)+2*keys) {
+			t.Errorf("%s: %.0f allocations for %d rows in %d batches, %d opens and %d build rows, want <= %d per open + %d per batch + 2 per build row",
+				tc.name, allocs, rows, batches, opens, keys, perOpen, perBatch)
+		}
+	}
+}
+
+// subtreeOpens sums the Opens of o and every operator below it.
+func subtreeOpens(o *op) int64 {
+	n := o.stats.Opens
+	for _, k := range o.kids {
+		n += subtreeOpens(k)
+	}
+	return n
+}
+
 // TestSmallResultBytes: a statement's executor memory follows the rows it
 // moves, not the batch target. A one-row probe and a 10-row range on T's
 // clustered key, run whole through RunQuery, stay within a fixed byte

@@ -20,16 +20,48 @@ import (
 // block, nil for relations not yet joined in.
 type comp []value.Row
 
-// merge combines two composites with disjoint filled slots.
-func mergeComp(a, b comp) comp {
-	out := make(comp, len(a))
-	copy(out, a)
+// mergeComp writes the combination of two composites with disjoint filled
+// slots into dst (len(a)).
+func mergeComp(dst, a, b comp) {
+	copy(dst, a)
 	for i, r := range b {
 		if r != nil {
-			out[i] = r
+			dst[i] = r
 		}
 	}
-	return out
+}
+
+// joiner builds a join's output composites in slots carved from chunks. A
+// candidate pair is merged into the current chunk's next free slot and the
+// residual is evaluated there; only a kept row advances past the slot, so a
+// rejected one leaves it as scratch for the next candidate. A chunk is never
+// written again once its slots are handed out, so consumers may retain rows.
+type joiner struct {
+	chunk []value.Row
+	kept  int
+}
+
+// join merges outer and inner, applies residual, and returns the joined
+// composite if it is kept. pending counts the candidates the operator holds
+// for now, this one included — what is left of the probe's match list, the
+// duplicate group or the inner's batch, plus the outer rows buffered behind
+// this one. A new chunk is sized for the fewest of pending, the rows kept
+// so far and the batch target, so a one-row join allocates one row's slots
+// and a join that keeps few of many candidates wastes few.
+func (j *joiner) join(ctx *blockCtx, outer, inner comp, residual []sem.Expr, pending int) (comp, bool, error) {
+	n := len(outer)
+	if len(j.chunk) < n {
+		j.chunk = make([]value.Row, min(max(pending, 1), max(j.kept, 1), ctx.batchN)*n)
+	}
+	c := comp(j.chunk[:n:n])
+	mergeComp(c, outer, inner)
+	keep, err := ctx.applyResidual(c, residual)
+	if err != nil || !keep {
+		return nil, false, err
+	}
+	j.chunk = j.chunk[n:]
+	j.kept++
+	return c, true, nil
 }
 
 // evalExpr evaluates a resolved expression against the current composite

@@ -152,7 +152,8 @@ func TestResolveBoundKinds(t *testing.T) {
 func TestMergeComp(t *testing.T) {
 	a := comp{value.Row{value.NewInt(1)}, nil, nil}
 	b := comp{nil, value.Row{value.NewInt(2)}, nil}
-	m := mergeComp(a, b)
+	m := make(comp, len(a))
+	mergeComp(m, a, b)
 	if m[0] == nil || m[1] == nil || m[2] != nil {
 		t.Fatalf("merge: %v", m)
 	}

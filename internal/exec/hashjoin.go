@@ -36,6 +36,7 @@ type hashJoinOp struct {
 	curOuter  comp
 	cur       []comp
 	ci        int
+	out       joiner
 }
 
 func (it *hashJoinOp) open() error {
@@ -83,14 +84,10 @@ func (it *hashJoinOp) open() error {
 func (it *hashJoinOp) next() (comp, bool, error) {
 	for {
 		if it.ci < len(it.cur) {
-			c := mergeComp(it.curOuter, it.cur[it.ci])
+			c, keep, err := it.out.join(it.ctx, it.curOuter, it.cur[it.ci], it.node.Residual, len(it.cur)-it.ci+it.outerRead.buffered())
 			it.ci++
-			keep, err := it.ctx.applyResidual(c, it.node.Residual)
-			if err != nil {
-				return nil, false, err
-			}
-			if keep {
-				return c, true, nil
+			if err != nil || keep {
+				return c, keep, err
 			}
 			continue
 		}

@@ -19,6 +19,7 @@ type nlJoinOp struct {
 	inner    *op
 	curOuter comp
 	innerOn  bool // inner currently open
+	out      joiner
 
 	// Children are read through batch adapters so their instrumented
 	// boundaries are paid per batch; the inner's adapter is reset at each
@@ -77,13 +78,9 @@ func (it *nlJoinOp) next() (comp, bool, error) {
 			it.curOuter = nil
 			continue
 		}
-		c := mergeComp(it.curOuter, ic)
-		keep, err := it.ctx.applyResidual(c, it.node.Residual)
-		if err != nil {
-			return nil, false, err
-		}
-		if keep {
-			return c, true, nil
+		c, keep, err := it.out.join(it.ctx, it.curOuter, ic, it.node.Residual, it.innerRead.buffered()+1+it.outerRead.buffered())
+		if err != nil || keep {
+			return c, keep, err
 		}
 	}
 }
@@ -122,6 +119,7 @@ type mergeJoinOp struct {
 	gi        int
 	lookahead comp
 	innerDone bool
+	out       joiner
 
 	outerRead *batchReader
 	innerRead *batchReader
@@ -238,14 +236,10 @@ func (it *mergeJoinOp) next() (comp, bool, error) {
 			it.curOuter = nil
 			continue
 		}
-		c := mergeComp(it.curOuter, it.group[it.gi])
+		c, keep, err := it.out.join(it.ctx, it.curOuter, it.group[it.gi], it.node.Residual, len(it.group)-it.gi+it.outerRead.buffered())
 		it.gi++
-		keep, err := it.ctx.applyResidual(c, it.node.Residual)
-		if err != nil {
-			return nil, false, err
-		}
-		if keep {
-			return c, true, nil
+		if err != nil || keep {
+			return c, keep, err
 		}
 	}
 }

@@ -148,9 +148,10 @@ func drainRetained(t *testing.T, o *op, batchN int) []comp {
 // TestRetainedRowsSurviveLaterBatches covers the retaining consumers: a
 // nested-loop outer, a merge-join group read back from sorts, a hash build,
 // and a sort's read-back rows — each over scans with every kind of
-// rejection — and checks the query result against the reference evaluator.
+// rejection, the joins' output with residual rejections between the rows
+// they keep — and checks the query result against the reference evaluator.
 func TestRetainedRowsSurviveLaterBatches(t *testing.T) {
-	const join = "SELECT A.S, B.S, A.V FROM A, B WHERE A.K = B.K AND A.V >= 25 AND A.V <> A.K AND B.S <> 'b0'"
+	const join = "SELECT A.S, B.S, A.V FROM A, B WHERE A.K = B.K AND A.V >= 25 AND A.V <> A.K AND B.S <> 'b0' AND A.V > B.K * 9"
 	cases := []struct {
 		name  string
 		query string

@@ -99,7 +99,7 @@ func (it *sortOp) open() (err error) {
 	it.read = it.ctx.reader(it.read, it.input)
 	res, err := xsort.Sort(xsort.Config{
 		Pool: it.ctx.rt.Pool, Disk: it.ctx.rt.Disk,
-		Keys: keys, Desc: desc, CountRSI: true,
+		Keys: keys, Desc: desc,
 		Stmt: it.ctx.rt.IO, Budget: it.ctx.rt.Budget,
 	}, func() (value.Row, bool, error) {
 		c, ok, err := it.read.next()

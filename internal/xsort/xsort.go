@@ -3,11 +3,21 @@
 // generation bounded by the buffer size and multi-pass merging, so that a
 // sort's measured page I/O corresponds to the optimizer's C-sort model
 // (write + read of TEMPPAGES per pass).
+//
+// Rows are ordered by normalized keys (Graefe, "Implementing Sorting in
+// Database Systems", ACM CSUR 2006): each row's sort-key columns are
+// encoded once into a byte string whose byte order is value.CompareRows'
+// order, so run generation sorts small (key, arrival) entries and the
+// merges compare bytes, never values.
 package xsort
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"systemr/internal/governor"
 	"systemr/internal/storage"
@@ -28,10 +38,6 @@ type Config struct {
 	// BufferBytes bounds in-memory run size; 0 derives it from the pool
 	// capacity (the paper's sorts were bounded by the same buffer).
 	BufferBytes int
-	// CountRSI, when set, charges one RSI call per tuple written into the
-	// temporary list and one per tuple delivered from it, mirroring the cost
-	// model's CPU term for sorts.
-	CountRSI bool
 	// Stmt, when non-nil, is the statement's own I/O accumulator: the sort's
 	// temp-page writes, re-fetches, and RSI charges count into it in addition
 	// to the pool's DB-global aggregate.
@@ -44,12 +50,10 @@ type Config struct {
 
 // Result streams the sorted rows from the temporary list.
 type Result struct {
-	cfg     Config
-	readers []*runReader
-	heap    []heapEntry
-	rows    int
-	pages   []storage.PageID
-	closed  bool
+	cfg    Config
+	merge  merger
+	pages  []storage.PageID
+	closed bool
 }
 
 type run struct {
@@ -58,28 +62,19 @@ type run struct {
 	rows  int
 }
 
-type runReader struct {
-	disk   *storage.Disk
-	io     storage.StmtIO
-	budget *governor.Budget
-	pages  []storage.PageID
-	pi     int
-	slot   uint16
-	page   *storage.Page
-	left   int       // rows of the run not yet read
-	chunk  value.Row // unused tail of the shared chunk rows are decoded into
-	width  int       // columns of the last row read
-}
-
-type heapEntry struct {
-	row value.Row
-	src int
+// entry is one row of the run being generated: its normalized key is
+// arena[off:end], and idx is its arrival position, which breaks ties so
+// that an unstable sort of entries is a stable sort of rows.
+type entry struct {
+	off, end, idx uint32
 }
 
 // Sort consumes the input, sorts it, and returns a Result for streaming the
 // ordered rows. The temporary list always materializes through the buffer
 // pool — System R sorts into temporary lists even when the data would fit in
-// memory.
+// memory. Every tuple written into the temporary list by run generation and
+// every tuple delivered from it is charged one RSI call, mirroring the cost
+// model's CPU term for sorts.
 func Sort(cfg Config, in Input) (*Result, error) {
 	if cfg.BufferBytes <= 0 {
 		cfg.BufferBytes = cfg.Pool.Capacity() * storage.PageSize
@@ -88,22 +83,40 @@ func Sort(cfg Config, in Input) (*Result, error) {
 	if fanin < 2 {
 		fanin = 2
 	}
+	ord := order{keys: cfg.Keys, desc: cfg.Desc}
 
-	// Phase 1: run generation.
-	var runs []*run
-	var buf []value.Row
+	// Phase 1: run generation. Keys are encoded when a run is complete and
+	// never count toward bufBytes, so run boundaries — and with them every
+	// temp page — follow the rows alone.
+	var (
+		runs    []*run
+		rows    []value.Row
+		entries []entry
+		arena   []byte
+		kindBuf [8]value.Kind // holds kinds for up to eight keys
+	)
+	kinds := append(kindBuf[:0], make([]value.Kind, len(cfg.Keys))...)
 	bufBytes := 0
 	flush := func() error {
-		if len(buf) == 0 {
+		if len(rows) == 0 {
 			return nil
 		}
-		sortRows(buf, cfg.Keys, cfg.Desc)
-		r, err := writeRun(cfg, buf, true)
+		var err error
+		if entries, arena, err = ord.encodeRun(entries, arena, rows); err != nil {
+			return err
+		}
+		slices.SortFunc(entries, func(a, b entry) int {
+			if c := bytes.Compare(arena[a.off:a.end], arena[b.off:b.end]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.idx, b.idx)
+		})
+		r, err := writeRun(cfg, rows, entries)
 		if err != nil {
 			return err
 		}
 		runs = append(runs, r)
-		buf = buf[:0]
+		rows = rows[:0]
 		bufBytes = 0
 		return nil
 	}
@@ -118,7 +131,16 @@ func Sort(cfg Config, in Input) (*Result, error) {
 		if !ok {
 			break
 		}
-		buf = append(buf, row)
+		if err := checkKinds(kinds, row, cfg.Keys); err != nil {
+			return nil, err
+		}
+		if len(rows) == cap(rows) {
+			// Grow by doubling: append's 1.25× steps for a long slice
+			// allocate about five times a run's row list in all, more
+			// than its keys and entries cost.
+			rows = slices.Grow(rows, len(rows))
+		}
+		rows = append(rows, row)
 		bufBytes += rowBytes(row)
 		if bufBytes >= cfg.BufferBytes {
 			if err := flush(); err != nil {
@@ -143,7 +165,7 @@ func Sort(cfg Config, in Input) (*Result, error) {
 			if end > len(runs) {
 				end = len(runs)
 			}
-			merged, err := mergeRuns(cfg, runs[i:end])
+			merged, err := mergeRuns(cfg, ord, runs[i:end], arena)
 			if err != nil {
 				return nil, err
 			}
@@ -156,87 +178,206 @@ func Sort(cfg Config, in Input) (*Result, error) {
 	res := &Result{cfg: cfg}
 	for _, r := range runs {
 		res.pages = append(res.pages, r.pages...)
-		rd := newRunReader(cfg, r)
-		res.readers = append(res.readers, rd)
-		row, ok, err := rd.next()
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			res.push(heapEntry{row: row, src: len(res.readers) - 1})
-		}
+	}
+	if err := res.merge.open(cfg, ord, runs, arena); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
 
 func rowBytes(r value.Row) int { return storage.EncodedSize(r) }
 
-func sortRows(rows []value.Row, keys []int, desc []bool) {
-	sort.SliceStable(rows, func(i, j int) bool {
-		return value.CompareRows(rows[i], rows[j], keys, desc) < 0
-	})
-}
-
-// writeRun materializes sorted rows into a fresh temp segment, charging page
-// writes (and optionally RSI calls) to the pool.
-func writeRun(cfg Config, rows []value.Row, countRSI bool) (*run, error) {
-	seg := storage.NewSegment(-1, cfg.Disk)
-	var enc []byte // one encode buffer for the whole run: Insert copies the record
-	for _, row := range rows {
-		if err := cfg.Budget.Tick(); err != nil {
-			return nil, err
+// checkKinds records, per sort key, the numeric kind its values have had,
+// and rejects a row whose key holds the other one. The key encodes INTEGER
+// and FLOAT differently, so they only order correctly apart; a stored
+// column holds one numeric kind (the RSS coerces every value it stores to
+// the column's type), so a mix is a bug, not an input to order.
+func checkKinds(kinds []value.Kind, row value.Row, keys []int) error {
+	for i, c := range keys {
+		k := row[c].Kind
+		if k != value.KindInt && k != value.KindFloat {
+			continue
 		}
-		enc = storage.AppendEncodedRow(enc[:0], row)
-		if _, err := seg.Insert(1, enc); err != nil {
-			return nil, fmt.Errorf("xsort: writing temporary list: %w", err)
-		}
-		if countRSI && cfg.CountRSI {
-			cfg.io().AddRSICall()
+		if kinds[i] == value.KindNull {
+			kinds[i] = k
+		} else if kinds[i] != k {
+			return fmt.Errorf("xsort: sort key %d holds both %s and %s values", i, kinds[i], k)
 		}
 	}
-	pages := seg.Pages()
+	return nil
+}
+
+// order is the sort order: the key column positions and their directions.
+type order struct {
+	keys []int
+	desc []bool
+}
+
+// Normalized-key tags: NULL sorts before every number, and every number
+// before every string, as value.Compare ranks them.
+const (
+	tagNull   = 0x01
+	tagNumber = 0x02
+	tagString = 0x03
+)
+
+// appendKey appends row's normalized key to dst: each key column's encoding
+// in turn, its bytes inverted when the column sorts descending. Every
+// column's encoding is prefix-free, so comparing two keys byte by byte
+// compares them column by column, and bytes.Compare of two keys is
+// value.CompareRows of their rows.
+//
+//   - NULL is its tag alone.
+//   - INTEGER is the sign-flipped big-endian 64-bit value.
+//   - FLOAT is its ordered bits: the sign bit flipped for positives, every
+//     bit for negatives, with −0 folded into +0 and every NaN below −Inf.
+//   - VARCHAR is its bytes with 0x00 escaped as 0x00 0xFF, then the
+//     terminator 0x00 0x01, which sorts below any further byte.
+func (o order) appendKey(dst []byte, row value.Row) []byte {
+	for i, c := range o.keys {
+		start := len(dst)
+		v := row[c]
+		switch v.Kind {
+		case value.KindNull:
+			dst = append(dst, tagNull)
+		case value.KindInt:
+			dst = append(dst, tagNumber)
+			dst = binary.BigEndian.AppendUint64(dst, uint64(v.Int)^(1<<63))
+		case value.KindFloat:
+			dst = append(dst, tagNumber)
+			dst = binary.BigEndian.AppendUint64(dst, floatBits(v.Float))
+		default: // value.Compare orders every other kind as a string
+			dst = append(dst, tagString)
+			for j := 0; j < len(v.Str); j++ {
+				if b := v.Str[j]; b == 0 {
+					dst = append(dst, 0x00, 0xFF)
+				} else {
+					dst = append(dst, b)
+				}
+			}
+			dst = append(dst, 0x00, 0x01)
+		}
+		if i < len(o.desc) && o.desc[i] {
+			for j := start; j < len(dst); j++ {
+				dst[j] = ^dst[j]
+			}
+		}
+	}
+	return dst
+}
+
+// floatBits maps f to an unsigned integer with the order value.Compare
+// gives floats: NaN (all payloads equal) lowest, then −Inf up to +Inf,
+// with −0 equal to +0.
+func floatBits(f float64) uint64 {
+	switch {
+	case math.IsNaN(f):
+		return 0 // below −Inf's ^bits, 0x000FFFFFFFFFFFFF
+	case f == 0:
+		f = 0 // folds −0 into +0
+	}
+	b := math.Float64bits(f)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// encodeRun encodes the keys of a run's rows into arena and gives each row
+// its entry, in arrival order, reusing both slices' room. Both are sized
+// before the first key goes in: entries exactly, arena for every key as
+// long as the first (exact for fixed-width keys), so neither is regrown row
+// by row.
+func (o order) encodeRun(entries []entry, arena []byte, rows []value.Row) ([]entry, []byte, error) {
+	var first [64]byte
+	entries = slices.Grow(entries[:0], len(rows))
+	arena = slices.Grow(arena[:0], len(rows)*len(o.appendKey(first[:0], rows[0])))
+	for i, row := range rows {
+		off := len(arena)
+		arena = o.appendKey(arena, row)
+		if len(arena) > math.MaxUint32 { // every key has a byte, so idx fits too
+			return nil, nil, fmt.Errorf("xsort: a run's sort keys exceed 4 GiB; lower BufferBytes")
+		}
+		entries = append(entries, entry{off: uint32(off), end: uint32(len(arena)), idx: uint32(i)})
+	}
+	return entries, arena, nil
+}
+
+// runWriter materializes rows, in the order given, into a fresh temp
+// segment through one reused encode buffer (Insert copies the record).
+type runWriter struct {
+	seg  *storage.Segment
+	enc  []byte
+	rows int
+}
+
+func newRunWriter(cfg Config) *runWriter {
+	return &runWriter{seg: storage.NewSegment(-1, cfg.Disk)}
+}
+
+func (w *runWriter) add(row value.Row) error {
+	w.enc = storage.AppendEncodedRow(w.enc[:0], row)
+	if _, err := w.seg.Insert(1, w.enc); err != nil {
+		return fmt.Errorf("xsort: writing temporary list: %w", err)
+	}
+	w.rows++
+	return nil
+}
+
+// finish charges the run's page writes to the pool and returns the run.
+func (w *runWriter) finish(cfg Config) *run {
+	pages := w.seg.Pages()
 	for _, p := range pages {
 		cfg.io().MarkWritten(p)
 	}
-	return &run{seg: seg, pages: pages, rows: len(rows)}, nil
+	return &run{seg: w.seg, pages: pages, rows: w.rows}
+}
+
+// writeRun writes a generated run: rows in the order of the sorted
+// entries, one RSI call per tuple written into the temporary list.
+func writeRun(cfg Config, rows []value.Row, sorted []entry) (*run, error) {
+	w := newRunWriter(cfg)
+	for _, e := range sorted {
+		if err := cfg.Budget.Tick(); err != nil {
+			return nil, err
+		}
+		if err := w.add(rows[e.idx]); err != nil {
+			return nil, err
+		}
+		cfg.io().AddRSICall()
+	}
+	return w.finish(cfg), nil
 }
 
 // mergeRuns merges several sorted runs into one new run (an intermediate
 // sort pass: pages of the inputs are fetched, pages of the output written).
-func mergeRuns(cfg Config, in []*run) (*run, error) {
-	readers := make([]*runReader, len(in))
-	var heap []heapEntry
-	push := func(e heapEntry) { heap = heapPush(heap, e, cfg.Keys, cfg.Desc) }
-	for i, r := range in {
-		readers[i] = newRunReader(cfg, r)
-		row, ok, err := readers[i].next()
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			push(heapEntry{row: row, src: i})
-		}
+// Each merged row goes straight into the output run, so the pass holds no
+// more than one read-back chunk per input run.
+func mergeRuns(cfg Config, ord order, in []*run, slab []byte) (*run, error) {
+	var m merger
+	if err := m.open(cfg, ord, in, slab); err != nil {
+		return nil, err
 	}
-	var out []value.Row
-	for len(heap) > 0 {
+	w := newRunWriter(cfg)
+	for {
 		if err := cfg.Budget.Tick(); err != nil {
 			return nil, err
 		}
-		var e heapEntry
-		heap, e = heapPop(heap, cfg.Keys, cfg.Desc)
-		out = append(out, e.row)
-		row, ok, err := readers[e.src].next()
+		row, ok, err := m.next()
 		if err != nil {
 			return nil, err
 		}
-		if ok {
-			heap = heapPush(heap, heapEntry{row: row, src: e.src}, cfg.Keys, cfg.Desc)
+		if !ok {
+			break
+		}
+		if err := w.add(row); err != nil {
+			return nil, err
 		}
 	}
 	for _, r := range in {
 		releaseRun(cfg, r)
 	}
-	return writeRun(cfg, out, false)
+	return w.finish(cfg), nil
 }
 
 func releaseRun(cfg Config, r *run) {
@@ -248,8 +389,109 @@ func releaseRun(cfg Config, r *run) {
 // io returns the statement-scoped accounting view of the pool.
 func (cfg Config) io() storage.StmtIO { return cfg.Pool.View(cfg.Stmt) }
 
-func newRunReader(cfg Config, r *run) *runReader {
-	return &runReader{disk: cfg.Disk, io: cfg.io(), budget: cfg.Budget, pages: r.pages, left: r.rows}
+// merger merges sorted runs: a binary min-heap of run readers ordered by
+// their current row's normalized key, ties going to the earlier run so the
+// merge is stable across runs.
+type merger struct {
+	readers []*runReader
+	heap    []int // indices into readers
+}
+
+// open starts a reader on each run and heaps those with a first row. The
+// readers' key buffers start as equal, capacity-clipped shares of slab —
+// run generation's key arena, free once the runs are written — so only a
+// key longer than its share allocates.
+func (m *merger) open(cfg Config, ord order, runs []*run, slab []byte) error {
+	share := cap(slab) / len(runs)
+	for i, r := range runs {
+		rd := &runReader{disk: cfg.Disk, io: cfg.io(), budget: cfg.Budget, ord: ord, pages: r.pages, left: r.rows,
+			key: slab[i*share : i*share : (i+1)*share]}
+		m.readers = append(m.readers, rd)
+		ok, err := rd.advance()
+		if err != nil {
+			return err
+		}
+		if ok {
+			m.heap = append(m.heap, i)
+			m.up(len(m.heap) - 1)
+		}
+	}
+	return nil
+}
+
+func (m *merger) less(i, j int) bool {
+	a, b := m.heap[i], m.heap[j]
+	if c := bytes.Compare(m.readers[a].key, m.readers[b].key); c != 0 {
+		return c < 0
+	}
+	return a < b
+}
+
+func (m *merger) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !m.less(i, p) {
+			return
+		}
+		m.heap[i], m.heap[p] = m.heap[p], m.heap[i]
+		i = p
+	}
+}
+
+func (m *merger) down(i int) {
+	for {
+		l := 2*i + 1
+		if l >= len(m.heap) {
+			return
+		}
+		least := l
+		if r := l + 1; r < len(m.heap) && m.less(r, l) {
+			least = r
+		}
+		if !m.less(least, i) {
+			return
+		}
+		m.heap[i], m.heap[least] = m.heap[least], m.heap[i]
+		i = least
+	}
+}
+
+// next returns the least current row and advances its reader in place:
+// the reader re-enters the heap from the top, or leaves it when its run
+// is exhausted.
+func (m *merger) next() (value.Row, bool, error) {
+	if len(m.heap) == 0 {
+		return nil, false, nil
+	}
+	rd := m.readers[m.heap[0]]
+	row := rd.row
+	ok, err := rd.advance()
+	if err != nil {
+		return nil, false, err
+	}
+	if !ok {
+		last := len(m.heap) - 1
+		m.heap[0] = m.heap[last]
+		m.heap = m.heap[:last]
+	}
+	m.down(0)
+	return row, true, nil
+}
+
+type runReader struct {
+	disk   *storage.Disk
+	io     storage.StmtIO
+	budget *governor.Budget
+	ord    order
+	pages  []storage.PageID
+	pi     int
+	slot   uint16
+	page   *storage.Page
+	left   int       // rows of the run not yet read
+	chunk  value.Row // unused tail of the shared chunk rows are decoded into
+	width  int       // columns of the last row read
+	row    value.Row // the current row
+	key    []byte    // the current row's normalized key, re-encoded per row
 }
 
 // readChunkRows is how many read-back rows share one allocation.
@@ -275,20 +517,20 @@ func (rd *runReader) decode(rec []byte) (value.Row, error) {
 	return out[:len(out):len(out)], nil
 }
 
-// next reads the following row of the run, fetching temp pages through the
-// buffer pool.
-func (rd *runReader) next() (value.Row, bool, error) {
+// advance reads the following row of the run into row and key, fetching
+// temp pages through the buffer pool.
+func (rd *runReader) advance() (bool, error) {
 	for {
 		if err := rd.budget.Tick(); err != nil {
-			return nil, false, err
+			return false, err
 		}
 		if rd.page == nil || rd.slot >= rd.page.NumSlots() {
 			if rd.pi >= len(rd.pages) {
-				return nil, false, nil
+				return false, nil
 			}
 			page, err := rd.io.Fetch(rd.pages[rd.pi])
 			if err != nil {
-				return nil, false, err
+				return false, err
 			}
 			rd.page = page
 			rd.pi++
@@ -302,86 +544,28 @@ func (rd *runReader) next() (value.Row, bool, error) {
 		}
 		row, err := rd.decode(rec)
 		if err != nil {
-			return nil, false, err
+			return false, err
 		}
-		return row, true, nil
+		rd.row = row
+		rd.key = rd.ord.appendKey(rd.key[:0], row)
+		return true, nil
 	}
-}
-
-// Binary min-heap over heapEntry, ordered by the sort keys then source index
-// (stability across runs).
-
-func heapLess(a, b heapEntry, keys []int, desc []bool) bool {
-	if c := value.CompareRows(a.row, b.row, keys, desc); c != 0 {
-		return c < 0
-	}
-	return a.src < b.src
-}
-
-func heapPush(h []heapEntry, e heapEntry, keys []int, desc []bool) []heapEntry {
-	h = append(h, e)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !heapLess(h[i], h[p], keys, desc) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-	return h
-}
-
-func heapPop(h []heapEntry, keys []int, desc []bool) ([]heapEntry, heapEntry) {
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(h) && heapLess(h[l], h[smallest], keys, desc) {
-			smallest = l
-		}
-		if r < len(h) && heapLess(h[r], h[smallest], keys, desc) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
-	}
-	return h, top
-}
-
-func (res *Result) push(e heapEntry) {
-	res.heap = heapPush(res.heap, e, res.cfg.Keys, res.cfg.Desc)
 }
 
 // Next returns the next row in sorted order.
 func (res *Result) Next() (value.Row, bool, error) {
-	if len(res.heap) == 0 {
+	if len(res.merge.heap) == 0 {
 		return nil, false, nil
 	}
 	if err := res.cfg.Budget.Tick(); err != nil {
 		return nil, false, err
 	}
-	var e heapEntry
-	res.heap, e = heapPop(res.heap, res.cfg.Keys, res.cfg.Desc)
-	row, ok, err := res.readers[e.src].next()
-	if err != nil {
+	row, ok, err := res.merge.next()
+	if err != nil || !ok {
 		return nil, false, err
 	}
-	if ok {
-		res.push(heapEntry{row: row, src: e.src})
-	}
-	res.rows++
-	if res.cfg.CountRSI {
-		res.cfg.io().AddRSICall()
-	}
-	return e.row, true, nil
+	res.cfg.io().AddRSICall()
+	return row, true, nil
 }
 
 // Close releases the temporary pages from the buffer pool.

@@ -137,7 +137,6 @@ func TestSortEmptyInput(t *testing.T) {
 func TestSortAccounting(t *testing.T) {
 	cfg, stats := newEnv(4)
 	cfg.Keys = []int{0}
-	cfg.CountRSI = true
 	const n = 2000
 	rows := randomRows(rand.New(rand.NewSource(6)), n)
 	res, err := Sort(cfg, sliceInput(rows))
@@ -328,5 +327,18 @@ func TestSortBudgetExceededDuringSpillReads(t *testing.T) {
 	}
 	if !errors.Is(err, governor.ErrBudgetExceeded) {
 		t.Fatalf("got %v, want ErrBudgetExceeded", err)
+	}
+}
+
+// A key column holding both INTEGER and FLOAT values is refused: the
+// normalized key encodes the two kinds apart, and a stored column holds
+// only one of them.
+func TestSortRejectsMixedNumericKey(t *testing.T) {
+	cfg, _ := newEnv(4)
+	cfg.Keys = []int{0}
+	rows := []value.Row{{value.NewInt(2)}, {value.Null()}, {value.NewFloat(1.5)}}
+	if res, err := Sort(cfg, sliceInput(rows)); err == nil {
+		res.Close()
+		t.Fatal("sort of a key mixing INTEGER and FLOAT succeeded")
 	}
 }
