@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"systemr"
+	"systemr/internal/core"
 	"systemr/internal/exec"
 	"systemr/internal/testutil"
 )
@@ -121,18 +121,26 @@ func TestExplainAnalyzeRowConsistency(t *testing.T) {
 // selectivity the Table 1 defaults get wrong shows up as an estimate-vs-
 // actual gap on the scan's own line.
 func TestExplainAnalyzeEstimateVsActual(t *testing.T) {
+	const query = "SELECT NAME FROM EMP WHERE SAL > 10.0"
+	db := newEmpDeptJobDB(t)
 	// Histograms are disabled so the paper's uniform model is what gets
 	// measured: with them on, SAL > 10 estimates exactly 300 (see the golden
 	// test) and there is no gap to display.
-	db := newEmpDeptJobDBCfg(t, systemr.Config{DisableHistograms: true})
-	// SAL > 10 matches every employee, but the paper's open-range default
-	// estimates 1/3 — the scan line must show the divergence.
-	got, err := db.ExplainAnalyze("SELECT NAME FROM EMP WHERE SAL > 10.0")
+	cfg := db.OptimizerConfig()
+	cfg.DisableHistograms = true
+	q, _ := planQuery(t, db, query, cfg)
+	_, _, analysis, err := exec.RunQueryAnalyze(db.Runtime(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// SAL > 10 matches every employee, but the paper's open-range default
+	// estimates 1/3 — the scan line must show the divergence.
+	got := analysis.Format(core.DefaultW)
 	if !strings.Contains(got, "est rows=100.0") || !strings.Contains(got, "act rows=300") {
 		t.Fatalf("expected est rows=100.0 vs act rows=300 divergence:\n%s", got)
+	}
+	if _, err := db.ExplainAnalyze(query); err != nil {
+		t.Fatal(err)
 	}
 	if db.LastStats().Rows != 300 {
 		t.Fatalf("EXPLAIN ANALYZE did not publish execution stats: %+v", db.LastStats())

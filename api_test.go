@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"systemr"
+	"systemr/internal/testutil"
+	"systemr/internal/value"
+	"systemr/internal/workload"
 )
 
 func TestPublicAPIErrors(t *testing.T) {
@@ -104,26 +107,36 @@ func TestExecStatsCost(t *testing.T) {
 	}
 }
 
-// TestWeightingFactorChangesChoice: with a huge W (CPU-dominant), plans that
-// save RSI calls win even at more page fetches; with W=~0 (I/O only), the
-// page-light plan wins. Both must run correctly.
+// TestWeightingFactorChangesChoice reruns E16's flip: ORDER BY on a
+// non-clustered index column pits a page-light segment scan plus sort
+// against an ordered index scan that fetches a page per tuple but sorts
+// nothing. At W = 0.01 (I/O dominant) the sort wins; at W = 2 (CPU
+// dominant) the index scan does. Both plans must return the same rows.
 func TestWeightingFactorChangesChoice(t *testing.T) {
-	for _, w := range []float64{0.000001, 5} {
-		db := systemr.Open(systemr.Config{W: w})
-		db.MustExec("CREATE TABLE t (a INTEGER, b INTEGER)")
-		for i := 0; i < 500; i++ {
-			db.MustExec("INSERT INTO t VALUES (" +
-				strings.Repeat("", 0) + itoa(i%50) + ", " + itoa(i) + ")")
+	db := workload.NewEmpDB(workload.EmpConfig{Emps: 8000, Depts: 100, Jobs: 4, Seed: 59})
+	const query = "SELECT NAME FROM EMP ORDER BY JOB"
+	var results [][]value.Row
+	for _, tc := range []struct {
+		w          float64
+		has, lacks string
+	}{
+		{0.01, "SEGSCAN EMP", "INDEXSCAN"},
+		{2, "INDEXSCAN EMP via EMP_JOB(JOB)", "SORT"},
+	} {
+		cfg := db.OptimizerConfig()
+		cfg.W = tc.w
+		q, _ := planQuery(t, db, query, cfg)
+		if pl := q.Explain(); !strings.Contains(pl, tc.has) || strings.Contains(pl, tc.lacks) {
+			t.Fatalf("W=%v: want a plan with %s and no %s:\n%s", tc.w, tc.has, tc.lacks, pl)
 		}
-		db.MustExec("CREATE INDEX t_a ON t (a)")
-		db.MustExec("UPDATE STATISTICS")
-		res, err := db.Query("SELECT b FROM t WHERE a = 7")
+		rows, _, err := db.RunPlanned(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Rows) != 10 {
-			t.Fatalf("W=%v: %d rows", w, len(res.Rows))
-		}
+		results = append(results, rows)
+	}
+	if len(results[0]) != 8000 || !testutil.SameMultiset(results[0], results[1]) {
+		t.Fatalf("the W=0.01 and W=2 plans return different rows (%d vs %d)", len(results[0]), len(results[1]))
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"systemr"
+	"systemr/internal/core"
 	"systemr/internal/workload"
 )
 
@@ -45,7 +46,7 @@ func expNested() {
 			panic(err)
 		}
 		fmt.Printf("%-32s | %10d | %20d | %13.1f\n",
-			c.name, 2000, stats.SubqueryEvals, stats.Cost(0.033))
+			c.name, 2000, stats.SubqueryEvals, stats.Cost(core.DefaultW))
 	}
 	fmt.Println("\nNon-correlated subqueries evaluate exactly once regardless:")
 	db := workload.NewEmpDB(workload.EmpConfig{Emps: 2000, Depts: 50, Jobs: 10, Seed: 31})

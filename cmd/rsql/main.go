@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"systemr"
+	"systemr/internal/core"
 	"systemr/internal/workload"
 )
 
@@ -137,7 +138,7 @@ func run(input io.Reader, out io.Writer, sigc <-chan os.Signal, timing bool) {
 // \stats command's output).
 func printStats(out io.Writer, s systemr.ExecStats) {
 	fmt.Fprintf(out, "page fetches: %d  pages written: %d  RSI calls: %d  rows: %d  cost: %.2f\n",
-		s.PageFetches, s.PagesWritten, s.RSICalls, s.Rows, s.Cost(0.033))
+		s.PageFetches, s.PagesWritten, s.RSICalls, s.Rows, s.Cost(core.DefaultW))
 }
 
 // printCache renders the plan cache counters (the \cache command's output).

@@ -117,7 +117,7 @@ func TestShellMetrics(t *testing.T) {
 		"systemr_statement_seconds_count 3",
 		"# TYPE systemr_buffer_hit_ratio gauge",
 		"systemr_plan_cache_misses 1",
-		"systemr_cost_w 0.033",
+		"PAGE FETCHES + W*(RSI CALLS), W = 0.033",
 	} {
 		if !strings.Contains(out, frag) {
 			t.Fatalf("\\metrics output lacks %q:\n%s", frag, out)

@@ -2,9 +2,9 @@ package systemr_test
 
 import (
 	"context"
+	"strings"
 	"testing"
 
-	"systemr"
 	"systemr/internal/rss"
 	"systemr/internal/testutil"
 	"systemr/internal/workload"
@@ -87,22 +87,27 @@ func TestCursorStreaming(t *testing.T) {
 func TestCursorMidStreamClose(t *testing.T) {
 	testutil.AssertNoLeaks(t)
 	scenarios := []struct {
-		name   string
-		engine systemr.Config
-		query  string
+		name  string
+		query string
+		op    string // the operator the close must land in
 	}{
-		// Default engine: nested-loop join, so the outer scan is a live RSS
-		// scan at the moment of the close.
-		{"nested-loop", systemr.Config{},
-			"SELECT E.NAME, D.DNAME FROM EMP E, DEPT D WHERE E.DNO = D.DNO"},
-		// Merge-only engine with ORDER BY: the close lands mid merge-join
-		// and mid sort-result, releasing temporary lists.
-		{"merge-join-sort", systemr.Config{Joins: systemr.MergeOnly},
-			"SELECT E.NAME, D.DNAME FROM EMP E, DEPT D WHERE E.DNO = D.DNO ORDER BY E.NAME"},
+		// A nested-loop join, so the outer scan is a live RSS scan at the
+		// moment of the close.
+		{"nested-loop",
+			"SELECT E.NAME, D.DNAME FROM EMP E, DEPT D WHERE E.DNO = D.DNO", "NLJOIN"},
+		// ORDER BY on the join column makes the merge join's order
+		// interesting: the close lands mid merge-join and mid sort-result,
+		// releasing temporary lists.
+		{"merge-join-sort",
+			"SELECT E.NAME, D.DNAME, J.TITLE FROM EMP E, DEPT D, JOB J " +
+				"WHERE E.DNO = D.DNO AND E.JOB = J.JOB ORDER BY E.JOB", "MERGEJOIN"},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			db := workload.NewEmpDB(workload.EmpConfig{Emps: 300, Depts: 30, Jobs: 4, Engine: sc.engine})
+			db := workload.NewEmpDB(workload.EmpConfig{Emps: 300, Depts: 30, Jobs: 4})
+			if pl, err := db.Explain(sc.query); err != nil || !strings.Contains(pl, sc.op) {
+				t.Fatalf("plan (err %v) lacks %s:\n%s", err, sc.op, pl)
+			}
 			stmt, err := db.Prepare(sc.query)
 			if err != nil {
 				t.Fatal(err)

@@ -17,9 +17,11 @@ import (
 	"systemr/internal/workload"
 )
 
-// runPlanned analyzes, optimizes (with the given config), and executes a
-// SELECT, returning raw rows.
-func runPlanned(t *testing.T, db *systemr.DB, query string, cfg core.Config) ([]value.Row, *sem.Block) {
+// planQuery analyzes a SELECT and optimizes it with the given config on
+// db's catalog: the route by which tests plan under an optimizer ablation
+// (another W, join-method set, or histograms off) on a database that plans
+// with the defaults.
+func planQuery(t testing.TB, db *systemr.DB, query string, cfg core.Config) (*plan.Query, *sem.Block) {
 	t.Helper()
 	stmt, err := sql.Parse(query)
 	if err != nil {
@@ -33,6 +35,14 @@ func runPlanned(t *testing.T, db *systemr.DB, query string, cfg core.Config) ([]
 	if err != nil {
 		t.Fatalf("optimize %q: %v", query, err)
 	}
+	return q, blk
+}
+
+// runPlanned analyzes, optimizes (with the given config), and executes a
+// SELECT, returning raw rows.
+func runPlanned(t *testing.T, db *systemr.DB, query string, cfg core.Config) ([]value.Row, *sem.Block) {
+	t.Helper()
+	q, blk := planQuery(t, db, query, cfg)
 	rows, _, err := exec.RunQuery(db.Runtime(), q, nil)
 	if err != nil {
 		t.Fatalf("execute %q: %v\nplan:\n%s", query, err, q.Explain())

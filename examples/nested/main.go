@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"systemr"
+	"systemr/internal/core"
 	"systemr/internal/workload"
 )
 
@@ -51,5 +52,5 @@ func run(db *systemr.DB, title, query string) {
 	}
 	st := db.LastStats()
 	fmt.Printf("%-55s → %5d rows, %4d subquery evals, cost %8.1f\n",
-		title, len(res.Rows), st.SubqueryEvals, st.Cost(0.033))
+		title, len(res.Rows), st.SubqueryEvals, st.Cost(core.DefaultW))
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"systemr"
+	"systemr/internal/core"
 	"systemr/internal/exec"
 	"systemr/internal/workload"
 )
@@ -25,11 +26,10 @@ const (
 		"WHERE E.DNO = D.DNO AND E.JOB = J.JOB"
 )
 
-func execBenchDB(tb testing.TB, engine systemr.Config) *systemr.DB {
+func execBenchDB(tb testing.TB) *systemr.DB {
 	tb.Helper()
-	engine.BufferPages = 4096
 	return workload.NewEmpDB(workload.EmpConfig{
-		Emps: 4000, Depts: 50, Jobs: 10, Seed: 47, Engine: engine,
+		Emps: 4000, Depts: 50, Jobs: 10, Seed: 47, Engine: systemr.Config{BufferPages: 4096},
 	})
 }
 
@@ -46,7 +46,7 @@ func warmRun(tb testing.TB, db *systemr.DB, q string) {
 // operator boundary) against the default 256-row batches, running the planned
 // scan directly through the executor.
 func BenchmarkExecBatch(b *testing.B) {
-	db := execBenchDB(b, systemr.Config{})
+	db := execBenchDB(b)
 	warmRun(b, db, scanQuery)
 	q, err := db.PlanSelect(scanQuery)
 	if err != nil {
@@ -68,24 +68,29 @@ func BenchmarkExecBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkHashJoin runs the non-sargable three-way equi-join under each
-// join-method restriction: nested loops only, merge only, and the full
+// BenchmarkHashJoin runs the non-sargable three-way equi-join planned under
+// each join-method restriction: nested loops only, merge only, and the full
 // three-method search (which picks hash here).
 func BenchmarkHashJoin(b *testing.B) {
+	db := execBenchDB(b)
 	for _, c := range []struct {
-		name   string
-		engine systemr.Config
+		name  string
+		joins core.JoinMethod
 	}{
-		{"nestedloops", systemr.Config{Joins: systemr.NestedLoopsOnly}},
-		{"merge", systemr.Config{Joins: systemr.MergeOnly}},
-		{"hash", systemr.Config{}},
+		{"nestedloops", core.NestedLoopsOnly},
+		{"merge", core.MergeOnly},
+		{"hash", core.AllJoins},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			db := execBenchDB(b, c.engine)
-			warmRun(b, db, joinQuery)
+			cfg := db.OptimizerConfig()
+			cfg.Joins = c.joins
+			q, _ := planQuery(b, db, joinQuery, cfg)
+			if _, _, err := db.RunPlanned(q); err != nil { // loads the pages
+				b.Fatal(err)
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := db.Query(joinQuery); err != nil {
+				if _, _, err := db.RunPlanned(q); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -100,7 +105,7 @@ func BenchmarkHashJoin(b *testing.B) {
 // per-shape memory of the statement lifecycle and executor, which should
 // follow the rows each statement returns, not the batch target.
 func BenchmarkPreparedLookup(b *testing.B) {
-	db := execBenchDB(b, systemr.Config{})
+	db := execBenchDB(b)
 	for _, c := range []struct {
 		name, text string
 		args       []any
@@ -138,7 +143,7 @@ func BenchmarkPreparedLookup(b *testing.B) {
 // picks the hash join for BenchmarkHashJoin's equi-join, so the benchmark's
 // "hash" case measures what its name says.
 func TestHashJoinChosenForEquiJoin(t *testing.T) {
-	db := execBenchDB(t, systemr.Config{})
+	db := execBenchDB(t)
 	pl, err := db.Explain(joinQuery)
 	if err != nil {
 		t.Fatal(err)

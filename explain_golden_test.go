@@ -8,16 +8,14 @@ import (
 	"testing"
 
 	"systemr"
+	"systemr/internal/core"
 )
 
 // abDB builds the small deterministic two-table database the EXPLAIN golden
 // tests pin their plans against.
-func abDB(t *testing.T, cfg systemr.Config) *systemr.DB {
+func abDB(t *testing.T) *systemr.DB {
 	t.Helper()
-	if cfg.BufferPages == 0 {
-		cfg.BufferPages = 16
-	}
-	db := systemr.Open(cfg)
+	db := systemr.Open(systemr.Config{BufferPages: 16})
 	db.MustExec("CREATE TABLE A (K INTEGER, V INTEGER)")
 	db.MustExec("CREATE TABLE B (K INTEGER, W INTEGER)")
 	for i := 0; i < 40; i++ {
@@ -37,7 +35,7 @@ func abDB(t *testing.T, cfg systemr.Config) *systemr.DB {
 // printer. If an intentional optimizer change shifts this plan, update the
 // expectation alongside the change.
 func TestExplainGolden(t *testing.T) {
-	db := abDB(t, systemr.Config{})
+	db := abDB(t)
 	got, err := db.Explain("SELECT A.V FROM A, B WHERE A.K = B.K AND B.W = 105")
 	if err != nil {
 		t.Fatal(err)
@@ -61,11 +59,11 @@ func TestExplainGolden(t *testing.T) {
 // TestExplainGoldenMergeJoin pins the merging-scans plan shape: both inputs
 // sorted into temporary lists on the join column, then merged.
 func TestExplainGoldenMergeJoin(t *testing.T) {
-	db := abDB(t, systemr.Config{Joins: systemr.MergeOnly})
-	got, err := db.Explain("SELECT A.V, B.W FROM A, B WHERE A.K = B.K")
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := abDB(t)
+	cfg := db.OptimizerConfig()
+	cfg.Joins = core.MergeOnly
+	q, _ := planQuery(t, db, "SELECT A.V, B.W FROM A, B WHERE A.K = B.K", cfg)
+	got := q.Explain()
 	// The outer side rides A_K's order for free (an interesting order); only
 	// B needs sorting into a temporary list.
 	want := strings.Join([]string{
@@ -87,7 +85,7 @@ func TestExplainGoldenMergeJoin(t *testing.T) {
 // node (Section 4's interesting orders make the ordered path win even though
 // an unordered scan is cheaper before the sort is charged).
 func TestExplainGoldenInterestingOrder(t *testing.T) {
-	db := abDB(t, systemr.Config{})
+	db := abDB(t)
 	got, err := db.Explain("SELECT V FROM A WHERE K >= 3 ORDER BY K")
 	if err != nil {
 		t.Fatal(err)
@@ -125,26 +123,23 @@ func TestExplainNonFiniteKeys(t *testing.T) {
 		{"NaN low key", [3]string{"1e308*10 - 1e308*10", "1.5", "2.5"}, 1},
 		{"infinite high key", [3]string{"1.5", "2.5", "1e308*10"}, 2},
 	} {
-		for _, cfg := range []systemr.Config{{}, {DisableHistograms: true}} {
+		db := systemr.Open(systemr.Config{})
+		db.MustExec("CREATE TABLE T (A FLOAT, B INTEGER)")
+		for i, k := range tc.keys {
+			db.MustExec(fmt.Sprintf("INSERT INTO T VALUES (%s, %d)", k, i))
+		}
+		db.MustExec("CREATE INDEX T_A ON T (A)")
+		db.MustExec("UPDATE STATISTICS")
+		noHist := db.OptimizerConfig()
+		noHist.DisableHistograms = true
+		for _, cfg := range []core.Config{db.OptimizerConfig(), noHist} {
 			where := fmt.Sprintf("%s, DisableHistograms=%v", tc.name, cfg.DisableHistograms)
-			db := systemr.Open(cfg)
-			db.MustExec("CREATE TABLE T (A FLOAT, B INTEGER)")
-			for i, k := range tc.keys {
-				db.MustExec(fmt.Sprintf("INSERT INTO T VALUES (%s, %d)", k, i))
+			rows, _ := runPlanned(t, db, q, cfg)
+			if len(rows) != tc.want {
+				t.Fatalf("%s: %s returned %v, want %d rows", where, q, rows, tc.want)
 			}
-			db.MustExec("CREATE INDEX T_A ON T (A)")
-			db.MustExec("UPDATE STATISTICS")
-			res, err := db.Query(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(res.Rows) != tc.want {
-				t.Fatalf("%s: %s returned %v, want %d rows", where, q, res.Rows, tc.want)
-			}
-			pl, err := db.Explain(q)
-			if err != nil {
-				t.Fatal(err)
-			}
+			plq, _ := planQuery(t, db, q, cfg)
+			pl := plq.Explain()
 			for _, m := range rowsRe.FindAllStringSubmatch(pl, -1) {
 				if est, _ := strconv.ParseFloat(m[1], 64); est < 1 {
 					t.Errorf("%s: %s estimates %s rows, want >= 1:\n%s", where, q, m[1], pl)

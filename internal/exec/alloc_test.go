@@ -199,14 +199,14 @@ func TestJoinAllocsPerBatch(t *testing.T) {
 		if rows != n-64 {
 			t.Fatalf("%s: %d rows, want %d", tc.name, rows, n-64)
 		}
-		// A hash build allocates a key string and a group slice per build row
-		// at most.
+		// A hash build allocates one key string per distinct build key: D.K's
+		// 64 values.
 		var keys int64
-		if h, ok := join.impl.(*hashJoinOp); ok {
-			keys = h.buildRows
+		if _, ok := join.impl.(*hashJoinOp); ok {
+			keys = 64
 		}
-		if allocs > float64(perOpen*opens+perBatch*int64(batches)+2*keys) {
-			t.Errorf("%s: %.0f allocations for %d rows in %d batches, %d opens and %d build rows, want <= %d per open + %d per batch + 2 per build row",
+		if allocs > float64(perOpen*opens+perBatch*int64(batches)+keys) {
+			t.Errorf("%s: %.0f allocations for %d rows in %d batches, %d opens and %d build keys, want <= %d per open + %d per batch + 1 per build key",
 				tc.name, allocs, rows, batches, opens, keys, perOpen, perBatch)
 		}
 	}

@@ -21,11 +21,13 @@ type hashJoinOp struct {
 	outer *op // probe side
 	inner *op // build side
 
-	// table maps an encoded join value to its group's index in groups, so
-	// adding a row to an existing group and probing both look the key up
-	// without allocating; only a new key allocates its string.
+	// table maps an encoded join value to its group's index, so adding a
+	// row to an existing group and probing both look the key up without
+	// allocating; only a new key allocates its string. Group g's build rows
+	// are rows[bounds[g]:bounds[g+1]].
 	table  map[string]int
-	groups [][]comp
+	rows   []comp
+	bounds []int
 	key    []byte // reused encoding buffer for build and probe keys
 	// buildRows and buildBytes are the measured build-side actuals EXPLAIN
 	// ANALYZE reports against the estimate the table was pre-sized from.
@@ -41,12 +43,18 @@ type hashJoinOp struct {
 
 func (it *hashJoinOp) open() error {
 	it.table = make(map[string]int, int(it.node.BuildRows)+1)
-	it.groups = it.groups[:0]
 	it.buildRows, it.buildBytes = 0, 0
 	it.curOuter, it.cur, it.ci = nil, nil, 0
 	if err := it.inner.Open(); err != nil {
 		return err
 	}
+	// Count, then place: the build rows are staged in arrival order with
+	// their group, and then laid out group by group in one array.
+	type staged struct {
+		g int
+		c comp
+	}
+	in := make([]staged, 0, int(it.node.BuildRows)+1)
 	build := it.ctx.reader(nil, it.inner)
 	for {
 		c, ok, err := build.next()
@@ -61,14 +69,28 @@ func (it *hashJoinOp) open() error {
 			continue // NULL join keys match nothing
 		}
 		it.key = storage.AppendEncodedRow(it.key[:0], value.Row{k})
-		if g, ok := it.table[string(it.key)]; ok {
-			it.groups[g] = append(it.groups[g], c)
-		} else {
-			it.table[string(it.key)] = len(it.groups)
-			it.groups = append(it.groups, []comp{c})
+		g, ok := it.table[string(it.key)]
+		if !ok {
+			g = len(it.table)
+			it.table[string(it.key)] = g
 		}
+		in = append(in, staged{g, c})
 		it.buildRows++
 		it.buildBytes += int64(len(it.key)) + compBytes(c)
+	}
+	it.bounds = make([]int, len(it.table)+1)
+	for _, s := range in {
+		it.bounds[s.g]++
+	}
+	for g := 1; g < len(it.bounds); g++ {
+		it.bounds[g] += it.bounds[g-1] // now group g's end
+	}
+	// Placing from the back moves each bounds[g] down to group g's start
+	// and keeps every group in arrival order.
+	it.rows = make([]comp, len(in))
+	for i := len(in) - 1; i >= 0; i-- {
+		it.bounds[in[i].g]--
+		it.rows[it.bounds[in[i].g]] = in[i].c
 	}
 	// The build side is exhausted; release its scan before probing starts.
 	if err := it.inner.Close(); err != nil {
@@ -102,7 +124,7 @@ func (it *hashJoinOp) next() (comp, bool, error) {
 		it.key = storage.AppendEncodedRow(it.key[:0], value.Row{k})
 		it.cur = nil
 		if g, ok := it.table[string(it.key)]; ok {
-			it.cur = it.groups[g]
+			it.cur = it.rows[it.bounds[g]:it.bounds[g+1]]
 		}
 		it.ci = 0
 		it.curOuter = oc
@@ -112,7 +134,7 @@ func (it *hashJoinOp) next() (comp, bool, error) {
 func (it *hashJoinOp) nextBatch(b *Batch) error { return fillRows(b, it) }
 
 func (it *hashJoinOp) close() error {
-	it.table, it.groups, it.cur, it.curOuter = nil, nil, nil, nil
+	it.table, it.rows, it.bounds, it.cur, it.curOuter = nil, nil, nil, nil, nil
 	firstErr := it.outer.Close()
 	if err := it.inner.Close(); err != nil && firstErr == nil {
 		firstErr = err

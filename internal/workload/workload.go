@@ -25,10 +25,10 @@ type EmpConfig struct {
 	// NoStatistics skips UPDATE STATISTICS, exercising the paper's
 	// "lack of statistics implies the relation is small" defaults.
 	NoStatistics bool
-	// Engine is the database's configuration (buffer pool size, optimizer
-	// knobs, governor budgets, timeouts), used as given. Note the limits
-	// also govern the loading statements, so keep them above the
-	// per-statement cost of a single-row INSERT.
+	// Engine is the database's configuration (buffer pool size, governor
+	// budgets, timeouts), used as given. Note the limits also govern the
+	// loading statements, so keep them above the per-statement cost of a
+	// single-row INSERT.
 	Engine systemr.Config
 }
 

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"systemr/internal/compile"
+	"systemr/internal/core"
 	"systemr/internal/governor"
 	"systemr/internal/lock"
 	"systemr/internal/sql"
@@ -197,7 +198,7 @@ func (db *DB) setLast(s ExecStats) {
 	db.last = s
 	db.mu.Unlock()
 	m := db.metrics
-	m.stmtCost.Add(s.Cost(db.cfg.W))
+	m.stmtCost.Add(s.Cost(core.DefaultW))
 	m.stmtFetches.Add(float64(s.PageFetches + s.PagesWritten))
 	m.stmtRSI.Add(float64(s.RSICalls))
 	m.stmtRows.Add(float64(s.Rows))

@@ -10,8 +10,10 @@ package systemr
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
+	"systemr/internal/core"
 	"systemr/internal/governor"
 	"systemr/internal/lock"
 	"systemr/internal/metrics"
@@ -79,7 +81,7 @@ func newDBMetrics(db *DB) *dbMetrics {
 		lockWait: reg.NewHistogram("systemr_lock_wait_seconds",
 			"Time statements spent blocked acquiring table locks", nil),
 		stmtCost: reg.NewCounter("systemr_statement_cost_total",
-			"Measured statement cost summed in the paper's units: PAGE FETCHES + W*(RSI CALLS), with this instance's W"),
+			fmt.Sprintf("Measured statement cost summed in the paper's units: PAGE FETCHES + W*(RSI CALLS), W = %g", core.DefaultW)),
 		stmtFetches: reg.NewCounter("systemr_statement_page_fetches_total",
 			"Page fetches (including temp-list writes) measured across statements"),
 		stmtRSI: reg.NewCounter("systemr_statement_rsi_calls_total",
@@ -155,8 +157,6 @@ func newDBMetrics(db *DB) *dbMetrics {
 		"Explicit transactions currently open")
 	openScans := reg.NewGauge("systemr_open_scans",
 		"RSI scans currently open engine-wide")
-	costW := reg.NewGauge("systemr_cost_w",
-		"The optimizer's CPU weighting factor W in COST = PAGE FETCHES + W*(RSI CALLS)")
 
 	reg.OnCollect(func() {
 		io := db.stats.Snapshot()
@@ -185,7 +185,6 @@ func newDBMetrics(db *DB) *dbMetrics {
 		locksOutstanding.Set(float64(db.locks.Outstanding()))
 		txnsActive.Set(float64(db.activeTxns.Load()))
 		openScans.Set(float64(rss.OpenScans()))
-		costW.Set(db.cfg.W)
 	})
 
 	db.locks.SetWaitObserver(func(d time.Duration) {

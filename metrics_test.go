@@ -58,18 +58,14 @@ func TestMetricsStatementCounters(t *testing.T) {
 }
 
 // TestMetricsCollectGauges checks the collect-on-scrape gauges reflect live
-// engine state: buffer-pool counters and hit ratio, plan-cache counters, and
-// the configured W.
+// engine state: buffer-pool counters and hit ratio, and plan-cache counters.
 func TestMetricsCollectGauges(t *testing.T) {
-	db := systemr.Open(systemr.Config{W: 0.05})
+	db := systemr.Open(systemr.Config{})
 	db.MustExec("CREATE TABLE T (A INTEGER)")
 	db.MustExec("INSERT INTO T VALUES (1), (2), (3)")
 	db.MustExec("SELECT A FROM T")
 	db.MustExec("SELECT A FROM T")
 	m := sampleMap(db)
-	if got := m["systemr_cost_w"].Value; got != 0.05 {
-		t.Fatalf("cost_w = %g, want 0.05", got)
-	}
 	reads, fetches := m["systemr_buffer_logical_reads"].Value, m["systemr_buffer_page_fetches"].Value
 	if reads <= 0 || fetches <= 0 || fetches > reads {
 		t.Fatalf("buffer gauges: reads=%g fetches=%g", reads, fetches)

@@ -14,14 +14,22 @@ import (
 
 	"systemr"
 	"systemr/internal/compile"
+	"systemr/internal/core"
 	"systemr/internal/workload"
 )
 
 const skewSeed = 7
 
+// uniformModel is db's optimizer configuration with histograms off: every
+// selectivity comes from Table 1's defaults and the index ICARDs.
+func uniformModel(db *systemr.DB) core.Config {
+	cfg := db.OptimizerConfig()
+	cfg.DisableHistograms = true
+	return cfg
+}
+
 func TestSkewPlanFlip(t *testing.T) {
 	hist, hot := workload.NewSkewDB(workload.SkewConfig{Seed: skewSeed})
-	uni, _ := workload.NewSkewDB(workload.SkewConfig{Seed: skewSeed, Engine: systemr.Config{DisableHistograms: true}})
 
 	hotQ := fmt.Sprintf("SELECT VAL FROM EVENTS WHERE KEY = %d", hot)
 
@@ -36,11 +44,8 @@ func TestSkewPlanFlip(t *testing.T) {
 	}
 
 	// Uniform model: ~100k/1000 ≈ 100 estimated rows — the index looks cheap.
-	uniPlan, err := uni.Explain(hotQ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(uniPlan, "INDEXSCAN") {
+	uq, _ := planQuery(t, hist, hotQ, uniformModel(hist))
+	if uniPlan := uq.Explain(); !strings.Contains(uniPlan, "INDEXSCAN") {
 		t.Fatalf("uniform model should probe the index for the hot key:\n%s", uniPlan)
 	}
 
@@ -62,12 +67,9 @@ func TestSkewPlanFlip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ures, err := uni.Query(hotQ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(len(hres.Rows)) != hotRows || int64(len(ures.Rows)) != hotRows {
-		t.Fatalf("rows: hist=%d uniform=%d want %d", len(hres.Rows), len(ures.Rows), hotRows)
+	urows, _ := runPlanned(t, hist, hotQ, uniformModel(hist))
+	if int64(len(hres.Rows)) != hotRows || int64(len(urows)) != hotRows {
+		t.Fatalf("rows: hist=%d uniform=%d want %d", len(hres.Rows), len(urows), hotRows)
 	}
 
 	// A cold-tail key stays on the index under the histogram model too — the
@@ -87,7 +89,6 @@ func TestSkewPlanFlip(t *testing.T) {
 // the eight access-path choices.
 func TestHistogramsFlipPlans(t *testing.T) {
 	hist, hot := workload.NewSkewDB(workload.SkewConfig{Seed: skewSeed})
-	uni, _ := workload.NewSkewDB(workload.SkewConfig{Seed: skewSeed, Engine: systemr.Config{DisableHistograms: true}})
 	queries := []string{
 		fmt.Sprintf("SELECT VAL FROM EVENTS WHERE KEY = %d", hot),
 		"SELECT VAL FROM EVENTS WHERE KEY = 10",
@@ -106,25 +107,14 @@ func TestHistogramsFlipPlans(t *testing.T) {
 			t.Fatal(err)
 		}
 		actual := float64(len(res.Rows))
-		uq, err := uni.PlanSelect(q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		uq, _ := planQuery(t, hist, q, uniformModel(hist))
 		hq, err := hist.PlanSelect(q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		uniSum += compile.MissFactor(uq.Root.Est().Rows, actual)
 		histSum += compile.MissFactor(hq.Root.Est().Rows, actual)
-		uniPlan, err := uni.Explain(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		histPlan, err := hist.Explain(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if strings.Contains(uniPlan, "INDEXSCAN") != strings.Contains(histPlan, "INDEXSCAN") {
+		if strings.Contains(uq.Explain(), "INDEXSCAN") != strings.Contains(hq.Explain(), "INDEXSCAN") {
 			flips++
 		}
 	}

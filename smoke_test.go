@@ -13,19 +13,8 @@ import (
 // indexes the example discusses.
 func newEmpDeptJobDB(t testing.TB) *systemr.DB {
 	t.Helper()
-	return newEmpDeptJobDBCfg(t, systemr.Config{BufferPages: 32})
-}
-
-// newEmpDeptJobDBCfg is newEmpDeptJobDB with an explicit engine
-// configuration (tests that pin the paper's pre-histogram estimation model
-// pass DisableHistograms).
-func newEmpDeptJobDBCfg(t testing.TB, cfg systemr.Config) *systemr.DB {
-	t.Helper()
 	testutil.AssertNoLeaks(t)
-	if cfg.BufferPages == 0 {
-		cfg.BufferPages = 32
-	}
-	db := systemr.Open(cfg)
+	db := systemr.Open(systemr.Config{BufferPages: 32})
 	db.MustExec("CREATE TABLE EMP (NAME VARCHAR, DNO INTEGER, JOB INTEGER, SAL FLOAT)")
 	db.MustExec("CREATE TABLE DEPT (DNO INTEGER, DNAME VARCHAR, LOC VARCHAR)")
 	db.MustExec("CREATE TABLE JOB (JOB INTEGER, TITLE VARCHAR)")

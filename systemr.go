@@ -47,33 +47,12 @@ import (
 	"systemr/internal/value"
 )
 
-// JoinMethod is the set of join methods the optimizer may use.
-type JoinMethod = core.JoinMethod
-
-// The join-method sets: all three methods, nested loops alone, or merging
-// scans with nested loops only for join steps no equi-join applies to.
-const (
-	AllJoins        = core.AllJoins
-	NestedLoopsOnly = core.NestedLoopsOnly
-	MergeOnly       = core.MergeOnly
-)
-
 // Config tunes a database instance.
 type Config struct {
 	// BufferPages is the buffer-pool size in 4K pages (default 64). It is
 	// both the execution-time cache and the "System R buffer" the
 	// optimizer's Table 2 alternatives test against.
 	BufferPages int
-	// W is the optimizer's CPU weighting factor (default 0.033):
-	// COST = PAGE FETCHES + W * RSI CALLS.
-	W float64
-	// Joins restricts the join methods the optimizer considers (default
-	// AllJoins: nested loops, merging scans and hash joins).
-	Joins JoinMethod
-	// DisableHistograms ignores the per-column equi-depth histograms UPDATE
-	// STATISTICS builds, reverting every selectivity estimate to Table 1
-	// defaults and index ICARDs — the paper's original estimation model.
-	DisableHistograms bool
 
 	// Execution governor knobs (0 = unlimited). Violations surface as a
 	// *StatementError wrapping ErrBudgetExceeded, with the partial ExecStats
@@ -175,9 +154,6 @@ func (s ExecStats) Cost(w float64) float64 {
 func Open(cfg Config) *DB {
 	if cfg.BufferPages <= 0 {
 		cfg.BufferPages = 64
-	}
-	if cfg.W == 0 {
-		cfg.W = core.DefaultW
 	}
 	disk := storage.NewDisk()
 	stats := &storage.IOStats{}
@@ -411,14 +387,10 @@ func (db *DB) newGovernor(ctx context.Context) *governor.Budget {
 }
 
 // OptimizerConfig returns the core optimizer configuration this database
-// plans with.
+// plans with: the paper's W, every join method, histograms on, and the
+// buffer pool's size.
 func (db *DB) OptimizerConfig() core.Config {
-	return core.Config{
-		W:                 db.cfg.W,
-		BufferPages:       db.cfg.BufferPages,
-		Joins:             db.cfg.Joins,
-		DisableHistograms: db.cfg.DisableHistograms,
-	}
+	return core.Config{W: core.DefaultW, BufferPages: db.cfg.BufferPages}
 }
 
 // noteCommit accounts one committed writing transaction toward the
@@ -769,7 +741,7 @@ func (db *DB) execExplain(cur *txn.Txn, st *statement, ex *sql.ExplainStmt) (*Re
 	if isSelect {
 		db.observeMiss(q, float64(len(rows)))
 	}
-	return &Result{Plan: analysis.Format(db.cfg.W) + cacheNote}, nil
+	return &Result{Plan: analysis.Format(core.DefaultW) + cacheNote}, nil
 }
 
 // execDML runs a DELETE or UPDATE. The optimizer's chosen access path
