@@ -7,6 +7,7 @@ import (
 
 	"systemr"
 	"systemr/internal/core"
+	"systemr/internal/plan"
 	"systemr/internal/workload"
 )
 
@@ -70,7 +71,7 @@ func expJoinMethods() {
 	fmt.Println(" to merging scans appears as the join grows, as in Blasgen-Eswaran.)")
 }
 
-func hasMerge(q interface{ Explain() string }) bool {
+func hasMerge(q *plan.Query) bool {
 	return containsStr(q.Explain(), "MERGEJOIN")
 }
 

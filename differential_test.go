@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"strings"
 	"testing"
 
 	"systemr"
@@ -134,6 +135,7 @@ func TestDifferentialRandomQueries(t *testing.T) {
 	for seed := 0; seed < seeds; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			var shared int64 // queries served a sibling's plan
 			rnd := rand.New(rand.NewSource(int64(seed)))
 			db := workload.RandomDB(rnd, workload.RandomDBConfig{Tables: tables, MaxRows: 25})
 			for qi := 0; qi < 12; qi++ {
@@ -152,6 +154,24 @@ func TestDifferentialRandomQueries(t *testing.T) {
 				if err != nil {
 					t.Fatalf("reference %q: %v", query, err)
 				}
+				// Cached, lifted: a sibling text with other literals warms the
+				// plan cache first, then the query runs ad hoc, on the
+				// sibling's plan whenever their selectivity classes agree.
+				if sib, ok := siblingText(query); ok {
+					if _, err := db.Query(sib); err != nil {
+						t.Fatalf("sibling %q: %v", sib, err)
+					}
+					hits := db.PlanCacheStats().Hits
+					res, err := db.Query(query)
+					if err != nil {
+						t.Fatalf("cached, lifted %q: %v", query, err)
+					}
+					shared += db.PlanCacheStats().Hits - hits
+					if got := nativeRows(res); !testutil.SameMultiset(got, want) {
+						t.Fatalf("cached, lifted after %q: result mismatch for %q\nwant %d rows, got %d rows",
+							sib, query, len(want), len(got))
+					}
+				}
 				for name, cfg := range ablations(db.OptimizerConfig()) {
 					q, err := core.New(db.Catalog(), cfg).Optimize(blk)
 					if err != nil {
@@ -165,8 +185,69 @@ func TestDifferentialRandomQueries(t *testing.T) {
 					}
 				}
 			}
+			if shared == 0 {
+				t.Fatal("no query was served a sibling's lifted plan")
+			}
 		})
 	}
+}
+
+// siblingText returns query with every literal sql.Lift lifts moved to
+// another value of its kind, or false when it lifts none.
+func siblingText(query string) (string, bool) {
+	lifted, lits, _ := sql.Lift(query)
+	if len(lits) == 0 {
+		return "", false
+	}
+	var b strings.Builder
+	quoted := false
+	for i := 0; i < len(lifted); i++ {
+		c := lifted[i]
+		switch {
+		case c == '\'':
+			quoted = !quoted
+		case c == '?' && !quoted:
+			v := lits[0]
+			lits = lits[1:]
+			switch v.Kind {
+			case value.KindInt:
+				v = value.NewInt(v.Int + 1)
+			case value.KindFloat:
+				v = value.NewFloat(v.Float + 0.5)
+			default:
+				v = value.NewString(v.Str + "z")
+			}
+			lit := v.SQL()
+			if v.Kind == value.KindFloat && !strings.ContainsAny(lit, ".e") {
+				lit += ".0" // still a FLOAT literal
+			}
+			b.WriteString(lit)
+			continue
+		}
+		b.WriteByte(c)
+	}
+	return b.String(), true
+}
+
+// nativeRows converts a Result's rows back to engine values.
+func nativeRows(res *systemr.Result) []value.Row {
+	out := make([]value.Row, len(res.Rows))
+	for i, r := range res.Rows {
+		out[i] = make(value.Row, len(r))
+		for j, v := range r {
+			switch x := v.(type) {
+			case int64:
+				out[i][j] = value.NewInt(x)
+			case float64:
+				out[i][j] = value.NewFloat(x)
+			case string:
+				out[i][j] = value.NewString(x)
+			default:
+				out[i][j] = value.Null()
+			}
+		}
+	}
+	return out
 }
 
 // TestDifferentialEmpDeptJob cross-checks a battery of handwritten queries

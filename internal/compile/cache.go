@@ -17,11 +17,18 @@ import (
 // version check happens after the shared catalog lock is held: a plan that
 // went stale between Peek and the grant fails the version check and
 // recompiles.
+//
+// The plans of one lifted text form a family (CompiledPlan.Family), one
+// plan per selectivity class. Family looks up the newest of them, whose
+// lock set and Classifier serve the whole family, before the class — and
+// with it the plan's key — is known. A family is indexed while any of its
+// plans is cached, so only plans count against the capacity.
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
 	ll       *list.List // front = most recently used
 	items    map[string]*list.Element
+	families map[string]*family
 
 	hits          int64
 	misses        int64
@@ -32,6 +39,14 @@ type Cache struct {
 type cacheEntry struct {
 	key string
 	cp  *CompiledPlan
+}
+
+// family is one Family key's newest plan, that plan's key, and the
+// family's count of cached plans.
+type family struct {
+	newest *CompiledPlan
+	key    string
+	plans  int
 }
 
 // CacheStats is a snapshot of the cache's counters.
@@ -61,6 +76,7 @@ func NewCache(capacity int) *Cache {
 		capacity: capacity,
 		ll:       list.New(),
 		items:    make(map[string]*list.Element),
+		families: make(map[string]*family),
 	}
 }
 
@@ -73,6 +89,18 @@ func (c *Cache) Peek(key string) (*CompiledPlan, bool) {
 		return el.Value.(*cacheEntry).cp, true
 	}
 	return nil, false
+}
+
+// Family returns the newest cached plan of the lifted-text family key and
+// that plan's own key, without touching LRU order or counters. The caller
+// must validate its Version before classifying with it.
+func (c *Cache) Family(key string) (*CompiledPlan, string, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if f, ok := c.families[key]; ok {
+		return f.newest, f.key, true
+	}
+	return nil, "", false
 }
 
 // Hit records a served execution and refreshes the entry's recency.
@@ -101,8 +129,7 @@ func (c *Cache) Invalidate(key string, old *CompiledPlan) {
 	if !ok || el.Value.(*cacheEntry).cp != old {
 		return
 	}
-	c.ll.Remove(el)
-	delete(c.items, key)
+	c.remove(el)
 	c.invalidations++
 }
 
@@ -112,16 +139,53 @@ func (c *Cache) Put(key string, cp *CompiledPlan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
+		c.leaveFamily(el.Value.(*cacheEntry).cp)
 		el.Value.(*cacheEntry).cp = cp
+		c.joinFamily(key, cp)
 		c.ll.MoveToFront(el)
 		return
 	}
 	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, cp: cp})
+	c.joinFamily(key, cp)
 	for c.ll.Len() > c.capacity {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.items, back.Value.(*cacheEntry).key)
+		c.remove(c.ll.Back())
 		c.evictions++
+	}
+}
+
+// remove drops an entry from the LRU, the index and its family.
+func (c *Cache) remove(el *list.Element) {
+	e := el.Value.(*cacheEntry)
+	c.ll.Remove(el)
+	delete(c.items, e.key)
+	c.leaveFamily(e.cp)
+}
+
+// joinFamily counts cp, cached at key, in its family and makes it the
+// family's newest.
+func (c *Cache) joinFamily(key string, cp *CompiledPlan) {
+	if cp.Family == "" {
+		return
+	}
+	f := c.families[cp.Family]
+	if f == nil {
+		f = &family{}
+		c.families[cp.Family] = f
+	}
+	f.newest, f.key = cp, key
+	f.plans++
+}
+
+// leaveFamily uncounts cp, dropping the family with its last plan. A family
+// whose newest plan leaves keeps it as its representative until another
+// joins: a stale one fails the caller's version check and recompiles.
+func (c *Cache) leaveFamily(cp *CompiledPlan) {
+	if cp.Family == "" {
+		return
+	}
+	f := c.families[cp.Family]
+	if f.plans--; f.plans == 0 {
+		delete(c.families, cp.Family)
 	}
 }
 

@@ -105,3 +105,32 @@ func TestCacheConcurrent(t *testing.T) {
 		t.Fatalf("no traffic recorded: %+v", s)
 	}
 }
+
+// TestCacheFamilies: a lifted text's plans are indexed by family while any
+// of them is cached, and the index names the newest and its key.
+func TestCacheFamilies(t *testing.T) {
+	c := NewCache(2)
+	lifted := func() *CompiledPlan {
+		cp := mkPlan("SELECT A FROM T WHERE A = ?", 1)
+		cp.Family = Key(cp.Norm, "I")
+		return cp
+	}
+	hot, cold := lifted(), lifted()
+	c.Put(Key(hot.Family, "\x03"), hot)
+	c.Put(Key(cold.Family, "\x0f"), cold)
+	if got, key, ok := c.Family(hot.Family); !ok || got != cold || key != Key(cold.Family, "\x0f") {
+		t.Fatalf("family = %v %q %v, want the newest plan and its key", got, key, ok)
+	}
+	c.Invalidate(Key(cold.Family, "\x0f"), cold)
+	if _, _, ok := c.Family(hot.Family); !ok {
+		t.Fatal("a family with a cached plan left must stay indexed")
+	}
+	c.Put("a", mkPlan("a", 1))
+	c.Put("b", mkPlan("b", 1)) // evicts hot, the family's last plan
+	if _, _, ok := c.Family(hot.Family); ok {
+		t.Fatal("a family must leave the index with its last plan")
+	}
+	if s := c.Stats(); s.Entries != 2 || s.Evictions != 1 {
+		t.Fatalf("stats = %+v", s)
+	}
+}

@@ -10,8 +10,14 @@
 // (table, index, statistics) changed.
 //
 // A shared, concurrency-safe LRU Cache (cache.go) sits in front of the
-// pipeline, keyed by normalized SQL text; entries carry their compile-time
-// version and are invalidated on lookup when the catalog has moved.
+// pipeline; entries carry their compile-time version and are invalidated on
+// lookup when the catalog has moved. An ad hoc SELECT is keyed by its text
+// after sql.Lift has lifted its comparison literals to host variables, the
+// lifted values' kinds (ArgSig) and the selectivity class of every boolean
+// factor that reads one (core.Classifier): texts that differ only in
+// literals of one class share a plan, compiled with the first one's values
+// and run with each statement's own. A prepared statement is keyed by its
+// normalized text alone, and its ? stay value-blind.
 package compile
 
 import (
@@ -72,8 +78,9 @@ func LockRequests(stmt sql.Statement, snapshotReads bool) []lock.Request {
 // the executor's per-run context. Only a catalog version bump (DDL or UPDATE
 // STATISTICS) retires it.
 type CompiledPlan struct {
-	// Norm is the statement's normalized text (sql.Normalize) — the cache
-	// key base and the parseable text a stale plan recompiles from.
+	// Norm is the statement's normalized text (sql.Normalize, or sql.Lift
+	// with its literals lifted) — the cache key base and the parseable text
+	// a stale plan recompiles from.
 	Norm string
 	// Version is the catalog version the plan was compiled under; the plan
 	// is executable exactly while the catalog still reports it.
@@ -83,6 +90,11 @@ type CompiledPlan struct {
 	// Locks is the statement's lock set (derived from the text, stable
 	// across recompiles): acquire these before validating Version.
 	Locks []lock.Request
+	// Family keys what the plans of one lifted text share, Key(Norm,
+	// ArgSig(lits)); Classes picks a statement's plan within the family
+	// from its literals. Both are zero for a text that lifted nothing.
+	Family  string
+	Classes *core.Classifier
 }
 
 // MissFactor is the symmetric misestimation q-error max(est,act)/min(est,act),
@@ -129,13 +141,15 @@ func (p *Pipeline) PlanBlock(blk *sem.Block) (*plan.Query, error) {
 // SELECT: semantic analysis, then optimization, under the statement's
 // governor budget (compilation is statement work too — a canceled or
 // deadline-expired statement aborts between phases). norm is the
-// statement's normalized text; gov may be nil (ungoverned).
-func (p *Pipeline) CompileSelect(gov *governor.Budget, sel *sql.SelectStmt, norm string) (*CompiledPlan, error) {
+// statement's normalized text; gov may be nil (ungoverned). lits are the
+// values of the literals sql.Lift lifted out of norm, nil when it lifted
+// none: the optimizer peeks at them, and the plan reads each run's own.
+func (p *Pipeline) CompileSelect(gov *governor.Budget, sel *sql.SelectStmt, norm string, lits []value.Value) (*CompiledPlan, error) {
 	if err := gov.Check(); err != nil {
 		return nil, err
 	}
 	version := p.cat.Version()
-	blk, err := sem.Analyze(sel, p.cat)
+	blk, err := sem.AnalyzeLifted(sel, p.cat, lits)
 	if err != nil {
 		return nil, err
 	}
@@ -146,17 +160,23 @@ func (p *Pipeline) CompileSelect(gov *governor.Budget, sel *sql.SelectStmt, norm
 	if err != nil {
 		return nil, err
 	}
-	return &CompiledPlan{
+	cp := &CompiledPlan{
 		Norm:    norm,
 		Version: version,
 		Query:   q,
 		Locks:   LockRequests(sel, true),
-	}, nil
+	}
+	if len(lits) > 0 {
+		cp.Family = Key(norm, ArgSig(lits))
+		cp.Classes = core.NewClassifier(p.cfg, blk)
+	}
+	return cp, nil
 }
 
 // CompileSelectText is the full pipeline from statement text: parse,
-// normalize, analyze, optimize. Non-SELECT statements are rejected.
-func (p *Pipeline) CompileSelectText(gov *governor.Budget, text string) (*CompiledPlan, error) {
+// normalize, analyze, optimize. Non-SELECT statements are rejected. lits
+// are as in CompileSelect: the values of text's ?, when sql.Lift made it.
+func (p *Pipeline) CompileSelectText(gov *governor.Budget, text string, lits []value.Value) (*CompiledPlan, error) {
 	if err := gov.Check(); err != nil {
 		return nil, err
 	}
@@ -169,15 +189,17 @@ func (p *Pipeline) CompileSelectText(gov *governor.Budget, text string) (*Compil
 		return nil, fmt.Errorf("compile: expected a SELECT statement, got %T", parsed)
 	}
 	norm, _ := sql.Normalize(text)
-	return p.CompileSelect(gov, sel, norm)
+	return p.CompileSelect(gov, sel, norm, lits)
 }
 
-// Key builds the plan-cache key from normalized text and a host-variable
-// type signature, which the engine always passes empty: compilation never
-// sees the bindings, so every signature would hold the same plan. The
-// catalog version is not part of the key — entries carry
-// their compile-time version and are invalidated on lookup — so one
-// statement occupies one slot instead of leaking an entry per epoch.
+// Key builds a plan-cache key from normalized text and a value-kind
+// signature (ArgSig): a prepared statement's key passes it empty, since its
+// ? are value-blind; a lifted text passes its literals' kinds, so A = 5,
+// A = 5.0 and A = 'x' never share a plan. That key names the lifted text's
+// family, and Key(family, class signature) one plan in it. The catalog
+// version is not part of the key — entries carry their compile-time
+// version and are invalidated on lookup — so one statement occupies one
+// slot instead of leaking an entry per epoch.
 func Key(norm, argSig string) string {
 	if argSig == "" {
 		return norm
@@ -185,10 +207,8 @@ func Key(norm, argSig string) string {
 	return norm + "\x00" + argSig
 }
 
-// ArgSig summarizes host-variable argument types as one letter each.
-//
-// Deprecated: the engine keys prepared runs on the normalized text alone.
-// ArgSig stays only because bench/trace.go calls it.
+// ArgSig summarizes argument or lifted-literal value kinds as one letter
+// each.
 func ArgSig(args []value.Value) string {
 	if len(args) == 0 {
 		return ""

@@ -26,7 +26,7 @@ func testPipeline(t *testing.T) (*Pipeline, *catalog.Catalog) {
 
 func TestCompileSelectText(t *testing.T) {
 	p, cat := testPipeline(t)
-	cp, err := p.CompileSelectText(nil, "select a, b from t where a = 1;")
+	cp, err := p.CompileSelectText(nil, "select a, b from t where a = 1;", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestCompileSelectText(t *testing.T) {
 	}
 	// The stored normalized text must itself compile (it is the recompile
 	// source for stale cache entries) and to the same normalized form.
-	cp2, err := p.CompileSelectText(nil, cp.Norm)
+	cp2, err := p.CompileSelectText(nil, cp.Norm, nil)
 	if err != nil {
 		t.Fatalf("recompiling from normalized text: %v", err)
 	}
@@ -55,7 +55,7 @@ func TestCompileSelectText(t *testing.T) {
 
 func TestCompileSelectTextRejectsNonSelect(t *testing.T) {
 	p, _ := testPipeline(t)
-	if _, err := p.CompileSelectText(nil, "DELETE FROM T"); err == nil ||
+	if _, err := p.CompileSelectText(nil, "DELETE FROM T", nil); err == nil ||
 		!strings.Contains(err.Error(), "expected a SELECT") {
 		t.Fatalf("err = %v", err)
 	}
@@ -139,10 +139,10 @@ func TestKeyAndArgSig(t *testing.T) {
 
 func TestCompileErrorsSurface(t *testing.T) {
 	p, _ := testPipeline(t)
-	if _, err := p.CompileSelectText(nil, "SELECT NOPE FROM T"); err == nil {
+	if _, err := p.CompileSelectText(nil, "SELECT NOPE FROM T", nil); err == nil {
 		t.Fatal("unknown column must fail semantic analysis")
 	}
-	if _, err := p.CompileSelectText(nil, "SELECT FROM"); err == nil {
+	if _, err := p.CompileSelectText(nil, "SELECT FROM", nil); err == nil {
 		t.Fatal("syntax error must surface")
 	}
 }

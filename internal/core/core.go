@@ -24,6 +24,7 @@ import (
 	"systemr/internal/plan"
 	"systemr/internal/sem"
 	"systemr/internal/storage"
+	"systemr/internal/value"
 )
 
 // Config tunes the optimizer.
@@ -104,6 +105,9 @@ type Optimizer struct {
 	// subInfo caches planned subquery statistics for Table 1's IN-subquery
 	// selectivity and for costing correlated re-evaluation (Section 6).
 	subInfo map[*sem.Subquery]subStats
+	// lits, when non-nil, are the values of the block's lifted literals
+	// (see Classifier); otherwise each reads as compiled.
+	lits []value.Value
 
 	searchStats SearchStats
 }

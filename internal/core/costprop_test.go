@@ -104,7 +104,7 @@ func TestUniquePathAlwaysCheapestForPointLookup(t *testing.T) {
 		if total < minCost {
 			minCost = total
 		}
-		if ix, ok := p.node.(interface{ Label() string }); ok && ix.Label() != "" {
+		if p.node.Label() != "" {
 			if p.desc == "index U_A" {
 				uniqueCost = total
 			}

@@ -41,14 +41,24 @@ func (o *Optimizer) histStats(id sem.ColumnID) *catalog.ColStats {
 	return cs
 }
 
-// constOperand extracts a non-null constant from an expression, the only
-// operand shape whose value is known at access path selection time.
-func constOperand(e sem.Expr) (value.Value, bool) {
+// literal returns the value of a constant operand, the only operand shape
+// whose value is known at access path selection time: a literal, or a
+// lifted one, whose value comes from o.lits when a Classifier sets them.
+func (o *Optimizer) literal(e sem.Expr) (value.Value, bool) {
 	c, ok := e.(*sem.Const)
-	if !ok || c.Val.IsNull() {
+	if !ok {
 		return value.Value{}, false
 	}
-	return c.Val, true
+	return c.Value(o.lits), true
+}
+
+// constOperand extracts a non-null constant from an expression.
+func (o *Optimizer) constOperand(e sem.Expr) (value.Value, bool) {
+	v, ok := o.literal(e)
+	if !ok || v.IsNull() {
+		return value.Value{}, false
+	}
+	return v, true
 }
 
 // eqSel estimates "col = other" through the full precedence chain. With a
@@ -58,7 +68,7 @@ func constOperand(e sem.Expr) (value.Value, bool) {
 // then 1/ICARD from an index, then the 1/10 default.
 func (o *Optimizer) eqSel(col *sem.Col, other sem.Expr) float64 {
 	if cs := o.histStats(col.ID); cs != nil {
-		if v, known := constOperand(other); known && cs.Hist != nil && cs.Hist.NRows > 0 {
+		if v, known := o.constOperand(other); known && cs.Hist != nil && cs.Hist.NRows > 0 {
 			rows, inRange := cs.Hist.EqRows(v)
 			if !inRange {
 				// Outside the analyzed key range: the statistics may simply

@@ -134,9 +134,9 @@ func (o *Optimizer) comparisonSel(x *sem.Bin) float64 {
 		// Neither side is a bare column (arithmetic over columns, constants):
 		// Table 1 has no entry; use the unknown default, except constant-only
 		// comparisons which fold exactly.
-		if lc, ok := x.L.(*sem.Const); ok {
-			if rc, ok := x.R.(*sem.Const); ok {
-				if x.Op.CmpOp().Apply(lc.Val, rc.Val) {
+		if lv, ok := o.literal(x.L); ok {
+			if rv, ok := o.literal(x.R); ok {
+				if x.Op.CmpOp().Apply(lv, rv) {
 					return 1
 				}
 				return 0
@@ -196,7 +196,7 @@ func (o *Optimizer) colValueSel(op sem.BinOp, col *sem.Col, other sem.Expr) floa
 		// Open-ended comparison with a known value: bucket-fraction
 		// interpolation from the histogram, else linear interpolation
 		// between the index's low and high keys (arithmetic columns only).
-		v, known := constOperand(other)
+		v, known := o.constOperand(other)
 		if known {
 			if cs := o.histStats(col.ID); cs != nil {
 				if sel, ok := o.histRangeSel(cs, op, v); ok {
@@ -257,8 +257,8 @@ func (o *Optimizer) betweenSel(x *sem.Between) float64 {
 		if !ok {
 			return defBetween
 		}
-		loV, loOK := constOperand(x.Lo)
-		hiV, hiOK := constOperand(x.Hi)
+		loV, loOK := o.constOperand(x.Lo)
+		hiV, hiOK := o.constOperand(x.Hi)
 		if loOK && hiOK {
 			if cs := o.histStats(col.ID); cs != nil {
 				if sel, ok := o.histBetweenSel(cs, loV, hiV); ok {

@@ -154,19 +154,24 @@ func loadJoin(t *testing.T, n int) *env {
 // loops and the merge join on the indexed K; the hash join on the
 // unindexed G, probing its 64-row build once per F row, with a residual
 // that rejects the 64 candidates with V = K between the kept ones. A
-// composite per joined row would cost some 10k allocations here.
+// composite per joined row would cost some 10k allocations here. A nested
+// loop's inner index scan re-opens once per outer row: it re-resolves only
+// its join-bound key and SARG terms, in place, so a re-open costs the
+// B-tree seek and the scan's one batch (322 allocations for 66 opens and
+// 39 batches, against 770 when every open resolved every term anew).
 func TestJoinAllocsPerBatch(t *testing.T) {
-	const perOpen, perBatch = 10, 4
+	const perBatch = 4
 	const n = 10000
 	e := loadJoin(t, n)
 	for _, tc := range []struct {
 		name, col string
 		cfg       core.Config
 		find      func(*op) *op
+		perOpen   int64
 	}{
-		{"nested loops", "K", core.Config{Joins: core.NestedLoopsOnly}, findOp[*plan.NLJoin]},
-		{"merge", "K", core.Config{Joins: core.MergeOnly}, findOp[*plan.MergeJoin]},
-		{"hash", "G", core.Config{}, findOp[*plan.HashJoin]},
+		{"nested loops", "K", core.Config{Joins: core.NestedLoopsOnly}, findOp[*plan.NLJoin], 3},
+		{"merge", "K", core.Config{Joins: core.MergeOnly}, findOp[*plan.MergeJoin], 10},
+		{"hash", "G", core.Config{}, findOp[*plan.HashJoin], 10},
 	} {
 		_, q := e.plan(t, "SELECT F.V, D.K FROM F, D WHERE F."+tc.col+" = D.K AND F.V <> D.K", tc.cfg)
 		join := tc.find(mustBuild(t, e, q))
@@ -205,9 +210,9 @@ func TestJoinAllocsPerBatch(t *testing.T) {
 		if _, ok := join.impl.(*hashJoinOp); ok {
 			keys = 64
 		}
-		if allocs > float64(perOpen*opens+perBatch*int64(batches)+keys) {
+		if allocs > float64(tc.perOpen*opens+perBatch*int64(batches)+keys) {
 			t.Errorf("%s: %.0f allocations for %d rows in %d batches, %d opens and %d build keys, want <= %d per open + %d per batch + 1 per build key",
-				tc.name, allocs, rows, batches, opens, keys, perOpen, perBatch)
+				tc.name, allocs, rows, batches, opens, keys, tc.perOpen, perBatch)
 		}
 	}
 }

@@ -33,6 +33,8 @@ type Analysis struct {
 	// IO is the statement's measured totals, from its own accumulator: the
 	// quantities of COST = PAGE FETCHES + W*(RSI CALLS).
 	IO storage.IOStatsSnapshot
+	// lits are the statement's lifted literals, spelled in the rendering.
+	lits []value.Value
 }
 
 // RunQueryAnalyze is RunQuery keeping the instrumented operator tree for
@@ -50,6 +52,7 @@ func RunQueryAnalyze(rt *Runtime, q *plan.Query, args []value.Value) ([]value.Ro
 		SubEvals:   make([]int, len(q.Subs)),
 		SubFetches: make([]int64, len(q.Subs)),
 		IO:         stats.IO,
+		lits:       ctx.lits,
 	}
 	for i, sp := range q.Subs {
 		if st, ok := ctx.subs[sp.Sub]; ok {
@@ -66,7 +69,7 @@ func RunQueryAnalyze(rt *Runtime, q *plan.Query, args []value.Value) ([]value.Ro
 func (a *Analysis) Format(w float64) string {
 	var b strings.Builder
 	b.WriteString("QUERY BLOCK (main)\n")
-	formatOp(&b, a.Root, 1, w)
+	formatOp(&b, a.Root, 1, w, a.lits)
 	for i, sp := range a.Query.Subs {
 		kind := "subquery"
 		if sp.Sub.Correlated {
@@ -78,7 +81,7 @@ func (a *Analysis) Format(w float64) string {
 		}
 		fmt.Fprintf(&b, "QUERY BLOCK (%s #%d)  [evaluated %d %s, fetches=%d; estimates only]\n",
 			kind, sp.Sub.ID, a.SubEvals[i], times, a.SubFetches[i])
-		formatEstOnly(&b, sp.Query)
+		formatEstOnly(&b, sp.Query, a.lits)
 	}
 	fmt.Fprintf(&b, "statement: fetches=%d writes=%d rsi=%d cost=%.1f (W=%g)\n",
 		a.IO.PageFetches, a.IO.PagesWritten, a.IO.RSICalls, a.IO.Cost(w), w)
@@ -86,7 +89,7 @@ func (a *Analysis) Format(w float64) string {
 }
 
 // formatOp writes one operator's estimate-vs-actual line and recurses.
-func formatOp(b *strings.Builder, o Operator, depth int, w float64) {
+func formatOp(b *strings.Builder, o Operator, depth int, w float64, lits []value.Value) {
 	e := o.Plan().Est()
 	s := o.Stats()
 	fetches := s.Fetches
@@ -97,7 +100,7 @@ func formatOp(b *strings.Builder, o Operator, depth int, w float64) {
 		elapsed -= ks.Elapsed
 	}
 	fmt.Fprintf(b, "%s%s  {est rows=%.1f cost=%.1f | act rows=%d",
-		strings.Repeat("  ", depth), o.Plan().Label(), e.Rows, e.Cost.Total(w), s.Rows)
+		strings.Repeat("  ", depth), o.Plan().Label(lits...), e.Rows, e.Cost.Total(w), s.Rows)
 	if s.Opens != 1 {
 		fmt.Fprintf(b, " loops=%d", s.Opens)
 	}
@@ -112,7 +115,7 @@ func formatOp(b *strings.Builder, o Operator, depth int, w float64) {
 	}
 	b.WriteString("\n")
 	for _, k := range o.Children() {
-		formatOp(b, k, depth+1, w)
+		formatOp(b, k, depth+1, w, lits)
 	}
 }
 
@@ -128,22 +131,22 @@ func formatElapsed(d time.Duration) string {
 // formatEstOnly renders a nested block's plan with estimates alone: subquery
 // blocks execute through fresh per-evaluation contexts, so no single
 // operator tree holds their actuals.
-func formatEstOnly(b *strings.Builder, q *plan.Query) {
-	estNode(b, q.Root, 1)
+func formatEstOnly(b *strings.Builder, q *plan.Query, lits []value.Value) {
+	estNode(b, q.Root, 1, lits)
 	for _, sp := range q.Subs {
 		kind := "subquery"
 		if sp.Sub.Correlated {
 			kind = "correlated subquery"
 		}
 		fmt.Fprintf(b, "QUERY BLOCK (%s #%d)  [estimates only]\n", kind, sp.Sub.ID)
-		formatEstOnly(b, sp.Query)
+		formatEstOnly(b, sp.Query, lits)
 	}
 }
 
-func estNode(b *strings.Builder, n plan.Node, depth int) {
+func estNode(b *strings.Builder, n plan.Node, depth int, lits []value.Value) {
 	e := n.Est()
-	fmt.Fprintf(b, "%s%s  {est rows=%.1f cost: %s}\n", strings.Repeat("  ", depth), n.Label(), e.Rows, e.Cost)
+	fmt.Fprintf(b, "%s%s  {est rows=%.1f cost: %s}\n", strings.Repeat("  ", depth), n.Label(lits...), e.Rows, e.Cost)
 	for _, c := range n.Children() {
-		estNode(b, c, depth+1)
+		estNode(b, c, depth+1, lits)
 	}
 }

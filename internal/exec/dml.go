@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"systemr/internal/plan"
-	"systemr/internal/sem"
 	"systemr/internal/storage"
 	"systemr/internal/value"
 )
@@ -56,35 +55,4 @@ func CollectTargets(rt *Runtime, q *plan.Query) (ts []Target, evals int, err err
 		}
 		ts = append(ts, Target{TID: src.lastTID(), Row: row[:n:n], Sets: row[n:]})
 	}
-}
-
-// resolveKeyBounds evaluates an index scan's start/stop bounds, reporting
-// empty=true when a bound is NULL (nothing can match).
-func (ctx *blockCtx) resolveKeyBounds(leaf *plan.IndexScan) (lo, hi []value.Value, empty bool, err error) {
-	conv := func(bs []sem.Bound) ([]value.Value, bool, error) {
-		if len(bs) == 0 {
-			return nil, false, nil
-		}
-		out := make([]value.Value, len(bs))
-		for i, b := range bs {
-			v, err := ctx.resolveBound(nil, b)
-			if err != nil {
-				return nil, false, err
-			}
-			if v.IsNull() {
-				return nil, true, nil
-			}
-			out[i] = v
-		}
-		return out, false, nil
-	}
-	lo, emptyLo, err := conv(leaf.Lo)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	hi, emptyHi, err := conv(leaf.Hi)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	return lo, hi, emptyLo || emptyHi, nil
 }

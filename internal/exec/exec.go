@@ -7,7 +7,6 @@ import (
 
 	"systemr/internal/governor"
 	"systemr/internal/plan"
-	"systemr/internal/rss"
 	"systemr/internal/sem"
 	"systemr/internal/storage"
 	"systemr/internal/value"
@@ -98,8 +97,16 @@ func runQuery(rt *Runtime, q *plan.Query, args []value.Value) ([]value.Row, *Sta
 }
 
 // bindHostArgs validates the argument count against the block's host
-// variables and fills the corresponding parameter slots.
+// variables and fills the corresponding parameter slots. The arguments of a
+// plan compiled from a lifted text are its lifted literals' values instead.
 func bindHostArgs(ctx *blockCtx, q *plan.Query, args []value.Value) error {
+	if n := q.Block.Lifted; n > 0 {
+		if len(args) != n {
+			return fmt.Errorf("exec: statement has %d lifted literal(s), %d value(s) supplied", n, len(args))
+		}
+		ctx.lits = args
+		return nil
+	}
 	nHost := 0
 	for idx := range q.Block.HostRefs {
 		if idx+1 > nHost {
@@ -121,6 +128,7 @@ type blockCtx struct {
 	io      storage.StmtIO // statement-scoped accounting view of the pool
 	q       *plan.Query
 	params  []value.Value
+	lits    []value.Value               // the statement's lifted literals, read by lifted Consts
 	subs    map[*sem.Subquery]*subState // nil when the plan has no subqueries
 	aggVals []value.Value
 	evals   *int // shared subquery-evaluation counter
@@ -203,31 +211,6 @@ func (ctx *blockCtx) run() (rows []value.Row, err error) {
 }
 
 func (ctx *blockCtx) numRels() int { return len(ctx.q.Block.Rels) }
-
-// resolveSargs converts plan-level search arguments into concrete RSS SARGs,
-// evaluating parameter and subquery bounds now (scan-open time).
-func (ctx *blockCtx) resolveSargs(c comp, sargs []sem.SargDNF) (rss.SargSet, error) {
-	if len(sargs) == 0 {
-		return nil, nil
-	}
-	out := make(rss.SargSet, 0, len(sargs))
-	for _, dnf := range sargs {
-		sarg := rss.Sarg{Disjuncts: make([][]rss.SargTerm, 0, len(dnf))}
-		for _, conjv := range dnf {
-			conj := make([]rss.SargTerm, 0, len(conjv))
-			for _, t := range conjv {
-				v, err := ctx.resolveBound(c, t.Val)
-				if err != nil {
-					return nil, err
-				}
-				conj = append(conj, rss.SargTerm{Col: t.Col.Col, Op: t.Op, Val: v})
-			}
-			sarg.Disjuncts = append(sarg.Disjuncts, conj)
-		}
-		out = append(out, sarg)
-	}
-	return out, nil
-}
 
 // applyResidual evaluates the residual predicates attached to a node.
 func (ctx *blockCtx) applyResidual(c comp, exprs []sem.Expr) (bool, error) {

@@ -78,7 +78,7 @@ func (ctx *blockCtx) evalExpr(c comp, e sem.Expr) (value.Value, error) {
 		}
 		return row[x.ID.Col], nil
 	case *sem.Const:
-		return x.Val, nil
+		return x.Value(ctx.lits), nil
 	case *sem.Param:
 		if x.ID >= len(ctx.params) {
 			return value.Value{}, fmt.Errorf("exec: parameter $%d out of range", x.ID)
@@ -272,7 +272,7 @@ func boolVal(b bool) value.Value {
 func (ctx *blockCtx) resolveBound(c comp, b sem.Bound) (value.Value, error) {
 	switch b.Kind {
 	case sem.BoundConst:
-		return b.Val, nil
+		return b.Value(ctx.lits), nil
 	case sem.BoundParam:
 		if b.Param >= len(ctx.params) {
 			return value.Value{}, fmt.Errorf("exec: bound parameter $%d out of range", b.Param)

@@ -92,21 +92,81 @@ func (st *scanStage) emit(ctx *blockCtx, b *Batch, relIdx int) {
 	}
 }
 
+// A scan's start and stop keys and its search arguments are resolved to
+// values in the slices of the RSS scan that reads them. The first open
+// resolves every term into fresh slices. A later one — a nested loop's
+// inner scan re-opening for the next outer row — re-resolves, in place,
+// only the join-bound terms: the parameters the optimizer binds from the
+// outer row, the slots past the block's own. Constants, lifted literals,
+// host variables, correlation values and subquery results hold for the
+// operator's whole life, which is one run of its block.
+
+// resolveTerm resolves b into dst, unless a re-open finds it still holds.
+func (ctx *blockCtx) resolveTerm(first bool, dst *value.Value, b sem.Bound) error {
+	if !first && (b.Kind != sem.BoundParam || b.Param < ctx.q.Block.NumParams) {
+		return nil
+	}
+	v, err := ctx.resolveBound(nil, b)
+	*dst = v
+	return err
+}
+
+// resolveKeys resolves start or stop key bounds into *dst and reports
+// whether one is NULL, which no key matches.
+func (ctx *blockCtx) resolveKeys(first bool, dst *[]value.Value, bs []sem.Bound) (null bool, err error) {
+	if first {
+		*dst = make([]value.Value, len(bs))
+	}
+	for i, b := range bs {
+		if err := ctx.resolveTerm(first, &(*dst)[i], b); err != nil {
+			return false, err
+		}
+		null = null || (*dst)[i].IsNull()
+	}
+	return null, nil
+}
+
+// resolveSargs resolves search arguments into *dst.
+func (ctx *blockCtx) resolveSargs(first bool, dst *rss.SargSet, sargs []sem.SargDNF) error {
+	if first {
+		*dst = make(rss.SargSet, len(sargs))
+	}
+	for i, dnf := range sargs {
+		if first {
+			(*dst)[i].Disjuncts = make([][]rss.SargTerm, len(dnf))
+		}
+		for j, conj := range dnf {
+			if first {
+				(*dst)[i].Disjuncts[j] = make([]rss.SargTerm, len(conj))
+			}
+			terms := (*dst)[i].Disjuncts[j]
+			for k, t := range conj {
+				terms[k].Col, terms[k].Op = t.Col.Col, t.Op
+				if err := ctx.resolveTerm(first, &terms[k].Val, t.Val); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
 type segScanOp struct {
-	ctx   *blockCtx
-	node  *plan.SegScan
-	scan  rss.SegmentScan
-	tid   storage.TID
-	stage scanStage
+	ctx    *blockCtx
+	node   *plan.SegScan
+	scan   rss.SegmentScan
+	opened bool
+	tid    storage.TID
+	stage  scanStage
 }
 
 func (it *segScanOp) open() error {
-	sargs, err := it.ctx.resolveSargs(nil, it.node.Sargs)
-	if err != nil {
+	if err := it.ctx.resolveSargs(!it.opened, &it.scan.Sargs, it.node.Sargs); err != nil {
 		return err
 	}
+	it.opened = true
 	it.scan = rss.SegmentScan{
-		Table: it.node.Table, Pool: it.ctx.rt.Pool, Sargs: sargs,
+		Table: it.node.Table, Pool: it.ctx.rt.Pool, Sargs: it.scan.Sargs,
 		Stmt: it.ctx.rt.IO, Budget: it.ctx.rt.Budget,
 		Snap: it.ctx.rt.Snap,
 	}
@@ -145,33 +205,39 @@ func (it *segScanOp) close() error { return it.scan.Close() }
 func (it *segScanOp) lastTID() storage.TID { return it.tid }
 
 type indexScanOp struct {
-	ctx   *blockCtx
-	node  *plan.IndexScan
-	scan  rss.IndexScan
-	empty bool
-	tid   storage.TID
-	stage scanStage
+	ctx    *blockCtx
+	node   *plan.IndexScan
+	scan   rss.IndexScan
+	opened bool
+	empty  bool
+	tid    storage.TID
+	stage  scanStage
 }
 
 func (it *indexScanOp) open() error {
 	// A NULL key bound can match nothing (comparisons with NULL are false):
 	// the scan is empty.
-	lo, hi, empty, err := it.ctx.resolveKeyBounds(it.node)
+	first, s := !it.opened, &it.scan
+	nullLo, err := it.ctx.resolveKeys(first, &s.Lo, it.node.Lo)
 	if err != nil {
 		return err
 	}
-	it.empty = empty
-	sargs, err := it.ctx.resolveSargs(nil, it.node.Sargs)
+	nullHi, err := it.ctx.resolveKeys(first, &s.Hi, it.node.Hi)
 	if err != nil {
 		return err
 	}
+	if err := it.ctx.resolveSargs(first, &s.Sargs, it.node.Sargs); err != nil {
+		return err
+	}
+	it.opened = true
+	it.empty = nullLo || nullHi
 	if it.empty {
 		return nil
 	}
 	it.scan = rss.IndexScan{
 		Index: it.node.Index, Pool: it.ctx.rt.Pool,
-		Lo: lo, LoInc: it.node.LoInc, Hi: hi, HiInc: it.node.HiInc,
-		Sargs: sargs, Stmt: it.ctx.rt.IO, Budget: it.ctx.rt.Budget,
+		Lo: s.Lo, LoInc: it.node.LoInc, Hi: s.Hi, HiInc: it.node.HiInc,
+		Sargs: s.Sargs, Stmt: it.ctx.rt.IO, Budget: it.ctx.rt.Budget,
 		Snap: it.ctx.rt.Snap,
 	}
 	return it.scan.Open()

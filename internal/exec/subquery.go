@@ -80,6 +80,7 @@ func (ctx *blockCtx) evaluate(c comp, sub *sem.Subquery) (*subState, error) {
 		return st, nil
 	}
 	child := newBlockCtx(ctx.rt, st.sp.Query, ctx.evals)
+	child.lits = ctx.lits
 	// The subquery-fetch tracker is shared down the nesting so every level's
 	// operator attribution excludes the same evaluations.
 	child.subFetches = ctx.subFetches

@@ -12,6 +12,7 @@ import (
 
 	"systemr/internal/catalog"
 	"systemr/internal/sem"
+	"systemr/internal/value"
 )
 
 // Cost is the paper's two-term cost: I/O in page fetches and CPU in RSI
@@ -43,7 +44,10 @@ type Estimate struct {
 type Node interface {
 	Est() Estimate
 	Children() []Node
-	Label() string
+	// Label renders the operator for EXPLAIN. A plan compiled from a lifted
+	// text spells its lifted literals from lits, the statement's own values,
+	// when they are given, and as compiled otherwise.
+	Label(lits ...value.Value) string
 }
 
 // est embeds the shared estimate.
@@ -177,19 +181,19 @@ type Distinct struct {
 
 func (n *SegScan) Children() []Node { return nil }
 
-func (n *SegScan) Label() string {
+func (n *SegScan) Label(lits ...value.Value) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "SEGSCAN %s", n.RelName)
 	if n.Table.Name != n.RelName {
 		fmt.Fprintf(&b, " (%s)", n.Table.Name)
 	}
-	writePreds(&b, n.Sargs, n.Residual)
+	writePreds(&b, n.Sargs, n.Residual, lits)
 	return b.String()
 }
 
 func (n *IndexScan) Children() []Node { return nil }
 
-func (n *IndexScan) Label() string {
+func (n *IndexScan) Label(lits ...value.Value) string {
 	var b strings.Builder
 	kind := "INDEXSCAN"
 	if n.Index.Clustered {
@@ -199,7 +203,7 @@ func (n *IndexScan) Label() string {
 	if len(n.Lo) > 0 || len(n.Hi) > 0 {
 		b.WriteString(" key:[")
 		if len(n.Lo) > 0 {
-			b.WriteString(boundsString(n.Lo))
+			b.WriteString(boundsString(n.Lo, lits))
 			if !n.LoInc {
 				b.WriteString(" (excl)")
 			}
@@ -208,7 +212,7 @@ func (n *IndexScan) Label() string {
 		}
 		b.WriteString(" .. ")
 		if len(n.Hi) > 0 {
-			b.WriteString(boundsString(n.Hi))
+			b.WriteString(boundsString(n.Hi, lits))
 			if !n.HiInc {
 				b.WriteString(" (excl)")
 			}
@@ -217,19 +221,19 @@ func (n *IndexScan) Label() string {
 		}
 		b.WriteString("]")
 	}
-	writePreds(&b, n.Sargs, n.Residual)
+	writePreds(&b, n.Sargs, n.Residual, lits)
 	return b.String()
 }
 
-func boundsString(bs []sem.Bound) string {
+func boundsString(bs []sem.Bound, lits []value.Value) string {
 	parts := make([]string, len(bs))
 	for i, b := range bs {
-		parts[i] = b.String()
+		parts[i] = b.Format(lits)
 	}
 	return strings.Join(parts, ",")
 }
 
-func writePreds(b *strings.Builder, sargs []sem.SargDNF, residual []sem.Expr) {
+func writePreds(b *strings.Builder, sargs []sem.SargDNF, residual []sem.Expr, lits []value.Value) {
 	for _, dnf := range sargs {
 		b.WriteString(" sarg:")
 		for i, conj := range dnf {
@@ -240,7 +244,7 @@ func writePreds(b *strings.Builder, sargs []sem.SargDNF, residual []sem.Expr) {
 			}
 			terms := make([]string, len(conj))
 			for j, t := range conj {
-				terms[j] = fmt.Sprintf("c%d %s %s", t.Col.Col, t.Op, t.Val)
+				terms[j] = fmt.Sprintf("c%d %s %s", t.Col.Col, t.Op, t.Val.Format(lits))
 			}
 			b.WriteString("(" + strings.Join(terms, " AND ") + ")")
 		}
@@ -251,14 +255,14 @@ func writePreds(b *strings.Builder, sargs []sem.SargDNF, residual []sem.Expr) {
 			if i > 0 {
 				b.WriteString(" AND")
 			}
-			b.WriteString(" " + e.String())
+			b.WriteString(" " + sem.Format(e, lits))
 		}
 	}
 }
 
 func (n *NLJoin) Children() []Node { return []Node{n.Outer, n.Inner} }
 
-func (n *NLJoin) Label() string {
+func (n *NLJoin) Label(lits ...value.Value) string {
 	var b strings.Builder
 	b.WriteString("NLJOIN")
 	if len(n.Binds) > 0 {
@@ -269,42 +273,42 @@ func (n *NLJoin) Label() string {
 		b.WriteString(" bind: " + strings.Join(parts, ", "))
 	}
 	if len(n.Residual) > 0 {
-		writePreds(&b, nil, n.Residual)
+		writePreds(&b, nil, n.Residual, lits)
 	}
 	return b.String()
 }
 
 func (n *MergeJoin) Children() []Node { return []Node{n.Outer, n.Inner} }
 
-func (n *MergeJoin) Label() string {
+func (n *MergeJoin) Label(lits ...value.Value) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "MERGEJOIN on outer[%d.%d] = inner[%d.%d]",
 		n.OuterCol.Rel, n.OuterCol.Col, n.InnerCol.Rel, n.InnerCol.Col)
 	if len(n.Residual) > 0 {
-		writePreds(&b, nil, n.Residual)
+		writePreds(&b, nil, n.Residual, lits)
 	}
 	return b.String()
 }
 
 func (n *HashJoin) Children() []Node { return []Node{n.Outer, n.Inner} }
 
-func (n *HashJoin) Label() string {
+func (n *HashJoin) Label(lits ...value.Value) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "HASHJOIN build inner[%d.%d] probe outer[%d.%d]",
 		n.InnerCol.Rel, n.InnerCol.Col, n.OuterCol.Rel, n.OuterCol.Col)
 	if len(n.Residual) > 0 {
-		writePreds(&b, nil, n.Residual)
+		writePreds(&b, nil, n.Residual, lits)
 	}
 	return b.String()
 }
 
 func (n *Parallel) Children() []Node { return nil }
 
-func (n *Parallel) Label() string { return "PARALLEL" }
+func (n *Parallel) Label(lits ...value.Value) string { return "PARALLEL" }
 
 func (n *Sort) Children() []Node { return []Node{n.Input} }
 
-func (n *Sort) Label() string {
+func (n *Sort) Label(lits ...value.Value) string {
 	parts := make([]string, len(n.Keys))
 	for i, k := range n.Keys {
 		dir := ""
@@ -318,7 +322,7 @@ func (n *Sort) Label() string {
 
 func (n *GroupAgg) Children() []Node { return []Node{n.Input} }
 
-func (n *GroupAgg) Label() string {
+func (n *GroupAgg) Label(lits ...value.Value) string {
 	var b strings.Builder
 	b.WriteString("GROUP")
 	if len(n.GroupCols) > 0 {
@@ -341,7 +345,7 @@ func (n *GroupAgg) Label() string {
 			if i > 0 {
 				b.WriteString(" AND")
 			}
-			b.WriteString(" " + h.String())
+			b.WriteString(" " + sem.Format(h, lits))
 		}
 	}
 	return b.String()
@@ -349,17 +353,17 @@ func (n *GroupAgg) Label() string {
 
 func (n *Project) Children() []Node { return []Node{n.Input} }
 
-func (n *Project) Label() string {
+func (n *Project) Label(lits ...value.Value) string {
 	parts := make([]string, len(n.Exprs))
 	for i, e := range n.Exprs {
-		parts[i] = e.String()
+		parts[i] = sem.Format(e, lits)
 	}
 	return "PROJECT " + strings.Join(parts, ", ")
 }
 
 func (n *Distinct) Children() []Node { return []Node{n.Input} }
 
-func (n *Distinct) Label() string { return "DISTINCT" }
+func (n *Distinct) Label(lits ...value.Value) string { return "DISTINCT" }
 
 // SubPlan is the plan of one nested query block (Section 6), linked to the
 // parent block's plan. Non-correlated subqueries are evaluated once before
@@ -381,29 +385,30 @@ type Query struct {
 }
 
 // Explain renders the plan tree, one node per line with indentation, with
-// each nested query block appended after its parent.
-func (q *Query) Explain() string {
+// each nested query block appended after its parent. lits spell lifted
+// literals as in Node.Label.
+func (q *Query) Explain(lits ...value.Value) string {
 	var b strings.Builder
-	q.explainInto(&b, "QUERY BLOCK (main)")
+	q.explainInto(&b, "QUERY BLOCK (main)", lits)
 	return b.String()
 }
 
-func (q *Query) explainInto(b *strings.Builder, title string) {
+func (q *Query) explainInto(b *strings.Builder, title string, lits []value.Value) {
 	fmt.Fprintf(b, "%s\n", title)
-	explainNode(b, q.Root, 1)
+	explainNode(b, q.Root, 1, lits)
 	for _, sp := range q.Subs {
 		kind := "subquery"
 		if sp.Sub.Correlated {
 			kind = "correlated subquery"
 		}
-		sp.Query.explainInto(b, fmt.Sprintf("QUERY BLOCK (%s #%d)", kind, sp.Sub.ID))
+		sp.Query.explainInto(b, fmt.Sprintf("QUERY BLOCK (%s #%d)", kind, sp.Sub.ID), lits)
 	}
 }
 
-func explainNode(b *strings.Builder, n Node, depth int) {
+func explainNode(b *strings.Builder, n Node, depth int, lits []value.Value) {
 	e := n.Est()
-	fmt.Fprintf(b, "%s%s  {cost: %s, rows=%.1f}\n", strings.Repeat("  ", depth), n.Label(), e.Cost, e.Rows)
+	fmt.Fprintf(b, "%s%s  {cost: %s, rows=%.1f}\n", strings.Repeat("  ", depth), n.Label(lits...), e.Cost, e.Rows)
 	for _, c := range n.Children() {
-		explainNode(b, c, depth+1)
+		explainNode(b, c, depth+1, lits)
 	}
 }

@@ -12,9 +12,23 @@ import (
 // Analyze resolves and type-checks one SELECT statement against the catalog
 // and returns its analyzed query block (with nested blocks linked in).
 func Analyze(sel *sql.SelectStmt, cat *catalog.Catalog) (*Block, error) {
+	return AnalyzeLifted(sel, cat, nil)
+}
+
+// AnalyzeLifted is Analyze for a text sql.Lift lifted: the i-th host
+// variable is a literal whose value is lits[i]. It becomes a Const typed,
+// checked and displayed exactly like that literal — errors read as they do
+// for the original text — and marked lifted, so the plan reads the value
+// of each run's arguments.
+func AnalyzeLifted(sel *sql.SelectStmt, cat *catalog.Catalog, lits []value.Value) (*Block, error) {
 	counter := 0
-	a := &analyzer{cat: cat, subID: &counter}
-	return a.analyzeSelect(sel)
+	a := &analyzer{cat: cat, subID: &counter, lits: lits}
+	blk, err := a.analyzeSelect(sel)
+	if err != nil {
+		return nil, err
+	}
+	blk.Lifted = len(lits)
+	return blk, nil
 }
 
 // analyzer carries the scope chain: parent points at the enclosing block's
@@ -24,6 +38,7 @@ type analyzer struct {
 	block  *Block
 	parent *analyzer
 	subID  *int
+	lits   []value.Value // the lifted literals' values, nil for no lifting
 }
 
 func (a *analyzer) analyzeSelect(sel *sql.SelectStmt) (*Block, error) {
@@ -264,6 +279,12 @@ func (a *analyzer) resolveExpr(e sql.Expr, allowAgg bool) (Expr, error) {
 	case *sql.Literal:
 		return &Const{Val: x.Val}, nil
 	case *sql.HostVar:
+		if a.lits != nil {
+			if x.Index >= len(a.lits) {
+				return nil, fmt.Errorf("semantic error: lifted literal %d has no value", x.Index+1)
+			}
+			return &Const{Val: a.lits[x.Index], Lift: x.Index + 1}, nil
+		}
 		return a.hostParam(x.Index), nil
 	case *sql.ColumnRef:
 		return a.resolveColumn(x)
@@ -435,7 +456,7 @@ func (a *analyzer) hostParam(index int) *Param {
 }
 
 func (a *analyzer) analyzeSubquery(sel *sql.SelectStmt, scalar bool) (*Subquery, error) {
-	child := &analyzer{cat: a.cat, parent: a, subID: a.subID}
+	child := &analyzer{cat: a.cat, parent: a, subID: a.subID, lits: a.lits}
 	blk, err := child.analyzeSelect(sel)
 	if err != nil {
 		return nil, err

@@ -88,6 +88,7 @@ func conjuncts(e Expr) []Expr {
 type exprInfo struct {
 	rels      RelSet
 	usesParam bool
+	lifted    bool
 	subs      []*Subquery
 }
 
@@ -97,7 +98,9 @@ func scanExpr(e Expr, info *exprInfo) {
 		info.rels = info.rels.Set(x.ID.Rel)
 	case *Param:
 		info.usesParam = true
-	case *Const, *AggRef:
+	case *Const:
+		info.lifted = info.lifted || x.Lift > 0
+	case *AggRef:
 	case *Bin:
 		scanExpr(x.L, info)
 		scanExpr(x.R, info)
@@ -135,7 +138,7 @@ func RelsOf(e Expr) RelSet {
 func (a *analyzer) classify(e Expr) *BoolFactor {
 	var info exprInfo
 	scanExpr(e, &info)
-	f := &BoolFactor{Expr: e, Rels: info.rels, UsesParam: info.usesParam, Subs: info.subs}
+	f := &BoolFactor{Expr: e, Rels: info.rels, UsesParam: info.usesParam, Lifted: info.lifted, Subs: info.subs}
 	// A subquery correlated on a column of THIS block makes the factor
 	// depend on that column's relation: it can only be evaluated once that
 	// relation has been joined in. (Pass-through correlations to outer
@@ -164,12 +167,12 @@ func (a *analyzer) classify(e Expr) *BoolFactor {
 func (a *analyzer) boundOf(e Expr) (Bound, bool) {
 	switch x := e.(type) {
 	case *Const:
-		return Bound{Kind: BoundConst, Val: x.Val}, true
+		return Bound{Kind: BoundConst, Val: x.Val, Lift: x.Lift}, true
 	case *Param:
 		return Bound{Kind: BoundParam, Param: x.ID}, true
 	case *Neg:
 		inner, ok := a.boundOf(x.E)
-		if !ok || inner.Kind != BoundConst {
+		if !ok || inner.Kind != BoundConst || inner.Lift > 0 {
 			return Bound{}, false
 		}
 		v := inner.Val

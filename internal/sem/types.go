@@ -90,8 +90,15 @@ type Col struct {
 	Typ  value.Kind
 }
 
-// Const is a literal constant.
-type Const struct{ Val value.Value }
+// Const is a literal constant. Lift is 1 + the index of the statement
+// argument a lifted literal was turned into (0: an ordinary literal): the
+// plan is shared by every statement of its lifted text, so the executor
+// reads the value from the statement's arguments, while sem and the
+// optimizer see Val, the literal the plan was compiled with.
+type Const struct {
+	Val  value.Value
+	Lift int
+}
 
 // Param is a runtime parameter: a correlation reference bound by an outer
 // query block (Section 6), or a slot the optimizer binds (join values,
@@ -203,54 +210,80 @@ func (e *InSub) Type() value.Kind     { return value.KindInt }
 func (e *ScalarSub) Type() value.Kind { return e.Sub.Block.Select[0].Type() }
 func (e *AggRef) Type() value.Kind    { return e.Typ }
 
-// String implementations (EXPLAIN display form).
+// String implementations (EXPLAIN display form): each is Format with the
+// literals the expression was compiled with.
 
-func (e *Col) String() string   { return e.Name }
-func (e *Const) String() string { return e.Val.SQL() }
-func (e *Param) String() string {
-	if e.Name != "" {
-		return "$" + e.Name
+func (e *Col) String() string       { return Format(e, nil) }
+func (e *Const) String() string     { return Format(e, nil) }
+func (e *Param) String() string     { return Format(e, nil) }
+func (e *Bin) String() string       { return Format(e, nil) }
+func (e *Not) String() string       { return Format(e, nil) }
+func (e *Neg) String() string       { return Format(e, nil) }
+func (e *Between) String() string   { return Format(e, nil) }
+func (e *InList) String() string    { return Format(e, nil) }
+func (e *InSub) String() string     { return Format(e, nil) }
+func (e *ScalarSub) String() string { return Format(e, nil) }
+func (e *AggRef) String() string    { return Format(e, nil) }
+
+// Format renders e for display. A lifted literal is spelled from lits, the
+// statement's own values, when lits is non-nil, and as compiled otherwise:
+// a cached plan shared across literals shows each statement its own.
+func Format(e Expr, lits []value.Value) string {
+	switch x := e.(type) {
+	case *Col:
+		return x.Name
+	case *Const:
+		return x.Value(lits).SQL()
+	case *Param:
+		if x.Name != "" {
+			return "$" + x.Name
+		}
+		return fmt.Sprintf("$%d", x.ID)
+	case *Bin:
+		return "(" + Format(x.L, lits) + " " + x.Op.String() + " " + Format(x.R, lits) + ")"
+	case *Not:
+		return "NOT " + Format(x.E, lits)
+	case *Neg:
+		return "-" + Format(x.E, lits)
+	case *Between:
+		not := ""
+		if x.Negated {
+			not = "NOT "
+		}
+		return Format(x.E, lits) + " " + not + "BETWEEN " + Format(x.Lo, lits) + " AND " + Format(x.Hi, lits)
+	case *InList:
+		parts := make([]string, len(x.List))
+		for i, v := range x.List {
+			parts[i] = Format(v, lits)
+		}
+		not := ""
+		if x.Negated {
+			not = "NOT "
+		}
+		return Format(x.E, lits) + " " + not + "IN (" + strings.Join(parts, ", ") + ")"
+	case *InSub:
+		not := ""
+		if x.Negated {
+			not = "NOT "
+		}
+		return fmt.Sprintf("%s %sIN (subquery#%d)", Format(x.E, lits), not, x.Sub.ID)
+	case *ScalarSub:
+		return fmt.Sprintf("(subquery#%d)", x.Sub.ID)
+	case *AggRef:
+		return x.Name
+	default:
+		return fmt.Sprintf("%T", e)
 	}
-	return fmt.Sprintf("$%d", e.ID)
 }
 
-func (e *Bin) String() string {
-	return "(" + e.L.String() + " " + e.Op.String() + " " + e.R.String() + ")"
-}
-
-func (e *Not) String() string { return "NOT " + e.E.String() }
-func (e *Neg) String() string { return "-" + e.E.String() }
-
-func (e *Between) String() string {
-	not := ""
-	if e.Negated {
-		not = "NOT "
+// Value is the constant's value in a statement whose lifted literals are
+// lits (nil: the value compiled with).
+func (e *Const) Value(lits []value.Value) value.Value {
+	if e.Lift > 0 && lits != nil {
+		return lits[e.Lift-1]
 	}
-	return e.E.String() + " " + not + "BETWEEN " + e.Lo.String() + " AND " + e.Hi.String()
+	return e.Val
 }
-
-func (e *InList) String() string {
-	parts := make([]string, len(e.List))
-	for i, v := range e.List {
-		parts[i] = v.String()
-	}
-	not := ""
-	if e.Negated {
-		not = "NOT "
-	}
-	return e.E.String() + " " + not + "IN (" + strings.Join(parts, ", ") + ")"
-}
-
-func (e *InSub) String() string {
-	not := ""
-	if e.Negated {
-		not = "NOT "
-	}
-	return fmt.Sprintf("%s %sIN (subquery#%d)", e.E.String(), not, e.Sub.ID)
-}
-
-func (e *ScalarSub) String() string { return fmt.Sprintf("(subquery#%d)", e.Sub.ID) }
-func (e *AggRef) String() string    { return e.Name }
 
 // Agg is one aggregate computed by the block.
 type Agg struct {
@@ -303,6 +336,9 @@ type BoolFactor struct {
 
 	// UsesParam is true when the factor references correlation parameters.
 	UsesParam bool
+	// Lifted is true when the factor reads a lifted literal, so its
+	// selectivity depends on the statement's values.
+	Lifted bool
 	// Subs are the subqueries referenced by the factor.
 	Subs []*Subquery
 
@@ -331,6 +367,7 @@ func (f *BoolFactor) String() string { return f.Expr.String() }
 type Bound struct {
 	Kind  BoundKind
 	Val   value.Value // BoundConst
+	Lift  int         // BoundConst: as Const.Lift
 	Param int         // BoundParam
 	Sub   *Subquery   // BoundSub (scalar)
 }
@@ -346,10 +383,13 @@ const (
 )
 
 // String renders the bound.
-func (b Bound) String() string {
+func (b Bound) String() string { return b.Format(nil) }
+
+// Format renders the bound, spelling a lifted literal as Format does.
+func (b Bound) Format(lits []value.Value) string {
 	switch b.Kind {
 	case BoundConst:
-		return b.Val.SQL()
+		return b.Value(lits).SQL()
 	case BoundParam:
 		return fmt.Sprintf("$%d", b.Param)
 	default:
@@ -359,6 +399,15 @@ func (b Bound) String() string {
 
 // IsConst reports whether the bound is a compile-time constant.
 func (b Bound) IsConst() bool { return b.Kind == BoundConst }
+
+// Value is a BoundConst's value in a statement whose lifted literals are
+// lits (nil: the value compiled with).
+func (b Bound) Value(lits []value.Value) value.Value {
+	if b.Lift > 0 && lits != nil {
+		return lits[b.Lift-1]
+	}
+	return b.Val
+}
 
 // SimplePred is a sargable predicate in interval form on one column:
 //
@@ -421,6 +470,9 @@ type Block struct {
 	// variables directly; nested blocks receive them as pass-through
 	// correlation parameters.
 	HostRefs map[int]int
+	// Lifted counts the literals lifted out of the outermost block's text:
+	// a run binds exactly that many arguments, read by the lifted Consts.
+	Lifted int
 
 	// CorrelRefs are this block's parameters bound by the parent block.
 	CorrelRefs []CorrelRef

@@ -1,6 +1,10 @@
 package sql
 
-import "testing"
+import (
+	"testing"
+
+	"systemr/internal/value"
+)
 
 func TestNormalize(t *testing.T) {
 	cases := []struct {
@@ -52,5 +56,54 @@ func TestNormalizeRoundTrips(t *testing.T) {
 func TestNormalizeLexError(t *testing.T) {
 	if _, ok := Normalize("SELECT 'unterminated"); ok {
 		t.Fatal("Normalize should fail on a lex error")
+	}
+}
+
+func TestLift(t *testing.T) {
+	cases := []struct {
+		in, want string
+		lits     []value.Value
+	}{
+		{"select name from emp where dno = 50;", "SELECT name FROM emp WHERE dno = ?", []value.Value{value.NewInt(50)}},
+		{"SELECT A FROM T WHERE 1.5 < B AND C <> 'it''s'", "SELECT A FROM T WHERE ? < B AND C <> ?",
+			[]value.Value{value.NewFloat(1.5), value.NewString("it's")}},
+		{"SELECT A FROM T WHERE A NOT BETWEEN 1 AND 2 OR (B IN (3, 4) AND C BETWEEN 'a' AND 'b')",
+			"SELECT A FROM T WHERE A NOT BETWEEN ? AND ? OR ( B IN ( ? , ? ) AND C BETWEEN ? AND ? )",
+			[]value.Value{value.NewInt(1), value.NewInt(2), value.NewInt(3), value.NewInt(4), value.NewString("a"), value.NewString("b")}},
+		{"EXPLAIN ANALYZE SELECT A FROM T WHERE A = 7", "EXPLAIN ANALYZE SELECT A FROM T WHERE A = ?", []value.Value{value.NewInt(7)}},
+		// Arithmetic operands, negative literals, function arguments and
+		// parenthesized literals stay.
+		{"SELECT A FROM T WHERE A + 1 = 2 * B AND B = -3 AND C = (4) AND D = 5 - E", "SELECT A FROM T WHERE A + 1 = 2 * B AND B = - 3 AND C = ( 4 ) AND D = 5 - E", nil},
+		// Nothing outside the outermost WHERE, and nothing in a subquery.
+		{"SELECT A, 1 FROM T WHERE A IN (SELECT B FROM U WHERE B = 1) AND A > (SELECT MAX(B) FROM U WHERE C = 2) AND D = 3 GROUP BY A HAVING COUNT(*) > 4 ORDER BY A",
+			"SELECT A , 1 FROM T WHERE A IN ( SELECT B FROM U WHERE B = 1 ) AND A > ( SELECT MAX ( B ) FROM U WHERE C = 2 ) AND D = ? GROUP BY A HAVING COUNT ( * ) > 4 ORDER BY A",
+			[]value.Value{value.NewInt(3)}},
+		// Statements of other kinds, and texts with a ? of their own.
+		{"DELETE FROM T WHERE A = 1", "DELETE FROM T WHERE A = 1", nil},
+		{"INSERT INTO T VALUES (1, 'x')", "INSERT INTO T VALUES ( 1 , 'x' )", nil},
+		{"SELECT A FROM T WHERE A = ? AND B = 2", "SELECT A FROM T WHERE A = ? AND B = 2", nil},
+		{"SELECT A FROM T", "SELECT A FROM T", nil},
+	}
+	for _, c := range cases {
+		got, lits, ok := Lift(c.in)
+		if !ok {
+			t.Fatalf("Lift(%q) failed to lex", c.in)
+		}
+		if got != c.want || len(lits) != len(c.lits) {
+			t.Fatalf("Lift(%q) = %q %v, want %q %v", c.in, got, lits, c.want, c.lits)
+		}
+		for i := range lits {
+			if lits[i].Kind != c.lits[i].Kind || value.Compare(lits[i], c.lits[i]) != 0 {
+				t.Fatalf("Lift(%q) value %d = %v, want %v", c.in, i, lits[i], c.lits[i])
+			}
+		}
+		if c.lits == nil {
+			if norm, _ := Normalize(c.in); got != norm {
+				t.Fatalf("Lift(%q) = %q lifts nothing but differs from Normalize's %q", c.in, got, norm)
+			}
+		}
+	}
+	if _, _, ok := Lift("SELECT 'unterminated"); ok {
+		t.Fatal("Lift should fail on a lex error")
 	}
 }

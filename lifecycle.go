@@ -32,11 +32,13 @@ type statement struct {
 	args   []any
 	cursor bool // the transaction lives on until Rows.Close
 
-	norm   string
+	norm   string        // the normalized text, with literals lifted by sql.Lift
 	parsed sql.Statement // nil on a plan-cache hit and for prepared runs
-	vals   []value.Value
-	res    *Result
-	rows   *Rows
+	// vals are a prepared run's host-variable values, or the literals
+	// sql.Lift lifted out of the text: either way, the plan's arguments.
+	vals []value.Value
+	res  *Result
+	rows *Rows
 
 	// The measurements: gov's ledger holds the I/O; the body records the
 	// rows (result rows, rows a cursor streamed, or rows INSERT, DELETE or
@@ -145,21 +147,21 @@ func (db *DB) lifecycle(ctx context.Context, cur *txn.Txn, st *statement) (err e
 // plan-cache entry, anything else's from its parse.
 func (db *DB) lockSet(st *statement, explicit bool) ([]lock.Request, error) {
 	if st.prep != nil {
-		vals, err := hostValues(st.args)
+		vals, err := st.prep.bind(st.args)
 		if err != nil {
 			return nil, err
 		}
 		st.vals = vals
 		return st.prep.current().Locks, nil
 	}
-	norm, normOK := sql.Normalize(st.text)
-	st.norm = norm
+	norm, lits, normOK := sql.Lift(st.text)
+	st.norm, st.vals = norm, lits
 	if normOK {
-		if e, ok := db.plans.Peek(db.planKey(norm)); ok {
-			return e.Locks, nil
+		if locks, ok := db.cachedLocks(norm, lits); ok {
+			return locks, nil
 		}
 	}
-	stmt, err := sql.Parse(st.text)
+	stmt, err := st.parse()
 	if err != nil {
 		return nil, err
 	}
@@ -174,6 +176,38 @@ func (db *DB) lockSet(st *statement, explicit bool) ([]lock.Request, error) {
 	}
 	st.parsed = stmt
 	return compile.LockRequests(stmt, true), nil
+}
+
+// cachedLocks returns the lock set of a cached SELECT: its plan's, or for a
+// lifted text its family's, which the lifted text alone decides.
+func (db *DB) cachedLocks(norm string, lits []value.Value) ([]lock.Request, bool) {
+	if lits == nil {
+		e, ok := db.plans.Peek(norm)
+		if !ok {
+			return nil, false
+		}
+		return e.Locks, true
+	}
+	e, _, ok := db.plans.Family(compile.Key(norm, compile.ArgSig(lits)))
+	if !ok {
+		return nil, false
+	}
+	return e.Locks, true
+}
+
+// parse parses the statement's text: the lifted one when sql.Lift lifted
+// literals, so compilation sees a host variable where each stood. A lifted
+// text the parser rejects is not lifted after all: the original is parsed,
+// and its error reported.
+func (st *statement) parse() (sql.Statement, error) {
+	if st.vals != nil {
+		if stmt, err := sql.Parse(st.norm); err == nil {
+			return stmt, nil
+		}
+		st.norm, _ = sql.Normalize(st.text)
+		st.vals = nil
+	}
+	return sql.Parse(st.text)
 }
 
 // publish ends the statement's measurement, once, on every return from

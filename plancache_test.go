@@ -276,10 +276,117 @@ func TestPreparedStmtRevalidation(t *testing.T) {
 	}
 }
 
+// TestLiftedSiblingsCompileOnce: ad hoc texts that differ only in
+// comparison literals of one selectivity class share one plan, and each
+// statement runs it with its own literals.
+func TestLiftedSiblingsCompileOnce(t *testing.T) {
+	db := empDB(t)
+	before := db.PlanCacheStats()
+	for _, no := range []int{100, 101, 1500, 7} {
+		for _, q := range []string{
+			fmt.Sprintf("SELECT EMPNO, NAME FROM EMP WHERE EMPNO = %d", no),
+			fmt.Sprintf("SELECT EMPNO FROM EMP WHERE EMPNO BETWEEN %d AND %d AND DNO IN (1, 2, %d)", no, no+5, no%50),
+		} {
+			res, err := db.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range res.Rows {
+				if e := r[0].(int64); e < int64(no) || e > int64(no+5) {
+					t.Fatalf("%s returned EMPNO %d", q, e)
+				}
+			}
+			if strings.Contains(q, "EMPNO = ") && len(res.Rows) != 1 {
+				t.Fatalf("%s: %d rows, want 1", q, len(res.Rows))
+			}
+		}
+	}
+	after := db.PlanCacheStats()
+	if got := after.Compilations - before.Compilations; got != 2 {
+		t.Fatalf("8 sibling statements of 2 texts compiled %d times, want 2: %+v", got, after)
+	}
+	if got := after.Hits - before.Hits; got != 6 {
+		t.Fatalf("hits = %d, want 6: %+v", got, after)
+	}
+}
+
+// TestLiftedKindsNeverShare: the kind of each lifted literal is part of the
+// key, so A = 5 and A = 5.0 compile apart, and A = 'x' fails as it did
+// before lifting.
+func TestLiftedKindsNeverShare(t *testing.T) {
+	db := empDB(t)
+	before := db.PlanCacheStats()
+	for _, q := range []string{"SELECT COUNT(*) FROM EMP WHERE DNO = 5", "SELECT COUNT(*) FROM EMP WHERE DNO = 5.0"} {
+		res, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rows[0][0].(int64) == 0 {
+			t.Fatalf("%s counted no rows", q)
+		}
+	}
+	_, err := db.Query("SELECT COUNT(*) FROM EMP WHERE DNO = 'x'")
+	if want := "semantic error: cannot compare INTEGER EMP.DNO with VARCHAR 'x'"; err == nil || err.Error() != want {
+		t.Fatalf("DNO = 'x': error %v, want %q", err, want)
+	}
+	after := db.PlanCacheStats()
+	if got := after.Compilations - before.Compilations; got != 2 || after.Hits != before.Hits {
+		t.Fatalf("DNO = 5 and DNO = 5.0 shared a plan: %d compilations, %d hits", got, after.Hits-before.Hits)
+	}
+}
+
+// TestLiftedErrorsMatchLiterals: lifting never changes an error: a lifted
+// literal is typed and spelled as the literal it replaced, a text the
+// parser rejects reports the original's offsets, and a ? in ad hoc text
+// (never lifted) still lacks its argument.
+func TestLiftedErrorsMatchLiterals(t *testing.T) {
+	db := empDB(t)
+	for q, want := range map[string]string{
+		"SELECT NAME FROM EMP WHERE NAME = 5":                "semantic error: cannot compare VARCHAR EMP.NAME with INTEGER 5",
+		"SELECT NAME FROM EMP WHERE NAME BETWEEN 1 AND 'z'":  "semantic error: cannot compare VARCHAR EMP.NAME with INTEGER 1",
+		"SELECT NAME FROM EMP WHERE DNO IN (1, 'a')":         "semantic error: cannot compare INTEGER EMP.DNO with VARCHAR 'a'",
+		"SELECT NAME FROM EMP WHERE 5 = 5 AND NOPE = 3":      "semantic error: column NOPE cannot be resolved",
+		"SELECT NAME FROM EMP WHERE DNO = 5 = 6":             "syntax error at offset 35: unexpected = after statement",
+		"EXPLAIN SELECT NAME FROM EMP WHERE DNO = 'x'":       "semantic error: cannot compare INTEGER EMP.DNO with VARCHAR 'x'",
+		"SELECT NAME FROM EMP WHERE DNO = ?":                 "exec: statement has 1 host variable(s), 0 argument(s) supplied",
+		"SELECT NAME FROM EMP WHERE DNO = ? AND EMPNO = 100": "exec: statement has 1 host variable(s), 0 argument(s) supplied",
+	} {
+		for run := 0; run < 2; run++ { // cold, then with whatever the first run cached
+			_, err := db.Query(q)
+			if err == nil || err.Error() != want {
+				t.Fatalf("%s (run %d): error %v, want %q", q, run, err, want)
+			}
+		}
+	}
+}
+
+// TestExplainShowsOwnLiterals: EXPLAIN and EXPLAIN ANALYZE of a statement
+// served a sibling's cached plan print the statement's own literals.
+func TestExplainShowsOwnLiterals(t *testing.T) {
+	db := empDB(t)
+	if _, err := db.Query("SELECT NAME FROM EMP WHERE EMPNO = 100 AND SAL > 1000.5"); err != nil {
+		t.Fatal(err)
+	}
+	for _, explain := range []func(string) (string, error){db.Explain, db.ExplainAnalyze} {
+		got, err := explain("SELECT NAME FROM EMP WHERE EMPNO = 1234 AND SAL > 2000.25")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(got, "plan cache: hit") {
+			t.Fatalf("sibling literal missed the cache:\n%s", got)
+		}
+		if !strings.Contains(got, "1234") || !strings.Contains(got, "2000.25") ||
+			strings.Contains(got, "100 ") || strings.Contains(got, "1000.5") {
+			t.Fatalf("plan shows another statement's literals:\n%s", got)
+		}
+	}
+}
+
 // TestPlanCacheConcurrent hammers the cached path from many goroutines while
 // DDL and statistics refreshes move the catalog version underneath them —
 // the race-enabled guard that no stale plan is ever executed and the cache's
-// counters stay coherent. Run with -race in CI.
+// counters stay coherent. Run with -race in CI. Sibling literals run
+// concurrently through one shared lifted plan, each with its own values.
 func TestPlanCacheConcurrent(t *testing.T) {
 	db := workload.NewEmpDB(workload.EmpConfig{Emps: 300, Depts: 10, Jobs: 5, Seed: 5})
 	queries := []string{
@@ -302,6 +409,16 @@ func TestPlanCacheConcurrent(t *testing.T) {
 				}
 				if len(res.Rows) != 1 {
 					t.Errorf("%s: rows = %d, want 1", q, len(res.Rows))
+					return
+				}
+				no := int64(1 + (g*50+i)%300)
+				sib := fmt.Sprintf("SELECT EMPNO FROM EMP WHERE EMPNO = %d", no)
+				if res, err = db.QueryContext(ctx, sib); err != nil {
+					t.Errorf("%s: %v", sib, err)
+					return
+				}
+				if len(res.Rows) != 1 || res.Rows[0][0].(int64) != no {
+					t.Errorf("%s: rows = %v", sib, res.Rows)
 					return
 				}
 			}

@@ -32,6 +32,7 @@ type Stmt struct {
 	db   *DB
 	text string
 	norm string
+	lits []value.Value // the literals Lift lifted from a text without ?
 
 	mu sync.Mutex
 	cp *compile.CompiledPlan
@@ -48,17 +49,39 @@ func (db *DB) Prepare(text string) (*Stmt, error) {
 	if !ok {
 		return nil, fmt.Errorf("systemr: Prepare supports SELECT statements, got %T", parsed)
 	}
-	norm, _ := sql.Normalize(text)
+	// A text without ? shares the plans of its ad hoc runs: its literals
+	// are lifted as theirs are, and each run binds them.
+	norm, lits, _ := sql.Lift(text)
+	if lits != nil {
+		if lifted, err := sql.Parse(norm); err == nil {
+			sel = lifted.(*sql.SelectStmt)
+		} else {
+			norm, _ = sql.Normalize(text)
+			lits = nil
+		}
+	}
 	held, err := db.locks.AcquireContext(context.Background(), compile.LockRequests(parsed, true))
 	if err != nil {
 		return nil, fmt.Errorf("systemr: Prepare: %w", err)
 	}
 	defer held.Release()
-	cp, _, err := db.resolveSelect(nil, norm, sel)
+	cp, _, err := db.resolveSelect(nil, norm, sel, lits)
 	if err != nil {
 		return nil, err
 	}
-	return &Stmt{db: db, text: text, norm: norm, cp: cp}, nil
+	return &Stmt{db: db, text: text, norm: norm, lits: lits, cp: cp}, nil
+}
+
+// bind converts a run's arguments to its plan's: the host-variable values,
+// or the lifted literals of a statement that has no ?.
+func (s *Stmt) bind(args []any) ([]value.Value, error) {
+	if s.lits == nil {
+		return hostValues(args)
+	}
+	if len(args) > 0 {
+		return nil, fmt.Errorf("systemr: statement has no host variables, %d argument(s) supplied", len(args))
+	}
+	return s.lits, nil
 }
 
 // current returns the statement's current compiled plan.
@@ -90,7 +113,7 @@ func (s *Stmt) RunContext(ctx context.Context, args ...any) (*Result, error) {
 // under the statement's locks — recompiling after DDL or a statistics
 // refresh — then run it, or open a cursor over it.
 func (s *Stmt) exec(t *txn.Txn, st *statement) error {
-	cp, _, err := s.db.resolveSelect(st.gov, s.norm, nil)
+	cp, _, err := s.db.resolveSelect(st.gov, s.norm, nil, s.lits)
 	if err != nil {
 		return err
 	}
@@ -114,7 +137,7 @@ func (s *Stmt) exec(t *txn.Txn, st *statement) error {
 }
 
 // Explain returns the statement's current compiled plan.
-func (s *Stmt) Explain() string { return s.current().Query.Explain() }
+func (s *Stmt) Explain() string { return s.current().Query.Explain(s.lits...) }
 
 // Text returns the original statement text.
 func (s *Stmt) Text() string { return s.text }

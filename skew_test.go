@@ -126,3 +126,32 @@ func TestHistogramsFlipPlans(t *testing.T) {
 		t.Errorf("histograms flipped %d of %d plans, want 4", flips, len(queries))
 	}
 }
+
+// TestSkewLiftedKeysKeepPlans: TestSkewPlanFlip's hot and cold keys, run as
+// ad hoc texts that lift to the same text, fall in different selectivity
+// classes, so they compile once each and keep their own plans: the segment
+// scan for the hot key, the index for the cold one.
+func TestSkewLiftedKeysKeepPlans(t *testing.T) {
+	db, hot := workload.NewSkewDB(workload.SkewConfig{Seed: skewSeed})
+	hotQ := fmt.Sprintf("SELECT VAL FROM EVENTS WHERE KEY = %d", hot)
+	const coldQ = "SELECT VAL FROM EVENTS WHERE KEY = 900"
+	before := db.PlanCacheStats()
+	for _, q := range []string{hotQ, coldQ, hotQ, coldQ} {
+		if _, err := db.Query(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := db.PlanCacheStats(); s.Compilations-before.Compilations != 2 || s.Hits-before.Hits != 2 {
+		t.Fatalf("hot and cold keys: %d compilations and %d hits, want 2 and 2",
+			s.Compilations-before.Compilations, s.Hits-before.Hits)
+	}
+	for q, scan := range map[string]string{hotQ: "SEGSCAN", coldQ: "INDEXSCAN"} {
+		p, err := db.Explain(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(p, scan) || !strings.Contains(p, "plan cache: hit") {
+			t.Fatalf("%s should be served its cached %s plan:\n%s", q, scan, p)
+		}
+	}
+}

@@ -110,8 +110,14 @@ type DB struct {
 
 // DefaultPlanCacheSize bounds the shared compiled-plan cache in entries: a
 // repeated SELECT (same normalized text, unchanged catalog version), ad hoc
-// or prepared, executes its cached plan and skips parse/sem/optimize.
-const DefaultPlanCacheSize = 256
+// or prepared, executes its cached plan and skips parse/sem/optimize, and so
+// does an ad hoc SELECT whose lifted literals fall in a cached plan's
+// selectivity classes. The bound is twice the (text, class) entries a 20 s
+// adhoc_join run fills (about 4,050 at seeds 1 and 2), rounded up to a
+// power of two: an LRU replaying a cyclic working set larger than itself
+// hits almost never. A cached adhoc_join plan retains about 4.5 KB of heap
+// (15 MB for 3,400 plans), so a full cache holds about 37 MB.
+const DefaultPlanCacheSize = 8192
 
 // DefaultVacuumEvery is the auto-vacuum interval: version garbage collection
 // runs after that many committed writing transactions (and on demand via
@@ -222,10 +228,23 @@ func (db *DB) SetMutationFault(hook func(n int64) error) {
 	db.mutFault.Store(txn.FaultFunc(hook))
 }
 
-// planKey builds the plan-cache key for a normalized SELECT. Host-variable
-// types do not participate: compilation never sees the bindings.
-func (db *DB) planKey(norm string) string {
-	return compile.Key(norm, "")
+// planKey returns the plan-cache key of a normalized SELECT. A text with
+// host variables is keyed by the text alone: their values do not
+// participate, since its ? are value-blind. A lifted text's plan is keyed
+// by its family — the text and its literals' kinds — and the class
+// signature its family's Classifier assigns lits. That reads statistics,
+// so planKey runs under the statement's shared catalog lock, and classifies
+// only after the family's version check: a stale family yields its newest
+// plan's key, whose lookup then invalidates that plan.
+func (db *DB) planKey(norm string, lits []value.Value) string {
+	if lits == nil {
+		return norm
+	}
+	f, key, ok := db.plans.Family(compile.Key(norm, compile.ArgSig(lits)))
+	if !ok || f.Version != db.cat.Version() {
+		return key
+	}
+	return compile.Key(f.Family, f.Classes.Signature(lits))
 }
 
 // resolveSelect produces an executable plan for a SELECT: served from the
@@ -235,9 +254,11 @@ func (db *DB) planKey(norm string) string {
 // version between the check and execution. sel, when non-nil, is the
 // already-parsed statement matching norm (the cold path reuses its parse);
 // otherwise norm itself is parsed (Normalize preserves identifier case, so
-// the recompiled plan is textually faithful, output names included).
-func (db *DB) resolveSelect(gov *governor.Budget, norm string, sel *sql.SelectStmt) (*compile.CompiledPlan, bool, error) {
-	key := db.planKey(norm)
+// the recompiled plan is textually faithful, output names included). lits
+// are the literals sql.Lift lifted out of norm (nil for none): a miss
+// compiles with them peeked.
+func (db *DB) resolveSelect(gov *governor.Budget, norm string, sel *sql.SelectStmt, lits []value.Value) (*compile.CompiledPlan, bool, error) {
+	key := db.planKey(norm, lits)
 	if e, ok := db.plans.Peek(key); ok {
 		if e.Version == db.cat.Version() {
 			db.plans.Hit(key)
@@ -249,13 +270,16 @@ func (db *DB) resolveSelect(gov *governor.Budget, norm string, sel *sql.SelectSt
 	var err error
 	cstart := time.Now()
 	if sel != nil {
-		cp, err = db.compiler.CompileSelect(gov, sel, norm)
+		cp, err = db.compiler.CompileSelect(gov, sel, norm, lits)
 	} else {
-		cp, err = db.compiler.CompileSelectText(gov, norm)
+		cp, err = db.compiler.CompileSelectText(gov, norm, lits)
 	}
 	db.observeCompile(cstart)
 	if err != nil {
 		return nil, false, err
+	}
+	if cp.Family != "" {
+		key = compile.Key(cp.Family, cp.Classes.Signature(lits))
 	}
 	db.plans.Miss()
 	db.plans.Put(key, cp)
@@ -622,7 +646,7 @@ func (db *DB) execInsert(cur *txn.Txn, st *statement, ins *sql.InsertStmt) (*Res
 // freshly compiled plan for next time — run it, and observe its
 // misestimation.
 func (db *DB) execSelect(cur *txn.Txn, st *statement, sel *sql.SelectStmt) (*Result, error) {
-	cp, _, err := db.resolveSelect(st.gov, st.norm, sel)
+	cp, _, err := db.resolveSelect(st.gov, st.norm, sel, st.vals)
 	if err != nil {
 		return nil, err
 	}
@@ -712,7 +736,7 @@ func (db *DB) execExplain(cur *txn.Txn, st *statement, ex *sql.ExplainStmt) (*Re
 	_, isSelect := ex.Stmt.(*sql.SelectStmt)
 	switch inner := ex.Stmt.(type) {
 	case *sql.SelectStmt:
-		cp, hit, err := db.resolveSelect(st.gov, selectNorm(st.norm), inner)
+		cp, hit, err := db.resolveSelect(st.gov, selectNorm(st.norm), inner, st.vals)
 		if err != nil {
 			return nil, err
 		}
@@ -732,7 +756,7 @@ func (db *DB) execExplain(cur *txn.Txn, st *statement, ex *sql.ExplainStmt) (*Re
 		return nil, fmt.Errorf("systemr: EXPLAIN does not support %T", ex.Stmt)
 	}
 	if !ex.Analyze {
-		return &Result{Plan: q.Explain() + cacheNote}, nil
+		return &Result{Plan: q.Explain(st.vals...) + cacheNote}, nil
 	}
 	rows, analysis, err := db.runPlan(cur, st, q, true)
 	if err != nil {
