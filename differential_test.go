@@ -118,8 +118,11 @@ func ablations(base core.Config) map[string]core.Config {
 // TestDifferentialRandomQueries cross-checks optimizer+executor output
 // against the brute-force reference evaluator over randomized databases and
 // queries, under every optimizer ablation, each plan executed at several
-// batch sizes and through a cursor. DIFF_SEEDS and DIFF_TABLES extend
-// the campaign (e.g. DIFF_SEEDS=300 go test -run TestDifferentialRandom).
+// batch sizes and through a cursor, and, for a query with liftable
+// literals, ad hoc on a sibling's cached plan and prepared with a ? for
+// each literal, planned without their values. DIFF_SEEDS and DIFF_TABLES
+// extend the campaign (e.g. DIFF_SEEDS=300 go test -run
+// TestDifferentialRandom).
 func TestDifferentialRandomQueries(t *testing.T) {
 	seeds := 40
 	if testing.Short() {
@@ -136,6 +139,7 @@ func TestDifferentialRandomQueries(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			var shared int64 // queries served a sibling's plan
+			prepared := 0    // queries run prepared
 			rnd := rand.New(rand.NewSource(int64(seed)))
 			db := workload.RandomDB(rnd, workload.RandomDBConfig{Tables: tables, MaxRows: 25})
 			for qi := 0; qi < 12; qi++ {
@@ -172,6 +176,25 @@ func TestDifferentialRandomQueries(t *testing.T) {
 							sib, query, len(want), len(got))
 					}
 				}
+				// Prepared: the lifted text's ? have no values at compile
+				// time; each run binds the lifted literals as arguments.
+				if lifted, lits, _ := sql.Lift(query); len(lits) > 0 {
+					if _, err := sql.Parse(lifted); err == nil {
+						stmt, err := db.Prepare(lifted)
+						if err != nil {
+							t.Fatalf("prepare %q: %v", lifted, err)
+						}
+						res, err := stmt.Run(hostArgs(lits)...)
+						if err != nil {
+							t.Fatalf("prepared %q: %v", lifted, err)
+						}
+						if got := nativeRows(res); !testutil.SameMultiset(got, want) {
+							t.Fatalf("prepared %q with %v: result mismatch for %q\nwant %d rows, got %d rows\nplan:\n%s",
+								lifted, lits, query, len(want), len(got), stmt.Explain())
+						}
+						prepared++
+					}
+				}
 				for name, cfg := range ablations(db.OptimizerConfig()) {
 					q, err := core.New(db.Catalog(), cfg).Optimize(blk)
 					if err != nil {
@@ -187,6 +210,9 @@ func TestDifferentialRandomQueries(t *testing.T) {
 			}
 			if shared == 0 {
 				t.Fatal("no query was served a sibling's lifted plan")
+			}
+			if prepared == 0 {
+				t.Fatal("no query ran prepared")
 			}
 		})
 	}
@@ -227,6 +253,22 @@ func siblingText(query string) (string, bool) {
 		b.WriteByte(c)
 	}
 	return b.String(), true
+}
+
+// hostArgs converts engine values to Stmt.Run arguments.
+func hostArgs(vals []value.Value) []any {
+	args := make([]any, len(vals))
+	for i, v := range vals {
+		switch v.Kind {
+		case value.KindInt:
+			args[i] = v.Int
+		case value.KindFloat:
+			args[i] = v.Float
+		case value.KindString:
+			args[i] = v.Str
+		}
+	}
+	return args
 }
 
 // nativeRows converts a Result's rows back to engine values.

@@ -41,8 +41,8 @@ func TestHostVariables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range res.Rows {
-		_ = r
+	if len(res.Rows) != 6 { // SAL = 10000 + 10e for employees e = 0..5
+		t.Fatalf("SAL BETWEEN 10000 AND 10050: %d rows, want 6", len(res.Rows))
 	}
 
 	// Argument-count mismatch is an error.
@@ -62,8 +62,10 @@ func TestHostVariables(t *testing.T) {
 	}
 }
 
-// TestHostVariableInSubquery: a '?' inside a nested block flows through as a
-// pass-through parameter.
+// TestHostVariableInSubquery: a '?' inside a nested block is a literal whose
+// value the run supplies, not a reference to an outer query block, so the
+// subquery is not correlated: it is planned and evaluated once per run
+// (Section 6), and every binding, run or streamed, gets its own rows.
 func TestHostVariableInSubquery(t *testing.T) {
 	db := newEmpDeptJobDB(t)
 	stmt, err := db.Prepare(
@@ -71,29 +73,40 @@ func TestHostVariableInSubquery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := stmt.Run("DENVER", 5)
-	if err != nil {
-		t.Fatal(err)
+	if pl := stmt.Explain(); strings.Contains(pl, "correlated") || !strings.Contains(pl, "(c2 = ?1)") {
+		t.Fatalf("the subquery should be an uncorrelated block keyed by ?1:\n%s", pl)
 	}
-	want := 0
-	for e := 0; e < 300; e += 4 { // JOB=5 employees
-		if (e%30+1)%3 == 0 { // Denver departments
-			want++
+	// newEmpDeptJobDB: employee e has job jobs[e%4] and department e%30+1,
+	// located at locs[dno%3].
+	want := func(loc string, job int) int {
+		locs, jobs := []string{"DENVER", "SAN JOSE", "TUCSON"}, []int{5, 6, 9, 12}
+		n := 0
+		for e := 0; e < 300; e++ {
+			if jobs[e%4] == job && locs[(e%30+1)%3] == loc {
+				n++
+			}
+		}
+		return n
+	}
+	// Rebinding reruns the plan without re-optimizing; returning to the
+	// first binding returns its rows again.
+	for _, b := range []struct {
+		loc string
+		job int
+	}{{"DENVER", 5}, {"TUCSON", 6}, {"SAN JOSE", 9}, {"DENVER", 5}} {
+		res, err := stmt.Run(b.loc, b.job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := want(b.loc, b.job); len(res.Rows) != w || w == 0 {
+			t.Fatalf("%s, %d: got %d rows, want %d", b.loc, b.job, len(res.Rows), w)
+		}
+		if n := db.LastStats().SubqueryEvals; n != 1 {
+			t.Fatalf("%s, %d: subquery evaluated %d times, want once", b.loc, b.job, n)
 		}
 	}
-	if len(res.Rows) != want {
-		t.Fatalf("got %d rows, want %d", len(res.Rows), want)
-	}
-	// Rebind without re-optimizing.
-	res, err = stmt.Run("TUCSON", 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) == 0 {
-		t.Fatal("rebinding should find Tucson typists")
-	}
 	// Streaming with args.
-	rows, err := stmt.Open("DENVER", 5)
+	rows, err := stmt.Open("TUCSON", 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +122,20 @@ func TestHostVariableInSubquery(t *testing.T) {
 		}
 		n++
 	}
-	if n != want {
-		t.Fatalf("cursor streamed %d, want %d", n, want)
+	if w := want("TUCSON", 6); n != w {
+		t.Fatalf("cursor streamed %d, want %d", n, w)
+	}
+	if n := db.LastStats().SubqueryEvals; n != 1 {
+		t.Fatalf("cursor evaluated the subquery %d times, want once", n)
+	}
+	// A wrong argument count fails with one error message, as does a '?'
+	// text run without arguments.
+	if _, err := stmt.Run("DENVER"); err == nil || err.Error() != "exec: statement has 2 host variable(s), 1 argument(s) supplied" {
+		t.Fatalf("arity mismatch: %v", err)
+	}
+	_, err = db.Query("SELECT NAME FROM EMP WHERE DNO IN (SELECT DNO FROM DEPT WHERE LOC = ?)")
+	if err == nil || err.Error() != "exec: statement has 1 host variable(s), 0 argument(s) supplied" {
+		t.Fatalf("unbound host variable in a subquery: %v", err)
 	}
 }
 

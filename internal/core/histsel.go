@@ -44,9 +44,11 @@ func (o *Optimizer) histStats(id sem.ColumnID) *catalog.ColStats {
 // literal returns the value of a constant operand, the only operand shape
 // whose value is known at access path selection time: a literal, or a
 // lifted one, whose value comes from o.lits when a Classifier sets them.
+// A host variable compiled without a value (its Val is NULL, which sql.Lift
+// never lifts) is unknown, like a parameter.
 func (o *Optimizer) literal(e sem.Expr) (value.Value, bool) {
 	c, ok := e.(*sem.Const)
-	if !ok {
+	if !ok || c.Lift > 0 && c.Val.IsNull() {
 		return value.Value{}, false
 	}
 	return c.Value(o.lits), true

@@ -65,9 +65,9 @@ type Stats struct {
 }
 
 // RunQuery executes a planned query block and returns the output rows, with
-// host-variable values bound positionally from args (the paper's
-// program-supplied values at execution time; nil for a plan without host
-// variables).
+// the values of its lifted literals bound positionally from args: the
+// program-supplied values of its host variables, or the literals sql.Lift
+// lifted out of its text (nil for a plan with neither).
 func RunQuery(rt *Runtime, q *plan.Query, args []value.Value) ([]value.Row, *Stats, error) {
 	rows, stats, _, err := runQuery(rt, q, args)
 	return rows, stats, err
@@ -96,29 +96,14 @@ func runQuery(rt *Runtime, q *plan.Query, args []value.Value) ([]value.Row, *Sta
 	return rows, mkStats(len(rows)), ctx, nil
 }
 
-// bindHostArgs validates the argument count against the block's host
-// variables and fills the corresponding parameter slots. The arguments of a
-// plan compiled from a lifted text are its lifted literals' values instead.
+// bindHostArgs checks the argument count against the block's lifted
+// literals — its host variables, or the literals sql.Lift lifted out of its
+// text — and makes args their values.
 func bindHostArgs(ctx *blockCtx, q *plan.Query, args []value.Value) error {
-	if n := q.Block.Lifted; n > 0 {
-		if len(args) != n {
-			return fmt.Errorf("exec: statement has %d lifted literal(s), %d value(s) supplied", n, len(args))
-		}
-		ctx.lits = args
-		return nil
+	if n := q.Block.Lifted; len(args) != n {
+		return fmt.Errorf("exec: statement has %d host variable(s), %d argument(s) supplied", n, len(args))
 	}
-	nHost := 0
-	for idx := range q.Block.HostRefs {
-		if idx+1 > nHost {
-			nHost = idx + 1
-		}
-	}
-	if len(args) != nHost {
-		return fmt.Errorf("exec: statement has %d host variable(s), %d argument(s) supplied", nHost, len(args))
-	}
-	for idx, slot := range q.Block.HostRefs {
-		ctx.params[slot] = args[idx]
-	}
+	ctx.lits = args
 	return nil
 }
 
@@ -128,7 +113,7 @@ type blockCtx struct {
 	io      storage.StmtIO // statement-scoped accounting view of the pool
 	q       *plan.Query
 	params  []value.Value
-	lits    []value.Value               // the statement's lifted literals, read by lifted Consts
+	lits    []value.Value               // the statement's arguments, read by lifted Consts
 	subs    map[*sem.Subquery]*subState // nil when the plan has no subqueries
 	aggVals []value.Value
 	evals   *int // shared subquery-evaluation counter
@@ -244,9 +229,9 @@ type Cursor struct {
 	stats  *Stats
 }
 
-// OpenQuery begins streaming execution of a planned block with host-variable
-// values bound from args (nil for a plan without host variables). A failed
-// open releases any scans the plan managed to open before failing.
+// OpenQuery begins streaming execution of a planned block with its lifted
+// literals' values bound from args, as in RunQuery. A failed open releases
+// any scans the plan managed to open before failing.
 func OpenQuery(rt *Runtime, q *plan.Query, args []value.Value) (*Cursor, error) {
 	c := &Cursor{rt: rt, before: rt.ensureIO().Snapshot()}
 	ctx := newBlockCtx(rt, q, &c.evals)

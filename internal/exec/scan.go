@@ -97,9 +97,9 @@ func (st *scanStage) emit(ctx *blockCtx, b *Batch, relIdx int) {
 // resolves every term into fresh slices. A later one — a nested loop's
 // inner scan re-opening for the next outer row — re-resolves, in place,
 // only the join-bound terms: the parameters the optimizer binds from the
-// outer row, the slots past the block's own. Constants, lifted literals,
-// host variables, correlation values and subquery results hold for the
-// operator's whole life, which is one run of its block.
+// outer row, the slots past the block's own. Constants, lifted literals —
+// host variables among them —, correlation values and subquery results hold
+// for the operator's whole life, which is one run of its block.
 
 // resolveTerm resolves b into dst, unless a re-open finds it still holds.
 func (ctx *blockCtx) resolveTerm(first bool, dst *value.Value, b sem.Bound) error {

@@ -18,17 +18,12 @@ func Analyze(sel *sql.SelectStmt, cat *catalog.Catalog) (*Block, error) {
 // AnalyzeLifted is Analyze for a text sql.Lift lifted: the i-th host
 // variable is a literal whose value is lits[i]. It becomes a Const typed,
 // checked and displayed exactly like that literal — errors read as they do
-// for the original text — and marked lifted, so the plan reads the value
-// of each run's arguments.
+// for the original text. A host variable is a lifted Const either way, read
+// from each run's arguments; under Analyze it has no compile-time value.
 func AnalyzeLifted(sel *sql.SelectStmt, cat *catalog.Catalog, lits []value.Value) (*Block, error) {
 	counter := 0
 	a := &analyzer{cat: cat, subID: &counter, lits: lits}
-	blk, err := a.analyzeSelect(sel)
-	if err != nil {
-		return nil, err
-	}
-	blk.Lifted = len(lits)
-	return blk, nil
+	return a.analyzeSelect(sel)
 }
 
 // analyzer carries the scope chain: parent points at the enclosing block's
@@ -279,13 +274,21 @@ func (a *analyzer) resolveExpr(e sql.Expr, allowAgg bool) (Expr, error) {
 	case *sql.Literal:
 		return &Const{Val: x.Val}, nil
 	case *sql.HostVar:
+		// A host variable is a literal whose value each run supplies — not a
+		// reference to an outer block, so no subquery correlates on it.
+		c := &Const{Val: value.Null(), Lift: x.Index + 1}
 		if a.lits != nil {
 			if x.Index >= len(a.lits) {
 				return nil, fmt.Errorf("semantic error: lifted literal %d has no value", x.Index+1)
 			}
-			return &Const{Val: a.lits[x.Index], Lift: x.Index + 1}, nil
+			c.Val = a.lits[x.Index]
 		}
-		return a.hostParam(x.Index), nil
+		root := a.block
+		for root.Parent != nil {
+			root = root.Parent
+		}
+		root.Lifted = max(root.Lifted, c.Lift)
+		return c, nil
 	case *sql.ColumnRef:
 		return a.resolveColumn(x)
 	case *sql.NegExpr:
@@ -422,37 +425,6 @@ func (a *analyzer) resolveExpr(e sql.Expr, allowAgg bool) (Expr, error) {
 	default:
 		return nil, fmt.Errorf("semantic error: unsupported expression %T", e)
 	}
-}
-
-// hostParam resolves a '?' placeholder to a parameter slot. The outermost
-// block owns one slot per distinct host variable; nested blocks receive the
-// value as a pass-through correlation parameter, exactly like references to
-// outer query blocks (Section 6).
-func (a *analyzer) hostParam(index int) *Param {
-	b := a.block
-	if a.parent == nil {
-		if b.HostRefs == nil {
-			b.HostRefs = make(map[int]int)
-		}
-		if id, ok := b.HostRefs[index]; ok {
-			return &Param{ID: id, Name: fmt.Sprintf("?%d", index+1)}
-		}
-		id := b.NumParams
-		b.NumParams++
-		b.HostRefs[index] = id
-		return &Param{ID: id, Name: fmt.Sprintf("?%d", index+1)}
-	}
-	outer := a.parent.hostParam(index)
-	// Dedup pass-throughs of the same host variable within this block.
-	for _, cr := range b.CorrelRefs {
-		if cr.FromParam && cr.ParentParam == outer.ID {
-			return &Param{ID: cr.ParamID, Name: outer.Name}
-		}
-	}
-	ref := CorrelRef{ParamID: b.NumParams, FromParam: true, ParentParam: outer.ID}
-	b.NumParams++
-	b.CorrelRefs = append(b.CorrelRefs, ref)
-	return &Param{ID: ref.ParamID, Name: outer.Name}
 }
 
 func (a *analyzer) analyzeSubquery(sel *sql.SelectStmt, scalar bool) (*Subquery, error) {

@@ -86,18 +86,15 @@ func conjuncts(e Expr) []Expr {
 
 // exprInfo accumulates what an expression references.
 type exprInfo struct {
-	rels      RelSet
-	usesParam bool
-	lifted    bool
-	subs      []*Subquery
+	rels   RelSet
+	lifted bool
+	subs   []*Subquery
 }
 
 func scanExpr(e Expr, info *exprInfo) {
 	switch x := e.(type) {
 	case *Col:
 		info.rels = info.rels.Set(x.ID.Rel)
-	case *Param:
-		info.usesParam = true
 	case *Const:
 		info.lifted = info.lifted || x.Lift > 0
 	case *AggRef:
@@ -138,7 +135,7 @@ func RelsOf(e Expr) RelSet {
 func (a *analyzer) classify(e Expr) *BoolFactor {
 	var info exprInfo
 	scanExpr(e, &info)
-	f := &BoolFactor{Expr: e, Rels: info.rels, UsesParam: info.usesParam, Lifted: info.lifted, Subs: info.subs}
+	f := &BoolFactor{Expr: e, Rels: info.rels, Lifted: info.lifted, Subs: info.subs}
 	// A subquery correlated on a column of THIS block makes the factor
 	// depend on that column's relation: it can only be evaluated once that
 	// relation has been joined in. (Pass-through correlations to outer

@@ -323,11 +323,11 @@ func TestFactorStringsAndBounds(t *testing.T) {
 		}
 	}
 	b := Bound{Kind: BoundConst, Val: value.NewInt(5)}
-	if b.String() != "5" || !b.IsConst() {
+	if b.String() != "5" || b.Kind != BoundConst {
 		t.Fatal("const bound")
 	}
 	b = Bound{Kind: BoundParam, Param: 3}
-	if b.String() != "$3" || b.IsConst() {
+	if b.String() != "$3" || b.Kind != BoundParam {
 		t.Fatal("param bound")
 	}
 }
@@ -430,5 +430,26 @@ func TestNegativeBoundFolding(t *testing.T) {
 	f := blk.Factors[0]
 	if f.Simple == nil || f.Simple.Lo.Kind != BoundConst || f.Simple.Lo.Val.Float != -5.5 {
 		t.Fatalf("negated constant bound: %+v", f.Simple)
+	}
+}
+
+// TestHostVariableIsLiftedConst: a '?' analyzes to a lifted Const without a
+// compile-time value wherever it appears. It is not an outer-block
+// reference, so a subquery that uses one is not correlated, and the
+// outermost block counts every '?' of the statement.
+func TestHostVariableIsLiftedConst(t *testing.T) {
+	blk := analyze(t, "SELECT NAME FROM EMP WHERE SAL > ? AND DNO IN (SELECT DNO FROM DEPT WHERE LOC = ?)")
+	if blk.Lifted != 2 || blk.NumParams != 0 {
+		t.Fatalf("outer block: Lifted %d, NumParams %d", blk.Lifted, blk.NumParams)
+	}
+	sub := blk.Subqueries[0]
+	if sub.Correlated || len(sub.Block.CorrelRefs) != 0 || sub.Block.NumParams != 0 {
+		t.Fatalf("a '?' correlated the subquery: %+v", sub.Block.CorrelRefs)
+	}
+	for i, f := range []*BoolFactor{blk.Factors[0], sub.Block.Factors[0]} {
+		b := f.Simple.Lo
+		if !f.Lifted || b.Kind != BoundConst || b.Lift != i+1 || !b.Val.IsNull() || b.String() != fmt.Sprintf("?%d", i+1) {
+			t.Fatalf("%s: bound %+v", f, b)
+		}
 	}
 }

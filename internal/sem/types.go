@@ -10,6 +10,7 @@ package sem
 import (
 	"fmt"
 	"math/bits"
+	"strconv"
 	"strings"
 
 	"systemr/internal/catalog"
@@ -94,7 +95,9 @@ type Col struct {
 // argument a lifted literal was turned into (0: an ordinary literal): the
 // plan is shared by every statement of its lifted text, so the executor
 // reads the value from the statement's arguments, while sem and the
-// optimizer see Val, the literal the plan was compiled with.
+// optimizer see Val, the literal the plan was compiled with. A host
+// variable (?) is a lifted literal compiled without a value: its Val is
+// NULL, which sql.Lift never lifts.
 type Const struct {
 	Val  value.Value
 	Lift int
@@ -233,7 +236,7 @@ func Format(e Expr, lits []value.Value) string {
 	case *Col:
 		return x.Name
 	case *Const:
-		return x.Value(lits).SQL()
+		return constSQL(x.Value(lits), x.Lift, lits)
 	case *Param:
 		if x.Name != "" {
 			return "$" + x.Name
@@ -285,6 +288,16 @@ func (e *Const) Value(lits []value.Value) value.Value {
 	return e.Val
 }
 
+// constSQL spells v, a constant's value in a statement whose lifted
+// literals are lits. A host variable shown without a statement's values
+// has none: it is spelled ?n.
+func constSQL(v value.Value, lift int, lits []value.Value) string {
+	if lift > 0 && lits == nil && v.IsNull() {
+		return "?" + strconv.Itoa(lift)
+	}
+	return v.SQL()
+}
+
 // Agg is one aggregate computed by the block.
 type Agg struct {
 	Name string // COUNT, SUM, AVG, MIN, MAX
@@ -334,8 +347,6 @@ type BoolFactor struct {
 	Expr Expr   // full predicate, used for residual evaluation and selectivity
 	Rels RelSet // relations of this block referenced
 
-	// UsesParam is true when the factor references correlation parameters.
-	UsesParam bool
 	// Lifted is true when the factor reads a lifted literal, so its
 	// selectivity depends on the statement's values.
 	Lifted bool
@@ -389,16 +400,13 @@ func (b Bound) String() string { return b.Format(nil) }
 func (b Bound) Format(lits []value.Value) string {
 	switch b.Kind {
 	case BoundConst:
-		return b.Value(lits).SQL()
+		return constSQL(b.Value(lits), b.Lift, lits)
 	case BoundParam:
 		return fmt.Sprintf("$%d", b.Param)
 	default:
 		return fmt.Sprintf("(subquery#%d)", b.Sub.ID)
 	}
 }
-
-// IsConst reports whether the bound is a compile-time constant.
-func (b Bound) IsConst() bool { return b.Kind == BoundConst }
 
 // Value is a BoundConst's value in a statement whose lifted literals are
 // lits (nil: the value compiled with).
@@ -465,13 +473,9 @@ type Block struct {
 	// Subqueries contained anywhere in this block (not in nested blocks).
 	Subqueries []*Subquery
 
-	// HostRefs maps host-variable indexes ('?' positions in the statement)
-	// to this block's parameter slots. Only the outermost block binds host
-	// variables directly; nested blocks receive them as pass-through
-	// correlation parameters.
-	HostRefs map[int]int
-	// Lifted counts the literals lifted out of the outermost block's text:
-	// a run binds exactly that many arguments, read by the lifted Consts.
+	// Lifted counts the outermost block's statement arguments: its host
+	// variables, or the literals sql.Lift lifted out of its text. A run
+	// binds exactly that many, read by the lifted Consts of every block.
 	Lifted int
 
 	// CorrelRefs are this block's parameters bound by the parent block.

@@ -41,7 +41,11 @@ type Stmt struct {
 // Prepare compiles a SELECT statement: the optimizer runs once, now. The
 // compiled plan is shared with (and revalidated through) the plan cache.
 func (db *DB) Prepare(text string) (*Stmt, error) {
-	parsed, err := sql.Parse(text)
+	// A text without ? shares the plans of its ad hoc runs: its literals
+	// are lifted as theirs are, and each run binds them.
+	st := statement{text: text}
+	st.norm, st.vals, _ = sql.Lift(text)
+	parsed, err := st.parse()
 	if err != nil {
 		return nil, err
 	}
@@ -49,37 +53,27 @@ func (db *DB) Prepare(text string) (*Stmt, error) {
 	if !ok {
 		return nil, fmt.Errorf("systemr: Prepare supports SELECT statements, got %T", parsed)
 	}
-	// A text without ? shares the plans of its ad hoc runs: its literals
-	// are lifted as theirs are, and each run binds them.
-	norm, lits, _ := sql.Lift(text)
-	if lits != nil {
-		if lifted, err := sql.Parse(norm); err == nil {
-			sel = lifted.(*sql.SelectStmt)
-		} else {
-			norm, _ = sql.Normalize(text)
-			lits = nil
-		}
-	}
 	held, err := db.locks.AcquireContext(context.Background(), compile.LockRequests(parsed, true))
 	if err != nil {
 		return nil, fmt.Errorf("systemr: Prepare: %w", err)
 	}
 	defer held.Release()
-	cp, _, err := db.resolveSelect(nil, norm, sel, lits)
+	cp, _, err := db.resolveSelect(nil, st.norm, sel, st.vals)
 	if err != nil {
 		return nil, err
 	}
-	return &Stmt{db: db, text: text, norm: norm, lits: lits, cp: cp}, nil
+	return &Stmt{db: db, text: text, norm: st.norm, lits: st.vals, cp: cp}, nil
 }
 
-// bind converts a run's arguments to its plan's: the host-variable values,
-// or the lifted literals of a statement that has no ?.
+// bind converts a run's arguments to its plan's, the values of its lifted
+// literals: the host-variable values, or, for a text without ?, the
+// literals lifted out of it.
 func (s *Stmt) bind(args []any) ([]value.Value, error) {
 	if s.lits == nil {
 		return hostValues(args)
 	}
 	if len(args) > 0 {
-		return nil, fmt.Errorf("systemr: statement has no host variables, %d argument(s) supplied", len(args))
+		return nil, fmt.Errorf("systemr: statement has 0 host variable(s), %d argument(s) supplied", len(args))
 	}
 	return s.lits, nil
 }

@@ -1,0 +1,42 @@
+//go:build !race
+
+package systemr_test
+
+// The race detector changes allocation counts, so this file runs only
+// without it.
+
+import "testing"
+
+// TestPreparedRunAllocs bounds the allocations of a warm Stmt.Run on
+// resident data, the statement lifecycle and executor a prepared point
+// read pays each time: a unique point select, a 10-row BETWEEN on the
+// unique key and a ?-keyed unique-key join. Each bound is the count
+// measured when it was set: a change may lower it, never raise it unawares.
+func TestPreparedRunAllocs(t *testing.T) {
+	db := execBenchDB(t)
+	for _, c := range []struct {
+		name, text string
+		args       []any
+		max        float64
+	}{
+		{"point", "SELECT EMPNO, NAME, SAL FROM EMP WHERE EMPNO = ?", []any{1234}, 53},
+		{"range", "SELECT EMPNO, NAME FROM EMP WHERE EMPNO BETWEEN ? AND ?", []any{1000, 1009}, 82},
+		{"join", "SELECT EMP.EMPNO, DEPT.DNO, DNAME FROM EMP, DEPT WHERE EMP.EMPNO = ? AND EMP.DNO = DEPT.DNO", []any{1234}, 169},
+	} {
+		st, err := db.Prepare(c.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Run(c.args...); err != nil { // loads the pages
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(100, func() {
+			if _, err := st.Run(c.args...); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > c.max {
+			t.Errorf("%s: %.0f allocations per run, want at most %.0f", c.name, got, c.max)
+		}
+	}
+}
