@@ -7,8 +7,8 @@
 // library only — no module proxy needed), runs every analyzer in the suite
 // in parallel over the shared load, prints the surviving diagnostics in
 // file/line order, and exits non-zero when any remain. CI runs it as a
-// hard gate; //sysrcheck:ignore directives (with a mandatory reason) are
-// the only way past a finding.
+// hard gate. A finding cannot be silenced: a false positive is fixed in the
+// analyzer.
 //
 // Flags:
 //

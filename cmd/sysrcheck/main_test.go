@@ -14,19 +14,21 @@ func TestSelectAnalyzers(t *testing.T) {
 
 	// A name given twice runs once: a repeat would duplicate every finding
 	// and timing row.
-	got, err := selectAnalyzers("govtick, govtick,snappin")
+	got, err := selectAnalyzers("govtick, govtick,lockrank")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0] != analysis.GovTick || got[1] != analysis.SnapPin {
+	if len(got) != 2 || got[0] != analysis.GovTick || got[1] != analysis.LockRank {
 		names := make([]string, len(got))
 		for i, a := range got {
 			names[i] = a.Name
 		}
-		t.Errorf("selectAnalyzers = %v, want [govtick snappin]", names)
+		t.Errorf("selectAnalyzers = %v, want [govtick lockrank]", names)
 	}
 
-	if _, err := selectAnalyzers("govtick,govprop"); err == nil {
-		t.Error("a retired analyzer name was accepted")
+	for _, retired := range []string{"govprop", "rsiclose", "snappin"} {
+		if _, err := selectAnalyzers("govtick," + retired); err == nil {
+			t.Errorf("the retired analyzer name %s was accepted", retired)
+		}
 	}
 }

@@ -75,7 +75,7 @@ type sarifRegion struct {
 func writeSARIF(w io.Writer, root string, suite []*analysis.Analyzer, diags []analysis.Diagnostic) error {
 	driver := sarifDriver{
 		Name:  "sysrcheck",
-		Rules: make([]sarifRule, 0, len(suite)+1),
+		Rules: make([]sarifRule, 0, len(suite)),
 	}
 	for _, a := range suite {
 		driver.Rules = append(driver.Rules, sarifRule{
@@ -83,12 +83,6 @@ func writeSARIF(w io.Writer, root string, suite []*analysis.Analyzer, diags []an
 			ShortDescription: sarifMessage{Text: a.Doc},
 		})
 	}
-	// Directive misuse (malformed or unused //sysrcheck:ignore) is reported
-	// under the driver's own name.
-	driver.Rules = append(driver.Rules, sarifRule{
-		ID:               "sysrcheck",
-		ShortDescription: sarifMessage{Text: "ignore directives must be well-formed, reasoned, and in use"},
-	})
 
 	results := make([]sarifResult, 0, len(diags))
 	for _, d := range diags {

@@ -133,9 +133,7 @@ func TestConcurrentCancellation(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if n := db.Locks().Outstanding(); n != 0 {
-		t.Fatalf("%d locks still held after cancellation storm", n)
-	}
+	assertClean(t, db)
 	// Engine must remain fully usable.
 	res, err := db.Query("SELECT COUNT(*) FROM EMP")
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"systemr/internal/rss"
 	"systemr/internal/testutil"
 	"systemr/internal/workload"
 )
@@ -125,12 +124,7 @@ func TestCursorMidStreamClose(t *testing.T) {
 			if err := rows.Close(); err != nil {
 				t.Fatalf("mid-stream close: %v", err)
 			}
-			if n := rss.OpenScans(); n != 0 {
-				t.Fatalf("%d RSI scans still open after mid-stream close", n)
-			}
-			if n := db.Locks().Outstanding(); n != 0 {
-				t.Fatalf("%d locks still held after mid-stream close", n)
-			}
+			assertClean(t, db)
 			st := db.LastStats()
 			if st.Rows != streamed {
 				t.Fatalf("LastStats.Rows = %d, want %d (rows streamed before close)", st.Rows, streamed)

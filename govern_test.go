@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"systemr"
-	"systemr/internal/rss"
 	"systemr/internal/storage"
 	"systemr/internal/testutil"
 	"systemr/internal/workload"
@@ -31,17 +30,6 @@ func newHeavyDB(t testing.TB, cfg workload.EmpConfig) *systemr.DB {
 		cfg = workload.EmpConfig{Emps: 2000, Depts: 50, Jobs: 10}
 	}
 	return workload.NewEmpDB(cfg)
-}
-
-// assertClean checks the post-statement invariant: no scans, no locks.
-func assertClean(t testing.TB, db *systemr.DB) {
-	t.Helper()
-	if n := rss.OpenScans(); n != 0 {
-		t.Fatalf("%d RSI scans still open", n)
-	}
-	if n := db.Locks().Outstanding(); n != 0 {
-		t.Fatalf("%d locks still held", n)
-	}
 }
 
 // assertUsable runs a follow-up statement after an abort.

@@ -4,8 +4,6 @@
 // attribution split (PR 5), the transaction layer (PR 6/8), and the lock
 // hierarchy introduced but nothing enforced:
 //
-//   - rsiclose: RSI scans, lock grants, and opened operator trees are
-//     closed/released on every path out of the acquiring function.
 //   - govtick: tuple/page-producing loops in the executor, the RSS, and the
 //     sorter contain a governor budget checkpoint; every NextBatch body in
 //     the batched operator protocol reaches one at least once per batch;
@@ -26,10 +24,10 @@
 //     order, program-wide — no lock.Manager acquisition while holding a
 //     buffer-pool, registry, or page mutex (the deadlock shapes the runtime
 //     wait-for-graph detector can only observe, caught at build time).
-//   - snappin: every call chain that reaches the MVCC read boundary
-//     (Page.ReadVersioned / Snapshot.Visible) originates from a function
-//     that captured and pinned a snapshot (txn.Registry.Begin), and the pin
-//     is released (Registry.Finish) on every return path.
+//
+// Resource release is not among them: open scans, granted locks and pinned
+// snapshots are counted by the engine's own gauges, and the tests check
+// those after every statement of every entry point, under fault injection.
 //
 // The suite mirrors the shape of golang.org/x/tools/go/analysis (Analyzer /
 // Pass / Diagnostic, a multichecker driver in cmd/sysrcheck, want-annotated
@@ -61,8 +59,7 @@ import (
 // Analyzer is one named invariant check, same shape as
 // golang.org/x/tools/go/analysis.Analyzer.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and in
-	// //sysrcheck:ignore directives.
+	// Name identifies the analyzer in diagnostics and in -checks.
 	Name string
 	// Doc is the one-line invariant statement.
 	Doc string
@@ -145,14 +142,12 @@ func (d Diagnostic) String() string {
 
 // Suite is the full sysrcheck analyzer set, the order diagnostics sort in.
 var Suite = []*Analyzer{
-	RSIClose,
 	GovTick,
 	NakedPanic,
 	ErrLost,
 	NoPrint,
 	Layering,
 	LockRank,
-	SnapPin,
 }
 
 // AnalyzerTiming records how long one analyzer took over the whole program.
@@ -169,10 +164,9 @@ type Result struct {
 }
 
 // Run applies the analyzers to every package (which must be in dependency
-// order, as Load returns them) and returns the surviving diagnostics sorted
-// by position. //sysrcheck:ignore directives suppress matching diagnostics;
-// a directive without a reason — or one that suppresses nothing — is itself
-// a diagnostic.
+// order, as Load returns them) and returns the diagnostics sorted by
+// position. There is no way to silence one: a false positive is fixed in
+// the analyzer.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	res, err := RunSuite(pkgs, analyzers)
 	if err != nil {
@@ -187,7 +181,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 // parallel, each into its own diagnostic buffer.
 func RunSuite(pkgs []*Package, analyzers []*Analyzer) (*Result, error) {
 	prog := NewProgram(pkgs)
-	dirs := collectDirectives(pkgs)
 
 	type analyzerOut struct {
 		diags  []Diagnostic
@@ -239,25 +232,6 @@ func RunSuite(pkgs []*Package, analyzers []*Analyzer) (*Result, error) {
 		diags = append(diags, out.diags...)
 		res.Timings = append(res.Timings, out.timing)
 	}
-
-	// Directive filtering happens once, over the merged set: suppressed
-	// diagnostics are dropped (marking their directive used), malformed
-	// directives are findings, and a well-formed directive for an analyzer
-	// in this run that suppressed nothing is a finding too — the escape
-	// hatch must not outlive the condition it excused.
-	running := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		running[a.Name] = true
-	}
-	kept := diags[:0]
-	for _, d := range diags {
-		if !dirs.suppresses(d) {
-			kept = append(kept, d)
-		}
-	}
-	diags = kept
-	diags = append(diags, dirs.malformed...)
-	diags = append(diags, dirs.unused(running)...)
 
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -352,6 +326,16 @@ func isMethodOn(f *types.Func, name, pkgTail, typeName string) bool {
 // isErrorType reports whether t is the built-in error interface.
 func isErrorType(t types.Type) bool {
 	return types.Identical(t, types.Universe.Lookup("error").Type())
+}
+
+// anyNode reports whether pred holds for some node in n.
+func anyNode(n ast.Node, pred func(ast.Node) bool) bool {
+	found := false
+	ast.Inspect(n, func(n ast.Node) bool {
+		found = found || n != nil && pred(n)
+		return !found
+	})
+	return found
 }
 
 // enclosingFuncName returns the name of the innermost FuncDecl in stack

@@ -7,16 +7,7 @@ import (
 	"testing"
 )
 
-func TestRSICloseFixture(t *testing.T) { runFixture(t, RSIClose, "rsiclose") }
-
-func TestGovTickFixture(t *testing.T) {
-	diags := runFixture(t, GovTick, "govtick")
-	// The reasonless directive is itself a finding, reported at the
-	// directive's own line.
-	path := filepath.Join("testdata", "govtick", "exec", "loops.go")
-	line := lineOfTrimmed(t, path, "//sysrcheck:ignore govtick")
-	expectAt(t, diags, path, line, "requires a reason")
-}
+func TestGovTickFixture(t *testing.T) { runFixture(t, GovTick, "govtick") }
 
 // The batched-protocol rule (each nextBatch body reaches a checkpoint) runs
 // under govtick; its cases live in testdata/govtick/exec/batch.go. Every
@@ -63,8 +54,6 @@ func TestLockRankFixture(t *testing.T) { runFixture(t, LockRank, "lockrank") }
 // is a finding, including the atomic half of a mixed plain/atomic access;
 // typed atomics are not.
 func TestAtomicFieldFixture(t *testing.T) { runFixture(t, Layering, "atomicfield") }
-
-func TestSnapPinFixture(t *testing.T) { runFixture(t, SnapPin, "snappin") }
 
 // The unticked-reachability rule of govtick: loops outside exec, rss, and
 // xsort that some non-ticking entry point reaches.

@@ -7,10 +7,8 @@ package analysis
 // and loosening it (a new false positive) both break the suite.
 
 import (
-	"os"
 	"path/filepath"
 	"regexp"
-	"strings"
 	"testing"
 )
 
@@ -44,11 +42,6 @@ outer:
 				w.hit = true
 				continue outer
 			}
-		}
-		if d.Analyzer == "sysrcheck" {
-			// Malformed-directive findings sit on the directive's own
-			// line, where no want comment can live; asserted by marker.
-			continue
 		}
 		unexpected = append(unexpected, d)
 	}
@@ -85,33 +78,4 @@ func collectWants(t *testing.T, pkgs []*Package) []*want {
 		}
 	}
 	return ws
-}
-
-// lineOfTrimmed returns the 1-based line whose trimmed content equals
-// marker — for asserting diagnostics on lines that cannot carry a want
-// comment (e.g. a malformed directive).
-func lineOfTrimmed(t *testing.T, path, marker string) int {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, ln := range strings.Split(string(data), "\n") {
-		if strings.TrimSpace(ln) == marker {
-			return i + 1
-		}
-	}
-	t.Fatalf("marker %q not found in %s", marker, path)
-	return 0
-}
-
-func expectAt(t *testing.T, diags []Diagnostic, file string, line int, msgRE string) {
-	t.Helper()
-	re := regexp.MustCompile(msgRE)
-	for _, d := range diags {
-		if d.Pos.Filename == file && d.Pos.Line == line && re.MatchString(d.Message) {
-			return
-		}
-	}
-	t.Errorf("%s:%d: expected a diagnostic matching %q, got none", file, line, msgRE)
 }

@@ -1,14 +1,13 @@
 package analysis
 
-// The structured control-flow walker behind the path-sensitive checks
-// (rsiclose, snappin's pin release, lockrank). It interprets one function
-// body statement by statement, carrying a state along every path; a
-// transfer says what the simple statements do to the state and how the
-// states of joining paths meet. The per-construct rules:
+// The structured control-flow walker behind lockrank's path-sensitive
+// check. It interprets one function body statement by statement, carrying
+// a state along every path; a transfer says what the simple statements do
+// to the state and how the states of joining paths meet. The per-construct
+// rules:
 //
 //   - if: the then and else states meet; with no else, the entry state
-//     stands in for it. The transfer's branch hook gives the then-branch
-//     its entry state.
+//     stands in for it.
 //   - for/range: the loop head's state is the meet of the entry and every
 //     path that loops back (falls off the body or continues, then runs
 //     the post statement). The body is walked from the entry, and again
@@ -27,8 +26,8 @@ import (
 	"go/token"
 )
 
-// transfer is one analysis over states of type S. node and branch may
-// update the state in place; the walker copies it wherever paths split.
+// transfer is one analysis over states of type S. node may update the
+// state in place; the walker copies it wherever paths split.
 type transfer[S any] interface {
 	copy(S) S
 	// meet returns the state where two paths join; it updates neither.
@@ -41,8 +40,6 @@ type transfer[S any] interface {
 	ret(*ast.ReturnStmt, S)
 	// deferGo applies a defer or go statement.
 	deferGo(ast.Stmt, S) S
-	// branch gives the then-branch of `if cond` its entry state.
-	branch(cond ast.Expr, s S) S
 }
 
 // path is the state at one point of the walk; a dead path (after a return,
@@ -126,7 +123,7 @@ func (w *flowWalker[S]) stmt(st ast.Stmt, s S) path[S] {
 			s = t.node(st.Init, s)
 		}
 		s = t.node(st.Cond, s)
-		out := w.stmts(st.Body.List, t.branch(st.Cond, t.copy(s)))
+		out := w.stmts(st.Body.List, t.copy(s))
 		els := path[S]{s, true}
 		if st.Else != nil {
 			els = w.stmt(st.Else, s)

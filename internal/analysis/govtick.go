@@ -190,7 +190,12 @@ func containsBudgetCall(info *types.Info, n ast.Node) bool {
 			return false
 		}
 		f := calleeFunc(info, call)
-		return f != nil && recvNamed(f) != nil && isNamedIn(recvNamed(f), "Budget", "governor")
+		if f == nil {
+			return false
+		}
+		r := recvNamed(f)
+		return r != nil && r.Obj().Name() == "Budget" && r.Obj().Pkg() != nil &&
+			pathTail(r.Obj().Pkg().Path()) == "governor"
 	})
 }
 

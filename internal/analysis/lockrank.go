@@ -289,8 +289,6 @@ func (w *rankWalker) deferGo(st ast.Stmt, held heldRanks) heldRanks {
 	return held
 }
 
-func (w *rankWalker) branch(_ ast.Expr, held heldRanks) heldRanks { return held }
-
 // node visits a simple statement or expression in source order, checking
 // calls without entering function literals.
 func (w *rankWalker) node(n ast.Node, held heldRanks) heldRanks {

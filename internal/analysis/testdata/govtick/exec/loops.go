@@ -138,37 +138,6 @@ func insertAll(b *governor.Budget, seg *storage.Segment, recs [][]byte) error {
 	return nil
 }
 
-// The escape hatch: a directive with a reason silences the finding.
-func boundedWalk(bp *storage.BufferPool) {
-	//sysrcheck:ignore govtick fixed three-page header walk, not data volume
-	for id := 0; id < 3; id++ {
-		_, _ = bp.Fetch(id)
-	}
-}
-
-// A directive on the flagged line itself works too.
-func boundedInline(bp *storage.BufferPool) {
-	for id := 0; id < 2; id++ { //sysrcheck:ignore govtick two-page probe, bounded
-		_, _ = bp.Fetch(id)
-	}
-}
-
-// A directive without a reason is itself a finding and silences nothing.
-func reasonless(bp *storage.BufferPool, ids []int) {
-	//sysrcheck:ignore govtick
-	for _, id := range ids { // want "loop produces tuples/pages .* without a governor budget check"
-		_, _ = bp.Fetch(id)
-	}
-}
-
-// A directive naming a different analyzer silences nothing either.
-func wrongName(bp *storage.BufferPool, ids []int) {
-	//sysrcheck:ignore rsiclose wrong analyzer named here
-	for _, id := range ids { // want "loop produces tuples/pages .* without a governor budget check"
-		_, _ = bp.Fetch(id)
-	}
-}
-
 // Both the local rule and unticked reachability see this loop: it drives
 // an ungoverned Next with no checkpoint, and Pump reaches it with no tick
 // anywhere on the stack. One loop, one finding.

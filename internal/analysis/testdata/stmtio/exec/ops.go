@@ -22,9 +22,3 @@ func (o *op) nextLocal() {
 	before := o.io.FetchCount()
 	o.fetches += o.io.FetchCount() - before
 }
-
-// The escape hatch: a directive with a reason silences the finding.
-func (o *op) debugDump() int64 {
-	//sysrcheck:ignore layering debugging helper reports the global ledger on purpose
-	return o.pool.Stats().FetchCount()
-}

@@ -22,9 +22,3 @@ func patchIndex(t *btree.BTree, rec []byte, tid storage.TID) {
 	t.Insert(rec, tid) // want "direct index mutation BTree.Insert"
 	t.Delete(rec, tid) // want "direct index mutation BTree.Delete"
 }
-
-// The escape hatch: a directive with a reason silences the finding.
-func rebuildForTest(p *storage.Page, rec []byte) {
-	//sysrcheck:ignore layering test-only page surgery, reverted by the harness
-	p.Restore(0, 0, rec)
-}

@@ -230,9 +230,9 @@ type Cursor struct {
 }
 
 // OpenQuery begins streaming execution of a planned block with its lifted
-// literals' values bound from args, as in RunQuery. A failed open releases
-// any scans the plan managed to open before failing.
-func OpenQuery(rt *Runtime, q *plan.Query, args []value.Value) (*Cursor, error) {
+// literals' values bound from args, as in RunQuery. An open that fails or
+// panics releases any scans the plan managed to open first.
+func OpenQuery(rt *Runtime, q *plan.Query, args []value.Value) (_ *Cursor, err error) {
 	c := &Cursor{rt: rt, before: rt.ensureIO().Snapshot()}
 	ctx := newBlockCtx(rt, q, &c.evals)
 	if err := bindHostArgs(ctx, q, args); err != nil {
@@ -242,12 +242,16 @@ func OpenQuery(rt *Runtime, q *plan.Query, args []value.Value) (*Cursor, error) 
 	if err != nil {
 		return nil, err
 	}
-	if err := root.Open(); err != nil {
-		// Release partially-opened scans (e.g. a join's outer); a close
-		// failure rides along rather than vanishing.
-		if cerr := root.Close(); cerr != nil {
-			err = errors.Join(err, cerr)
+	defer func() {
+		// Release partially-opened scans (e.g. a hash join's build input);
+		// a close failure rides along rather than vanishing.
+		if c.root == nil {
+			if cerr := root.Close(); cerr != nil {
+				err = errors.Join(err, cerr)
+			}
 		}
+	}()
+	if err := root.Open(); err != nil {
 		return nil, err
 	}
 	c.root = root

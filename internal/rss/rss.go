@@ -492,7 +492,6 @@ func VacuumTable(t *catalog.Table, disk *storage.Disk, horizon storage.XID, onCh
 		for _, pid := range pages {
 			page := disk.Page(pid)
 			for slot := uint16(0); slot < page.SlotCount(); slot++ {
-				//sysrcheck:ignore snappin vacuum reads raw version chains under the registry horizon, not under a snapshot: it must see versions no snapshot can, to reclaim them
 				h, _, rel, ok, err := page.ReadVersioned(slot)
 				if err != nil || !ok || rel != t.ID || h.Xmax != 0 {
 					continue

@@ -152,7 +152,7 @@ func (p *Page) SlotCount() uint16 {
 // for missing or (physically) deleted slots; err reports a record that does
 // not parse as header + row.
 func (p *Page) ReadVersioned(i uint16) (h VersionHeader, row value.Row, rel RelID, ok bool, err error) {
-	return p.readVersioned(i, nil)
+	return p.ReadVersionedInto(i, nil)
 }
 
 // ReadVersionedInto is ReadVersioned decoding onto the end of dst (see
@@ -161,12 +161,6 @@ func (p *Page) ReadVersioned(i uint16) (h VersionHeader, row value.Row, rel RelI
 // version into one reused buffer and truncates it on rejection pays no
 // allocation for the versions it rejects.
 func (p *Page) ReadVersionedInto(i uint16, dst value.Row) (h VersionHeader, row value.Row, rel RelID, ok bool, err error) {
-	return p.readVersioned(i, dst)
-}
-
-// readVersioned is the body of both read forms: each is a visibility sink
-// for the snappin analyzer, so neither calls the other.
-func (p *Page) readVersioned(i uint16, dst value.Row) (h VersionHeader, row value.Row, rel RelID, ok bool, err error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	rec, rel, ok := p.record(i)

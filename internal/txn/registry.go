@@ -77,6 +77,14 @@ func (r *Registry) Finish(reg *Reg) {
 	delete(r.active, reg.ID)
 }
 
+// Live returns the number of registrations begun and not yet finished: the
+// snapshots currently pinning the vacuum horizon.
+func (r *Registry) Live() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.active)
+}
+
 // Horizon returns the oldest XID any live snapshot could still need to see.
 // A version whose delete mark (xmax) is below the horizon is dead to every
 // current and future snapshot and may be vacuumed.

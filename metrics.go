@@ -157,6 +157,8 @@ func newDBMetrics(db *DB) *dbMetrics {
 		"Explicit transactions currently open")
 	openScans := reg.NewGauge("systemr_open_scans",
 		"RSI scans currently open engine-wide")
+	snapshotsPinned := reg.NewGauge("systemr_snapshots_pinned",
+		"Snapshot registrations currently holding the vacuum horizon back")
 
 	reg.OnCollect(func() {
 		io := db.stats.Snapshot()
@@ -185,6 +187,7 @@ func newDBMetrics(db *DB) *dbMetrics {
 		locksOutstanding.Set(float64(db.locks.Outstanding()))
 		txnsActive.Set(float64(db.activeTxns.Load()))
 		openScans.Set(float64(rss.OpenScans()))
+		snapshotsPinned.Set(float64(db.txns.Live()))
 	})
 
 	db.locks.SetWaitObserver(func(d time.Duration) {

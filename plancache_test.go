@@ -438,7 +438,5 @@ func TestPlanCacheConcurrent(t *testing.T) {
 	if s.Hits == 0 {
 		t.Fatalf("concurrent run recorded no cache hits: %+v", s)
 	}
-	if db.Locks().Outstanding() != 0 {
-		t.Fatal("locks leaked by the concurrent cached path")
-	}
+	assertClean(t, db)
 }

@@ -382,7 +382,9 @@ func (db *DB) Runtime() *exec.Runtime { return db.runtime(nil, nil) }
 // executor statistics. Experiment drivers measure alternative plans through
 // this instead of exec.RunQuery(db.Runtime(), …) so their reads are
 // snapshot-consistent and the vacuum horizon is held for exactly the run.
-func (db *DB) RunPlanned(q *plan.Query) ([]value.Row, *exec.Stats, error) {
+// An internal panic is contained as a *PanicError, as for any statement.
+func (db *DB) RunPlanned(q *plan.Query) (_ []value.Row, _ *exec.Stats, err error) {
+	defer contain(&err)
 	reg := db.txns.Begin()
 	defer db.txns.Finish(reg)
 	return exec.RunQuery(db.runtime(nil, reg.Snap), q, nil)
