@@ -7,7 +7,6 @@ import (
 
 	"systemr/internal/core"
 	"systemr/internal/exec"
-	"systemr/internal/testutil"
 )
 
 // scrubTimes replaces the wall-time annotations — the only nondeterministic
@@ -59,7 +58,6 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 // fetches attributed across the tree sum to the statement's total, and every
 // operator's bookkeeping is self-consistent.
 func TestExplainAnalyzeRowConsistency(t *testing.T) {
-	testutil.AssertNoLeaks(t)
 	db := newEmpDeptJobDB(t)
 	q, err := db.PlanSelect("SELECT E.NAME, D.DNAME, J.TITLE FROM EMP E, DEPT D, JOB J " +
 		"WHERE E.DNO = D.DNO AND E.JOB = J.JOB ORDER BY D.DNAME")
@@ -67,7 +65,7 @@ func TestExplainAnalyzeRowConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.Pool().Flush()
-	rows, stats, analysis, err := exec.RunQueryAnalyze(db.Runtime(), q, nil)
+	rows, stats, analysis, err := exec.RunQueryAnalyze(singleClientRuntime(db, 0), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +127,7 @@ func TestExplainAnalyzeEstimateVsActual(t *testing.T) {
 	cfg := db.OptimizerConfig()
 	cfg.DisableHistograms = true
 	q, _ := planQuery(t, db, query, cfg)
-	_, _, analysis, err := exec.RunQueryAnalyze(db.Runtime(), q, nil)
+	_, _, analysis, err := exec.RunQueryAnalyze(singleClientRuntime(db, 0), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 func TestPublicAPIErrors(t *testing.T) {
-	db := systemr.Open(systemr.Config{})
+	db := openDB(systemr.Config{})
 	cases := []struct{ stmt, frag string }{
 		{"SELECT x FROM nope", "does not exist"},
 		{"FROB TABLE x", "expected a statement"},
@@ -44,7 +44,7 @@ func TestPublicAPIErrors(t *testing.T) {
 }
 
 func TestInsertConstantArithmetic(t *testing.T) {
-	db := systemr.Open(systemr.Config{})
+	db := openDB(systemr.Config{})
 	db.MustExec("CREATE TABLE t (a INTEGER, b FLOAT)")
 	db.MustExec("INSERT INTO t VALUES (2 * 3 + 1, -(1.5 + 1))")
 	res, err := db.Query("SELECT a, b FROM t")
@@ -57,7 +57,7 @@ func TestInsertConstantArithmetic(t *testing.T) {
 }
 
 func TestFormatResult(t *testing.T) {
-	db := systemr.Open(systemr.Config{})
+	db := openDB(systemr.Config{})
 	db.MustExec("CREATE TABLE t (name VARCHAR, n INTEGER)")
 	db.MustExec("INSERT INTO t VALUES ('long-name-here', 1), ('x', NULL)")
 	res, _ := db.Query("SELECT NAME, N FROM t")
@@ -74,7 +74,7 @@ func TestFormatResult(t *testing.T) {
 }
 
 func TestTablesListing(t *testing.T) {
-	db := systemr.Open(systemr.Config{})
+	db := openDB(systemr.Config{})
 	db.MustExec("CREATE TABLE z (a INTEGER)")
 	db.MustExec("CREATE TABLE a (x VARCHAR)")
 	db.MustExec("CREATE UNIQUE CLUSTERED INDEX a_x ON a (x)")
@@ -97,7 +97,7 @@ func TestMustExecPanics(t *testing.T) {
 			t.Fatal("MustExec must panic on error")
 		}
 	}()
-	systemr.Open(systemr.Config{}).MustExec("SELECT broken")
+	openDB(systemr.Config{}).MustExec("SELECT broken")
 }
 
 func TestExecStatsCost(t *testing.T) {
@@ -113,7 +113,7 @@ func TestExecStatsCost(t *testing.T) {
 // nothing. At W = 0.01 (I/O dominant) the sort wins; at W = 2 (CPU
 // dominant) the index scan does. Both plans must return the same rows.
 func TestWeightingFactorChangesChoice(t *testing.T) {
-	db := workload.NewEmpDB(workload.EmpConfig{Emps: 8000, Depts: 100, Jobs: 4, Seed: 59})
+	db := openEmpDB(workload.EmpConfig{Emps: 8000, Depts: 100, Jobs: 4, Seed: 59})
 	const query = "SELECT NAME FROM EMP ORDER BY JOB"
 	var results [][]value.Row
 	for _, tc := range []struct {

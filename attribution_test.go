@@ -21,7 +21,7 @@ import (
 // another's pages — making per-statement fetch counts exactly reproducible.
 func attributionDB(t *testing.T) *systemr.DB {
 	t.Helper()
-	db := systemr.Open(systemr.Config{BufferPages: 4096})
+	db := openDB(systemr.Config{BufferPages: 4096})
 	for _, tbl := range []string{"T1", "T2"} {
 		db.MustExec(fmt.Sprintf("CREATE TABLE %s (A INTEGER, B INTEGER)", tbl))
 		db.MustExec(fmt.Sprintf("CREATE INDEX %s_A ON %s (A)", tbl, tbl))

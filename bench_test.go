@@ -66,7 +66,7 @@ func reportCost(b *testing.B, pages, rsi int64) {
 // single-relation query: catalog lookup + Table 1 selectivity assignment +
 // Table 2 path costing dominate.
 func BenchmarkTable1Selectivity(b *testing.B) {
-	db := workload.NewEmpDB(workload.EmpConfig{Emps: 2000, Seed: 1})
+	db := openEmpDB(workload.EmpConfig{Emps: 2000, Seed: 1})
 	query := `SELECT NAME FROM EMP WHERE DNO = 5 AND SAL BETWEEN 20000 AND 30000
 	          AND JOB IN (1, 2, 3) AND (MANAGER = 7 OR MANAGER = 9) AND NOT EMPNO = 0`
 	b.ResetTimer()
@@ -80,7 +80,7 @@ func BenchmarkTable1Selectivity(b *testing.B) {
 // BenchmarkTable2AccessPaths executes each access-path situation of Table 2
 // cold and reports measured pages and RSI calls per operation.
 func BenchmarkTable2AccessPaths(b *testing.B) {
-	db := workload.NewEmpDB(workload.EmpConfig{
+	db := openEmpDB(workload.EmpConfig{
 		Emps: 8000, Depts: 100, Jobs: 25, Seed: 13, ClusterEmpByDno: true,
 	})
 	situations := []struct{ name, query string }{
@@ -107,7 +107,7 @@ func BenchmarkTable2AccessPaths(b *testing.B) {
 // BenchmarkFigure1ExampleJoin runs the paper's example join with full access
 // path selection and with the naive baseline, on one database.
 func BenchmarkFigure1ExampleJoin(b *testing.B) {
-	db := workload.NewEmpDB(workload.EmpConfig{Emps: 1500, Depts: 40, Jobs: 8, Seed: 7})
+	db := openEmpDB(workload.EmpConfig{Emps: 1500, Depts: 40, Jobs: 8, Seed: 7})
 	stmt, err := sql.Parse(workload.Figure1Query)
 	if err != nil {
 		b.Fatal(err)
@@ -129,7 +129,7 @@ func BenchmarkFigure1ExampleJoin(b *testing.B) {
 // BenchmarkFigures2to6SearchTree times pure plan enumeration for the example
 // join (the work Figures 2-6 illustrate), with the search-tree recorder on.
 func BenchmarkFigures2to6SearchTree(b *testing.B) {
-	db := workload.NewEmpDB(workload.EmpConfig{Emps: 1500, Depts: 40, Jobs: 8, Seed: 7})
+	db := openEmpDB(workload.EmpConfig{Emps: 1500, Depts: 40, Jobs: 8, Seed: 7})
 	stmt, err := sql.Parse(workload.Figure1Query)
 	if err != nil {
 		b.Fatal(err)
@@ -152,7 +152,7 @@ func BenchmarkFigures2to6SearchTree(b *testing.B) {
 // (E8): compare the chosen plan's measured cost against the alternatives via
 // the pages/op and rsi/op metrics.
 func BenchmarkPlanQuality(b *testing.B) {
-	db := workload.NewEmpDB(workload.EmpConfig{Emps: 3000, Depts: 60, Jobs: 12, Seed: 19})
+	db := openEmpDB(workload.EmpConfig{Emps: 3000, Depts: 60, Jobs: 12, Seed: 19})
 	variants := []struct {
 		name string
 		mut  func(*core.Config)
@@ -182,7 +182,7 @@ func BenchmarkPlanQuality(b *testing.B) {
 // relations, with and without the join-order heuristic (E9).
 func BenchmarkOptimizerScaling(b *testing.B) {
 	const maxN = 8
-	db := systemr.Open(systemr.Config{})
+	db := openDB(systemr.Config{})
 	for t := 1; t <= maxN; t++ {
 		db.MustExec(fmt.Sprintf("CREATE TABLE T%d (K INTEGER, V INTEGER)", t))
 		for i := 0; i < 100; i++ {
@@ -246,7 +246,7 @@ func chainQueryBench(n int) string {
 // sizes (E10, the Blasgen-Eswaran comparison).
 func BenchmarkJoinMethods(b *testing.B) {
 	for _, size := range []struct{ outer, inner int }{{50, 1000}, {1000, 4000}} {
-		db := systemr.Open(systemr.Config{BufferPages: 32})
+		db := openDB(systemr.Config{BufferPages: 32})
 		db.MustExec("CREATE TABLE A (K INTEGER, V INTEGER)")
 		db.MustExec("CREATE TABLE B (K INTEGER, W INTEGER)")
 		for i := 0; i < size.outer; i++ {
@@ -287,7 +287,7 @@ func BenchmarkClustering(b *testing.B) {
 		clustered bool
 	}{{"clustered", true}, {"nonclustered", false}} {
 		b.Run(c.name, func(b *testing.B) {
-			db := workload.NewEmpDB(workload.EmpConfig{
+			db := openEmpDB(workload.EmpConfig{
 				Emps: 8000, Depts: 100, Jobs: 20, Seed: 23, ClusterEmpByDno: c.clustered,
 			})
 			var pages, rsi int64
@@ -309,7 +309,7 @@ func BenchmarkCorrelatedSubquery(b *testing.B) {
 		ordered bool
 	}{{"ordered_outer", true}, {"random_outer", false}} {
 		b.Run(c.name, func(b *testing.B) {
-			db := workload.NewEmpDB(workload.EmpConfig{
+			db := openEmpDB(workload.EmpConfig{
 				Emps: 1000, Depts: 50, Jobs: 10, Seed: 31, ClusterEmpByDno: c.ordered,
 			})
 			var pages, rsi int64
@@ -328,7 +328,7 @@ func BenchmarkCorrelatedSubquery(b *testing.B) {
 // BenchmarkSargFiltering measures the RSI savings of search arguments (the
 // Section 3 motivation for SARGs).
 func BenchmarkSargFiltering(b *testing.B) {
-	db := workload.NewEmpDB(workload.EmpConfig{Emps: 8000, Depts: 100, Jobs: 20, Seed: 29})
+	db := openEmpDB(workload.EmpConfig{Emps: 8000, Depts: 100, Jobs: 20, Seed: 29})
 	query := "SELECT NAME FROM EMP WHERE MANAGER = 17"
 	stmt, _ := sql.Parse(query)
 	blk, err := sem.Analyze(stmt.(*sql.SelectStmt), db.Catalog())
@@ -348,7 +348,7 @@ func BenchmarkSargFiltering(b *testing.B) {
 // BenchmarkInterestingOrders measures the sort avoided when an index
 // supplies the required order (the paper's interesting-order bookkeeping).
 func BenchmarkInterestingOrders(b *testing.B) {
-	db := workload.NewEmpDB(workload.EmpConfig{Emps: 4000, Depts: 80, Seed: 37, ClusterEmpByDno: true})
+	db := openEmpDB(workload.EmpConfig{Emps: 4000, Depts: 80, Seed: 37, ClusterEmpByDno: true})
 	query := "SELECT DNO, COUNT(*) FROM EMP GROUP BY DNO"
 	stmt, _ := sql.Parse(query)
 	blk, err := sem.Analyze(stmt.(*sql.SelectStmt), db.Catalog())
@@ -405,7 +405,7 @@ func BenchmarkStatisticsValue(b *testing.B) {
 		nostats bool
 	}{{"with_statistics", false}, {"defaults", true}} {
 		b.Run(c.name, func(b *testing.B) {
-			db := workload.NewEmpDB(workload.EmpConfig{
+			db := openEmpDB(workload.EmpConfig{
 				Emps: 8000, Depts: 100, Jobs: 20, Seed: 53, NoStatistics: c.nostats,
 			})
 			var pages, rsi int64
@@ -422,7 +422,7 @@ func BenchmarkStatisticsValue(b *testing.B) {
 // path ("retrieval for data manipulation is treated similarly"): a
 // unique-key UPDATE touches a handful of pages regardless of table size.
 func BenchmarkDMLAccessPaths(b *testing.B) {
-	db := workload.NewEmpDB(workload.EmpConfig{
+	db := openEmpDB(workload.EmpConfig{
 		Emps: 8000, Depts: 100, Jobs: 20, Seed: 41, ClusterEmpByDno: true,
 	})
 	var pages int64

@@ -118,7 +118,7 @@ func TestDeadlockOneVictimAndRetry(t *testing.T) {
 }
 
 func TestLockTimeoutFallback(t *testing.T) {
-	db := systemr.Open(systemr.Config{LockTimeout: 50 * time.Millisecond})
+	db := openDB(systemr.Config{LockTimeout: 50 * time.Millisecond})
 	db.MustExec("CREATE TABLE T (K INTEGER)")
 	db.MustExec("INSERT INTO T VALUES (1)")
 

@@ -44,11 +44,18 @@ func planQuery(t testing.TB, db *systemr.DB, query string, cfg core.Config) (*pl
 func runPlanned(t *testing.T, db *systemr.DB, query string, cfg core.Config) ([]value.Row, *sem.Block) {
 	t.Helper()
 	q, blk := planQuery(t, db, query, cfg)
-	rows, _, err := exec.RunQuery(db.Runtime(), q, nil)
+	rows, _, err := db.RunPlanned(q)
 	if err != nil {
 		t.Fatalf("execute %q: %v\nplan:\n%s", query, err, q.Explain())
 	}
 	return rows, blk
+}
+
+// singleClientRuntime is an ungoverned executor runtime over db with no
+// snapshot, so it admits every version without a delete mark: a test uses
+// it only while no other transaction writes. batchSize 0 is the default.
+func singleClientRuntime(db *systemr.DB, batchSize int) *exec.Runtime {
+	return &exec.Runtime{Pool: db.Pool(), Disk: db.Catalog().Disk(), BatchSize: batchSize}
 }
 
 // drainings executes q at batch sizes 1 (tuple-at-a-time), 3 (batches that
@@ -59,15 +66,13 @@ func drainings(t *testing.T, db *systemr.DB, q *plan.Query) map[string][]value.R
 	t.Helper()
 	out := make(map[string][]value.Row)
 	for _, n := range []int{1, 3, 256} {
-		rt := db.Runtime()
-		rt.BatchSize = n
-		rows, _, err := exec.RunQuery(rt, q, nil)
+		rows, _, err := exec.RunQuery(singleClientRuntime(db, n), q, nil)
 		if err != nil {
 			t.Fatalf("batch size %d: %v\nplan:\n%s", n, err, q.Explain())
 		}
 		out[fmt.Sprintf("batch%d", n)] = rows
 	}
-	cur, err := exec.OpenQuery(db.Runtime(), q, nil)
+	cur, err := exec.OpenQuery(singleClientRuntime(db, 0), q, nil)
 	if err != nil {
 		t.Fatalf("cursor open: %v\nplan:\n%s", err, q.Explain())
 	}
@@ -295,7 +300,7 @@ func nativeRows(res *systemr.Result) []value.Row {
 // TestDifferentialEmpDeptJob cross-checks a battery of handwritten queries
 // (the shapes the paper discusses) on the Figure 1 schema.
 func TestDifferentialEmpDeptJob(t *testing.T) {
-	db := workload.NewEmpDB(workload.EmpConfig{Emps: 300, Depts: 20, Jobs: 8, Seed: 42})
+	db := openEmpDB(workload.EmpConfig{Emps: 300, Depts: 20, Jobs: 8, Seed: 42})
 	queries := []string{
 		workload.Figure1Query,
 		"SELECT NAME FROM EMP WHERE SAL > 30000",
@@ -348,7 +353,7 @@ func TestDifferentialEmpDeptJob(t *testing.T) {
 // TestOrderByIsHonored verifies that executed output respects ORDER BY even
 // when the optimizer picks an index-ordered plan instead of sorting.
 func TestOrderByIsHonored(t *testing.T) {
-	db := workload.NewEmpDB(workload.EmpConfig{Emps: 400, Depts: 25, Seed: 7})
+	db := openEmpDB(workload.EmpConfig{Emps: 400, Depts: 25, Seed: 7})
 	for _, query := range []string{
 		"SELECT DNO, NAME FROM EMP ORDER BY DNO",
 		"SELECT DNO, SAL FROM EMP WHERE SAL > 15000 ORDER BY DNO",
@@ -377,7 +382,7 @@ func TestOrderByIsHonored(t *testing.T) {
 // subquery correlates on a different relation of the same block: the factor
 // must wait until that relation is joined.
 func TestCrossCorrelatedSubqueryInJoin(t *testing.T) {
-	db := workload.NewEmpDB(workload.EmpConfig{Emps: 200, Depts: 10, Jobs: 5, Seed: 83})
+	db := openEmpDB(workload.EmpConfig{Emps: 200, Depts: 10, Jobs: 5, Seed: 83})
 	queries := []string{
 		// The subquery correlates on D, the compared column is on E.
 		`SELECT E.NAME FROM EMP E, DEPT D

@@ -12,7 +12,7 @@ import (
 // TestDMLUsesAccessPaths: a selective DELETE must locate its targets through
 // the index (few page fetches), not a full relation walk.
 func TestDMLUsesAccessPaths(t *testing.T) {
-	db := workload.NewEmpDB(workload.EmpConfig{
+	db := openEmpDB(workload.EmpConfig{
 		Emps: 8000, Depts: 100, Jobs: 20, Seed: 41, ClusterEmpByDno: true,
 	})
 	emp, _ := db.Catalog().Table("EMP")
@@ -124,7 +124,7 @@ func TestDeleteEverythingAndReuse(t *testing.T) {
 // a bound must double each exactly once even though the new values land
 // ahead of the scan range.
 func TestHalloweenProblem(t *testing.T) {
-	db := workload.NewEmpDB(workload.EmpConfig{Emps: 1000, Depts: 20, Jobs: 5, Seed: 47})
+	db := openEmpDB(workload.EmpConfig{Emps: 1000, Depts: 20, Jobs: 5, Seed: 47})
 	res, _ := db.Query("SELECT COUNT(*) FROM EMP WHERE SAL < 20000")
 	below := res.Rows[0][0].(int64)
 	if below == 0 {
@@ -184,7 +184,7 @@ func TestExplainDML(t *testing.T) {
 // of arithmetic or negation with the same error SELECT and UPDATE give, and
 // stores nothing; NULL operands still pass.
 func TestInsertValuesOperandTypes(t *testing.T) {
-	db := systemr.Open(systemr.Config{})
+	db := openDB(systemr.Config{})
 	db.MustExec("CREATE TABLE T (A VARCHAR, B INTEGER)")
 	db.MustExec("INSERT INTO T VALUES ('x', 1)")
 	for _, c := range []struct{ expr, want string }{
@@ -290,7 +290,7 @@ func TestLastStatsDMLMatchesSelect(t *testing.T) {
 // whether or not the WHERE clause matches a row, and so does a column
 // assigned twice. INTEGER into FLOAT and NULL still store.
 func TestUpdateSetCheckedAtAnalysis(t *testing.T) {
-	db := systemr.Open(systemr.Config{})
+	db := openDB(systemr.Config{})
 	db.MustExec("CREATE TABLE T (A INTEGER, B INTEGER, F FLOAT)")
 	db.MustExec("INSERT INTO T VALUES (1, 2, 1.5)")
 	for _, c := range []struct{ stmt, want string }{

@@ -27,7 +27,7 @@ func TestDumpAndRestore(t *testing.T) {
 		t.Fatal("system catalogs must not be dumped as CREATE TABLE")
 	}
 
-	dst := systemr.Open(systemr.Config{})
+	dst := openDB(systemr.Config{})
 	n, err := dst.RunScript(strings.NewReader(script.String()))
 	if err != nil {
 		t.Fatalf("restore: %v", err)
@@ -59,7 +59,7 @@ func TestDumpAndRestore(t *testing.T) {
 // waits for the writer's table lock nor sees its uncommitted rows: it writes
 // the committed state, byte for byte the dump taken before the write.
 func TestDumpSQLUnderWriter(t *testing.T) {
-	db := systemr.Open(systemr.Config{LockTimeout: 50 * time.Millisecond})
+	db := openDB(systemr.Config{LockTimeout: 50 * time.Millisecond})
 	db.MustExec("CREATE TABLE T (A INTEGER)")
 	db.MustExec("INSERT INTO T VALUES (1)")
 	db.MustExec("INSERT INTO T VALUES (2)")
@@ -111,7 +111,7 @@ func mustRows(t *testing.T, db *systemr.DB, q string) []value.Row {
 }
 
 func TestRunScriptErrorPosition(t *testing.T) {
-	db := systemr.Open(systemr.Config{})
+	db := openDB(systemr.Config{})
 	script := "CREATE TABLE T (A INTEGER); INSERT INTO T VALUES (1); BROKEN; INSERT INTO T VALUES (2)"
 	n, err := db.RunScript(strings.NewReader(script))
 	if err == nil || n != 2 {
@@ -121,7 +121,7 @@ func TestRunScriptErrorPosition(t *testing.T) {
 		t.Fatalf("error lacks position: %v", err)
 	}
 	// Semicolons inside strings don't split.
-	db2 := systemr.Open(systemr.Config{})
+	db2 := openDB(systemr.Config{})
 	script = "CREATE TABLE S (A VARCHAR); INSERT INTO S VALUES ('a;b')"
 	if _, err := db2.RunScript(strings.NewReader(script)); err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestRunScriptErrorPosition(t *testing.T) {
 // comment neither opens a string nor splits a statement, and "--" inside a
 // string literal is data, not a comment.
 func TestRunScriptLineComments(t *testing.T) {
-	db := systemr.Open(systemr.Config{})
+	db := openDB(systemr.Config{})
 	script := "-- don't split here\n" +
 		"CREATE TABLE S (A VARCHAR); -- it's one statement; not two\n" +
 		"INSERT INTO S VALUES ('a--b');\n" +

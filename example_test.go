@@ -10,7 +10,7 @@ import (
 // output.
 
 func exampleDB() *systemr.DB {
-	db := systemr.Open(systemr.Config{})
+	db := openDB(systemr.Config{})
 	db.MustExec("CREATE TABLE EMP (NAME VARCHAR, DNO INTEGER, SAL FLOAT)")
 	db.MustExec("CREATE INDEX EMP_DNO ON EMP (DNO)")
 	db.MustExec(`INSERT INTO EMP VALUES

@@ -28,7 +28,7 @@ const (
 
 func execBenchDB(tb testing.TB) *systemr.DB {
 	tb.Helper()
-	return workload.NewEmpDB(workload.EmpConfig{
+	return openEmpDB(workload.EmpConfig{
 		Emps: 4000, Depts: 50, Jobs: 10, Seed: 47, Engine: systemr.Config{BufferPages: 4096},
 	})
 }
@@ -58,9 +58,7 @@ func BenchmarkExecBatch(b *testing.B) {
 	}{{"tuple", 1}, {"batch256", exec.DefaultBatchSize}} {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rt := db.Runtime()
-				rt.BatchSize = c.size
-				if _, _, err := exec.RunQuery(rt, q, nil); err != nil {
+				if _, _, err := exec.RunQuery(singleClientRuntime(db, c.size), q, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

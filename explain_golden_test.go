@@ -15,7 +15,7 @@ import (
 // tests pin their plans against.
 func abDB(t *testing.T) *systemr.DB {
 	t.Helper()
-	db := systemr.Open(systemr.Config{BufferPages: 16})
+	db := openDB(systemr.Config{BufferPages: 16})
 	db.MustExec("CREATE TABLE A (K INTEGER, V INTEGER)")
 	db.MustExec("CREATE TABLE B (K INTEGER, W INTEGER)")
 	for i := 0; i < 40; i++ {
@@ -123,7 +123,7 @@ func TestExplainNonFiniteKeys(t *testing.T) {
 		{"NaN low key", [3]string{"1e308*10 - 1e308*10", "1.5", "2.5"}, 1},
 		{"infinite high key", [3]string{"1.5", "2.5", "1e308*10"}, 2},
 	} {
-		db := systemr.Open(systemr.Config{})
+		db := openDB(systemr.Config{})
 		db.MustExec("CREATE TABLE T (A FLOAT, B INTEGER)")
 		for i, k := range tc.keys {
 			db.MustExec(fmt.Sprintf("INSERT INTO T VALUES (%s, %d)", k, i))

@@ -25,11 +25,12 @@ const heavyQuery = "SELECT COUNT(*) FROM EMP E1, EMP E2 WHERE E1.SAL < E2.SAL"
 
 func newHeavyDB(t testing.TB, cfg workload.EmpConfig) *systemr.DB {
 	t.Helper()
-	testutil.AssertNoLeaks(t)
 	if cfg.Emps == 0 {
 		cfg = workload.EmpConfig{Emps: 2000, Depts: 50, Jobs: 10}
 	}
-	return workload.NewEmpDB(cfg)
+	db := openEmpDB(cfg)
+	testutil.AssertNoLeaks(t, db.Pool())
+	return db
 }
 
 // assertUsable runs a follow-up statement after an abort.
@@ -80,7 +81,7 @@ func TestStatementTimeout(t *testing.T) {
 	// on a loaded machine. 200ms leaves those a wide margin while the
 	// self-join (about 2s on a laptop-class x86 core, longer under -race)
 	// still runs an order of magnitude past it.
-	db = workload.NewEmpDB(workload.EmpConfig{Emps: 2000, Depts: 50, Jobs: 10,
+	db = openEmpDB(workload.EmpConfig{Emps: 2000, Depts: 50, Jobs: 10,
 		Engine: systemr.Config{StatementTimeout: 200 * time.Millisecond}})
 	_, err := db.Query(heavyQuery)
 	if !errors.Is(err, systemr.ErrBudgetExceeded) || !errors.Is(err, context.DeadlineExceeded) {
@@ -91,9 +92,9 @@ func TestStatementTimeout(t *testing.T) {
 }
 
 func TestMaxRowsScanned(t *testing.T) {
-	testutil.AssertNoLeaks(t)
-	db := workload.NewEmpDB(workload.EmpConfig{Emps: 300, Depts: 10, Jobs: 4,
+	db := openEmpDB(workload.EmpConfig{Emps: 300, Depts: 10, Jobs: 4,
 		Engine: systemr.Config{MaxRowsScanned: 100}})
+	testutil.AssertNoLeaks(t, db.Pool())
 	_, err := db.Query("SELECT NAME FROM EMP")
 	if !errors.Is(err, systemr.ErrBudgetExceeded) {
 		t.Fatalf("full scan over row budget: got %v, want ErrBudgetExceeded", err)
@@ -122,9 +123,9 @@ func TestMaxRowsScanned(t *testing.T) {
 }
 
 func TestMaxPageFetches(t *testing.T) {
-	testutil.AssertNoLeaks(t)
-	db := workload.NewEmpDB(workload.EmpConfig{Emps: 300, Depts: 10, Jobs: 4,
+	db := openEmpDB(workload.EmpConfig{Emps: 300, Depts: 10, Jobs: 4,
 		Engine: systemr.Config{MaxPageFetches: 2}})
+	testutil.AssertNoLeaks(t, db.Pool())
 	db.Pool().Flush() // cold buffer: every page access is a real fetch
 	_, err := db.Query("SELECT NAME FROM EMP")
 	if !errors.Is(err, systemr.ErrBudgetExceeded) {
@@ -367,16 +368,16 @@ func TestExplainCanceledContext(t *testing.T) {
 // and spill reads are governed loops, not just the operator boundary) and
 // still leaves no scans or locks behind.
 func TestMaxRowsScannedDuringSort(t *testing.T) {
-	testutil.AssertNoLeaks(t)
-	db := workload.NewEmpDB(workload.EmpConfig{Emps: 300, Depts: 10, Jobs: 4,
+	db := openEmpDB(workload.EmpConfig{Emps: 300, Depts: 10, Jobs: 4,
 		Engine: systemr.Config{MaxRowsScanned: 100}})
+	testutil.AssertNoLeaks(t, db.Pool())
 	_, err := db.Query("SELECT NAME, SAL FROM EMP ORDER BY SAL")
 	if !errors.Is(err, systemr.ErrBudgetExceeded) {
 		t.Fatalf("sorted scan over row budget: got %v, want ErrBudgetExceeded", err)
 	}
 	assertClean(t, db)
 	// The same query under a sufficient budget completes.
-	relaxed := workload.NewEmpDB(workload.EmpConfig{Emps: 50, Depts: 10, Jobs: 4,
+	relaxed := openEmpDB(workload.EmpConfig{Emps: 50, Depts: 10, Jobs: 4,
 		Engine: systemr.Config{MaxRowsScanned: 10000}})
 	if _, err := relaxed.Query("SELECT NAME, SAL FROM EMP ORDER BY SAL"); err != nil {
 		t.Fatalf("sorted scan under budget: %v", err)
@@ -388,7 +389,6 @@ func TestMaxRowsScannedDuringSort(t *testing.T) {
 // drained: the only remaining work is inside the sorter's merge and
 // delivery loops, which must observe the governor on their own.
 func TestCancellationDuringSortDelivery(t *testing.T) {
-	testutil.AssertNoLeaks(t)
 	db := newHeavyDB(t, workload.EmpConfig{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

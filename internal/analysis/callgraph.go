@@ -47,9 +47,6 @@ type CallNode struct {
 // CallEdge is one caller→callee relationship.
 type CallEdge struct {
 	Caller, Callee *CallNode
-	// Site is the call expression (one representative site; a pair of
-	// functions linked by several sites keeps the first in source order).
-	Site *ast.CallExpr
 }
 
 // Roots returns the nodes with no callers in the graph — the program's
@@ -106,7 +103,7 @@ func buildCallGraph(pkgs []*Package) *CallGraph {
 	// scanned for calls; interface-method callees fan out over the
 	// implementing concrete types.
 	seen := make(map[[2]*CallNode]bool)
-	addEdge := func(from *CallNode, to *types.Func, site *ast.CallExpr) {
+	addEdge := func(from *CallNode, to *types.Func) {
 		callee, ok := g.Nodes[to]
 		if !ok {
 			return // no body in this load (stdlib or external)
@@ -115,7 +112,7 @@ func buildCallGraph(pkgs []*Package) *CallGraph {
 			return
 		}
 		seen[[2]*CallNode{from, callee}] = true
-		e := &CallEdge{Caller: from, Callee: callee, Site: site}
+		e := &CallEdge{Caller: from, Callee: callee}
 		from.Out = append(from.Out, e)
 		callee.In = append(callee.In, e)
 	}
@@ -137,7 +134,7 @@ func buildCallGraph(pkgs []*Package) *CallGraph {
 			}
 			recv := sig.Recv()
 			if recv == nil || !types.IsInterface(recv.Type()) {
-				addEdge(n, f, call)
+				addEdge(n, f)
 				return true
 			}
 			// Interface dispatch: resolve to every implementing type's
@@ -156,7 +153,7 @@ func buildCallGraph(pkgs []*Package) *CallGraph {
 				}
 				m, _, _ := types.LookupFieldOrMethod(impl, true, f.Pkg(), f.Name())
 				if mf, ok := m.(*types.Func); ok {
-					addEdge(n, mf, call)
+					addEdge(n, mf)
 				}
 			}
 			return true

@@ -227,12 +227,28 @@ func mutexKey(info *types.Info, call *ast.CallExpr) (string, bool) {
 	return pathTail(tn.Pkg().Path()) + "." + tn.Name() + "." + v.Name(), true
 }
 
-// rankWalker is the flow transfer for one function body: the state maps
-// each held ranked mutex's rank to its hold count (counting keeps
-// re-entrant RLocks and unbalanced branches from going negative), and the
-// meet keeps the per-rank minimum. Meeting branches, rather than counting
-// cumulatively, tracks the lock manager's `mu.Unlock(); select { case:
-// mu.Lock(); return }; mu.Lock()` hand-off correctly.
+// rankWalker walks one function body statement by statement, carrying the
+// set of held ranked mutexes along every path: it maps each held mutex's
+// rank to its hold count (counting keeps re-entrant RLocks and unbalanced
+// branches from going negative), and where paths join it keeps the
+// per-rank minimum. Meeting branches, rather than counting cumulatively,
+// tracks the lock manager's `mu.Unlock(); select { case: mu.Lock(); return
+// }; mu.Lock()` hand-off correctly. The per-construct rules:
+//
+//   - if: the then and else states meet; with no else, the entry state
+//     stands in for it.
+//   - for/range: the loop head's state is the meet of the entry and every
+//     path that loops back (falls off the body or continues, then runs
+//     the post statement). The body is walked from the entry, and again
+//     from the head while the paths that loop back lower it. The exit
+//     state is the meet of every break that targets the loop and, unless
+//     the for has no condition, the head.
+//   - switch/type switch: the meet of every clause that falls out or
+//     breaks; the entry state joins only when there is no default. A
+//     fallthrough carries its state into the next clause.
+//   - select: the meet of its clauses.
+//   - a labeled break or continue targets its label; goto ends the path.
+//   - function literals are not entered: each is its own scope.
 type rankWalker struct {
 	pass    *ProgramPass
 	fn      *CallNode
@@ -240,12 +256,32 @@ type rankWalker struct {
 	// reported holds (pos, rank, held rank) of each finding: a loop body
 	// may be walked twice.
 	reported map[[3]int]bool
+
+	targets []*flowTarget
+	label   string // label of the statement being entered
+	fall    path   // state carried by a fallthrough
 }
 
 type heldRanks = map[int]int
 
+// path is the held set at one point of the walk; a dead path (after a
+// return, break, continue or goto) carries none.
+type path struct {
+	held heldRanks
+	live bool
+}
+
+// flowTarget is a construct a break can leave, with the meet of the paths
+// that leave it; a loop also collects the paths that continue it.
+type flowTarget struct {
+	label string
+	loop  bool
+	out   path
+	cont  path
+}
+
 func (w *rankWalker) walkBody(body *ast.BlockStmt) {
-	walkFlow[heldRanks](w, body, heldRanks{})
+	w.stmts(body.List, heldRanks{})
 	// Each function literal, goroutine bodies included, runs with its own
 	// held set (it executes later, from some other dynamic context).
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -257,10 +293,8 @@ func (w *rankWalker) walkBody(body *ast.BlockStmt) {
 	})
 }
 
-func (w *rankWalker) copy(held heldRanks) heldRanks { return maps.Clone(held) }
-func (w *rankWalker) equal(a, b heldRanks) bool     { return maps.Equal(a, b) }
-
-func (w *rankWalker) meet(a, b heldRanks) heldRanks {
+// meetHeld returns the held set where two paths join; it updates neither.
+func meetHeld(a, b heldRanks) heldRanks {
 	m := heldRanks{}
 	for r, n := range a {
 		if n = min(n, b[r]); n > 0 {
@@ -270,28 +304,193 @@ func (w *rankWalker) meet(a, b heldRanks) heldRanks {
 	return m
 }
 
-func (w *rankWalker) ret(st *ast.ReturnStmt, held heldRanks) {
-	for _, r := range st.Results {
-		w.node(r, held)
+func joinPath(acc *path, p path) {
+	switch {
+	case !p.live:
+	case !acc.live:
+		*acc = p
+	default:
+		acc.held = meetHeld(acc.held, p.held)
 	}
 }
 
-// deferGo: a deferred unlock releases at return, so the mutex stays held
-// for the rest of the walk; a deferred ranked acquisition (rare) is checked
-// at the defer site, conservatively. A go statement is not checked here:
-// the goroutine runs with its own held set.
-func (w *rankWalker) deferGo(st ast.Stmt, held heldRanks) heldRanks {
-	if d, ok := st.(*ast.DeferStmt); ok {
-		if _, op, ok := mutexLockOp(w.fn.Pkg.Info, d.Call); !ok || op > 0 {
-			w.node(d.Call, held)
+func (w *rankWalker) stmts(list []ast.Stmt, held heldRanks) path {
+	for _, st := range list {
+		p := w.stmt(st, held)
+		if !p.live {
+			return p
+		}
+		held = p.held
+	}
+	return path{held, true}
+}
+
+func (w *rankWalker) stmt(st ast.Stmt, held heldRanks) path {
+	label := w.label
+	w.label = ""
+	switch st := st.(type) {
+	case *ast.BlockStmt:
+		return w.stmts(st.List, held)
+	case *ast.LabeledStmt:
+		w.label = st.Label.Name
+		return w.stmt(st.Stmt, held)
+	case *ast.ReturnStmt:
+		for _, r := range st.Results {
+			w.node(r, held)
+		}
+		return path{}
+	case *ast.DeferStmt:
+		// A deferred unlock releases at return, so the mutex stays held for
+		// the rest of the walk; a deferred ranked acquisition (rare) is
+		// checked at the defer site, conservatively.
+		if _, op, ok := mutexLockOp(w.fn.Pkg.Info, st.Call); !ok || op > 0 {
+			w.node(st.Call, held)
+		}
+		return path{held, true}
+	case *ast.GoStmt:
+		// The goroutine runs with its own held set.
+		return path{held, true}
+	case *ast.BranchStmt:
+		switch st.Tok {
+		case token.BREAK:
+			joinPath(&w.target(st).out, path{held, true})
+		case token.CONTINUE:
+			joinPath(&w.target(st).cont, path{held, true})
+		case token.FALLTHROUGH:
+			w.fall = path{held, true}
+		}
+		return path{}
+	case *ast.IfStmt:
+		if st.Init != nil {
+			w.node(st.Init, held)
+		}
+		w.node(st.Cond, held)
+		out := w.stmts(st.Body.List, maps.Clone(held))
+		els := path{held, true}
+		if st.Else != nil {
+			els = w.stmt(st.Else, held)
+		}
+		joinPath(&out, els)
+		return out
+	case *ast.ForStmt:
+		if st.Init != nil {
+			w.node(st.Init, held)
+		}
+		if st.Cond != nil {
+			w.node(st.Cond, held)
+		}
+		return w.loop(label, st.Body, st.Post, held, st.Cond != nil)
+	case *ast.RangeStmt:
+		w.node(st.X, held)
+		return w.loop(label, st.Body, nil, held, true)
+	case *ast.SwitchStmt:
+		if st.Init != nil {
+			w.node(st.Init, held)
+		}
+		if st.Tag != nil {
+			w.node(st.Tag, held)
+		}
+		return w.clauses(st.Body, label, held, true)
+	case *ast.TypeSwitchStmt:
+		if st.Init != nil {
+			w.node(st.Init, held)
+		}
+		w.node(st.Assign, held)
+		return w.clauses(st.Body, label, held, true)
+	case *ast.SelectStmt:
+		return w.clauses(st.Body, label, held, false)
+	default:
+		w.node(st, held)
+		return path{held, true}
+	}
+}
+
+// clauses walks the clauses of a switch or select: each clause's header
+// (case list or communication) is applied to the entry state, and its body
+// walked from a copy. bypass says whether flow may skip every clause, as in
+// a switch with no default.
+func (w *rankWalker) clauses(body *ast.BlockStmt, label string, held heldRanks, bypass bool) path {
+	tg := w.push(label, false)
+	defer w.pop()
+	var fall path
+	for _, c := range body.List {
+		var stmts []ast.Stmt
+		switch c := c.(type) {
+		case *ast.CaseClause:
+			for _, e := range c.List {
+				w.node(e, held)
+			}
+			bypass = bypass && c.List != nil
+			stmts = c.Body
+		case *ast.CommClause:
+			if c.Comm != nil {
+				w.node(c.Comm, held)
+			}
+			stmts = c.Body
+		}
+		in := path{maps.Clone(held), true}
+		joinPath(&in, fall)
+		w.fall = path{}
+		joinPath(&tg.out, w.stmts(stmts, in.held))
+		fall = w.fall
+	}
+	if bypass {
+		joinPath(&tg.out, path{held, true})
+	}
+	return tg.out
+}
+
+// loop walks a for or range body from head, the entry state, until the
+// head is stable, and returns the state on leaving the loop. exits says
+// whether flow may leave from the head (a condition or a range).
+func (w *rankWalker) loop(label string, body *ast.BlockStmt, post ast.Stmt, head heldRanks, exits bool) path {
+	tg := w.push(label, true)
+	defer w.pop()
+	for {
+		tg.cont = path{}
+		back := w.stmts(body.List, maps.Clone(head))
+		joinPath(&back, tg.cont)
+		if !back.live {
+			break
+		}
+		if post != nil {
+			w.node(post, back.held)
+		}
+		next := meetHeld(head, back.held)
+		if maps.Equal(next, head) {
+			break
+		}
+		head = next
+	}
+	if exits {
+		joinPath(&tg.out, path{head, true})
+	}
+	return tg.out
+}
+
+// target finds the construct a break or continue leaves: the one its label
+// names, else the innermost one (the innermost loop, for a continue).
+func (w *rankWalker) target(st *ast.BranchStmt) *flowTarget {
+	for i := len(w.targets) - 1; ; i-- {
+		tg := w.targets[i]
+		if st.Label != nil && st.Label.Name == tg.label ||
+			st.Label == nil && (tg.loop || st.Tok == token.BREAK) {
+			return tg
 		}
 	}
-	return held
 }
 
-// node visits a simple statement or expression in source order, checking
-// calls without entering function literals.
-func (w *rankWalker) node(n ast.Node, held heldRanks) heldRanks {
+func (w *rankWalker) push(label string, loop bool) *flowTarget {
+	tg := &flowTarget{label: label, loop: loop}
+	w.targets = append(w.targets, tg)
+	return tg
+}
+
+func (w *rankWalker) pop() { w.targets = w.targets[:len(w.targets)-1] }
+
+// node visits a simple statement or expression in source order, updating
+// held in place and checking calls without entering function literals.
+func (w *rankWalker) node(n ast.Node, held heldRanks) {
 	ast.Inspect(n, func(nd ast.Node) bool {
 		if call, ok := nd.(*ast.CallExpr); ok {
 			w.checkCall(held, call)
@@ -299,7 +498,6 @@ func (w *rankWalker) node(n ast.Node, held heldRanks) heldRanks {
 		_, lit := nd.(*ast.FuncLit)
 		return !lit
 	})
-	return held
 }
 
 // checkCall updates the held set and reports out-of-rank acquisitions.

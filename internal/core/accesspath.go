@@ -28,13 +28,12 @@ import (
 )
 
 // pushedPred is a join predicate rewritten as an inner-scan predicate for a
-// nested-loop join: the inner column compared against a runtime parameter
-// carrying the current outer tuple's value.
+// nested-loop join: a one-term search argument comparing the inner column
+// with a runtime parameter that carries the current outer tuple's value. It
+// is the inner scan's SARG and, like a local factor, a candidate key bound.
 type pushedPred struct {
-	innerCol sem.ColumnID
-	op       value.CmpOp
-	bound    sem.Bound // always a BoundParam
-	sel      float64   // the originating factor's Table 1 selectivity
+	sarg sem.SargDNF
+	sel  float64 // the originating factor's Table 1 selectivity
 }
 
 // pathCand is one candidate access path for a single relation.
@@ -107,7 +106,7 @@ func (o *Optimizer) genPaths(rel int, pushed []pushedPred) accessPaths {
 		sargs = append(sargs, fi.f.SargDNF)
 	}
 	for _, p := range pushed {
-		sargs = append(sargs, sem.SargDNF{{sem.SargTerm{Col: p.innerCol, Op: p.op, Val: p.bound}}})
+		sargs = append(sargs, p.sarg)
 	}
 	resExprs := make([]sem.Expr, len(residual))
 	for i, fi := range residual {
@@ -215,52 +214,57 @@ type intervalSource struct {
 	eq           bool
 }
 
-// intervalSources collects key-bound candidates on one column.
+// intervalSources collects key-bound candidates on one column: the local
+// factors and pushed predicates whose search argument is one conjunct of
+// terms that all bound it.
 func (o *Optimizer) intervalSources(col sem.ColumnID, pushed []pushedPred) []intervalSource {
 	var out []intervalSource
 	var single sem.RelSet
 	single = single.Set(col.Rel)
 	for _, fi := range o.factors {
-		if fi.rels != single || fi.f.Simple == nil || fi.f.Simple.Col != col {
+		if fi.rels != single || o.cfg.DisableSargs || len(fi.f.SargDNF) != 1 {
 			continue
 		}
-		if o.cfg.DisableSargs {
+		// Only "column comparison-operator value" matches an index: an IN
+		// list supplies no key, not even IN (v).
+		if _, in := fi.f.Expr.(*sem.InList); in {
 			continue
 		}
-		p := fi.f.Simple
-		if p.Ne != nil || (p.Lo == nil && p.Hi == nil) {
-			continue
+		if src, ok := keyInterval(col, fi.f.SargDNF[0], fi.sel); ok {
+			out = append(out, src)
 		}
-		out = append(out, intervalSource{
-			lo: p.Lo, hi: p.Hi, loInc: p.LoInc, hiInc: p.HiInc,
-			sel: fi.sel, eq: p.IsEq(),
-		})
 	}
-	for i := range pushed {
-		p := &pushed[i]
-		if p.innerCol != col {
-			continue
+	for _, p := range pushed {
+		if src, ok := keyInterval(col, p.sarg[0], p.sel); ok {
+			out = append(out, src)
 		}
-		src := intervalSource{sel: p.sel}
-		switch p.op {
-		case value.OpEq:
-			src.lo, src.hi = &p.bound, &p.bound
-			src.loInc, src.hiInc = true, true
-			src.eq = true
-		case value.OpGt:
-			src.lo = &p.bound
-		case value.OpGe:
-			src.lo, src.loInc = &p.bound, true
-		case value.OpLt:
-			src.hi = &p.bound
-		case value.OpLe:
-			src.hi, src.hiInc = &p.bound, true
-		default:
-			continue
-		}
-		out = append(out, src)
 	}
 	return out
+}
+
+// keyInterval reads a conjunct of search-argument terms, whose factor has
+// selectivity sel, as a key interval on col. Every term must bound col, so
+// a <> term or a term on another column disqualifies the conjunct;
+// BETWEEN's >= and <= pair is one interval.
+func keyInterval(col sem.ColumnID, conj []sem.SargTerm, sel float64) (intervalSource, bool) {
+	src := intervalSource{sel: sel}
+	for i := range conj {
+		t := &conj[i]
+		if t.Col != col {
+			return src, false
+		}
+		switch t.Op {
+		case value.OpEq:
+			src.lo, src.hi, src.loInc, src.hiInc, src.eq = &t.Val, &t.Val, true, true, true
+		case value.OpGt, value.OpGe:
+			src.lo, src.loInc = &t.Val, t.Op == value.OpGe
+		case value.OpLt, value.OpLe:
+			src.hi, src.hiInc = &t.Val, t.Op == value.OpLe
+		default:
+			return src, false
+		}
+	}
+	return src, true
 }
 
 // indexPath builds and costs the scan of one index, matching boolean factors

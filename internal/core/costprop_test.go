@@ -77,10 +77,10 @@ func TestCostInvariants(t *testing.T) {
 		}
 
 		// A pushed equality predicate must not increase any path's RSI.
-		pushed := []pushedPred{{
-			innerCol: sem.ColumnID{Rel: 0, Col: 0}, op: value.OpEq,
-			bound: sem.Bound{Kind: sem.BoundParam, Param: o.nextParam}, sel: 0.1,
-		}}
+		pushed := []pushedPred{{sarg: sem.SargDNF{{{
+			Col: sem.ColumnID{Rel: 0, Col: 0}, Op: value.OpEq,
+			Val: sem.Bound{Kind: sem.BoundParam, Param: o.nextParam},
+		}}}, sel: 0.1}}
 		o.nextParam++
 		pushedPaths := o.genPaths(0, pushed).all
 		for i := range basePaths {

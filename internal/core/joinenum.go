@@ -288,11 +288,8 @@ func (o *Optimizer) joinCandidates(ssOuter *subsetSols, s sem.RelSet, r int, ss2
 			if ic, oc, op, ok := o.pushable(fi, s, r); ok && !o.cfg.DisableSargs {
 				pid := o.nextParam
 				o.nextParam++
-				pushed = append(pushed, pushedPred{
-					innerCol: ic, op: op,
-					bound: sem.Bound{Kind: sem.BoundParam, Param: pid},
-					sel:   fi.sel,
-				})
+				term := sem.SargTerm{Col: ic, Op: op, Val: sem.Bound{Kind: sem.BoundParam, Param: pid}}
+				pushed = append(pushed, pushedPred{sarg: sem.SargDNF{{term}}, sel: fi.sel})
 				binds = append(binds, plan.ParamBind{Param: pid, From: oc})
 			} else {
 				residual = append(residual, fi.f.Expr)

@@ -447,8 +447,10 @@ func TestTraceRenderFigures(t *testing.T) {
 	}
 }
 
-// TestCompositeIndexMatching: predicates on a (A,B) index prefix produce a
-// two-column start/stop key.
+// TestCompositeIndexMatching: index matching by predicate shape. A factor
+// "column comparison-operator value" on a prefix of the (A,B) key matches
+// the index and supplies its start/stop keys; <>, IN lists (even IN (v)),
+// NOT BETWEEN and OR stay search arguments and match nothing.
 func TestCompositeIndexMatching(t *testing.T) {
 	cat := catalog.New(storage.NewDisk())
 	tab, _ := cat.CreateTable("M", []catalog.Column{
@@ -461,19 +463,60 @@ func TestCompositeIndexMatching(t *testing.T) {
 			value.NewInt(int64(i % 10)), value.NewInt(int64(i % 30)), value.NewInt(int64(i)),
 		}, storage.FrozenXID, storage.NoPrevTID, cat.Disk())
 	}
+	outer, _ := cat.CreateTable("N", []catalog.Column{{Name: "X", Type: value.KindInt}}, "")
+	for i := 0; i < 5; i++ {
+		rss.Insert(outer, value.Row{value.NewInt(int64(i))}, storage.FrozenXID, storage.NoPrevTID, cat.Disk())
+	}
 	cat.CreateIndex("M_AB", "M", []string{"A", "B"}, false, false)
 	cat.UpdateStatistics()
 
-	q, _ := planFor(t, cat, Config{}, "SELECT C FROM M WHERE A = 3 AND B > 10")
-	scan, ok := scanNodeOf(t, q).(*plan.IndexScan)
-	if !ok || !scan.Matching {
-		t.Fatalf("expected matching composite scan, got %s", scanNodeOf(t, q).Label())
-	}
-	if len(scan.Lo) != 2 || len(scan.Hi) != 1 {
-		t.Fatalf("key bounds: lo=%v hi=%v", scan.Lo, scan.Hi)
-	}
-	if scan.LoInc {
-		t.Fatal("B > 10 start bound must be exclusive")
+	for _, c := range []struct {
+		where        string
+		matching     bool
+		lo, hi       string
+		loInc, hiInc bool
+	}{
+		{"A = 3", true, "[3]", "[3]", true, true},
+		{"A < 3", true, "[]", "[3]", true, false},
+		{"A <= 3", true, "[]", "[3]", true, true},
+		{"A > 3", true, "[3]", "[]", false, true},
+		{"A >= 3", true, "[3]", "[]", true, true},
+		{"3 < A", true, "[3]", "[]", false, true},
+		{"A BETWEEN 2 AND 5", true, "[2]", "[5]", true, true},
+		{"A = 3 AND B > 10", true, "[3 10]", "[3]", false, true},
+		{"A = N.X", true, "[$0]", "[$0]", true, true}, // nested-loop inner
+		{"A <> 3", false, "[]", "[]", true, true},
+		{"A IN (3)", false, "[]", "[]", true, true},
+		{"A IN (3, 4)", false, "[]", "[]", true, true},
+		{"A NOT BETWEEN 2 AND 5", false, "[]", "[]", true, true},
+		{"A = 3 OR A = 4", false, "[]", "[]", true, true},
+	} {
+		t.Run(c.where, func(t *testing.T) {
+			var scan *plan.IndexScan
+			if strings.Contains(c.where, "N.") {
+				q, _ := planFor(t, cat, Config{Joins: NestedLoopsOnly}, "SELECT C FROM N, M WHERE "+c.where)
+				nl, ok := scanNodeOf(t, q).(*plan.NLJoin)
+				if !ok {
+					t.Fatalf("expected a nested-loop join, got %s", scanNodeOf(t, q).Label())
+				}
+				scan, _ = nl.Inner.(*plan.IndexScan)
+			} else {
+				_, o := planFor(t, cat, Config{}, "SELECT C FROM M WHERE "+c.where)
+				for _, p := range o.genPaths(0, nil).all {
+					if ix, ok := p.node.(*plan.IndexScan); ok {
+						scan = ix
+					}
+				}
+			}
+			if scan == nil || scan.Index.Name != "M_AB" {
+				t.Fatal("no M_AB index scan")
+			}
+			got := fmt.Sprintf("%v %v %v %v %v", scan.Matching, scan.Lo, scan.Hi, scan.LoInc, scan.HiInc)
+			want := fmt.Sprintf("%v %v %v %v %v", c.matching, c.lo, c.hi, c.loInc, c.hiInc)
+			if got != want {
+				t.Fatalf("matching lo hi loInc hiInc: got %s, want %s", got, want)
+			}
+		})
 	}
 }
 

@@ -42,8 +42,9 @@ type Runtime struct {
 	OnBatch func(rows int)
 
 	// Snap is the MVCC snapshot every scan in this statement reads under:
-	// only versions visible to it cross the RSS interface. Nil means "latest
-	// committed" (bootstrap and lock-excluded callers).
+	// only versions visible to it cross the RSS interface. Nil admits every
+	// version without a delete mark, another transaction's uncommitted
+	// insert included: it is for callers that exclude concurrent writers.
 	Snap *storage.Snapshot
 }
 

@@ -25,10 +25,10 @@ type env struct {
 
 func newEnv(t testing.TB) *env {
 	t.Helper()
-	testutil.AssertNoLeaks(t)
 	disk := storage.NewDisk()
 	stats := &storage.IOStats{}
 	pool := storage.NewBufferPool(disk, 32, stats)
+	testutil.AssertNoLeaks(t, pool)
 	return &env{
 		disk: disk, stats: stats, pool: pool,
 		cat: catalog.New(disk),

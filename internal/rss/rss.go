@@ -26,7 +26,6 @@ package rss
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"systemr/internal/btree"
 	"systemr/internal/catalog"
@@ -34,13 +33,6 @@ import (
 	"systemr/internal/storage"
 	"systemr/internal/value"
 )
-
-// openScans counts currently open RSI scans engine-wide. Leak checks assert
-// it returns to zero after every statement, including error and panic paths.
-var openScans atomic.Int64
-
-// OpenScans returns the number of RSI scans currently open.
-func OpenScans() int64 { return openScans.Load() }
 
 // ErrWriteConflict reports a first-updater-wins conflict: the tuple a
 // transaction tried to delete or update already carries another
@@ -179,7 +171,7 @@ func (s *SegmentScan) Open() error {
 	s.nslots = 0
 	if !s.open {
 		s.open = true
-		openScans.Add(1)
+		s.Pool.AddOpenScans(1)
 	}
 	return nil
 }
@@ -261,7 +253,7 @@ func (s *SegmentScan) NextInto(dst value.Row) (value.Row, storage.TID, bool, err
 func (s *SegmentScan) Close() error {
 	if s.open {
 		s.open = false
-		openScans.Add(-1)
+		s.Pool.AddOpenScans(-1)
 	}
 	s.page = nil
 	return nil
@@ -304,7 +296,7 @@ func (s *IndexScan) Open() error {
 	s.it = s.Index.Tree.Seek(s.io, s.Lo)
 	if !s.open {
 		s.open = true
-		openScans.Add(1)
+		s.Pool.AddOpenScans(1)
 	}
 	return nil
 }
@@ -374,7 +366,7 @@ func (s *IndexScan) NextInto(dst value.Row) (value.Row, storage.TID, bool, error
 func (s *IndexScan) Close() error {
 	if s.open {
 		s.open = false
-		openScans.Add(-1)
+		s.Pool.AddOpenScans(-1)
 	}
 	s.it = nil
 	return nil

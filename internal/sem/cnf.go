@@ -130,8 +130,8 @@ func RelsOf(e Expr) RelSet {
 }
 
 // classify builds a BoolFactor from one conjunct: it records the referenced
-// relations, recognizes the single sargable predicate and equi-join shapes,
-// and derives the DNF search-argument form when the whole factor is sargable.
+// relations, recognizes the equi-join shape, and derives the DNF
+// search-argument form when the whole factor is sargable.
 func (a *analyzer) classify(e Expr) *BoolFactor {
 	var info exprInfo
 	scanExpr(e, &info)
@@ -147,7 +147,6 @@ func (a *analyzer) classify(e Expr) *BoolFactor {
 			}
 		}
 	}
-	f.Simple = a.simplePred(e)
 	f.EquiJoin = equiJoin(e)
 	if f.Rels.Count() == 1 {
 		if dnf, ok := a.sargDNF(e, f.Rels.Single()); ok {
@@ -193,69 +192,6 @@ func (a *analyzer) boundOf(e Expr) (Bound, bool) {
 		return Bound{Kind: BoundSub, Sub: x.Sub}, true
 	default:
 		return Bound{}, false
-	}
-}
-
-// simplePred recognizes "column comparison-operator value" (and BETWEEN) in
-// interval form — the shape that can match an index and define start/stop
-// keys.
-func (a *analyzer) simplePred(e Expr) *SimplePred {
-	switch x := e.(type) {
-	case *Bin:
-		if !x.Op.IsComparison() {
-			return nil
-		}
-		col, colOK := x.L.(*Col)
-		other := x.R
-		op := x.Op
-		if !colOK {
-			col, colOK = x.R.(*Col)
-			other = x.L
-			if !colOK {
-				return nil
-			}
-			op = op.Flip()
-		}
-		if _, isCol := other.(*Col); isCol {
-			return nil // column = column is a join or intra-relation predicate
-		}
-		b, ok := a.boundOf(other)
-		if !ok {
-			return nil
-		}
-		p := &SimplePred{Col: col.ID}
-		switch op {
-		case OpEq:
-			p.Lo, p.Hi = &b, &b
-			p.LoInc, p.HiInc = true, true
-		case OpNe:
-			p.Ne = &b
-		case OpLt:
-			p.Hi = &b
-		case OpLe:
-			p.Hi, p.HiInc = &b, true
-		case OpGt:
-			p.Lo = &b
-		case OpGe:
-			p.Lo, p.LoInc = &b, true
-		}
-		return p
-	case *Between:
-		if x.Negated {
-			return nil
-		}
-		col, ok := x.E.(*Col)
-		if !ok {
-			return nil
-		}
-		lo, okLo := a.boundOf(x.Lo)
-		hi, okHi := a.boundOf(x.Hi)
-		if !okLo || !okHi {
-			return nil
-		}
-		return &SimplePred{Col: col.ID, Lo: &lo, Hi: &hi, LoInc: true, HiInc: true}
-	default:
-		return nil
 	}
 }
 

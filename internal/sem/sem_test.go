@@ -117,18 +117,26 @@ func TestBooleanFactors(t *testing.T) {
 	if join.EquiJoin == nil || join.Rels.Count() != 2 {
 		t.Fatalf("join factor: %+v", join)
 	}
-	sal := blk.Factors[1]
-	if sal.Simple == nil || sal.Simple.Lo == nil || sal.Simple.LoInc || sal.Simple.Hi != nil {
-		t.Fatalf("SAL > 100 interval: %+v", sal.Simple)
+	if sal := onlyTerm(t, blk.Factors[1]); sal.Op != value.OpGt {
+		t.Fatalf("SAL > 100 term: %+v", sal)
 	}
 	or := blk.Factors[2]
-	if or.Simple != nil || len(or.SargDNF) != 2 {
+	if len(or.SargDNF) != 2 {
 		t.Fatalf("OR factor should be a 2-disjunct SARG: %+v", or)
 	}
-	loc := blk.Factors[3]
-	if loc.Simple == nil || !loc.Simple.IsEq() {
-		t.Fatalf("LOC eq: %+v", loc.Simple)
+	if loc := onlyTerm(t, blk.Factors[3]); loc.Op != value.OpEq {
+		t.Fatalf("LOC eq: %+v", loc)
 	}
+}
+
+// onlyTerm returns the search-argument term of a factor that is one
+// comparison, failing the test for any other shape.
+func onlyTerm(t *testing.T, f *BoolFactor) SargTerm {
+	t.Helper()
+	if len(f.SargDNF) != 1 || len(f.SargDNF[0]) != 1 {
+		t.Fatalf("%s: want one search-argument term, got %+v", f, f.SargDNF)
+	}
+	return f.SargDNF[0][0]
 }
 
 func TestNotPushdown(t *testing.T) {
@@ -137,26 +145,21 @@ func TestNotPushdown(t *testing.T) {
 	if len(blk.Factors) != 2 {
 		t.Fatalf("want 2 factors after NOT pushdown, got %d: %v", len(blk.Factors), blk.Factors)
 	}
-	f0 := blk.Factors[0].Simple
-	if f0 == nil || f0.Lo == nil || !f0.LoInc {
+	if f0 := onlyTerm(t, blk.Factors[0]); f0.Op != value.OpGe {
 		t.Fatalf("NOT(SAL < 10) should become SAL >= 10: %+v", f0)
 	}
-	f1 := blk.Factors[1].Simple
-	if f1 == nil || f1.Ne == nil {
+	if f1 := onlyTerm(t, blk.Factors[1]); f1.Op != value.OpNe {
 		t.Fatalf("NOT(DNO = 3) should become DNO <> 3: %+v", f1)
 	}
 }
 
 func TestBetweenAndInClassification(t *testing.T) {
 	blk := analyze(t, "SELECT NAME FROM EMP WHERE SAL BETWEEN 10 AND 20 AND DNO IN (1, 2, 3)")
-	btw := blk.Factors[0].Simple
-	if btw == nil || btw.Lo == nil || btw.Hi == nil || !btw.LoInc || !btw.HiInc {
-		t.Fatalf("between interval: %+v", btw)
+	btw := blk.Factors[0].SargDNF
+	if len(btw) != 1 || len(btw[0]) != 2 || btw[0][0].Op != value.OpGe || btw[0][1].Op != value.OpLe {
+		t.Fatalf("BETWEEN should be one >= and <= conjunct: %+v", btw)
 	}
 	in := blk.Factors[1]
-	if in.Simple != nil {
-		t.Fatal("IN list is not a single simple predicate")
-	}
 	if len(in.SargDNF) != 3 {
 		t.Fatalf("IN list should be a 3-disjunct SARG: %+v", in.SargDNF)
 	}
@@ -165,7 +168,7 @@ func TestBetweenAndInClassification(t *testing.T) {
 func TestNonSargable(t *testing.T) {
 	blk := analyze(t, "SELECT NAME FROM EMP WHERE SAL + 1 > 10 AND SAL > DNO")
 	for i, f := range blk.Factors {
-		if f.SargDNF != nil || f.Simple != nil {
+		if f.SargDNF != nil {
 			t.Fatalf("factor %d should be residual: %+v", i, f)
 		}
 	}
@@ -194,9 +197,8 @@ func TestCorrelationSingleLevel(t *testing.T) {
 		t.Fatalf("factor rels: %v", blk.Factors[0].Rels)
 	}
 	// Inside the child, DNO = $param is sargable with a parameter bound.
-	cf := child.Factors[0]
-	if cf.Simple == nil || !cf.Simple.IsEq() || cf.Simple.Lo.Kind != BoundParam {
-		t.Fatalf("child factor should be param-sargable: %+v", cf.Simple)
+	if cf := onlyTerm(t, child.Factors[0]); cf.Op != value.OpEq || cf.Val.Kind != BoundParam {
+		t.Fatalf("child factor should be param-sargable: %+v", cf)
 	}
 }
 
@@ -370,7 +372,7 @@ func TestClassifyInSubqueryFactor(t *testing.T) {
 	if len(f.Subs) != 1 || f.Subs[0].Scalar {
 		t.Fatalf("factor subqueries: %+v", f.Subs)
 	}
-	if f.SargDNF != nil || f.Simple != nil {
+	if f.SargDNF != nil {
 		t.Fatal("IN-subquery factor is residual")
 	}
 	if f.Rels.Count() != 1 || !f.Rels.Has(0) {
@@ -382,15 +384,14 @@ func TestScalarSubqueryAsBound(t *testing.T) {
 	// Non-correlated scalar subquery: usable as an index bound.
 	blk := analyze(t, "SELECT NAME FROM EMP WHERE SAL > (SELECT MAX(SAL) FROM EMP) - 1")
 	f := blk.Factors[0]
-	// SAL > expr(subquery) — the bound involves arithmetic, so not Simple,
-	// and residual.
-	if f.Simple != nil {
-		t.Fatalf("arithmetic over subquery cannot be a simple bound: %+v", f.Simple)
+	// SAL > expr(subquery) — the bound involves arithmetic, so the factor
+	// is residual.
+	if f.SargDNF != nil {
+		t.Fatalf("arithmetic over subquery cannot be a bound: %+v", f.SargDNF)
 	}
 	blk = analyze(t, "SELECT NAME FROM EMP WHERE SAL > (SELECT MAX(SAL) FROM DEPT, EMP WHERE DEPT.DNO = EMP.DNO)")
-	f = blk.Factors[0]
-	if f.Simple == nil || f.Simple.Lo == nil || f.Simple.Lo.Kind != BoundSub {
-		t.Fatalf("plain subquery comparison should be a deferred bound: %+v", f.Simple)
+	if b := onlyTerm(t, blk.Factors[0]); b.Op != value.OpGt || b.Val.Kind != BoundSub {
+		t.Fatalf("plain subquery comparison should be a deferred bound: %+v", b)
 	}
 }
 
@@ -399,8 +400,8 @@ func TestCorrelatedBoundNotPreBindable(t *testing.T) {
 	// bound: the factor must be residual and reference both "relations".
 	blk := analyze(t, "SELECT E.NAME FROM EMP E, DEPT D WHERE E.SAL > (SELECT AVG(SAL) FROM EMP WHERE DNO = D.DNO)")
 	f := blk.Factors[0]
-	if f.Simple != nil {
-		t.Fatal("correlated-on-this-block bound must not be simple")
+	if f.SargDNF != nil {
+		t.Fatal("correlated-on-this-block bound must not be sargable")
 	}
 	if !f.Rels.Has(0) || !f.Rels.Has(1) {
 		t.Fatalf("factor must reference E and D: %v", f.Rels)
@@ -427,9 +428,8 @@ func TestHavingAnalysis(t *testing.T) {
 
 func TestNegativeBoundFolding(t *testing.T) {
 	blk := analyze(t, "SELECT NAME FROM EMP WHERE SAL > -(5.5)")
-	f := blk.Factors[0]
-	if f.Simple == nil || f.Simple.Lo.Kind != BoundConst || f.Simple.Lo.Val.Float != -5.5 {
-		t.Fatalf("negated constant bound: %+v", f.Simple)
+	if b := onlyTerm(t, blk.Factors[0]).Val; b.Kind != BoundConst || b.Val.Float != -5.5 {
+		t.Fatalf("negated constant bound: %+v", b)
 	}
 }
 
@@ -447,7 +447,7 @@ func TestHostVariableIsLiftedConst(t *testing.T) {
 		t.Fatalf("a '?' correlated the subquery: %+v", sub.Block.CorrelRefs)
 	}
 	for i, f := range []*BoolFactor{blk.Factors[0], sub.Block.Factors[0]} {
-		b := f.Simple.Lo
+		b := onlyTerm(t, f).Val
 		if !f.Lifted || b.Kind != BoundConst || b.Lift != i+1 || !b.Val.IsNull() || b.String() != fmt.Sprintf("?%d", i+1) {
 			t.Fatalf("%s: bound %+v", f, b)
 		}

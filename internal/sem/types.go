@@ -353,11 +353,6 @@ type BoolFactor struct {
 	// Subs are the subqueries referenced by the factor.
 	Subs []*Subquery
 
-	// Simple is non-nil when the factor is a single sargable predicate
-	// "column comparison-operator value" in interval form, usable both as an
-	// index start/stop key and as a search argument.
-	Simple *SimplePred
-
 	// EquiJoin is non-nil when the factor is T1.c1 = T2.c2 over two distinct
 	// relations: a join predicate whose columns join an order-equivalence
 	// class.
@@ -365,7 +360,9 @@ type BoolFactor struct {
 
 	// SargDNF is non-nil when the whole factor is expressible as a search
 	// argument: a boolean combination of sargable predicates on a single
-	// relation, in disjunctive normal form (possibly headed by an OR).
+	// relation, in disjunctive normal form (possibly headed by an OR). It is
+	// the factor's one sargable form: the RSS applies it as a search
+	// argument, and the optimizer reads it for index start/stop keys.
 	SargDNF [][]SargTerm
 }
 
@@ -415,24 +412,6 @@ func (b Bound) Value(lits []value.Value) value.Value {
 		return lits[b.Lift-1]
 	}
 	return b.Val
-}
-
-// SimplePred is a sargable predicate in interval form on one column:
-//
-//	=  v      → Lo = Hi = v, both inclusive
-//	>  v      → Lo = v exclusive
-//	BETWEEN   → Lo, Hi inclusive
-//	<> v      → Ne set (a search argument but never an index bound)
-type SimplePred struct {
-	Col          ColumnID
-	Lo, Hi       *Bound
-	LoInc, HiInc bool
-	Ne           *Bound // non-nil for <> predicates
-}
-
-// IsEq reports whether the predicate is an equality.
-func (p *SimplePred) IsEq() bool {
-	return p.Ne == nil && p.Lo != nil && p.Hi != nil && p.Lo == p.Hi
 }
 
 // EquiJoinPred is Left = Right across two relations.

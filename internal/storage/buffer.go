@@ -167,6 +167,7 @@ type BufferPool struct {
 	injector  FaultInjector // consulted by Fetch on misses; nil = no faults
 	fetchN    int64         // Fetch misses since the injector was installed
 	evictions atomic.Int64  // capacity evictions (not explicit Evict calls)
+	openScans atomic.Int64  // RSI scans open over this pool
 }
 
 // frame is one buffer slot: the page it holds and its neighbours in recency
@@ -197,6 +198,14 @@ func (bp *BufferPool) Stats() *IOStats { return bp.stats }
 // capacity evictions; explicit Evict calls for freed temp segments are not
 // counted).
 func (bp *BufferPool) Evictions() int64 { return bp.evictions.Load() }
+
+// AddOpenScans counts delta RSI scans opened (+1) or closed (-1) over the
+// pool. OpenScans is the count still open: the leak ledger asserts it
+// returns to zero after every statement, error and panic paths included.
+func (bp *BufferPool) AddOpenScans(delta int64) { bp.openScans.Add(delta) }
+
+// OpenScans returns the number of RSI scans currently open over the pool.
+func (bp *BufferPool) OpenScans() int64 { return bp.openScans.Load() }
 
 // Get returns the page frame for id, fetching it (a simulated I/O) if it is
 // not resident. Virtual pages (B-tree nodes) return nil but are accounted

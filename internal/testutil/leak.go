@@ -1,25 +1,24 @@
 package testutil
 
-// Robustness-layer leak accounting. Every RSI scan increments a process-wide
-// counter on Open and decrements it on Close; a test that finishes with the
-// counter above its starting point has leaked a scan (an executor exit path
-// that skipped Close).
+// Robustness-layer leak accounting. Every RSI scan counts itself open on
+// its buffer pool at Open and closed at Close; a test that finishes with a
+// scan still open on its database's pool has leaked one (an executor exit
+// path that skipped Close).
 
 import (
 	"testing"
 
-	"systemr/internal/rss"
+	"systemr/internal/storage"
 )
 
 // AssertNoLeaks registers a cleanup that fails the test if it exits with
-// more open RSI scans than when AssertNoLeaks was called. Call it at the
-// start of any test that executes queries.
-func AssertNoLeaks(t testing.TB) {
+// an RSI scan still open over pool. Call it once the test's pool exists,
+// in any test that executes queries.
+func AssertNoLeaks(t testing.TB, pool *storage.BufferPool) {
 	t.Helper()
-	before := rss.OpenScans()
 	t.Cleanup(func() {
-		if after := rss.OpenScans(); after != before {
-			t.Errorf("scan leak: %d RSI scans still open at test end (was %d at start)", after, before)
+		if n := pool.OpenScans(); n != 0 {
+			t.Errorf("scan leak: %d RSI scans still open at test end", n)
 		}
 	})
 }

@@ -1,11 +1,11 @@
 package systemr_test
 
-// The leak ledger. Three engine gauges count what a statement acquires and
-// must give back on every path out of it: open RSI scans, granted table
-// locks, and pinned snapshot registrations. Every public entry point runs
-// below under an injected fault at each page-fetch position it reaches —
-// first a failed fetch, then a panicking one — and once clean, and after
-// every run all three gauges must read 0. A leak is caught at the statement
+// The leak ledger. Three gauges count what a database's statements acquire
+// and must give back on every path out of them: open RSI scans, granted
+// table locks, and pinned snapshot registrations. Every public entry point
+// runs below under an injected fault at each page-fetch position it
+// reaches — first a failed fetch, then a panicking one — and once clean,
+// and after every run all three gauges must read 0. A leak is caught at the statement
 // that leaked it, on the path that leaked it.
 
 import (
@@ -174,6 +174,36 @@ func TestLeakLedgerSweep(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestOpenScansPerDatabase: the open-scan gauge counts one database's
+// scans. A cursor held open mid-stream on one database leaves another
+// database's gauge at 0, while the other runs statements of its own.
+func TestOpenScansPerDatabase(t *testing.T) {
+	held, other := newEmpDeptJobDB(t), newEmpDeptJobDB(t)
+	stmt, err := held.Prepare("SELECT NAME FROM EMP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := stmt.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := rows.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if n := sampleMap(held)["systemr_open_scans"].Value; n == 0 {
+		t.Fatal("systemr_open_scans = 0 on the database holding a cursor open")
+	}
+	assertClean(t, other)
+	if _, err := other.Query(ledgerJoin); err != nil {
+		t.Fatal(err)
+	}
+	assertClean(t, other)
+	if err := rows.Close(); err != nil {
+		t.Fatal(err)
+	}
+	assertClean(t, held)
 }
 
 // TestUncommittedRowsInvisible holds an explicit transaction's uncommitted

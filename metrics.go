@@ -156,7 +156,7 @@ func newDBMetrics(db *DB) *dbMetrics {
 	txnsActive := reg.NewGauge("systemr_txns_active",
 		"Explicit transactions currently open")
 	openScans := reg.NewGauge("systemr_open_scans",
-		"RSI scans currently open engine-wide")
+		"RSI scans currently open")
 	snapshotsPinned := reg.NewGauge("systemr_snapshots_pinned",
 		"Snapshot registrations currently holding the vacuum horizon back")
 
@@ -186,7 +186,7 @@ func newDBMetrics(db *DB) *dbMetrics {
 		catalogVersion.Set(float64(cs.CatalogVersion))
 		locksOutstanding.Set(float64(db.locks.Outstanding()))
 		txnsActive.Set(float64(db.activeTxns.Load()))
-		openScans.Set(float64(rss.OpenScans()))
+		openScans.Set(float64(db.pool.OpenScans()))
 		snapshotsPinned.Set(float64(db.txns.Live()))
 	})
 

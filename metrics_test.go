@@ -24,7 +24,7 @@ func sampleMap(db *systemr.DB) map[string]metrics.Sample {
 // observations, compile timings, and the measured-cost counters fed by the
 // per-statement accumulators.
 func TestMetricsStatementCounters(t *testing.T) {
-	db := systemr.Open(systemr.Config{})
+	db := openDB(systemr.Config{})
 	db.MustExec("CREATE TABLE T (A INTEGER)")
 	db.MustExec("INSERT INTO T VALUES (1), (2), (3)")
 	db.MustExec("UPDATE STATISTICS")
@@ -60,7 +60,7 @@ func TestMetricsStatementCounters(t *testing.T) {
 // TestMetricsCollectGauges checks the collect-on-scrape gauges reflect live
 // engine state: buffer-pool counters and hit ratio, and plan-cache counters.
 func TestMetricsCollectGauges(t *testing.T) {
-	db := systemr.Open(systemr.Config{})
+	db := openDB(systemr.Config{})
 	db.MustExec("CREATE TABLE T (A INTEGER)")
 	db.MustExec("INSERT INTO T VALUES (1), (2), (3)")
 	db.MustExec("SELECT A FROM T")
@@ -88,7 +88,7 @@ func TestMetricsCollectGauges(t *testing.T) {
 // TestMetricsGovernorAborts checks a budget-tripped statement lands in both
 // the error and governor-abort counters.
 func TestMetricsGovernorAborts(t *testing.T) {
-	db := systemr.Open(systemr.Config{MaxRowsScanned: 2})
+	db := openDB(systemr.Config{MaxRowsScanned: 2})
 	db.MustExec("CREATE TABLE T (A INTEGER)")
 	db.MustExec("INSERT INTO T VALUES (1), (2)")
 	if _, err := db.Exec("SELECT T.A FROM T, T T2"); err == nil {
@@ -107,7 +107,7 @@ func TestMetricsGovernorAborts(t *testing.T) {
 // and checks the lock-wait histogram records the blocked acquisition.
 // (Snapshot readers take no table locks, so only writers can wait.)
 func TestMetricsLockWaitObserved(t *testing.T) {
-	db := systemr.Open(systemr.Config{})
+	db := openDB(systemr.Config{})
 	db.MustExec("CREATE TABLE T (A INTEGER)")
 	db.MustExec("INSERT INTO T VALUES (1)")
 	held := db.Locks().TryAcquire([]lock.Request{{Table: "T", Mode: lock.Exclusive}})
@@ -136,7 +136,7 @@ func TestMetricsLockWaitObserved(t *testing.T) {
 // TestMetricsWriteTo checks DB.Metrics().WriteTo emits the exposition format
 // end to end over a live database.
 func TestMetricsWriteTo(t *testing.T) {
-	db := systemr.Open(systemr.Config{})
+	db := openDB(systemr.Config{})
 	db.MustExec("CREATE TABLE T (A INTEGER)")
 	var sb strings.Builder
 	if _, err := db.Metrics().WriteTo(&sb); err != nil {

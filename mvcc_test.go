@@ -20,7 +20,7 @@ import (
 // i in [0, n).
 func mvccDB(t *testing.T, n int) *systemr.DB {
 	t.Helper()
-	db := systemr.Open(systemr.Config{})
+	db := openDB(systemr.Config{})
 	db.MustExec("CREATE TABLE T (A INTEGER, B INTEGER)")
 	stmt := "INSERT INTO T VALUES "
 	for i := 0; i < n; i++ {
@@ -249,7 +249,7 @@ func TestVacuumRespectsOpenSnapshots(t *testing.T) {
 // each leaving one dead version: the pass on the last commit reclaims them
 // all, so an explicit Vacuum finds nothing left.
 func TestAutoVacuumTriggers(t *testing.T) {
-	db := systemr.Open(systemr.Config{})
+	db := openDB(systemr.Config{})
 	db.MustExec("CREATE TABLE T (A INTEGER, B INTEGER)")
 	db.MustExec("INSERT INTO T VALUES (1, 0)")
 	for i := 2; i < systemr.DefaultVacuumEvery; i++ {

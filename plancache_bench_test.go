@@ -28,7 +28,7 @@ var plancacheQueries = []struct{ name, query, cold string }{
 }
 
 func plancacheDB() *systemr.DB {
-	return workload.NewEmpDB(workload.EmpConfig{Emps: 2000, Depts: 50, Jobs: 10, Seed: 43})
+	return openEmpDB(workload.EmpConfig{Emps: 2000, Depts: 50, Jobs: 10, Seed: 43})
 }
 
 // coldText is the cold run i's text: 1,000 distinct texts cycle through the

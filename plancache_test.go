@@ -19,7 +19,7 @@ import (
 
 func empDB(t testing.TB) *systemr.DB {
 	t.Helper()
-	return workload.NewEmpDB(workload.EmpConfig{Emps: 2000, Depts: 50, Jobs: 10, Seed: 11})
+	return openEmpDB(workload.EmpConfig{Emps: 2000, Depts: 50, Jobs: 10, Seed: 11})
 }
 
 // TestPlanCacheHitSkipsCompilation: the second execution of an identical
@@ -137,7 +137,7 @@ func TestPlanCacheUpdateStatisticsInvalidation(t *testing.T) {
 
 	// T(K, V) with 100 unique keys, indexed and analyzed: "K = 5" compiles
 	// with an exact one-row estimate.
-	db = systemr.Open(systemr.Config{BufferPages: 32})
+	db = openDB(systemr.Config{BufferPages: 32})
 	db.MustExec("CREATE TABLE T (K INTEGER, V INTEGER)")
 	vals := make([]string, 100)
 	for i := range vals {
@@ -388,7 +388,7 @@ func TestExplainShowsOwnLiterals(t *testing.T) {
 // counters stay coherent. Run with -race in CI. Sibling literals run
 // concurrently through one shared lifted plan, each with its own values.
 func TestPlanCacheConcurrent(t *testing.T) {
-	db := workload.NewEmpDB(workload.EmpConfig{Emps: 300, Depts: 10, Jobs: 5, Seed: 5})
+	db := openEmpDB(workload.EmpConfig{Emps: 300, Depts: 10, Jobs: 5, Seed: 5})
 	queries := []string{
 		"SELECT NAME FROM EMP WHERE EMPNO = 17",
 		"SELECT COUNT(*) FROM EMP WHERE DNO = 3",

@@ -67,7 +67,7 @@ func TestPrepareRejectsNonSelect(t *testing.T) {
 // exclusively, Prepare and DumpSQL report the failed lock wait instead of
 // compiling or dumping without their lock.
 func TestPrepareAndDumpLockTimeout(t *testing.T) {
-	db := systemr.Open(systemr.Config{LockTimeout: 50 * time.Millisecond})
+	db := openDB(systemr.Config{LockTimeout: 50 * time.Millisecond})
 	db.MustExec("CREATE TABLE T (A INTEGER)")
 	ddl := db.Locks().Acquire([]lock.Request{{Table: compile.CatalogLock, Mode: lock.Exclusive}})
 	if ddl == nil {

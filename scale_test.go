@@ -16,7 +16,7 @@ func TestScale(t *testing.T) {
 		t.Skip("scale test skipped in -short mode")
 	}
 	const emps, depts, jobs = 50000, 500, 40
-	db := workload.NewEmpDB(workload.EmpConfig{
+	db := openEmpDB(workload.EmpConfig{
 		Emps: emps, Depts: depts, Jobs: jobs, Seed: 71, ClusterEmpByDno: true,
 		Engine: systemr.Config{BufferPages: 256},
 	})

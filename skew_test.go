@@ -29,7 +29,7 @@ func uniformModel(db *systemr.DB) core.Config {
 }
 
 func TestSkewPlanFlip(t *testing.T) {
-	hist, hot := workload.NewSkewDB(workload.SkewConfig{Seed: skewSeed})
+	hist, hot := openSkewDB(workload.SkewConfig{Seed: skewSeed})
 
 	hotQ := fmt.Sprintf("SELECT VAL FROM EVENTS WHERE KEY = %d", hot)
 
@@ -88,7 +88,7 @@ func TestSkewPlanFlip(t *testing.T) {
 // histograms must cut the mean estimation q-error and flip exactly four of
 // the eight access-path choices.
 func TestHistogramsFlipPlans(t *testing.T) {
-	hist, hot := workload.NewSkewDB(workload.SkewConfig{Seed: skewSeed})
+	hist, hot := openSkewDB(workload.SkewConfig{Seed: skewSeed})
 	queries := []string{
 		fmt.Sprintf("SELECT VAL FROM EVENTS WHERE KEY = %d", hot),
 		"SELECT VAL FROM EVENTS WHERE KEY = 10",
@@ -132,7 +132,7 @@ func TestHistogramsFlipPlans(t *testing.T) {
 // classes, so they compile once each and keep their own plans: the segment
 // scan for the hot key, the index for the cold one.
 func TestSkewLiftedKeysKeepPlans(t *testing.T) {
-	db, hot := workload.NewSkewDB(workload.SkewConfig{Seed: skewSeed})
+	db, hot := openSkewDB(workload.SkewConfig{Seed: skewSeed})
 	hotQ := fmt.Sprintf("SELECT VAL FROM EVENTS WHERE KEY = %d", hot)
 	const coldQ = "SELECT VAL FROM EVENTS WHERE KEY = 900"
 	before := db.PlanCacheStats()

@@ -4,17 +4,47 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"systemr"
 	"systemr/internal/testutil"
+	"systemr/internal/workload"
 )
+
+// testLockTimeout bounds every lock wait of a test database, so a leaked
+// table lock fails the statement that waits on it with ErrLockTimeout
+// instead of hanging the test binary. A test that sets its own
+// LockTimeout keeps it.
+const testLockTimeout = 10 * time.Second
+
+// withLockTimeout returns cfg with testLockTimeout when it sets none.
+func withLockTimeout(cfg systemr.Config) systemr.Config {
+	if cfg.LockTimeout == 0 {
+		cfg.LockTimeout = testLockTimeout
+	}
+	return cfg
+}
+
+// openDB, openEmpDB and openSkewDB are systemr.Open, workload.NewEmpDB and
+// workload.NewSkewDB with withLockTimeout applied to the engine config.
+func openDB(cfg systemr.Config) *systemr.DB { return systemr.Open(withLockTimeout(cfg)) }
+
+func openEmpDB(cfg workload.EmpConfig) *systemr.DB {
+	cfg.Engine = withLockTimeout(cfg.Engine)
+	return workload.NewEmpDB(cfg)
+}
+
+func openSkewDB(cfg workload.SkewConfig) (*systemr.DB, int64) {
+	cfg.Engine = withLockTimeout(cfg.Engine)
+	return workload.NewSkewDB(cfg)
+}
 
 // newEmpDeptJobDB loads the paper's Figure 1 schema: EMP, DEPT, JOB with the
 // indexes the example discusses.
 func newEmpDeptJobDB(t testing.TB) *systemr.DB {
 	t.Helper()
-	testutil.AssertNoLeaks(t)
-	db := systemr.Open(systemr.Config{BufferPages: 32})
+	db := openDB(systemr.Config{BufferPages: 32})
+	testutil.AssertNoLeaks(t, db.Pool())
 	db.MustExec("CREATE TABLE EMP (NAME VARCHAR, DNO INTEGER, JOB INTEGER, SAL FLOAT)")
 	db.MustExec("CREATE TABLE DEPT (DNO INTEGER, DNAME VARCHAR, LOC VARCHAR)")
 	db.MustExec("CREATE TABLE JOB (JOB INTEGER, TITLE VARCHAR)")

@@ -371,17 +371,11 @@ func (db *DB) Pool() *storage.BufferPool { return db.pool }
 // Locks().Outstanding() == 0 between statements).
 func (db *DB) Locks() *lock.Manager { return db.locks }
 
-// Runtime returns an ungoverned executor runtime bound to this database,
-// carrying its own fresh statement accumulator and no snapshot — it reads
-// the latest committed versions (single-statement tooling: experiment
-// drivers and tests).
-func (db *DB) Runtime() *exec.Runtime { return db.runtime(nil, nil) }
-
 // RunPlanned executes an already-built plan ungoverned, under a freshly
 // pinned snapshot that is released when it returns, and reports the raw
 // executor statistics. Experiment drivers measure alternative plans through
-// this instead of exec.RunQuery(db.Runtime(), …) so their reads are
-// snapshot-consistent and the vacuum horizon is held for exactly the run.
+// this, so their reads are snapshot-consistent and the vacuum horizon is
+// held for exactly the run.
 // An internal panic is contained as a *PanicError, as for any statement.
 func (db *DB) RunPlanned(q *plan.Query) (_ []value.Row, _ *exec.Stats, err error) {
 	defer contain(&err)

@@ -68,7 +68,7 @@ func genTxns(goroutines, perG int, seed int64) [][]propTxn {
 }
 
 func newPropDB() *systemr.DB {
-	db := systemr.Open(systemr.Config{})
+	db := openDB(systemr.Config{})
 	for _, tab := range []string{"T0", "T1", "T2"} {
 		db.MustExec("CREATE TABLE " + tab + " (K INTEGER, V INTEGER)")
 		for k := 0; k < 20; k++ {

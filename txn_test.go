@@ -16,7 +16,7 @@ import (
 // newTxnDB builds a small two-table database with a unique index.
 func newTxnDB(t testing.TB) *systemr.DB {
 	t.Helper()
-	db := systemr.Open(systemr.Config{})
+	db := openDB(systemr.Config{})
 	db.MustExec("CREATE TABLE T (K INTEGER, V INTEGER)")
 	db.MustExec("CREATE UNIQUE INDEX T_K ON T (K)")
 	db.MustExec("CREATE TABLE U (K INTEGER, V INTEGER)")
