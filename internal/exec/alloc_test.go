@@ -4,10 +4,11 @@ package exec
 
 // Allocation bounds for the tuple path (the race detector changes
 // allocation counts, so these run only without it). Scans decode into a
-// reused stage and hand each batch out in two exact chunks, and sorts read
-// runs back into shared chunks, so allocation grows with batches and temp
-// pages, never with rows; and batches hold room only for the rows that
-// cross them, so a statement's bytes follow the rows it moves.
+// reused stage and lend it or hand each batch out in two exact chunks,
+// grouping carves its output from chunks, and sorts read runs back into
+// shared chunks, so allocation grows with batches and temp pages, never
+// with rows or groups; and batches hold room only for the rows that cross
+// them, so a statement's bytes follow the rows it moves.
 
 import (
 	"fmt"
@@ -56,12 +57,15 @@ func loadWide(t *testing.T, n int) *env {
 // TestScanAllocsPerBatch: a segment scan and an index range scan, with
 // SARG, residual and snapshot rejections, allocate at most a fixed number
 // of times per batch, beyond what OPEN allocates to resolve its bounds and
-// SARGs — the same bound at 256 rows as at 10k. The operator and the batch
-// are reused across runs, as a nested-loop inner's are, so the scan's stage
-// and the batch's backing array have grown to their working size in the
-// warm-up run.
+// SARGs — the same bound at 256 rows as at 10k. A scan that owns its rows
+// copies each batch out in two chunks; one that lends its stage, as it
+// does under a projection, aggregation or sort, allocates nothing per
+// batch. The operator and the batch are reused across runs, as a
+// nested-loop inner's are, so the scan's stage, its composite chunk and the
+// batch's backing array have grown to their working size in the warm-up
+// run.
 func TestScanAllocsPerBatch(t *testing.T) {
-	const perOpen, perBatch = 10, 2
+	const perOpen = 10
 	for _, n := range []int{320, 12500} { // 256 and 10k rows survive the deletes
 		e := loadWide(t, n)
 		for _, tc := range []struct {
@@ -77,38 +81,98 @@ func TestScanAllocsPerBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			scan := tc.find(root)
-			if scan == nil {
+			found := tc.find(root)
+			if found == nil {
 				t.Fatalf("unexpected access path:\n%s", q.Explain())
 			}
-			b := NewBatch(DefaultBatchSize)
-			rows, batches := 0, 0
-			allocs := testing.AllocsPerRun(3, func() {
-				rows, batches = 0, 0
-				if err := scan.Open(); err != nil {
+			for _, mode := range []struct {
+				name     string
+				build    func(plan.Node) (*op, error)
+				perBatch int
+			}{{"owning", ctx.build, 2}, {"lending", ctx.buildLending, 0}} {
+				scan, err := mode.build(found.node)
+				if err != nil {
 					t.Fatal(err)
 				}
-				for {
-					if err := scan.NextBatch(b); err != nil {
+				b := NewBatch(DefaultBatchSize)
+				rows, batches := 0, 0
+				allocs := testing.AllocsPerRun(3, func() {
+					rows, batches = 0, 0
+					if err := scan.Open(); err != nil {
 						t.Fatal(err)
 					}
-					if b.Len() == 0 {
-						break
+					for {
+						if err := scan.NextBatch(b); err != nil {
+							t.Fatal(err)
+						}
+						if b.Len() == 0 {
+							break
+						}
+						if b.borrowed != (mode.perBatch == 0) {
+							t.Fatalf("%s %s scan: batch borrowed = %v", tc.query, mode.name, b.borrowed)
+						}
+						rows += b.Len()
+						batches++
 					}
-					rows += b.Len()
-					batches++
+					if err := scan.Close(); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if rows < n*3/4 {
+					t.Fatalf("%s: %d rows from %d versions", tc.query, rows, n)
 				}
-				if err := scan.Close(); err != nil {
+				if allocs > float64(perOpen+mode.perBatch*batches) {
+					t.Errorf("%s, %s: %.0f allocations for %d rows in %d batches, want <= %d + %d per batch",
+						tc.query, mode.name, allocs, rows, batches, perOpen, mode.perBatch)
+				}
+			}
+		}
+	}
+}
+
+// TestGroupAggAllocsPerBatch: grouping allocates per output batch, not per
+// group. GROUP BY directly over T's clustered index lends the scan's stage
+// and forms one group per surviving row — 256 groups and 10k — and the
+// operator tree is reused across runs, so after warm-up each output batch
+// costs its row chunk and its composite chunk, whatever the number of
+// groups. Four allocations per group (output row, its composite, the
+// aggregate values and the states) would cost some 40k here.
+func TestGroupAggAllocsPerBatch(t *testing.T) {
+	const perOpen, perBatch = 10, 2
+	for _, n := range []int{320, 12500} {
+		e := loadWide(t, n)
+		_, q := e.plan(t, "SELECT A, COUNT(*), SUM(B), MAX(C) FROM T WHERE A <> B GROUP BY A", core.Config{})
+		root := mustBuild(t, e, q)
+		if _, ok := root.kids[0].impl.(*indexScanOp); !ok {
+			t.Fatalf("grouping is not directly over an index scan:\n%s", q.Explain())
+		}
+		b := NewBatch(DefaultBatchSize)
+		groups, batches := 0, 0
+		allocs := testing.AllocsPerRun(3, func() {
+			groups, batches = 0, 0
+			if err := root.Open(); err != nil {
+				t.Fatal(err)
+			}
+			for {
+				if err := root.NextBatch(b); err != nil {
 					t.Fatal(err)
 				}
-			})
-			if rows < n*3/4 {
-				t.Fatalf("%s: %d rows from %d versions", tc.query, rows, n)
+				if b.Len() == 0 {
+					break
+				}
+				groups += b.Len()
+				batches++
 			}
-			if allocs > float64(perOpen+perBatch*batches) {
-				t.Errorf("%s: %.0f allocations for %d rows in %d batches, want <= %d + %d per batch",
-					tc.query, allocs, rows, batches, perOpen, perBatch)
+			if err := root.Close(); err != nil {
+				t.Fatal(err)
 			}
+		})
+		if groups < n*3/4 {
+			t.Fatalf("%d groups from %d versions", groups, n)
+		}
+		if allocs > float64(perOpen+perBatch*batches) {
+			t.Errorf("%.0f allocations for %d groups in %d batches, want <= %d + %d per batch",
+				allocs, groups, batches, perOpen, perBatch)
 		}
 	}
 }
@@ -229,8 +293,10 @@ func subtreeOpens(o *op) int64 {
 // TestSmallResultBytes: a statement's executor memory follows the rows it
 // moves, not the batch target. A one-row probe and a 10-row range on T's
 // clustered key, run whole through RunQuery, stay within a fixed byte
-// budget per run; reserving the target's 256 row slots up front, in the
-// root's batch and in the projection's reader, costs some 12 KB by itself.
+// budget per run: measured at 2,240 and 5,672 bytes, with the scan lending
+// its stage to the projection. Reserving the target's 256 row slots up
+// front, in the root's batch and in the projection's reader, costs some
+// 12 KB by itself.
 func TestSmallResultBytes(t *testing.T) {
 	e := loadWide(t, 320)
 	for _, tc := range []struct {
@@ -238,8 +304,8 @@ func TestSmallResultBytes(t *testing.T) {
 		rows   int
 		budget uint64 // bytes per run
 	}{
-		{"SELECT A, B, C FROM T WHERE A = 17", 1, 4 << 10},
-		{"SELECT A, B FROM T WHERE A BETWEEN 100 AND 111", 10, 8 << 10},
+		{"SELECT A, B, C FROM T WHERE A = 17", 1, 2400},
+		{"SELECT A, B FROM T WHERE A BETWEEN 100 AND 111", 10, 6 << 10},
 	} {
 		_, q := e.plan(t, tc.query, core.Config{})
 		if findOp[*plan.IndexScan](mustBuild(t, e, q)) == nil {
@@ -314,13 +380,4 @@ func TestSortAllocsPerTempPage(t *testing.T) {
 		t.Errorf("sort of %d rows allocated %.0f times for %d temp pages, want <= %d per page",
 			len(rows), allocs, written, perPage)
 	}
-}
-
-func mustBuild(t *testing.T, e *env, q *plan.Query) *op {
-	t.Helper()
-	root, err := newBlockCtx(e.rt, q, new(int)).buildRoot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return root
 }

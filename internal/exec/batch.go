@@ -20,7 +20,10 @@ package exec
 // Runtime.BatchSize=1 runs the whole tree tuple-at-a-time (the ablation, and
 // DML tuple location).
 
-import "slices"
+import (
+	"math"
+	"slices"
+)
 
 // DefaultBatchSize is the number of rows an operator aims to move per
 // NextBatch call when the runtime does not configure a size.
@@ -28,49 +31,57 @@ const DefaultBatchSize = 256
 
 // Batch is a reusable buffer of composite rows with a target fill size. Its
 // backing array starts empty, grows as rows arrive, and is reused across
-// NextBatch calls, so it holds room for the largest fill so far. The rows
-// themselves are allocated by the producing operator, which never writes
-// them again, so a consumer may retain them across batches — nested-loop
-// outer rows, merge-join groups, hash builds and grouping representatives
-// depend on that. No consumer retains the batch's own slice of rows.
+// NextBatch calls, so it holds room for the largest fill so far. No consumer
+// retains the batch's own slice of rows.
+//
+// The rows in a batch are owned or borrowed. Owned rows are allocated by the
+// producing operator, which never writes them again, so a consumer may
+// retain them across batches — nested-loop outer rows, merge-join groups
+// and hash builds depend on that. Borrowed rows stay valid only until the
+// producer's next NextBatch, Open or Close: a scan built as the direct input
+// of a projection, aggregation or sort lends the rows in its stage (see
+// scan.go), because each of those consumers is done with a row before it
+// reads the next batch. The one row such a consumer keeps, a group's
+// representative, it copies.
 //
 // Producers allocate per batch, not per row: a scan decodes every version
-// into a stage it reuses (see scan.go) and copies the batch's accepted rows
-// out into one exactly sized value chunk and one composite chunk;
+// into a stage it reuses and, unless it lends, copies the batch's accepted
+// rows out into one exactly sized value chunk and one composite chunk;
 // projection and sort read-back carve their rows from chunks sized for the
 // rows at hand. Producers that know how many rows they are about to add
-// reserve room for them with grow; the row-at-a-time fill appends. Nothing
-// in a batch aliases a buffer its producer reuses.
+// reserve room for them with grow; the row-at-a-time fill appends.
 type Batch struct {
-	rows   []comp
-	target int
+	rows     []comp
+	target   int32 // int32 so borrowed packs beside it: a Batch stays 32 bytes
+	borrowed bool
 }
 
 // NewBatch creates an empty batch whose fills aim at n rows. It allocates
 // no room for rows: the first fill does, for the rows it brings.
 func NewBatch(n int) *Batch {
-	return &Batch{target: max(n, 1)}
+	return &Batch{target: int32(min(max(n, 1), math.MaxInt32))}
 }
 
 // Len returns the number of rows currently in the batch.
 func (b *Batch) Len() int { return len(b.rows) }
 
 // Cap returns the batch's target fill size.
-func (b *Batch) Cap() int { return b.target }
+func (b *Batch) Cap() int { return int(b.target) }
 
 // Full reports whether the batch reached its target size.
-func (b *Batch) Full() bool { return len(b.rows) >= b.target }
+func (b *Batch) Full() bool { return len(b.rows) >= b.Cap() }
 
 // grow reserves room for n more rows, up to the target, so a producer that
 // knows its row count appends them without regrowing the backing array.
 func (b *Batch) grow(n int) {
-	if n = min(n, b.target-len(b.rows)); n > 0 {
+	if n = min(n, b.Cap()-len(b.rows)); n > 0 {
 		b.rows = slices.Grow(b.rows, n)
 	}
 }
 
-// Reset empties the batch, keeping its backing array.
-func (b *Batch) Reset() { b.rows = b.rows[:0] }
+// Reset empties the batch, keeping its backing array; the next fill's rows
+// are owned unless its producer lends them.
+func (b *Batch) Reset() { b.rows, b.borrowed = b.rows[:0], false }
 
 // Append adds one row.
 func (b *Batch) Append(c comp) { b.rows = append(b.rows, c) }
@@ -128,6 +139,10 @@ func (ctx *blockCtx) reader(r *batchReader, src *op) *batchReader {
 // buffered returns how many rows the reader holds beyond the last one next
 // returned: what is left of the child's current batch.
 func (r *batchReader) buffered() int { return r.buf.Len() - r.i }
+
+// borrowed reports whether the rows next serves are borrowed: valid only
+// until the reader refills from src.
+func (r *batchReader) borrowed() bool { return r.buf.borrowed }
 
 // next serves one row, refilling from src as needed.
 func (r *batchReader) next() (comp, bool, error) {

@@ -2,7 +2,7 @@ package exec
 
 // Output-stage operators: projection, aggregation (GROUP BY on ordered
 // input), and duplicate elimination. They emit final output rows as
-// single-slot composites (outComp/outRow) so they share the one Operator
+// single-slot composites (unwrapped by outRow) so they share the one Operator
 // interface with the relational operators below them.
 
 import (
@@ -68,24 +68,38 @@ func (it *projectOp) close() error { return it.input.Close() }
 
 // groupAggOp aggregates input already ordered on the grouping columns,
 // emitting one output row per group (or exactly one row for a scalar
-// aggregate over the whole input).
+// aggregate over the whole input). It allocates per output batch, not per
+// group: the aggregate states and their finished values are reset in place,
+// and output rows and their single-slot composites are carved from chunks
+// that double, up to the batch target, from one row, so a scalar aggregate
+// allocates for one row. Output rows stay owned: the block driver keeps
+// them.
 type groupAggOp struct {
 	ctx   *blockCtx
 	input *op
 	node  *plan.GroupAgg
+	read  *batchReader
 
 	curRep  comp // the group's first row: its grouping columns are the group key
-	states  []aggState
 	started bool
 	done    bool
-	pending comp // lookahead row belonging to the next group
-	read    *batchReader
+	states  []aggState
+	aggVals []value.Value // the finished group's aggregate values
+
+	// rep and repVals hold a copy of the representative when it comes from
+	// a borrowed batch, which the next refill overwrites; one group's
+	// representative is kept at a time, so they are reused.
+	rep     comp
+	repVals value.Row
+
+	rowArena  []value.Value
+	compArena []value.Row
+	chunk     int // rows in the last output chunk
 }
 
 func (it *groupAggOp) open() error {
-	it.curRep, it.states = nil, nil
+	it.curRep = nil
 	it.started, it.done = false, false
-	it.pending = nil
 	if err := it.input.Open(); err != nil {
 		return err
 	}
@@ -106,22 +120,47 @@ func (it *groupAggOp) sameGroup(c comp) bool {
 	return true
 }
 
+// startGroup makes c the representative of a new group, copying it when
+// its batch is borrowed, and resets the aggregate states.
+func (it *groupAggOp) startGroup(c comp) {
+	it.curRep = c
+	if it.read.borrowed() {
+		if it.rep == nil {
+			it.rep = make(comp, len(c))
+		}
+		it.repVals = it.repVals[:0]
+		for i, r := range c {
+			it.rep[i] = nil
+			if r != nil {
+				start := len(it.repVals)
+				it.repVals = append(it.repVals, r...)
+				it.rep[i] = it.repVals[start:len(it.repVals):len(it.repVals)]
+			}
+		}
+		it.curRep = it.rep
+	}
+	it.resetStates()
+}
+
+// resetStates starts every aggregate afresh, in states allocated once.
+func (it *groupAggOp) resetStates() {
+	if it.states == nil {
+		it.states = make([]aggState, len(it.node.Aggs))
+		it.aggVals = make([]value.Value, len(it.node.Aggs))
+	}
+	for i, a := range it.node.Aggs {
+		it.states[i] = aggState{star: a.Star}
+	}
+}
+
 func (it *groupAggOp) next() (comp, bool, error) {
 	if it.done {
 		return nil, false, nil
 	}
 	for {
-		var c comp
-		var ok bool
-		var err error
-		if it.pending != nil {
-			c, ok = it.pending, true
-			it.pending = nil
-		} else {
-			c, ok, err = it.read.next()
-			if err != nil {
-				return nil, false, err
-			}
+		c, ok, err := it.read.next()
+		if err != nil {
+			return nil, false, err
 		}
 		if !ok {
 			it.done = true
@@ -131,38 +170,27 @@ func (it *groupAggOp) next() (comp, bool, error) {
 				}
 				// Scalar aggregate over empty input: one row (COUNT = 0,
 				// SUM/AVG/MIN/MAX = NULL) — unless HAVING filters it.
-				it.states = newAggStates(it.node.Aggs)
-				row, keep, err := it.emit(make(comp, it.ctx.numRels()))
-				if err != nil || !keep {
-					return nil, false, err
-				}
-				return outComp(row), true, nil
+				it.resetStates()
+				return it.emit(make(comp, it.ctx.numRels()))
 			}
-			row, keep, err := it.emit(it.curRep)
-			if err != nil || !keep {
-				return nil, false, err
-			}
-			return outComp(row), true, nil
+			return it.emit(it.curRep)
 		}
 		if !it.started {
 			it.started = true
-			it.curRep = c
-			it.states = newAggStates(it.node.Aggs)
+			it.startGroup(c)
 		} else if !it.sameGroup(c) {
 			// Group boundary: emit the finished group (unless HAVING
-			// filters it), start the next.
-			row, keep, err := it.emit(it.curRep)
+			// filters it), start the next with c.
+			out, keep, err := it.emit(it.curRep)
 			if err != nil {
 				return nil, false, err
 			}
-			it.curRep = c
-			it.states = newAggStates(it.node.Aggs)
-			it.pending = c
-			if err := it.accumulatePending(); err != nil {
+			it.startGroup(c)
+			if err := it.accumulate(c); err != nil {
 				return nil, false, err
 			}
 			if keep {
-				return outComp(row), true, nil
+				return out, true, nil
 			}
 			continue
 		}
@@ -170,14 +198,6 @@ func (it *groupAggOp) next() (comp, bool, error) {
 			return nil, false, err
 		}
 	}
-}
-
-// accumulatePending folds the lookahead row (first of the new group) into
-// the fresh aggregate states.
-func (it *groupAggOp) accumulatePending() error {
-	c := it.pending
-	it.pending = nil
-	return it.accumulate(c)
 }
 
 func (it *groupAggOp) accumulate(c comp) error {
@@ -197,13 +217,13 @@ func (it *groupAggOp) accumulate(c comp) error {
 
 // emit finalizes the current group: HAVING conjuncts filter it (ok=false),
 // otherwise the block's output expressions are evaluated over the group's
-// representative composite and the aggregate results.
-func (it *groupAggOp) emit(rep comp) (value.Row, bool, error) {
-	aggVals := make([]value.Value, len(it.states))
+// representative composite and the aggregate results into a row carved
+// from the output chunks, returned as a single-slot composite.
+func (it *groupAggOp) emit(rep comp) (comp, bool, error) {
 	for i := range it.states {
-		aggVals[i] = it.states[i].finish(it.node.Aggs[i].Name)
+		it.aggVals[i] = it.states[i].finish(it.node.Aggs[i].Name)
 	}
-	it.ctx.aggVals = aggVals
+	it.ctx.aggVals = it.aggVals
 	defer func() { it.ctx.aggVals = nil }()
 	for _, h := range it.node.Having {
 		ok, err := it.ctx.evalBool(rep, h)
@@ -214,7 +234,16 @@ func (it *groupAggOp) emit(rep comp) (value.Row, bool, error) {
 			return nil, false, nil
 		}
 	}
-	out := make(value.Row, len(it.node.OutExprs))
+	ne := len(it.node.OutExprs)
+	if len(it.compArena) == 0 {
+		it.chunk = min(max(2*it.chunk, 1), it.ctx.batchN)
+		it.rowArena = make([]value.Value, it.chunk*ne)
+		it.compArena = make([]value.Row, it.chunk)
+	}
+	out := value.Row(it.rowArena[:ne:ne])
+	it.rowArena = it.rowArena[ne:]
+	oc := comp(it.compArena[:1:1])
+	it.compArena = it.compArena[1:]
 	for i, e := range it.node.OutExprs {
 		v, err := it.ctx.evalExpr(rep, e)
 		if err != nil {
@@ -222,7 +251,8 @@ func (it *groupAggOp) emit(rep comp) (value.Row, bool, error) {
 		}
 		out[i] = v
 	}
-	return out, true, nil
+	oc[0] = out
+	return oc, true, nil
 }
 
 func (it *groupAggOp) close() error { return it.input.Close() }
@@ -236,14 +266,6 @@ type aggState struct {
 	sumFloat float64
 	isFloat  bool
 	min, max value.Value
-}
-
-func newAggStates(aggs []*sem.Agg) []aggState {
-	states := make([]aggState, len(aggs))
-	for i, a := range aggs {
-		states[i].star = a.Star
-	}
-	return states
 }
 
 func (s *aggState) addRow() { s.rows++ }

@@ -191,19 +191,19 @@ func (ctx *blockCtx) build(n plan.Node) (*op, error) {
 		}
 		return ctx.newOp(n, &hashJoinOp{ctx: ctx, node: x, outer: outer, inner: inner}, outer, inner), nil
 	case *plan.Sort:
-		in, err := ctx.build(x.Input)
+		in, err := ctx.buildLending(x.Input)
 		if err != nil {
 			return nil, err
 		}
 		return ctx.newOp(n, &sortOp{ctx: ctx, input: in, keys: x.Keys}, in), nil
 	case *plan.Project:
-		in, err := ctx.build(x.Input)
+		in, err := ctx.buildLending(x.Input)
 		if err != nil {
 			return nil, err
 		}
 		return ctx.newOp(n, &projectOp{ctx: ctx, input: in, exprs: x.Exprs}, in), nil
 	case *plan.GroupAgg:
-		in, err := ctx.build(x.Input)
+		in, err := ctx.buildLending(x.Input)
 		if err != nil {
 			return nil, err
 		}
@@ -220,6 +220,24 @@ func (ctx *blockCtx) build(n plan.Node) (*op, error) {
 	default:
 		return nil, fmt.Errorf("exec: unsupported plan node %T", n)
 	}
+}
+
+// buildLending builds the input of a projection, aggregation or sort. Each
+// of them is done with a row before it reads the next batch, so a scan built
+// here lends its stage's rows (see batch.go); every other scan owns the rows
+// it hands out.
+func (ctx *blockCtx) buildLending(n plan.Node) (*op, error) {
+	in, err := ctx.build(n)
+	if err != nil {
+		return nil, err
+	}
+	switch s := in.impl.(type) {
+	case *segScanOp:
+		s.lend = true
+	case *indexScanOp:
+		s.lend = true
+	}
+	return in, nil
 }
 
 // producesOutput reports whether n emits final output rows (single-slot
@@ -246,9 +264,7 @@ func (ctx *blockCtx) buildRoot() (*op, error) {
 	return root, nil
 }
 
-// outComp wraps a final output row as a single-slot composite so the
-// output-stage operators (projection, aggregation, duplicate elimination)
-// share the one Operator interface; outRow unwraps it.
-func outComp(r value.Row) comp { return comp{r} }
-
+// outRow unwraps a final output row from the single-slot composite in which
+// the output-stage operators (projection, aggregation, duplicate
+// elimination) hand it on, so they share the one Operator interface.
 func outRow(c comp) value.Row { return c[0] }

@@ -16,13 +16,17 @@ import (
 	"systemr/internal/value"
 )
 
-// The batch memory contract: a producer allocates the rows it hands out and
-// never writes them again, so a consumer may retain them. Scans decode every
-// version into a stage they reuse and copy accepted rows out per batch; the
-// sort reads runs back into shared chunks. These tests retain every row an
-// operator returns, snapshot its values on receipt, and check after the
-// operator is drained — later batches, and rejected versions decoded over
-// the stage, included — that nothing retained changed.
+// The batch memory contract: a batch's rows are owned or borrowed. A
+// producer of owned rows allocates them and never writes them again, so a
+// consumer may retain them: scans that do not lend copy accepted rows out
+// of their stage per batch, and the sort reads runs back into shared
+// chunks. These tests retain every row such an operator returns, snapshot
+// its values on receipt, and check after the operator is drained — later
+// batches, and rejected versions decoded over the stage, included — that
+// nothing retained changed. A scan under a projection, aggregation or sort
+// lends its stage instead; for those, the tests check that the batches say
+// borrowed and that the consumer's result matches the reference evaluator
+// at every batch size.
 
 // loadRetention builds A(K, S, V) and B(K, S) in one shared segment, so a
 // scan of either also rejects the other's records. VARCHAR values vary in
@@ -97,9 +101,20 @@ func findOp[T plan.Node](o *op) *op {
 	return nil
 }
 
+// mustBuild builds q's operator tree.
+func mustBuild(t *testing.T, e *env, q *plan.Query) *op {
+	t.Helper()
+	root, err := newBlockCtx(e.rt, q, new(int)).buildRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return root
+}
+
 // drainRetained drives o to completion, retaining every composite it
-// returns and a deep copy taken on receipt, and fails if any retained row
-// differs from its copy once o is drained and closed. It returns the rows.
+// returns and a deep copy taken on receipt, and fails if a batch is
+// borrowed or if any retained row differs from its copy once o is drained
+// and closed. It returns the rows.
 func drainRetained(t *testing.T, o *op, batchN int) []comp {
 	t.Helper()
 	var kept, copies []comp
@@ -114,6 +129,10 @@ func drainRetained(t *testing.T, o *op, batchN int) []comp {
 		}
 		if b.Len() == 0 {
 			break
+		}
+		if b.borrowed {
+			o.Close()
+			t.Fatalf("%T lends its rows; only owned rows may be retained", o.impl)
 		}
 		for i := 0; i < b.Len(); i++ {
 			c := b.Row(i)
@@ -143,6 +162,51 @@ func drainRetained(t *testing.T, o *op, batchN int) []comp {
 		}
 	}
 	return kept
+}
+
+// drainBorrowed drives o to completion and fails unless every batch it
+// fills says its rows are borrowed. It returns the number of rows.
+func drainBorrowed(t *testing.T, o *op, batchN int) int {
+	t.Helper()
+	if err := o.Open(); err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	b := NewBatch(batchN)
+	n := 0
+	for {
+		if err := o.NextBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		if b.Len() == 0 {
+			return n
+		}
+		if !b.borrowed {
+			t.Fatalf("%T under a %T returned owned rows; it should lend its stage", o.impl, o.node)
+		}
+		n += b.Len()
+	}
+}
+
+// matchesReference runs q at each batch size and compares its rows with the
+// reference evaluator's.
+func matchesReference(t *testing.T, e *env, blk *sem.Block, q *plan.Query, sizes ...int) {
+	t.Helper()
+	want, err := testutil.RunBlock(e.disk, blk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(n int) { e.rt.BatchSize = n }(e.rt.BatchSize)
+	for _, n := range sizes {
+		e.rt.BatchSize = n
+		rows, _, err := RunQuery(e.rt, q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !testutil.SameMultiset(rows, want) {
+			t.Fatalf("batch size %d: result differs from the reference: %d rows, want %d\n%s", n, len(rows), len(want), q.Explain())
+		}
+	}
 }
 
 // TestRetainedRowsSurviveLaterBatches covers the retaining consumers: a
@@ -197,9 +261,12 @@ func TestRetainedRowsSurviveLaterBatches(t *testing.T) {
 	}
 }
 
-// TestScanRowsSurviveStageReuse drives the two scan operators directly: the
-// rows of every batch must survive the batches after them, whose versions
-// are decoded into the same stage — rejected ones included.
+// TestScanRowsSurviveStageReuse: a scan that owns its rows — one under a
+// join, or one driven directly — hands out rows that survive the batches
+// after them, whose versions are decoded into the same stage, rejected ones
+// included. The same scans under a projection lend their stage: every batch
+// says borrowed, and the query matches the reference evaluator at batch
+// sizes 1, 3 and 256.
 func TestScanRowsSurviveStageReuse(t *testing.T) {
 	e := newEnv(t)
 	loadRetention(t, e)
@@ -215,23 +282,100 @@ func TestScanRowsSurviveStageReuse(t *testing.T) {
 		{"SELECT A.S FROM A WHERE A.K BETWEEN 3 AND 30 AND A.V >= 25 AND A.V <> A.K", findOp[*plan.IndexScan]},
 	} {
 		query := tc.query
-		_, q := e.plan(t, query, core.Config{})
+		blk, q := e.plan(t, query, core.Config{})
 		ctx := newBlockCtx(e.rt, q, new(int))
 		root, err := ctx.buildRoot()
 		if err != nil {
 			t.Fatal(err)
 		}
-		scan := tc.find(root)
-		if scan == nil {
+		lent := tc.find(root)
+		if lent == nil || lent != root.kids[0] {
 			t.Fatalf("unexpected access path:\n%s", q.Explain())
 		}
-		got := drainRetained(t, scan, 16)
 		rows, _, err := RunQuery(e.rt, q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(rows) || len(got) < 100 {
+		if n := drainBorrowed(t, lent, 16); n != len(rows) {
+			t.Fatalf("%s: lending scan returned %d rows, query %d", query, n, len(rows))
+		}
+		matchesReference(t, e, blk, q, 1, 3, 256)
+
+		// Driven directly, the same scan node owns its rows.
+		owned, err := ctx.build(lent.node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := drainRetained(t, owned, 16); len(got) != len(rows) || len(got) < 100 {
 			t.Fatalf("%s: scan returned %d rows, query %d", query, len(got), len(rows))
 		}
+	}
+
+	// Under a join: the nested loop's outer scan owns its rows.
+	_, q := e.plan(t, "SELECT A.S, B.S FROM A, B WHERE A.K = B.K AND A.V >= 25 AND A.V <> A.K", core.Config{Joins: core.NestedLoopsOnly})
+	join := findOp[*plan.NLJoin](mustBuild(t, e, q))
+	if join == nil {
+		t.Fatalf("plan has no nested loops:\n%s", q.Explain())
+	}
+	if got := drainRetained(t, join.kids[0], 16); len(got) < 100 {
+		t.Fatalf("the join's outer scan returned %d rows", len(got))
+	}
+}
+
+// loadGroups builds G(S, V, K) with a clustered index on the VARCHAR S,
+// loaded in S order: 23 groups of some 26 versions each, of varying lengths,
+// with every seventh version deleted by a committed transaction.
+func loadGroups(t *testing.T, e *env) {
+	t.Helper()
+	g, err := e.cat.CreateTable("G", []catalog.Column{
+		{Name: "S", Type: value.KindString}, {Name: "V", Type: value.KindInt}, {Name: "K", Type: value.KindInt}}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 600; i++ {
+		grp := i * 23 / 600
+		row := value.Row{value.NewString(fmt.Sprintf("g%02d%s", grp, strings.Repeat("z", grp%5))), value.NewInt(int64(i)), value.NewInt(int64(i % 9))}
+		tid, _, err := rss.Insert(g, row, storage.FrozenXID, storage.NoPrevTID, e.disk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%7 == 3 {
+			if err := rss.MarkDeleted(g, tid, 2, e.disk); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := e.cat.CreateIndex("G_S", "G", []string{"S"}, false, true); err != nil {
+		t.Fatal(err)
+	}
+	e.cat.UpdateStatistics()
+	e.rt.Snap = &storage.Snapshot{Self: 10, Max: 10}
+}
+
+// TestGroupByOverLendingScan: grouping directly over an ordered index scan,
+// which lends its stage, keeps each group's representative across the
+// batches the group spans. Its VARCHAR group column, output and compared at
+// every group boundary and filtered by HAVING, must match the reference
+// evaluator at batch sizes 1, 3 and 256; a representative left in the
+// stage is overwritten by the next batch.
+func TestGroupByOverLendingScan(t *testing.T) {
+	e := newEnv(t)
+	loadGroups(t, e)
+	for _, query := range []string{
+		"SELECT G.S, COUNT(*), SUM(G.V), MIN(G.V) FROM G WHERE G.K <> 4 GROUP BY G.S HAVING G.S <> 'g05'",
+		"SELECT G.S, MAX(G.V) FROM G WHERE G.V > 40 AND G.V < 560 GROUP BY G.S HAVING G.S > 'g03' AND COUNT(*) > 3",
+	} {
+		blk, q := e.plan(t, query, core.Config{})
+		root := mustBuild(t, e, q)
+		if _, ok := root.node.(*plan.GroupAgg); !ok || len(root.kids) != 1 {
+			t.Fatalf("plan does not group at its root:\n%s", q.Explain())
+		}
+		if _, ok := root.kids[0].node.(*plan.IndexScan); !ok {
+			t.Fatalf("grouping is not directly over an index scan:\n%s", q.Explain())
+		}
+		if drainBorrowed(t, root.kids[0], 3) == 0 {
+			t.Fatal("the scan returned no rows")
+		}
+		matchesReference(t, e, blk, q, 1, 3, 256)
 	}
 }

@@ -6,16 +6,26 @@ package exec
 //
 // Memory: a scan decodes every version it examines into its stage — one
 // value slice the operator reuses for its whole life, starting in an array
-// inside the operator so a one-row probe allocates nothing for it. The RSS
+// inside the operator so a one-row probe allocates nothing for it. The
+// first row that overflows that array sizes the stage once (see reserve)
+// rather than letting it regrow from 16 values by doubling. The RSS
 // truncates the stage again when the relation, snapshot or SARGs reject a
 // version, and the operator does the same when its residual predicates do.
-// At the end of each nextBatch the accepted rows are copied out into one
-// exactly sized value chunk and one composite chunk, which the batch hands
-// to its consumer: two allocations per batch, none per tuple (a VARCHAR
-// column still allocates its string), and nothing in a batch aliases the
-// stage, so consumers may retain the rows.
+//
+// At the end of each nextBatch the accepted rows reach the batch in one of
+// two ways. A scan built as the direct input of a projection, aggregation or
+// sort lends them: the batch holds slices of the stage, in composites carved
+// from one chunk the scan reuses across batches, and is marked borrowed, so
+// after warm-up the batch allocates nothing. Every other scan — under a
+// join, or driven directly — copies them out into one exactly sized value
+// chunk and one composite chunk: two allocations per batch, none per tuple
+// (a VARCHAR column still allocates its string), and its consumer may
+// retain the rows.
 
 import (
+	"math"
+	"slices"
+
 	"systemr/internal/plan"
 	"systemr/internal/rss"
 	"systemr/internal/sem"
@@ -28,7 +38,8 @@ import (
 type scanStage struct {
 	vals    value.Row
 	ends    []int
-	scratch comp // residual evaluation composite; built on the first residual
+	scratch comp        // residual evaluation composite; built on the first residual
+	comps   []value.Row // a lending scan's composite chunk, reused across batches
 	valsBuf [16]value.Value
 	endsBuf [8]int
 }
@@ -44,6 +55,29 @@ func (st *scanStage) reset() {
 
 // rows returns the number of rows accepted since reset.
 func (st *scanStage) rows() int { return len(st.ends) }
+
+// room runs before each RSS call that decodes onto the stage, so the
+// stage is sized once: see reserve.
+func (st *scanStage) room(b *Batch, n plan.Node, width int) {
+	if len(st.vals)+width > cap(st.vals) && cap(st.vals) == len(st.valsBuf) {
+		st.reserve(b, n, width)
+	}
+}
+
+// reserve runs when a row of width values would overflow the inline array.
+// An estimate below a batch reserves room for the estimated rows in one
+// allocation. A larger one is not trusted with a batch of room: a range on
+// a prepared statement's ? bounds is estimated from the default
+// selectivity (a quarter of the relation), so a 10-row BETWEEN would hold
+// a 256-row stage. The stage then grows to four times the inline array.
+// Past the reservation the decoder grows it by doubling.
+func (st *scanStage) reserve(b *Batch, n plan.Node, width int) {
+	want := 4 * len(st.valsBuf)
+	if est := n.Est().Rows; est < float64(b.Cap()) {
+		want = int(math.Ceil(est)) * width
+	}
+	st.vals = slices.Grow(st.vals, max(want, len(st.vals)+width)-len(st.vals))
+}
 
 // accept judges the row the RSS just appended: vals is the stage extended
 // by it. The row is kept when the node's residual predicates hold and
@@ -70,17 +104,26 @@ func (st *scanStage) accept(ctx *blockCtx, vals value.Row, relIdx int, residual 
 	return true, nil
 }
 
-// emit copies the accepted rows out of the stage into b: one value chunk
-// and one composite chunk, both exactly sized, with room reserved in b for
-// exactly those rows. An empty stage (end of input) allocates nothing.
-func (st *scanStage) emit(ctx *blockCtx, b *Batch, relIdx int) {
+// emit hands the accepted rows to b, with room reserved in b for exactly
+// those rows. A lending scan hands out the stage's own rows in composites
+// from its reused chunk and marks b borrowed; otherwise the rows are copied
+// into one value chunk and one composite chunk, both exactly sized. An
+// empty stage (end of input) allocates nothing.
+func (st *scanStage) emit(ctx *blockCtx, b *Batch, relIdx int, lend bool) {
 	if len(st.ends) == 0 {
 		return
 	}
 	nr := ctx.numRels()
-	vals := make(value.Row, len(st.vals))
-	copy(vals, st.vals)
-	comps := make([]value.Row, len(st.ends)*nr)
+	vals, comps := st.vals, st.comps
+	if n := len(st.ends) * nr; !lend {
+		vals = make(value.Row, len(st.vals))
+		copy(vals, st.vals)
+		comps = make([]value.Row, n)
+	} else if cap(comps) < n {
+		comps = make([]value.Row, n)
+		st.comps = comps
+	}
+	b.borrowed = lend
 	b.grow(len(st.ends))
 	start := 0
 	for _, end := range st.ends {
@@ -151,11 +194,14 @@ func (ctx *blockCtx) resolveSargs(first bool, dst *rss.SargSet, sargs []sem.Sarg
 	return nil
 }
 
+// The scan operators keep lend in the padding after their flags: with the
+// stage inline, each just fits the 1 KB allocation size class.
 type segScanOp struct {
 	ctx    *blockCtx
 	node   *plan.SegScan
 	scan   rss.SegmentScan
 	opened bool
+	lend   bool // hand the stage's rows out borrowed (see the file comment)
 	tid    storage.TID
 	stage  scanStage
 }
@@ -179,6 +225,7 @@ func (it *segScanOp) nextBatch(b *Batch) error {
 	st := &it.stage
 	st.reset()
 	for st.rows() < b.Cap() {
+		st.room(b, it.node, len(it.node.Table.Columns))
 		vals, tid, ok, err := it.scan.NextInto(st.vals)
 		if err != nil {
 			return err
@@ -194,7 +241,7 @@ func (it *segScanOp) nextBatch(b *Batch) error {
 			it.tid = tid
 		}
 	}
-	st.emit(it.ctx, b, it.node.RelIdx)
+	st.emit(it.ctx, b, it.node.RelIdx, it.lend)
 	return nil
 }
 
@@ -210,6 +257,7 @@ type indexScanOp struct {
 	scan   rss.IndexScan
 	opened bool
 	empty  bool
+	lend   bool
 	tid    storage.TID
 	stage  scanStage
 }
@@ -251,6 +299,7 @@ func (it *indexScanOp) nextBatch(b *Batch) error {
 	st := &it.stage
 	st.reset()
 	for st.rows() < b.Cap() {
+		st.room(b, it.node, len(it.node.Index.Table.Columns))
 		vals, tid, ok, err := it.scan.NextInto(st.vals)
 		if err != nil {
 			return err
@@ -266,7 +315,7 @@ func (it *indexScanOp) nextBatch(b *Batch) error {
 			it.tid = tid
 		}
 	}
-	st.emit(it.ctx, b, it.node.RelIdx)
+	st.emit(it.ctx, b, it.node.RelIdx, it.lend)
 	return nil
 }
 
