@@ -21,7 +21,7 @@ import (
 // planQuery analyzes a SELECT and optimizes it with the given config on
 // db's catalog: the route by which tests plan under an optimizer ablation
 // (another W, join-method set, or histograms off) on a database that plans
-// with the defaults.
+// with the defaults. Every plan it makes passes checkCost.
 func planQuery(t testing.TB, db *systemr.DB, query string, cfg core.Config) (*plan.Query, *sem.Block) {
 	t.Helper()
 	stmt, err := sql.Parse(query)
@@ -36,6 +36,7 @@ func planQuery(t testing.TB, db *systemr.DB, query string, cfg core.Config) (*pl
 	if err != nil {
 		t.Fatalf("optimize %q: %v", query, err)
 	}
+	checkCost(t, db, cfg, q)
 	return q, blk
 }
 
@@ -175,7 +176,10 @@ func TestDifferentialRandomQueries(t *testing.T) {
 					if err != nil {
 						t.Fatalf("cached, lifted %q: %v", query, err)
 					}
-					shared += db.PlanCacheStats().Hits - hits
+					if db.PlanCacheStats().Hits > hits {
+						shared++
+						checkHitExplain(t, db, query)
+					}
 					if got := nativeRows(res); !testutil.SameMultiset(got, want) {
 						t.Fatalf("cached, lifted after %q: result mismatch for %q\nwant %d rows, got %d rows",
 							sib, query, len(want), len(got))
@@ -200,11 +204,12 @@ func TestDifferentialRandomQueries(t *testing.T) {
 						prepared++
 					}
 				}
-				for name, cfg := range ablations(db.OptimizerConfig()) {
+				for name, cfg := range costAblations(db.OptimizerConfig()) {
 					q, err := core.New(db.Catalog(), cfg).Optimize(blk)
 					if err != nil {
 						t.Fatalf("optimize %q: %v", query, err)
 					}
+					checkCost(t, db, cfg, q)
 					for drain, got := range drainings(t, db, q) {
 						if !testutil.SameMultiset(got, want) {
 							t.Fatalf("config %s, %s: result mismatch for %q\nwant %d rows, got %d rows\nplan:\n%s",

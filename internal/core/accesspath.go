@@ -19,7 +19,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"systemr/internal/catalog"
 	"systemr/internal/plan"
@@ -36,19 +35,10 @@ type pushedPred struct {
 	sel  float64 // the originating factor's Table 1 selectivity
 }
 
-// pathCand is one candidate access path for a single relation.
-type pathCand struct {
-	node plan.Node
-	cost plan.Cost
-	ord  order
-	desc string // trace label, e.g. "index EMP_DNO" / "segment scan"
-}
-
 // localFactors partitions the block's boolean factors local to relation rel
 // into sargable and residual sets.
 func (o *Optimizer) localFactors(rel int) (sargable, residual []*factorInfo) {
-	var single sem.RelSet
-	single = single.Set(rel)
+	single := sem.RelSet(0).Set(rel)
 	for _, fi := range o.factors {
 		if fi.rels != single {
 			continue
@@ -67,8 +57,8 @@ func (o *Optimizer) localFactors(rel int) (sargable, residual []*factorInfo) {
 // tuples the search arguments let across the RSI, and rows, those that also
 // pass the residual filters.
 type accessPaths struct {
-	all           []pathCand
-	cheapest      pathCand
+	all           []solution
+	cheapest      *solution
 	rsicard, rows float64
 }
 
@@ -78,26 +68,9 @@ type accessPaths struct {
 // keys, or residual filters.
 func (o *Optimizer) genPaths(rel int, pushed []pushedPred) accessPaths {
 	t := o.blk.Rels[rel].Table
-	st := t.Stats
-	relName := o.blk.Rels[rel].Name
-
-	// Selectivity bookkeeping, in the order sargable, residual, pushed.
+	set := sem.RelSet(0).Set(rel)
 	sargable, residual := o.localFactors(rel)
-	selSarg, selAll := 1.0, 1.0
-	for _, fi := range sargable {
-		selSarg *= fi.sel
-		selAll *= fi.sel
-	}
-	for _, fi := range residual {
-		selAll *= fi.sel
-	}
-	for _, p := range pushed {
-		selSarg *= p.sel
-		selAll *= p.sel
-	}
-	ncard := st.EffNCard()
-	rsicard := ncard * selSarg
-	rows := ncard * selAll
+	rsicard, rows := scanCard(t.Stats.EffNCard(), sargable, residual, pushed)
 
 	// Search arguments: one DNF per sargable factor plus one per pushed
 	// predicate; the RSS applies their conjunction.
@@ -113,65 +86,33 @@ func (o *Optimizer) genPaths(rel int, pushed []pushedPred) accessPaths {
 		resExprs[i] = fi.f.Expr
 	}
 
-	var paths []pathCand
-
-	// Segment scan: touches every non-empty page of the segment once.
-	segPages := st.EffTCard() / st.EffP()
-	seg := &plan.SegScan{
-		Table: t, RelIdx: rel, RelName: relName,
-		Sargs: sargs, Residual: resExprs,
-	}
-	segCost := plan.Cost{Pages: segPages, RSI: rsicard}
-	seg.SetEst(plan.Estimate{Cost: segCost, Rows: rows})
-	paths = append(paths, pathCand{node: seg, cost: segCost, ord: nil, desc: "segment scan"})
-
-	// Index scans.
+	seg := &plan.SegScan{Table: t, RelIdx: rel, RelName: o.blk.Rels[rel].Name, Sargs: sargs, Residual: resExprs}
+	paths := make([]solution, 1, 1+len(t.Indexes))
+	paths[0] = solution{set: set, node: priced(seg, o.scanEst(seg, 1, false, residual, rsicard, rows)), desc: "segment scan"}
 	for _, ix := range t.Indexes {
-		paths = append(paths, o.indexPath(rel, ix, pushed, sargs, resExprs, rsicard, rows))
+		node, fMatch, unique := o.matchIndex(rel, ix, pushed)
+		node.Sargs, node.Residual = sargs, resExprs
+		paths = append(paths, solution{
+			set:  set,
+			ord:  o.indexOrder(rel, ix.ColIdxs),
+			node: priced(node, o.scanEst(node, fMatch, unique, residual, rsicard, rows)),
+			desc: fmt.Sprintf("index %s", ix.Name),
+		})
 	}
 
-	// Section 6: residual factors containing correlated subqueries are
-	// re-evaluated per candidate tuple — unless the tuples arrive ordered on
-	// the referenced column, in which case the same-value cache evaluates
-	// once per distinct value ("the re-evaluation can be made conditional").
-	// Charge each path accordingly, so ordered access paths win when they
-	// save subquery work.
-	for _, fi := range residual {
-		col, subCost, evalsUnordered, ok := o.correlatedResidual(rel, fi, rsicard)
-		if !ok {
-			continue
-		}
-		for i := range paths {
-			evals := evalsUnordered
-			if len(paths[i].ord) > 0 && paths[i].ord[0].class == col {
-				if ic := o.icardOf(col); ic > 0 {
-					evals = math.Min(evals, ic)
-				}
-			}
-			extra := subCost.Scale(evals)
-			paths[i].cost = paths[i].cost.Add(extra)
-			switch n := paths[i].node.(type) {
-			case *plan.SegScan:
-				n.SetEst(plan.Estimate{Cost: paths[i].cost, Rows: rows})
-			case *plan.IndexScan:
-				n.SetEst(plan.Estimate{Cost: paths[i].cost, Rows: rows})
-			}
-		}
-	}
-
-	best := paths[0]
-	for _, p := range paths[1:] {
-		if p.cost.Total(o.cfg.W) < best.cost.Total(o.cfg.W) {
-			best = p
+	best := &paths[0]
+	for i := range paths {
+		if paths[i].total(o.cfg.W) < best.total(o.cfg.W) {
+			best = &paths[i]
 		}
 	}
 	return accessPaths{all: paths, cheapest: best, rsicard: rsicard, rows: rows}
 }
 
 // correlatedResidual recognizes a residual factor whose subqueries all
-// correlate on a single column of this relation, returning that column, the
-// per-evaluation cost, and the expected evaluations for unordered delivery.
-func (o *Optimizer) correlatedResidual(rel int, fi *factorInfo, rsicard float64) (sem.ColumnID, plan.Cost, float64, bool) {
+// correlate on a single column of its relation, returning that column and
+// the cost of one evaluation of them.
+func (o *Optimizer) correlatedResidual(fi *factorInfo) (sem.ColumnID, plan.Cost, bool) {
 	var col sem.ColumnID
 	found := false
 	var total plan.Cost
@@ -187,22 +128,18 @@ func (o *Optimizer) correlatedResidual(rel int, fi *factorInfo, rsicard float64)
 			if cr.FromParam {
 				continue
 			}
-			if cr.FromCol.Rel != rel {
-				return sem.ColumnID{}, plan.Cost{}, 0, false // spans relations
+			if !fi.rels.Has(cr.FromCol.Rel) {
+				return sem.ColumnID{}, plan.Cost{}, false // spans relations
 			}
 			if found && cr.FromCol != col {
-				return sem.ColumnID{}, plan.Cost{}, 0, false // multiple columns
+				return sem.ColumnID{}, plan.Cost{}, false // multiple columns
 			}
 			col = cr.FromCol
 			found = true
 		}
 		total = total.Add(st.cost)
 	}
-	if !found {
-		return sem.ColumnID{}, plan.Cost{}, 0, false
-	}
-	// Residuals run on tuples that crossed the RSI.
-	return col, total, rsicard, true
+	return col, total, found
 }
 
 // intervalSource is a local predicate or pushed predicate usable as an index
@@ -219,8 +156,7 @@ type intervalSource struct {
 // terms that all bound it.
 func (o *Optimizer) intervalSources(col sem.ColumnID, pushed []pushedPred) []intervalSource {
 	var out []intervalSource
-	var single sem.RelSet
-	single = single.Set(col.Rel)
+	single := sem.RelSet(0).Set(col.Rel)
 	for _, fi := range o.factors {
 		if fi.rels != single || o.cfg.DisableSargs || len(fi.f.SargDNF) != 1 {
 			continue
@@ -267,18 +203,15 @@ func keyInterval(col sem.ColumnID, conj []sem.SargTerm, sel float64) (intervalSo
 	return src, true
 }
 
-// indexPath builds and costs the scan of one index, matching boolean factors
-// against the index key per the paper's rule: sargable predicates on an
-// initial substring of the key columns — a run of equalities optionally
-// followed by one range.
-func (o *Optimizer) indexPath(rel int, ix *catalog.Index, pushed []pushedPred,
-	sargs []sem.SargDNF, resExprs []sem.Expr, rsicard, rows float64) pathCand {
-
-	var lo, hi []sem.Bound
-	loInc, hiInc := true, true
-	matchSel := 1.0
-	eqCols := 0
-	matched := false
+// matchIndex builds the scan of index ix on relation rel, matching boolean
+// factors and pushed join predicates against its key per the paper's rule:
+// sargable predicates on an initial substring of the key columns — a run of
+// equalities optionally followed by one range. It returns the scan, the F
+// of the matching predicates (1 when none match) and whether the scan is a
+// unique index with every key column equal-matched.
+func (o *Optimizer) matchIndex(rel int, ix *catalog.Index, pushed []pushedPred) (*plan.IndexScan, float64, bool) {
+	n := &plan.IndexScan{Index: ix, RelIdx: rel, RelName: o.blk.Rels[rel].Name, LoInc: true, HiInc: true}
+	sel := 1.0
 
 	// Equality prefix.
 	pos := 0
@@ -287,11 +220,10 @@ func (o *Optimizer) indexPath(rel int, ix *catalog.Index, pushed []pushedPred,
 		found := false
 		for _, src := range o.intervalSources(col, pushed) {
 			if src.eq {
-				lo = append(lo, *src.lo)
-				hi = append(hi, *src.hi)
-				matchSel *= src.sel
-				eqCols++
-				matched = true
+				n.Lo = append(n.Lo, *src.lo)
+				n.Hi = append(n.Hi, *src.hi)
+				sel *= src.sel
+				n.Matching = true
 				found = true
 				break
 			}
@@ -320,56 +252,18 @@ func (o *Optimizer) indexPath(rel int, ix *catalog.Index, pushed []pushedPred,
 				used = true
 			}
 			if used {
-				matchSel *= src.sel
-				matched = true
+				sel *= src.sel
+				n.Matching = true
 			}
 		}
 		if rangeLo != nil {
-			lo = append(lo, *rangeLo)
-			loInc = rLoInc
+			n.Lo = append(n.Lo, *rangeLo)
+			n.LoInc = rLoInc
 		}
 		if rangeHi != nil {
-			hi = append(hi, *rangeHi)
-			hiInc = rHiInc
+			n.Hi = append(n.Hi, *rangeHi)
+			n.HiInc = rHiInc
 		}
 	}
-
-	node := &plan.IndexScan{
-		Index: ix, RelIdx: rel, RelName: o.blk.Rels[rel].Name,
-		Lo: lo, LoInc: loInc, Hi: hi, HiInc: hiInc,
-		Sargs: sargs, Residual: resExprs, Matching: matched,
-	}
-	// matchSel is still 1 when no predicate matched.
-	cost := o.indexCost(ix, ix.Unique && eqCols == len(ix.ColIdxs), matchSel, rsicard)
-	node.SetEst(plan.Estimate{Cost: cost, Rows: rows})
-	return pathCand{
-		node: node,
-		cost: cost,
-		ord:  o.indexOrder(rel, ix.ColIdxs),
-		desc: fmt.Sprintf("index %s", ix.Name),
-	}
-}
-
-// indexCost is Table 2's index rows: the cost of scanning index ix for the
-// tuples its matching predicates select, with combined selectivity f, when
-// rsicard of them cross the RSI. uniqueProbe is the unique index matching an
-// equal predicate. An index matching no predicate has f = 1, which turns
-// each matching row into the corresponding "not matching" row exactly.
-func (o *Optimizer) indexCost(ix *catalog.Index, uniqueProbe bool, f, rsicard float64) plan.Cost {
-	if uniqueProbe {
-		// 1 index page + 1 data page + W (one RSI call).
-		return plan.Cost{Pages: 2, RSI: 1}
-	}
-	st := ix.Table.Stats
-	nindx := ix.Stats.EffNIndx()
-	if ix.Clustered {
-		return plan.Cost{Pages: f * (nindx + st.EffTCard()), RSI: rsicard}
-	}
-	// Non-clustered: one page fetch per tuple, or per data page when the
-	// pages touched fit in the System R buffer.
-	pages := f * (nindx + st.EffNCard())
-	if alt := f * (nindx + st.EffTCard()); alt <= float64(o.cfg.BufferPages) {
-		pages = alt
-	}
-	return plan.Cost{Pages: pages, RSI: rsicard}
+	return n, sel, ix.Unique && pos == len(ix.ColIdxs)
 }

@@ -3,7 +3,8 @@ package core
 // Final plan assembly: wrap the chosen join-tree solution with aggregation,
 // projection, and duplicate elimination. The join search already guaranteed
 // the input ordering that GROUP BY / ORDER BY require (or inserted the final
-// sort), so these wrappers are pure streaming operators.
+// sort), so these wrappers are pure streaming operators, and Project and
+// Distinct pass their input's estimate through.
 
 import (
 	"math"
@@ -13,40 +14,21 @@ import (
 
 func (o *Optimizer) assemble(best *solution) plan.Node {
 	blk := o.blk
-	node := best.node
-	est := node.Est()
-
 	var top plan.Node
 	if blk.HasAgg {
-		groups := o.estimateGroups(est.Rows)
-		ga := &plan.GroupAgg{
-			Input:     node,
+		top = priced(&plan.GroupAgg{
+			Input:     best.node,
 			GroupCols: blk.GroupBy,
 			Aggs:      blk.Aggs,
 			Having:    blk.Having,
 			OutExprs:  blk.Select,
 			OutNames:  blk.SelectNames,
-		}
-		// Each HAVING conjunct filters groups; Table 1 has no entry for
-		// aggregate predicates, so the open-ended default applies.
-		for range blk.Having {
-			groups = math.Max(1, groups/3)
-		}
-		// Aggregation CPU is not part of the paper's cost model (it counts
-		// RSI calls, which all happen below); the estimate passes the input
-		// cost through with the grouped output cardinality.
-		ga.SetEst(plan.Estimate{Cost: est.Cost, Rows: groups})
-		top = ga
+		}, o.groupAggEst(best.node.Est()))
 	} else {
-		pr := &plan.Project{Input: node, Exprs: blk.Select, OutNames: blk.SelectNames}
-		pr.SetEst(plan.Estimate{Cost: est.Cost, Rows: est.Rows})
-		top = pr
+		top = priced(&plan.Project{Input: best.node, Exprs: blk.Select, OutNames: blk.SelectNames}, best.node.Est())
 	}
-
 	if blk.Distinct {
-		d := &plan.Distinct{Input: top}
-		d.SetEst(plan.Estimate{Cost: top.Est().Cost, Rows: top.Est().Rows})
-		top = d
+		top = priced(&plan.Distinct{Input: top}, top.Est())
 	}
 	return top
 }

@@ -8,8 +8,6 @@ package core
 // chosen plan quantifies what access path selection buys.
 
 import (
-	"math"
-
 	"systemr/internal/plan"
 	"systemr/internal/sem"
 )
@@ -20,55 +18,35 @@ import (
 // same way) and set up the block's selectivities, which only feed the
 // estimates here.
 func (o *Optimizer) naiveJoin() *solution {
-	node := o.naiveScan(0)
-	covered := sem.RelSet(0).Set(0)
+	sol := o.naiveScan(0)
 	for r := 1; r < len(o.blk.Rels); r++ {
 		inner := o.naiveScan(r)
-		next := covered.Set(r)
+		next := sol.set.Set(r)
 		var residual []sem.Expr
-		var rOnly sem.RelSet
-		rOnly = rOnly.Set(r)
 		for _, fi := range o.factors {
-			if next.Contains(fi.rels) && !covered.Contains(fi.rels) && !rOnly.Contains(fi.rels) {
+			if next.Contains(fi.rels) && !sol.set.Contains(fi.rels) && !inner.set.Contains(fi.rels) {
 				residual = append(residual, fi.f.Expr)
 			}
 		}
-		join := &plan.NLJoin{Outer: node, Inner: inner, Residual: residual}
-		join.SetEst(plan.Estimate{
-			Cost: node.Est().Cost.Add(inner.Est().Cost.Scale(math.Max(1, node.Est().Rows))),
-			Rows: o.cardOf(next),
-		})
-		node = join
-		covered = next
+		join := &plan.NLJoin{Outer: sol.node, Inner: inner.node, Residual: residual}
+		sol = solution{set: next, node: priced(join, nlJoinEst(sol.node.Est(), inner.node.Est(), o.cardOf(sol.set), o.cardOf(next)))}
 	}
-
 	if req := o.requiredOrder(); len(req) > 0 {
-		sc := o.sortCost(node.Est().Rows, o.setWidth(covered))
-		sortNode := &plan.Sort{Input: node, Keys: o.sortKeysFor(req, covered)}
-		sortNode.SetEst(plan.Estimate{Cost: node.Est().Cost.Add(sc), Rows: node.Est().Rows})
-		node = sortNode
+		sol = o.sortSolution(&sol, req, o.cardOf(sol.set))
 	}
-	return &solution{set: covered, node: node, cost: node.Est().Cost}
+	return &sol
 }
 
 // naiveScan is a segment scan with every local factor as a residual filter.
-func (o *Optimizer) naiveScan(rel int) plan.Node {
-	t := o.blk.Rels[rel].Table
-	var single sem.RelSet
-	single = single.Set(rel)
+func (o *Optimizer) naiveScan(rel int) solution {
+	set := sem.RelSet(0).Set(rel)
 	var residual []sem.Expr
-	selAll := 1.0
 	for _, fi := range o.factors {
-		if fi.rels == single {
+		if fi.rels == set {
 			residual = append(residual, fi.f.Expr)
-			selAll *= fi.sel
 		}
 	}
-	st := t.Stats
-	node := &plan.SegScan{Table: t, RelIdx: rel, RelName: o.blk.Rels[rel].Name, Residual: residual}
-	node.SetEst(plan.Estimate{
-		Cost: plan.Cost{Pages: st.EffTCard() / st.EffP(), RSI: st.EffNCard()},
-		Rows: st.EffNCard() * selAll,
-	})
-	return node
+	node := &plan.SegScan{Table: o.blk.Rels[rel].Table, RelIdx: rel, RelName: o.blk.Rels[rel].Name, Residual: residual}
+	e, _, _ := o.priceScan(node, nil)
+	return solution{set: set, node: priced(node, e)}
 }

@@ -113,7 +113,6 @@ type Optimizer struct {
 }
 
 type subStats struct {
-	plan    *plan.SubPlan
 	qcard   float64   // estimated output cardinality of the subquery
 	relProd float64   // product of the cardinalities of its FROM relations
 	cost    plan.Cost // estimated cost of one evaluation
@@ -143,30 +142,46 @@ func (o *Optimizer) planBlock(blk *sem.Block) (*plan.Query, error) {
 	// evaluated first" — and their estimated cardinalities feed the
 	// IN-subquery selectivity of this block's factors.
 	subPlans := make([]*plan.SubPlan, 0, len(blk.Subqueries))
-	subInfo := make(map[*sem.Subquery]subStats, len(blk.Subqueries))
 	for _, sub := range blk.Subqueries {
 		sp, err := o.planBlock(sub.Block)
 		if err != nil {
 			return nil, err
 		}
+		subPlans = append(subPlans, &plan.SubPlan{Sub: sub, Query: sp})
+	}
+	o.enterBlock(blk, subPlans, plan.Node.Est)
+
+	var best *solution
+	var err error
+	if o.cfg.Naive {
+		best = o.naiveJoin()
+	} else if best, err = o.search(); err != nil {
+		return nil, err
+	}
+	return &plan.Query{
+		Block:     blk,
+		Root:      o.assemble(best),
+		Subs:      subPlans,
+		NumParams: o.nextParam,
+		OutNames:  blk.SelectNames,
+	}, nil
+}
+
+// enterBlock resets the per-block state for blk, whose nested blocks are
+// planned as subs, with est giving their estimates: the subqueries'
+// statistics and every boolean factor's F.
+func (o *Optimizer) enterBlock(blk *sem.Block, subs []*plan.SubPlan, est func(plan.Node) plan.Estimate) {
+	o.subInfo = make(map[*sem.Subquery]subStats, len(subs))
+	for _, sp := range subs {
 		relProd := 1.0
-		for _, r := range sub.Block.Rels {
+		for _, r := range sp.Sub.Block.Rels {
 			relProd *= r.Table.Stats.EffNCard()
 		}
-		subPlan := &plan.SubPlan{Sub: sub, Query: sp}
-		subPlans = append(subPlans, subPlan)
-		subInfo[sub] = subStats{
-			plan:    subPlan,
-			qcard:   sp.Root.Est().Rows,
-			relProd: relProd,
-			cost:    sp.Root.Est().Cost,
-		}
+		root := est(sp.Query.Root)
+		o.subInfo[sp.Sub] = subStats{qcard: root.Rows, relProd: relProd, cost: root.Cost}
 	}
-
-	// Reset per-block state.
 	o.blk = blk
 	o.nextParam = blk.NumParams
-	o.subInfo = subInfo
 	o.classes = newOrderClasses()
 	for _, f := range blk.Factors {
 		if f.EquiJoin != nil {
@@ -185,21 +200,6 @@ func (o *Optimizer) planBlock(blk *sem.Block) (*plan.Query, error) {
 		o.factors[i] = &factorInfo{f: f, sel: o.selectivity(f.Expr), rels: rels}
 	}
 	o.interest = o.interestingOrders()
-
-	var best *solution
-	var err error
-	if o.cfg.Naive {
-		best = o.naiveJoin()
-	} else if best, err = o.search(); err != nil {
-		return nil, err
-	}
-	return &plan.Query{
-		Block:     blk,
-		Root:      o.assemble(best),
-		Subs:      subPlans,
-		NumParams: o.nextParam,
-		OutNames:  blk.SelectNames,
-	}, nil
 }
 
 // cardOf estimates the composite cardinality of a relation subset: the
@@ -249,24 +249,6 @@ func tempPages(card, width float64) float64 {
 		tp = 1
 	}
 	return tp
-}
-
-// sortCost models C-sort(path): writing card tuples of the given width into
-// a temporary list, sorting (possibly several passes), and reading the
-// result — all beyond the cost of producing the input. The executor's
-// external sort performs the same physical work. RSI counts one call per
-// tuple written plus one per tuple read back.
-func (o *Optimizer) sortCost(card, width float64) plan.Cost {
-	tp := tempPages(card, width)
-	buf := float64(o.cfg.BufferPages)
-	runs := math.Ceil(tp / buf)
-	passes := 1.0
-	fanin := math.Max(2, buf-1)
-	for runs > 1 {
-		runs = math.Ceil(runs / fanin)
-		passes++
-	}
-	return plan.Cost{Pages: 2 * tp * passes, RSI: 2 * card}
 }
 
 // debugString is used in trace output and error paths.

@@ -59,9 +59,9 @@ func TestCostInvariants(t *testing.T) {
 		_, o := planFor(t, cat, Config{}, base)
 		basePaths := o.genPaths(0, nil).all
 		for _, p := range basePaths {
-			if p.cost.Pages < 0 || p.cost.RSI < 0 ||
-				math.IsNaN(p.cost.Pages) || math.IsInf(p.cost.Pages, 0) {
-				t.Fatalf("trial %d: bad cost %+v for %s", trial, p.cost, p.desc)
+			c := p.node.Est().Cost
+			if c.Pages < 0 || c.RSI < 0 || math.IsNaN(c.Pages) || math.IsInf(c.Pages, 0) {
+				t.Fatalf("trial %d: bad cost %+v for %s", trial, c, p.desc)
 			}
 		}
 
@@ -70,9 +70,10 @@ func TestCostInvariants(t *testing.T) {
 		_, o2 := planFor(t, cat, Config{}, narrower)
 		narrowPaths := o2.genPaths(0, nil).all
 		for i := range basePaths {
-			if narrowPaths[i].cost.RSI > basePaths[i].cost.RSI+1e-9 {
+			narrow, base := narrowPaths[i].node.Est().Cost.RSI, basePaths[i].node.Est().Cost.RSI
+			if narrow > base+1e-9 {
 				t.Fatalf("trial %d: extra predicate increased RSI estimate for %s: %v > %v",
-					trial, basePaths[i].desc, narrowPaths[i].cost.RSI, basePaths[i].cost.RSI)
+					trial, basePaths[i].desc, narrow, base)
 			}
 		}
 
@@ -84,7 +85,7 @@ func TestCostInvariants(t *testing.T) {
 		o.nextParam++
 		pushedPaths := o.genPaths(0, pushed).all
 		for i := range basePaths {
-			if pushedPaths[i].cost.RSI > basePaths[i].cost.RSI+1e-9 {
+			if pushedPaths[i].node.Est().Cost.RSI > basePaths[i].node.Est().Cost.RSI+1e-9 {
 				t.Fatalf("trial %d: pushed predicate increased RSI for %s", trial, basePaths[i].desc)
 			}
 		}
@@ -100,7 +101,7 @@ func TestUniquePathAlwaysCheapestForPointLookup(t *testing.T) {
 	var uniqueCost, minCost float64
 	minCost = math.Inf(1)
 	for _, p := range paths {
-		total := p.cost.Total(o.cfg.W)
+		total := p.total(o.cfg.W)
 		if total < minCost {
 			minCost = total
 		}

@@ -17,13 +17,24 @@ import (
 	"systemr/internal/value"
 )
 
-// solution is one retained plan for a subset of relations.
+// solution is one plan for a subset of relations, costed by its node's
+// estimate.
 type solution struct {
 	set  sem.RelSet
 	ord  order // ordering of the produced composite tuples
-	cost plan.Cost
 	node plan.Node
 	desc string
+}
+
+// total is the solution's weighted cost.
+func (s *solution) total(w float64) float64 { return s.node.Est().Cost.Total(w) }
+
+// sortSolution sorts sol into order req through a temporary list holding
+// rows tuples.
+func (o *Optimizer) sortSolution(sol *solution, req order, rows float64) solution {
+	n := &plan.Sort{Input: sol.node, Keys: o.sortKeysFor(req, sol.set)}
+	e := o.sortEst(sol.node.Est(), rows, o.setWidth(sol.set))
+	return solution{set: sol.set, ord: req, node: priced(n, e), desc: "sort " + sol.desc}
 }
 
 // subsetSols holds the retained solutions for one subset: the composite
@@ -56,7 +67,7 @@ func (o *Optimizer) propose(ss *subsetSols, cand *solution) bool {
 	o.searchStats.CandidatesConsidered++
 	w := o.cfg.W
 	kept := false
-	if cur, ok := ss.best[""]; !ok || cand.cost.Total(w) < cur.cost.Total(w) {
+	if cur, ok := ss.best[""]; !ok || cand.total(w) < cur.total(w) {
 		if !ok {
 			o.searchStats.SolutionsStored++
 		}
@@ -73,7 +84,7 @@ func (o *Optimizer) propose(ss *subsetSols, cand *solution) bool {
 			continue
 		}
 		k := ioCanon.key()
-		if cur, ok := ss.best[k]; !ok || cand.cost.Total(w) < cur.cost.Total(w) {
+		if cur, ok := ss.best[k]; !ok || cand.total(w) < cur.total(w) {
 			if !ok {
 				o.searchStats.SolutionsStored++
 			}
@@ -118,14 +129,13 @@ func (o *Optimizer) search() (*solution, error) {
 	// adds the relation.
 	level1 := make([]accessPaths, n)
 	for r := 0; r < n; r++ {
-		var s sem.RelSet
-		s = s.Set(r)
+		s := sem.RelSet(0).Set(r)
 		ss := &subsetSols{card: o.cardOf(s), classes: o.classesFor(s), best: make(map[string]*solution)}
 		sols[s] = ss
 		o.cfg.Trace.enterSubset(o, s)
 		level1[r] = o.genPaths(r, nil)
-		for _, p := range level1[r].all {
-			o.propose(ss, &solution{set: s, ord: p.ord, cost: p.cost, node: p.node, desc: p.desc})
+		for i := range level1[r].all {
+			o.propose(ss, &level1[r].all[i])
 		}
 	}
 
@@ -176,20 +186,12 @@ func (o *Optimizer) search() (*solution, error) {
 	}
 	ordered := ss.best[canonical(req, ss.classes).key()]
 	cheapest := ss.best[""]
-	sortCost := o.sortCost(ss.card, o.setWidth(full))
-	sorted := &solution{
-		set:  full,
-		ord:  req,
-		cost: cheapest.cost.Add(sortCost),
-		desc: "sort cheapest unordered",
-	}
-	if ordered != nil && ordered.cost.Total(o.cfg.W) <= sorted.cost.Total(w) {
+	sortTotal := o.sortEst(cheapest.node.Est(), ss.card, o.setWidth(full)).Cost.Total(w)
+	if ordered != nil && ordered.total(w) <= sortTotal {
 		return ordered, nil
 	}
-	sortNode := &plan.Sort{Input: cheapest.node, Keys: o.sortKeysFor(req, full)}
-	sortNode.SetEst(plan.Estimate{Cost: sorted.cost, Rows: ss.card})
-	sorted.node = sortNode
-	return sorted, nil
+	sorted := o.sortSolution(cheapest, req, ss.card)
+	return &sorted, nil
 }
 
 // joinAllowed implements the join-order heuristic: relation r may extend
@@ -241,8 +243,7 @@ type equiJoin struct {
 // predicate, merging with sort/no-sort alternatives on both sides.
 func (o *Optimizer) joinCandidates(ssOuter *subsetSols, s sem.RelSet, r int, ss2 *subsetSols, acc *accessPaths) {
 	s2 := s.Set(r)
-	var rOnly sem.RelSet
-	rOnly = rOnly.Set(r)
+	rOnly := sem.RelSet(0).Set(r)
 
 	// Predicates that become applicable at this join.
 	var applicable []*factorInfo
@@ -303,11 +304,10 @@ func (o *Optimizer) joinCandidates(ssOuter *subsetSols, s sem.RelSet, r int, ss2
 			inner = o.genPaths(r, pushed).cheapest
 		}
 		for _, outer := range ssOuter.distinctSolutions() {
-			cost := outer.cost.Add(inner.cost.Scale(nOuter))
 			node := &plan.NLJoin{Outer: outer.node, Inner: inner.node, Binds: binds, Residual: residual}
-			node.SetEst(plan.Estimate{Cost: cost, Rows: rows})
 			o.propose(ss2, &solution{
-				set: s2, ord: outer.ord, cost: cost, node: node,
+				set: s2, ord: outer.ord,
+				node: priced(node, nlJoinEst(outer.node.Est(), inner.node.Est(), nOuter, rows)),
 				desc: "nested loops (" + outer.desc + " ⋈ " + inner.desc + ")",
 			})
 		}
@@ -323,64 +323,34 @@ func (o *Optimizer) joinCandidates(ssOuter *subsetSols, s sem.RelSet, r int, ss2
 
 		// Outer alternatives: an already-ordered solution, or sort the
 		// cheapest unordered one into a temporary list.
-		type outerOpt struct {
-			node plan.Node
-			cost plan.Cost
-			ord  order
-			desc string
-		}
-		var outers []outerOpt
+		outers := make([]solution, 0, 2)
 		if sol, ok := ssOuter.best[canonical(outerOrd, ssOuter.classes).key()]; ok {
-			outers = append(outers, outerOpt{node: sol.node, cost: sol.cost, ord: sol.ord, desc: sol.desc})
+			outers = append(outers, *sol)
 		}
 		if cheapest, ok := ssOuter.best[""]; ok {
-			sc := o.sortCost(nOuter, o.setWidth(s))
-			sortNode := &plan.Sort{Input: cheapest.node, Keys: o.sortKeysFor(outerOrd, s)}
-			cost := cheapest.cost.Add(sc)
-			sortNode.SetEst(plan.Estimate{Cost: cost, Rows: nOuter})
-			outers = append(outers, outerOpt{node: sortNode, cost: cost, ord: outerOrd, desc: "sort " + cheapest.desc})
+			outers = append(outers, o.sortSolution(cheapest, outerOrd, nOuter))
 		}
-
-		// Inner alternatives.
-		type innerOpt struct {
-			node  plan.Node
-			total plan.Cost // full inner-side cost contribution to the join
-			desc  string
-		}
-		var inners []innerOpt
-		// (a) index scans already in join-column order: per outer tuple,
-		// Table 2's matching cost with the join predicate as an equal
-		// predicate, applied N times.
+		// Inner alternatives: index scans already in join-column order, or
+		// the cheapest inner path sorted into a temporary list, each temp
+		// page fetched once during the merge (the C_inner(sorted list) case).
+		var inners []solution
 		for _, p := range acc.all {
-			ixScan, ok := p.node.(*plan.IndexScan)
-			if !ok || !p.ord.satisfies(mergeOrd) {
-				continue
+			if p.ord.satisfies(mergeOrd) {
+				inners = append(inners, p)
 			}
-			ix := ixScan.Index
-			group := o.indexCost(ix, ix.Unique && len(ix.ColIdxs) == 1, ej.fi.sel, acc.rsicard*ej.fi.sel)
-			inners = append(inners, innerOpt{node: p.node, total: group.Scale(nOuter), desc: p.desc})
 		}
-		// (b) sort the cheapest inner path into a temporary list; during the
-		// merge each temp page is fetched once (the C_inner(sorted list)
-		// case).
-		base := acc.cheapest
-		sc := o.sortCost(acc.rows, o.rowWidth(r))
-		sortNode := &plan.Sort{Input: base.node, Keys: []sem.OrderKey{{Col: ej.innerCol}}}
-		total := base.cost.Add(sc)
-		sortNode.SetEst(plan.Estimate{Cost: total, Rows: acc.rows})
-		inners = append(inners, innerOpt{node: sortNode, total: total, desc: "sort " + base.desc})
+		inners = append(inners, o.sortSolution(acc.cheapest, mergeOrd, acc.rows))
 
 		for _, out := range outers {
 			for _, in := range inners {
-				cost := out.cost.Add(in.total)
 				node := &plan.MergeJoin{
 					Outer: out.node, Inner: in.node,
 					OuterCol: ej.outerCol, InnerCol: ej.innerCol,
 					Residual: ej.residual,
 				}
-				node.SetEst(plan.Estimate{Cost: cost, Rows: rows})
+				e := o.mergeJoinEst(out.node.Est(), in.node, in.node.Est(), ej.fi.sel, acc.rsicard, nOuter, rows)
 				o.propose(ss2, &solution{
-					set: s2, ord: out.ord, cost: cost, node: node,
+					set: s2, ord: out.ord, node: priced(node, e),
 					desc: "merge scan (" + out.desc + " ⋈ " + in.desc + ")",
 				})
 			}
@@ -388,15 +358,7 @@ func (o *Optimizer) joinCandidates(ssOuter *subsetSols, s sem.RelSet, r int, ss2
 	}
 
 	// ---- Hash join (equi-joins only) ----
-	// The third method, costed in the style of Table 2:
-	//
-	//	C-hash = C-outer(path) + C-inner(path) + W*(N-inner + N-outer)
-	//	       [+ 2*TEMPPAGES(N-inner, width) if the table exceeds the buffer]
-	//
-	// The inner (build) side is read once by its cheapest access path and
-	// each of its N-inner qualifying tuples costs one RSI-like call to enter
-	// the hash table; each of the N-outer probe tuples costs one lookup. No
-	// interesting order is produced (probing scrambles nothing today, but
+	// No interesting order is produced (probing scrambles nothing today, but
 	// order is deliberately not promised), so a downstream order requirement
 	// is won by merge and order-free joins by hash.
 	if o.cfg.Joins == MergeOnly || len(equis) == 0 {
@@ -404,24 +366,15 @@ func (o *Optimizer) joinCandidates(ssOuter *subsetSols, s sem.RelSet, r int, ss2
 	}
 	outer := ssOuter.best[""]
 	base := acc.cheapest
-	buildRows := acc.rows
-	buildCost := base.cost.Add(plan.Cost{RSI: buildRows})
-	if tp := tempPages(buildRows, o.rowWidth(r)); tp > float64(o.cfg.BufferPages) {
-		// The build side does not fit the System R buffer: charge a
-		// write-out and read-back of the spilled temporary, as the sorted
-		// temp-list formulas do.
-		buildCost = buildCost.Add(plan.Cost{Pages: 2 * tp})
-	}
-	cost := outer.cost.Add(buildCost).Add(plan.Cost{RSI: nOuter})
+	e := o.hashJoinEst(outer.node.Est(), base.node.Est(), o.rowWidth(r), nOuter, rows)
 	for _, ej := range equis {
 		node := &plan.HashJoin{
 			Outer: outer.node, Inner: base.node,
 			OuterCol: ej.outerCol, InnerCol: ej.innerCol,
-			Residual: ej.residual, BuildRows: buildRows,
+			Residual: ej.residual, BuildRows: acc.rows,
 		}
-		node.SetEst(plan.Estimate{Cost: cost, Rows: rows})
 		o.propose(ss2, &solution{
-			set: s2, ord: nil, cost: cost, node: node,
+			set: s2, node: priced(node, e),
 			desc: "hash join (" + outer.desc + " ⋈ " + base.desc + ")",
 		})
 	}

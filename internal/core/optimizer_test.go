@@ -35,7 +35,33 @@ func planFor(t testing.TB, cat *catalog.Catalog, cfg Config, query string) (*pla
 	if err != nil {
 		t.Fatalf("optimize: %v", err)
 	}
+	checkCost(t, cat, cfg, q)
 	return q, o
+}
+
+// checkCost fails unless Cost, at the compile's own values, prices every
+// node of q, nested blocks included, exactly as the search that planned q
+// under cfg annotated it.
+func checkCost(t testing.TB, cat *catalog.Catalog, cfg Config, q *plan.Query) {
+	t.Helper()
+	est := Cost(q, cat, cfg, nil)
+	var walk func(n plan.Node)
+	walk = func(n plan.Node) {
+		for _, c := range n.Children() {
+			walk(c)
+		}
+		if got, ok := est[n]; !ok || got != n.Est() {
+			t.Fatalf("Cost prices %s at %+v, the search annotated %+v\nplan:\n%s", n.Label(), got, n.Est(), q.Explain())
+		}
+	}
+	var block func(q *plan.Query)
+	block = func(q *plan.Query) {
+		walk(q.Root)
+		for _, sp := range q.Subs {
+			block(sp.Query)
+		}
+	}
+	block(q)
 }
 
 // scanNodeOf digs the access path out of a single-relation plan.
@@ -177,16 +203,15 @@ func TestTable2BufferFitAlternative(t *testing.T) {
 	if fr*(float64(ixC.Stats.NIndx)+float64(u.Stats.TCard)) <= 2 {
 		t.Fatalf("test precondition: predicate too selective (f=%v)", fr)
 	}
-	var cPath *pathCand
+	var cPath plan.Node
 	for _, p := range oSmall.genPaths(0, nil).all {
-		p := p
 		if ix, ok := p.node.(*plan.IndexScan); ok && ix.Index.Name == "U_C" {
-			cPath = &p
+			cPath = p.node
 		}
 	}
 	wantSmall := fr * (float64(ixC.Stats.NIndx) + float64(u.Stats.NCard))
-	if math.Abs(cPath.cost.Pages-wantSmall) > 1e-9 {
-		t.Fatalf("no-fit pages %v, want %v", cPath.cost.Pages, wantSmall)
+	if pages := cPath.Est().Cost.Pages; math.Abs(pages-wantSmall) > 1e-9 {
+		t.Fatalf("no-fit pages %v, want %v", pages, wantSmall)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"systemr/internal/plan"
 	"systemr/internal/sem"
 )
 
@@ -115,12 +116,13 @@ func TestSortKeysForPicksRepresentativeInSet(t *testing.T) {
 
 func TestSortCostProperties(t *testing.T) {
 	o := New(nil, Config{BufferPages: 8})
-	small := o.sortCost(100, 32)
-	big := o.sortCost(100000, 32)
+	sortCost := func(card, width float64) plan.Cost { return o.sortEst(plan.Estimate{}, card, width).Cost }
+	small := sortCost(100, 32)
+	big := sortCost(100000, 32)
 	if small.Pages >= big.Pages || small.RSI >= big.RSI {
 		t.Fatal("sort cost must grow with cardinality")
 	}
-	wide := o.sortCost(100, 512)
+	wide := sortCost(100, 512)
 	if wide.Pages < small.Pages {
 		t.Fatal("wider rows need more pages")
 	}

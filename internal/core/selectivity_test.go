@@ -354,7 +354,7 @@ func checkPathFractions(t *testing.T, o *Optimizer, where string) {
 	ncard := o.blk.Rels[0].Table.Stats.EffNCard()
 	for _, p := range acc.all {
 		est := p.node.Est()
-		for _, f := range []float64{p.cost.RSI, est.Rows} {
+		for _, f := range []float64{est.Cost.RSI, est.Rows} {
 			if math.IsNaN(f) || math.IsInf(f, 0) || f < 0 || f > ncard {
 				t.Fatalf("%s: %s: cardinality %v outside [0, NCARD=%v]", where, p.desc, f, ncard)
 			}
@@ -364,7 +364,7 @@ func checkPathFractions(t *testing.T, o *Optimizer, where string) {
 			continue
 		}
 		full := o.indexCost(ix.Index, false, 1, acc.rsicard).Pages
-		if pg := p.cost.Pages; math.IsNaN(pg) || pg < 0 || pg > full {
+		if pg := est.Cost.Pages; math.IsNaN(pg) || pg < 0 || pg > full {
 			t.Fatalf("%s: %s: %v pages outside [0, %v], so F(preds) is outside [0, 1]", where, p.desc, pg, full)
 		}
 	}

@@ -56,7 +56,7 @@ func (t *Trace) candidate(o *Optimizer, cand *solution, kept bool) {
 		Subset: cand.set,
 		Size:   cand.set.Count(),
 		Desc:   cand.desc,
-		Cost:   cand.cost.Total(o.cfg.W),
+		Cost:   cand.total(o.cfg.W),
 		Order:  ordStr,
 		Kept:   kept,
 	})

@@ -33,6 +33,9 @@ type Analysis struct {
 	// IO is the statement's measured totals, from its own accumulator: the
 	// quantities of COST = PAGE FETCHES + W*(RSI CALLS).
 	IO storage.IOStatsSnapshot
+	// Est, when set, prices the plan's nodes in place of their own
+	// estimates: a cached plan re-costed at the statement's values.
+	Est plan.Estimates
 	// lits are the statement's lifted literals, spelled in the rendering.
 	lits []value.Value
 }
@@ -69,7 +72,7 @@ func RunQueryAnalyze(rt *Runtime, q *plan.Query, args []value.Value) ([]value.Ro
 func (a *Analysis) Format(w float64) string {
 	var b strings.Builder
 	b.WriteString("QUERY BLOCK (main)\n")
-	formatOp(&b, a.Root, 1, w, a.lits)
+	formatOp(&b, a.Root, 1, w, a.Est, a.lits)
 	for i, sp := range a.Query.Subs {
 		kind := "subquery"
 		if sp.Sub.Correlated {
@@ -81,7 +84,7 @@ func (a *Analysis) Format(w float64) string {
 		}
 		fmt.Fprintf(&b, "QUERY BLOCK (%s #%d)  [evaluated %d %s, fetches=%d; estimates only]\n",
 			kind, sp.Sub.ID, a.SubEvals[i], times, a.SubFetches[i])
-		formatEstOnly(&b, sp.Query, a.lits)
+		formatEstOnly(&b, sp.Query, a.Est, a.lits)
 	}
 	fmt.Fprintf(&b, "statement: fetches=%d writes=%d rsi=%d cost=%.1f (W=%g)\n",
 		a.IO.PageFetches, a.IO.PagesWritten, a.IO.RSICalls, a.IO.Cost(w), w)
@@ -89,8 +92,8 @@ func (a *Analysis) Format(w float64) string {
 }
 
 // formatOp writes one operator's estimate-vs-actual line and recurses.
-func formatOp(b *strings.Builder, o Operator, depth int, w float64, lits []value.Value) {
-	e := o.Plan().Est()
+func formatOp(b *strings.Builder, o Operator, depth int, w float64, est plan.Estimates, lits []value.Value) {
+	e := est.Of(o.Plan())
 	s := o.Stats()
 	fetches := s.Fetches
 	elapsed := s.Elapsed
@@ -115,7 +118,7 @@ func formatOp(b *strings.Builder, o Operator, depth int, w float64, lits []value
 	}
 	b.WriteString("\n")
 	for _, k := range o.Children() {
-		formatOp(b, k, depth+1, w, lits)
+		formatOp(b, k, depth+1, w, est, lits)
 	}
 }
 
@@ -131,22 +134,22 @@ func formatElapsed(d time.Duration) string {
 // formatEstOnly renders a nested block's plan with estimates alone: subquery
 // blocks execute through fresh per-evaluation contexts, so no single
 // operator tree holds their actuals.
-func formatEstOnly(b *strings.Builder, q *plan.Query, lits []value.Value) {
-	estNode(b, q.Root, 1, lits)
+func formatEstOnly(b *strings.Builder, q *plan.Query, est plan.Estimates, lits []value.Value) {
+	estNode(b, q.Root, 1, est, lits)
 	for _, sp := range q.Subs {
 		kind := "subquery"
 		if sp.Sub.Correlated {
 			kind = "correlated subquery"
 		}
 		fmt.Fprintf(b, "QUERY BLOCK (%s #%d)  [estimates only]\n", kind, sp.Sub.ID)
-		formatEstOnly(b, sp.Query, lits)
+		formatEstOnly(b, sp.Query, est, lits)
 	}
 }
 
-func estNode(b *strings.Builder, n plan.Node, depth int, lits []value.Value) {
-	e := n.Est()
+func estNode(b *strings.Builder, n plan.Node, depth int, est plan.Estimates, lits []value.Value) {
+	e := est.Of(n)
 	fmt.Fprintf(b, "%s%s  {est rows=%.1f cost: %s}\n", strings.Repeat("  ", depth), n.Label(lits...), e.Rows, e.Cost)
 	for _, c := range n.Children() {
-		estNode(b, c, depth+1, lits)
+		estNode(b, c, depth+1, est, lits)
 	}
 }

@@ -50,6 +50,18 @@ type Node interface {
 	Label(lits ...value.Value) string
 }
 
+// Estimates holds estimates priced apart from a plan's own annotations,
+// such as core.Cost's re-pricing of a cached plan at a statement's values.
+type Estimates map[Node]Estimate
+
+// Of returns n's estimate in e, or n's own annotation when e has none.
+func (e Estimates) Of(n Node) Estimate {
+	if v, ok := e[n]; ok {
+		return v
+	}
+	return n.Est()
+}
+
 // est embeds the shared estimate.
 type est struct{ E Estimate }
 
@@ -387,28 +399,31 @@ type Query struct {
 // Explain renders the plan tree, one node per line with indentation, with
 // each nested query block appended after its parent. lits spell lifted
 // literals as in Node.Label.
-func (q *Query) Explain(lits ...value.Value) string {
+func (q *Query) Explain(lits ...value.Value) string { return q.ExplainWith(nil, lits...) }
+
+// ExplainWith is Explain printing each node's estimate from est.
+func (q *Query) ExplainWith(est Estimates, lits ...value.Value) string {
 	var b strings.Builder
-	q.explainInto(&b, "QUERY BLOCK (main)", lits)
+	q.explainInto(&b, "QUERY BLOCK (main)", est, lits)
 	return b.String()
 }
 
-func (q *Query) explainInto(b *strings.Builder, title string, lits []value.Value) {
+func (q *Query) explainInto(b *strings.Builder, title string, est Estimates, lits []value.Value) {
 	fmt.Fprintf(b, "%s\n", title)
-	explainNode(b, q.Root, 1, lits)
+	explainNode(b, q.Root, 1, est, lits)
 	for _, sp := range q.Subs {
 		kind := "subquery"
 		if sp.Sub.Correlated {
 			kind = "correlated subquery"
 		}
-		sp.Query.explainInto(b, fmt.Sprintf("QUERY BLOCK (%s #%d)", kind, sp.Sub.ID), lits)
+		sp.Query.explainInto(b, fmt.Sprintf("QUERY BLOCK (%s #%d)", kind, sp.Sub.ID), est, lits)
 	}
 }
 
-func explainNode(b *strings.Builder, n Node, depth int, lits []value.Value) {
-	e := n.Est()
+func explainNode(b *strings.Builder, n Node, depth int, est Estimates, lits []value.Value) {
+	e := est.Of(n)
 	fmt.Fprintf(b, "%s%s  {cost: %s, rows=%.1f}\n", strings.Repeat("  ", depth), n.Label(lits...), e.Cost, e.Rows)
 	for _, c := range n.Children() {
-		explainNode(b, c, depth+1, lits)
+		explainNode(b, c, depth+1, est, lits)
 	}
 }

@@ -421,6 +421,11 @@ func TestPlanCacheConcurrent(t *testing.T) {
 					t.Errorf("%s: rows = %v", sib, res.Rows)
 					return
 				}
+				// EXPLAIN re-costs the shared lifted plan the readers run.
+				if _, err := db.ExplainContext(ctx, sib); err != nil {
+					t.Errorf("EXPLAIN %s: %v", sib, err)
+					return
+				}
 			}
 		}(g)
 	}

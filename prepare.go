@@ -19,7 +19,9 @@ import (
 	"sync"
 
 	"systemr/internal/compile"
+	"systemr/internal/core"
 	"systemr/internal/exec"
+	"systemr/internal/lock"
 	"systemr/internal/sql"
 	"systemr/internal/txn"
 	"systemr/internal/value"
@@ -130,8 +132,24 @@ func (s *Stmt) exec(t *txn.Txn, st *statement) error {
 	return nil
 }
 
-// Explain returns the statement's current compiled plan.
-func (s *Stmt) Explain() string { return s.current().Query.Explain(s.lits...) }
+// Explain returns the statement's current compiled plan. A text whose
+// literals were lifted may run a plan a sibling's literals compiled, so its
+// estimates are priced at the statement's own literals (core.Cost), under
+// the shared catalog lock. A plan gone stale, or a lock not granted, prints
+// as compiled: Run recompiles the one and reports the other.
+func (s *Stmt) Explain() string {
+	cp := s.current()
+	if s.lits == nil {
+		return cp.Query.Explain()
+	}
+	held, err := s.db.locks.AcquireContext(context.Background(),
+		[]lock.Request{{Table: compile.CatalogLock, Mode: lock.Shared}})
+	defer held.Release()
+	if err != nil || cp.Version != s.db.cat.Version() {
+		return cp.Query.Explain(s.lits...)
+	}
+	return cp.Query.ExplainWith(core.Cost(cp.Query, s.db.cat, s.db.OptimizerConfig(), s.lits), s.lits...)
+}
 
 // Text returns the original statement text.
 func (s *Stmt) Text() string { return s.text }

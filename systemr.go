@@ -728,6 +728,7 @@ func (db *DB) execExplain(cur *txn.Txn, st *statement, ex *sql.ExplainStmt) (*Re
 		return nil, err
 	}
 	var q *plan.Query
+	var est plan.Estimates
 	var cacheNote string
 	_, isSelect := ex.Stmt.(*sql.SelectStmt)
 	switch inner := ex.Stmt.(type) {
@@ -736,10 +737,14 @@ func (db *DB) execExplain(cur *txn.Txn, st *statement, ex *sql.ExplainStmt) (*Re
 		if err != nil {
 			return nil, err
 		}
+		q = cp.Query
 		if hit {
 			cacheNote = fmt.Sprintf("plan cache: hit (compiled at catalog version %d)\n", cp.Version)
+			if cp.Family != "" {
+				// Another statement's literals may have priced the plan.
+				est = core.Cost(q, db.cat, db.OptimizerConfig(), st.vals)
+			}
 		}
-		q = cp.Query
 	case *sql.DeleteStmt, *sql.UpdateStmt:
 		blk, _, err := sem.AnalyzeDML(inner, db.cat)
 		if err != nil {
@@ -752,7 +757,7 @@ func (db *DB) execExplain(cur *txn.Txn, st *statement, ex *sql.ExplainStmt) (*Re
 		return nil, fmt.Errorf("systemr: EXPLAIN does not support %T", ex.Stmt)
 	}
 	if !ex.Analyze {
-		return &Result{Plan: q.Explain(st.vals...) + cacheNote}, nil
+		return &Result{Plan: q.ExplainWith(est, st.vals...) + cacheNote}, nil
 	}
 	rows, analysis, err := db.runPlan(cur, st, q, true)
 	if err != nil {
@@ -761,6 +766,7 @@ func (db *DB) execExplain(cur *txn.Txn, st *statement, ex *sql.ExplainStmt) (*Re
 	if isSelect {
 		db.observeMiss(q, float64(len(rows)))
 	}
+	analysis.Est = est
 	return &Result{Plan: analysis.Format(core.DefaultW) + cacheNote}, nil
 }
 
