@@ -14,9 +14,9 @@ import (
 // checkCost fails unless core.Cost, at the compile's own values, prices
 // every node of q, nested blocks included, exactly as the search that
 // planned q under cfg annotated it. It names the lowest node that differs.
-func checkCost(t testing.TB, db *systemr.DB, cfg core.Config, q *plan.Query) {
+func checkCost(t testing.TB, cfg core.Config, q *plan.Query) {
 	t.Helper()
-	est := core.Cost(q, db.Catalog(), cfg, nil)
+	est := core.Cost(q, cfg, nil)
 	var walk func(n plan.Node)
 	walk = func(n plan.Node) {
 		for _, c := range n.Children() {

@@ -36,7 +36,7 @@ func planQuery(t testing.TB, db *systemr.DB, query string, cfg core.Config) (*pl
 	if err != nil {
 		t.Fatalf("optimize %q: %v", query, err)
 	}
-	checkCost(t, db, cfg, q)
+	checkCost(t, cfg, q)
 	return q, blk
 }
 
@@ -209,7 +209,7 @@ func TestDifferentialRandomQueries(t *testing.T) {
 					if err != nil {
 						t.Fatalf("optimize %q: %v", query, err)
 					}
-					checkCost(t, db, cfg, q)
+					checkCost(t, cfg, q)
 					for drain, got := range drainings(t, db, q) {
 						if !testutil.SameMultiset(got, want) {
 							t.Fatalf("config %s, %s: result mismatch for %q\nwant %d rows, got %d rows\nplan:\n%s",

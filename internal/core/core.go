@@ -91,9 +91,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Optimizer plans one statement's query blocks against a catalog.
+// Optimizer plans one statement's query blocks.
 type Optimizer struct {
-	cat *catalog.Catalog
 	cfg Config
 
 	// Per-block planning state (reset by planBlock).
@@ -126,9 +125,12 @@ type factorInfo struct {
 	rels sem.RelSet // normalized: factors touching no relation attach to rel 0
 }
 
-// New creates an optimizer over a catalog.
-func New(cat *catalog.Catalog, cfg Config) *Optimizer {
-	return &Optimizer{cat: cat, cfg: cfg.withDefaults()}
+// New creates an optimizer. The catalog argument is unused: an analyzed
+// block's relations carry their tables and statistics. It stays for
+// bench/trace.go's lifecycle replay, which ROADMAP item 1 deletes, and goes
+// with it.
+func New(_ *catalog.Catalog, cfg Config) *Optimizer {
+	return &Optimizer{cfg: cfg.withDefaults()}
 }
 
 // Optimize plans a full analyzed statement (the main block plus nested

@@ -180,9 +180,8 @@ func (o *Optimizer) groupAggEst(in plan.Estimate) plan.Estimate {
 // q's annotations exactly. It never writes to q, which a plan cache shares
 // between concurrent statements. Like Classifier, call it under the shared
 // catalog lock at the catalog version q was compiled under.
-func Cost(q *plan.Query, cat *catalog.Catalog, cfg Config, lits []value.Value) plan.Estimates {
-	o := New(cat, cfg)
-	o.lits = lits
+func Cost(q *plan.Query, cfg Config, lits []value.Value) plan.Estimates {
+	o := &Optimizer{cfg: cfg.withDefaults(), lits: lits}
 	est := make(plan.Estimates)
 	o.costBlock(q, est)
 	return est

@@ -35,16 +35,16 @@ func planFor(t testing.TB, cat *catalog.Catalog, cfg Config, query string) (*pla
 	if err != nil {
 		t.Fatalf("optimize: %v", err)
 	}
-	checkCost(t, cat, cfg, q)
+	checkCost(t, cfg, q)
 	return q, o
 }
 
 // checkCost fails unless Cost, at the compile's own values, prices every
 // node of q, nested blocks included, exactly as the search that planned q
 // under cfg annotated it.
-func checkCost(t testing.TB, cat *catalog.Catalog, cfg Config, q *plan.Query) {
+func checkCost(t testing.TB, cfg Config, q *plan.Query) {
 	t.Helper()
-	est := Cost(q, cat, cfg, nil)
+	est := Cost(q, cfg, nil)
 	var walk func(n plan.Node)
 	walk = func(n plan.Node) {
 		for _, c := range n.Children() {

@@ -11,10 +11,10 @@ package exec
 // batch's memory follows the rows that actually cross it, so a statement
 // that moves one row pays for one row however large the target is.
 //
-// NextBatch is the only protocol between operators. Scans and projection
-// fill batches natively; the operators whose interior logic is naturally
-// row-at-a-time (joins, sort read-back, aggregation, duplicate
-// elimination) implement rowSource and share one fill loop;
+// NextBatch is the only protocol between operators. Scans, projection and
+// sort read-back fill batches natively; the operators whose interior logic
+// is naturally row-at-a-time (joins, aggregation, duplicate elimination)
+// implement rowSource and share one fill loop;
 // composite operators read their children through batchReaders. A cursor,
 // which needs one row per call, drives the root with a one-row batch, and
 // Runtime.BatchSize=1 runs the whole tree tuple-at-a-time (the ablation, and
@@ -38,16 +38,18 @@ const DefaultBatchSize = 256
 // producing operator, which never writes them again, so a consumer may
 // retain them across batches — nested-loop outer rows, merge-join groups
 // and hash builds depend on that. Borrowed rows stay valid only until the
-// producer's next NextBatch, Open or Close: a scan built as the direct input
-// of a projection, aggregation or sort lends the rows in its stage (see
-// scan.go), because each of those consumers is done with a row before it
-// reads the next batch. The one row such a consumer keeps, a group's
-// representative, it copies.
+// producer's next NextBatch, Open or Close. A scan or a sort built as the
+// direct input of a projection, aggregation or sort lends its rows, because
+// each of those consumers is done with a row before it reads the next
+// batch: a scan the rows in its stage (see scan.go), a sort the read-back
+// rows it copies into chunks it reuses (see sort.go). The one row such a
+// consumer keeps, a group's representative, it copies.
 //
 // Producers allocate per batch, not per row: a scan decodes every version
 // into a stage it reuses and, unless it lends, copies the batch's accepted
-// rows out into one exactly sized value chunk and one composite chunk;
-// projection and sort read-back carve their rows from chunks sized for the
+// rows out into one exactly sized value chunk and one composite chunk; a
+// sort that owns its rows copies each batch of read-back rows out in the
+// same two chunks; projection carves its rows from chunks sized for the
 // rows at hand. Producers that know how many rows they are about to add
 // reserve room for them with grow; the row-at-a-time fill appends.
 type Batch struct {
@@ -90,8 +92,8 @@ func (b *Batch) Append(c comp) { b.rows = append(b.rows, c) }
 func (b *Batch) Row(i int) comp { return b.rows[i] }
 
 // rowSource is an operator body whose interior logic yields one row at a
-// time. Every implementation reads its input through a batchReader or a
-// governed sorter, so its next reaches a governor checkpoint.
+// time. Every implementation reads its input through a batchReader, so its
+// next reaches a governor checkpoint.
 type rowSource interface {
 	next() (comp, bool, error)
 }

@@ -223,9 +223,9 @@ func (ctx *blockCtx) build(n plan.Node) (*op, error) {
 }
 
 // buildLending builds the input of a projection, aggregation or sort. Each
-// of them is done with a row before it reads the next batch, so a scan built
-// here lends its stage's rows (see batch.go); every other scan owns the rows
-// it hands out.
+// of them is done with a row before it reads the next batch, so a scan or a
+// sort built here lends its rows (see batch.go); every other scan or sort
+// owns the rows it hands out.
 func (ctx *blockCtx) buildLending(n plan.Node) (*op, error) {
 	in, err := ctx.build(n)
 	if err != nil {
@@ -235,6 +235,8 @@ func (ctx *blockCtx) buildLending(n plan.Node) (*op, error) {
 	case *segScanOp:
 		s.lend = true
 	case *indexScanOp:
+		s.lend = true
+	case *sortOp:
 		s.lend = true
 	}
 	return in, nil

@@ -18,13 +18,13 @@ import (
 
 // The batch memory contract: a batch's rows are owned or borrowed. A
 // producer of owned rows allocates them and never writes them again, so a
-// consumer may retain them: scans that do not lend copy accepted rows out
-// of their stage per batch, and the sort reads runs back into shared
-// chunks. These tests retain every row such an operator returns, snapshot
-// its values on receipt, and check after the operator is drained — later
-// batches, and rejected versions decoded over the stage, included — that
-// nothing retained changed. A scan under a projection, aggregation or sort
-// lends its stage instead; for those, the tests check that the batches say
+// consumer may retain them: scans and sorts that do not lend copy their rows
+// out, per batch, of the stage or the run reader's row. These tests retain
+// every row such an operator returns, snapshot its values on receipt, and
+// check after the operator is drained — later batches, and rejected
+// versions decoded over the stage, included — that nothing retained
+// changed. A scan or a sort under a projection, aggregation or sort lends
+// its rows instead; for those, the tests check that the batches say
 // borrowed and that the consumer's result matches the reference evaluator
 // at every batch size.
 
@@ -211,9 +211,10 @@ func matchesReference(t *testing.T, e *env, blk *sem.Block, q *plan.Query, sizes
 
 // TestRetainedRowsSurviveLaterBatches covers the retaining consumers: a
 // nested-loop outer, a merge-join group read back from sorts, a hash build,
-// and a sort's read-back rows — each over scans with every kind of
-// rejection, the joins' output with residual rejections between the rows
-// they keep — and checks the query result against the reference evaluator.
+// and the read-back rows of a sort under a merge join, which owns them —
+// each over scans with every kind of rejection, the joins' output with
+// residual rejections between the rows they keep — and checks the query
+// result against the reference evaluator.
 func TestRetainedRowsSurviveLaterBatches(t *testing.T) {
 	const join = "SELECT A.S, B.S, A.V FROM A, B WHERE A.K = B.K AND A.V >= 25 AND A.V <> A.K AND B.S <> 'b0' AND A.V > B.K * 9"
 	cases := []struct {
@@ -225,7 +226,7 @@ func TestRetainedRowsSurviveLaterBatches(t *testing.T) {
 		{"nested-loop outer", join, core.Config{Joins: core.NestedLoopsOnly}, findOp[*plan.NLJoin]},
 		{"merge-join group", join, core.Config{Joins: core.MergeOnly}, findOp[*plan.MergeJoin]},
 		{"hash build", join, core.Config{}, findOp[*plan.HashJoin]},
-		{"sort read-back", "SELECT A.S, A.V FROM A WHERE A.V >= 25 AND A.V <> A.K ORDER BY A.S", core.Config{}, findOp[*plan.Sort]},
+		{"sort read-back", join, core.Config{Joins: core.MergeOnly}, findOp[*plan.Sort]},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -319,6 +320,38 @@ func TestScanRowsSurviveStageReuse(t *testing.T) {
 	}
 	if got := drainRetained(t, join.kids[0], 16); len(got) < 100 {
 		t.Fatalf("the join's outer scan returned %d rows", len(got))
+	}
+}
+
+// TestSortLendsItsRows: a sort built as the direct input of a projection
+// or an aggregation lends its read-back rows, copied into a value chunk it
+// reuses for every batch. Every batch says borrowed, and the query — an
+// ORDER BY on the VARCHAR A.S, and a GROUP BY whose representatives the
+// grouping copies out of the borrowed batches — matches the reference
+// evaluator at batch sizes 1, 3 and 256; so do a one-row and an empty
+// ORDER BY.
+func TestSortLendsItsRows(t *testing.T) {
+	e := newEnv(t)
+	loadRetention(t, e)
+	for _, tc := range []struct {
+		query string
+		rows  int // the sort's rows, or -1 for many
+	}{
+		{"SELECT A.S, A.V FROM A WHERE A.V >= 25 AND A.V <> A.K ORDER BY A.S", -1},
+		{"SELECT A.K, COUNT(*), MAX(A.S), SUM(A.V) FROM A WHERE A.V <> A.K GROUP BY A.K HAVING MIN(A.S) <> 'a1'", -1},
+		{"SELECT A.S, A.K FROM A WHERE A.V = 30 ORDER BY A.K", 1},
+		{"SELECT A.S FROM A WHERE A.V = 3 ORDER BY A.S", 0},
+	} {
+		blk, q := e.plan(t, tc.query, core.Config{})
+		root := mustBuild(t, e, q)
+		if _, ok := root.kids[0].impl.(*sortOp); !ok {
+			t.Fatalf("%s: the root's input is no sort:\n%s", tc.query, q.Explain())
+		}
+		n := drainBorrowed(t, root.kids[0], 16)
+		if tc.rows >= 0 && n != tc.rows || tc.rows < 0 && n < 100 {
+			t.Fatalf("%s: the sort returned %d rows", tc.query, n)
+		}
+		matchesReference(t, e, blk, q, 1, 3, 256)
 	}
 }
 

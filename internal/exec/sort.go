@@ -17,13 +17,12 @@ type sortOp struct {
 	layout *compLayout
 	res    *xsort.Result
 	read   *batchReader
+	lend   bool // hand read-back rows out borrowed (see nextBatch)
 
-	// Rows are flattened into, and read-back composites carved from, shared
-	// chunks (never reused, so consumers may retain rows): flat holds the
-	// unused tail of the current input chunk, comps of the output chunk.
-	flat  value.Row
-	comps []value.Row
-	left  int // sorted rows not yet delivered
+	flat  value.Row   // the one row every input row is flattened into
+	vals  value.Row   // a lending sort's value chunk, reused across batches
+	comps []value.Row // a lending sort's composite chunk, likewise
+	left  int         // sorted rows not yet delivered
 }
 
 // compLayout maps (relation, column) to positions in a flattened row:
@@ -64,21 +63,24 @@ func (l *compLayout) flatten(out value.Row, c comp) {
 }
 
 // unflatten fills c (len = relations) with capacity-clipped slices of a
-// flattened row: the read-back row is shared, never copied.
+// flattened row, nil for a relation the row does not hold: the row is
+// shared, never copied.
 func (l *compLayout) unflatten(c comp, row value.Row) {
 	for i, off := range l.offsets {
-		if row[off].Int == 0 {
-			continue
+		c[i] = nil
+		if row[off].Int != 0 {
+			end := off + 1 + l.widths[i]
+			c[i] = row[off+1 : end : end]
 		}
-		end := off + 1 + l.widths[i]
-		c[i] = row[off+1 : end : end]
 	}
 }
 
-// open drains the input into the sorter. The input is closed as soon as it
-// is consumed; the operator then streams from the sorted temporary list.
+// open drains the input into the sorter, flattening every input row into
+// one reused row: the sorter encodes each row before it reads the next. The
+// input is closed as soon as it is consumed; the operator then streams from
+// the sorted temporary list.
 func (it *sortOp) open() (err error) {
-	it.res, it.flat, it.comps, it.left = nil, nil, nil, 0
+	it.res, it.left = nil, 0
 	if err := it.input.Open(); err != nil {
 		return err
 	}
@@ -87,7 +89,9 @@ func (it *sortOp) open() (err error) {
 			err = cerr
 		}
 	}()
-	it.layout = newCompLayout(it.ctx.q.Block)
+	if it.layout == nil {
+		it.layout = newCompLayout(it.ctx.q.Block)
+	}
 	keys := make([]int, len(it.keys))
 	desc := make([]bool, len(it.keys))
 	for i, k := range it.keys {
@@ -106,18 +110,13 @@ func (it *sortOp) open() (err error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		// One chunk per input batch, sized for the rows it still holds.
-		w := it.layout.total
-		if len(it.flat) < w {
-			it.flat = make(value.Row, (it.read.buffered()+1)*w)
+		if it.flat == nil {
+			it.flat = make(value.Row, it.layout.total)
 		}
-		out := it.flat[:w:w]
-		it.flat = it.flat[w:]
-		it.layout.flatten(out, c)
+		it.layout.flatten(it.flat, c)
 		it.left++
-		return out, true, nil
+		return it.flat, true, nil
 	})
-	it.flat = nil
 	if err != nil {
 		return err
 	}
@@ -125,32 +124,46 @@ func (it *sortOp) open() (err error) {
 	return nil
 }
 
-func (it *sortOp) next() (comp, bool, error) {
-	row, ok, err := it.res.Next()
-	if err != nil || !ok {
-		return nil, false, err
+// nextBatch copies each read-back row, valid only until the next is read,
+// into a value chunk and slices it into composites from a composite chunk,
+// both sized for the batch. A lending sort (see buildLending) reuses the
+// two chunks for every batch; any other allocates them per batch.
+func (it *sortOp) nextBatch(b *Batch) error {
+	n := min(it.left, b.Cap())
+	if n == 0 {
+		return nil
 	}
-	// One composite chunk per batch's worth of the rows still to come.
-	nr := len(it.layout.offsets)
-	if len(it.comps) < nr {
-		it.comps = make([]value.Row, min(max(it.left, 1), it.ctx.batchN)*nr)
+	w, nr := it.layout.total, len(it.layout.offsets)
+	vals, comps := it.vals, it.comps
+	if !it.lend || len(comps) < n*nr {
+		vals, comps = make(value.Row, n*w), make([]value.Row, n*nr)
+		if it.lend {
+			it.vals, it.comps = vals, comps
+		}
 	}
-	c := comp(it.comps[:nr:nr])
-	it.comps = it.comps[nr:]
-	it.left--
-	it.layout.unflatten(c, row)
-	return c, true, nil
+	b.borrowed = it.lend
+	b.grow(n)
+	for range n {
+		row, ok, err := it.res.Next()
+		if err != nil || !ok {
+			return err
+		}
+		out := vals[:w:w]
+		vals = vals[w:]
+		copy(out, row)
+		c := comp(comps[:nr:nr])
+		comps = comps[nr:]
+		it.layout.unflatten(c, out)
+		b.Append(c)
+		it.left--
+	}
+	return nil
 }
-
-// nextBatch streams a batch from the sorted temporary list. The result
-// reader checks the governor per tuple read back.
-func (it *sortOp) nextBatch(b *Batch) error { return fillRows(b, it) }
 
 func (it *sortOp) close() error {
 	if it.res != nil {
 		it.res.Close()
 		it.res = nil
 	}
-	it.comps = nil
 	return it.input.Close()
 }

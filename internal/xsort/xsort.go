@@ -25,6 +25,8 @@ import (
 )
 
 // Input supplies the rows to sort, one per call; ok=false ends the stream.
+// Sort encodes each row before it asks for the next, so a row need stay
+// valid only until the following call: an input may reuse one row.
 type Input func() (value.Row, bool, error)
 
 // Config tunes a sort.
@@ -48,7 +50,9 @@ type Config struct {
 	Budget *governor.Budget
 }
 
-// Result streams the sorted rows from the temporary list.
+// Result streams the sorted rows from the temporary list. Each row Next
+// returns is decoded into its run's one reused row, so it stays valid only
+// until the following Next or Close; a caller that keeps it copies it.
 type Result struct {
 	cfg    Config
 	merge  merger
@@ -59,15 +63,19 @@ type Result struct {
 type run struct {
 	seg   *storage.Segment
 	pages []storage.PageID
-	rows  int
 }
 
-// entry is one row of the run being generated: its normalized key is
-// arena[off:end], and idx is its arrival position, which breaks ties so
-// that an unstable sort of entries is a stable sort of rows.
+// entry is one row of the run being generated, in the run's byte arena:
+// its normalized key is arena[off:key] and its encoded record
+// arena[key:end]. Rows enter the arena in arrival order, so off also
+// breaks ties: an unstable sort of entries is a stable sort of rows.
 type entry struct {
-	off, end, idx uint32
+	off, key, end uint32
 }
+
+// firstRows is how many rows like the first the arena and the entries
+// start with room for; past it they grow by doubling.
+const firstRows = 4
 
 // Sort consumes the input, sorts it, and returns a Result for streaming the
 // ordered rows. The temporary list always materializes through the buffer
@@ -85,39 +93,36 @@ func Sort(cfg Config, in Input) (*Result, error) {
 	}
 	ord := order{keys: cfg.Keys, desc: cfg.Desc}
 
-	// Phase 1: run generation. Keys are encoded when a run is complete and
-	// never count toward bufBytes, so run boundaries — and with them every
-	// temp page — follow the rows alone.
+	// Phase 1: run generation. Each row is encoded on arrival — its
+	// normalized key, then its record — into one byte arena that every run
+	// reuses, so the input may reuse its row. A run ends when its records
+	// reach BufferBytes; keys never count, so run boundaries — and with them
+	// every temp page — follow the records alone.
 	var (
-		runs    []*run
-		rows    []value.Row
-		entries []entry
-		arena   []byte
-		kindBuf [8]value.Kind // holds kinds for up to eight keys
+		runs     []*run
+		entries  []entry
+		arena    []byte
+		recBytes int           // the current run's record bytes
+		rowLen   int           // the arena bytes the last row took
+		kindBuf  [8]value.Kind // holds kinds for up to eight keys
 	)
 	kinds := append(kindBuf[:0], make([]value.Kind, len(cfg.Keys))...)
-	bufBytes := 0
 	flush := func() error {
-		if len(rows) == 0 {
+		if len(entries) == 0 {
 			return nil
 		}
-		var err error
-		if entries, arena, err = ord.encodeRun(entries, arena, rows); err != nil {
-			return err
-		}
 		slices.SortFunc(entries, func(a, b entry) int {
-			if c := bytes.Compare(arena[a.off:a.end], arena[b.off:b.end]); c != 0 {
+			if c := bytes.Compare(arena[a.off:a.key], arena[b.off:b.key]); c != 0 {
 				return c
 			}
-			return cmp.Compare(a.idx, b.idx)
+			return cmp.Compare(a.off, b.off)
 		})
-		r, err := writeRun(cfg, rows, entries)
+		r, err := writeRun(cfg, arena, entries)
 		if err != nil {
 			return err
 		}
 		runs = append(runs, r)
-		rows = rows[:0]
-		bufBytes = 0
+		entries, arena, recBytes = entries[:0], arena[:0], 0
 		return nil
 	}
 	for {
@@ -134,15 +139,29 @@ func Sort(cfg Config, in Input) (*Result, error) {
 		if err := checkKinds(kinds, row, cfg.Keys); err != nil {
 			return nil, err
 		}
-		if len(rows) == cap(rows) {
-			// Grow by doubling: append's 1.25× steps for a long slice
-			// allocate about five times a run's row list in all, more
-			// than its keys and entries cost.
-			rows = slices.Grow(rows, len(rows))
+		// Both slices grow by doubling: append's 1.25× steps for a long
+		// slice would copy a run's arena several times over. The first row
+		// sizes them, so a sort of a few rows allocates each once.
+		if cap(arena) == 0 {
+			var key [64]byte
+			rowLen = len(ord.appendKey(key[:0], row)) + storage.EncodedSize(row)
 		}
-		rows = append(rows, row)
-		bufBytes += rowBytes(row)
-		if bufBytes >= cfg.BufferBytes {
+		if cap(arena)-len(arena) < rowLen {
+			arena = slices.Grow(arena, max(len(arena), firstRows*rowLen))
+		}
+		if len(entries) == cap(entries) {
+			entries = slices.Grow(entries, max(len(entries), firstRows))
+		}
+		off := len(arena)
+		arena = ord.appendKey(arena, row)
+		key := len(arena)
+		arena = storage.AppendEncodedRow(arena, row)
+		if len(arena) > math.MaxUint32 {
+			return nil, fmt.Errorf("xsort: a run's keys and records exceed 4 GiB; lower BufferBytes")
+		}
+		entries = append(entries, entry{off: uint32(off), key: uint32(key), end: uint32(len(arena))})
+		rowLen = len(arena) - off
+		if recBytes += len(arena) - key; recBytes >= cfg.BufferBytes {
 			if err := flush(); err != nil {
 				return nil, err
 			}
@@ -184,8 +203,6 @@ func Sort(cfg Config, in Input) (*Result, error) {
 	}
 	return res, nil
 }
-
-func rowBytes(r value.Row) int { return storage.EncodedSize(r) }
 
 // checkKinds records, per sort key, the numeric kind its values have had,
 // and rejects a row whose key holds the other one. The key encodes INTEGER
@@ -283,101 +300,73 @@ func floatBits(f float64) uint64 {
 	return b | 1<<63
 }
 
-// encodeRun encodes the keys of a run's rows into arena and gives each row
-// its entry, in arrival order, reusing both slices' room. Both are sized
-// before the first key goes in: entries exactly, arena for every key as
-// long as the first (exact for fixed-width keys), so neither is regrown row
-// by row.
-func (o order) encodeRun(entries []entry, arena []byte, rows []value.Row) ([]entry, []byte, error) {
-	var first [64]byte
-	entries = slices.Grow(entries[:0], len(rows))
-	arena = slices.Grow(arena[:0], len(rows)*len(o.appendKey(first[:0], rows[0])))
-	for i, row := range rows {
-		off := len(arena)
-		arena = o.appendKey(arena, row)
-		if len(arena) > math.MaxUint32 { // every key has a byte, so idx fits too
-			return nil, nil, fmt.Errorf("xsort: a run's sort keys exceed 4 GiB; lower BufferBytes")
-		}
-		entries = append(entries, entry{off: uint32(off), end: uint32(len(arena)), idx: uint32(i)})
-	}
-	return entries, arena, nil
+// newRun starts a run in a fresh temp segment.
+func newRun(cfg Config) *run {
+	return &run{seg: storage.NewSegment(-1, cfg.Disk)}
 }
 
-// runWriter materializes rows, in the order given, into a fresh temp
-// segment through one reused encode buffer (Insert copies the record).
-type runWriter struct {
-	seg  *storage.Segment
-	enc  []byte
-	rows int
-}
-
-func newRunWriter(cfg Config) *runWriter {
-	return &runWriter{seg: storage.NewSegment(-1, cfg.Disk)}
-}
-
-func (w *runWriter) add(row value.Row) error {
-	w.enc = storage.AppendEncodedRow(w.enc[:0], row)
-	if _, err := w.seg.Insert(1, w.enc); err != nil {
+// insert appends a record to the run (Insert copies it).
+func (r *run) insert(rec []byte) error {
+	if _, err := r.seg.Insert(1, rec); err != nil {
 		return fmt.Errorf("xsort: writing temporary list: %w", err)
 	}
-	w.rows++
 	return nil
 }
 
-// finish charges the run's page writes to the pool and returns the run.
-func (w *runWriter) finish(cfg Config) *run {
-	pages := w.seg.Pages()
-	for _, p := range pages {
+// finish charges the run's page writes to the pool.
+func (r *run) finish(cfg Config) *run {
+	r.pages = r.seg.Pages()
+	for _, p := range r.pages {
 		cfg.io().MarkWritten(p)
 	}
-	return &run{seg: w.seg, pages: pages, rows: w.rows}
+	return r
 }
 
-// writeRun writes a generated run: rows in the order of the sorted
-// entries, one RSI call per tuple written into the temporary list.
-func writeRun(cfg Config, rows []value.Row, sorted []entry) (*run, error) {
-	w := newRunWriter(cfg)
+// writeRun writes a generated run: the arena's records in the order of the
+// sorted entries, one RSI call per tuple written into the temporary list.
+func writeRun(cfg Config, arena []byte, sorted []entry) (*run, error) {
+	r := newRun(cfg)
 	for _, e := range sorted {
 		if err := cfg.Budget.Tick(); err != nil {
 			return nil, err
 		}
-		if err := w.add(rows[e.idx]); err != nil {
+		if err := r.insert(arena[e.key:e.end]); err != nil {
 			return nil, err
 		}
 		cfg.io().AddRSICall()
 	}
-	return w.finish(cfg), nil
+	return r.finish(cfg), nil
 }
 
 // mergeRuns merges several sorted runs into one new run (an intermediate
 // sort pass: pages of the inputs are fetched, pages of the output written).
-// Each merged row goes straight into the output run, so the pass holds no
-// more than one read-back chunk per input run.
+// Each merged record is copied straight from its page into the output run,
+// so the pass holds one read-back row per input run.
 func mergeRuns(cfg Config, ord order, in []*run, slab []byte) (*run, error) {
 	var m merger
 	if err := m.open(cfg, ord, in, slab); err != nil {
 		return nil, err
 	}
-	w := newRunWriter(cfg)
+	out := newRun(cfg)
 	for {
 		if err := cfg.Budget.Tick(); err != nil {
 			return nil, err
 		}
-		row, ok, err := m.next()
+		rd, err := m.next()
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
+		if rd == nil {
 			break
 		}
-		if err := w.add(row); err != nil {
+		if err := out.insert(rd.rec); err != nil {
 			return nil, err
 		}
 	}
 	for _, r := range in {
 		releaseRun(cfg, r)
 	}
-	return w.finish(cfg), nil
+	return out.finish(cfg), nil
 }
 
 func releaseRun(cfg Config, r *run) {
@@ -395,16 +384,19 @@ func (cfg Config) io() storage.StmtIO { return cfg.Pool.View(cfg.Stmt) }
 type merger struct {
 	readers []*runReader
 	heap    []int // indices into readers
+	// lent: the top reader's row was returned by next, so that reader
+	// advances — over the row — only when next is called again.
+	lent bool
 }
 
 // open starts a reader on each run and heaps those with a first row. The
 // readers' key buffers start as equal, capacity-clipped shares of slab —
-// run generation's key arena, free once the runs are written — so only a
-// key longer than its share allocates.
+// run generation's arena, free once the runs are written — so only a key
+// longer than its share allocates.
 func (m *merger) open(cfg Config, ord order, runs []*run, slab []byte) error {
 	share := cap(slab) / len(runs)
 	for i, r := range runs {
-		rd := &runReader{disk: cfg.Disk, io: cfg.io(), budget: cfg.Budget, ord: ord, pages: r.pages, left: r.rows,
+		rd := &runReader{io: cfg.io(), budget: cfg.Budget, ord: ord, pages: r.pages,
 			key: slab[i*share : i*share : (i+1)*share]}
 		m.readers = append(m.readers, rd)
 		ok, err := rd.advance()
@@ -456,30 +448,34 @@ func (m *merger) down(i int) {
 	}
 }
 
-// next returns the least current row and advances its reader in place:
-// the reader re-enters the heap from the top, or leaves it when its run
-// is exhausted.
-func (m *merger) next() (value.Row, bool, error) {
+// next returns the reader holding the least current row, or nil when every
+// run is exhausted. The row stays valid until the following call: only then
+// does its reader advance in place, re-entering the heap from the top or
+// leaving it when its run is exhausted.
+func (m *merger) next() (*runReader, error) {
+	if m.lent {
+		m.lent = false
+		ok, err := m.readers[m.heap[0]].advance()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			last := len(m.heap) - 1
+			m.heap[0] = m.heap[last]
+			m.heap = m.heap[:last]
+		}
+		m.down(0)
+	}
 	if len(m.heap) == 0 {
-		return nil, false, nil
+		return nil, nil
 	}
-	rd := m.readers[m.heap[0]]
-	row := rd.row
-	ok, err := rd.advance()
-	if err != nil {
-		return nil, false, err
-	}
-	if !ok {
-		last := len(m.heap) - 1
-		m.heap[0] = m.heap[last]
-		m.heap = m.heap[:last]
-	}
-	m.down(0)
-	return row, true, nil
+	m.lent = true
+	return m.readers[m.heap[0]], nil
 }
 
+// runReader reads a run back through the buffer pool, decoding each
+// record over the last: one row per reader, whatever the run's length.
 type runReader struct {
-	disk   *storage.Disk
 	io     storage.StmtIO
 	budget *governor.Budget
 	ord    order
@@ -487,34 +483,9 @@ type runReader struct {
 	pi     int
 	slot   uint16
 	page   *storage.Page
-	left   int       // rows of the run not yet read
-	chunk  value.Row // unused tail of the shared chunk rows are decoded into
-	width  int       // columns of the last row read
-	row    value.Row // the current row
+	rec    []byte    // the current row's record, in its temp page
+	row    value.Row // the current row, decoded from rec
 	key    []byte    // the current row's normalized key, re-encoded per row
-}
-
-// readChunkRows is how many read-back rows share one allocation.
-const readChunkRows = 256
-
-// decode reads one record of the run into the shared chunk, starting a new
-// chunk — sized for at most readChunkRows of the rows still to come, so the
-// last chunk of a run is exact — when the current one has no room for a row
-// as wide as the last. Rows are never overwritten once returned, so
-// consumers may retain them; each is capacity-clipped, so appending to one
-// cannot reach its neighbour.
-func (rd *runReader) decode(rec []byte) (value.Row, error) {
-	if cap(rd.chunk) < rd.width {
-		rd.chunk = make(value.Row, 0, min(rd.left, readChunkRows)*rd.width)
-	}
-	out, err := storage.AppendDecodedRow(rd.chunk, rec)
-	if err != nil {
-		return nil, err
-	}
-	rd.chunk = out[len(out):]
-	rd.width = len(out)
-	rd.left--
-	return out[:len(out):len(out)], nil
 }
 
 // advance reads the following row of the run into row and key, fetching
@@ -542,17 +513,18 @@ func (rd *runReader) advance() (bool, error) {
 		if !ok {
 			continue
 		}
-		row, err := rd.decode(rec)
+		row, err := storage.AppendDecodedRow(rd.row[:0], rec)
 		if err != nil {
 			return false, err
 		}
-		rd.row = row
+		rd.rec, rd.row = rec, row
 		rd.key = rd.ord.appendKey(rd.key[:0], row)
 		return true, nil
 	}
 }
 
-// Next returns the next row in sorted order.
+// Next returns the next row in sorted order, valid until the following Next
+// or Close.
 func (res *Result) Next() (value.Row, bool, error) {
 	if len(res.merge.heap) == 0 {
 		return nil, false, nil
@@ -560,12 +532,12 @@ func (res *Result) Next() (value.Row, bool, error) {
 	if err := res.cfg.Budget.Tick(); err != nil {
 		return nil, false, err
 	}
-	row, ok, err := res.merge.next()
-	if err != nil || !ok {
+	rd, err := res.merge.next()
+	if err != nil || rd == nil {
 		return nil, false, err
 	}
 	res.cfg.io().AddRSICall()
-	return row, true, nil
+	return rd.row, true, nil
 }
 
 // Close releases the temporary pages from the buffer pool.

@@ -3,8 +3,10 @@ package xsort
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"systemr/internal/governor"
@@ -24,6 +26,8 @@ func sliceInput(rows []value.Row) Input {
 	}
 }
 
+// drain reads every row of res, cloning each: a row Next returns is
+// overwritten by a later call.
 func drain(t *testing.T, res *Result) []value.Row {
 	t.Helper()
 	var out []value.Row
@@ -35,7 +39,7 @@ func drain(t *testing.T, res *Result) []value.Row {
 		if !ok {
 			return out
 		}
-		out = append(out, row)
+		out = append(out, row.Clone())
 	}
 }
 
@@ -340,5 +344,110 @@ func TestSortRejectsMixedNumericKey(t *testing.T) {
 	if res, err := Sort(cfg, sliceInput(rows)); err == nil {
 		res.Close()
 		t.Fatal("sort of a key mixing INTEGER and FLOAT succeeded")
+	}
+}
+
+// TestInputRowMayBeReused: Sort encodes each input row before it asks for
+// the next, so an input may overwrite one row buffer on every call. The
+// rows carry VARCHAR columns of varying length, and a three-page pool
+// with tiny runs forces intermediate merge passes; the output must be the
+// stable sort of copies of the rows.
+func TestInputRowMayBeReused(t *testing.T) {
+	rnd := rand.New(rand.NewSource(11))
+	rows := make([]value.Row, 2500)
+	for i := range rows {
+		rows[i] = value.Row{
+			value.NewString(strings.Repeat("k", rnd.Intn(4)) + string(rune('a'+rnd.Intn(26)))),
+			value.NewInt(int64(rnd.Intn(30))),
+			value.NewString(fmt.Sprintf("payload-%d-%s", i, strings.Repeat("p", i%11))),
+			value.NewInt(int64(i)),
+		}
+	}
+	want := make([]value.Row, len(rows))
+	for i, r := range rows {
+		want[i] = r.Clone()
+	}
+	keys, desc := []int{0, 1}, []bool{false, true}
+	sort.SliceStable(want, func(i, j int) bool { return value.CompareRows(want[i], want[j], keys, desc) < 0 })
+
+	cfg, stats := newEnv(3) // fan-in 2
+	cfg.Keys, cfg.Desc = keys, desc
+	cfg.BufferBytes = 512
+	buf := make(value.Row, 4)
+	next := 0
+	res, err := Sort(cfg, func() (value.Row, bool, error) {
+		if next == len(rows) {
+			return nil, false, nil
+		}
+		copy(buf, rows[next])
+		next++
+		return buf, true, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Close()
+	got := drain(t, res)
+	if len(got) != len(want) {
+		t.Fatalf("%d rows out, want %d", len(got), len(want))
+	}
+	for i := range got {
+		for c := range got[i] {
+			if got[i][c] != want[i][c] {
+				t.Fatalf("row %d is %v, want %v", i, got[i], want[i])
+			}
+		}
+	}
+	// 2,500 rows of some 30 bytes in 512-byte runs: far more runs than the
+	// fan-in, so the rows crossed intermediate passes.
+	if s := stats.Snapshot(); s.PagesWritten <= int64(len(res.pages)) {
+		t.Fatalf("no intermediate merge pass: %d pages written, %d in the final runs", s.PagesWritten, len(res.pages))
+	}
+}
+
+// boundaryRows returns n rows whose records vary in length: an integer
+// key, the arrival serial and a VARCHAR of 1 to 14 bytes.
+func boundaryRows(n int) []value.Row {
+	rows := make([]value.Row, n)
+	for i := range rows {
+		rows[i] = value.Row{
+			value.NewInt(int64((i * 7919) % 500)),
+			value.NewInt(int64(i)),
+			value.NewString(fmt.Sprintf("%s%d", strings.Repeat("v", i%13), i%97)),
+		}
+	}
+	return rows
+}
+
+// TestSortRunBoundariesUnchanged pins a sort's paper units for fixed
+// inputs: a run ends when its encoded records reach BufferBytes, so its
+// boundaries, and with them every temp page written and fetched, follow
+// the records alone, however the sorter holds them in memory. The figures
+// are those of the sorter that held runs as decoded rows: with a
+// three-page pool and 2 KB runs (intermediate passes), an eight-page pool
+// and 4 KB runs (one merge of several runs), and one run.
+func TestSortRunBoundariesUnchanged(t *testing.T) {
+	for _, tc := range []struct {
+		capacity, bufferBytes int
+		written, fetched      int64
+	}{
+		{3, 2048, 107, 107},
+		{8, 4096, 44, 44},
+		{16, 0, 19, 19},
+	} {
+		cfg, stats := newEnv(tc.capacity)
+		cfg.Keys = []int{0, 2}
+		cfg.BufferBytes = tc.bufferBytes
+		res, err := Sort(cfg, sliceInput(boundaryRows(3000)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		drain(t, res)
+		res.Close()
+		s := stats.Snapshot()
+		if s.PagesWritten != tc.written || s.PageFetches != tc.fetched || s.RSICalls != 6000 {
+			t.Errorf("pool %d, runs of %d bytes: %d pages written, %d fetched, %d RSI calls; want %d, %d and 6000",
+				tc.capacity, tc.bufferBytes, s.PagesWritten, s.PageFetches, s.RSICalls, tc.written, tc.fetched)
+		}
 	}
 }

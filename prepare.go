@@ -148,7 +148,7 @@ func (s *Stmt) Explain() string {
 	if err != nil || cp.Version != s.db.cat.Version() {
 		return cp.Query.Explain(s.lits...)
 	}
-	return cp.Query.ExplainWith(core.Cost(cp.Query, s.db.cat, s.db.OptimizerConfig(), s.lits), s.lits...)
+	return cp.Query.ExplainWith(core.Cost(cp.Query, s.db.OptimizerConfig(), s.lits), s.lits...)
 }
 
 // Text returns the original statement text.

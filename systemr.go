@@ -742,7 +742,7 @@ func (db *DB) execExplain(cur *txn.Txn, st *statement, ex *sql.ExplainStmt) (*Re
 			cacheNote = fmt.Sprintf("plan cache: hit (compiled at catalog version %d)\n", cp.Version)
 			if cp.Family != "" {
 				// Another statement's literals may have priced the plan.
-				est = core.Cost(q, db.cat, db.OptimizerConfig(), st.vals)
+				est = core.Cost(q, db.OptimizerConfig(), st.vals)
 			}
 		}
 	case *sql.DeleteStmt, *sql.UpdateStmt:
