@@ -32,6 +32,9 @@ type CallGraph struct {
 	// functions declared in the loaded packages appear (imported standard-
 	// library functions have no bodies to analyze).
 	Nodes map[*types.Func]*CallNode
+	// Dispatch maps each interface method called in the program to the
+	// implementations a call of it may reach (the CHA edges above).
+	Dispatch map[*types.Func][]*CallNode
 }
 
 // CallNode is one declared function with its in- and out-edges.
@@ -65,7 +68,7 @@ func (g *CallGraph) Roots() []*CallNode {
 
 // buildCallGraph constructs the graph for the loaded packages.
 func buildCallGraph(pkgs []*Package) *CallGraph {
-	g := &CallGraph{Nodes: make(map[*types.Func]*CallNode)}
+	g := &CallGraph{Nodes: make(map[*types.Func]*CallNode), Dispatch: make(map[*types.Func][]*CallNode)}
 
 	// Pass 1: one node per declared function; collect the program's named
 	// types for interface resolution.
@@ -143,6 +146,13 @@ func buildCallGraph(pkgs []*Package) *CallGraph {
 			if !ok {
 				return true
 			}
+			if targets, done := g.Dispatch[f]; done {
+				for _, c := range targets {
+					addEdge(n, c.Fn)
+				}
+				return true
+			}
+			g.Dispatch[f] = []*CallNode{}
 			for _, t := range concrete {
 				impl := t
 				if !types.Implements(impl, iface) {
@@ -153,6 +163,9 @@ func buildCallGraph(pkgs []*Package) *CallGraph {
 				}
 				m, _, _ := types.LookupFieldOrMethod(impl, true, f.Pkg(), f.Name())
 				if mf, ok := m.(*types.Func); ok {
+					if c, ok := g.Nodes[mf]; ok {
+						g.Dispatch[f] = append(g.Dispatch[f], c)
+					}
 					addEdge(n, mf)
 				}
 			}

@@ -14,13 +14,15 @@ package analysis
 //     is forbidden in exec, rss, and xsort; DB-wide aggregation (metrics,
 //     experiment drivers) lives elsewhere and reads the global ledger.
 //   - MVCC visibility (PR 8). Which row versions a statement may see is
-//     decided once, at the RSS boundary, by Snapshot.Visible over
-//     Page.ReadVersioned. A raw Page.Record, storage.DecodeRow, or
-//     storage.ParseVersionHeader in exec or txn would bypass that check and
-//     read delete-marked or uncommitted versions — the classic dirty read,
-//     invisible until two transactions actually race. Temporary lists are
-//     not versioned and have their own codecs; catalog, dump, and testutil
-//     read whole heaps under locks that exclude writers, out of scope here.
+//     decided once, at the RSS boundary, by Snapshot.Visible over the
+//     headers a page visit (Page.VisitVersions) hands the scans. A raw
+//     Page.Record or Page.VisitVersions, a storage.DecodeRow, ColumnAt or
+//     CheckEncodedRow, or storage.ParseVersionHeader in exec or txn would
+//     bypass that check and read delete-marked or uncommitted versions —
+//     the classic dirty read, invisible until two transactions actually
+//     race. Temporary lists are not versioned and have their own codecs;
+//     catalog, dump, and testutil read whole heaps under locks that exclude
+//     writers, out of scope here.
 //   - the undo-logged write path (PR 6). Rollback works by logical undo:
 //     internal/txn logs the inverse of every mutation it applies through
 //     the rss write path. That holds only if no other write path exists, so
@@ -76,12 +78,12 @@ var (
 var layerRules = []layerRule{
 	{pkgs: []string{"exec", "rss", "xsort"}, callees: []string{"storage.BufferPool.Stats"},
 		msg: "reads the buffer pool's DB-global IOStats: per-operator deltas must come from the statement's StmtIO accumulator"},
-	{pkgs: mvccVisPkgs, callees: []string{"storage.Page.Record"},
-		msg: "raw Page.Record bypasses MVCC visibility: read through the RSS scans (ReadVersioned + Snapshot.Visible)"},
-	{pkgs: mvccVisPkgs, callees: []string{"storage.DecodeRow", "storage.AppendDecodedRow"},
+	{pkgs: mvccVisPkgs, callees: []string{"storage.Page.Record", "storage.Page.VisitVersions"},
+		msg: "raw {callee} bypasses MVCC visibility: read through the RSS scans, which judge every version with Snapshot.Visible"},
+	{pkgs: mvccVisPkgs, callees: []string{"storage.DecodeRow", "storage.AppendDecodedRow", "storage.ColumnAt", "storage.CheckEncodedRow"},
 		msg: "{callee} on a heap record bypasses MVCC visibility: rows reach this layer already decoded by the RSS"},
 	{pkgs: mvccVisPkgs, callees: []string{"storage.ParseVersionHeader"},
-		msg: "hand-rolled version-header parsing bypasses MVCC visibility: use the RSS scans over ReadVersioned"},
+		msg: "hand-rolled version-header parsing bypasses MVCC visibility: use the RSS scans"},
 	{pkgs: txnUndoPkgs, exempt: rssWritePath,
 		callees: []string{"storage.Segment.Insert", "storage.Page.Insert", "storage.Page.Delete", "storage.Page.Restore", "storage.Page.SwapXmax"},
 		msg:     "direct storage mutation {callee} escapes the undo log: write through txn.Txn"},

@@ -34,10 +34,13 @@ package analysis
 // function body is walked in source order tracking the set of ranked
 // mutexes currently held (mu.Lock()/RLock() add, mu.Unlock()/RUnlock()
 // remove, deferred unlocks hold to function end); at each acquisition —
-// direct or summarized through a call — a held rank >= the acquired rank is
-// reported. Function literals are walked as their own scopes (they run with
-// their own held set) but their acquisitions still count toward the
-// enclosing function's summary, conservatively.
+// direct or summarized through a call, where a call through an interface
+// counts for every implementation it may dispatch to — a held rank >= the
+// acquired rank is reported. That is what keeps a page visit's callback
+// (storage.VersionVisitor) from fetching a page under the latch. Function
+// literals are walked as their own scopes (they run with their own held
+// set) but their acquisitions still count toward the enclosing function's
+// summary, conservatively.
 
 import (
 	"go/ast"
@@ -519,23 +522,27 @@ func (w *rankWalker) checkCall(held heldRanks, call *ast.CallExpr) {
 		return
 	}
 	// A call with a summary: everything the callee may acquire is checked
-	// against what we hold here.
+	// against what we hold here. A call through an interface is checked
+	// against every implementation it may dispatch to.
 	f := calleeFunc(info, call)
 	if f == nil {
 		return
 	}
-	callee := w.pass.Prog.CallGraph.FuncOf(f)
-	if callee == nil {
-		return
+	g := w.pass.Prog.CallGraph
+	callees := g.Dispatch[f]
+	if callee := g.FuncOf(f); callee != nil {
+		callees = []*CallNode{callee}
 	}
-	s := w.summary[callee]
-	ranks := make([]int, 0, len(s))
-	for r := range s {
-		ranks = append(ranks, r)
-	}
-	sort.Ints(ranks)
-	for _, r := range ranks {
-		w.reportIfHeldConflicts(held, call.Pos(), r, callee)
+	for _, callee := range callees {
+		s := w.summary[callee]
+		ranks := make([]int, 0, len(s))
+		for r := range s {
+			ranks = append(ranks, r)
+		}
+		sort.Ints(ranks)
+		for _, r := range ranks {
+			w.reportIfHeldConflicts(held, call.Pos(), r, callee)
+		}
 	}
 }
 

@@ -150,3 +150,26 @@ func (p *BufferPool) goLocked() {
 		_ = p.locks.Acquire("emp") // want "while holding storage.BufferPool.mu"
 	}()
 }
+
+// Visitor is called back under a page latch, as a page visit judges the
+// versions of a scan.
+type Visitor interface {
+	Visit(slot int) bool
+}
+
+// visitPage holds the latch across the callback: an implementation that
+// fetches a page inverts the order, and the call through the interface is
+// checked against it.
+func (pg *Page) visitPage(v Visitor) {
+	pg.mu.RLock()
+	defer pg.mu.RUnlock()
+	v.Visit(0) // want "call to storage.fetchingVisitor.Visit may acquire storage.BufferPool.mu"
+}
+
+type fetchingVisitor struct{ pool *BufferPool }
+
+func (v *fetchingVisitor) Visit(slot int) bool { return v.pool.Fetch(slot) != nil }
+
+type countingVisitor struct{ n int }
+
+func (v *countingVisitor) Visit(int) bool { v.n++; return true }

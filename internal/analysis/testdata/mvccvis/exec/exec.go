@@ -21,6 +21,24 @@ func rawScan(p *storage.Page, n uint16) []storage.Row {
 	return out
 }
 
+// judge reads versions the way the RSS scans do — a page visit, a SARG
+// column read from the stored record, a write-path check — without the
+// snapshot ruling on any of them.
+type judge struct{ keep [][]byte }
+
+func (j *judge) VisitVersion(_ uint16, _ storage.RelID, _ storage.VersionHeader, body []byte) (bool, error) {
+	if _, ok, err := storage.ColumnAt(body, 0); ok && err == nil { // want "storage.ColumnAt on a heap record bypasses MVCC visibility"
+		j.keep = append(j.keep, body)
+	}
+	return false, storage.CheckEncodedRow(body) // want "storage.CheckEncodedRow on a heap record bypasses MVCC visibility"
+}
+
+func visitScan(p *storage.Page, n uint16) [][]byte {
+	var j judge
+	p.VisitVersions(0, n, &j) // want "raw Page.VisitVersions bypasses MVCC visibility"
+	return j.keep
+}
+
 func peekHeader(rec []byte) storage.XID {
 	h, _, err := storage.ParseVersionHeader(rec) // want "hand-rolled version-header parsing bypasses MVCC visibility"
 	if err != nil {
@@ -29,8 +47,8 @@ func peekHeader(rec []byte) storage.XID {
 	return h.Xmin
 }
 
-// The sanctioned shape: ReadVersioned pairs the row with its header so the
-// snapshot can rule on it — no finding.
+// ReadVersioned pairs the row with its header, so the snapshot can rule
+// on it — no finding.
 func visibleScan(p *storage.Page, s *storage.Snapshot, n uint16) []storage.Row {
 	var out []storage.Row
 	for i := uint16(0); i < n; i++ {

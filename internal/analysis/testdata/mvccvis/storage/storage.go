@@ -1,7 +1,7 @@
 // Package storage mirrors the version-header and record primitives the
-// mvccvis analyzer polices: the raw accessors (Record, DecodeRow,
-// ParseVersionHeader) and the sanctioned visibility path (ReadVersioned +
-// Snapshot.Visible).
+// mvccvis analyzer polices: the raw accessors (Record, VisitVersions,
+// DecodeRow, ColumnAt, CheckEncodedRow, ParseVersionHeader) and a header
+// read the snapshot can rule on (ReadVersioned + Snapshot.Visible).
 package storage
 
 type RelID uint32
@@ -28,7 +28,17 @@ func (p *Page) ReadVersioned(i uint16) (VersionHeader, Row, RelID, bool) {
 	return VersionHeader{}, nil, 0, i < p.n
 }
 
+type VersionVisitor interface {
+	VisitVersion(slot uint16, rel RelID, h VersionHeader, body []byte) (bool, error)
+}
+
+func (p *Page) VisitVersions(from, to uint16, v VersionVisitor) (uint16, error) { return to, nil }
+
 func DecodeRow(rec []byte) (Row, error) { return nil, nil }
+
+func ColumnAt(rec []byte, i int) (any, bool, error) { return nil, false, nil }
+
+func CheckEncodedRow(rec []byte) error { return nil }
 
 func ParseVersionHeader(rec []byte) (VersionHeader, []byte, error) {
 	return VersionHeader{}, rec, nil

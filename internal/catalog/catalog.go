@@ -440,8 +440,14 @@ func firstDuplicateKey(disk *storage.Disk, rel storage.RelID, tree *btree.BTree)
 		// versions under the schema X lock; snapshot semantics are wrong
 		// here — a duplicate visible to any current snapshot but already
 		// deleted must not fail the build.
-		h, _, r, ok, err := disk.Page(e.TID.Page).ReadVersioned(e.TID.Slot)
-		return err == nil && ok && r == rel && h.Xmax == 0
+		// Only the header is read: the row is never decoded.
+		found := false
+		_, err := disk.Page(e.TID.Page).VisitVersions(e.TID.Slot, e.TID.Slot+1, storage.VisitFunc(
+			func(_ uint16, r storage.RelID, h storage.VersionHeader, _ []byte) (bool, error) {
+				found = r == rel && h.Xmax == 0
+				return true, nil
+			}))
+		return err == nil && found
 	}
 	it := tree.Seek(storage.StmtIO{}, nil)
 	var prev btree.Entry

@@ -134,6 +134,11 @@ func (c *Catalog) refreshSystemCatalogsLocked() error {
 	// they are visible to every snapshot without registry traffic.
 	insert := func(t *Table, row value.Row) error {
 		rec := storage.EncodeVersionedRow(storage.VersionHeader{Xmin: storage.FrozenXID, Prev: storage.NoPrevTID}, row)
+		// Validated like rss.Insert's records: scans decode only what they
+		// return.
+		if err := storage.CheckEncodedRow(rec[storage.VersionHeaderSize:]); err != nil {
+			return err
+		}
 		_, err := t.Segment.Insert(t.ID, rec)
 		return err
 	}

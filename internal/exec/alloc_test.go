@@ -3,13 +3,13 @@
 package exec
 
 // Allocation bounds for the tuple path (the race detector changes
-// allocation counts, so these run only without it). Scans decode into a
-// reused stage and lend it or hand each batch out in two exact chunks,
-// grouping carves its output from chunks, and sorts hold runs as encoded
-// records and copy each batch of read-back rows into one chunk, so
-// allocation grows with batches and temp pages, never with rows or groups;
-// and batches hold room only for the rows that cross them, so a
-// statement's bytes follow the rows it moves.
+// allocation counts, so these run only without it). Scans decode only the
+// versions they return, into a reused stage, and lend it or hand each
+// batch out in two exact chunks, grouping carves its output from chunks,
+// and sorts hold runs as encoded records and copy each batch of read-back
+// rows into one chunk, so allocation grows with batches and temp pages,
+// never with rows or groups; and batches hold room only for the rows that
+// cross them, so a statement's bytes follow the rows it moves.
 
 import (
 	"fmt"
@@ -131,6 +131,100 @@ func TestScanAllocsPerBatch(t *testing.T) {
 	}
 }
 
+// loadNames loads N(A INT, S VARCHAR) with n rows in A order, S a
+// 23-byte string, and a clustered index on A. xmin creates every version.
+func loadNames(t *testing.T, n int, xmin storage.XID) *env {
+	t.Helper()
+	e := newEnv(t)
+	tab, err := e.cat.CreateTable("N", []catalog.Column{
+		{Name: "A", Type: value.KindInt}, {Name: "S", Type: value.KindString}}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		row := value.Row{value.NewInt(int64(i)), value.NewString(fmt.Sprintf("name-%018d", i))}
+		if _, _, err := rss.Insert(tab, row, xmin, storage.NoPrevTID, e.disk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.cat.CreateIndex("N_A", "N", []string{"A"}, false, true); err != nil {
+		t.Fatal(err)
+	}
+	e.cat.UpdateStatistics()
+	e.rt.Snap = &storage.Snapshot{Self: 10, Max: 10}
+	return e
+}
+
+// scanRejectsAll runs query's scan (the one find picks) to its end, after a
+// warm-up run, and fails unless it returns no row and allocates at most
+// perOpen times — the same at 320 versions as at 12.5k.
+func scanRejectsAll(t *testing.T, xmin storage.XID, query string, find func(*op) *op) {
+	t.Helper()
+	const perOpen = 10
+	for _, n := range []int{320, 12500} {
+		e := loadNames(t, n, xmin)
+		text := fmt.Sprintf(query, n)
+		_, q := e.plan(t, text, core.Config{})
+		ctx := newBlockCtx(e.rt, q, new(int))
+		root, err := ctx.buildRoot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := find(root)
+		if found == nil {
+			t.Fatalf("unexpected access path:\n%s", q.Explain())
+		}
+		scan, err := ctx.build(found.node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := NewBatch(DefaultBatchSize)
+		rows := 0
+		allocs := testing.AllocsPerRun(3, func() {
+			rows = 0
+			e.rt.IO = &storage.IOStats{}
+			if err := scan.Open(); err != nil {
+				t.Fatal(err)
+			}
+			for {
+				if err := scan.NextBatch(b); err != nil {
+					t.Fatal(err)
+				}
+				if b.Len() == 0 {
+					break
+				}
+				rows += b.Len()
+			}
+			if err := scan.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if io := e.rt.IO.Snapshot(); rows != 0 || io.VersionsScanned != int64(n) {
+			t.Fatalf("%s: %d rows, %d of %d versions examined", text, rows, io.VersionsScanned, n)
+		}
+		if allocs > perOpen {
+			t.Errorf("%s: %.0f allocations, want <= %d", text, allocs, perOpen)
+		}
+	}
+}
+
+// TestSargRejectsAllocNothing: a segment scan evaluates its SARGs on each
+// version's stored record, reading only the columns they name, and decodes
+// only the versions it returns. So a SARG on the VARCHAR column that
+// rejects every row costs no allocation per version: the scan allocates as
+// often over 12.5k versions as over 320. Decoding every version before
+// judging it cost one string per version.
+func TestSargRejectsAllocNothing(t *testing.T) {
+	scanRejectsAll(t, storage.FrozenXID, "SELECT A, S FROM N WHERE S = 'none' AND A <= %d", findOp[*plan.SegScan])
+}
+
+// TestInvisibleVersionsAllocNothing: an index scan over versions created
+// after its snapshot rejects each on its header, before decoding any of
+// it, and allocates as often over 12.5k versions as over 320.
+func TestInvisibleVersionsAllocNothing(t *testing.T) {
+	scanRejectsAll(t, 20, "SELECT A, S FROM N WHERE A BETWEEN 0 AND %d ORDER BY A", findOp[*plan.IndexScan])
+}
+
 // TestGroupAggAllocsPerBatch: grouping allocates per output batch, not per
 // group. GROUP BY directly over T's clustered index lends the scan's stage
 // and forms one group per surviving row — 256 groups and 10k — and the
@@ -176,41 +270,6 @@ func TestGroupAggAllocsPerBatch(t *testing.T) {
 				allocs, groups, batches, perOpen, perBatch)
 		}
 	}
-}
-
-// loadJoin loads a fact relation F(K, V, G) of n rows, K = G = V mod 64,
-// and a dimension D(K) of the 64 keys, each with an index on K but none on
-// G, so every D row joins n/64 F rows.
-func loadJoin(t *testing.T, n int) *env {
-	t.Helper()
-	e := newEnv(t)
-	f, err := e.cat.CreateTable("F", []catalog.Column{
-		{Name: "K", Type: value.KindInt}, {Name: "V", Type: value.KindInt}, {Name: "G", Type: value.KindInt}}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := e.cat.CreateTable("D", []catalog.Column{{Name: "K", Type: value.KindInt}}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if _, _, err := rss.Insert(f, value.Row{value.NewInt(int64(i % 64)), value.NewInt(int64(i)), value.NewInt(int64(i % 64))}, storage.FrozenXID, storage.NoPrevTID, e.disk); err != nil {
-			t.Fatal(err)
-		}
-		if i < 64 {
-			if _, _, err := rss.Insert(d, value.Row{value.NewInt(int64(i))}, storage.FrozenXID, storage.NoPrevTID, e.disk); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for _, ix := range [][2]string{{"F_K", "F"}, {"D_K", "D"}} {
-		if _, err := e.cat.CreateIndex(ix[0], ix[1], []string{"K"}, false, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e.cat.UpdateStatistics()
-	e.rt.Snap = &storage.Snapshot{Self: 10, Max: 10}
-	return e
 }
 
 // TestJoinAllocsPerBatch: each join method allocates per batch and per
@@ -350,10 +409,11 @@ func bytesPerRun(runs int, f func()) uint64 {
 // allocates O(runs + temp pages), not O(rows): every run writes at least
 // one temp page, so a bound per temp page written covers both. Each temp
 // page is written once per pass and holds about 150 of these rows; the
-// page itself is one allocation, and each 256-row batch costs a chunk
-// allocation or two across the operators. A row-at-a-time sort would
-// allocate several times per row: some 400 times per page. Measured: 420
-// allocations for 136 pages (607 when runs were held as decoded rows).
+// page itself is reused from an earlier run's freed pages, and each
+// 256-row batch costs a chunk allocation or two across the operators. A
+// row-at-a-time sort would allocate several times per row: some 400 times
+// per page. Measured: 278 allocations for 136 pages (420 when every temp
+// page was a fresh allocation, 607 when runs were held as decoded rows).
 func TestSortAllocsPerTempPage(t *testing.T) {
 	const perPage = 4
 	e := loadWide(t, 12500)
@@ -388,12 +448,14 @@ func TestSortAllocsPerTempPage(t *testing.T) {
 // its input. GROUP BY over a sort of 20k and 40k F rows allocates, per
 // run of the query, at most a small multiple of BufferBytes — the first
 // run's arena and entries, grown by doubling and reused by every later
-// run, plus the operators' reused chunks — and the temp pages' own frames,
-// some 5 KB each. Measured: 1.60 MB for 92 pages and 2.06 MB for 186, on a
-// 128 KB BufferBytes. Holding runs as flattened rows of 40-byte values
-// cost 8.3 MB and 15.7 MB: about 190 bytes per row.
+// run, plus the operators' reused chunks — and a few bytes per temp page
+// for the page lists: the pages themselves are freed when the sort closes
+// and reused by the next run. Measured: 1.146 MB for 92 pages and
+// 1.149 MB for 186, on a 128 KB BufferBytes; allocating a fresh page per
+// temp page cost 1.60 MB and 2.06 MB. Holding runs as flattened rows of
+// 40-byte values cost 8.3 MB and 15.7 MB: about 190 bytes per row.
 func TestSortBytesPerRun(t *testing.T) {
-	const multiple, pageBytes = 10, 5 << 10
+	const multiple, pageBytes = 10, 64
 	for _, n := range []int{20000, 40000} {
 		e := loadJoin(t, n)
 		_, q := e.plan(t, "SELECT G, COUNT(*), SUM(V) FROM F GROUP BY G", core.Config{})

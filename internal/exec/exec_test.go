@@ -571,3 +571,68 @@ func TestCursorCloseIdempotent(t *testing.T) {
 		t.Fatalf("Next after close: ok=%v err=%v", ok, err)
 	}
 }
+
+// loadJoin loads a fact relation F(K, V, G) of n rows, K = G = V mod 64,
+// and a dimension D(K) of the 64 keys, each with an index on K but none on
+// G, so every D row joins n/64 F rows.
+func loadJoin(t *testing.T, n int) *env {
+	t.Helper()
+	e := newEnv(t)
+	f, err := e.cat.CreateTable("F", []catalog.Column{
+		{Name: "K", Type: value.KindInt}, {Name: "V", Type: value.KindInt}, {Name: "G", Type: value.KindInt}}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := e.cat.CreateTable("D", []catalog.Column{{Name: "K", Type: value.KindInt}}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if _, _, err := rss.Insert(f, value.Row{value.NewInt(int64(i % 64)), value.NewInt(int64(i)), value.NewInt(int64(i % 64))}, storage.FrozenXID, storage.NoPrevTID, e.disk); err != nil {
+			t.Fatal(err)
+		}
+		if i < 64 {
+			if _, _, err := rss.Insert(d, value.Row{value.NewInt(int64(i))}, storage.FrozenXID, storage.NoPrevTID, e.disk); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, ix := range [][2]string{{"F_K", "F"}, {"D_K", "D"}} {
+		if _, err := e.cat.CreateIndex(ix[0], ix[1], []string{"K"}, false, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.cat.UpdateStatistics()
+	e.rt.Snap = &storage.Snapshot{Self: 10, Max: 10}
+	return e
+}
+
+// TestSortFreesTempPages: a sort gives its temp pages back to the disk
+// when it closes, and the next sort reuses them, so repeated sorts leave the
+// disk where the first left it. Before sorts freed their pages, each run
+// of this query grew it by its 92 temp pages: to 773 pages after five.
+func TestSortFreesTempPages(t *testing.T) {
+	e := loadJoin(t, 20000)
+	_, q := e.plan(t, "SELECT G, COUNT(*), SUM(V) FROM F GROUP BY G", core.Config{})
+	if findOp[*plan.Sort](mustBuild(t, e, q)) == nil {
+		t.Fatalf("plan has no sort:\n%s", q.Explain())
+	}
+	var after []int
+	for i := 0; i < 5; i++ {
+		e.rt.IO = &storage.IOStats{}
+		rows, _, err := RunQuery(e.rt, q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 64 || e.rt.IO.Snapshot().PagesWritten == 0 {
+			t.Fatalf("%d groups, %d temp pages written", len(rows), e.rt.IO.Snapshot().PagesWritten)
+		}
+		after = append(after, e.disk.NumPages())
+	}
+	for i, n := range after {
+		if n != after[0] {
+			t.Errorf("disk pages after each run: %v; run %d grew the disk", after, i+1)
+			break
+		}
+	}
+}

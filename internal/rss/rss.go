@@ -11,11 +11,18 @@
 // sargable predicates ("column comparison-operator value") in disjunctive
 // normal form, applied to each tuple *before* it is returned, so that
 // rejected tuples never cost an RSI call — the paper's CPU-saving mechanism.
+// The SARGs are evaluated on the stored record, before decoding: each term
+// reads only its own column from the encoded row (storage.ColumnAt), and
+// only a version the scan returns is decoded, so a rejected tuple costs
+// neither a decode nor an allocation.
 //
 // The RSI is also the MVCC visibility boundary. Heap records are versions
 // (storage.VersionHeader + row); both scan types carry the caller's
 // storage.Snapshot and return only versions visible to it, so nothing above
-// the RSS ever sees an uncommitted or superseded tuple. The write path
+// the RSS ever sees an uncommitted or superseded tuple. A scan judges a
+// page's versions in one page visit (storage.Page.VisitVersions) under one
+// shared latch: relation, snapshot, governor checkpoint, SARGs, and then
+// the decode of the version it returns. The write path
 // creates versions (Insert), flips delete marks in place (MarkDeleted, with
 // first-updater-wins conflict detection → ErrWriteConflict), physically
 // undoes them (ClearDeleted, Remove — the transaction layer's rollback
@@ -26,6 +33,7 @@ package rss
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"systemr/internal/btree"
 	"systemr/internal/catalog"
@@ -119,6 +127,64 @@ func (s Sarg) Match(row value.Row) bool {
 	return false
 }
 
+// The encoded forms below are Match evaluated on a stored record, reading
+// each term's column with storage.ColumnAt instead of decoding the row: the
+// same truth value on the same row, NULL and a column past the row's width
+// comparing false. A record that does not parse up to a term's column is
+// ErrCorruptRecord, never a silent reject.
+
+func (t SargTerm) matchEncoded(body []byte) (bool, error) {
+	v, ok, err := storage.ColumnAt(body, t.Col)
+	if !ok || err != nil {
+		return false, err
+	}
+	return t.Op.Apply(v, t.Val), nil
+}
+
+func (s Sarg) matchEncoded(body []byte) (bool, error) {
+	if len(s.Disjuncts) == 0 {
+		return true, nil
+	}
+	for _, conj := range s.Disjuncts {
+		all := true
+		for _, t := range conj {
+			ok, err := t.matchEncoded(body)
+			if err != nil {
+				return false, err
+			}
+			if !ok {
+				all = false
+				break
+			}
+		}
+		if all {
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
+func (ss SargSet) matchEncoded(body []byte) (bool, error) {
+	for _, s := range ss {
+		if ok, err := s.matchEncoded(body); !ok || err != nil {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
+// take decodes a version the scan returns onto *out, once its SARGs hold on
+// the stored record: a rejected version is never decoded. It reports
+// whether it decoded, which ends the page visit.
+func take(sargs SargSet, body []byte, out *value.Row) (bool, error) {
+	if ok, err := sargs.matchEncoded(body); !ok || err != nil {
+		return err != nil, err
+	}
+	row, err := storage.AppendDecodedRow(*out, body)
+	*out = row
+	return true, err
+}
+
 // Scan is the RSI: OPEN positions the scan, each NEXT returns one qualifying
 // tuple, CLOSE releases it. Every tuple returned by Next costs one RSI call
 // in the shared IOStats.
@@ -148,22 +214,28 @@ type SegmentScan struct {
 	// correct only for callers that exclude concurrent writers.
 	Snap *storage.Snapshot
 
-	io     storage.StmtIO
 	pages  []storage.PageID
 	pi     int
 	slot   uint16
 	nslots uint16
-	page   *storage.Page
-	open   bool
-	stage  value.Row // Next's decode buffer, reused across calls
+	// scanned and skipped count the current page visit's versions of the
+	// relation, and of them those the snapshot cannot see, until the visit
+	// charges them.
+	scanned, skipped uint16
+	page             *storage.Page
+	open             bool
+	stage            value.Row // Next's decode buffer, reused across calls
+	out              value.Row // NextInto's dst, which a page visit decodes onto
 }
+
+// io is the scan's statement-scoped view of the pool (see Stmt).
+func (s *SegmentScan) io() storage.StmtIO { return s.Pool.View(s.Stmt) }
 
 // Open positions the scan before the first page.
 func (s *SegmentScan) Open() error {
 	if err := s.Budget.Check(); err != nil {
 		return err
 	}
-	s.io = s.Pool.View(s.Stmt)
 	s.pages = s.Table.Segment.Pages()
 	s.pi = -1
 	s.page = nil
@@ -190,16 +262,18 @@ func (s *SegmentScan) Next() (value.Row, storage.TID, bool, error) {
 
 // NextInto is Next decoding onto the end of dst: it returns dst extended by
 // the next qualifying tuple's columns, or with its original length at the
-// end of the scan and on error, growing it as append does. Each version
-// examined is decoded into dst's spare capacity and truncated away again
-// when the relation check, the snapshot or the SARGs reject it, so a caller
-// that reuses dst pays no allocation per tuple. The returned columns share
-// dst's backing array: the caller copies out what it hands on.
+// end of the scan and on error, growing it as append does. The versions of a
+// page are judged on their stored records under one page latch: the
+// relation check, the snapshot and the SARGs reject a version before any of
+// it is decoded, and only the version returned is decoded into dst, so a
+// caller that reuses dst pays no allocation per tuple. The returned columns
+// share dst's backing array: the caller copies out what it hands on.
 func (s *SegmentScan) NextInto(dst value.Row) (value.Row, storage.TID, bool, error) {
 	if !s.open {
 		return dst, storage.TID{}, false, fmt.Errorf("rss: Next on closed segment scan of %s", s.Table.Name)
 	}
 	base := len(dst)
+	s.out = dst
 	for {
 		if s.page == nil || s.slot >= s.nslots {
 			s.pi++
@@ -209,7 +283,7 @@ func (s *SegmentScan) NextInto(dst value.Row) (value.Row, storage.TID, bool, err
 			if err := s.Budget.Check(); err != nil {
 				return dst, storage.TID{}, false, err
 			}
-			page, err := s.io.Fetch(s.pages[s.pi])
+			page, err := s.io().Fetch(s.pages[s.pi])
 			if err != nil {
 				return dst, storage.TID{}, false, err
 			}
@@ -221,32 +295,41 @@ func (s *SegmentScan) NextInto(dst value.Row) (value.Row, storage.TID, bool, err
 			s.slot = 0
 			continue
 		}
-		slot := s.slot
-		s.slot++
-		h, out, rel, ok, err := s.page.ReadVersionedInto(slot, dst)
+		next, err := s.page.VisitVersions(s.slot, s.nslots, (*segmentVisit)(s))
+		out := s.out
+		s.slot = next
+		s.io().AddVersionsScanned(int64(s.scanned), int64(s.skipped))
+		s.scanned, s.skipped = 0, 0
 		if err != nil {
-			return dst, storage.TID{}, false, err
-		}
-		if !ok || rel != s.Table.ID {
-			dst = out[:base]
-			continue
-		}
-		if !s.Snap.Visible(h) {
-			s.io.AddVersionScanned(true)
-			dst = out[:base]
-			continue
-		}
-		s.io.AddVersionScanned(false)
-		if err := s.Budget.CheckRow(); err != nil {
 			return out[:base], storage.TID{}, false, err
 		}
-		if !s.Sargs.Match(out[base:]) {
-			dst = out[:base]
-			continue
+		if len(out) > base {
+			s.io().AddRSICall()
+			return out, storage.TID{Page: s.pages[s.pi], Slot: next - 1}, true, nil
 		}
-		s.io.AddRSICall()
-		return out, storage.TID{Page: s.pages[s.pi], Slot: slot}, true, nil
 	}
+}
+
+// segmentVisit is a SegmentScan in its role as the judge of a page visit
+// (storage.VersionVisitor). It is a conversion, not a wrapper, so handing
+// (*segmentVisit)(s) to the page allocates nothing. Per version of the
+// relation it counts the version, applies the snapshot, runs the governor's
+// row checkpoint and then the SARGs, in that order.
+type segmentVisit SegmentScan
+
+func (v *segmentVisit) VisitVersion(_ uint16, rel storage.RelID, h storage.VersionHeader, body []byte) (bool, error) {
+	if rel != v.Table.ID {
+		return false, nil
+	}
+	v.scanned++
+	if !v.Snap.Visible(h) {
+		v.skipped++
+		return false, nil
+	}
+	if err := v.Budget.CheckRow(); err != nil {
+		return true, err
+	}
+	return take(v.Sargs, body, &v.out)
 }
 
 // Close ends the scan. Idempotent.
@@ -255,7 +338,7 @@ func (s *SegmentScan) Close() error {
 		s.open = false
 		s.Pool.AddOpenScans(-1)
 	}
-	s.page = nil
+	s.page, s.out = nil, nil
 	return nil
 }
 
@@ -266,10 +349,14 @@ type IndexScan struct {
 	Index *catalog.Index
 	Pool  *storage.BufferPool
 	Lo    []value.Value
-	LoInc bool
 	Hi    []value.Value
+	LoInc bool
 	HiInc bool
-	Sargs SargSet
+	// open, scanned and skipped (see SegmentScan) share the padding after
+	// the bounds' flags.
+	open             bool
+	scanned, skipped uint16
+	Sargs            SargSet
 	// Stmt, when non-nil, is the statement's own I/O accumulator (see
 	// SegmentScan.Stmt).
 	Stmt *storage.IOStats
@@ -281,19 +368,20 @@ type IndexScan struct {
 	// arbitrates visibility here exactly as in the segment scan.
 	Snap *storage.Snapshot
 
-	io    storage.StmtIO
 	it    *btree.Iterator
-	open  bool
 	stage value.Row // Next's decode buffer, reused across calls
+	out   value.Row // NextInto's dst, which a page visit decodes onto
 }
+
+// io is the scan's statement-scoped view of the pool (see Stmt).
+func (s *IndexScan) io() storage.StmtIO { return s.Pool.View(s.Stmt) }
 
 // Open descends the B-tree to the starting key.
 func (s *IndexScan) Open() error {
 	if err := s.Budget.Check(); err != nil {
 		return err
 	}
-	s.io = s.Pool.View(s.Stmt)
-	s.it = s.Index.Tree.Seek(s.io, s.Lo)
+	s.it = s.Index.Tree.Seek(s.io(), s.Lo)
 	if !s.open {
 		s.open = true
 		s.Pool.AddOpenScans(1)
@@ -318,6 +406,7 @@ func (s *IndexScan) NextInto(dst value.Row) (value.Row, storage.TID, bool, error
 		return dst, storage.TID{}, false, fmt.Errorf("rss: Next on closed index scan of %s", s.Index.Name)
 	}
 	base := len(dst)
+	s.out = dst
 	for {
 		e, ok := s.it.Next()
 		if !ok {
@@ -335,31 +424,40 @@ func (s *IndexScan) NextInto(dst value.Row) (value.Row, storage.TID, bool, error
 				return dst, storage.TID{}, false, nil
 			}
 		}
-		page, err := s.io.Fetch(e.TID.Page)
+		page, err := s.io().Fetch(e.TID.Page)
 		if err != nil {
 			return dst, storage.TID{}, false, err
 		}
-		h, out, rel, live, err := page.ReadVersionedInto(e.TID.Slot, dst)
+		// A stale entry (vacuumed or undone version) visits nothing.
+		_, err = page.VisitVersions(e.TID.Slot, e.TID.Slot+1, (*indexVisit)(s))
+		out := s.out
+		s.io().AddVersionsScanned(int64(s.scanned), int64(s.skipped))
+		s.scanned, s.skipped = 0, 0
 		if err != nil {
-			return dst, storage.TID{}, false, err
+			return out[:base], storage.TID{}, false, err
 		}
-		if !live || rel != s.Index.Table.ID {
-			dst = out[:base]
-			continue // stale index entry (vacuumed or undone version)
+		if len(out) > base {
+			s.io().AddRSICall()
+			return out, e.TID, true, nil
 		}
-		if !s.Snap.Visible(h) {
-			s.io.AddVersionScanned(true)
-			dst = out[:base]
-			continue
-		}
-		s.io.AddVersionScanned(false)
-		if !s.Sargs.Match(out[base:]) {
-			dst = out[:base]
-			continue
-		}
-		s.io.AddRSICall()
-		return out, e.TID, true, nil
 	}
+}
+
+// indexVisit is an IndexScan judging the heap version an index entry points
+// to (see segmentVisit). Its governor checkpoint runs per index entry, before
+// the visit.
+type indexVisit IndexScan
+
+func (v *indexVisit) VisitVersion(_ uint16, rel storage.RelID, h storage.VersionHeader, body []byte) (bool, error) {
+	if rel != v.Index.Table.ID {
+		return false, nil
+	}
+	v.scanned++
+	if !v.Snap.Visible(h) {
+		v.skipped++
+		return false, nil
+	}
+	return take(v.Sargs, body, &v.out)
 }
 
 // Close ends the scan. Idempotent.
@@ -368,7 +466,7 @@ func (s *IndexScan) Close() error {
 		s.open = false
 		s.Pool.AddOpenScans(-1)
 	}
-	s.it = nil
+	s.it, s.out = nil, nil
 	return nil
 }
 
@@ -397,6 +495,11 @@ func Insert(t *catalog.Table, row value.Row, xid storage.XID, prev storage.TID, 
 		}
 	}
 	rec := storage.EncodeVersionedRow(storage.VersionHeader{Xmin: xid, Prev: prev}, coerced)
+	// Scans read single columns of stored records and decode only the
+	// versions they return, so no malformed record may reach a page.
+	if err := storage.CheckEncodedRow(rec[storage.VersionHeaderSize:]); err != nil {
+		return storage.TID{}, nil, fmt.Errorf("rss: row for %s: %w", t.Name, err)
+	}
 	tid, err := t.Segment.Insert(t.ID, rec)
 	if err != nil {
 		return storage.TID{}, nil, err
@@ -419,11 +522,21 @@ func indexHasLiveKey(ix *catalog.Index, key value.Row, disk *storage.Disk) bool 
 		if !ok || btree.ComparePrefix(e.Key, key) != 0 {
 			return false
 		}
-		h, _, rel, live, err := disk.Page(e.TID.Page).ReadVersioned(e.TID.Slot)
+		h, rel, live, err := versionHeader(disk.Page(e.TID.Page), e.TID.Slot)
 		if err == nil && live && rel == ix.Table.ID && h.Xmax == 0 {
 			return true
 		}
 	}
+}
+
+// versionHeader reads the header and owning relation of the version in
+// slot without decoding its row; ok is false for a missing or removed slot.
+func versionHeader(page *storage.Page, slot uint16) (h storage.VersionHeader, rel storage.RelID, ok bool, err error) {
+	_, err = page.VisitVersions(slot, slot+1, storage.VisitFunc(func(_ uint16, r storage.RelID, vh storage.VersionHeader, _ []byte) (bool, error) {
+		h, rel, ok = vh, r, true
+		return true, nil
+	}))
+	return h, rel, ok, err
 }
 
 // MarkDeleted stamps xid as the deleter of the version at tid — DELETE (and
@@ -481,16 +594,30 @@ func Remove(t *catalog.Table, tid storage.TID, row value.Row, disk *storage.Disk
 func VacuumTable(t *catalog.Table, disk *storage.Disk, horizon storage.XID, onChain func(length int)) (int, error) {
 	pages := t.Segment.Pages()
 	if onChain != nil {
+		// Each page visit collects the chain links of its live versions;
+		// the chains are walked after it, outside the page's latch. A record
+		// whose header does not parse is passed over.
+		var links []storage.TID
+		collect := storage.VisitFunc(func(_ uint16, rel storage.RelID, h storage.VersionHeader, _ []byte) (bool, error) {
+			if rel == t.ID && h.Xmax == 0 {
+				links = append(links, h.Prev)
+			}
+			return false, nil
+		})
 		for _, pid := range pages {
 			page := disk.Page(pid)
-			for slot := uint16(0); slot < page.SlotCount(); slot++ {
-				h, _, rel, ok, err := page.ReadVersioned(slot)
-				if err != nil || !ok || rel != t.ID || h.Xmax != 0 {
-					continue
+			links = links[:0]
+			for slot := uint16(0); ; {
+				next, err := page.VisitVersions(slot, math.MaxUint16, collect)
+				if err == nil {
+					break
 				}
+				slot = next
+			}
+			for _, prev := range links {
 				length := 1
-				for prev := h.Prev; prev != storage.NoPrevTID; {
-					ph, _, prel, pok, perr := disk.Page(prev.Page).ReadVersioned(prev.Slot)
+				for prev != storage.NoPrevTID {
+					ph, prel, pok, perr := versionHeader(disk.Page(prev.Page), prev.Slot)
 					if perr != nil || !pok || prel != t.ID {
 						break
 					}
@@ -501,21 +628,36 @@ func VacuumTable(t *catalog.Table, disk *storage.Disk, horizon storage.XID, onCh
 			}
 		}
 	}
+	// Each page visit decodes only the versions it reclaims; they are
+	// removed after it, since Remove takes the page's exclusive latch.
+	type victim struct {
+		slot uint16
+		row  value.Row
+	}
+	var victims []victim
+	reclaim := storage.VisitFunc(func(slot uint16, rel storage.RelID, h storage.VersionHeader, body []byte) (bool, error) {
+		if rel != t.ID || h.Xmax == 0 || h.Xmax >= horizon {
+			return false, nil
+		}
+		row, err := storage.DecodeRow(body)
+		if err != nil {
+			return true, err
+		}
+		victims = append(victims, victim{slot, row})
+		return false, nil
+	})
 	reclaimed := 0
 	for _, pid := range pages {
-		page := disk.Page(pid)
-		for slot := uint16(0); slot < page.SlotCount(); slot++ {
-			h, row, rel, ok, err := page.ReadVersioned(slot)
-			if err != nil {
-				return reclaimed, err
-			}
-			if !ok || rel != t.ID || h.Xmax == 0 || h.Xmax >= horizon {
-				continue
-			}
-			if err := Remove(t, storage.TID{Page: pid, Slot: slot}, row, disk); err != nil {
+		victims = victims[:0]
+		_, verr := disk.Page(pid).VisitVersions(0, math.MaxUint16, reclaim)
+		for _, v := range victims {
+			if err := Remove(t, storage.TID{Page: pid, Slot: v.slot}, v.row, disk); err != nil {
 				return reclaimed, err
 			}
 			reclaimed++
+		}
+		if verr != nil {
+			return reclaimed, verr
 		}
 	}
 	return reclaimed, nil

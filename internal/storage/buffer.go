@@ -77,15 +77,16 @@ func (s *IOStats) Reset() {
 	s.versionsSkipped.Store(0)
 }
 
-// AddVersionScanned records one heap version examined by a scan; skipped
-// additionally marks it invisible to the scanning snapshot.
-func (s *IOStats) AddVersionScanned(skipped bool) {
+// AddVersionsScanned records heap versions examined by a scan, of which
+// skipped were invisible to the scanning snapshot. Scans charge it once per
+// page visit, not per version.
+func (s *IOStats) AddVersionsScanned(scanned, skipped int64) {
 	if s == nil {
 		return
 	}
-	s.versionsScanned.Add(1)
-	if skipped {
-		s.versionsSkipped.Add(1)
+	s.versionsScanned.Add(scanned)
+	if skipped != 0 {
+		s.versionsSkipped.Add(skipped)
 	}
 }
 

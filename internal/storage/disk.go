@@ -16,20 +16,42 @@ import (
 type Disk struct {
 	mu    sync.Mutex
 	pages []*Page
+	free  []PageID // pages given back by FreePage, for AllocPage to reuse
 }
 
 // NewDisk returns an empty disk.
 func NewDisk() *Disk { return &Disk{} }
 
-// AllocPage allocates a fresh, initialized slotted page and returns its ID.
+// AllocPage allocates an initialized, empty slotted page and returns its
+// ID: a freed page when there is one, re-initialized, else a new one.
 func (d *Disk) AllocPage() (PageID, *Page) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if n := len(d.free); n > 0 {
+		id := d.free[n-1]
+		d.free = d.free[:n-1]
+		p := d.pages[id]
+		p.InitPage()
+		return id, p
+	}
 	id := PageID(len(d.pages))
 	p := &Page{ID: id}
 	p.InitPage()
 	d.pages = append(d.pages, p)
 	return id, p
+}
+
+// FreePage gives page id back for AllocPage to reuse: sorts free their
+// temporary pages once the pages are read. The caller holds no reference to
+// the page and has evicted it from the buffer pool. Virtual pages are never
+// freed.
+func (d *Disk) FreePage(id PageID) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if int(id) >= len(d.pages) || d.pages[id] == nil {
+		check.Failf("storage: free of unallocated or virtual page %d", id)
+	}
+	d.free = append(d.free, id)
 }
 
 // AllocVirtual reserves a page ID with no byte image behind it. The B-tree
@@ -60,7 +82,8 @@ func (d *Disk) page(id PageID) *Page {
 	return d.pages[id]
 }
 
-// NumPages returns the number of allocated pages (real and virtual).
+// NumPages returns the number of allocated pages (real and virtual), freed
+// pages included: the disk's size, which freeing does not shrink.
 func (d *Disk) NumPages() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()

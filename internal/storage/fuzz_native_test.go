@@ -11,8 +11,11 @@ import (
 
 // FuzzDecodeRow: arbitrary bytes must decode to a row or an error, never
 // panic; the append form must agree with DecodeRow on every input, errors
-// included; and a decoded row must round-trip exactly — kinds, values and
-// float bits — through EncodeRow, AppendEncodedRow and EncodedSize.
+// included; CheckEncodedRow must fail exactly when decoding does; on a
+// valid record ColumnAt must read every column as the decode does and
+// report none past the last; and a decoded row must round-trip exactly —
+// kinds, values and float bits — through EncodeRow, AppendEncodedRow and
+// EncodedSize.
 func FuzzDecodeRow(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0})
@@ -34,14 +37,32 @@ func FuzzDecodeRow(f *testing.F) {
 		if !identical(got[:len(prefix)], prefix) {
 			t.Fatalf("AppendDecodedRow changed the prefix: %v", got[:len(prefix)])
 		}
+		if cerr := CheckEncodedRow(data); !errors.Is(cerr, err) || (cerr == nil) != (err == nil) {
+			t.Fatalf("CheckEncodedRow err %v, DecodeRow err %v", cerr, err)
+		}
 		if err != nil {
 			if len(got) != len(prefix) {
 				t.Fatalf("failed AppendDecodedRow kept %d appended values", len(got)-len(prefix))
+			}
+			for i := -1; i <= 2; i++ {
+				ColumnAt(data, i) // any answer, but no panic
 			}
 			return
 		}
 		if !identical(got[len(prefix):], row) {
 			t.Fatalf("AppendDecodedRow appended %v, DecodeRow gave %v", got[len(prefix):], row)
+		}
+		for i := -1; i <= len(row); i++ {
+			v, ok, cerr := ColumnAt(data, i)
+			if cerr != nil {
+				t.Fatalf("ColumnAt(%d) of a valid record: %v", i, cerr)
+			}
+			if want := i >= 0 && i < len(row); ok != want {
+				t.Fatalf("ColumnAt(%d) of a %d-column row: ok = %v", i, len(row), ok)
+			}
+			if ok && !identical(value.Row{v}, row[i:i+1]) {
+				t.Fatalf("ColumnAt(%d) = %#v, decoded %#v", i, v, row[i])
+			}
 		}
 
 		enc := EncodeRow(row)

@@ -62,12 +62,17 @@ func (t TID) Less(o TID) bool {
 // out, so TCARD (pages per relation) emerges from actual record sizes.
 //
 // The page latch (mu) makes the MVCC concurrency contract explicit: the
-// mutators (Insert, Delete, Restore, SwapXmax) lock it internally, and
-// ReadVersioned/SlotCount read under the shared latch, so snapshot scans can
-// run against a page while a writer appends versions or flips delete marks
-// in place. The raw readers (Record, NumSlots, …) take no latch — they are
-// for callers that already exclude writers (table locks, the catalog lock,
-// single-threaded tests, private sort temp pages).
+// mutators (Insert, Delete, Restore, SwapXmax) lock it internally, and the
+// readers (VisitVersions, ReadVersioned, SlotCount) hold the shared latch,
+// so snapshot scans can run against a page while a writer appends versions
+// or flips delete marks in place. A scan takes the latch once per page
+// visit, not per slot: VisitVersions holds it while its visitor judges the
+// visit's versions on their encoded bytes, and releases it before the scan
+// returns a tuple or fetches another page. No lock/unlock pair is exported,
+// so the latch is only ever held inside this package's methods, where the
+// lock-order analyzer sees it. The raw readers (Record, NumSlots, …) take
+// no latch — they are for callers that already exclude writers (table
+// locks, the catalog lock, single-threaded tests, private sort temp pages).
 type Page struct {
 	ID   PageID
 	mu   sync.RWMutex
@@ -140,7 +145,7 @@ func (p *Page) Insert(rel RelID, record []byte) (uint16, error) {
 // Record returns the bytes and owning relation of slot i. ok is false when
 // the slot does not exist or has been deleted. The returned slice aliases
 // the page image and no latch is taken: callers must exclude concurrent
-// writers (table lock, catalog lock) or use ReadVersioned.
+// writers (table lock, catalog lock) or read through VisitVersions.
 func (p *Page) Record(i uint16) (rec []byte, rel RelID, ok bool) {
 	return p.record(i)
 }

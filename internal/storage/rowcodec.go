@@ -5,8 +5,9 @@ import (
 	"errors"
 	"math"
 	"slices"
-	"systemr/internal/check"
+	"unsafe"
 
+	"systemr/internal/check"
 	"systemr/internal/value"
 )
 
@@ -100,16 +101,13 @@ func DecodeRow(rec []byte) (value.Row, error) {
 // original length, so a caller decoding into a reused buffer simply carries
 // on from there.
 func AppendDecodedRow(dst value.Row, rec []byte) (value.Row, error) {
-	n, k := binary.Uvarint(rec)
-	// Every column takes at least its kind tag, so a count beyond the bytes
-	// left is corrupt: reject it before reserving room for it.
-	if k <= 0 || n > uint64(PageSize) || n > uint64(len(rec)-k) {
+	n, rec, ok := columnCount(rec)
+	if !ok {
 		return dst, ErrCorruptRecord
 	}
-	rec = rec[k:]
 	base := len(dst)
-	dst = slices.Grow(dst, int(n))
-	for i := uint64(0); i < n; i++ {
+	dst = slices.Grow(dst, n)
+	for i := 0; i < n; i++ {
 		if len(rec) == 0 {
 			return dst[:base], ErrCorruptRecord
 		}
@@ -147,4 +145,107 @@ func AppendDecodedRow(dst value.Row, rec []byte) (value.Row, error) {
 		return dst[:base], ErrCorruptRecord
 	}
 	return dst, nil
+}
+
+// CheckEncodedRow reports ErrCorruptRecord for exactly the records
+// AppendDecodedRow rejects, without building a row: the write path runs it
+// on every heap record it stores, so a scan that reads single columns of a
+// record (ColumnAt) and decodes only the versions it returns never meets a
+// malformed one it would have skipped.
+func CheckEncodedRow(rec []byte) error {
+	n, rec, ok := columnCount(rec)
+	if !ok {
+		return ErrCorruptRecord
+	}
+	for i := 0; i < n; i++ {
+		if rec, ok = skipColumn(rec); !ok {
+			return ErrCorruptRecord
+		}
+	}
+	if len(rec) != 0 {
+		return ErrCorruptRecord
+	}
+	return nil
+}
+
+// ColumnAt reads column i of an encoded row without decoding the others.
+// ok is false, with no error, when i is negative or past the row's last
+// column; a record that does not parse up to column i is ErrCorruptRecord.
+// A string column's Str aliases rec: it is valid only while rec is, and a
+// caller reading a page image holds the page's latch for as long as it
+// uses the value.
+func ColumnAt(rec []byte, i int) (v value.Value, ok bool, err error) {
+	n, rec, ok := columnCount(rec)
+	if !ok {
+		return value.Value{}, false, ErrCorruptRecord
+	}
+	if i < 0 || i >= n {
+		return value.Value{}, false, nil
+	}
+	for j := 0; j < i; j++ {
+		if rec, ok = skipColumn(rec); !ok {
+			return value.Value{}, false, ErrCorruptRecord
+		}
+	}
+	if len(rec) == 0 {
+		return value.Value{}, false, ErrCorruptRecord
+	}
+	kind := value.Kind(rec[0])
+	rec = rec[1:]
+	switch kind {
+	case value.KindNull:
+		return value.Null(), true, nil
+	case value.KindInt:
+		if x, k := binary.Varint(rec); k > 0 {
+			return value.NewInt(x), true, nil
+		}
+	case value.KindFloat:
+		if len(rec) >= 8 {
+			return value.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(rec))), true, nil
+		}
+	case value.KindString:
+		if l, k := binary.Uvarint(rec); k > 0 && uint64(len(rec)-k) >= l {
+			return value.NewString(unsafe.String(unsafe.SliceData(rec[k:]), int(l))), true, nil
+		}
+	}
+	return value.Value{}, false, ErrCorruptRecord
+}
+
+// columnCount reads an encoded row's column count and returns the bytes
+// after it.
+func columnCount(rec []byte) (int, []byte, bool) {
+	n, k := binary.Uvarint(rec)
+	// Every column takes at least its kind tag, so a count beyond the bytes
+	// left is corrupt: reject it before reserving room for it.
+	if k <= 0 || n > uint64(PageSize) || n > uint64(len(rec)-k) {
+		return 0, nil, false
+	}
+	return int(n), rec[k:], true
+}
+
+// skipColumn returns the bytes after the column at the head of rec without
+// reading its value, and false for a column AppendDecodedRow rejects.
+func skipColumn(rec []byte) ([]byte, bool) {
+	if len(rec) == 0 {
+		return nil, false
+	}
+	kind := value.Kind(rec[0])
+	rec = rec[1:]
+	switch kind {
+	case value.KindNull:
+		return rec, true
+	case value.KindInt:
+		if _, k := binary.Varint(rec); k > 0 {
+			return rec[k:], true
+		}
+	case value.KindFloat:
+		if len(rec) >= 8 {
+			return rec[8:], true
+		}
+	case value.KindString:
+		if l, k := binary.Uvarint(rec); k > 0 && uint64(len(rec)-k) >= l {
+			return rec[k+int(l):], true
+		}
+	}
+	return nil, false
 }

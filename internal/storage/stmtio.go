@@ -73,14 +73,15 @@ func (io StmtIO) AddRSICall() {
 	io.stmt.AddRSICall()
 }
 
-// AddVersionScanned records one heap version examined (skipped = invisible
-// to the scanning snapshot) on both ledgers.
-func (io StmtIO) AddVersionScanned(skipped bool) {
-	if io.pool == nil {
+// AddVersionsScanned records heap versions examined, skipped of them
+// invisible to the scanning snapshot, on both ledgers (see
+// IOStats.AddVersionsScanned).
+func (io StmtIO) AddVersionsScanned(scanned, skipped int64) {
+	if io.pool == nil || scanned == 0 {
 		return
 	}
-	io.pool.stats.AddVersionScanned(skipped)
-	io.stmt.AddVersionScanned(skipped)
+	io.pool.stats.AddVersionsScanned(scanned, skipped)
+	io.stmt.AddVersionsScanned(scanned, skipped)
 }
 
 // FetchCount returns the statement-local page-fetch counter — the number the

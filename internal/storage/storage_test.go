@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -310,6 +311,72 @@ func TestDiskVirtualPages(t *testing.T) {
 	if disk.NumPages() != 1 {
 		t.Fatalf("NumPages = %d", disk.NumPages())
 	}
+}
+
+// TestVisitVersions: a page visit hands the visitor the live versions of
+// its slot window in order, with their relation, header and encoded row;
+// passes over deleted slots and slots past the directory; stops after the
+// slot the visitor ends it on; and fails on a record too short for its
+// header.
+func TestVisitVersions(t *testing.T) {
+	var p Page
+	p.InitPage()
+	for i := 0; i < 5; i++ {
+		rec := EncodeVersionedRow(VersionHeader{Xmin: XID(i + 1), Prev: NoPrevTID}, value.Row{value.NewInt(int64(i))})
+		if _, err := p.Insert(RelID(i%2), rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.Delete(2)
+	var seen []uint16
+	stopAt := uint16(99)
+	v := VisitFunc(func(slot uint16, rel RelID, h VersionHeader, body []byte) (bool, error) {
+		row, err := DecodeRow(body)
+		if err != nil || rel != RelID(slot%2) || h.Xmin != XID(slot+1) || row[0].Int != int64(slot) {
+			t.Fatalf("slot %d: rel %d, header %+v, row %v, err %v", slot, rel, h, row, err)
+		}
+		seen = append(seen, slot)
+		return slot == stopAt, nil
+	})
+	next, err := p.VisitVersions(1, 100, v)
+	if err != nil || next != 5 || !reflect.DeepEqual(seen, []uint16{1, 3, 4}) {
+		t.Fatalf("visit [1, 100): next %d, err %v, slots %v", next, err, seen)
+	}
+	seen, stopAt = nil, 3
+	if next, err = p.VisitVersions(0, 5, v); err != nil || next != 4 || !reflect.DeepEqual(seen, []uint16{0, 1, 3}) {
+		t.Fatalf("visit ending on slot 3: next %d, err %v, slots %v", next, err, seen)
+	}
+	if _, err := p.Insert(0, []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err = p.VisitVersions(5, 6, v); !errors.Is(err, ErrCorruptRecord) {
+		t.Fatalf("visit of a headerless record: err %v, want ErrCorruptRecord", err)
+	}
+}
+
+// TestDiskFreePageReuse: AllocPage hands out a freed page, emptied, before
+// it grows the disk; a virtual page cannot be freed.
+func TestDiskFreePageReuse(t *testing.T) {
+	disk := NewDisk()
+	a, pa := disk.AllocPage()
+	if _, err := pa.Insert(1, []byte("temp")); err != nil {
+		t.Fatal(err)
+	}
+	disk.AllocVirtual()
+	disk.FreePage(a)
+	b, pb := disk.AllocPage()
+	if b != a || pb != pa || pb.NumSlots() != 0 || pb.FreeSpace() != MaxRecordSize {
+		t.Fatalf("re-allocated page %d (freed %d): %d slots, %d bytes free", b, a, pb.NumSlots(), pb.FreeSpace())
+	}
+	if c, _ := disk.AllocPage(); c != 2 || disk.NumPages() != 3 {
+		t.Fatalf("next page %d, disk of %d pages", c, disk.NumPages())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("freeing a virtual page did not fail")
+		}
+	}()
+	disk.FreePage(1)
 }
 
 // pageOp drives the slotted page against a map oracle with random

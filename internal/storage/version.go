@@ -147,35 +147,72 @@ func (p *Page) SlotCount() uint16 {
 
 // ReadVersioned reads and decodes the version in slot i under the page's
 // shared latch, so concurrent in-place delete marks and record appends can
-// never tear the read (Record returns a slice aliasing the page image; this
-// is the only safe way to read a heap tuple while writers run). ok is false
-// for missing or (physically) deleted slots; err reports a record that does
-// not parse as header + row.
+// never tear the read (Record returns a slice aliasing the page image and
+// takes no latch). ok is false for missing or (physically) deleted slots;
+// err reports a record that does not parse as header + row. Scans judge
+// versions on their encoded bytes through VisitVersions instead; this whole-
+// row read is for dumps, tests and tools.
 func (p *Page) ReadVersioned(i uint16) (h VersionHeader, row value.Row, rel RelID, ok bool, err error) {
-	return p.ReadVersionedInto(i, nil)
-}
-
-// ReadVersionedInto is ReadVersioned decoding onto the end of dst (see
-// AppendDecodedRow): row is dst extended by the version's columns, or dst
-// unchanged when ok is false or err is set. A scan that decodes every
-// version into one reused buffer and truncates it on rejection pays no
-// allocation for the versions it rejects.
-func (p *Page) ReadVersionedInto(i uint16, dst value.Row) (h VersionHeader, row value.Row, rel RelID, ok bool, err error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	rec, rel, ok := p.record(i)
 	if !ok {
-		return VersionHeader{}, dst, 0, false, nil
+		return VersionHeader{}, nil, 0, false, nil
 	}
 	h, body, err := ParseVersionHeader(rec)
 	if err != nil {
-		return VersionHeader{}, dst, rel, false, err
+		return VersionHeader{}, nil, rel, false, err
 	}
-	row, err = AppendDecodedRow(dst, body)
-	if err != nil {
-		return VersionHeader{}, row, rel, false, err
+	if row, err = DecodeRow(body); err != nil {
+		return VersionHeader{}, nil, rel, false, err
 	}
 	return h, row, rel, true, nil
+}
+
+// VersionVisitor judges the versions of one page visit (see
+// VisitVersions). VisitVersion is called under the page's shared latch with
+// the live version in slot: its owning relation, its header, and its
+// encoded row, which aliases the page image and must not be kept past the
+// call. It returns done to end the visit after this slot, and an error to
+// end it and fail. It must not fetch pages or take any lock the latch
+// ranks above (see DESIGN.md §14): a visit holds the latch throughout.
+type VersionVisitor interface {
+	VisitVersion(slot uint16, rel RelID, h VersionHeader, body []byte) (done bool, err error)
+}
+
+// VisitFunc adapts a function to a VersionVisitor.
+type VisitFunc func(slot uint16, rel RelID, h VersionHeader, body []byte) (bool, error)
+
+// VisitVersion calls f.
+func (f VisitFunc) VisitVersion(slot uint16, rel RelID, h VersionHeader, body []byte) (bool, error) {
+	return f(slot, rel, h, body)
+}
+
+// VisitVersions hands v the live versions in slots [from, to) in slot
+// order, under one shared latch for the whole visit: concurrent in-place
+// delete marks and record appends wait until it returns, and a scan pays
+// one latch per page, not per slot. Deleted slots and slots past the
+// directory are passed over. It returns the slot after the last one
+// visited — to, or the slot after the one v ended the visit on — and v's
+// error, or ErrCorruptRecord for a record too short for its header.
+func (p *Page) VisitVersions(from, to uint16, v VersionVisitor) (next uint16, err error) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	to = min(to, p.NumSlots())
+	for i := from; i < to; i++ {
+		rec, rel, ok := p.record(i)
+		if !ok {
+			continue
+		}
+		h, body, err := ParseVersionHeader(rec)
+		if err != nil {
+			return i + 1, err
+		}
+		if done, err := v.VisitVersion(i, rel, h, body); done || err != nil {
+			return i + 1, err
+		}
+	}
+	return max(from, to), nil
 }
 
 // SwapXmax atomically compares slot i's delete mark with old and, when they

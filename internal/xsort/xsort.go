@@ -82,8 +82,9 @@ const firstRows = 4
 // pool — System R sorts into temporary lists even when the data would fit in
 // memory. Every tuple written into the temporary list by run generation and
 // every tuple delivered from it is charged one RSI call, mirroring the cost
-// model's CPU term for sorts.
-func Sort(cfg Config, in Input) (*Result, error) {
+// model's CPU term for sorts. A sort that fails gives every temp page it
+// wrote back to the disk.
+func Sort(cfg Config, in Input) (_ *Result, err error) {
 	if cfg.BufferBytes <= 0 {
 		cfg.BufferBytes = cfg.Pool.Capacity() * storage.PageSize
 	}
@@ -99,13 +100,20 @@ func Sort(cfg Config, in Input) (*Result, error) {
 	// reach BufferBytes; keys never count, so run boundaries — and with them
 	// every temp page — follow the records alone.
 	var (
-		runs     []*run
+		runs     []*run // the runs this sort holds
 		entries  []entry
 		arena    []byte
 		recBytes int           // the current run's record bytes
 		rowLen   int           // the arena bytes the last row took
 		kindBuf  [8]value.Kind // holds kinds for up to eight keys
 	)
+	defer func() {
+		if err != nil {
+			for _, r := range runs {
+				releaseRun(cfg, r)
+			}
+		}
+	}()
 	kinds := append(kindBuf[:0], make([]value.Kind, len(cfg.Keys))...)
 	flush := func() error {
 		if len(entries) == 0 {
@@ -177,18 +185,19 @@ func Sort(cfg Config, in Input) (*Result, error) {
 
 	// Phase 2: reduce the run count to the merge fan-in with intermediate
 	// passes (each pass rewrites the merged rows into a new run).
+	// A merge releases its inputs, so runs keeps only those not yet merged
+	// and the pass's outputs.
 	for len(runs) > fanin {
 		var next []*run
-		for i := 0; i < len(runs); i += fanin {
-			end := i + fanin
-			if end > len(runs) {
-				end = len(runs)
-			}
-			merged, err := mergeRuns(cfg, ord, runs[i:end], arena)
+		for len(runs) > 0 {
+			k := min(fanin, len(runs))
+			merged, err := mergeRuns(cfg, ord, runs[:k], arena)
 			if err != nil {
+				runs = append(next, runs...)
 				return nil, err
 			}
 			next = append(next, merged)
+			runs = runs[k:]
 		}
 		runs = next
 	}
@@ -326,12 +335,16 @@ func (r *run) finish(cfg Config) *run {
 // sorted entries, one RSI call per tuple written into the temporary list.
 func writeRun(cfg Config, arena []byte, sorted []entry) (*run, error) {
 	r := newRun(cfg)
+	fail := func(err error) (*run, error) {
+		releaseRun(cfg, r)
+		return nil, err
+	}
 	for _, e := range sorted {
 		if err := cfg.Budget.Tick(); err != nil {
-			return nil, err
+			return fail(err)
 		}
 		if err := r.insert(arena[e.key:e.end]); err != nil {
-			return nil, err
+			return fail(err)
 		}
 		cfg.io().AddRSICall()
 	}
@@ -348,19 +361,23 @@ func mergeRuns(cfg Config, ord order, in []*run, slab []byte) (*run, error) {
 		return nil, err
 	}
 	out := newRun(cfg)
+	fail := func(err error) (*run, error) {
+		releaseRun(cfg, out)
+		return nil, err
+	}
 	for {
 		if err := cfg.Budget.Tick(); err != nil {
-			return nil, err
+			return fail(err)
 		}
 		rd, err := m.next()
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
 		if rd == nil {
 			break
 		}
 		if err := out.insert(rd.rec); err != nil {
-			return nil, err
+			return fail(err)
 		}
 	}
 	for _, r := range in {
@@ -369,9 +386,18 @@ func mergeRuns(cfg Config, ord order, in []*run, slab []byte) (*run, error) {
 	return out.finish(cfg), nil
 }
 
+// releaseRun gives a run's pages back to the disk: a merged run's, or
+// those of a run the sort gives up.
 func releaseRun(cfg Config, r *run) {
-	for _, p := range r.pages {
+	freePages(cfg, r.seg.Pages())
+}
+
+// freePages evicts temp pages from the pool and returns them to the disk
+// for later runs to reuse.
+func freePages(cfg Config, pages []storage.PageID) {
+	for _, p := range pages {
 		cfg.Pool.Evict(p)
+		cfg.Disk.FreePage(p)
 	}
 }
 
@@ -540,13 +566,12 @@ func (res *Result) Next() (value.Row, bool, error) {
 	return rd.row, true, nil
 }
 
-// Close releases the temporary pages from the buffer pool.
+// Close releases the temporary pages from the buffer pool and gives them
+// back to the disk.
 func (res *Result) Close() {
 	if res.closed {
 		return
 	}
 	res.closed = true
-	for _, p := range res.pages {
-		res.cfg.Pool.Evict(p)
-	}
+	freePages(res.cfg, res.pages)
 }

@@ -334,6 +334,56 @@ func TestSortBudgetExceededDuringSpillReads(t *testing.T) {
 	}
 }
 
+// TestFailedSortFreesItsPages: a sort that fails gives back every temp
+// page it wrote — the finished runs, the merged ones and the run it was
+// writing — so repeating the failure does not grow the disk. It fails once
+// on its input during run generation and once on a page-fetch budget
+// during the intermediate merge passes.
+func TestFailedSortFreesItsPages(t *testing.T) {
+	rows := randomRows(rand.New(rand.NewSource(11)), 600)
+	for _, tc := range []struct {
+		name      string
+		maxFetch  int64
+		failAfter int
+	}{
+		{"input error", 0, 500},
+		{"fetch budget during merges", 40, 0},
+	} {
+		cfg, stats := newEnv(3) // fan-in 2: intermediate merge passes
+		cfg.Keys = []int{0}
+		cfg.BufferBytes = 256
+		var sizes []int
+		for i := 0; i < 3; i++ {
+			stats.Reset()
+			if tc.maxFetch > 0 {
+				cfg.Budget = governor.New(context.Background(), governor.Limits{MaxPageFetches: tc.maxFetch}, stats)
+			}
+			in := sliceInput(rows)
+			if tc.failAfter > 0 {
+				n := 0
+				in = func() (value.Row, bool, error) {
+					if n++; n > tc.failAfter {
+						return nil, false, errInput
+					}
+					return rows[n-1], true, nil
+				}
+			}
+			res, err := Sort(cfg, in)
+			if err == nil {
+				res.Close()
+				t.Fatalf("%s: sort succeeded", tc.name)
+			}
+			if stats.Snapshot().PagesWritten == 0 {
+				t.Fatalf("%s: failed before writing a run: %v", tc.name, err)
+			}
+			sizes = append(sizes, cfg.Disk.NumPages())
+		}
+		if sizes[1] != sizes[0] || sizes[2] != sizes[0] {
+			t.Errorf("%s: disk pages after each failed sort: %v", tc.name, sizes)
+		}
+	}
+}
+
 // A key column holding both INTEGER and FLOAT values is refused: the
 // normalized key encodes the two kinds apart, and a stored column holds
 // only one of them.
