@@ -109,6 +109,7 @@ func ablations(base core.Config) map[string]core.Config {
 		"mergeonly":   mk(func(c *core.Config) { c.Joins = core.MergeOnly }),
 		"tinybuffer":  mk(func(c *core.Config) { c.BufferPages = 2 }),
 		"bigW":        mk(func(c *core.Config) { c.W = 10 }),
+		"nohist":      mk(func(c *core.Config) { c.DisableHistograms = true }),
 		"nlonly_nosargs": mk(func(c *core.Config) {
 			c.Joins = core.NestedLoopsOnly
 			c.DisableSargs = true

@@ -1,17 +1,18 @@
 // Package compile is the statement compilation pipeline: parse → semantic
 // analysis → access path selection, producing an immutable CompiledPlan that
-// can be executed many times. It is the repo's analog of System R's
-// "compile once, run many" access modules: a plan embeds the catalog state
-// (table/index pointers, statistics-derived costs) of compile time, records
-// the catalog version it was compiled under, and is valid exactly while the
-// catalog still reports that version. DDL and UPDATE STATISTICS bump the
+// can be executed many times. It compiles every planned statement: a SELECT,
+// and an UPDATE or DELETE, whose plan locates the tuples it writes. It is
+// the repo's analog of System R's "compile once, run many" access modules:
+// a plan embeds the catalog state (table/index pointers, statistics-derived
+// costs) of compile time, records the catalog version it was compiled
+// under, and is valid exactly while the catalog still reports that version. DDL and UPDATE STATISTICS bump the
 // version, so stale plans are never executed — they are recompiled, the way
 // System R invalidated and recompiled access modules when a dependency
 // (table, index, statistics) changed.
 //
 // A shared, concurrency-safe LRU Cache (cache.go) sits in front of the
 // pipeline; entries carry their compile-time version and are invalidated on
-// lookup when the catalog has moved. An ad hoc SELECT is keyed by its text
+// lookup when the catalog has moved. An ad hoc statement is keyed by its text
 // after sql.Lift has lifted its comparison literals to host variables, the
 // lifted values' kinds (ArgSig) and the selectivity class of every boolean
 // factor that reads one (core.Classifier): texts that differ only in
@@ -21,7 +22,6 @@
 package compile
 
 import (
-	"fmt"
 	"math"
 	"sync/atomic"
 
@@ -95,6 +95,11 @@ type CompiledPlan struct {
 	// from its literals. Both are zero for a text that lifted nothing.
 	Family  string
 	Classes *core.Classifier
+	// DML marks the plan of an UPDATE or DELETE: its rows are the targets'
+	// stored images, each followed by the values of Sets, an UPDATE's SET
+	// columns in SET order.
+	DML  bool
+	Sets []int
 }
 
 // MissFactor is the symmetric misestimation q-error max(est,act)/min(est,act),
@@ -129,67 +134,52 @@ func NewPipeline(cat *catalog.Catalog, cfg core.Config) *Pipeline {
 // counter cache-hit tests assert does NOT move on a repeated statement.
 func (p *Pipeline) Compilations() int64 { return p.compilations.Load() }
 
-// PlanBlock runs access path selection over an analyzed block with the
-// pipeline's optimizer configuration. All compile paths — SELECT, EXPLAIN, DML match planning —
-// funnel through here, so Compilations counts every optimizer invocation.
-func (p *Pipeline) PlanBlock(blk *sem.Block) (*plan.Query, error) {
-	p.compilations.Add(1)
-	return core.New(p.cat, p.cfg).Optimize(blk)
-}
-
-// CompileSelect runs the back half of the pipeline on an already-parsed
-// SELECT: semantic analysis, then optimization, under the statement's
-// governor budget (compilation is statement work too — a canceled or
-// deadline-expired statement aborts between phases). norm is the
-// statement's normalized text; gov may be nil (ungoverned). lits are the
-// values of the literals sql.Lift lifted out of norm, nil when it lifted
-// none: the optimizer peeks at them, and the plan reads each run's own.
-func (p *Pipeline) CompileSelect(gov *governor.Budget, sel *sql.SelectStmt, norm string, lits []value.Value) (*CompiledPlan, error) {
+// Compile runs the pipeline on a SELECT, UPDATE or DELETE: semantic
+// analysis, then optimization, under the statement's governor budget
+// (compilation is statement work too — a canceled or deadline-expired
+// statement aborts between phases). norm is the statement's normalized
+// text, and stmt its parse, or nil to parse norm here; gov may be nil
+// (ungoverned). lits are the values of the literals sql.Lift lifted out of
+// norm, nil when it lifted none: the optimizer peeks at them, and the plan
+// reads each run's own. Every compile path funnels through here, so
+// Compilations counts every optimizer invocation.
+func (p *Pipeline) Compile(gov *governor.Budget, norm string, stmt sql.Statement, lits []value.Value) (*CompiledPlan, error) {
 	if err := gov.Check(); err != nil {
 		return nil, err
+	}
+	if stmt == nil {
+		var err error
+		if stmt, err = sql.Parse(norm); err != nil {
+			return nil, err
+		}
 	}
 	version := p.cat.Version()
-	blk, err := sem.AnalyzeLifted(sel, p.cat, lits)
+	blk, sets, err := sem.AnalyzeLifted(stmt, p.cat, lits)
 	if err != nil {
 		return nil, err
 	}
 	if err := gov.Check(); err != nil {
 		return nil, err
 	}
-	q, err := p.PlanBlock(blk)
+	p.compilations.Add(1)
+	q, err := core.New(p.cat, p.cfg).Optimize(blk)
 	if err != nil {
 		return nil, err
 	}
+	_, query := stmt.(*sql.SelectStmt)
 	cp := &CompiledPlan{
 		Norm:    norm,
 		Version: version,
 		Query:   q,
-		Locks:   LockRequests(sel, true),
+		Locks:   LockRequests(stmt, true),
+		DML:     !query,
+		Sets:    sets,
 	}
 	if len(lits) > 0 {
 		cp.Family = Key(norm, ArgSig(lits))
 		cp.Classes = core.NewClassifier(p.cfg, blk)
 	}
 	return cp, nil
-}
-
-// CompileSelectText is the full pipeline from statement text: parse,
-// normalize, analyze, optimize. Non-SELECT statements are rejected. lits
-// are as in CompileSelect: the values of text's ?, when sql.Lift made it.
-func (p *Pipeline) CompileSelectText(gov *governor.Budget, text string, lits []value.Value) (*CompiledPlan, error) {
-	if err := gov.Check(); err != nil {
-		return nil, err
-	}
-	parsed, err := sql.Parse(text)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := parsed.(*sql.SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("compile: expected a SELECT statement, got %T", parsed)
-	}
-	norm, _ := sql.Normalize(text)
-	return p.CompileSelect(gov, sel, norm, lits)
 }
 
 // Key builds a plan-cache key from normalized text and a value-kind

@@ -24,14 +24,15 @@ func testPipeline(t *testing.T) (*Pipeline, *catalog.Catalog) {
 	return NewPipeline(cat, core.Config{W: core.DefaultW, BufferPages: 64}), cat
 }
 
-func TestCompileSelectText(t *testing.T) {
+func TestCompile(t *testing.T) {
 	p, cat := testPipeline(t)
-	cp, err := p.CompileSelectText(nil, "select a, b from t where a = 1;", nil)
+	norm, _ := sql.Normalize("select a, b from t where a = 1;")
+	cp, err := p.Compile(nil, norm, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp.Norm != "SELECT a , b FROM t WHERE a = 1" {
-		t.Fatalf("norm = %q", cp.Norm)
+	if cp.Norm != "SELECT a , b FROM t WHERE a = 1" || cp.DML {
+		t.Fatalf("norm = %q, DML = %v", cp.Norm, cp.DML)
 	}
 	if cp.Version != cat.Version() {
 		t.Fatalf("version = %d, want %d", cp.Version, cat.Version())
@@ -42,21 +43,26 @@ func TestCompileSelectText(t *testing.T) {
 	if p.Compilations() != 1 {
 		t.Fatalf("compilations = %d, want 1", p.Compilations())
 	}
-	// The stored normalized text must itself compile (it is the recompile
-	// source for stale cache entries) and to the same normalized form.
-	cp2, err := p.CompileSelectText(nil, cp.Norm, nil)
+	// An UPDATE compiles to the plan that locates its targets, and records
+	// the columns its SET list writes; its lifted WHERE literal makes it a
+	// family.
+	up, lits, _ := sql.Lift("UPDATE T SET B = 'x' WHERE A = 7")
+	cp, err = p.Compile(nil, up, nil, lits)
 	if err != nil {
-		t.Fatalf("recompiling from normalized text: %v", err)
+		t.Fatal(err)
 	}
-	if cp2.Norm != cp.Norm {
-		t.Fatalf("normalization not a fixed point: %q vs %q", cp2.Norm, cp.Norm)
+	if !cp.DML || len(cp.Sets) != 1 || cp.Sets[0] != 1 || cp.Family == "" || cp.Locks[1].Mode != lock.Exclusive {
+		t.Fatalf("UPDATE plan: DML %v, Sets %v, Family %q, Locks %v", cp.DML, cp.Sets, cp.Family, cp.Locks)
+	}
+	if p.Compilations() != 2 {
+		t.Fatalf("compilations = %d, want 2", p.Compilations())
 	}
 }
 
-func TestCompileSelectTextRejectsNonSelect(t *testing.T) {
+func TestCompileRejectsUnplanned(t *testing.T) {
 	p, _ := testPipeline(t)
-	if _, err := p.CompileSelectText(nil, "DELETE FROM T", nil); err == nil ||
-		!strings.Contains(err.Error(), "expected a SELECT") {
+	if _, err := p.Compile(nil, "INSERT INTO T VALUES ( 1 , 'x' )", nil, nil); err == nil ||
+		!strings.Contains(err.Error(), "is not a SELECT, UPDATE or DELETE") {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -139,10 +145,10 @@ func TestKeyAndArgSig(t *testing.T) {
 
 func TestCompileErrorsSurface(t *testing.T) {
 	p, _ := testPipeline(t)
-	if _, err := p.CompileSelectText(nil, "SELECT NOPE FROM T", nil); err == nil {
+	if _, err := p.Compile(nil, "SELECT NOPE FROM T", nil, nil); err == nil {
 		t.Fatal("unknown column must fail semantic analysis")
 	}
-	if _, err := p.CompileSelectText(nil, "SELECT FROM", nil); err == nil {
+	if _, err := p.Compile(nil, "SELECT FROM", nil, nil); err == nil {
 		t.Fatal("syntax error must surface")
 	}
 }

@@ -3,7 +3,7 @@ package exec
 // Tuple location for DELETE and UPDATE: "Retrieval for data manipulation
 // (UPDATE, DELETE) is treated similarly" (Section 1). The statement is
 // analyzed as the single-relation block SELECT *, <SET values> FROM t WHERE
-// ... (sem.AnalyzeDML), so the optimizer's chosen access path (index probe
+// ... (sem.AnalyzeLifted), so the optimizer's chosen access path (index probe
 // or segment scan, with SARGs) locates the affected tuples and one operator
 // tree yields each one's stored image and new values. Targets are fully
 // collected before any mutation, which also avoids re-visiting tuples the
@@ -24,15 +24,16 @@ type Target struct {
 	Sets []value.Value // the SET values in SET order; empty for DELETE
 }
 
-// CollectTargets runs a planned DML block to completion and returns its
-// targets and the subquery evaluations the run made. It sets rt.BatchSize
+// CollectTargets runs a planned DML block to completion, binding the
+// statement's arguments args as RunQuery does, and returns its targets and
+// the subquery evaluations the run made. It sets rt.BatchSize
 // to 1 and runs the block as a cursor: every fill below the root holds one
 // row, so after each fetch the access path's last TID names the row just
 // projected. The scan goes through the same instrumented, governor-checked
 // boundary as query execution.
-func CollectTargets(rt *Runtime, q *plan.Query) (ts []Target, evals int, err error) {
+func CollectTargets(rt *Runtime, q *plan.Query, args []value.Value) (ts []Target, evals int, err error) {
 	rt.BatchSize = 1
-	c, err := OpenQuery(rt, q, nil)
+	c, err := OpenQuery(rt, q, args)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -3,6 +3,7 @@ package exec
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"systemr/internal/catalog"
 	"systemr/internal/core"
@@ -461,14 +462,16 @@ func TestCursorStreamsAndStats(t *testing.T) {
 	}
 }
 
-// dmlPlan analyzes and plans a DELETE or UPDATE.
-func (e *env) dmlPlan(t *testing.T, text string) *plan.Query {
+// dmlPlan lifts, analyzes and plans a DELETE or UPDATE, and returns the
+// plan and its arguments, the lifted literals.
+func (e *env) dmlPlan(t *testing.T, text string) (*plan.Query, []value.Value) {
 	t.Helper()
-	st, err := sql.Parse(text)
+	norm, lits, _ := sql.Lift(text)
+	st, err := sql.Parse(norm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blk, _, err := sem.AnalyzeDML(st, e.cat)
+	blk, _, err := sem.AnalyzeLifted(st, e.cat, lits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +479,7 @@ func (e *env) dmlPlan(t *testing.T, text string) *plan.Query {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return q
+	return q, lits
 }
 
 func TestCollectTargetsViaIndexPath(t *testing.T) {
@@ -490,11 +493,11 @@ func TestCollectTargetsViaIndexPath(t *testing.T) {
 	e.cat.CreateIndex("R_K", "R", []string{"K"}, false, false)
 	e.cat.UpdateStatistics()
 
-	q := e.dmlPlan(t, "UPDATE R SET W = W + 1 WHERE K = 2")
-	if _, ok := q.Root.(*plan.Project).Input.(*plan.IndexScan); !ok {
-		t.Fatalf("K = 2 should probe R_K:\n%s", q.Explain())
+	q, args := e.dmlPlan(t, "UPDATE R SET W = W + 1 WHERE K = 2")
+	if _, ok := q.Root.(*plan.Project).Input.(*plan.IndexScan); !ok || len(args) != 1 {
+		t.Fatalf("K = 2 should probe R_K with its lifted key %v:\n%s", args, q.Explain())
 	}
-	ts, _, err := CollectTargets(e.rt, q)
+	ts, _, err := CollectTargets(e.rt, q, args)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,11 +515,11 @@ func TestCollectTargetsViaIndexPath(t *testing.T) {
 		tids[tg.TID] = true
 	}
 	// Residual-only predicate (non-sargable) locates the same tuples.
-	q = e.dmlPlan(t, "DELETE FROM R WHERE K + 0 = 2")
+	q, args = e.dmlPlan(t, "DELETE FROM R WHERE K + 0 = 2")
 	if _, ok := q.Root.(*plan.Project).Input.(*plan.SegScan); !ok {
 		t.Fatalf("K + 0 = 2 should segment-scan:\n%s", q.Explain())
 	}
-	ts, _, err = CollectTargets(e.rt, q)
+	ts, _, err = CollectTargets(e.rt, q, args)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -633,6 +636,22 @@ func TestSortFreesTempPages(t *testing.T) {
 		if n != after[0] {
 			t.Errorf("disk pages after each run: %v; run %d grew the disk", after, i+1)
 			break
+		}
+	}
+}
+
+// TestScanOpsFitSizeClass: every scan allocates one scan operator, and
+// each fits the 1 KB size class. A pointerful object over 512 bytes carries
+// an 8-byte malloc header, so the limit is 1,016 bytes; one word more
+// moves every scan to the 1,152-byte class.
+func TestScanOpsFitSizeClass(t *testing.T) {
+	const limit = 1024 - 8
+	for name, size := range map[string]uintptr{
+		"segScanOp":   unsafe.Sizeof(segScanOp{}),
+		"indexScanOp": unsafe.Sizeof(indexScanOp{}),
+	} {
+		if size > limit {
+			t.Errorf("%s is %d bytes, over the 1 KB class's %d", name, size, limit)
 		}
 	}
 }

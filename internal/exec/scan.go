@@ -195,7 +195,9 @@ func (ctx *blockCtx) resolveSargs(first bool, dst *rss.SargSet, sargs []sem.Sarg
 }
 
 // The scan operators keep lend in the padding after their flags: with the
-// stage inline, each just fits the 1 KB allocation size class.
+// stage inline, each fits the 1 KB allocation size class, whose limit for a
+// pointerful object is 1,016 bytes (1,024 less Go's 8-byte malloc header).
+// TestScanOpsFitSizeClass pins it.
 type segScanOp struct {
 	ctx    *blockCtx
 	node   *plan.SegScan

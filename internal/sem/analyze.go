@@ -12,18 +12,26 @@ import (
 // Analyze resolves and type-checks one SELECT statement against the catalog
 // and returns its analyzed query block (with nested blocks linked in).
 func Analyze(sel *sql.SelectStmt, cat *catalog.Catalog) (*Block, error) {
-	return AnalyzeLifted(sel, cat, nil)
+	blk, _, err := AnalyzeLifted(sel, cat, nil)
+	return blk, err
 }
 
-// AnalyzeLifted is Analyze for a text sql.Lift lifted: the i-th host
-// variable is a literal whose value is lits[i]. It becomes a Const typed,
-// checked and displayed exactly like that literal — errors read as they do
-// for the original text. A host variable is a lifted Const either way, read
-// from each run's arguments; under Analyze it has no compile-time value.
-func AnalyzeLifted(sel *sql.SelectStmt, cat *catalog.Catalog, lits []value.Value) (*Block, error) {
+// AnalyzeLifted analyzes a SELECT, or an UPDATE or DELETE as the query
+// block that locates its targets (dml.go), and returns the block and an
+// UPDATE's SET columns. lits are the values of a text sql.Lift lifted: the
+// i-th host variable is a literal whose value is lits[i]. It becomes a
+// Const typed, checked and displayed exactly like that literal — errors
+// read as they do for the original text. A host variable is a lifted Const
+// either way, read from each run's arguments; with nil lits it has no
+// compile-time value.
+func AnalyzeLifted(st sql.Statement, cat *catalog.Catalog, lits []value.Value) (*Block, []int, error) {
 	counter := 0
 	a := &analyzer{cat: cat, subID: &counter, lits: lits}
-	return a.analyzeSelect(sel)
+	if sel, ok := st.(*sql.SelectStmt); ok {
+		blk, err := a.analyzeSelect(sel)
+		return blk, nil, err
+	}
+	return a.analyzeDML(st)
 }
 
 // analyzer carries the scope chain: parent points at the enclosing block's

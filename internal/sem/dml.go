@@ -13,17 +13,16 @@ import (
 	"fmt"
 	"slices"
 
-	"systemr/internal/catalog"
 	"systemr/internal/sql"
 	"systemr/internal/value"
 )
 
-// AnalyzeDML analyzes a DELETE (the case with no SET list) or an UPDATE. It
+// analyzeDML analyzes a DELETE (the case with no SET list) or an UPDATE. It
 // returns the block and, for each SET value the block outputs after the
 // relation's columns, the column that value is stored in. Whether a
 // statement is valid must not depend on the rows it matches, so a SET value
 // whose static type its column cannot store is rejected here.
-func AnalyzeDML(st sql.Statement, cat *catalog.Catalog) (*Block, []int, error) {
+func (a *analyzer) analyzeDML(st sql.Statement) (*Block, []int, error) {
 	sel := &sql.SelectStmt{Items: []sql.SelectItem{{Star: true}}}
 	var sets []sql.SetClause
 	switch x := st.(type) {
@@ -33,10 +32,8 @@ func AnalyzeDML(st sql.Statement, cat *catalog.Catalog) (*Block, []int, error) {
 		sel.From, sel.Where = []sql.TableRef{{Table: x.Table, Alias: x.Alias}}, x.Where
 		sets = x.Sets
 	default:
-		return nil, nil, fmt.Errorf("semantic error: %T is not a DELETE or UPDATE", st)
+		return nil, nil, fmt.Errorf("semantic error: %T is not a SELECT, UPDATE or DELETE", st)
 	}
-	counter := 0
-	a := &analyzer{cat: cat, subID: &counter}
 	blk, err := a.analyzeSelect(sel)
 	if err != nil {
 		return nil, nil, err

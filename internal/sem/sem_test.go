@@ -288,7 +288,7 @@ func TestRelSet(t *testing.T) {
 func TestAnalyzeDeleteUpdate(t *testing.T) {
 	cat := newCat(t)
 	st, _ := sql.Parse("DELETE FROM EMP E WHERE E.SAL > 100")
-	blk, cols, err := AnalyzeDML(st, cat)
+	blk, cols, err := AnalyzeLifted(st, cat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestAnalyzeDeleteUpdate(t *testing.T) {
 	}
 
 	st, _ = sql.Parse("UPDATE EMP SET SAL = SAL * 2 WHERE DNO = 1")
-	ublk, cols, err := AnalyzeDML(st, cat)
+	ublk, cols, err := AnalyzeLifted(st, cat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestAnalyzeDeleteUpdate(t *testing.T) {
 		t.Fatal("update where")
 	}
 	st, _ = sql.Parse("UPDATE EMP SET NOPE = 1")
-	if _, _, err := AnalyzeDML(st, cat); err == nil {
+	if _, _, err := AnalyzeLifted(st, cat, nil); err == nil {
 		t.Fatal("unknown SET column must fail")
 	}
 }

@@ -43,6 +43,7 @@ func FuzzLift(f *testing.F) {
 		"SELECT a FROM t WHERE a + 1 = 2 AND b = -3 AND 4 = c",
 		"SELECT a FROM t WHERE a = ?",
 		"DELETE FROM t WHERE a = 1",
+		"UPDATE t SET a = 1, b = b + 2 WHERE c BETWEEN 3 AND 4 OR d IN ('x', 5.0)",
 		"SELECT a FROM t WHERE a = 5 = 6",
 	} {
 		f.Add(seed)

@@ -21,20 +21,21 @@ func Normalize(input string) (norm string, ok bool) {
 	return norm, ok
 }
 
-// Lift is Normalize that also lifts a SELECT's comparison literals to host
-// variables, so that texts differing only in those constants share one
-// cached plan. A number or string literal is lifted when it lies in the
-// WHERE clause of the outermost query block, outside every subquery, and is
-// a whole operand of a comparison (= <> < <= > >=), a bound of BETWEEN, or
-// an element of an IN list. A literal next to an arithmetic operator stays,
-// and so does every literal of the select list, GROUP BY, HAVING and ORDER
-// BY: output column names never change. The lifted text spells each lifted
-// literal as ?, and lits holds their values in text order, as the parser
-// reads them.
+// Lift is Normalize that also lifts the comparison literals of a SELECT,
+// UPDATE or DELETE to host variables, so that texts differing only in those
+// constants share one cached plan. A number or string literal is lifted
+// when it lies in the WHERE clause of the outermost query block, outside
+// every subquery, and is a whole operand of a comparison (= <> < <= > >=),
+// a bound of BETWEEN, or an element of an IN list. A literal next to an
+// arithmetic operator stays, and so does every literal of the select list,
+// an UPDATE's SET list, GROUP BY, HAVING and ORDER BY: output column names
+// and the stored values' types never change. The lifted text spells each
+// lifted literal as ?, and lits holds their values in text order, as the
+// parser reads them.
 //
-// Only SELECT and EXPLAIN [ANALYZE] SELECT texts without a ? of their own
-// are lifted; for any other text, lits is nil and text is Normalize's output.
-// ok is false when the input does not lex.
+// Only SELECT, UPDATE and DELETE texts, EXPLAIN of them included, without a
+// ? of their own are lifted; for any other text, lits is nil and text is
+// Normalize's output. ok is false when the input does not lex.
 func Lift(input string) (text string, lits []value.Value, ok bool) {
 	return normalize(input, true)
 }
@@ -108,7 +109,7 @@ func liftSites(toks []token, end int) []bool {
 			i++
 		}
 	}
-	if !isKeyword(toks[i], "SELECT") {
+	if !isKeyword(toks[i], "SELECT") && !isKeyword(toks[i], "UPDATE") && !isKeyword(toks[i], "DELETE") {
 		return nil
 	}
 	for _, t := range toks[:end] {

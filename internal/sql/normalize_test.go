@@ -78,8 +78,14 @@ func TestLift(t *testing.T) {
 		{"SELECT A, 1 FROM T WHERE A IN (SELECT B FROM U WHERE B = 1) AND A > (SELECT MAX(B) FROM U WHERE C = 2) AND D = 3 GROUP BY A HAVING COUNT(*) > 4 ORDER BY A",
 			"SELECT A , 1 FROM T WHERE A IN ( SELECT B FROM U WHERE B = 1 ) AND A > ( SELECT MAX ( B ) FROM U WHERE C = 2 ) AND D = ? GROUP BY A HAVING COUNT ( * ) > 4 ORDER BY A",
 			[]value.Value{value.NewInt(3)}},
+		// UPDATE and DELETE lift their WHERE, never a SET value.
+		{"DELETE FROM T WHERE A = 1", "DELETE FROM T WHERE A = ?", []value.Value{value.NewInt(1)}},
+		{"EXPLAIN UPDATE T SET A = 2, B = (SELECT MAX(C) FROM U WHERE C = 3) WHERE A IN (4, 5)",
+			"EXPLAIN UPDATE T SET A = 2 , B = ( SELECT MAX ( C ) FROM U WHERE C = 3 ) WHERE A IN ( ? , ? )",
+			[]value.Value{value.NewInt(4), value.NewInt(5)}},
 		// Statements of other kinds, and texts with a ? of their own.
-		{"DELETE FROM T WHERE A = 1", "DELETE FROM T WHERE A = 1", nil},
+		{"UPDATE STATISTICS T", "UPDATE STATISTICS T", nil},
+		{"UPDATE T SET A = ? WHERE B = 2", "UPDATE T SET A = ? WHERE B = 2", nil},
 		{"INSERT INTO T VALUES (1, 'x')", "INSERT INTO T VALUES ( 1 , 'x' )", nil},
 		{"SELECT A FROM T WHERE A = ? AND B = 2", "SELECT A FROM T WHERE A = ? AND B = 2", nil},
 		{"SELECT A FROM T", "SELECT A FROM T", nil},

@@ -94,6 +94,31 @@ var entryPoints = []struct {
 		_, err := db.Exec("DELETE FROM EMP WHERE JOB = 9")
 		return err
 	}},
+	{"update_cached", func(db *systemr.DB) error {
+		// The second UPDATE runs the plan the first one's family cached.
+		for _, dno := range []int{3, 4} {
+			if _, err := db.Exec(fmt.Sprintf("UPDATE EMP SET SAL = SAL + 1 WHERE DNO = %d", dno)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}},
+	{"stmt_run_update", func(db *systemr.DB) error {
+		stmt, err := db.Prepare("UPDATE EMP SET SAL = SAL * ? WHERE JOB = ?")
+		if err != nil {
+			return err
+		}
+		_, err = stmt.Run(1.5, 6)
+		return err
+	}},
+	{"stmt_run_delete", func(db *systemr.DB) error {
+		stmt, err := db.Prepare("DELETE FROM EMP WHERE DNO = ? AND JOB = ?")
+		if err != nil {
+			return err
+		}
+		_, err = stmt.Run(5, 12)
+		return err
+	}},
 	{"explain_analyze", func(db *systemr.DB) error {
 		_, err := db.ExplainAnalyze(ledgerJoin)
 		return err

@@ -143,7 +143,7 @@ func (db *DB) lifecycle(ctx context.Context, cur *txn.Txn, st *statement) (err e
 }
 
 // lockSet derives the lock set a statement runs under: a prepared
-// statement's from its current plan, a cached SELECT's from the peeked
+// statement's from its current plan, a cached statement's from the peeked
 // plan-cache entry, anything else's from its parse.
 func (db *DB) lockSet(st *statement, explicit bool) ([]lock.Request, error) {
 	if st.prep != nil {
@@ -178,8 +178,8 @@ func (db *DB) lockSet(st *statement, explicit bool) ([]lock.Request, error) {
 	return compile.LockRequests(stmt, true), nil
 }
 
-// cachedLocks returns the lock set of a cached SELECT: its plan's, or for a
-// lifted text its family's, which the lifted text alone decides.
+// cachedLocks returns the lock set of a cached statement: its plan's, or for
+// a lifted text its family's, which the lifted text alone decides.
 func (db *DB) cachedLocks(norm string, lits []value.Value) ([]lock.Request, bool) {
 	if lits == nil {
 		e, ok := db.plans.Peek(norm)
@@ -254,20 +254,16 @@ func withStats(err error, s ExecStats) error {
 }
 
 // runBody runs the statement's body under its governor and transaction.
-// A plan-cache hit's body is its SELECT; the catalog-version check happens
-// here, under the locks (the shared catalog lock excludes DDL, pinning the
-// version), so a plan that went stale between the peek and the acquire is
-// recompiled, never executed.
+// A plan-cache hit's body is its plan, a query or a DELETE or UPDATE; the
+// catalog-version check happens here, under the locks (the shared catalog
+// lock excludes DDL, pinning the version), so a plan that went stale
+// between the peek and the acquire is recompiled, never executed.
 func (db *DB) runBody(t *txn.Txn, st *statement) (err error) {
 	defer contain(&err)
-	switch {
-	case st.prep != nil:
+	if st.prep != nil {
 		return st.prep.exec(t, st)
-	case st.parsed == nil:
-		st.res, err = db.execSelect(t, st, nil)
-	default:
-		st.res, err = db.execStmt(t, st)
 	}
+	st.res, err = db.execStmt(t, st)
 	return err
 }
 

@@ -445,3 +445,43 @@ func TestPlanCacheConcurrent(t *testing.T) {
 	}
 	assertClean(t, db)
 }
+
+// TestCachedDMLCompilesOnce: literal UPDATEs and DELETEs that differ only in
+// WHERE constants of one selectivity class share one plan, EXPLAIN of a
+// repeat reports the hit, and UPDATE STATISTICS recompiles the plan once.
+func TestCachedDMLCompilesOnce(t *testing.T) {
+	db := empDB(t)
+	run := func(text string, want int) {
+		t.Helper()
+		res, err := db.Exec(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Affected != want {
+			t.Fatalf("%s affected %d rows, want %d", text, res.Affected, want)
+		}
+	}
+	before := db.PlanCacheStats()
+	for _, no := range []int{100, 101, 1500, 7} {
+		run(fmt.Sprintf("UPDATE EMP SET SAL = SAL + 1 WHERE EMPNO = %d", no), 1)
+		run(fmt.Sprintf("DELETE FROM EMP WHERE EMPNO = %d", no+300), 1)
+	}
+	after := db.PlanCacheStats()
+	if got := after.Compilations - before.Compilations; got != 2 || after.Hits-before.Hits != 6 {
+		t.Fatalf("8 UPDATEs and DELETEs of 2 texts compiled %d times with %d hits, want 2 and 6", got, after.Hits-before.Hits)
+	}
+	plan, err := db.Explain("UPDATE EMP SET SAL = SAL + 1 WHERE EMPNO = 42")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(plan, "plan cache: hit") || !strings.Contains(plan, "EMP_EMPNO") {
+		t.Fatalf("EXPLAIN of a cached UPDATE:\n%s", plan)
+	}
+	db.MustExec("UPDATE STATISTICS EMP")
+	s1 := db.PlanCacheStats()
+	run("UPDATE EMP SET SAL = SAL + 1 WHERE EMPNO = 43", 1)
+	run("UPDATE EMP SET SAL = SAL + 1 WHERE EMPNO = 44", 1)
+	if s2 := db.PlanCacheStats(); s2.Compilations != s1.Compilations+1 {
+		t.Fatalf("UPDATE STATISTICS: the cached UPDATE compiled %d times, want once", s2.Compilations-s1.Compilations)
+	}
+}

@@ -4,7 +4,8 @@ package systemr
 // resulting plan many times: "application programs are compiled once and run
 // many times. The cost of optimization is amortized over many runs"
 // (Conclusion). Prepare performs parsing, semantic analysis, and access path
-// selection once; each Run executes the stored plan.
+// selection once, for a query or for the retrieval of an UPDATE or DELETE;
+// each Run executes the stored plan.
 //
 // As in System R, a prepared plan embeds the catalog state of compile time —
 // and, as in System R, it is invalidated and recompiled when a dependency
@@ -27,9 +28,9 @@ import (
 	"systemr/internal/value"
 )
 
-// Stmt is a compiled SELECT statement. It is safe for concurrent use: the
-// compiled plan is immutable, and recompilation after a catalog change swaps
-// the current-plan pointer under a mutex.
+// Stmt is a compiled SELECT, UPDATE or DELETE statement. It is safe for
+// concurrent use: the compiled plan is immutable, and recompilation after a
+// catalog change swaps the current-plan pointer under a mutex.
 type Stmt struct {
 	db   *DB
 	text string
@@ -40,8 +41,9 @@ type Stmt struct {
 	cp *compile.CompiledPlan
 }
 
-// Prepare compiles a SELECT statement: the optimizer runs once, now. The
-// compiled plan is shared with (and revalidated through) the plan cache.
+// Prepare compiles a SELECT, UPDATE or DELETE statement: the optimizer runs
+// once, now. The compiled plan is shared with (and revalidated through) the
+// plan cache.
 func (db *DB) Prepare(text string) (*Stmt, error) {
 	// A text without ? shares the plans of its ad hoc runs: its literals
 	// are lifted as theirs are, and each run binds them.
@@ -51,16 +53,15 @@ func (db *DB) Prepare(text string) (*Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	sel, ok := parsed.(*sql.SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("systemr: Prepare supports SELECT statements, got %T", parsed)
-	}
-	held, err := db.locks.AcquireContext(context.Background(), compile.LockRequests(parsed, true))
+	// Compiling reads only the catalog: the statement's own locks, an
+	// UPDATE's exclusive table lock among them, are each run's.
+	held, err := db.locks.AcquireContext(context.Background(),
+		[]lock.Request{{Table: compile.CatalogLock, Mode: lock.Shared}})
 	if err != nil {
 		return nil, fmt.Errorf("systemr: Prepare: %w", err)
 	}
 	defer held.Release()
-	cp, _, err := db.resolveSelect(nil, st.norm, sel, st.vals)
+	cp, _, err := db.resolvePlan(nil, st.norm, parsed, st.vals)
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +90,8 @@ func (s *Stmt) current() *compile.CompiledPlan {
 
 // Run executes the compiled plan (no parsing, no re-optimization unless the
 // catalog changed), binding one value per '?' host variable in statement
-// order. Accepted argument types: int, int64, float64, string, nil.
+// order. Accepted argument types: int, int64, float64, string, nil. A query
+// returns its rows, an UPDATE or DELETE the rows it Affected.
 func (s *Stmt) Run(args ...any) (*Result, error) {
 	return s.RunContext(context.Background(), args...)
 }
@@ -109,7 +111,7 @@ func (s *Stmt) RunContext(ctx context.Context, args ...any) (*Result, error) {
 // under the statement's locks — recompiling after DDL or a statistics
 // refresh — then run it, or open a cursor over it.
 func (s *Stmt) exec(t *txn.Txn, st *statement) error {
-	cp, _, err := s.db.resolveSelect(st.gov, s.norm, nil, s.lits)
+	cp, _, err := s.db.resolvePlan(st.gov, s.norm, nil, s.lits)
 	if err != nil {
 		return err
 	}
@@ -124,12 +126,8 @@ func (s *Stmt) exec(t *txn.Txn, st *statement) error {
 		st.rows = &Rows{db: s.db, st: st, cols: outNames(cp.Query), cursor: c, t: t}
 		return nil
 	}
-	rows, _, err := s.db.runPlan(t, st, cp.Query, false)
-	if err != nil {
-		return err
-	}
-	st.res = queryResult(cp.Query, rows)
-	return nil
+	st.res, err = s.db.runCompiled(t, st, cp)
+	return err
 }
 
 // Explain returns the statement's current compiled plan. A text whose
@@ -196,9 +194,10 @@ type Rows struct {
 	closed bool
 }
 
-// Open begins streaming execution of the compiled plan, binding one value
-// per '?' host variable. The caller must Close the cursor (or drain it) to
-// release the statement's locks.
+// Open begins streaming execution of the compiled plan of a query, binding
+// one value per '?' host variable; an UPDATE or DELETE is refused. The
+// caller must Close the cursor (or drain it) to release the statement's
+// locks.
 func (s *Stmt) Open(args ...any) (*Rows, error) {
 	return s.OpenContext(context.Background(), args...)
 }
@@ -212,6 +211,9 @@ func (s *Stmt) Open(args ...any) (*Rows, error) {
 // under one snapshot: rows committed (or vacuumed) while it is open are
 // invisible to it.
 func (s *Stmt) OpenContext(ctx context.Context, args ...any) (*Rows, error) {
+	if s.current().DML {
+		return nil, fmt.Errorf("systemr: Open needs a query; Run an UPDATE or DELETE: %s", s.text)
+	}
 	st := statement{prep: s, args: args, cursor: true}
 	if err := s.db.lifecycle(ctx, nil, &st); err != nil {
 		return nil, err

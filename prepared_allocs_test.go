@@ -5,7 +5,10 @@ package systemr_test
 // The race detector changes allocation counts, so this file runs only
 // without it.
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestPreparedRunAllocs bounds the allocations of a warm Stmt.Run on
 // resident data, the statement lifecycle and executor a prepared point
@@ -38,5 +41,31 @@ func TestPreparedRunAllocs(t *testing.T) {
 		if got > c.max {
 			t.Errorf("%s: %.0f allocations per run, want at most %.0f", c.name, got, c.max)
 		}
+	}
+}
+
+// TestCachedDMLAllocs bounds the allocations of a literal UPDATE whose
+// lifted family is cached, on resident data: lifting, the plan-cache
+// lookup, the statement lifecycle, locating the target through the unique
+// index and writing its new version. The bound is the count measured when
+// it was set; a literal UPDATE that compiled anew would pay parse, sem and
+// the optimizer on top.
+func TestCachedDMLAllocs(t *testing.T) {
+	db := execBenchDB(t)
+	texts := make([]string, 102)
+	for i := range texts {
+		texts[i] = fmt.Sprintf("UPDATE EMP SET SAL = SAL + 1 WHERE EMPNO = %d", 1000+i)
+	}
+	db.MustExec("UPDATE EMP SET SAL = SAL + 1 WHERE EMPNO = 999") // compiles the family
+	n := 0
+	got := testing.AllocsPerRun(100, func() {
+		res, err := db.Exec(texts[n])
+		if err != nil || res.Affected != 1 {
+			t.Fatalf("%s: %v, %v", texts[n], res, err)
+		}
+		n++
+	})
+	if max := 89.0; got > max {
+		t.Errorf("%.0f allocations per cached UPDATE, want at most %.0f", got, max)
 	}
 }

@@ -109,14 +109,15 @@ type DB struct {
 }
 
 // DefaultPlanCacheSize bounds the shared compiled-plan cache in entries: a
-// repeated SELECT (same normalized text, unchanged catalog version), ad hoc
-// or prepared, executes its cached plan and skips parse/sem/optimize, and so
-// does an ad hoc SELECT whose lifted literals fall in a cached plan's
-// selectivity classes. The bound is twice the (text, class) entries a 20 s
-// adhoc_join run fills (about 4,050 at seeds 1 and 2), rounded up to a
-// power of two: an LRU replaying a cyclic working set larger than itself
-// hits almost never. A cached adhoc_join plan retains about 4.5 KB of heap
-// (15 MB for 3,400 plans), so a full cache holds about 37 MB.
+// repeated SELECT, UPDATE or DELETE (same normalized text, unchanged catalog
+// version), ad hoc or prepared, executes its cached plan and skips
+// parse/sem/optimize, and so does an ad hoc one whose lifted literals fall
+// in a cached plan's selectivity classes. The bound is twice the (text,
+// class) entries a 20 s adhoc_join run fills (about 4,050 at seeds 1 and
+// 2), rounded up to a power of two: an LRU replaying a cyclic working set
+// larger than itself hits almost never. A cached adhoc_join plan retains
+// about 4.5 KB of heap (15 MB for 3,400 plans), so a full cache holds about
+// 37 MB.
 const DefaultPlanCacheSize = 8192
 
 // DefaultVacuumEvery is the auto-vacuum interval: version garbage collection
@@ -199,10 +200,10 @@ func (db *DB) Exec(text string) (*Result, error) {
 // contained panic) rolls the database back to the exact pre-statement
 // state before the error returns.
 //
-// A SELECT whose normalized text is in the plan cache takes the compiled
-// fast path: the cached entry supplies the lock set, and parse, semantic
-// analysis, and optimization are all skipped (the System R premise —
-// compile once, execute many).
+// A SELECT, UPDATE or DELETE whose normalized text is in the plan cache
+// takes the compiled fast path: the cached entry supplies the lock set, and
+// parse, semantic analysis, and optimization are all skipped (the System R
+// premise — compile once, execute many).
 func (db *DB) ExecContext(ctx context.Context, text string) (*Result, error) {
 	return db.execText(ctx, nil, text)
 }
@@ -228,7 +229,7 @@ func (db *DB) SetMutationFault(hook func(n int64) error) {
 	db.mutFault.Store(txn.FaultFunc(hook))
 }
 
-// planKey returns the plan-cache key of a normalized SELECT. A text with
+// planKey returns the plan-cache key of a normalized statement. A text with
 // host variables is keyed by the text alone: their values do not
 // participate, since its ? are value-blind. A lifted text's plan is keyed
 // by its family — the text and its literals' kinds — and the class
@@ -247,17 +248,18 @@ func (db *DB) planKey(norm string, lits []value.Value) string {
 	return compile.Key(f.Family, f.Classes.Signature(lits))
 }
 
-// resolveSelect produces an executable plan for a SELECT: served from the
-// plan cache when the cached entry's catalog version still matches, else
-// compiled under the statement's governor budget and cached. It must run
-// while the statement's locks are held — the shared catalog lock pins the
-// version between the check and execution. sel, when non-nil, is the
+// resolvePlan produces an executable plan for a SELECT, UPDATE or DELETE:
+// served from the plan cache when the cached entry's catalog version still
+// matches, else compiled under the statement's governor budget and cached.
+// It is the only way a statement gets a plan, and it must run while the
+// statement's locks are held — the shared catalog lock pins the version
+// between the check and execution. stmt, when non-nil, is the
 // already-parsed statement matching norm (the cold path reuses its parse);
 // otherwise norm itself is parsed (Normalize preserves identifier case, so
 // the recompiled plan is textually faithful, output names included). lits
 // are the literals sql.Lift lifted out of norm (nil for none): a miss
 // compiles with them peeked.
-func (db *DB) resolveSelect(gov *governor.Budget, norm string, sel *sql.SelectStmt, lits []value.Value) (*compile.CompiledPlan, bool, error) {
+func (db *DB) resolvePlan(gov *governor.Budget, norm string, stmt sql.Statement, lits []value.Value) (*compile.CompiledPlan, bool, error) {
 	key := db.planKey(norm, lits)
 	if e, ok := db.plans.Peek(key); ok {
 		if e.Version == db.cat.Version() {
@@ -266,15 +268,7 @@ func (db *DB) resolveSelect(gov *governor.Budget, norm string, sel *sql.SelectSt
 		}
 		db.plans.Invalidate(key, e)
 	}
-	var cp *compile.CompiledPlan
-	var err error
-	cstart := time.Now()
-	if sel != nil {
-		cp, err = db.compiler.CompileSelect(gov, sel, norm, lits)
-	} else {
-		cp, err = db.compiler.CompileSelectText(gov, norm, lits)
-	}
-	db.observeCompile(cstart)
+	cp, err := db.compile(gov, norm, stmt, lits)
 	if err != nil {
 		return nil, false, err
 	}
@@ -284,6 +278,12 @@ func (db *DB) resolveSelect(gov *governor.Budget, norm string, sel *sql.SelectSt
 	db.plans.Miss()
 	db.plans.Put(key, cp)
 	return cp, false, nil
+}
+
+// compile runs the compile pipeline (compile.Pipeline.Compile) and times it.
+func (db *DB) compile(gov *governor.Budget, norm string, stmt sql.Statement, lits []value.Value) (*compile.CompiledPlan, error) {
+	defer db.observeCompile(time.Now())
+	return db.compiler.Compile(gov, norm, stmt, lits)
 }
 
 // MustExec is Exec, panicking on error — for setup code and examples.
@@ -470,33 +470,21 @@ func (db *DB) vacuumTable(t *catalog.Table, horizon storage.XID, onChain func(in
 }
 
 // PlanSelect analyzes and optimizes a SELECT without executing it
-// (ungoverned, uncached — the experiment drivers' entry point).
+// (ungoverned, uncached, its literals planned as written — the experiment
+// drivers' entry point).
 func (db *DB) PlanSelect(text string) (*plan.Query, error) {
 	stmt, err := sql.Parse(text)
 	if err != nil {
 		return nil, err
 	}
-	sel, ok := stmt.(*sql.SelectStmt)
-	if !ok {
+	if _, ok := stmt.(*sql.SelectStmt); !ok {
 		return nil, fmt.Errorf("systemr: not a SELECT: %s", text)
 	}
-	blk, err := sem.Analyze(sel, db.cat)
+	cp, err := db.compile(nil, text, stmt, nil)
 	if err != nil {
 		return nil, err
 	}
-	return db.planBlock(nil, blk)
-}
-
-// planBlock runs access path selection (or the naive baseline) through the
-// compile pipeline, under the statement's governor budget when one is given.
-func (db *DB) planBlock(gov *governor.Budget, blk *sem.Block) (*plan.Query, error) {
-	if err := gov.Check(); err != nil {
-		return nil, err
-	}
-	cstart := time.Now()
-	q, err := db.compiler.PlanBlock(blk)
-	db.observeCompile(cstart)
-	return q, err
+	return cp.Query, nil
 }
 
 // PlanCacheStats reports plan-cache observability: served hits, compiling
@@ -531,12 +519,21 @@ func (db *DB) PlanCacheStats() PlanCacheStats {
 	}
 }
 
-// execStmt dispatches one parsed statement under the statement's governor,
-// writing through cur's undo log. st.norm is the statement's normalized text
-// ("" only if normalization failed, which implies parsing failed first).
+// execStmt dispatches one statement under the statement's governor, writing
+// through cur's undo log. st.norm is the statement's normalized text (""
+// only if normalization failed, which implies parsing failed first), and
+// st.parsed its parse, nil on a plan-cache hit. A SELECT, UPDATE or DELETE
+// resolves its plan — which caches a freshly compiled plan for next time —
+// and runs it.
 func (db *DB) execStmt(cur *txn.Txn, st *statement) (*Result, error) {
 	var err error
 	switch x := st.parsed.(type) {
+	case nil, *sql.SelectStmt, *sql.DeleteStmt, *sql.UpdateStmt:
+		cp, _, err := db.resolvePlan(st.gov, st.norm, st.parsed, st.vals)
+		if err != nil {
+			return nil, err
+		}
+		return db.runCompiled(cur, st, cp)
 	case *sql.CreateTableStmt:
 		cols := make([]catalog.Column, len(x.Cols))
 		for i, c := range x.Cols {
@@ -557,12 +554,8 @@ func (db *DB) execStmt(cur *txn.Txn, st *statement) (*Result, error) {
 		}
 	case *sql.InsertStmt:
 		return db.execInsert(cur, st, x)
-	case *sql.SelectStmt:
-		return db.execSelect(cur, st, x)
 	case *sql.ExplainStmt:
 		return db.execExplain(cur, st, x)
-	case *sql.DeleteStmt, *sql.UpdateStmt:
-		return db.execDML(cur, st)
 	default:
 		return nil, fmt.Errorf("systemr: unsupported statement %T", x)
 	}
@@ -638,19 +631,20 @@ func (db *DB) execInsert(cur *txn.Txn, st *statement, ins *sql.InsertStmt) (*Res
 	return &Result{Affected: st.nrows}, nil
 }
 
-// execSelect runs a SQL-text SELECT: resolve a plan — which caches a
-// freshly compiled plan for next time — run it, and observe its
-// misestimation.
-func (db *DB) execSelect(cur *txn.Txn, st *statement, sel *sql.SelectStmt) (*Result, error) {
-	cp, _, err := db.resolveSelect(st.gov, st.norm, sel, st.vals)
+// runCompiled runs a resolved plan: a DELETE or UPDATE writes its targets,
+// and a query returns its rows and, unless it is a prepared run, observes
+// its misestimation.
+func (db *DB) runCompiled(t *txn.Txn, st *statement, cp *compile.CompiledPlan) (*Result, error) {
+	if cp.DML {
+		return db.execDML(t, st, cp)
+	}
+	rows, _, err := db.runPlan(t, st, cp.Query, false)
 	if err != nil {
 		return nil, err
 	}
-	rows, _, err := db.runPlan(cur, st, cp.Query, false)
-	if err != nil {
-		return nil, err
+	if st.prep == nil {
+		db.observeMiss(cp.Query, float64(len(rows)))
 	}
-	db.observeMiss(cp.Query, float64(len(rows)))
 	return queryResult(cp.Query, rows), nil
 }
 
@@ -710,51 +704,37 @@ func (db *DB) observeMiss(q *plan.Query, actual float64) {
 	db.metrics.estMissFactor.Observe(compile.MissFactor(q.Root.Est().Rows, actual))
 }
 
-// selectNorm recovers a SELECT's normalized text from its EXPLAIN wrapper's,
-// so EXPLAIN SELECT ... shares (and reports on) the plain SELECT's cache slot.
-func selectNorm(norm string) string {
+// explainedNorm recovers a statement's normalized text from its EXPLAIN
+// wrapper's, so EXPLAIN shares (and reports on) the plain statement's cache
+// slot.
+func explainedNorm(norm string) string {
 	norm = strings.TrimPrefix(norm, "EXPLAIN ")
 	return strings.TrimPrefix(norm, "ANALYZE ")
 }
 
-// execExplain plans (and for EXPLAIN ANALYZE also executes) the wrapped
-// statement under the same governor as any other statement: a canceled
-// context or exhausted budget aborts it, and ANALYZE's execution is governed
-// exactly like a plain SELECT. EXPLAIN of a SELECT goes through the plan
-// cache — sharing the plain SELECT's slot — and annotates the plan with a
-// note when it was served from cache.
+// execExplain plans (and for EXPLAIN ANALYZE, which the parser allows only
+// on a SELECT, also executes) the wrapped statement under the same governor
+// as any other statement: a canceled context or exhausted budget aborts it,
+// and ANALYZE's execution is governed exactly like a plain SELECT. The plan
+// comes through the plan cache — sharing the plain statement's slot — and
+// is annotated with a note when it was served from cache.
 func (db *DB) execExplain(cur *txn.Txn, st *statement, ex *sql.ExplainStmt) (*Result, error) {
 	if err := st.gov.Check(); err != nil {
 		return nil, err
 	}
-	var q *plan.Query
+	cp, hit, err := db.resolvePlan(st.gov, explainedNorm(st.norm), ex.Stmt, st.vals)
+	if err != nil {
+		return nil, err
+	}
+	q := cp.Query
 	var est plan.Estimates
 	var cacheNote string
-	_, isSelect := ex.Stmt.(*sql.SelectStmt)
-	switch inner := ex.Stmt.(type) {
-	case *sql.SelectStmt:
-		cp, hit, err := db.resolveSelect(st.gov, selectNorm(st.norm), inner, st.vals)
-		if err != nil {
-			return nil, err
+	if hit {
+		cacheNote = fmt.Sprintf("plan cache: hit (compiled at catalog version %d)\n", cp.Version)
+		if cp.Family != "" {
+			// Another statement's literals may have priced the plan.
+			est = core.Cost(q, db.OptimizerConfig(), st.vals)
 		}
-		q = cp.Query
-		if hit {
-			cacheNote = fmt.Sprintf("plan cache: hit (compiled at catalog version %d)\n", cp.Version)
-			if cp.Family != "" {
-				// Another statement's literals may have priced the plan.
-				est = core.Cost(q, db.OptimizerConfig(), st.vals)
-			}
-		}
-	case *sql.DeleteStmt, *sql.UpdateStmt:
-		blk, _, err := sem.AnalyzeDML(inner, db.cat)
-		if err != nil {
-			return nil, err
-		}
-		if q, err = db.planBlock(st.gov, blk); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("systemr: EXPLAIN does not support %T", ex.Stmt)
 	}
 	if !ex.Analyze {
 		return &Result{Plan: q.ExplainWith(est, st.vals...) + cacheNote}, nil
@@ -763,35 +743,25 @@ func (db *DB) execExplain(cur *txn.Txn, st *statement, ex *sql.ExplainStmt) (*Re
 	if err != nil {
 		return nil, err
 	}
-	if isSelect {
-		db.observeMiss(q, float64(len(rows)))
-	}
+	db.observeMiss(q, float64(len(rows)))
 	analysis.Est = est
 	return &Result{Plan: analysis.Format(core.DefaultW) + cacheNote}, nil
 }
 
-// execDML runs a DELETE or UPDATE. The optimizer's chosen access path
-// locates the targets under the statement's snapshot, so the tuples a writer
-// modifies are exactly the tuples it sees, and every target is collected
-// before the first mutation. Then, per target, it ticks the governor and
-// deletes; UPDATE is mark+insert per row: the old version is delete-marked
-// in place (older snapshots keep seeing it) and the new version links back
-// to it. Undo reverses both halves — removing the new version and clearing
-// the old one's mark. System catalogs are read-only.
-func (db *DB) execDML(cur *txn.Txn, st *statement) (*Result, error) {
-	blk, cols, err := sem.AnalyzeDML(st.parsed, db.cat)
-	if err != nil {
-		return nil, err
-	}
-	t := blk.Rels[0].Table
+// execDML runs a DELETE or UPDATE's resolved plan. The optimizer's chosen
+// access path locates the targets under the statement's snapshot, so the
+// tuples a writer modifies are exactly the tuples it sees, and every target
+// is collected before the first mutation. Then, per target, it ticks the
+// governor and deletes; UPDATE is mark+insert per row: the old version is
+// delete-marked in place (older snapshots keep seeing it) and the new
+// version links back to it. Undo reverses both halves — removing the new
+// version and clearing the old one's mark. System catalogs are read-only.
+func (db *DB) execDML(cur *txn.Txn, st *statement, cp *compile.CompiledPlan) (*Result, error) {
+	t := cp.Query.Block.Rels[0].Table
 	if t.System {
 		return nil, fmt.Errorf("systemr: %s is a read-only system catalog", t.Name)
 	}
-	q, err := db.planBlock(st.gov, blk)
-	if err != nil {
-		return nil, err
-	}
-	targets, evals, err := exec.CollectTargets(db.runtime(st.gov, cur.Snapshot()), q)
+	targets, evals, err := exec.CollectTargets(db.runtime(st.gov, cur.Snapshot()), cp.Query, st.vals)
 	st.evals = evals
 	if err != nil {
 		return nil, err
@@ -803,9 +773,9 @@ func (db *DB) execDML(cur *txn.Txn, st *statement) (*Result, error) {
 		if err := cur.Delete(t, tg.TID, tg.Row); err != nil {
 			return nil, err
 		}
-		if len(cols) > 0 {
+		if len(cp.Sets) > 0 {
 			row := tg.Row.Clone()
-			for i, c := range cols {
+			for i, c := range cp.Sets {
 				row[c] = tg.Sets[i]
 			}
 			if _, err := cur.Insert(t, row, tg.TID); err != nil {
