@@ -306,7 +306,7 @@ type Iterator struct {
 	i  int
 
 	ver     uint64
-	prefix  []value.Value // the Seek prefix, for re-seeks before the first Next
+	prefix  []value.Value // the caller's Seek prefix, for re-seeks before the first Next
 	started bool          // an entry has been returned; last is valid
 	last    Entry
 }
@@ -315,12 +315,23 @@ type Iterator struct {
 // prefix >= the given prefix (nil or empty prefix = the first entry).
 // Page touches are accounted through io — a statement-scoped view so
 // concurrent statements' index descents stay separately attributed; the zero
-// StmtIO walks without accounting (catalog probes).
+// StmtIO walks without accounting (catalog probes). The iterator reads
+// prefix again if the tree changes before its first Next, so the caller
+// leaves prefix as it is until then.
 func (t *BTree) Seek(io storage.StmtIO, prefix []value.Value) *Iterator {
+	return t.SeekInto(nil, io, prefix)
+}
+
+// SeekInto is Seek re-seating it, or a new iterator when it is nil, and
+// returns the seated iterator: a scan re-opened per outer row of a nested
+// loop allocates no iterator per probe.
+func (t *BTree) SeekInto(it *Iterator, io storage.StmtIO, prefix []value.Value) *Iterator {
+	if it == nil {
+		it = new(Iterator)
+	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	it := &Iterator{io: io, t: t, ver: t.version,
-		prefix: append([]value.Value(nil), prefix...)}
+	*it = Iterator{io: io, t: t, ver: t.version, prefix: prefix}
 	it.position()
 	return it
 }

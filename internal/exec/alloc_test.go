@@ -280,9 +280,11 @@ func TestGroupAggAllocsPerBatch(t *testing.T) {
 // that rejects the 64 candidates with V = K between the kept ones. A
 // composite per joined row would cost some 10k allocations here. A nested
 // loop's inner index scan re-opens once per outer row: it re-resolves only
-// its join-bound key and SARG terms, in place, so a re-open costs the
-// B-tree seek and the scan's one batch (322 allocations for 66 opens and
-// 39 batches, against 770 when every open resolved every term anew).
+// its join-bound key and SARG terms, in place, and re-seats the B-tree
+// iterator it keeps, so a re-open costs only the scan's one batch (194
+// allocations for 66 opens and 39 batches; 322 when each seek allocated an
+// iterator and a prefix, 770 when every open also resolved every term
+// anew).
 func TestJoinAllocsPerBatch(t *testing.T) {
 	const perBatch = 4
 	const n = 10000
@@ -293,7 +295,7 @@ func TestJoinAllocsPerBatch(t *testing.T) {
 		find      func(*op) *op
 		perOpen   int64
 	}{
-		{"nested loops", "K", core.Config{Joins: core.NestedLoopsOnly}, findOp[*plan.NLJoin], 3},
+		{"nested loops", "K", core.Config{Joins: core.NestedLoopsOnly}, findOp[*plan.NLJoin], 1},
 		{"merge", "K", core.Config{Joins: core.MergeOnly}, findOp[*plan.MergeJoin], 10},
 		{"hash", "G", core.Config{}, findOp[*plan.HashJoin], 10},
 	} {
@@ -338,6 +340,55 @@ func TestJoinAllocsPerBatch(t *testing.T) {
 			t.Errorf("%s: %.0f allocations for %d rows in %d batches, %d opens and %d build keys, want <= %d per open + %d per batch + 1 per build key",
 				tc.name, allocs, rows, batches, opens, keys, tc.perOpen, perBatch)
 		}
+	}
+}
+
+// TestIndexScanReopenAllocsNothing: a nested loop's inner index scan,
+// re-opened per outer row, re-resolves its join-bound key in place and
+// re-seats the B-tree iterator it keeps on that key, which the iterator
+// reads in place: a probe that finds nothing allocates nothing. Each seek
+// allocated an iterator and a copy of its key before.
+func TestIndexScanReopenAllocsNothing(t *testing.T) {
+	e := loadJoin(t, 1000)
+	_, q := e.plan(t, "SELECT F.V, D.K FROM F, D WHERE F.K = D.K", core.Config{Joins: core.NestedLoopsOnly})
+	join := findOp[*plan.NLJoin](mustBuild(t, e, q))
+	if join == nil {
+		t.Fatalf("no nested loop:\n%s", q.Explain())
+	}
+	inner := join.kids[1]
+	scan, ok := inner.impl.(*indexScanOp)
+	if !ok || len(scan.node.Lo) == 0 {
+		t.Fatalf("the inner is not a keyed index scan:\n%s", q.Explain())
+	}
+	b := NewBatch(DefaultBatchSize)
+	probe := func(k int64) int {
+		for i := range scan.ctx.params {
+			scan.ctx.params[i] = value.NewInt(k)
+		}
+		if err := inner.Open(); err != nil {
+			t.Fatal(err)
+		}
+		if err := inner.NextBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		n := b.Len()
+		if err := inner.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	if n := probe(7); n == 0 { // the first open allocates the iterator
+		t.Fatalf("probe of a present key found nothing:\n%s", q.Explain())
+	}
+	k := int64(1000)
+	allocs := testing.AllocsPerRun(100, func() {
+		if n := probe(k); n != 0 {
+			t.Fatalf("probe of absent key %d found %d rows", k, n)
+		}
+		k++
+	})
+	if allocs != 0 {
+		t.Errorf("%.1f allocations per re-open of the inner index scan, want 0", allocs)
 	}
 }
 

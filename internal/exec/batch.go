@@ -130,7 +130,7 @@ type batchReader struct {
 // are reused across loops.
 func (ctx *blockCtx) reader(r *batchReader, src *op) *batchReader {
 	if r == nil {
-		return &batchReader{src: src, buf: NewBatch(ctx.batchN)}
+		return &batchReader{src: src, buf: NewBatch(ctx.batchN())}
 	}
 	r.buf.Reset()
 	r.i = 0

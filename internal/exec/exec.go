@@ -108,10 +108,11 @@ func bindHostArgs(ctx *blockCtx, q *plan.Query, args []value.Value) error {
 	return nil
 }
 
-// blockCtx is the runtime state of one executing query block instance.
+// blockCtx is the runtime state of one executing query block instance. It
+// fills the 144-byte allocation size class exactly; TestScanOpsFitSizeClass
+// pins it.
 type blockCtx struct {
 	rt      *Runtime
-	io      storage.StmtIO // statement-scoped accounting view of the pool
 	q       *plan.Query
 	params  []value.Value
 	lits    []value.Value               // the statement's arguments, read by lifted Consts
@@ -125,22 +126,21 @@ type blockCtx struct {
 	// block, not double-counted against the operator. Shared (like evals)
 	// between a block and its subquery blocks.
 	subFetches *int64
-	batchN     int // target rows per NextBatch (Runtime.BatchSize resolved)
 	root       *op // the block's operator tree, kept for EXPLAIN ANALYZE
+	// strs is the arena the block's scans carve decoded VARCHAR values
+	// from: one chunk serves many rows, and a row kept past its batch keeps
+	// its strings (see storage.Strings).
+	strs storage.Strings
 }
 
 func newBlockCtx(rt *Runtime, q *plan.Query, evals *int) *blockCtx {
+	rt.ensureIO()
 	ctx := &blockCtx{
 		rt:         rt,
-		io:         rt.Pool.View(rt.ensureIO()),
 		q:          q,
 		params:     make([]value.Value, q.NumParams),
 		evals:      evals,
 		subFetches: new(int64),
-		batchN:     rt.BatchSize,
-	}
-	if ctx.batchN < 1 {
-		ctx.batchN = DefaultBatchSize
 	}
 	if len(q.Subs) > 0 {
 		ctx.subs = make(map[*sem.Subquery]*subState, len(q.Subs))
@@ -151,9 +151,18 @@ func newBlockCtx(rt *Runtime, q *plan.Query, evals *int) *blockCtx {
 	return ctx
 }
 
+// batchN is the target rows per NextBatch: Runtime.BatchSize, or
+// DefaultBatchSize when that is not positive.
+func (ctx *blockCtx) batchN() int {
+	if n := ctx.rt.BatchSize; n > 0 {
+		return n
+	}
+	return DefaultBatchSize
+}
+
 // fetchCount reads the statement's page-fetch counter — this statement's
 // fetches only, so attribution stays exact under concurrent statements.
-func (ctx *blockCtx) fetchCount() int64 { return ctx.io.FetchCount() }
+func (ctx *blockCtx) fetchCount() int64 { return ctx.rt.IO.FetchCount() }
 
 // opFetchBase is the counter operator instrumentation deltas: the
 // statement's fetches minus those spent inside subquery evaluations (which
@@ -178,7 +187,7 @@ func (ctx *blockCtx) run() (rows []value.Row, err error) {
 		return nil, err
 	}
 	// The root's instrumented boundary is paid once per batch.
-	b := NewBatch(ctx.batchN)
+	b := NewBatch(ctx.batchN())
 	for {
 		if err := root.NextBatch(b); err != nil {
 			return nil, err

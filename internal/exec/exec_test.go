@@ -643,15 +643,17 @@ func TestSortFreesTempPages(t *testing.T) {
 // TestScanOpsFitSizeClass: every scan allocates one scan operator, and
 // each fits the 1 KB size class. A pointerful object over 512 bytes carries
 // an 8-byte malloc header, so the limit is 1,016 bytes; one word more
-// moves every scan to the 1,152-byte class.
+// moves every scan to the 1,152-byte class. Every block allocates one
+// blockCtx, which holds the block's string arena and fits the 144-byte
+// class (no header below 512 bytes); one word more moves it to 160 bytes.
 func TestScanOpsFitSizeClass(t *testing.T) {
-	const limit = 1024 - 8
-	for name, size := range map[string]uintptr{
-		"segScanOp":   unsafe.Sizeof(segScanOp{}),
-		"indexScanOp": unsafe.Sizeof(indexScanOp{}),
+	for name, c := range map[string]struct{ size, limit uintptr }{
+		"segScanOp":   {unsafe.Sizeof(segScanOp{}), 1024 - 8},
+		"indexScanOp": {unsafe.Sizeof(indexScanOp{}), 1024 - 8},
+		"blockCtx":    {unsafe.Sizeof(blockCtx{}), 144},
 	} {
-		if size > limit {
-			t.Errorf("%s is %d bytes, over the 1 KB class's %d", name, size, limit)
+		if c.size > c.limit {
+			t.Errorf("%s is %d bytes, over its size class's %d", name, c.size, c.limit)
 		}
 	}
 }

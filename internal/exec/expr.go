@@ -51,7 +51,7 @@ type joiner struct {
 func (j *joiner) join(ctx *blockCtx, outer, inner comp, residual []sem.Expr, pending int) (comp, bool, error) {
 	n := len(outer)
 	if len(j.chunk) < n {
-		j.chunk = make([]value.Row, min(max(pending, 1), max(j.kept, 1), ctx.batchN)*n)
+		j.chunk = make([]value.Row, min(max(pending, 1), max(j.kept, 1), ctx.batchN())*n)
 	}
 	c := comp(j.chunk[:n:n])
 	mergeComp(c, outer, inner)

@@ -236,7 +236,7 @@ func (it *groupAggOp) emit(rep comp) (comp, bool, error) {
 	}
 	ne := len(it.node.OutExprs)
 	if len(it.compArena) == 0 {
-		it.chunk = min(max(2*it.chunk, 1), it.ctx.batchN)
+		it.chunk = min(max(2*it.chunk, 1), it.ctx.batchN())
 		it.rowArena = make([]value.Value, it.chunk*ne)
 		it.compArena = make([]value.Row, it.chunk)
 	}

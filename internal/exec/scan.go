@@ -18,9 +18,10 @@ package exec
 // from one chunk the scan reuses across batches, and is marked borrowed, so
 // after warm-up the batch allocates nothing. Every other scan — under a
 // join, or driven directly — copies them out into one exactly sized value
-// chunk and one composite chunk: two allocations per batch, none per tuple
-// (a VARCHAR column still allocates its string), and its consumer may
-// retain the rows.
+// chunk and one composite chunk: two allocations per batch, none per tuple,
+// and its consumer may retain the rows. Either way a row's VARCHAR values
+// are carved from the block's string arena (blockCtx.strs), whose bytes are
+// never rewritten, so retaining a row retains its strings.
 
 import (
 	"math"
@@ -208,17 +209,17 @@ type segScanOp struct {
 	stage  scanStage
 }
 
+// open resolves the scan's SARGs (only the join-bound terms on a re-open)
+// and opens the RSS scan, which the operator keeps for its life.
 func (it *segScanOp) open() error {
-	if err := it.ctx.resolveSargs(!it.opened, &it.scan.Sargs, it.node.Sargs); err != nil {
+	s, rt := &it.scan, it.ctx.rt
+	if err := it.ctx.resolveSargs(!it.opened, &s.Sargs, it.node.Sargs); err != nil {
 		return err
 	}
 	it.opened = true
-	it.scan = rss.SegmentScan{
-		Table: it.node.Table, Pool: it.ctx.rt.Pool, Sargs: it.scan.Sargs,
-		Stmt: it.ctx.rt.IO, Budget: it.ctx.rt.Budget,
-		Snap: it.ctx.rt.Snap,
-	}
-	return it.scan.Open()
+	s.Table, s.Pool, s.Stmt = it.node.Table, rt.Pool, rt.IO
+	s.Budget, s.Snap, s.Strings = rt.Budget, rt.Snap, &it.ctx.strs
+	return s.Open()
 }
 
 // nextBatch fills b with qualifying rows through the stage (see the file
@@ -264,9 +265,10 @@ type indexScanOp struct {
 	stage  scanStage
 }
 
+// open is segScanOp.open for index scans, whose RSS scan also keeps its
+// B-tree iterator across re-opens. A NULL key bound can match nothing
+// (comparisons with NULL are false): the scan is empty.
 func (it *indexScanOp) open() error {
-	// A NULL key bound can match nothing (comparisons with NULL are false):
-	// the scan is empty.
 	first, s := !it.opened, &it.scan
 	nullLo, err := it.ctx.resolveKeys(first, &s.Lo, it.node.Lo)
 	if err != nil {
@@ -284,13 +286,11 @@ func (it *indexScanOp) open() error {
 	if it.empty {
 		return nil
 	}
-	it.scan = rss.IndexScan{
-		Index: it.node.Index, Pool: it.ctx.rt.Pool,
-		Lo: s.Lo, LoInc: it.node.LoInc, Hi: s.Hi, HiInc: it.node.HiInc,
-		Sargs: s.Sargs, Stmt: it.ctx.rt.IO, Budget: it.ctx.rt.Budget,
-		Snap: it.ctx.rt.Snap,
-	}
-	return it.scan.Open()
+	rt := it.ctx.rt
+	s.Index, s.Pool, s.Stmt = it.node.Index, rt.Pool, rt.IO
+	s.LoInc, s.HiInc = it.node.LoInc, it.node.HiInc
+	s.Budget, s.Snap, s.Strings = rt.Budget, rt.Snap, &it.ctx.strs
+	return s.Open()
 }
 
 // nextBatch is the segment scan's batch fill for index scans.

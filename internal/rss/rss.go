@@ -173,14 +173,15 @@ func (ss SargSet) matchEncoded(body []byte) (bool, error) {
 	return true, nil
 }
 
-// take decodes a version the scan returns onto *out, once its SARGs hold on
-// the stored record: a rejected version is never decoded. It reports
-// whether it decoded, which ends the page visit.
-func take(sargs SargSet, body []byte, out *value.Row) (bool, error) {
+// take decodes a version the scan returns onto *out, its strings carved
+// from strs, once its SARGs hold on the stored record: a rejected version
+// is never decoded. It reports whether it decoded, which ends the page
+// visit.
+func take(sargs SargSet, body []byte, out *value.Row, strs *storage.Strings) (bool, error) {
 	if ok, err := sargs.matchEncoded(body); !ok || err != nil {
 		return err != nil, err
 	}
-	row, err := storage.AppendDecodedRow(*out, body)
+	row, err := storage.AppendDecodedRow(*out, body, strs)
 	*out = row
 	return true, err
 }
@@ -213,6 +214,9 @@ type SegmentScan struct {
 	// returned. Nil means "latest committed" (visible ⇔ no delete mark) —
 	// correct only for callers that exclude concurrent writers.
 	Snap *storage.Snapshot
+	// Strings, when non-nil, is the arena the returned tuples' VARCHAR
+	// values are carved from; nil copies each string alone.
+	Strings *storage.Strings
 
 	pages  []storage.PageID
 	pi     int
@@ -329,7 +333,7 @@ func (v *segmentVisit) VisitVersion(_ uint16, rel storage.RelID, h storage.Versi
 	if err := v.Budget.CheckRow(); err != nil {
 		return true, err
 	}
-	return take(v.Sargs, body, &v.out)
+	return take(v.Sargs, body, &v.out, v.Strings)
 }
 
 // Close ends the scan. Idempotent.
@@ -344,7 +348,8 @@ func (s *SegmentScan) Close() error {
 
 // IndexScan walks an index between starting and stopping key prefixes and
 // returns the data tuples in key order. Lo/Hi are prefixes of the index key;
-// nil means unbounded on that side.
+// nil means unbounded on that side. The scan reads them in place while it
+// is open: a caller changes them only between Close and the next Open.
 type IndexScan struct {
 	Index *catalog.Index
 	Pool  *storage.BufferPool
@@ -367,21 +372,26 @@ type IndexScan struct {
 	// versions keep their index entries until vacuum, so the heap fetch
 	// arbitrates visibility here exactly as in the segment scan.
 	Snap *storage.Snapshot
+	// Strings is the returned tuples' string arena (see
+	// SegmentScan.Strings).
+	Strings *storage.Strings
 
-	it    *btree.Iterator
-	stage value.Row // Next's decode buffer, reused across calls
-	out   value.Row // NextInto's dst, which a page visit decodes onto
+	it    *btree.Iterator // kept across Close, for the next Open to reuse
+	stage value.Row       // Next's decode buffer, reused across calls
+	out   value.Row       // NextInto's dst, which a page visit decodes onto
 }
 
 // io is the scan's statement-scoped view of the pool (see Stmt).
 func (s *IndexScan) io() storage.StmtIO { return s.Pool.View(s.Stmt) }
 
-// Open descends the B-tree to the starting key.
+// Open descends the B-tree to the starting key. A re-opened scan — a
+// nested loop's inner, once per outer row — seeks with the iterator it
+// already has.
 func (s *IndexScan) Open() error {
 	if err := s.Budget.Check(); err != nil {
 		return err
 	}
-	s.it = s.Index.Tree.Seek(s.io(), s.Lo)
+	s.it = s.Index.Tree.SeekInto(s.it, s.io(), s.Lo)
 	if !s.open {
 		s.open = true
 		s.Pool.AddOpenScans(1)
@@ -457,7 +467,7 @@ func (v *indexVisit) VisitVersion(_ uint16, rel storage.RelID, h storage.Version
 		v.skipped++
 		return false, nil
 	}
-	return take(v.Sargs, body, &v.out)
+	return take(v.Sargs, body, &v.out, v.Strings)
 }
 
 // Close ends the scan. Idempotent.
@@ -466,7 +476,7 @@ func (s *IndexScan) Close() error {
 		s.open = false
 		s.Pool.AddOpenScans(-1)
 	}
-	s.it, s.out = nil, nil
+	s.out = nil
 	return nil
 }
 

@@ -11,11 +11,12 @@ import (
 
 // FuzzDecodeRow: arbitrary bytes must decode to a row or an error, never
 // panic; the append form must agree with DecodeRow on every input, errors
-// included; CheckEncodedRow must fail exactly when decoding does; on a
-// valid record ColumnAt must read every column as the decode does and
-// report none past the last; and a decoded row must round-trip exactly —
-// kinds, values and float bits — through EncodeRow, AppendEncodedRow and
-// EncodedSize.
+// included; decoding with a string arena must agree with decoding without
+// one and must not alias its input; CheckEncodedRow must fail exactly when
+// decoding does; on a valid record ColumnAt must read every column as the
+// decode does and report none past the last; and a decoded row must
+// round-trip exactly — kinds, values and float bits — through EncodeRow,
+// AppendEncodedRow and EncodedSize.
 func FuzzDecodeRow(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0})
@@ -30,12 +31,27 @@ func FuzzDecodeRow(f *testing.F) {
 		prefix := value.Row{value.NewString("prefix"), value.NewInt(7)}
 		dst := make(value.Row, len(prefix), len(prefix)+1)
 		copy(dst, prefix)
-		got, aerr := AppendDecodedRow(dst, data)
+		got, aerr := AppendDecodedRow(dst, data, nil)
 		if !errors.Is(aerr, err) || (aerr == nil) != (err == nil) {
 			t.Fatalf("AppendDecodedRow err %v, DecodeRow err %v", aerr, err)
 		}
 		if !identical(got[:len(prefix)], prefix) {
 			t.Fatalf("AppendDecodedRow changed the prefix: %v", got[:len(prefix)])
+		}
+		// Through an arena that already holds a string, from a copy of the
+		// record that is then overwritten.
+		var arena Strings
+		arena.Carve([]byte("held"))
+		rec := bytes.Clone(data)
+		carved, verr := AppendDecodedRow(nil, rec, &arena)
+		for i := range rec {
+			rec[i] = 0xff
+		}
+		if !errors.Is(verr, err) || (verr == nil) != (err == nil) {
+			t.Fatalf("AppendDecodedRow with an arena err %v, DecodeRow err %v", verr, err)
+		}
+		if err == nil && !identical(carved, row) {
+			t.Fatalf("AppendDecodedRow with an arena gave %v, DecodeRow %v", carved, row)
 		}
 		if cerr := CheckEncodedRow(data); !errors.Is(cerr, err) || (cerr == nil) != (err == nil) {
 			t.Fatalf("CheckEncodedRow err %v, DecodeRow err %v", cerr, err)

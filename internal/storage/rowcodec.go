@@ -88,7 +88,7 @@ func AppendEncodedRow(dst []byte, r value.Row) []byte {
 // DecodeRow parses an encoded row into a fresh row. The returned row does
 // not alias rec.
 func DecodeRow(rec []byte) (value.Row, error) {
-	row, err := AppendDecodedRow(nil, rec)
+	row, err := AppendDecodedRow(nil, rec, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -96,11 +96,12 @@ func DecodeRow(rec []byte) (value.Row, error) {
 }
 
 // AppendDecodedRow parses an encoded row and appends its columns to dst,
-// returning the extended slice; the appended values do not alias rec. When
+// returning the extended slice; the appended values do not alias rec. Its
+// strings are carved from strs, or copied one by one when strs is nil. When
 // dst lacks room it grows as append does. On error it returns dst with its
 // original length, so a caller decoding into a reused buffer simply carries
 // on from there.
-func AppendDecodedRow(dst value.Row, rec []byte) (value.Row, error) {
+func AppendDecodedRow(dst value.Row, rec []byte, strs *Strings) (value.Row, error) {
 	n, rec, ok := columnCount(rec)
 	if !ok {
 		return dst, ErrCorruptRecord
@@ -135,7 +136,7 @@ func AppendDecodedRow(dst value.Row, rec []byte) (value.Row, error) {
 				return dst[:base], ErrCorruptRecord
 			}
 			rec = rec[k:]
-			dst = append(dst, value.NewString(string(rec[:l])))
+			dst = append(dst, value.NewString(strs.Carve(rec[:l])))
 			rec = rec[l:]
 		default:
 			return dst[:base], ErrCorruptRecord

@@ -413,6 +413,10 @@ type merger struct {
 	// lent: the top reader's row was returned by next, so that reader
 	// advances — over the row — only when next is called again.
 	lent bool
+	// strs is the arena every reader's decoded strings are carved from:
+	// carved bytes are never rewritten, so a row's strings outlive the
+	// reader's next row.
+	strs storage.Strings
 }
 
 // open starts a reader on each run and heaps those with a first row. The
@@ -425,7 +429,7 @@ func (m *merger) open(cfg Config, ord order, runs []*run, slab []byte) error {
 		rd := &runReader{io: cfg.io(), budget: cfg.Budget, ord: ord, pages: r.pages,
 			key: slab[i*share : i*share : (i+1)*share]}
 		m.readers = append(m.readers, rd)
-		ok, err := rd.advance()
+		ok, err := rd.advance(&m.strs)
 		if err != nil {
 			return err
 		}
@@ -481,7 +485,7 @@ func (m *merger) down(i int) {
 func (m *merger) next() (*runReader, error) {
 	if m.lent {
 		m.lent = false
-		ok, err := m.readers[m.heap[0]].advance()
+		ok, err := m.readers[m.heap[0]].advance(&m.strs)
 		if err != nil {
 			return nil, err
 		}
@@ -515,8 +519,9 @@ type runReader struct {
 }
 
 // advance reads the following row of the run into row and key, fetching
-// temp pages through the buffer pool.
-func (rd *runReader) advance() (bool, error) {
+// temp pages through the buffer pool and carving the row's strings from
+// strs.
+func (rd *runReader) advance(strs *storage.Strings) (bool, error) {
 	for {
 		if err := rd.budget.Tick(); err != nil {
 			return false, err
@@ -539,7 +544,7 @@ func (rd *runReader) advance() (bool, error) {
 		if !ok {
 			continue
 		}
-		row, err := storage.AppendDecodedRow(rd.row[:0], rec)
+		row, err := storage.AppendDecodedRow(rd.row[:0], rec, strs)
 		if err != nil {
 			return false, err
 		}

@@ -236,7 +236,9 @@ func (r *Rows) Next() (row []any, ok bool, err error) {
 		// the governor error carries the same numbers.
 		return nil, false, withStats(err, r.st.stats())
 	}
-	return toNative(make([]any, len(raw)), raw), true, nil
+	var out [1][]any
+	nativeRows(out[:], []value.Row{raw})
+	return out[0], true, nil
 }
 
 // fetch advances the cursor inside the panic-containment boundary: a panic

@@ -130,6 +130,11 @@ type Result struct {
 	// Columns are the output column names (empty for non-queries).
 	Columns []string
 	// Rows hold native Go values: int64, float64, string, or nil for NULL.
+	// They are ordinary values to ==, reflect, fmt and encoding/json and
+	// may be kept and read from any goroutine. To save an allocation per
+	// cell, a result's cells share a few backing chunks (see nativeRows),
+	// so a cell kept after the rest of the result is dropped keeps its
+	// chunk alive.
 	Rows [][]any
 	// Affected counts rows inserted, deleted, or updated.
 	Affected int
@@ -669,19 +674,11 @@ func (db *DB) runPlan(t *txn.Txn, st *statement, q *plan.Query, analyze bool) ([
 	return rows, an, err
 }
 
-// queryResult materializes a query's rows as native Go values, carving
-// every row's cells from one chunk.
+// queryResult materializes a query's rows as native Go values (see
+// nativeRows).
 func queryResult(q *plan.Query, rows []value.Row) *Result {
-	n := 0
-	for _, r := range rows {
-		n += len(r)
-	}
-	cells := make([]any, n)
 	out := make([][]any, len(rows))
-	for i, r := range rows {
-		out[i] = toNative(cells[:len(r):len(r)], r)
-		cells = cells[len(r):]
-	}
+	nativeRows(out, rows)
 	return &Result{Columns: outNames(q), Rows: out}
 }
 
@@ -785,24 +782,6 @@ func (db *DB) execDML(cur *txn.Txn, st *statement, cp *compile.CompiledPlan) (*R
 		st.nrows++
 	}
 	return &Result{Affected: st.nrows}, nil
-}
-
-// toNative converts r's values into out, which has r's length, and returns
-// out.
-func toNative(out []any, r value.Row) []any {
-	for i, v := range r {
-		switch v.Kind {
-		case value.KindInt:
-			out[i] = v.Int
-		case value.KindFloat:
-			out[i] = v.Float
-		case value.KindString:
-			out[i] = v.Str
-		default:
-			out[i] = nil
-		}
-	}
-	return out
 }
 
 // FormatResult renders a result as an aligned text table (the rsql shell's
