@@ -278,15 +278,21 @@ func TestGroupAggAllocsPerBatch(t *testing.T) {
 // loops and the merge join on the indexed K; the hash join on the
 // unindexed G, probing its 64-row build once per F row, with a residual
 // that rejects the 64 candidates with V = K between the kept ones. A
-// composite per joined row would cost some 10k allocations here. A nested
-// loop's inner index scan re-opens once per outer row: it re-resolves only
-// its join-bound key and SARG terms, in place, and re-seats the B-tree
-// iterator it keeps, so a re-open costs only the scan's one batch (194
-// allocations for 66 opens and 39 batches; 322 when each seek allocated an
-// iterator and a prefix, 770 when every open also resolved every term
-// anew).
+// composite per joined row would cost some 10k allocations here.
+//
+// A nested loop's inner index scan re-opens once per outer row: it
+// re-resolves only its join-bound key and SARG terms, in place, re-seats
+// the B-tree iterator it keeps, and lends its rows to the join, which
+// copies the ones it keeps into a value chunk sized for the rest of the
+// inner's batch. Built where it owns its rows, the join allocates 130
+// times for 66 opens and 39 batches (194 when the inner copied each batch
+// out, 322 when each seek allocated an iterator and a prefix).
+//
+// Under an aggregation every join lends its output and reuses its chunks,
+// so after the first run the join allocates nothing per batch: the nested
+// loop 2 times in all. The merge and hash joins still read children that
+// own their rows, whose scans copy each batch out in two chunks.
 func TestJoinAllocsPerBatch(t *testing.T) {
-	const perBatch = 4
 	const n = 10000
 	e := loadJoin(t, n)
 	for _, tc := range []struct {
@@ -294,51 +300,75 @@ func TestJoinAllocsPerBatch(t *testing.T) {
 		cfg       core.Config
 		find      func(*op) *op
 		perOpen   int64
+		perBatch  [2]int64 // owning, lending
 	}{
-		{"nested loops", "K", core.Config{Joins: core.NestedLoopsOnly}, findOp[*plan.NLJoin], 1},
-		{"merge", "K", core.Config{Joins: core.MergeOnly}, findOp[*plan.MergeJoin], 10},
-		{"hash", "G", core.Config{}, findOp[*plan.HashJoin], 10},
+		{"nested loops", "K", core.Config{Joins: core.NestedLoopsOnly}, findOp[*plan.NLJoin], 1, [2]int64{2, 0}},
+		{"merge", "K", core.Config{Joins: core.MergeOnly}, findOp[*plan.MergeJoin], 10, [2]int64{4, 2}},
+		{"hash", "G", core.Config{}, findOp[*plan.HashJoin], 10, [2]int64{4, 2}},
 	} {
-		_, q := e.plan(t, "SELECT F.V, D.K FROM F, D WHERE F."+tc.col+" = D.K AND F.V <> D.K", tc.cfg)
-		join := tc.find(mustBuild(t, e, q))
-		if join == nil {
-			t.Fatalf("%s: no such join:\n%s", tc.name, q.Explain())
-		}
-		b := NewBatch(DefaultBatchSize)
-		rows, batches, opens := 0, 0, int64(0)
-		allocs := testing.AllocsPerRun(3, func() {
-			opens0 := subtreeOpens(join)
-			rows, batches = 0, 0
-			if err := join.Open(); err != nil {
+		const where = " FROM F, D WHERE F.%s = D.K AND F.V <> D.K"
+		for i, mode := range []struct {
+			name, query string
+			lend        bool
+		}{
+			{"owning", "SELECT F.V, D.K" + where, false},
+			{"lending", "SELECT COUNT(*), SUM(F.V), MAX(D.K)" + where, true},
+		} {
+			perBatch := tc.perBatch[i]
+			_, q := e.plan(t, fmt.Sprintf(mode.query, tc.col), tc.cfg)
+			ctx := newBlockCtx(e.rt, q, new(int))
+			root, err := ctx.buildRoot()
+			if err != nil {
 				t.Fatal(err)
 			}
-			for {
-				if err := join.NextBatch(b); err != nil {
+			join := tc.find(root)
+			if join == nil {
+				t.Fatalf("%s %s: no such join:\n%s", tc.name, mode.name, q.Explain())
+			}
+			if !mode.lend {
+				if join, err = ctx.build(join.node); err != nil {
 					t.Fatal(err)
 				}
-				if b.Len() == 0 {
-					break
+			}
+			b := NewBatch(DefaultBatchSize)
+			rows, batches, opens := 0, 0, int64(0)
+			allocs := testing.AllocsPerRun(3, func() {
+				opens0 := subtreeOpens(join)
+				rows, batches = 0, 0
+				if err := join.Open(); err != nil {
+					t.Fatal(err)
 				}
-				rows += b.Len()
-				batches++
+				for {
+					if err := join.NextBatch(b); err != nil {
+						t.Fatal(err)
+					}
+					if b.Len() == 0 {
+						break
+					}
+					if b.borrowed != mode.lend {
+						t.Fatalf("%s %s: batch borrowed = %v", tc.name, mode.name, b.borrowed)
+					}
+					rows += b.Len()
+					batches++
+				}
+				if err := join.Close(); err != nil {
+					t.Fatal(err)
+				}
+				opens = subtreeOpens(join) - opens0
+			})
+			if rows != n-64 {
+				t.Fatalf("%s %s: %d rows, want %d", tc.name, mode.name, rows, n-64)
 			}
-			if err := join.Close(); err != nil {
-				t.Fatal(err)
+			// A hash build allocates one key string per distinct build key: D.K's
+			// 64 values.
+			var keys int64
+			if _, ok := join.impl.(*hashJoinOp); ok {
+				keys = 64
 			}
-			opens = subtreeOpens(join) - opens0
-		})
-		if rows != n-64 {
-			t.Fatalf("%s: %d rows, want %d", tc.name, rows, n-64)
-		}
-		// A hash build allocates one key string per distinct build key: D.K's
-		// 64 values.
-		var keys int64
-		if _, ok := join.impl.(*hashJoinOp); ok {
-			keys = 64
-		}
-		if allocs > float64(tc.perOpen*opens+perBatch*int64(batches)+keys) {
-			t.Errorf("%s: %.0f allocations for %d rows in %d batches, %d opens and %d build keys, want <= %d per open + %d per batch + 1 per build key",
-				tc.name, allocs, rows, batches, opens, keys, tc.perOpen, perBatch)
+			if allocs > float64(tc.perOpen*opens+perBatch*int64(batches)+keys) {
+				t.Errorf("%s %s: %.0f allocations for %d rows in %d batches, %d opens and %d build keys, want <= %d per open + %d per batch + 1 per build key",
+					tc.name, mode.name, allocs, rows, batches, opens, keys, tc.perOpen, perBatch)
+			}
 		}
 	}
 }
@@ -497,16 +527,17 @@ func TestSortAllocsPerTempPage(t *testing.T) {
 
 // TestSortBytesPerRun: a sort's memory is bounded by its run size, not by
 // its input. GROUP BY over a sort of 20k and 40k F rows allocates, per
-// run of the query, at most a small multiple of BufferBytes — the first
-// run's arena and entries, grown by doubling and reused by every later
-// run, plus the operators' reused chunks — and a few bytes per temp page
-// for the page lists: the pages themselves are freed when the sort closes
-// and reused by the next run. Measured: 1.146 MB for 92 pages and
-// 1.149 MB for 186, on a 128 KB BufferBytes; allocating a fresh page per
-// temp page cost 1.60 MB and 2.06 MB. Holding runs as flattened rows of
-// 40-byte values cost 8.3 MB and 15.7 MB: about 190 bytes per row.
+// run of the query, at most twice BufferBytes — the operators' chunks and
+// the merge's read-back rows; run generation's arena and entries come from
+// the sorts before it — and a few bytes per temp page for the page lists:
+// the pages themselves are freed when the sort closes and reused by the
+// next run. Measured: 184 KB for 92 pages and 187 KB for 186, on a 128 KB
+// BufferBytes. Growing the arena and entries by doubling in every sort
+// cost 1.146 MB and 1.149 MB, also allocating a fresh page per temp page
+// 1.60 MB and 2.06 MB, and holding runs as flattened rows of 40-byte
+// values 8.3 MB and 15.7 MB: about 190 bytes per row.
 func TestSortBytesPerRun(t *testing.T) {
-	const multiple, pageBytes = 10, 64
+	const multiple, pageBytes = 2, 64
 	for _, n := range []int{20000, 40000} {
 		e := loadJoin(t, n)
 		_, q := e.plan(t, "SELECT G, COUNT(*), SUM(V) FROM F GROUP BY G", core.Config{})
@@ -536,10 +567,11 @@ func TestSortBytesPerRun(t *testing.T) {
 }
 
 // TestSmallSortAllocs: a sort of one batch pays for its rows once, not for
-// arena growth: its arena and entries start with room for a few rows as
-// large as the first. Whole queries sorting 49 rows and one row allocate
-// no more often than when runs were held as decoded rows, which took 74
-// and 57 allocations (now 66 and 53).
+// arena growth: its arena and entries come from the sorts before it, or
+// start with room for a few rows as large as the first. Whole queries
+// sorting 49 rows and one row allocate 54 and 50 times; sizing the arena
+// and entries afresh in every sort took 66 and 53 allocations, and holding
+// runs as decoded rows 74 and 57.
 func TestSmallSortAllocs(t *testing.T) {
 	e := loadWide(t, 320)
 	for _, tc := range []struct {
@@ -547,8 +579,8 @@ func TestSmallSortAllocs(t *testing.T) {
 		rows   int
 		allocs float64
 	}{
-		{"SELECT A, B FROM T WHERE A BETWEEN 100 AND 160 ORDER BY B", 49, 74},
-		{"SELECT A, B FROM T WHERE A = 17 ORDER BY B", 1, 57},
+		{"SELECT A, B FROM T WHERE A BETWEEN 100 AND 160 ORDER BY B", 49, 54},
+		{"SELECT A, B FROM T WHERE A = 17 ORDER BY B", 1, 50},
 	} {
 		_, q := e.plan(t, tc.query, core.Config{})
 		if findOp[*plan.Sort](mustBuild(t, e, q)) == nil {

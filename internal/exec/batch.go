@@ -38,20 +38,25 @@ const DefaultBatchSize = 256
 // producing operator, which never writes them again, so a consumer may
 // retain them across batches — nested-loop outer rows, merge-join groups
 // and hash builds depend on that. Borrowed rows stay valid only until the
-// producer's next NextBatch, Open or Close. A scan or a sort built as the
-// direct input of a projection, aggregation or sort lends its rows, because
-// each of those consumers is done with a row before it reads the next
-// batch: a scan the rows in its stage (see scan.go), a sort the read-back
-// rows it copies into chunks it reuses (see sort.go). The one row such a
-// consumer keeps, a group's representative, it copies.
+// producer's next NextBatch, Open or Close. A scan, a sort or a join built
+// as the direct input of a projection, aggregation or sort, or as the inner
+// of a nested loop, lends its rows, because each of those consumers is done
+// with a row before it reads the next batch: a scan the rows in its stage
+// (see scan.go), a sort the read-back rows it copies into chunks it reuses
+// (see sort.go), a join the composites it carves from a chunk it reuses
+// (see join.go). What such a consumer keeps it copies: a grouping its
+// group's representative, a nested loop the inner values of the rows it
+// joins.
 //
 // Producers allocate per batch, not per row: a scan decodes every version
 // into a stage it reuses and, unless it lends, copies the batch's accepted
 // rows out into one exactly sized value chunk and one composite chunk; a
 // sort that owns its rows copies each batch of read-back rows out in the
-// same two chunks; projection carves its rows from chunks sized for the
-// rows at hand. Producers that know how many rows they are about to add
-// reserve room for them with grow; the row-at-a-time fill appends.
+// same two chunks; an owning join carves its composites, and a nested loop
+// its inner values, from chunks sized for the candidates at hand;
+// projection carves its rows from chunks sized for the rows at hand.
+// Producers that know how many rows they are about to add reserve room for
+// them with grow; the row-at-a-time fill appends.
 type Batch struct {
 	rows     []comp
 	target   int32 // int32 so borrowed packs beside it: a Batch stays 32 bytes
@@ -145,6 +150,10 @@ func (r *batchReader) buffered() int { return r.buf.Len() - r.i }
 // borrowed reports whether the rows next serves are borrowed: valid only
 // until the reader refills from src.
 func (r *batchReader) borrowed() bool { return r.buf.borrowed }
+
+// last returns the row next served last. It stays in the buffer until the
+// reader refills, which only a later next does.
+func (r *batchReader) last() comp { return r.buf.rows[r.i-1] }
 
 // next serves one row, refilling from src as needed.
 func (r *batchReader) next() (comp, bool, error) {

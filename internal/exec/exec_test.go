@@ -646,11 +646,18 @@ func TestSortFreesTempPages(t *testing.T) {
 // moves every scan to the 1,152-byte class. Every block allocates one
 // blockCtx, which holds the block's string arena and fits the 144-byte
 // class (no header below 512 bytes); one word more moves it to 160 bytes.
+// Every join allocates one join operator, each embedding a joiner: a
+// nested loop fits the 112-byte class, with the inner's value chunk beside
+// the joiner, and the merge and hash joins the 224-byte class (the merge
+// join is 216 bytes).
 func TestScanOpsFitSizeClass(t *testing.T) {
 	for name, c := range map[string]struct{ size, limit uintptr }{
 		"segScanOp":   {unsafe.Sizeof(segScanOp{}), 1024 - 8},
 		"indexScanOp": {unsafe.Sizeof(indexScanOp{}), 1024 - 8},
 		"blockCtx":    {unsafe.Sizeof(blockCtx{}), 144},
+		"nlJoinOp":    {unsafe.Sizeof(nlJoinOp{}), 112},
+		"mergeJoinOp": {unsafe.Sizeof(mergeJoinOp{}), 224},
+		"hashJoinOp":  {unsafe.Sizeof(hashJoinOp{}), 224},
 	} {
 		if c.size > c.limit {
 			t.Errorf("%s is %d bytes, over its size class's %d", name, c.size, c.limit)

@@ -34,33 +34,54 @@ func mergeComp(dst, a, b comp) {
 // joiner builds a join's output composites in slots carved from chunks. A
 // candidate pair is merged into the current chunk's next free slot and the
 // residual is evaluated there; only a kept row advances past the slot, so a
-// rejected one leaves it as scratch for the next candidate. A chunk is never
-// written again once its slots are handed out, so consumers may retain rows.
+// rejected one leaves it as scratch for the next candidate. An owning
+// join's chunk is never written again once its slots are handed out, so
+// consumers may retain rows. A lending join (see buildLending) starts its
+// chunk over at each batch and marks the batch borrowed.
 type joiner struct {
-	chunk []value.Row
-	kept  int
+	chunk []value.Row // slots handed out this chunk, with room for more
+	kept  int32       // rows kept so far, counted up to the batch target
+	lend  bool
+}
+
+// reset starts a batch: a lending join's batch is borrowed and reuses its
+// chunk from the start.
+func (j *joiner) reset(b *Batch) {
+	if j.lend {
+		j.chunk = j.chunk[:0]
+		b.borrowed = true
+	}
 }
 
 // join merges outer and inner, applies residual, and returns the joined
 // composite if it is kept. pending counts the candidates the operator holds
 // for now, this one included — what is left of the probe's match list, the
 // duplicate group or the inner's batch, plus the outer rows buffered behind
-// this one. A new chunk is sized for the fewest of pending, the rows kept
-// so far and the batch target, so a one-row join allocates one row's slots
-// and a join that keeps few of many candidates wastes few.
+// this one. An owning join sizes a new chunk for the fewest of pending, the
+// rows kept so far and the batch target, so a one-row join allocates one
+// row's slots and a join that keeps few of many candidates wastes few. A
+// lending join's chunk is reused, so it grows, from pending rows and by
+// doubling, to hold a batch.
 func (j *joiner) join(ctx *blockCtx, outer, inner comp, residual []sem.Expr, pending int) (comp, bool, error) {
-	n := len(outer)
-	if len(j.chunk) < n {
-		j.chunk = make([]value.Row, min(max(pending, 1), max(j.kept, 1), ctx.batchN())*n)
+	n, at := len(outer), len(j.chunk)
+	if cap(j.chunk)-at < n {
+		rows := min(max(pending, 1), max(int(j.kept), 1))
+		if j.lend {
+			rows = max(pending, 2*cap(j.chunk)/n, 1)
+		}
+		j.chunk = make([]value.Row, 0, min(rows, ctx.batchN())*n)
+		at = 0
 	}
-	c := comp(j.chunk[:n:n])
+	c := comp(j.chunk[at : at+n : at+n])
 	mergeComp(c, outer, inner)
 	keep, err := ctx.applyResidual(c, residual)
 	if err != nil || !keep {
 		return nil, false, err
 	}
-	j.chunk = j.chunk[n:]
-	j.kept++
+	j.chunk = j.chunk[:at+n]
+	if int(j.kept) < ctx.batchN() {
+		j.kept++
+	}
 	return c, true, nil
 }
 

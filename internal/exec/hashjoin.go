@@ -131,7 +131,10 @@ func (it *hashJoinOp) next() (comp, bool, error) {
 	}
 }
 
-func (it *hashJoinOp) nextBatch(b *Batch) error { return fillRows(b, it) }
+func (it *hashJoinOp) nextBatch(b *Batch) error {
+	it.out.reset(b)
+	return fillRows(b, it)
+}
 
 func (it *hashJoinOp) close() error {
 	it.table, it.rows, it.bounds, it.cur, it.curOuter = nil, nil, nil, nil, nil

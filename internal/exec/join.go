@@ -4,6 +4,15 @@ package exec
 // persistent child operators — the nested-loop inner is re-opened (not
 // rebuilt) per outer tuple, so its OpStats accumulate across loops and its
 // Opens count is the join's loop count.
+//
+// Memory: every join's outer owns its rows, and so do a merge join's inner
+// and a hash join's build, whose rows the join keeps across batches. A
+// nested-loop inner is built lending (see buildLending): the join evaluates
+// its residual on the inner's borrowed row and copies the inner's values
+// only for the rows it keeps, into a value chunk of its own. A join built as
+// the direct input of a projection, aggregation or sort lends its output
+// too: it reuses its composite chunk, and a nested loop its value chunk,
+// from one batch to the next (see joiner).
 
 import (
 	"fmt"
@@ -12,14 +21,21 @@ import (
 	"systemr/internal/value"
 )
 
+// The current outer row is the one outerRead served last (see
+// batchReader.last), not a field of its own: with the inner's value chunk
+// beside the joiner, nlJoinOp fits the 112-byte allocation size class.
+// TestScanOpsFitSizeClass pins it.
 type nlJoinOp struct {
-	ctx      *blockCtx
-	node     *plan.NLJoin
-	outer    *op
-	inner    *op
-	curOuter comp
-	innerOn  bool // inner currently open
-	out      joiner
+	ctx     *blockCtx
+	node    *plan.NLJoin
+	outer   *op
+	inner   *op
+	innerOn bool // inner currently open
+	onOuter bool // an outer row is current
+	out     joiner
+	// vals holds the inner values of the rows the join keeps, handed out
+	// in vals[:len] with room for more (see keepInner).
+	vals value.Row
 
 	// Children are read through batch adapters so their instrumented
 	// boundaries are paid per batch; the inner's adapter is reset at each
@@ -29,7 +45,7 @@ type nlJoinOp struct {
 }
 
 func (it *nlJoinOp) open() error {
-	it.curOuter = nil
+	it.onOuter = false
 	it.innerOn = false
 	if err := it.outer.Open(); err != nil {
 		return err
@@ -40,12 +56,12 @@ func (it *nlJoinOp) open() error {
 
 func (it *nlJoinOp) next() (comp, bool, error) {
 	for {
-		if it.curOuter == nil {
+		if !it.onOuter {
 			oc, ok, err := it.outerRead.next()
 			if err != nil || !ok {
 				return nil, false, err
 			}
-			it.curOuter = oc
+			it.onOuter = true
 			// Bind the outer tuple's join values into the parameters the
 			// inner scan's start/stop keys and SARGs reference, then
 			// (re-)open the inner — one inner scan per outer tuple, as the
@@ -75,17 +91,56 @@ func (it *nlJoinOp) next() (comp, bool, error) {
 			return nil, false, err
 		}
 		if !ok {
-			it.curOuter = nil
+			it.onOuter = false
 			continue
 		}
-		c, keep, err := it.out.join(it.ctx, it.curOuter, ic, it.node.Residual, it.innerRead.buffered()+1+it.outerRead.buffered())
-		if err != nil || keep {
-			return c, keep, err
+		left := it.innerRead.buffered() + 1
+		c, keep, err := it.out.join(it.ctx, it.outerRead.last(), ic, it.node.Residual, left+it.outerRead.buffered())
+		if err != nil {
+			return nil, false, err
+		}
+		if keep {
+			it.keepInner(c, ic, left)
+			return c, true, nil
 		}
 	}
 }
 
-func (it *nlJoinOp) nextBatch(b *Batch) error { return fillRows(b, it) }
+// keepInner points c's inner slots, which share the inner's borrowed batch,
+// at copies carved from vals. An owning join sizes a new chunk for the
+// left rows of the inner's current batch, this one included, so it
+// allocates at most once per inner batch and copies no more than an inner
+// that owned its rows would; it never writes a chunk's handed-out values
+// again. A lending join starts vals over at each batch and doubles it when
+// it runs out, so after warm-up it allocates nothing.
+func (it *nlJoinOp) keepInner(c, inner comp, left int) {
+	w := 0
+	for _, r := range inner {
+		w += len(r)
+	}
+	if cap(it.vals)-len(it.vals) < w {
+		n := left * w
+		if it.out.lend {
+			n = max(n, 2*cap(it.vals))
+		}
+		it.vals = make(value.Row, 0, n)
+	}
+	for i, r := range inner {
+		if r != nil {
+			at := len(it.vals)
+			it.vals = append(it.vals, r...)
+			c[i] = it.vals[at:len(it.vals):len(it.vals)]
+		}
+	}
+}
+
+func (it *nlJoinOp) nextBatch(b *Batch) error {
+	if it.out.lend {
+		it.vals = it.vals[:0]
+	}
+	it.out.reset(b)
+	return fillRows(b, it)
+}
 
 // close releases both sides, returning the first error but always closing
 // the outer even when the inner's close fails.
@@ -244,7 +299,10 @@ func (it *mergeJoinOp) next() (comp, bool, error) {
 	}
 }
 
-func (it *mergeJoinOp) nextBatch(b *Batch) error { return fillRows(b, it) }
+func (it *mergeJoinOp) nextBatch(b *Batch) error {
+	it.out.reset(b)
+	return fillRows(b, it)
+}
 
 func (it *mergeJoinOp) close() error {
 	firstErr := it.outer.Close()

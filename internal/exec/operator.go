@@ -165,7 +165,7 @@ func (ctx *blockCtx) build(n plan.Node) (*op, error) {
 		if err != nil {
 			return nil, err
 		}
-		inner, err := ctx.build(x.Inner)
+		inner, err := ctx.buildLending(x.Inner)
 		if err != nil {
 			return nil, err
 		}
@@ -222,10 +222,11 @@ func (ctx *blockCtx) build(n plan.Node) (*op, error) {
 	}
 }
 
-// buildLending builds the input of a projection, aggregation or sort. Each
-// of them is done with a row before it reads the next batch, so a scan or a
-// sort built here lends its rows (see batch.go); every other scan or sort
-// owns the rows it hands out.
+// buildLending builds the input of a projection, aggregation or sort, or
+// the inner of a nested loop. Each of them is done with a row before it
+// reads the next batch — the nested loop copies the rows it keeps — so a
+// scan, a sort or a join built here lends its rows (see batch.go); every
+// other one owns the rows it hands out.
 func (ctx *blockCtx) buildLending(n plan.Node) (*op, error) {
 	in, err := ctx.build(n)
 	if err != nil {
@@ -238,6 +239,12 @@ func (ctx *blockCtx) buildLending(n plan.Node) (*op, error) {
 		s.lend = true
 	case *sortOp:
 		s.lend = true
+	case *nlJoinOp:
+		s.out.lend = true
+	case *mergeJoinOp:
+		s.out.lend = true
+	case *hashJoinOp:
+		s.out.lend = true
 	}
 	return in, nil
 }

@@ -111,6 +111,27 @@ func mustBuild(t *testing.T, e *env, q *plan.Query) *op {
 	return root
 }
 
+// buildOwned builds q's operator tree and returns the operator find picks,
+// built again as it is where it owns its rows: driven directly, as it is
+// under a join.
+func buildOwned(t *testing.T, e *env, q *plan.Query, find func(*op) *op) *op {
+	t.Helper()
+	ctx := newBlockCtx(e.rt, q, new(int))
+	root, err := ctx.buildRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := find(root)
+	if target == nil {
+		t.Fatalf("plan has no such operator:\n%s", q.Explain())
+	}
+	owned, err := ctx.build(target.node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return owned
+}
+
 // drainRetained drives o to completion, retaining every composite it
 // returns and a deep copy, string bytes included, taken on receipt, and fails if a batch is
 // borrowed or if any retained row differs from its copy once o is drained
@@ -187,7 +208,7 @@ func drainBorrowed(t *testing.T, o *op, batchN int) int {
 			return n
 		}
 		if !b.borrowed {
-			t.Fatalf("%T under a %T returned owned rows; it should lend its stage", o.impl, o.node)
+			t.Fatalf("%T returned owned rows; it should lend them", o.impl)
 		}
 		n += b.Len()
 	}
@@ -219,7 +240,11 @@ func matchesReference(t *testing.T, e *env, blk *sem.Block, q *plan.Query, sizes
 // and the read-back rows of a sort under a merge join, which owns them —
 // each over scans with every kind of rejection, the joins' output with
 // residual rejections between the rows they keep — and checks the query
-// result against the reference evaluator.
+// result against the reference evaluator. Under the query's projection a
+// join lends its output (see TestJoinLendsItsRows), so each operator is
+// drained as built where it owns its rows: driven directly, as it is under
+// a join. The nested loop's kept rows then hold copies of the inner's
+// values, which its lending inner overwrites batch after batch.
 func TestRetainedRowsSurviveLaterBatches(t *testing.T) {
 	const join = "SELECT A.S, B.S, A.V FROM A, B WHERE A.K = B.K AND A.V >= 25 AND A.V <> A.K AND B.S <> 'b0' AND A.V > B.K * 9"
 	cases := []struct {
@@ -238,17 +263,7 @@ func TestRetainedRowsSurviveLaterBatches(t *testing.T) {
 			e := newEnv(t)
 			loadRetention(t, e)
 			blk, q := e.plan(t, tc.query, tc.cfg)
-
-			ctx := newBlockCtx(e.rt, q, new(int))
-			root, err := ctx.buildRoot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			target := tc.find(root)
-			if target == nil {
-				t.Fatalf("plan has no %s:\n%s", tc.name, q.Explain())
-			}
-			if got := drainRetained(t, target, 16); len(got) == 0 {
+			if got := drainRetained(t, buildOwned(t, e, q, tc.find), 16); len(got) == 0 {
 				t.Fatalf("%s returned no rows", tc.name)
 			}
 
@@ -273,7 +288,9 @@ func TestRetainedRowsSurviveLaterBatches(t *testing.T) {
 // written again. So the consumers that keep a VARCHAR column across batches
 // — a hash build, duplicate elimination and a nested-loop outer — hand out
 // rows whose strings survive everything decoded after them, at batch sizes
-// 1, 3 and 256, and the queries match the reference evaluator at each.
+// 1, 3 and 256, and the queries match the reference evaluator at each. The
+// joins are drained as built where they own their rows, as in
+// TestRetainedRowsSurviveLaterBatches.
 func TestRetainedStringsSurviveArenaTurnover(t *testing.T) {
 	const join = "SELECT A.S, B.S FROM A, B WHERE A.K = B.K AND A.V <> B.K"
 	cases := []struct {
@@ -293,11 +310,7 @@ func TestRetainedStringsSurviveArenaTurnover(t *testing.T) {
 			blk, q := e.plan(t, tc.query, tc.cfg)
 			for _, n := range []int{1, 3, 256} {
 				e.rt.BatchSize = n
-				target := tc.find(mustBuild(t, e, q))
-				if target == nil {
-					t.Fatalf("plan has no %s:\n%s", tc.name, q.Explain())
-				}
-				if got := drainRetained(t, target, n); len(got) < 100 {
+				if got := drainRetained(t, buildOwned(t, e, q, tc.find), n); len(got) < 100 {
 					t.Fatalf("batch size %d: %s returned %d rows", n, tc.name, len(got))
 				}
 			}
@@ -455,4 +468,74 @@ func TestGroupByOverLendingScan(t *testing.T) {
 		}
 		matchesReference(t, e, blk, q, 1, 3, 256)
 	}
+}
+
+// TestJoinLendsItsRows: a join built as the direct input of a projection,
+// an aggregation or a sort lends its output, and a nested loop's inner
+// lends its rows to the join, which copies the inner values of the rows it
+// keeps. For each join method under each of the three, every batch the
+// join fills says borrowed, and the query matches the reference evaluator
+// at batch sizes 1, 3 and 256. The residual rejects candidates between the
+// kept ones, the nested loop's inner B carries the VARCHAR B.S, and its
+// probes return some 12 rows each, so inner batches cross the join's batch
+// boundaries: a kept row left pointing into the inner's batch is
+// overwritten by a later probe.
+func TestJoinLendsItsRows(t *testing.T) {
+	e := newEnv(t)
+	loadRetention(t, e)
+	if _, err := e.cat.CreateIndex("B_K", "B", []string{"K"}, false, false); err != nil {
+		t.Fatal(err)
+	}
+	e.cat.UpdateStatistics()
+	const where = " FROM A, B WHERE A.K = B.K AND A.V <> B.K * 7 AND B.S <> 'b10'"
+	for _, parent := range []struct {
+		name, query string
+		is          func(plan.Node) bool
+	}{
+		{"project", "SELECT A.S, B.S, A.V" + where, isNode[*plan.Project]},
+		{"aggregation", "SELECT COUNT(*), MAX(B.S), MIN(A.S), SUM(A.V)" + where, isNode[*plan.GroupAgg]},
+		{"sort", "SELECT A.S, B.S, A.V" + where + " ORDER BY B.S, A.V", isNode[*plan.Sort]},
+	} {
+		for _, join := range []struct {
+			name string
+			cfg  core.Config
+			find func(*op) *op
+		}{
+			{"nested loops", core.Config{Joins: core.NestedLoopsOnly}, findOp[*plan.NLJoin]},
+			{"merge", core.Config{Joins: core.MergeOnly}, findOp[*plan.MergeJoin]},
+			{"hash", core.Config{}, findOp[*plan.HashJoin]},
+		} {
+			t.Run(join.name+" under "+parent.name, func(t *testing.T) {
+				blk, q := e.plan(t, parent.query, join.cfg)
+				root := mustBuild(t, e, q)
+				j := join.find(root)
+				if p := parentOf(root, j); j == nil || p == nil || !parent.is(p.node) {
+					t.Fatalf("the %s join is not the direct input of a %s:\n%s", join.name, parent.name, q.Explain())
+				}
+				if n := drainBorrowed(t, j, 3); n < 1000 {
+					t.Fatalf("the join returned %d rows", n)
+				}
+				matchesReference(t, e, blk, q, 1, 3, 256)
+			})
+		}
+	}
+}
+
+// isNode reports whether n has type T.
+func isNode[T plan.Node](n plan.Node) bool {
+	_, ok := n.(T)
+	return ok
+}
+
+// parentOf returns the operator whose child is o, or nil.
+func parentOf(root, o *op) *op {
+	for _, k := range root.kids {
+		if k == o {
+			return root
+		}
+		if p := parentOf(k, o); p != nil {
+			return p
+		}
+	}
+	return nil
 }

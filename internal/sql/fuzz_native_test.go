@@ -75,7 +75,7 @@ func FuzzLift(f *testing.F) {
 // bindLits replaces the lifted text's ? tokens with literal spellings of
 // lits, in order.
 func bindLits(t *testing.T, lifted string, lits []value.Value) string {
-	toks, err := lex(lifted)
+	toks, err := appendTokens(nil, lifted)
 	if err != nil {
 		t.Fatalf("lifted text %q does not lex: %v", lifted, err)
 	}
@@ -110,8 +110,8 @@ func bindLits(t *testing.T, lifted string, lits []value.Value) string {
 // sameTokens compares two normalized texts token by token, literals by
 // kind and value.
 func sameTokens(t *testing.T, a, b string) bool {
-	ta, errA := lex(a)
-	tb, errB := lex(b)
+	ta, errA := appendTokens(nil, a)
+	tb, errB := appendTokens(nil, b)
 	if errA != nil || errB != nil || len(ta) != len(tb) {
 		return false
 	}

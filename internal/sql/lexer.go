@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"unicode"
 )
 
@@ -62,10 +63,48 @@ type lexError struct {
 
 func (e *lexError) Error() string { return fmt.Sprintf("syntax error at offset %d: %s", e.pos, e.msg) }
 
-// lex tokenizes the input statement.
-func lex(input string) ([]token, error) {
-	var toks []token
-	i := 0
+// tokPool holds the token slices Parse and normalize lex into. Both are
+// done with their tokens when they return, so each reuses a slice an
+// earlier text grew instead of growing one by appending.
+var tokPool = sync.Pool{New: func() any { return new([]token) }}
+
+// lexPooled lexes input into a slice from tokPool. The caller hands the
+// slice back with releaseTokens on every path, the error path included,
+// and keeps no token: the tokens' strings are cleared.
+func lexPooled(input string) (*[]token, []token, error) {
+	p := tokPool.Get().(*[]token)
+	toks, err := appendTokens((*p)[:0], input)
+	return p, toks, err
+}
+
+// releaseTokens clears toks, which lexPooled returned with p, so the pool
+// pins no statement text, and returns the slice to the pool.
+func releaseTokens(p *[]token, toks []token) {
+	clear(toks)
+	*p = toks[:0]
+	tokPool.Put(p)
+}
+
+// appendTokens appends input's tokens, ending with tokEOF, to toks. On an
+// error it returns the tokens appended before it with the error.
+func appendTokens(toks []token, input string) ([]token, error) {
+	for i := 0; ; {
+		t, next, err := scanToken(input, i)
+		if err != nil {
+			return toks, err
+		}
+		toks = append(toks, t)
+		if t.kind == tokEOF {
+			return toks, nil
+		}
+		i = next
+	}
+}
+
+// scanToken skips the blanks and comments at input[i:] and reads the token
+// after them, returning it and the offset past it; at the end of input the
+// token is tokEOF.
+func scanToken(input string, i int) (token, int, error) {
 	n := len(input)
 	for i < n {
 		c := input[i]
@@ -96,9 +135,9 @@ func lex(input string) ([]token, error) {
 				i++
 			}
 			if !closed {
-				return nil, &lexError{msg: "unterminated string literal", pos: start}
+				return token{}, i, &lexError{msg: "unterminated string literal", pos: start}
 			}
-			toks = append(toks, token{kind: tokString, text: sb.String(), pos: start})
+			return token{kind: tokString, text: sb.String(), pos: start}, i, nil
 		case c >= '0' && c <= '9' || (c == '.' && i+1 < n && input[i+1] >= '0' && input[i+1] <= '9'):
 			start := i
 			isFloat := false
@@ -127,12 +166,12 @@ func lex(input string) ([]token, error) {
 			if isFloat {
 				kind = tokFloat
 				if _, err := strconv.ParseFloat(text, 64); err != nil {
-					return nil, &lexError{msg: "bad numeric literal " + text, pos: start}
+					return token{}, i, &lexError{msg: "bad numeric literal " + text, pos: start}
 				}
 			} else if _, err := strconv.ParseInt(text, 10, 64); err != nil {
-				return nil, &lexError{msg: "bad integer literal " + text, pos: start}
+				return token{}, i, &lexError{msg: "bad integer literal " + text, pos: start}
 			}
-			toks = append(toks, token{kind: kind, text: text, pos: start})
+			return token{kind: kind, text: text, pos: start}, i, nil
 		case isIdentStart(rune(c)):
 			start := i
 			for i < n && isIdentPart(rune(input[i])) {
@@ -141,10 +180,9 @@ func lex(input string) ([]token, error) {
 			word := input[start:i]
 			upper := strings.ToUpper(word)
 			if keywords[upper] {
-				toks = append(toks, token{kind: tokKeyword, text: upper, pos: start})
-			} else {
-				toks = append(toks, token{kind: tokIdent, text: word, pos: start})
+				return token{kind: tokKeyword, text: upper, pos: start}, i, nil
 			}
+			return token{kind: tokIdent, text: word, pos: start}, i, nil
 		default:
 			start := i
 			var p string
@@ -170,19 +208,18 @@ func lex(input string) ([]token, error) {
 					p = "<>" // canonicalize != to <>
 					i += 2
 				} else {
-					return nil, &lexError{msg: "unexpected character '!'", pos: i}
+					return token{}, i, &lexError{msg: "unexpected character '!'", pos: i}
 				}
 			case '=', '(', ')', ',', '+', '-', '*', '/', '.', ';', '?':
-				p = string(c)
+				p = input[i : i+1]
 				i++
 			default:
-				return nil, &lexError{msg: fmt.Sprintf("unexpected character %q", c), pos: i}
+				return token{}, i, &lexError{msg: fmt.Sprintf("unexpected character %q", c), pos: i}
 			}
-			toks = append(toks, token{kind: tokPunct, text: p, pos: start})
+			return token{kind: tokPunct, text: p, pos: start}, i, nil
 		}
 	}
-	toks = append(toks, token{kind: tokEOF, pos: n})
-	return toks, nil
+	return token{kind: tokEOF, pos: n}, n, nil
 }
 
 func isIdentStart(r rune) bool { return unicode.IsLetter(r) || r == '_' }

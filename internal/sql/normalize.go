@@ -43,7 +43,8 @@ func Lift(input string) (text string, lits []value.Value, ok bool) {
 // normalize spells input's tokens canonically, lifting the literals
 // liftSites marks when lift is set.
 func normalize(input string, lift bool) (string, []value.Value, bool) {
-	toks, err := lex(input)
+	pooled, toks, err := lexPooled(input)
+	defer releaseTokens(pooled, toks)
 	if err != nil {
 		return "", nil, false
 	}

@@ -11,7 +11,8 @@ import (
 // Parse parses a single SQL statement (an optional trailing semicolon is
 // accepted).
 func Parse(input string) (Statement, error) {
-	toks, err := lex(input)
+	pooled, toks, err := lexPooled(input)
+	defer releaseTokens(pooled, toks)
 	if err != nil {
 		return nil, err
 	}
@@ -28,15 +29,15 @@ func Parse(input string) (Statement, error) {
 }
 
 // LeadingKeyword returns the upper-cased first keyword of a statement's text
-// ("" when it does not start with a keyword or fails to lex) — the session
-// layer's cheap dispatch for routing BEGIN/COMMIT/ROLLBACK without a second
-// full parse of ordinary statements.
+// ("" when it does not start with a keyword, or its first token fails to
+// lex) — the session layer's cheap dispatch for routing BEGIN/COMMIT/ROLLBACK
+// without a second full parse of ordinary statements. It lexes one token.
 func LeadingKeyword(input string) string {
-	toks, err := lex(input)
-	if err != nil || len(toks) == 0 || toks[0].kind != tokKeyword {
+	t, _, err := scanToken(input, 0)
+	if err != nil || t.kind != tokKeyword {
 		return ""
 	}
-	return toks[0].text
+	return t.text
 }
 
 // parser is a recursive-descent parser over the token stream.

@@ -9,6 +9,15 @@
 // encoded once into a byte string whose byte order is value.CompareRows'
 // order, so run generation sorts small (key, arrival) entries and the
 // merges compare bytes, never values.
+//
+// Memory: run generation encodes rows into a byte arena and sorts small
+// entries over it. A sort takes both from a pool and gives them back once
+// no merger reads the arena — when its Result closes, or when it fails or
+// finds its input empty — so later sorts reuse the room an earlier one grew
+// instead of regrowing their own by doubling. The pool holds no more
+// arena-and-entries pairs than there are Ps plus sorts running at once,
+// each no larger than the largest run's, and sync.Pool drops them within
+// two garbage collections.
 package xsort
 
 import (
@@ -18,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"systemr/internal/governor"
 	"systemr/internal/storage"
@@ -57,6 +67,7 @@ type Result struct {
 	cfg    Config
 	merge  merger
 	pages  []storage.PageID
+	buf    *buffers // run generation's, whose arena the merge reads
 	closed bool
 }
 
@@ -77,13 +88,29 @@ type entry struct {
 // start with room for; past it they grow by doubling.
 const firstRows = 4
 
+// buffers are a sort's run-generation arena and entries (see the package
+// comment), kept as grown between the sorts that take them from bufPool.
+type buffers struct {
+	arena   []byte
+	entries []entry
+}
+
+var bufPool = sync.Pool{New: func() any { return new(buffers) }}
+
+// put keeps arena and entries in b, emptied, and returns b to the pool.
+// The caller must not read either again.
+func (b *buffers) put(arena []byte, entries []entry) {
+	b.arena, b.entries = arena[:0], entries[:0]
+	bufPool.Put(b)
+}
+
 // Sort consumes the input, sorts it, and returns a Result for streaming the
 // ordered rows. The temporary list always materializes through the buffer
 // pool — System R sorts into temporary lists even when the data would fit in
 // memory. Every tuple written into the temporary list by run generation and
 // every tuple delivered from it is charged one RSI call, mirroring the cost
 // model's CPU term for sorts. A sort that fails gives every temp page it
-// wrote back to the disk.
+// wrote back to the disk, and its buffers back to the pool.
 func Sort(cfg Config, in Input) (_ *Result, err error) {
 	if cfg.BufferBytes <= 0 {
 		cfg.BufferBytes = cfg.Pool.Capacity() * storage.PageSize
@@ -99,10 +126,11 @@ func Sort(cfg Config, in Input) (_ *Result, err error) {
 	// reuses, so the input may reuse its row. A run ends when its records
 	// reach BufferBytes; keys never count, so run boundaries — and with them
 	// every temp page — follow the records alone.
+	buf := bufPool.Get().(*buffers)
 	var (
 		runs     []*run // the runs this sort holds
-		entries  []entry
-		arena    []byte
+		entries  = buf.entries
+		arena    = buf.arena
 		recBytes int           // the current run's record bytes
 		rowLen   int           // the arena bytes the last row took
 		kindBuf  [8]value.Kind // holds kinds for up to eight keys
@@ -112,6 +140,7 @@ func Sort(cfg Config, in Input) (_ *Result, err error) {
 			for _, r := range runs {
 				releaseRun(cfg, r)
 			}
+			buf.put(arena, entries)
 		}
 	}()
 	kinds := append(kindBuf[:0], make([]value.Kind, len(cfg.Keys))...)
@@ -149,8 +178,9 @@ func Sort(cfg Config, in Input) (_ *Result, err error) {
 		}
 		// Both slices grow by doubling: append's 1.25× steps for a long
 		// slice would copy a run's arena several times over. The first row
-		// sizes them, so a sort of a few rows allocates each once.
-		if cap(arena) == 0 {
+		// sizes them, so a sort of a few rows allocates each once, unless
+		// the buffers an earlier sort grew have room already.
+		if rowLen == 0 {
 			var key [64]byte
 			rowLen = len(ord.appendKey(key[:0], row)) + storage.EncodedSize(row)
 		}
@@ -180,6 +210,7 @@ func Sort(cfg Config, in Input) (_ *Result, err error) {
 	}
 	if len(runs) == 0 {
 		// Empty input: still produce an (empty) result.
+		buf.put(arena, entries)
 		return &Result{cfg: cfg}, nil
 	}
 
@@ -202,8 +233,10 @@ func Sort(cfg Config, in Input) (_ *Result, err error) {
 		runs = next
 	}
 
-	// Phase 3: stream the final merge.
-	res := &Result{cfg: cfg}
+	// Phase 3: stream the final merge, which reads the arena until the
+	// result closes.
+	buf.arena, buf.entries = arena, entries
+	res := &Result{cfg: cfg, buf: buf}
 	for _, r := range runs {
 		res.pages = append(res.pages, r.pages...)
 	}
@@ -572,11 +605,17 @@ func (res *Result) Next() (value.Row, bool, error) {
 }
 
 // Close releases the temporary pages from the buffer pool and gives them
-// back to the disk.
+// back to the disk, and returns the sort's buffers to the pool once the
+// merge that reads them is dropped.
 func (res *Result) Close() {
 	if res.closed {
 		return
 	}
 	res.closed = true
 	freePages(res.cfg, res.pages)
+	res.merge = merger{}
+	if res.buf != nil {
+		res.buf.put(res.buf.arena, res.buf.entries)
+		res.buf = nil
+	}
 }

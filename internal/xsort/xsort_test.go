@@ -501,3 +501,84 @@ func TestSortRunBoundariesUnchanged(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentSortsShareNoBuffers: sorts take their run-generation arena
+// and entries from a pool shared by every sort, and give them back only
+// once no merger reads them. Goroutines run sorts side by side — spilling
+// ones with intermediate merge passes, one-run ones, empty ones and ones
+// whose input fails after some rows — and read their results while other
+// sorts generate runs; each must match the stable sort of its input, and
+// closing a result twice must not give its buffers back twice. Run it
+// with -race.
+func TestConcurrentSortsShareNoBuffers(t *testing.T) {
+	const workers, sorts = 4, 12
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			errs <- func() error {
+				rnd := rand.New(rand.NewSource(int64(100 + w)))
+				for i := 0; i < sorts; i++ {
+					cfg, _ := newEnv(3 + rnd.Intn(6)) // small pools: fan-in 2 to 7
+					cfg.Keys = []int{2, 0}
+					cfg.BufferBytes = 256 << rnd.Intn(6)
+					rows := randomRows(rnd, []int{0, 1, 40, 700}[i%4])
+					failAfter := -1
+					if i%3 == 2 && len(rows) > 1 {
+						failAfter = rnd.Intn(len(rows))
+					}
+					n := 0
+					res, err := Sort(cfg, func() (value.Row, bool, error) {
+						if n == failAfter {
+							return nil, false, errInput
+						}
+						if n == len(rows) {
+							return nil, false, nil
+						}
+						n++
+						return rows[n-1], true, nil
+					})
+					if failAfter >= 0 {
+						if !errors.Is(err, errInput) {
+							return fmt.Errorf("worker %d sort %d: failing input gave %v", w, i, err)
+						}
+						continue
+					}
+					if err != nil {
+						return err
+					}
+					var got []value.Row
+					for {
+						row, ok, err := res.Next()
+						if err != nil {
+							return err
+						}
+						if !ok {
+							break
+						}
+						got = append(got, row.Clone())
+					}
+					res.Close()
+					res.Close()
+					want := append([]value.Row(nil), rows...)
+					sort.SliceStable(want, func(a, b int) bool {
+						return value.CompareRows(want[a], want[b], cfg.Keys, nil) < 0
+					})
+					if len(got) != len(want) {
+						return fmt.Errorf("worker %d sort %d: %d rows, want %d", w, i, len(got), len(want))
+					}
+					for j := range got {
+						if value.CompareRows(got[j], want[j], []int{0, 1, 2}, nil) != 0 {
+							return fmt.Errorf("worker %d sort %d: row %d is %v, want %v", w, i, j, got[j], want[j])
+						}
+					}
+				}
+				return nil
+			}()
+		}(w)
+	}
+	for w := 0; w < workers; w++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}
