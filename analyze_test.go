@@ -39,7 +39,7 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 	want := strings.Join([]string{
 		"QUERY BLOCK (main)",
 		"  PROJECT E.NAME, D.DNAME, J.TITLE  {est rows=75.0 cost=10.7 | act rows=75 fetches=0 time=X}",
-		"    HASHJOIN build inner[1.0] probe outer[0.1]  {est rows=75.0 cost=10.7 | act rows=75 fetches=0 time=X} [build: est rows=30.0 act rows=30 mem=4550B]",
+		"    HASHJOIN build inner[1.0] probe outer[0.1]  {est rows=75.0 cost=10.7 | act rows=75 fetches=0 time=X} [build: est rows=30.0 act rows=30 mem=6230B]",
 		"      NLJOIN bind: $3=outer[2.0]  {est rows=75.0 cost=5.3 | act rows=75 fetches=0 time=X}",
 		"        SEGSCAN J (JOB) sarg: (c1 = 'CLERK')  {est rows=1.0 cost=1.0 | act rows=1 fetches=1 time=X}",
 		"        INDEXSCAN E via EMP_JOB(JOB) key:[$3 .. $3] sarg: (c2 = $3)  {est rows=75.0 cost=4.2 | act rows=75 fetches=6 time=X}",

@@ -4,12 +4,12 @@ package exec
 
 // Allocation bounds for the tuple path (the race detector changes
 // allocation counts, so these run only without it). Scans decode only the
-// versions they return, into a reused stage, and lend it or hand each
-// batch out in two exact chunks, grouping carves its output from chunks,
-// and sorts hold runs as encoded records and copy each batch of read-back
-// rows into one chunk, so allocation grows with batches and temp pages,
-// never with rows or groups; and batches hold room only for the rows that
-// cross them, so a statement's bytes follow the rows it moves.
+// versions they return, into a reused stage, and lend it, grouping carves
+// its output from chunks, and sorts hold runs as encoded records and copy
+// each batch of read-back rows into chunks they reuse, so allocation grows
+// with batches and temp pages, never with rows or groups; and batches hold
+// room only for the rows that cross them, so a statement's bytes follow the
+// rows it moves.
 
 import (
 	"fmt"
@@ -56,12 +56,10 @@ func loadWide(t *testing.T, n int) *env {
 }
 
 // TestScanAllocsPerBatch: a segment scan and an index range scan, with
-// SARG, residual and snapshot rejections, allocate at most a fixed number
-// of times per batch, beyond what OPEN allocates to resolve its bounds and
-// SARGs — the same bound at 256 rows as at 10k. A scan that owns its rows
-// copies each batch out in two chunks; one that lends its stage, as it
-// does under a projection, aggregation or sort, allocates nothing per
-// batch. The operator and the batch are reused across runs, as a
+// SARG, residual and snapshot rejections, allocate nothing per batch beyond
+// what OPEN allocates to resolve its bounds and SARGs — the same bound at
+// 256 rows as at 10k: each batch lends the scan's stage, in composites from
+// a chunk it reuses. The operator and the batch are reused across runs, as a
 // nested-loop inner's are, so the scan's stage, its composite chunk and the
 // batch's backing array have grown to their working size in the warm-up
 // run.
@@ -77,55 +75,37 @@ func TestScanAllocsPerBatch(t *testing.T) {
 			{fmt.Sprintf("SELECT A, B FROM T WHERE A BETWEEN 0 AND %d AND A <> B ORDER BY A", n), findOp[*plan.IndexScan]},
 		} {
 			_, q := e.plan(t, tc.query, core.Config{})
-			ctx := newBlockCtx(e.rt, q, new(int))
-			root, err := ctx.buildRoot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			found := tc.find(root)
-			if found == nil {
+			scan := tc.find(mustBuild(t, e, q))
+			if scan == nil {
 				t.Fatalf("unexpected access path:\n%s", q.Explain())
 			}
-			for _, mode := range []struct {
-				name     string
-				build    func(plan.Node) (*op, error)
-				perBatch int
-			}{{"owning", ctx.build, 2}, {"lending", ctx.buildLending, 0}} {
-				scan, err := mode.build(found.node)
-				if err != nil {
+			b := NewBatch(DefaultBatchSize)
+			rows, batches := 0, 0
+			allocs := testing.AllocsPerRun(3, func() {
+				rows, batches = 0, 0
+				if err := scan.Open(); err != nil {
 					t.Fatal(err)
 				}
-				b := NewBatch(DefaultBatchSize)
-				rows, batches := 0, 0
-				allocs := testing.AllocsPerRun(3, func() {
-					rows, batches = 0, 0
-					if err := scan.Open(); err != nil {
+				for {
+					if err := scan.NextBatch(b); err != nil {
 						t.Fatal(err)
 					}
-					for {
-						if err := scan.NextBatch(b); err != nil {
-							t.Fatal(err)
-						}
-						if b.Len() == 0 {
-							break
-						}
-						if b.borrowed != (mode.perBatch == 0) {
-							t.Fatalf("%s %s scan: batch borrowed = %v", tc.query, mode.name, b.borrowed)
-						}
-						rows += b.Len()
-						batches++
+					if b.Len() == 0 {
+						break
 					}
-					if err := scan.Close(); err != nil {
-						t.Fatal(err)
-					}
-				})
-				if rows < n*3/4 {
-					t.Fatalf("%s: %d rows from %d versions", tc.query, rows, n)
+					rows += b.Len()
+					batches++
 				}
-				if allocs > float64(perOpen+mode.perBatch*batches) {
-					t.Errorf("%s, %s: %.0f allocations for %d rows in %d batches, want <= %d + %d per batch",
-						tc.query, mode.name, allocs, rows, batches, perOpen, mode.perBatch)
+				if err := scan.Close(); err != nil {
+					t.Fatal(err)
 				}
+			})
+			if rows < n*3/4 {
+				t.Fatalf("%s: %d rows from %d versions", tc.query, rows, n)
+			}
+			if allocs > perOpen {
+				t.Errorf("%s: %.0f allocations for %d rows in %d batches, want <= %d",
+					tc.query, allocs, rows, batches, perOpen)
 			}
 		}
 	}
@@ -272,26 +252,25 @@ func TestGroupAggAllocsPerBatch(t *testing.T) {
 	}
 }
 
-// TestJoinAllocsPerBatch: each join method allocates per batch and per
-// (re-)open of an operator below it, never per joined row — the residual
-// is evaluated in place and kept rows are carved from chunks. The nested
-// loops and the merge join on the indexed K; the hash join on the
-// unindexed G, probing its 64-row build once per F row, with a residual
-// that rejects the 64 candidates with V = K between the kept ones. A
-// composite per joined row would cost some 10k allocations here.
+// TestJoinAllocsPerBatch: each join method allocates per (re-)open of an
+// operator below it, never per batch or per joined row — the residual is
+// evaluated in place, and kept rows are carved from chunks the join reuses
+// once they have grown to a batch. The nested loops and the merge
+// join on the indexed K; the hash join on the unindexed G, probing its
+// 64-row build once per F row, with a residual that rejects the 64
+// candidates with V = K between the kept ones. A composite per joined row
+// would cost some 10k allocations here.
 //
 // A nested loop's inner index scan re-opens once per outer row: it
 // re-resolves only its join-bound key and SARG terms, in place, re-seats
 // the B-tree iterator it keeps, and lends its rows to the join, which
-// copies the ones it keeps into a value chunk sized for the rest of the
-// inner's batch. Built where it owns its rows, the join allocates 130
-// times for 66 opens and 39 batches (194 when the inner copied each batch
-// out, 322 when each seek allocated an iterator and a prefix).
-//
-// Under an aggregation every join lends its output and reuses its chunks,
-// so after the first run the join allocates nothing per batch: the nested
-// loop 2 times in all. The merge and hash joins still read children that
-// own their rows, whose scans copy each batch out in two chunks.
+// copies the current outer row and the inner values of the rows it keeps.
+// Every child lends its rows too, so no operator below the join allocates
+// per batch either: after the first run the nested loop and the merge join
+// allocate nothing, and the hash join 75 times, 64 of them for its build
+// keys. When the join's children owned their rows, the merge and hash
+// joins allocated twice per batch, and a nested loop built where it owned
+// its own rows 130 times.
 func TestJoinAllocsPerBatch(t *testing.T) {
 	const n = 10000
 	e := loadJoin(t, n)
@@ -300,75 +279,51 @@ func TestJoinAllocsPerBatch(t *testing.T) {
 		cfg       core.Config
 		find      func(*op) *op
 		perOpen   int64
-		perBatch  [2]int64 // owning, lending
 	}{
-		{"nested loops", "K", core.Config{Joins: core.NestedLoopsOnly}, findOp[*plan.NLJoin], 1, [2]int64{2, 0}},
-		{"merge", "K", core.Config{Joins: core.MergeOnly}, findOp[*plan.MergeJoin], 10, [2]int64{4, 2}},
-		{"hash", "G", core.Config{}, findOp[*plan.HashJoin], 10, [2]int64{4, 2}},
+		{"nested loops", "K", core.Config{Joins: core.NestedLoopsOnly}, findOp[*plan.NLJoin], 1},
+		{"merge", "K", core.Config{Joins: core.MergeOnly}, findOp[*plan.MergeJoin], 10},
+		{"hash", "G", core.Config{}, findOp[*plan.HashJoin], 10},
 	} {
-		const where = " FROM F, D WHERE F.%s = D.K AND F.V <> D.K"
-		for i, mode := range []struct {
-			name, query string
-			lend        bool
-		}{
-			{"owning", "SELECT F.V, D.K" + where, false},
-			{"lending", "SELECT COUNT(*), SUM(F.V), MAX(D.K)" + where, true},
-		} {
-			perBatch := tc.perBatch[i]
-			_, q := e.plan(t, fmt.Sprintf(mode.query, tc.col), tc.cfg)
-			ctx := newBlockCtx(e.rt, q, new(int))
-			root, err := ctx.buildRoot()
-			if err != nil {
+		_, q := e.plan(t, fmt.Sprintf("SELECT F.V, D.K FROM F, D WHERE F.%s = D.K AND F.V <> D.K", tc.col), tc.cfg)
+		join := tc.find(mustBuild(t, e, q))
+		if join == nil {
+			t.Fatalf("%s: no such join:\n%s", tc.name, q.Explain())
+		}
+		b := NewBatch(DefaultBatchSize)
+		rows, batches, opens := 0, 0, int64(0)
+		allocs := testing.AllocsPerRun(3, func() {
+			opens0 := subtreeOpens(join)
+			rows, batches = 0, 0
+			if err := join.Open(); err != nil {
 				t.Fatal(err)
 			}
-			join := tc.find(root)
-			if join == nil {
-				t.Fatalf("%s %s: no such join:\n%s", tc.name, mode.name, q.Explain())
-			}
-			if !mode.lend {
-				if join, err = ctx.build(join.node); err != nil {
+			for {
+				if err := join.NextBatch(b); err != nil {
 					t.Fatal(err)
 				}
-			}
-			b := NewBatch(DefaultBatchSize)
-			rows, batches, opens := 0, 0, int64(0)
-			allocs := testing.AllocsPerRun(3, func() {
-				opens0 := subtreeOpens(join)
-				rows, batches = 0, 0
-				if err := join.Open(); err != nil {
-					t.Fatal(err)
+				if b.Len() == 0 {
+					break
 				}
-				for {
-					if err := join.NextBatch(b); err != nil {
-						t.Fatal(err)
-					}
-					if b.Len() == 0 {
-						break
-					}
-					if b.borrowed != mode.lend {
-						t.Fatalf("%s %s: batch borrowed = %v", tc.name, mode.name, b.borrowed)
-					}
-					rows += b.Len()
-					batches++
-				}
-				if err := join.Close(); err != nil {
-					t.Fatal(err)
-				}
-				opens = subtreeOpens(join) - opens0
-			})
-			if rows != n-64 {
-				t.Fatalf("%s %s: %d rows, want %d", tc.name, mode.name, rows, n-64)
+				rows += b.Len()
+				batches++
 			}
-			// A hash build allocates one key string per distinct build key: D.K's
-			// 64 values.
-			var keys int64
-			if _, ok := join.impl.(*hashJoinOp); ok {
-				keys = 64
+			if err := join.Close(); err != nil {
+				t.Fatal(err)
 			}
-			if allocs > float64(tc.perOpen*opens+perBatch*int64(batches)+keys) {
-				t.Errorf("%s %s: %.0f allocations for %d rows in %d batches, %d opens and %d build keys, want <= %d per open + %d per batch + 1 per build key",
-					tc.name, mode.name, allocs, rows, batches, opens, keys, tc.perOpen, perBatch)
-			}
+			opens = subtreeOpens(join) - opens0
+		})
+		if rows != n-64 {
+			t.Fatalf("%s: %d rows, want %d", tc.name, rows, n-64)
+		}
+		// A hash build allocates one key string per distinct build key: D.K's
+		// 64 values.
+		var keys int64
+		if _, ok := join.impl.(*hashJoinOp); ok {
+			keys = 64
+		}
+		if allocs > float64(tc.perOpen*opens+keys) {
+			t.Errorf("%s: %.0f allocations for %d rows in %d batches, %d opens and %d build keys, want <= %d per open + 1 per build key",
+				tc.name, allocs, rows, batches, opens, keys, tc.perOpen)
 		}
 	}
 }

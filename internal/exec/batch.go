@@ -20,10 +20,7 @@ package exec
 // Runtime.BatchSize=1 runs the whole tree tuple-at-a-time (the ablation, and
 // DML tuple location).
 
-import (
-	"math"
-	"slices"
-)
+import "slices"
 
 // DefaultBatchSize is the number of rows an operator aims to move per
 // NextBatch call when the runtime does not configure a size.
@@ -31,49 +28,37 @@ const DefaultBatchSize = 256
 
 // Batch is a reusable buffer of composite rows with a target fill size. Its
 // backing array starts empty, grows as rows arrive, and is reused across
-// NextBatch calls, so it holds room for the largest fill so far. No consumer
-// retains the batch's own slice of rows.
+// NextBatch calls, so it holds room for the largest fill so far.
 //
-// The rows in a batch are owned or borrowed. Owned rows are allocated by the
-// producing operator, which never writes them again, so a consumer may
-// retain them across batches — nested-loop outer rows, merge-join groups
-// and hash builds depend on that. Borrowed rows stay valid only until the
-// producer's next NextBatch, Open or Close. A scan, a sort or a join built
-// as the direct input of a projection, aggregation or sort, or as the inner
-// of a nested loop, lends its rows, because each of those consumers is done
-// with a row before it reads the next batch: a scan the rows in its stage
-// (see scan.go), a sort the read-back rows it copies into chunks it reuses
-// (see sort.go), a join the composites it carves from a chunk it reuses
-// (see join.go). What such a consumer keeps it copies: a grouping its
-// group's representative, a nested loop the inner values of the rows it
-// joins.
-//
-// Producers allocate per batch, not per row: a scan decodes every version
-// into a stage it reuses and, unless it lends, copies the batch's accepted
-// rows out into one exactly sized value chunk and one composite chunk; a
-// sort that owns its rows copies each batch of read-back rows out in the
-// same two chunks; an owning join carves its composites, and a nested loop
-// its inner values, from chunks sized for the candidates at hand;
-// projection carves its rows from chunks sized for the rows at hand.
-// Producers that know how many rows they are about to add reserve room for
-// them with grow; the row-at-a-time fill appends.
+// Every operator lends its rows: a batch's rows stay valid until the
+// producer's next NextBatch, Open or Close, and an operator that needs a
+// row for longer copies it. A scan hands out the rows of the stage it
+// decodes into (see scan.go), a sort the read-back rows it copies into
+// chunks it reuses (see sort.go), a join composites carved from a chunk it
+// reuses, which point into its outer's current batch and at inner values
+// it holds (see join.go). What a consumer keeps it copies: a
+// grouping its group's representative, a nested loop and a merge join the
+// inner values of the rows they keep, a merge join its inner group and a
+// hash join its build. Projection, aggregation and duplicate elimination
+// hand out fresh rows, because the block driver, cursors and DML targets
+// keep them. Below them, once its chunks have grown to a batch, no operator
+// allocates per batch but a hash build, which keeps what it copies.
 type Batch struct {
-	rows     []comp
-	target   int32 // int32 so borrowed packs beside it: a Batch stays 32 bytes
-	borrowed bool
+	rows   []comp
+	target int
 }
 
 // NewBatch creates an empty batch whose fills aim at n rows. It allocates
 // no room for rows: the first fill does, for the rows it brings.
 func NewBatch(n int) *Batch {
-	return &Batch{target: int32(min(max(n, 1), math.MaxInt32))}
+	return &Batch{target: max(n, 1)}
 }
 
 // Len returns the number of rows currently in the batch.
 func (b *Batch) Len() int { return len(b.rows) }
 
 // Cap returns the batch's target fill size.
-func (b *Batch) Cap() int { return int(b.target) }
+func (b *Batch) Cap() int { return b.target }
 
 // Full reports whether the batch reached its target size.
 func (b *Batch) Full() bool { return len(b.rows) >= b.Cap() }
@@ -86,9 +71,8 @@ func (b *Batch) grow(n int) {
 	}
 }
 
-// Reset empties the batch, keeping its backing array; the next fill's rows
-// are owned unless its producer lends them.
-func (b *Batch) Reset() { b.rows, b.borrowed = b.rows[:0], false }
+// Reset empties the batch, keeping its backing array.
+func (b *Batch) Reset() { b.rows = b.rows[:0] }
 
 // Append adds one row.
 func (b *Batch) Append(c comp) { b.rows = append(b.rows, c) }
@@ -98,14 +82,15 @@ func (b *Batch) Row(i int) comp { return b.rows[i] }
 
 // rowSource is an operator body whose interior logic yields one row at a
 // time. Every implementation reads its input through a batchReader, so its
-// next reaches a governor checkpoint.
+// next reaches a governor checkpoint. next reports false at the end of its
+// input, and also where a join must end its batch (see joiner.endsBatch).
 type rowSource interface {
 	next() (comp, bool, error)
 }
 
 // fillRows is the one batch fill for rowSource bodies: it appends rows from
-// src until b is full or src is exhausted. On error the batch's contents are
-// undefined.
+// src until b is full or src ends the batch. On error the batch's contents
+// are undefined.
 func fillRows(b *Batch, src rowSource) error {
 	for !b.Full() {
 		c, ok, err := src.next()
@@ -147,13 +132,13 @@ func (ctx *blockCtx) reader(r *batchReader, src *op) *batchReader {
 // returned: what is left of the child's current batch.
 func (r *batchReader) buffered() int { return r.buf.Len() - r.i }
 
-// borrowed reports whether the rows next serves are borrowed: valid only
-// until the reader refills from src.
-func (r *batchReader) borrowed() bool { return r.buf.borrowed }
-
 // last returns the row next served last. It stays in the buffer until the
 // reader refills, which only a later next does.
 func (r *batchReader) last() comp { return r.buf.rows[r.i-1] }
+
+// unread steps back over the row next served last, so the next call serves
+// it again.
+func (r *batchReader) unread() { r.i-- }
 
 // next serves one row, refilling from src as needed.
 func (r *batchReader) next() (comp, bool, error) {

@@ -646,10 +646,9 @@ func TestSortFreesTempPages(t *testing.T) {
 // moves every scan to the 1,152-byte class. Every block allocates one
 // blockCtx, which holds the block's string arena and fits the 144-byte
 // class (no header below 512 bytes); one word more moves it to 160 bytes.
-// Every join allocates one join operator, each embedding a joiner: a
-// nested loop fits the 112-byte class, with the inner's value chunk beside
-// the joiner, and the merge and hash joins the 224-byte class (the merge
-// join is 216 bytes).
+// Every join allocates one join operator, each embedding a joiner and its
+// value chunk: a nested loop fits the 112-byte class, and the merge and
+// hash joins the 224-byte class (the merge join is 168 bytes).
 func TestScanOpsFitSizeClass(t *testing.T) {
 	for name, c := range map[string]struct{ size, limit uintptr }{
 		"segScanOp":   {unsafe.Sizeof(segScanOp{}), 1024 - 8},

@@ -31,58 +31,27 @@ func mergeComp(dst, a, b comp) {
 	}
 }
 
-// joiner builds a join's output composites in slots carved from chunks. A
-// candidate pair is merged into the current chunk's next free slot and the
-// residual is evaluated there; only a kept row advances past the slot, so a
-// rejected one leaves it as scratch for the next candidate. An owning
-// join's chunk is never written again once its slots are handed out, so
-// consumers may retain rows. A lending join (see buildLending) starts its
-// chunk over at each batch and marks the batch borrowed.
-type joiner struct {
-	chunk []value.Row // slots handed out this chunk, with room for more
-	kept  int32       // rows kept so far, counted up to the batch target
-	lend  bool
-}
-
-// reset starts a batch: a lending join's batch is borrowed and reuses its
-// chunk from the start.
-func (j *joiner) reset(b *Batch) {
-	if j.lend {
-		j.chunk = j.chunk[:0]
-		b.borrowed = true
-	}
-}
-
-// join merges outer and inner, applies residual, and returns the joined
-// composite if it is kept. pending counts the candidates the operator holds
-// for now, this one included — what is left of the probe's match list, the
-// duplicate group or the inner's batch, plus the outer rows buffered behind
-// this one. An owning join sizes a new chunk for the fewest of pending, the
-// rows kept so far and the batch target, so a one-row join allocates one
-// row's slots and a join that keeps few of many candidates wastes few. A
-// lending join's chunk is reused, so it grows, from pending rows and by
-// doubling, to hold a batch.
-func (j *joiner) join(ctx *blockCtx, outer, inner comp, residual []sem.Expr, pending int) (comp, bool, error) {
-	n, at := len(outer), len(j.chunk)
-	if cap(j.chunk)-at < n {
-		rows := min(max(pending, 1), max(int(j.kept), 1))
-		if j.lend {
-			rows = max(pending, 2*cap(j.chunk)/n, 1)
+// copyComp points dst's slots at copies of src's filled slots, appended to
+// *vals. Appending never moves a value already copied: when *vals runs out
+// of room it moves to a new array, and the rows copied before keep the old
+// one, which no one writes again.
+func copyComp(vals *value.Row, dst, src comp) {
+	for i, r := range src {
+		if r != nil {
+			at := len(*vals)
+			*vals = append(*vals, r...)
+			dst[i] = (*vals)[at:len(*vals):len(*vals)]
 		}
-		j.chunk = make([]value.Row, 0, min(rows, ctx.batchN())*n)
-		at = 0
 	}
-	c := comp(j.chunk[at : at+n : at+n])
-	mergeComp(c, outer, inner)
-	keep, err := ctx.applyResidual(c, residual)
-	if err != nil || !keep {
-		return nil, false, err
+}
+
+// compWidth returns the number of values in c's filled slots.
+func compWidth(c comp) int {
+	w := 0
+	for _, r := range c {
+		w += len(r)
 	}
-	j.chunk = j.chunk[:at+n]
-	if int(j.kept) < ctx.batchN() {
-		j.kept++
-	}
-	return c, true, nil
+	return w
 }
 
 // evalExpr evaluates a resolved expression against the current composite

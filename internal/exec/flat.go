@@ -29,8 +29,9 @@ func (it *projectOp) open() error {
 }
 
 // nextBatch projects a batch at a time. Output rows and their single-slot
-// composites come from arenas sized for the rows left in the input's
-// current batch (consumers may retain rows), allocated on the first row so
+// composites come from fresh arenas, never written again, because the block
+// driver, cursors and DML targets keep the rows: sized for the rows left in
+// the input's current batch, and allocated on the first row so
 // the end-of-input call allocates nothing; b reserves room for as many.
 func (it *projectOp) nextBatch(b *Batch) error {
 	ne := len(it.exprs)
@@ -72,25 +73,22 @@ func (it *projectOp) close() error { return it.input.Close() }
 // group: the aggregate states and their finished values are reset in place,
 // and output rows and their single-slot composites are carved from chunks
 // that double, up to the batch target, from one row, so a scalar aggregate
-// allocates for one row. Output rows stay owned: the block driver keeps
-// them.
+// allocates for one row. Its output rows are fresh, never written again:
+// the block driver, cursors and DML targets keep them.
 type groupAggOp struct {
 	ctx   *blockCtx
 	input *op
 	node  *plan.GroupAgg
 	read  *batchReader
 
-	curRep  comp // the group's first row: its grouping columns are the group key
+	// rep is a copy of the group's first row, its values in repVals: its
+	// grouping columns are the group key.
+	rep     comp
+	repVals value.Row
 	started bool
 	done    bool
 	states  []aggState
 	aggVals []value.Value // the finished group's aggregate values
-
-	// rep and repVals hold a copy of the representative when it comes from
-	// a borrowed batch, which the next refill overwrites; one group's
-	// representative is kept at a time, so they are reused.
-	rep     comp
-	repVals value.Row
 
 	rowArena  []value.Value
 	compArena []value.Row
@@ -98,7 +96,6 @@ type groupAggOp struct {
 }
 
 func (it *groupAggOp) open() error {
-	it.curRep = nil
 	it.started, it.done = false, false
 	if err := it.input.Open(); err != nil {
 		return err
@@ -113,32 +110,22 @@ func (it *groupAggOp) nextBatch(b *Batch) error { return fillRows(b, it) }
 // place: no key is built per row.
 func (it *groupAggOp) sameGroup(c comp) bool {
 	for _, g := range it.node.GroupCols {
-		if value.Compare(c[g.Rel][g.Col], it.curRep[g.Rel][g.Col]) != 0 {
+		if value.Compare(c[g.Rel][g.Col], it.rep[g.Rel][g.Col]) != 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// startGroup makes c the representative of a new group, copying it when
-// its batch is borrowed, and resets the aggregate states.
+// startGroup makes a copy of c the representative of a new group and
+// resets the aggregate states. The group can outlive c's batch, and one
+// representative is kept at a time, so the copy reuses rep and repVals.
 func (it *groupAggOp) startGroup(c comp) {
-	it.curRep = c
-	if it.read.borrowed() {
-		if it.rep == nil {
-			it.rep = make(comp, len(c))
-		}
-		it.repVals = it.repVals[:0]
-		for i, r := range c {
-			it.rep[i] = nil
-			if r != nil {
-				start := len(it.repVals)
-				it.repVals = append(it.repVals, r...)
-				it.rep[i] = it.repVals[start:len(it.repVals):len(it.repVals)]
-			}
-		}
-		it.curRep = it.rep
+	if it.rep == nil {
+		it.rep = make(comp, len(c))
 	}
+	it.repVals = it.repVals[:0]
+	copyComp(&it.repVals, it.rep, c)
 	it.resetStates()
 }
 
@@ -173,7 +160,7 @@ func (it *groupAggOp) next() (comp, bool, error) {
 				it.resetStates()
 				return it.emit(make(comp, it.ctx.numRels()))
 			}
-			return it.emit(it.curRep)
+			return it.emit(it.rep)
 		}
 		if !it.started {
 			it.started = true
@@ -181,7 +168,7 @@ func (it *groupAggOp) next() (comp, bool, error) {
 		} else if !it.sameGroup(c) {
 			// Group boundary: emit the finished group (unless HAVING
 			// filters it), start the next with c.
-			out, keep, err := it.emit(it.curRep)
+			out, keep, err := it.emit(it.rep)
 			if err != nil {
 				return nil, false, err
 			}

@@ -34,17 +34,23 @@ type hashJoinOp struct {
 	buildRows  int64
 	buildBytes int64
 
+	// The current outer row is the one outerRead served last, and cur[ci:]
+	// the build rows it has still to be joined with.
 	outerRead *batchReader
-	curOuter  comp
 	cur       []comp
 	ci        int
 	out       joiner
 }
 
+// open builds the table. The build keeps its rows for the whole run, past
+// the batches its input lends them in, so each batch's rows with a join
+// value (NULL keys match nothing) are copied into one value chunk and one
+// composite chunk, both exactly sized. buildBytes counts those chunks, the
+// table's key strings and the rows' string bytes.
 func (it *hashJoinOp) open() error {
 	it.table = make(map[string]int, int(it.node.BuildRows)+1)
 	it.buildRows, it.buildBytes = 0, 0
-	it.curOuter, it.cur, it.ci = nil, nil, 0
+	it.cur, it.ci = nil, 0
 	if err := it.inner.Open(); err != nil {
 		return err
 	}
@@ -55,28 +61,44 @@ func (it *hashJoinOp) open() error {
 		c comp
 	}
 	in := make([]staged, 0, int(it.node.BuildRows)+1)
-	build := it.ctx.reader(nil, it.inner)
+	col, nr := it.node.InnerCol, it.ctx.numRels()
+	b := NewBatch(it.ctx.batchN())
 	for {
-		c, ok, err := build.next()
-		if err != nil {
+		if err := it.inner.NextBatch(b); err != nil {
 			return err
 		}
-		if !ok {
+		if b.Len() == 0 {
 			break
 		}
-		k := c[it.node.InnerCol.Rel][it.node.InnerCol.Col]
-		if k.IsNull() {
-			continue // NULL join keys match nothing
+		n, w := 0, 0
+		for _, c := range b.rows {
+			if !c[col.Rel][col.Col].IsNull() {
+				n, w = n+1, w+compWidth(c)
+			}
 		}
-		it.key = storage.AppendEncodedRow(it.key[:0], value.Row{k})
-		g, ok := it.table[string(it.key)]
-		if !ok {
-			g = len(it.table)
-			it.table[string(it.key)] = g
+		vals, comps := make(value.Row, 0, w), make([]value.Row, n*nr)
+		it.buildRows += int64(n)
+		it.buildBytes += int64(w)*int64(unsafe.Sizeof(value.Value{})) + int64(n*nr)*int64(unsafe.Sizeof(value.Row{}))
+		for _, c := range b.rows {
+			k := c[col.Rel][col.Col]
+			if k.IsNull() {
+				continue
+			}
+			kept := comp(comps[:nr:nr])
+			comps = comps[nr:]
+			copyComp(&vals, kept, c)
+			it.key = storage.AppendEncodedRow(it.key[:0], value.Row{k})
+			g, ok := it.table[string(it.key)]
+			if !ok {
+				g = len(it.table)
+				it.table[string(it.key)] = g
+				it.buildBytes += int64(len(it.key))
+			}
+			in = append(in, staged{g, kept})
 		}
-		in = append(in, staged{g, c})
-		it.buildRows++
-		it.buildBytes += int64(len(it.key)) + compBytes(c)
+		for _, v := range vals {
+			it.buildBytes += int64(len(v.Str))
+		}
 	}
 	it.bounds = make([]int, len(it.table)+1)
 	for _, s := range in {
@@ -103,15 +125,20 @@ func (it *hashJoinOp) open() error {
 	return nil
 }
 
+// next joins the current outer row with its build rows, which the join
+// holds, so a kept row copies nothing.
 func (it *hashJoinOp) next() (comp, bool, error) {
 	for {
 		if it.ci < len(it.cur) {
-			c, keep, err := it.out.join(it.ctx, it.curOuter, it.cur[it.ci], it.node.Residual, len(it.cur)-it.ci+it.outerRead.buffered())
+			c, keep, err := it.out.join(it.ctx, it.outerRead.last(), it.cur[it.ci], it.node.Residual, len(it.cur)-it.ci+it.outerRead.buffered(), false)
 			it.ci++
 			if err != nil || keep {
 				return c, keep, err
 			}
 			continue
+		}
+		if it.out.endsBatch(it.outerRead) {
+			return nil, false, nil
 		}
 		oc, ok, err := it.outerRead.next()
 		if err != nil || !ok {
@@ -122,41 +149,23 @@ func (it *hashJoinOp) next() (comp, bool, error) {
 			continue
 		}
 		it.key = storage.AppendEncodedRow(it.key[:0], value.Row{k})
-		it.cur = nil
+		it.cur, it.ci = nil, 0
 		if g, ok := it.table[string(it.key)]; ok {
 			it.cur = it.rows[it.bounds[g]:it.bounds[g+1]]
 		}
-		it.ci = 0
-		it.curOuter = oc
 	}
 }
 
 func (it *hashJoinOp) nextBatch(b *Batch) error {
-	it.out.reset(b)
+	it.out.reset()
 	return fillRows(b, it)
 }
 
 func (it *hashJoinOp) close() error {
-	it.table, it.rows, it.bounds, it.cur, it.curOuter = nil, nil, nil, nil, nil
+	it.table, it.rows, it.bounds, it.cur = nil, nil, nil, nil
 	firstErr := it.outer.Close()
 	if err := it.inner.Close(); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	return firstErr
-}
-
-// compBytes estimates the retained bytes of a buffered composite row: per
-// filled slot, the row's slice header, its values, and its strings' bytes.
-func compBytes(c comp) int64 {
-	var n int64
-	for _, r := range c {
-		if r == nil {
-			continue
-		}
-		n += 16 + int64(unsafe.Sizeof(value.Value{}))*int64(len(r))
-		for _, v := range r {
-			n += int64(len(v.Str))
-		}
-	}
-	return n
 }

@@ -5,37 +5,86 @@ package exec
 // rebuilt) per outer tuple, so its OpStats accumulate across loops and its
 // Opens count is the join's loop count.
 //
-// Memory: every join's outer owns its rows, and so do a merge join's inner
-// and a hash join's build, whose rows the join keeps across batches. A
-// nested-loop inner is built lending (see buildLending): the join evaluates
-// its residual on the inner's borrowed row and copies the inner's values
-// only for the rows it keeps, into a value chunk of its own. A join built as
-// the direct input of a projection, aggregation or sort lends its output
-// too: it reuses its composite chunk, and a nested loop its value chunk,
-// from one batch to the next (see joiner).
+// Memory: like every operator, a join's children lend their rows, valid
+// until their next NextBatch, Open or Close (see batch.go), and a join lends
+// its own in turn. A join copies only what it keeps past its children's
+// batches. Its output rows point into its outer's current batch, which it
+// therefore never replaces in the middle of a batch (see
+// joiner.endsBatch). A nested loop copies the inner values of the rows it
+// keeps, as its inner is re-opened per outer row; a merge join copies its
+// inner group as it reads it, and then the inner values of the rows it
+// keeps, as the group changes within a batch; a hash join copies its build
+// (see hashjoin.go), which its rows then point into.
 
 import (
 	"fmt"
 
 	"systemr/internal/plan"
+	"systemr/internal/sem"
 	"systemr/internal/value"
 )
 
-// The current outer row is the one outerRead served last (see
-// batchReader.last), not a field of its own: with the inner's value chunk
-// beside the joiner, nlJoinOp fits the 112-byte allocation size class.
-// TestScanOpsFitSizeClass pins it.
+// joiner builds a join's output rows in chunks the join reuses from batch
+// to batch. A candidate pair is merged into the composite chunk's next free
+// slot and the residual is evaluated there; only a kept row advances past
+// the slot, so a rejected one leaves it as scratch for the next candidate.
+// A kept row's outer slots point into the outer's current batch, so the
+// join ends its batch rather than read the outer's next one (see
+// endsBatch); its inner slots point at copies in vals unless the join holds
+// the inner row for its whole run (a hash build).
+type joiner struct {
+	chunk []value.Row // slots handed out this batch, with room for more
+	vals  value.Row   // inner values copied this batch, with room for more
+	kept  bool        // the batch has a row
+}
+
+// reset starts a batch, in the chunks the last one used: its rows are no
+// longer valid.
+func (j *joiner) reset() { j.chunk, j.vals, j.kept = j.chunk[:0], j.vals[:0], false }
+
+// endsBatch reports whether the join must end its batch before it reads
+// another outer row from outer: its rows point into the outer's current
+// batch, and outer would read the next one.
+func (j *joiner) endsBatch(outer *batchReader) bool { return j.kept && outer.buffered() == 0 }
+
+// join merges outer and inner, applies residual, and returns the joined
+// composite if it is kept, with copies of the inner's values when
+// copyInner. pending counts the candidates the operator holds for now, this
+// one included — what is left of the probe's match list, the duplicate
+// group or the inner's batch, plus the outer rows buffered behind this one.
+// A chunk that runs out of room is replaced by one with room for that many
+// rows, up to the batch target, or twice as many as before; so the join
+// grows its chunks to a batch and then allocates nothing.
+func (j *joiner) join(ctx *blockCtx, outer, inner comp, residual []sem.Expr, pending int, copyInner bool) (comp, bool, error) {
+	n, at := len(outer), len(j.chunk)
+	if cap(j.chunk)-at < n {
+		rows := min(max(pending, 2*cap(j.chunk)/n, 1), ctx.batchN())
+		j.chunk, at = make([]value.Row, 0, rows*n), 0
+	}
+	c := comp(j.chunk[at : at+n : at+n])
+	mergeComp(c, outer, inner)
+	keep, err := ctx.applyResidual(c, residual)
+	if err != nil || !keep {
+		return nil, false, err
+	}
+	j.chunk, j.kept = j.chunk[:at+n], true
+	if copyInner {
+		if w := compWidth(inner); cap(j.vals)-len(j.vals) < w {
+			j.vals = make(value.Row, 0, max(min(pending, ctx.batchN())*w, 2*cap(j.vals)))
+		}
+		copyComp(&j.vals, c, inner)
+	}
+	return c, true, nil
+}
+
 type nlJoinOp struct {
 	ctx     *blockCtx
 	node    *plan.NLJoin
 	outer   *op
 	inner   *op
 	innerOn bool // inner currently open
-	onOuter bool // an outer row is current
+	onOuter bool // an outer row is current: the one outerRead served last
 	out     joiner
-	// vals holds the inner values of the rows the join keeps, handed out
-	// in vals[:len] with room for more (see keepInner).
-	vals value.Row
 
 	// Children are read through batch adapters so their instrumented
 	// boundaries are paid per batch; the inner's adapter is reset at each
@@ -57,6 +106,9 @@ func (it *nlJoinOp) open() error {
 func (it *nlJoinOp) next() (comp, bool, error) {
 	for {
 		if !it.onOuter {
+			if it.out.endsBatch(it.outerRead) {
+				return nil, false, nil
+			}
 			oc, ok, err := it.outerRead.next()
 			if err != nil || !ok {
 				return nil, false, err
@@ -94,51 +146,16 @@ func (it *nlJoinOp) next() (comp, bool, error) {
 			it.onOuter = false
 			continue
 		}
-		left := it.innerRead.buffered() + 1
-		c, keep, err := it.out.join(it.ctx, it.outerRead.last(), ic, it.node.Residual, left+it.outerRead.buffered())
-		if err != nil {
-			return nil, false, err
-		}
-		if keep {
-			it.keepInner(c, ic, left)
-			return c, true, nil
-		}
-	}
-}
-
-// keepInner points c's inner slots, which share the inner's borrowed batch,
-// at copies carved from vals. An owning join sizes a new chunk for the
-// left rows of the inner's current batch, this one included, so it
-// allocates at most once per inner batch and copies no more than an inner
-// that owned its rows would; it never writes a chunk's handed-out values
-// again. A lending join starts vals over at each batch and doubles it when
-// it runs out, so after warm-up it allocates nothing.
-func (it *nlJoinOp) keepInner(c, inner comp, left int) {
-	w := 0
-	for _, r := range inner {
-		w += len(r)
-	}
-	if cap(it.vals)-len(it.vals) < w {
-		n := left * w
-		if it.out.lend {
-			n = max(n, 2*cap(it.vals))
-		}
-		it.vals = make(value.Row, 0, n)
-	}
-	for i, r := range inner {
-		if r != nil {
-			at := len(it.vals)
-			it.vals = append(it.vals, r...)
-			c[i] = it.vals[at:len(it.vals):len(it.vals)]
+		pending := it.innerRead.buffered() + 1 + it.outerRead.buffered()
+		c, keep, err := it.out.join(it.ctx, it.outerRead.last(), ic, it.node.Residual, pending, true)
+		if err != nil || keep {
+			return c, keep, err
 		}
 	}
 }
 
 func (it *nlJoinOp) nextBatch(b *Batch) error {
-	if it.out.lend {
-		it.vals = it.vals[:0]
-	}
-	it.out.reset(b)
+	it.out.reset()
 	return fillRows(b, it)
 }
 
@@ -160,20 +177,19 @@ func (it *nlJoinOp) close() error {
 
 // mergeJoinOp synchronizes two scans ordered on the join columns,
 // remembering the current inner join group so it is never rescanned
-// ("remembering where matching join groups are located", Section 5).
+// ("remembering where matching join groups are located", Section 5). The
+// group outlives the inner's batches, so it is copied as it is read, into
+// slots and values the join reuses from group to group.
 type mergeJoinOp struct {
 	ctx   *blockCtx
 	node  *plan.MergeJoin
 	outer *op
 	inner *op
 
-	curOuter  comp
-	group     []comp
-	groupKey  value.Value
-	haveGroup bool
-	gi        int
-	lookahead comp
-	innerDone bool
+	group     []value.Row // the group's rows, one slot per relation each
+	groupVals value.Row   // the values the group's slots point at
+	gi        int         // the group row to join with the current outer next
+	onOuter   bool        // an outer row is current: the one outerRead served last
 	out       joiner
 
 	outerRead *batchReader
@@ -181,8 +197,7 @@ type mergeJoinOp struct {
 }
 
 func (it *mergeJoinOp) open() error {
-	it.curOuter, it.group, it.haveGroup, it.gi = nil, nil, false, 0
-	it.lookahead, it.innerDone = nil, false
+	it.group, it.groupVals, it.gi, it.onOuter = it.group[:0], it.groupVals[:0], 0, false
 	if err := it.outer.Open(); err != nil {
 		return err
 	}
@@ -194,82 +209,52 @@ func (it *mergeJoinOp) open() error {
 	return nil
 }
 
-func (it *mergeJoinOp) innerNext() (comp, bool, error) {
-	if it.lookahead != nil {
-		c := it.lookahead
-		it.lookahead = nil
-		return c, true, nil
-	}
-	if it.innerDone {
-		return nil, false, nil
-	}
-	c, ok, err := it.innerRead.next()
-	if err != nil {
-		return nil, false, err
-	}
-	if !ok {
-		it.innerDone = true
-		return nil, false, nil
-	}
-	return c, true, nil
+// groupLen returns the number of rows in the group.
+func (it *mergeJoinOp) groupLen() int { return len(it.group) / it.ctx.numRels() }
+
+// groupRow returns the group's row g.
+func (it *mergeJoinOp) groupRow(g int) comp {
+	nr := it.ctx.numRels()
+	return comp(it.group[g*nr : (g+1)*nr : (g+1)*nr])
+}
+
+// groupKey returns the group's join value: its first row's.
+func (it *mergeJoinOp) groupKey() value.Value {
+	return it.groupRow(0)[it.node.InnerCol.Rel][it.node.InnerCol.Col]
 }
 
 // loadGroup positions the inner group at the first key >= key and buffers
-// all inner rows equal to it.
+// all inner rows equal to it; a current group already there stays.
 func (it *mergeJoinOp) loadGroup(key value.Value) error {
-	// Reuse the current group if it already matches.
-	if it.haveGroup && value.Compare(it.groupKey, key) == 0 {
+	if it.groupLen() > 0 && value.Compare(it.groupKey(), key) >= 0 {
 		return nil
 	}
-	// Skip groups below the outer key.
+	it.group, it.groupVals = it.group[:0], it.groupVals[:0]
 	for {
-		if it.haveGroup && value.Compare(it.groupKey, key) >= 0 {
-			return nil
-		}
-		c, ok, err := it.innerNext()
-		if err != nil {
+		c, ok, err := it.innerRead.next()
+		if err != nil || !ok {
 			return err
 		}
-		if !ok {
-			it.haveGroup = false
-			it.group = nil
+		k := c[it.node.InnerCol.Rel][it.node.InnerCol.Col]
+		if k.IsNull() || value.Compare(k, key) < 0 {
+			continue // NULL join keys match nothing; skip groups below key
+		}
+		if it.groupLen() > 0 && value.Compare(k, it.groupKey()) != 0 {
+			it.innerRead.unread() // the next group's first row
 			return nil
 		}
-		k := c[it.node.InnerCol.Rel][it.node.InnerCol.Col]
-		if k.IsNull() {
-			continue // NULL join keys match nothing
-		}
-		if value.Compare(k, key) < 0 {
-			continue
-		}
-		// Buffer the whole group with this key.
-		it.group = it.group[:0]
-		it.group = append(it.group, c)
-		it.groupKey = k
-		it.haveGroup = true
-		for {
-			nc, ok, err := it.innerNext()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			nk := nc[it.node.InnerCol.Rel][it.node.InnerCol.Col]
-			if value.Compare(nk, k) == 0 {
-				it.group = append(it.group, nc)
-				continue
-			}
-			it.lookahead = nc
-			break
-		}
-		return nil
+		at := len(it.group)
+		it.group = append(it.group, c...)
+		copyComp(&it.groupVals, it.group[at:], c)
 	}
 }
 
 func (it *mergeJoinOp) next() (comp, bool, error) {
 	for {
-		if it.curOuter == nil {
+		if !it.onOuter {
+			if it.out.endsBatch(it.outerRead) {
+				return nil, false, nil
+			}
 			oc, ok, err := it.outerRead.next()
 			if err != nil || !ok {
 				return nil, false, err
@@ -281,17 +266,17 @@ func (it *mergeJoinOp) next() (comp, bool, error) {
 			if err := it.loadGroup(key); err != nil {
 				return nil, false, err
 			}
-			if !it.haveGroup || value.Compare(it.groupKey, key) != 0 {
+			if it.groupLen() == 0 || value.Compare(it.groupKey(), key) != 0 {
 				continue // no matching inner group
 			}
-			it.curOuter = oc
-			it.gi = 0
+			it.onOuter, it.gi = true, 0
 		}
-		if it.gi >= len(it.group) {
-			it.curOuter = nil
+		n := it.groupLen()
+		if it.gi >= n {
+			it.onOuter = false
 			continue
 		}
-		c, keep, err := it.out.join(it.ctx, it.curOuter, it.group[it.gi], it.node.Residual, len(it.group)-it.gi+it.outerRead.buffered())
+		c, keep, err := it.out.join(it.ctx, it.outerRead.last(), it.groupRow(it.gi), it.node.Residual, n-it.gi+it.outerRead.buffered(), true)
 		it.gi++
 		if err != nil || keep {
 			return c, keep, err
@@ -300,7 +285,7 @@ func (it *mergeJoinOp) next() (comp, bool, error) {
 }
 
 func (it *mergeJoinOp) nextBatch(b *Batch) error {
-	it.out.reset(b)
+	it.out.reset()
 	return fillRows(b, it)
 }
 

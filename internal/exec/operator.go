@@ -165,7 +165,7 @@ func (ctx *blockCtx) build(n plan.Node) (*op, error) {
 		if err != nil {
 			return nil, err
 		}
-		inner, err := ctx.buildLending(x.Inner)
+		inner, err := ctx.build(x.Inner)
 		if err != nil {
 			return nil, err
 		}
@@ -191,19 +191,19 @@ func (ctx *blockCtx) build(n plan.Node) (*op, error) {
 		}
 		return ctx.newOp(n, &hashJoinOp{ctx: ctx, node: x, outer: outer, inner: inner}, outer, inner), nil
 	case *plan.Sort:
-		in, err := ctx.buildLending(x.Input)
+		in, err := ctx.build(x.Input)
 		if err != nil {
 			return nil, err
 		}
 		return ctx.newOp(n, &sortOp{ctx: ctx, input: in, keys: x.Keys}, in), nil
 	case *plan.Project:
-		in, err := ctx.buildLending(x.Input)
+		in, err := ctx.build(x.Input)
 		if err != nil {
 			return nil, err
 		}
 		return ctx.newOp(n, &projectOp{ctx: ctx, input: in, exprs: x.Exprs}, in), nil
 	case *plan.GroupAgg:
-		in, err := ctx.buildLending(x.Input)
+		in, err := ctx.build(x.Input)
 		if err != nil {
 			return nil, err
 		}
@@ -220,33 +220,6 @@ func (ctx *blockCtx) build(n plan.Node) (*op, error) {
 	default:
 		return nil, fmt.Errorf("exec: unsupported plan node %T", n)
 	}
-}
-
-// buildLending builds the input of a projection, aggregation or sort, or
-// the inner of a nested loop. Each of them is done with a row before it
-// reads the next batch — the nested loop copies the rows it keeps — so a
-// scan, a sort or a join built here lends its rows (see batch.go); every
-// other one owns the rows it hands out.
-func (ctx *blockCtx) buildLending(n plan.Node) (*op, error) {
-	in, err := ctx.build(n)
-	if err != nil {
-		return nil, err
-	}
-	switch s := in.impl.(type) {
-	case *segScanOp:
-		s.lend = true
-	case *indexScanOp:
-		s.lend = true
-	case *sortOp:
-		s.lend = true
-	case *nlJoinOp:
-		s.out.lend = true
-	case *mergeJoinOp:
-		s.out.lend = true
-	case *hashJoinOp:
-		s.out.lend = true
-	}
-	return in, nil
 }
 
 // producesOutput reports whether n emits final output rows (single-slot

@@ -16,17 +16,14 @@ import (
 	"systemr/internal/value"
 )
 
-// The batch memory contract: a batch's rows are owned or borrowed. A
-// producer of owned rows allocates them and never writes them again, so a
-// consumer may retain them: scans and sorts that do not lend copy their rows
-// out, per batch, of the stage or the run reader's row. These tests retain
-// every row such an operator returns, snapshot its values on receipt, and
-// check after the operator is drained — later batches, and rejected
-// versions decoded over the stage, included — that nothing retained
-// changed. A scan or a sort under a projection, aggregation or sort lends
-// its rows instead; for those, the tests check that the batches say
-// borrowed and that the consumer's result matches the reference evaluator
-// at every batch size.
+// The batch memory contract (batch.go): every operator lends its rows,
+// which stay valid until its next NextBatch, Open or Close, and an operator
+// that needs a row for longer copies it. These tests drain operators as
+// their consumers do, copying each batch's rows when it arrives, and compare
+// the copies with the reference evaluator; and they run the queries whose
+// operators keep rows past their inputs' batches — a join's outer row,
+// merge group and hash build, a grouping's representative — at batch sizes
+// that turn those batches over mid-group, against the reference.
 
 // loadRetention builds A(K, S, V) and B(K, S) in one shared segment, so a
 // scan of either also rejects the other's records. VARCHAR values vary in
@@ -111,37 +108,16 @@ func mustBuild(t *testing.T, e *env, q *plan.Query) *op {
 	return root
 }
 
-// buildOwned builds q's operator tree and returns the operator find picks,
-// built again as it is where it owns its rows: driven directly, as it is
-// under a join.
-func buildOwned(t *testing.T, e *env, q *plan.Query, find func(*op) *op) *op {
+// drainLent drives o to completion in batches of batchN rows and returns
+// a copy of every row it lends, taken when the row's batch arrives — the
+// row is valid until o's next NextBatch — with its string bytes, each
+// row's filled slots back to back in relation order.
+func drainLent(t *testing.T, o *op, batchN int) []value.Row {
 	t.Helper()
-	ctx := newBlockCtx(e.rt, q, new(int))
-	root, err := ctx.buildRoot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := find(root)
-	if target == nil {
-		t.Fatalf("plan has no such operator:\n%s", q.Explain())
-	}
-	owned, err := ctx.build(target.node)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return owned
-}
-
-// drainRetained drives o to completion, retaining every composite it
-// returns and a deep copy, string bytes included, taken on receipt, and fails if a batch is
-// borrowed or if any retained row differs from its copy once o is drained
-// and closed. It returns the rows.
-func drainRetained(t *testing.T, o *op, batchN int) []comp {
-	t.Helper()
-	var kept, copies []comp
 	if err := o.Open(); err != nil {
 		t.Fatal(err)
 	}
+	var rows []value.Row
 	b := NewBatch(batchN)
 	for {
 		if err := o.NextBatch(b); err != nil {
@@ -151,77 +127,38 @@ func drainRetained(t *testing.T, o *op, batchN int) []comp {
 		if b.Len() == 0 {
 			break
 		}
-		if b.borrowed {
-			o.Close()
-			t.Fatalf("%T lends its rows; only owned rows may be retained", o.impl)
-		}
-		for i := 0; i < b.Len(); i++ {
-			c := b.Row(i)
-			cp := make(comp, len(c))
-			for j, r := range c {
-				if r != nil {
-					// Copy the string bytes too: a string arena that
-					// rewrote them would change the copy with the row.
-					cp[j] = r.Clone()
-					for k := range cp[j] {
-						cp[j][k].Str = strings.Clone(cp[j][k].Str)
-					}
+		for _, c := range b.rows {
+			var row value.Row
+			for _, r := range c {
+				for _, v := range r {
+					v.Str = strings.Clone(v.Str)
+					row = append(row, v)
 				}
 			}
-			kept = append(kept, c)
-			copies = append(copies, cp)
+			rows = append(rows, row)
 		}
 	}
 	if err := o.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for i := range kept {
-		for j := range kept[i] {
-			if len(kept[i][j]) != len(copies[i][j]) {
-				t.Fatalf("retained row %d slot %d changed width: %v, was %v", i, j, kept[i][j], copies[i][j])
-			}
-			for k := range kept[i][j] {
-				if kept[i][j][k] != copies[i][j][k] {
-					t.Fatalf("retained row %d slot %d changed after later batches: %v, was %v", i, j, kept[i][j], copies[i][j])
-				}
-			}
-		}
-	}
-	return kept
+	return rows
 }
 
-// drainBorrowed drives o to completion and fails unless every batch it
-// fills says its rows are borrowed. It returns the number of rows.
-func drainBorrowed(t *testing.T, o *op, batchN int) int {
+// reference returns the reference evaluator's rows for blk.
+func reference(t *testing.T, e *env, blk *sem.Block) []value.Row {
 	t.Helper()
-	if err := o.Open(); err != nil {
+	want, err := testutil.RunBlock(e.disk, blk)
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer o.Close()
-	b := NewBatch(batchN)
-	n := 0
-	for {
-		if err := o.NextBatch(b); err != nil {
-			t.Fatal(err)
-		}
-		if b.Len() == 0 {
-			return n
-		}
-		if !b.borrowed {
-			t.Fatalf("%T returned owned rows; it should lend them", o.impl)
-		}
-		n += b.Len()
-	}
+	return want
 }
 
 // matchesReference runs q at each batch size and compares its rows with the
 // reference evaluator's.
 func matchesReference(t *testing.T, e *env, blk *sem.Block, q *plan.Query, sizes ...int) {
 	t.Helper()
-	want, err := testutil.RunBlock(e.disk, blk)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := reference(t, e, blk)
 	defer func(n int) { e.rt.BatchSize = n }(e.rt.BatchSize)
 	for _, n := range sizes {
 		e.rt.BatchSize = n
@@ -235,49 +172,43 @@ func matchesReference(t *testing.T, e *env, blk *sem.Block, q *plan.Query, sizes
 	}
 }
 
-// TestRetainedRowsSurviveLaterBatches covers the retaining consumers: a
-// nested-loop outer, a merge-join group read back from sorts, a hash build,
-// and the read-back rows of a sort under a merge join, which owns them —
-// each over scans with every kind of rejection, the joins' output with
-// residual rejections between the rows they keep — and checks the query
-// result against the reference evaluator. Under the query's projection a
-// join lends its output (see TestJoinLendsItsRows), so each operator is
-// drained as built where it owns its rows: driven directly, as it is under
-// a join. The nested loop's kept rows then hold copies of the inner's
-// values, which its lending inner overwrites batch after batch.
+// TestRetainedRowsSurviveLaterBatches covers the operators that keep rows
+// past their inputs' batches: a nested loop its current outer row, a merge
+// join its group read back from a sort, a hash join its build, and a sort's
+// read-back rows under a merge join — each over scans with every kind of
+// rejection, the joins' output with residual rejections between the rows
+// they keep. Each copies what it keeps, so the join's lent rows, copied as
+// its batches of 16 arrive, match the reference evaluator, and so does the
+// query at batch sizes 1, 3, 16 and 256. The sort's rows match its input's.
 func TestRetainedRowsSurviveLaterBatches(t *testing.T) {
-	const join = "SELECT A.S, B.S, A.V FROM A, B WHERE A.K = B.K AND A.V >= 25 AND A.V <> A.K AND B.S <> 'b0' AND A.V > B.K * 9"
+	const join = "SELECT A.K, A.S, A.V, B.K, B.S FROM A, B WHERE A.K = B.K AND A.V >= 25 AND A.V <> A.K AND B.S <> 'b0' AND A.V > B.K * 9"
 	cases := []struct {
-		name  string
-		query string
-		cfg   core.Config
-		find  func(*op) *op
+		name string
+		cfg  core.Config
+		find func(*op) *op
 	}{
-		{"nested-loop outer", join, core.Config{Joins: core.NestedLoopsOnly}, findOp[*plan.NLJoin]},
-		{"merge-join group", join, core.Config{Joins: core.MergeOnly}, findOp[*plan.MergeJoin]},
-		{"hash build", join, core.Config{}, findOp[*plan.HashJoin]},
-		{"sort read-back", join, core.Config{Joins: core.MergeOnly}, findOp[*plan.Sort]},
+		{"nested-loop outer", core.Config{Joins: core.NestedLoopsOnly}, findOp[*plan.NLJoin]},
+		{"merge-join group", core.Config{Joins: core.MergeOnly}, findOp[*plan.MergeJoin]},
+		{"hash build", core.Config{}, findOp[*plan.HashJoin]},
+		{"sort read-back", core.Config{Joins: core.MergeOnly}, findOp[*plan.Sort]},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			e := newEnv(t)
 			loadRetention(t, e)
-			blk, q := e.plan(t, tc.query, tc.cfg)
-			if got := drainRetained(t, buildOwned(t, e, q, tc.find), 16); len(got) == 0 {
-				t.Fatalf("%s returned no rows", tc.name)
+			blk, q := e.plan(t, join, tc.cfg)
+			o := tc.find(mustBuild(t, e, q))
+			if o == nil {
+				t.Fatalf("plan has no such operator:\n%s", q.Explain())
 			}
-
-			rows, _, err := RunQuery(e.rt, q, nil)
-			if err != nil {
-				t.Fatal(err)
+			got, want := drainLent(t, o, 16), reference(t, e, blk)
+			if _, ok := o.impl.(*sortOp); ok {
+				want = drainLent(t, o.kids[0], 16)
 			}
-			want, err := testutil.RunBlock(e.disk, blk)
-			if err != nil {
-				t.Fatal(err)
+			if len(got) < 100 || !testutil.SameMultiset(got, want) {
+				t.Fatalf("%s returned %d rows, want the %d of the reference\n%s", tc.name, len(got), len(want), q.Explain())
 			}
-			if !testutil.SameMultiset(rows, want) {
-				t.Fatalf("result differs from the reference: %d rows, want %d\n%s", len(rows), len(want), q.Explain())
-			}
+			matchesReference(t, e, blk, q, 1, 3, 16, 256)
 		})
 	}
 }
@@ -285,14 +216,13 @@ func TestRetainedRowsSurviveLaterBatches(t *testing.T) {
 // TestRetainedStringsSurviveArenaTurnover: the scans carve every VARCHAR
 // they decode from the block's string arena, whose chunks turn over every
 // 4 KB — A's strings alone are over 5 KB — and whose carved bytes are never
-// written again. So the consumers that keep a VARCHAR column across batches
-// — a hash build, duplicate elimination and a nested-loop outer — hand out
-// rows whose strings survive everything decoded after them, at batch sizes
-// 1, 3 and 256, and the queries match the reference evaluator at each. The
-// joins are drained as built where they own their rows, as in
-// TestRetainedRowsSurviveLaterBatches.
+// written again. So the operators that keep a VARCHAR column across batches
+// — a hash build, duplicate elimination and a nested-loop outer — keep
+// values whose strings survive everything decoded after them: their lent
+// rows, copied with their string bytes as each batch arrives, match the
+// reference evaluator at batch sizes 1, 3 and 256, and so do the queries.
 func TestRetainedStringsSurviveArenaTurnover(t *testing.T) {
-	const join = "SELECT A.S, B.S FROM A, B WHERE A.K = B.K AND A.V <> B.K"
+	const join = "SELECT A.K, A.S, A.V, B.K, B.S FROM A, B WHERE A.K = B.K AND A.V <> B.K"
 	cases := []struct {
 		name  string
 		query string
@@ -308,10 +238,15 @@ func TestRetainedStringsSurviveArenaTurnover(t *testing.T) {
 			e := newEnv(t)
 			loadRetention(t, e)
 			blk, q := e.plan(t, tc.query, tc.cfg)
+			want := reference(t, e, blk)
 			for _, n := range []int{1, 3, 256} {
 				e.rt.BatchSize = n
-				if got := drainRetained(t, buildOwned(t, e, q, tc.find), n); len(got) < 100 {
-					t.Fatalf("batch size %d: %s returned %d rows", n, tc.name, len(got))
+				o := tc.find(mustBuild(t, e, q))
+				if o == nil {
+					t.Fatalf("plan has no such operator:\n%s", q.Explain())
+				}
+				if got := drainLent(t, o, n); len(got) < 100 || !testutil.SameMultiset(got, want) {
+					t.Fatalf("batch size %d: %s returned %d rows, want the %d of the reference", n, tc.name, len(got), len(want))
 				}
 			}
 			matchesReference(t, e, blk, q, 1, 3, 256)
@@ -319,12 +254,10 @@ func TestRetainedStringsSurviveArenaTurnover(t *testing.T) {
 	}
 }
 
-// TestScanRowsSurviveStageReuse: a scan that owns its rows — one under a
-// join, or one driven directly — hands out rows that survive the batches
-// after them, whose versions are decoded into the same stage, rejected ones
-// included. The same scans under a projection lend their stage: every batch
-// says borrowed, and the query matches the reference evaluator at batch
-// sizes 1, 3 and 256.
+// TestScanRowsSurviveStageReuse: a scan hands out the rows of the stage it
+// decodes every version into, rejected ones included, and reuses the stage
+// for every batch. Copied as each batch of 16 arrives, its rows match the
+// reference evaluator, and so does the query at batch sizes 1, 3 and 256.
 func TestScanRowsSurviveStageReuse(t *testing.T) {
 	e := newEnv(t)
 	loadRetention(t, e)
@@ -336,57 +269,28 @@ func TestScanRowsSurviveStageReuse(t *testing.T) {
 		query string
 		find  func(*op) *op
 	}{
-		{"SELECT A.S FROM A WHERE A.V >= 25 AND A.V <> A.K", findOp[*plan.SegScan]},
-		{"SELECT A.S FROM A WHERE A.K BETWEEN 3 AND 30 AND A.V >= 25 AND A.V <> A.K", findOp[*plan.IndexScan]},
+		{"SELECT A.K, A.S, A.V FROM A WHERE A.V >= 25 AND A.V <> A.K", findOp[*plan.SegScan]},
+		{"SELECT A.K, A.S, A.V FROM A WHERE A.K BETWEEN 3 AND 30 AND A.V >= 25 AND A.V <> A.K", findOp[*plan.IndexScan]},
 	} {
-		query := tc.query
-		blk, q := e.plan(t, query, core.Config{})
-		ctx := newBlockCtx(e.rt, q, new(int))
-		root, err := ctx.buildRoot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		lent := tc.find(root)
-		if lent == nil || lent != root.kids[0] {
+		blk, q := e.plan(t, tc.query, core.Config{})
+		root := mustBuild(t, e, q)
+		scan := tc.find(root)
+		if scan == nil || scan != root.kids[0] {
 			t.Fatalf("unexpected access path:\n%s", q.Explain())
 		}
-		rows, _, err := RunQuery(e.rt, q, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := drainBorrowed(t, lent, 16); n != len(rows) {
-			t.Fatalf("%s: lending scan returned %d rows, query %d", query, n, len(rows))
+		got, want := drainLent(t, scan, 16), reference(t, e, blk)
+		if len(got) < 100 || !testutil.SameMultiset(got, want) {
+			t.Fatalf("%s: the scan returned %d rows, want the %d of the reference", tc.query, len(got), len(want))
 		}
 		matchesReference(t, e, blk, q, 1, 3, 256)
-
-		// Driven directly, the same scan node owns its rows.
-		owned, err := ctx.build(lent.node)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := drainRetained(t, owned, 16); len(got) != len(rows) || len(got) < 100 {
-			t.Fatalf("%s: scan returned %d rows, query %d", query, len(got), len(rows))
-		}
-	}
-
-	// Under a join: the nested loop's outer scan owns its rows.
-	_, q := e.plan(t, "SELECT A.S, B.S FROM A, B WHERE A.K = B.K AND A.V >= 25 AND A.V <> A.K", core.Config{Joins: core.NestedLoopsOnly})
-	join := findOp[*plan.NLJoin](mustBuild(t, e, q))
-	if join == nil {
-		t.Fatalf("plan has no nested loops:\n%s", q.Explain())
-	}
-	if got := drainRetained(t, join.kids[0], 16); len(got) < 100 {
-		t.Fatalf("the join's outer scan returned %d rows", len(got))
 	}
 }
 
-// TestSortLendsItsRows: a sort built as the direct input of a projection
-// or an aggregation lends its read-back rows, copied into a value chunk it
-// reuses for every batch. Every batch says borrowed, and the query — an
-// ORDER BY on the VARCHAR A.S, and a GROUP BY whose representatives the
-// grouping copies out of the borrowed batches — matches the reference
-// evaluator at batch sizes 1, 3 and 256; so do a one-row and an empty
-// ORDER BY.
+// TestSortLendsItsRows: a sort lends its read-back rows, copied into chunks
+// it reuses for every batch, and the queries over one — an ORDER BY on the
+// VARCHAR A.S, and a GROUP BY whose representatives the grouping copies out
+// of the sort's batches — match the reference evaluator at batch sizes 1, 3
+// and 256; so do a one-row and an empty ORDER BY.
 func TestSortLendsItsRows(t *testing.T) {
 	e := newEnv(t)
 	loadRetention(t, e)
@@ -404,7 +308,7 @@ func TestSortLendsItsRows(t *testing.T) {
 		if _, ok := root.kids[0].impl.(*sortOp); !ok {
 			t.Fatalf("%s: the root's input is no sort:\n%s", tc.query, q.Explain())
 		}
-		n := drainBorrowed(t, root.kids[0], 16)
+		n := len(drainLent(t, root.kids[0], 16))
 		if tc.rows >= 0 && n != tc.rows || tc.rows < 0 && n < 100 {
 			t.Fatalf("%s: the sort returned %d rows", tc.query, n)
 		}
@@ -443,8 +347,8 @@ func loadGroups(t *testing.T, e *env) {
 }
 
 // TestGroupByOverLendingScan: grouping directly over an ordered index scan,
-// which lends its stage, keeps each group's representative across the
-// batches the group spans. Its VARCHAR group column, output and compared at
+// which lends its stage, copies each group's representative, which it keeps
+// across the batches the group spans. Its VARCHAR group column, output and compared at
 // every group boundary and filtered by HAVING, must match the reference
 // evaluator at batch sizes 1, 3 and 256; a representative left in the
 // stage is overwritten by the next batch.
@@ -463,23 +367,21 @@ func TestGroupByOverLendingScan(t *testing.T) {
 		if _, ok := root.kids[0].node.(*plan.IndexScan); !ok {
 			t.Fatalf("grouping is not directly over an index scan:\n%s", q.Explain())
 		}
-		if drainBorrowed(t, root.kids[0], 3) == 0 {
+		if len(drainLent(t, root.kids[0], 3)) == 0 {
 			t.Fatal("the scan returned no rows")
 		}
 		matchesReference(t, e, blk, q, 1, 3, 256)
 	}
 }
 
-// TestJoinLendsItsRows: a join built as the direct input of a projection,
-// an aggregation or a sort lends its output, and a nested loop's inner
+// TestJoinLendsItsRows: a join lends its output, and a nested loop's inner
 // lends its rows to the join, which copies the inner values of the rows it
-// keeps. For each join method under each of the three, every batch the
-// join fills says borrowed, and the query matches the reference evaluator
-// at batch sizes 1, 3 and 256. The residual rejects candidates between the
-// kept ones, the nested loop's inner B carries the VARCHAR B.S, and its
-// probes return some 12 rows each, so inner batches cross the join's batch
-// boundaries: a kept row left pointing into the inner's batch is
-// overwritten by a later probe.
+// keeps. For each join method under a projection, an aggregation and a
+// sort, the query matches the reference evaluator at batch sizes 1, 3 and
+// 256. The residual rejects candidates between the kept ones, the nested
+// loop's inner B carries the VARCHAR B.S, and its probes return some 12
+// rows each, so inner batches cross the join's batch boundaries: a kept row
+// left pointing into the inner's batch is overwritten by a later probe.
 func TestJoinLendsItsRows(t *testing.T) {
 	e := newEnv(t)
 	loadRetention(t, e)
@@ -512,7 +414,7 @@ func TestJoinLendsItsRows(t *testing.T) {
 				if p := parentOf(root, j); j == nil || p == nil || !parent.is(p.node) {
 					t.Fatalf("the %s join is not the direct input of a %s:\n%s", join.name, parent.name, q.Explain())
 				}
-				if n := drainBorrowed(t, j, 3); n < 1000 {
+				if n := len(drainLent(t, j, 3)); n < 1000 {
 					t.Fatalf("the join returned %d rows", n)
 				}
 				matchesReference(t, e, blk, q, 1, 3, 256)
@@ -538,4 +440,138 @@ func parentOf(root, o *op) *op {
 		}
 	}
 	return nil
+}
+
+// loadStacked builds X(K, S, V), Y(K, S) and Z(K, S, V) with VARCHAR S
+// values of varying lengths, and an index on each K. X has 150 rows over 15
+// keys, Y 60 over 20, Z 45 over 15, so every join key matches a handful of
+// rows and the test query joins all three into 723.
+func loadStacked(t *testing.T, e *env) {
+	t.Helper()
+	for _, tab := range []struct {
+		name string
+		rows int
+		keys int
+		cols []catalog.Column
+	}{
+		{"X", 150, 15, []catalog.Column{{Name: "K", Type: value.KindInt}, {Name: "S", Type: value.KindString}, {Name: "V", Type: value.KindInt}}},
+		{"Y", 60, 20, []catalog.Column{{Name: "K", Type: value.KindInt}, {Name: "S", Type: value.KindString}}},
+		{"Z", 45, 15, []catalog.Column{{Name: "K", Type: value.KindInt}, {Name: "S", Type: value.KindString}, {Name: "V", Type: value.KindInt}}},
+	} {
+		tb, err := e.cat.CreateTable(tab.name, tab.cols, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < tab.rows; i++ {
+			s := fmt.Sprintf("%s%d%s", strings.ToLower(tab.name), i, strings.Repeat("s", i%11))
+			row := value.Row{value.NewInt(int64(i % tab.keys)), value.NewString(s), value.NewInt(int64(i))}[:len(tab.cols)]
+			if _, _, err := rss.Insert(tb, row, storage.FrozenXID, storage.NoPrevTID, e.disk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := e.cat.CreateIndex(tab.name+"_K", tab.name, []string{"K"}, false, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.cat.UpdateStatistics()
+}
+
+// TestStackedJoinsCopyWhatTheyKeep: a join's output, lent batch by batch,
+// feeds each consumer that keeps rows past a batch. A join of X and Y by
+// each method, in X.K order, is joined with Z as the outer of each join
+// method, as a merge join's inner and as a hash join's build; and, sorted
+// on the VARCHAR Y.S, as a nested loop's outer. The optimizer plans only
+// left-deep trees, so the plans are built by hand. Each matches the
+// reference evaluator at batch sizes 1, 3, 16 and 256, run whole and
+// through a cursor. A join that left a kept row pointing into its outer's batch, or a
+// hash build into its input's, would hand out rows a later batch overwrote.
+func TestStackedJoinsCopyWhatTheyKeep(t *testing.T) {
+	e := newEnv(t)
+	loadStacked(t, e)
+	blk, _ := e.plan(t, "SELECT X.K, X.S, X.V, Y.S, Z.S, Z.V FROM X, Y, Z WHERE X.K = Y.K AND X.K = Z.K AND X.V <> Y.K * 11 AND Z.V * 3 < X.V", core.Config{})
+	want := reference(t, e, blk)
+	if len(want) < 500 {
+		t.Fatalf("the reference returns %d rows", len(want))
+	}
+	f := blk.Factors
+	for i, text := range []string{"(X.K = Y.K)", "(X.K = Z.K)", "(X.V <> (Y.K * 11))", "((Z.V * 3) < X.V)"} {
+		if got := f[i].String(); got != text {
+			t.Fatalf("factor %d is %s, want %s", i, got, text)
+		}
+	}
+	xk, yk, zk := sem.ColumnID{Rel: 0}, sem.ColumnID{Rel: 1}, sem.ColumnID{Rel: 2}
+	params := blk.NumParams
+	scan := func(rel int) plan.Node {
+		r := blk.Rels[rel]
+		return &plan.SegScan{Table: r.Table, RelIdx: rel, RelName: r.Name}
+	}
+	sorted := func(n plan.Node, col sem.ColumnID) plan.Node {
+		return &plan.Sort{Input: n, Keys: []sem.OrderKey{{Col: col}}}
+	}
+	// nested joins outer with rel's rows whose K is the outer's col, through
+	// an index probe re-opened per outer row.
+	nested := func(outer plan.Node, col sem.ColumnID, rel int, residual sem.Expr) plan.Node {
+		r, p := blk.Rels[rel], params
+		params++
+		key := []sem.Bound{{Kind: sem.BoundParam, Param: p}}
+		probe := &plan.IndexScan{Index: r.Table.Indexes[0], RelIdx: rel, RelName: r.Name, Lo: key, LoInc: true, Hi: key, HiInc: true}
+		return &plan.NLJoin{Outer: outer, Inner: probe, Binds: []plan.ParamBind{{Param: p, From: col}}, Residual: []sem.Expr{residual}}
+	}
+	merge := func(outer, inner plan.Node, oc, ic sem.ColumnID, residual sem.Expr) plan.Node {
+		return &plan.MergeJoin{Outer: outer, Inner: inner, OuterCol: oc, InnerCol: ic, Residual: []sem.Expr{residual}}
+	}
+	hash := func(outer, inner plan.Node, oc, ic sem.ColumnID, residual sem.Expr) plan.Node {
+		return &plan.HashJoin{Outer: outer, Inner: inner, OuterCol: oc, InnerCol: ic, Residual: []sem.Expr{residual}, BuildRows: 100}
+	}
+	// Each lower join of X and Y keeps the X.K order of its sorted outer.
+	lower := []struct {
+		name string
+		mk   func() plan.Node
+	}{
+		{"nested loops", func() plan.Node { return nested(sorted(scan(0), xk), xk, 1, f[2].Expr) }},
+		{"merge", func() plan.Node { return merge(sorted(scan(0), xk), sorted(scan(1), yk), xk, yk, f[2].Expr) }},
+		{"hash", func() plan.Node { return hash(sorted(scan(0), xk), scan(1), xk, yk, f[2].Expr) }},
+	}
+	upper := []struct {
+		name string
+		mk   func(j plan.Node) plan.Node
+	}{
+		{"nested-loop outer", func(j plan.Node) plan.Node { return nested(j, xk, 2, f[3].Expr) }},
+		{"merge outer", func(j plan.Node) plan.Node { return merge(j, sorted(scan(2), zk), xk, zk, f[3].Expr) }},
+		{"hash probe", func(j plan.Node) plan.Node { return hash(j, scan(2), xk, zk, f[3].Expr) }},
+		{"merge inner", func(j plan.Node) plan.Node { return merge(sorted(scan(2), zk), j, zk, xk, f[3].Expr) }},
+		{"hash build", func(j plan.Node) plan.Node { return hash(scan(2), j, zk, xk, f[3].Expr) }},
+		{"sort input", func(j plan.Node) plan.Node { return nested(sorted(j, sem.ColumnID{Rel: 1, Col: 1}), xk, 2, f[3].Expr) }},
+	}
+	for _, lo := range lower {
+		for _, up := range upper {
+			t.Run(lo.name+" as "+up.name, func(t *testing.T) {
+				params = blk.NumParams
+				root := &plan.Project{Input: up.mk(lo.mk()), Exprs: blk.Select, OutNames: blk.SelectNames}
+				q := &plan.Query{Block: blk, Root: root, NumParams: params, OutNames: blk.SelectNames}
+				matchesReference(t, e, blk, q, 1, 3, 16, 256)
+				for _, n := range []int{1, 3, 16, 256} {
+					e.rt.BatchSize = n
+					c, err := OpenQuery(e.rt, q, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var rows []value.Row
+					for {
+						row, ok, err := c.Next()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !ok {
+							break
+						}
+						rows = append(rows, row)
+					}
+					if !testutil.SameMultiset(rows, want) {
+						t.Fatalf("cursor at batch size %d: %d rows, want the %d of the reference\n%s", n, len(rows), len(want), q.Explain())
+					}
+				}
+			})
+		}
+	}
 }

@@ -12,16 +12,13 @@ package exec
 // truncates the stage again when the relation, snapshot or SARGs reject a
 // version, and the operator does the same when its residual predicates do.
 //
-// At the end of each nextBatch the accepted rows reach the batch in one of
-// two ways. A scan built as the direct input of a projection, aggregation or
-// sort lends them: the batch holds slices of the stage, in composites carved
-// from one chunk the scan reuses across batches, and is marked borrowed, so
-// after warm-up the batch allocates nothing. Every other scan — under a
-// join, or driven directly — copies them out into one exactly sized value
-// chunk and one composite chunk: two allocations per batch, none per tuple,
-// and its consumer may retain the rows. Either way a row's VARCHAR values
+// At the end of each nextBatch the batch is handed the stage's own rows,
+// in composites carved from one chunk the scan reuses across batches, so
+// after warm-up a batch allocates nothing. The rows are valid until the
+// scan's next NextBatch, Open or Close (see batch.go). A row's VARCHAR values
 // are carved from the block's string arena (blockCtx.strs), whose bytes are
-// never rewritten, so retaining a row retains its strings.
+// never rewritten, so a consumer that copies a row's values keeps its
+// strings.
 
 import (
 	"math"
@@ -40,7 +37,7 @@ type scanStage struct {
 	vals    value.Row
 	ends    []int
 	scratch comp        // residual evaluation composite; built on the first residual
-	comps   []value.Row // a lending scan's composite chunk, reused across batches
+	comps   []value.Row // the composite chunk, reused across batches
 	valsBuf [16]value.Value
 	endsBuf [8]int
 }
@@ -106,31 +103,18 @@ func (st *scanStage) accept(ctx *blockCtx, vals value.Row, relIdx int, residual 
 }
 
 // emit hands the accepted rows to b, with room reserved in b for exactly
-// those rows. A lending scan hands out the stage's own rows in composites
-// from its reused chunk and marks b borrowed; otherwise the rows are copied
-// into one value chunk and one composite chunk, both exactly sized. An
-// empty stage (end of input) allocates nothing.
-func (st *scanStage) emit(ctx *blockCtx, b *Batch, relIdx int, lend bool) {
-	if len(st.ends) == 0 {
-		return
-	}
+// those rows, in composites carved from the stage's composite chunk.
+func (st *scanStage) emit(ctx *blockCtx, b *Batch, relIdx int) {
 	nr := ctx.numRels()
-	vals, comps := st.vals, st.comps
-	if n := len(st.ends) * nr; !lend {
-		vals = make(value.Row, len(st.vals))
-		copy(vals, st.vals)
-		comps = make([]value.Row, n)
-	} else if cap(comps) < n {
-		comps = make([]value.Row, n)
-		st.comps = comps
+	if n := len(st.ends) * nr; cap(st.comps) < n {
+		st.comps = make([]value.Row, n)
 	}
-	b.borrowed = lend
 	b.grow(len(st.ends))
-	start := 0
+	comps, start := st.comps, 0
 	for _, end := range st.ends {
 		c := comp(comps[:nr:nr])
 		comps = comps[nr:]
-		c[relIdx] = vals[start:end:end]
+		c[relIdx] = st.vals[start:end:end]
 		start = end
 		b.Append(c)
 	}
@@ -195,16 +179,14 @@ func (ctx *blockCtx) resolveSargs(first bool, dst *rss.SargSet, sargs []sem.Sarg
 	return nil
 }
 
-// The scan operators keep lend in the padding after their flags: with the
-// stage inline, each fits the 1 KB allocation size class, whose limit for a
-// pointerful object is 1,016 bytes (1,024 less Go's 8-byte malloc header).
-// TestScanOpsFitSizeClass pins it.
+// With the stage inline, each scan operator fits the 1 KB allocation size
+// class, whose limit for a pointerful object is 1,016 bytes (1,024 less Go's
+// 8-byte malloc header). TestScanOpsFitSizeClass pins it.
 type segScanOp struct {
 	ctx    *blockCtx
 	node   *plan.SegScan
 	scan   rss.SegmentScan
 	opened bool
-	lend   bool // hand the stage's rows out borrowed (see the file comment)
 	tid    storage.TID
 	stage  scanStage
 }
@@ -244,7 +226,7 @@ func (it *segScanOp) nextBatch(b *Batch) error {
 			it.tid = tid
 		}
 	}
-	st.emit(it.ctx, b, it.node.RelIdx, it.lend)
+	st.emit(it.ctx, b, it.node.RelIdx)
 	return nil
 }
 
@@ -260,7 +242,6 @@ type indexScanOp struct {
 	scan   rss.IndexScan
 	opened bool
 	empty  bool
-	lend   bool
 	tid    storage.TID
 	stage  scanStage
 }
@@ -317,7 +298,7 @@ func (it *indexScanOp) nextBatch(b *Batch) error {
 			it.tid = tid
 		}
 	}
-	st.emit(it.ctx, b, it.node.RelIdx, it.lend)
+	st.emit(it.ctx, b, it.node.RelIdx)
 	return nil
 }
 

@@ -2,7 +2,10 @@ package exec
 
 // Sort operator: materializes its input into a temporary list ordered by the
 // sort keys, flattening composites through the row codec so the temp pages
-// hold real serialized tuples.
+// hold real serialized tuples. Each input row is flattened before the next is
+// read, so the sort keeps nothing of its input's batches. It lends its
+// read-back rows: each batch is copied into a value chunk and a composite
+// chunk the sort reuses, valid until its next NextBatch, Open or Close.
 
 import (
 	"systemr/internal/sem"
@@ -17,11 +20,10 @@ type sortOp struct {
 	layout *compLayout
 	res    *xsort.Result
 	read   *batchReader
-	lend   bool // hand read-back rows out borrowed (see nextBatch)
 
 	flat  value.Row   // the one row every input row is flattened into
-	vals  value.Row   // a lending sort's value chunk, reused across batches
-	comps []value.Row // a lending sort's composite chunk, likewise
+	vals  value.Row   // the read-back value chunk, reused across batches
+	comps []value.Row // the read-back composite chunk, likewise
 	left  int         // sorted rows not yet delivered
 }
 
@@ -125,23 +127,18 @@ func (it *sortOp) open() (err error) {
 }
 
 // nextBatch copies each read-back row, valid only until the next is read,
-// into a value chunk and slices it into composites from a composite chunk,
-// both sized for the batch. A lending sort (see buildLending) reuses the
-// two chunks for every batch; any other allocates them per batch.
+// into the value chunk and slices it into composites from the composite
+// chunk; the chunks grow to the largest batch and are reused for every one.
 func (it *sortOp) nextBatch(b *Batch) error {
 	n := min(it.left, b.Cap())
 	if n == 0 {
 		return nil
 	}
 	w, nr := it.layout.total, len(it.layout.offsets)
-	vals, comps := it.vals, it.comps
-	if !it.lend || len(comps) < n*nr {
-		vals, comps = make(value.Row, n*w), make([]value.Row, n*nr)
-		if it.lend {
-			it.vals, it.comps = vals, comps
-		}
+	if len(it.comps) < n*nr {
+		it.vals, it.comps = make(value.Row, n*w), make([]value.Row, n*nr)
 	}
-	b.borrowed = it.lend
+	vals, comps := it.vals, it.comps
 	b.grow(n)
 	for range n {
 		row, ok, err := it.res.Next()
