@@ -13,8 +13,7 @@ import (
 	"sort"
 	"strings"
 
-	"systemr/internal/compile"
-	"systemr/internal/lock"
+	"systemr/internal/storage"
 	"systemr/internal/value"
 )
 
@@ -23,13 +22,14 @@ import (
 // (they regenerate). Tables dump in name order; rows in physical order.
 //
 // The shared catalog lock holds DDL off while the schema is read, and the
-// rows are read under a snapshot pinned once that lock is granted: the dump
-// holds exactly the transactions committed by then, whatever writers run
-// beside it. A failed lock acquisition (deadlock victim, Config.LockTimeout)
-// is returned.
-func (db *DB) DumpSQL(w io.Writer) error {
-	held, err := db.locks.AcquireContext(context.Background(),
-		[]lock.Request{{Table: compile.CatalogLock, Mode: lock.Shared}})
+// rows are read through RSS segment scans under a snapshot pinned once that
+// lock is granted: the dump holds exactly the transactions committed by then,
+// whatever writers run beside it. A failed lock acquisition (deadlock
+// victim, Config.LockTimeout) or page fetch is returned, and a panic is
+// contained.
+func (db *DB) DumpSQL(w io.Writer) (err error) {
+	defer contain(&err)
+	held, err := db.locks.AcquireContext(context.Background(), catalogShared)
 	if err != nil {
 		return fmt.Errorf("systemr: dump: %w", err)
 	}
@@ -40,6 +40,7 @@ func (db *DB) DumpSQL(w io.Writer) error {
 	sort.Slice(tables, func(i, j int) bool { return tables[i].Name < tables[j].Name })
 
 	bw := bufio.NewWriter(w)
+	rows := db.tableRows(nil, reg.Snap)
 
 	for _, t := range tables {
 		if t.System {
@@ -50,18 +51,12 @@ func (db *DB) DumpSQL(w io.Writer) error {
 			cols[i] = c.Name + " " + c.Type.String()
 		}
 		fmt.Fprintf(bw, "CREATE TABLE %s (%s);\n", t.Name, strings.Join(cols, ", "))
-		for _, pid := range t.Segment.Pages() {
-			page := db.disk.Page(pid)
-			for s, n := uint16(0), page.SlotCount(); s < n; s++ {
-				h, row, rel, ok, err := page.ReadVersioned(s)
-				if err != nil {
-					return fmt.Errorf("systemr: dumping %s: %w", t.Name, err)
-				}
-				if !ok || rel != t.ID || !reg.Snap.Visible(h) {
-					continue
-				}
-				fmt.Fprintf(bw, "INSERT INTO %s VALUES (%s);\n", t.Name, sqlRow(row))
-			}
+		err := rows(t, func(row value.Row, _ storage.TID) error {
+			fmt.Fprintf(bw, "INSERT INTO %s VALUES (%s);\n", t.Name, sqlRow(row))
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("systemr: dumping %s: %w", t.Name, err)
 		}
 		for _, ix := range t.Indexes {
 			kind := "INDEX"

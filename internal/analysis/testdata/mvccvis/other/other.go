@@ -1,5 +1,5 @@
-// Outside exec and txn — the RSS itself, dump, catalog bootstrap, test
-// scaffolding — raw record access is the job: no finding.
+// Outside the policed packages — the RSS itself, test scaffolding — raw
+// record access is the job: no finding.
 package other
 
 import "fixture/storage"

@@ -15,8 +15,12 @@ import (
 // for later insertions.
 const loadFill = 0.9
 
-// BulkLoad builds a tree from entries (not necessarily sorted; they are
-// sorted here by key then TID). Exact (key, TID) duplicates are collapsed.
+// SortEntries sorts entries in place into BulkLoad's order: by key, then TID.
+func SortEntries(entries []Entry) { slices.SortFunc(entries, compareEntries) }
+
+// BulkLoad builds a tree from entries, sorting a copy by key then TID
+// unless they already are in that order (SortEntries). Exact (key, TID)
+// duplicates are collapsed.
 func BulkLoad(disk *storage.Disk, cfg Config, entries []Entry) *BTree {
 	t := New(disk, cfg)
 	if len(entries) == 0 {
@@ -26,7 +30,9 @@ func BulkLoad(disk *storage.Disk, cfg Config, entries []Entry) *BTree {
 	// equal collapse into one below, so an unstable sort builds the same
 	// tree as a stable one.
 	sorted := slices.Clone(entries)
-	slices.SortFunc(sorted, compareEntries)
+	if !slices.IsSortedFunc(sorted, compareEntries) {
+		slices.SortFunc(sorted, compareEntries)
+	}
 	// Collapse exact duplicates.
 	dedup := sorted[:1]
 	for _, e := range sorted[1:] {

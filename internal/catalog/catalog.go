@@ -13,10 +13,17 @@
 // As in the paper, statistics are not maintained on every INSERT/DELETE
 // (that would serialize catalog access); they are refreshed by the
 // UPDATE STATISTICS command, so they can be stale relative to the data.
+//
+// The catalog reads no heap page itself. UPDATE STATISTICS and CREATE INDEX
+// take their rows from a RowSource the caller supplies — in the engine an
+// RSS segment scan under the statement's snapshot, as the paper's RSS is
+// the one way to reach stored relations — and build the statistics and the
+// index from those rows.
 package catalog
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -234,7 +241,9 @@ func (c *Catalog) Disk() *storage.Disk { return c.disk }
 
 // CreateTable registers a new relation. segment names the segment to store
 // it in; "" allocates a private segment. Sharing a segment between relations
-// reproduces the paper's P(T) < 1 scenarios.
+// reproduces the paper's P(T) < 1 scenarios. Names beginning with "__" are
+// the engine's own (private segments and the system catalogs', which the
+// catalog refresh clears slot by slot), so a caller cannot name one.
 func (c *Catalog) CreateTable(name string, cols []Column, segment string) (*Table, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -247,6 +256,9 @@ func (c *Catalog) CreateTable(name string, cols []Column, segment string) (*Tabl
 	}
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("catalog: table %s must have at least one column", name)
+	}
+	if strings.HasPrefix(segment, "__") {
+		return nil, fmt.Errorf("catalog: segment name %s is reserved", segment)
 	}
 	seen := map[string]bool{}
 	for _, col := range cols {
@@ -310,10 +322,7 @@ func (c *Catalog) Table(name string) (*Table, bool) {
 	key := strings.ToUpper(name)
 	if IsSystemTable(key) {
 		c.mu.Lock()
-		if err := c.ensureSystemCatalogsLocked(); err != nil {
-			c.mu.Unlock()
-			return nil, false
-		}
+		c.ensureSystemCatalogsLocked()
 		c.mu.Unlock()
 	}
 	c.mu.RLock()
@@ -333,27 +342,31 @@ func (c *Catalog) Tables() []*Table {
 	return out
 }
 
+// RowSource hands visit every row of t the reading statement can see, with
+// its TID, in physical order, and returns visit's first error or its own.
+// The row is lent: it is valid only during the call, so visit copies what
+// it keeps. The engine supplies an RSS segment scan under the statement's
+// snapshot; package tests supply a reference heap walk.
+type RowSource func(t *Table, visit func(row value.Row, tid storage.TID) error) error
+
 // CreateIndex builds a B-tree index on the given columns of a table and
-// bulk-loads it from the stored tuples. A table may have any number of
-// indexes (including zero), but at most one clustered index.
-func (c *Catalog) CreateIndex(name, table string, columns []string, unique, clustered bool) (*Index, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// bulk-loads it from the rows src reads. A table may have any number of
+// indexes (including zero), but at most one clustered index. The index holds
+// the visible versions only: the caller's exclusive catalog lock has waited
+// out every transaction, so no snapshot can ask for a version the scan did
+// not see, and vacuum's removal of a delete-marked version ignores the entry
+// it never got. A unique index fails on two equal keys among them. src runs
+// without the catalog's mutex held; the caller's lock keeps other catalog
+// changes out meanwhile.
+func (c *Catalog) CreateIndex(name, table string, columns []string, unique, clustered bool, src RowSource) (*Index, error) {
+	c.mu.RLock()
 	t, ok := c.tables[strings.ToUpper(table)]
+	c.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("catalog: table %s does not exist", table)
 	}
 	if t.System {
 		return nil, fmt.Errorf("catalog: cannot index system catalog %s", table)
-	}
-	upper := strings.ToUpper(name)
-	for _, ix := range t.Indexes {
-		if ix.Name == upper {
-			return nil, fmt.Errorf("catalog: index %s already exists on %s", name, table)
-		}
-	}
-	if clustered && t.ClusteredIndex() != nil {
-		return nil, fmt.Errorf("catalog: table %s already has a clustered index", table)
 	}
 	colIdxs := make([]int, len(columns))
 	for i, cn := range columns {
@@ -364,42 +377,41 @@ func (c *Catalog) CreateIndex(name, table string, columns []string, unique, clus
 		colIdxs[i] = ci
 	}
 	ix := &Index{
-		Name:      upper,
+		Name:      strings.ToUpper(name),
 		Table:     t,
 		ColIdxs:   colIdxs,
 		Unique:    unique,
 		Clustered: clustered,
 	}
-	// Gather (key, TID) pairs from the stored tuples and bulk-load the tree
-	// bottom-up (sorted, packed pages — System R's index build).
 	var entries []btree.Entry
-	for _, pid := range t.Segment.Pages() {
-		page := c.disk.Page(pid)
-		for s := uint16(0); s < page.NumSlots(); s++ {
-			rec, rel, ok := page.Record(s)
-			if !ok || rel != t.ID {
-				continue
-			}
-			// Every stored version is indexed, delete-marked ones included:
-			// indexes cover the whole version history until vacuum reclaims
-			// it, exactly as the incremental insert path maintains them.
-			_, body, err := storage.ParseVersionHeader(rec)
-			if err != nil {
-				return nil, fmt.Errorf("catalog: building index %s: %w", name, err)
-			}
-			row, err := storage.DecodeRow(body)
-			if err != nil {
-				return nil, fmt.Errorf("catalog: building index %s: %w", name, err)
-			}
-			entries = append(entries, btree.Entry{Key: ix.KeyFor(row), TID: storage.TID{Page: pid, Slot: s}})
-		}
+	err := src(t, func(row value.Row, tid storage.TID) error {
+		entries = append(entries, btree.Entry{Key: ix.KeyFor(row), TID: tid})
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("catalog: building index %s: %w", name, err)
 	}
-	ix.Tree = btree.BulkLoad(c.disk, btree.Config{}, entries)
 	if unique {
-		if key, dup := firstDuplicateKey(c.disk, t.ID, ix.Tree); dup {
-			return nil, fmt.Errorf("catalog: duplicate key %v violates unique index %s", key, name)
+		btree.SortEntries(entries) // BulkLoad's order, so it does not sort again
+		for i := 1; i < len(entries); i++ {
+			if value.CompareKey(entries[i-1].Key, entries[i].Key) == 0 {
+				return nil, fmt.Errorf("catalog: duplicate key %v violates unique index %s", entries[i].Key, name)
+			}
 		}
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, other := range t.Indexes {
+		if other.Name == ix.Name {
+			return nil, fmt.Errorf("catalog: index %s already exists on %s", name, table)
+		}
+	}
+	if clustered && t.ClusteredIndex() != nil {
+		return nil, fmt.Errorf("catalog: table %s already has a clustered index", table)
+	}
+	// Bulk-load the tree bottom-up (sorted, packed pages — System R's index
+	// build).
+	ix.Tree = btree.BulkLoad(c.disk, btree.Config{}, entries)
 	t.Indexes = append(t.Indexes, ix)
 	c.bump()
 	return ix, nil
@@ -431,42 +443,6 @@ func (c *Catalog) DropIndex(name string) error {
 	return fmt.Errorf("catalog: index %s does not exist", name)
 }
 
-// firstDuplicateKey scans the leaf chain for two entries sharing a full key
-// whose heap versions are both live (no delete mark): dead versions awaiting
-// vacuum are indexed but cannot violate uniqueness.
-func firstDuplicateKey(disk *storage.Disk, rel storage.RelID, tree *btree.BTree) (value.Row, bool) {
-	live := func(e btree.Entry) bool {
-		// CREATE INDEX checks uniqueness against the latest committed
-		// versions under the schema X lock; snapshot semantics are wrong
-		// here — a duplicate visible to any current snapshot but already
-		// deleted must not fail the build.
-		// Only the header is read: the row is never decoded.
-		found := false
-		_, err := disk.Page(e.TID.Page).VisitVersions(e.TID.Slot, e.TID.Slot+1, storage.VisitFunc(
-			func(_ uint16, r storage.RelID, h storage.VersionHeader, _ []byte) (bool, error) {
-				found = r == rel && h.Xmax == 0
-				return true, nil
-			}))
-		return err == nil && found
-	}
-	it := tree.Seek(storage.StmtIO{}, nil)
-	var prev btree.Entry
-	havePrev := false
-	for {
-		e, ok := it.Next()
-		if !ok {
-			return nil, false
-		}
-		if !live(e) {
-			continue
-		}
-		if havePrev && value.CompareKey(prev.Key, e.Key) == 0 {
-			return e.Key, true
-		}
-		prev, havePrev = e, true
-	}
-}
-
 // Index finds an index by name on any table.
 func (c *Catalog) Index(name string) (*Index, bool) {
 	c.mu.RLock()
@@ -482,67 +458,45 @@ func (c *Catalog) Index(name string) (*Index, bool) {
 	return nil, false
 }
 
-// UpdateStatistics recomputes every statistic of Section 4 from the stored
-// data — the UPDATE STATISTICS command of the paper — and rewrites the
-// queryable system catalogs to publish them. (The SYSTABLES rows describing
-// the system catalogs themselves reflect the previous refresh cycle, a
-// System R-style staleness.)
-func (c *Catalog) UpdateStatistics() {
-	c.updateStatistics("")
-}
-
-// UpdateStatisticsFor refreshes one relation's statistics (and republishes
-// the system catalogs). It returns false when the table does not exist.
-func (c *Catalog) UpdateStatisticsFor(name string) bool {
+// UpdateStatistics recomputes every statistic of Section 4 — the UPDATE
+// STATISTICS command of the paper — for the named table, or for every table
+// when table is "", from the rows src reads, then bumps the catalog version
+// and rewrites the queryable system catalogs to publish them. (The SYSTABLES
+// rows describing the system catalogs themselves reflect the previous
+// refresh cycle, a System R-style staleness.) Nothing changes unless every
+// table is read in full. src runs without the catalog's mutex held; the
+// caller's lock keeps other catalog changes out meanwhile.
+func (c *Catalog) UpdateStatistics(table string, src RowSource) error {
+	var tables []*Table
 	c.mu.RLock()
-	_, ok := c.tables[strings.ToUpper(name)]
-	c.mu.RUnlock()
-	if !ok {
-		return false
-	}
-	c.updateStatistics(strings.ToUpper(name))
-	return true
-}
-
-func (c *Catalog) updateStatistics(only string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for _, t := range c.tables {
-		if only != "" && t.Name != only {
-			continue
+		if table == "" || t.Name == strings.ToUpper(table) {
+			tables = append(tables, t)
 		}
-		// NCARD counts live (latest-committed) rows: delete-marked versions
-		// awaiting vacuum occupy pages (they still shape TCARD) but are not
-		// tuples the optimizer's cardinality model should see. The same pass
-		// collects every live row's column values for the per-column
-		// equi-depth histograms.
+	}
+	c.mu.RUnlock()
+	if len(tables) == 0 && table != "" {
+		return fmt.Errorf("catalog: table %s does not exist", table)
+	}
+	// One order, so the reads leave the buffer pool the same each time.
+	slices.SortFunc(tables, func(a, b *Table) int { return strings.Compare(a.Name, b.Name) })
+	rels, cols := make([]RelStats, len(tables)), make([][]ColStats, len(tables))
+	for i, t := range tables {
+		// NCARD counts the visible rows: delete-marked versions awaiting
+		// vacuum occupy pages (they still shape TCARD) but are not tuples
+		// the optimizer's cardinality model should see. The same pass
+		// collects every column's values for the equi-depth histograms.
 		ncard := 0
 		colVals := make([][]value.Value, len(t.Columns))
-		decodable := true
-		for _, pid := range t.Segment.Pages() {
-			page := c.disk.Page(pid)
-			for s := uint16(0); s < page.NumSlots(); s++ {
-				rec, rel, ok := page.Record(s)
-				if !ok || rel != t.ID {
-					continue
-				}
-				h, body, err := storage.ParseVersionHeader(rec)
-				if err != nil || h.Xmax != 0 {
-					continue
-				}
-				ncard++
-				if !decodable {
-					continue
-				}
-				row, err := storage.DecodeRow(body)
-				if err != nil || len(row) != len(t.Columns) {
-					decodable = false
-					continue
-				}
-				for ci := range colVals {
-					colVals[ci] = append(colVals[ci], row[ci])
-				}
+		err := src(t, func(row value.Row, _ storage.TID) error {
+			ncard++
+			for ci := range colVals {
+				colVals[ci] = append(colVals[ci], row[ci])
 			}
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("catalog: statistics of %s: %w", t.Name, err)
 		}
 		tcard := t.Segment.PagesHolding(t.ID)
 		nonEmpty := t.Segment.NonEmptyPages()
@@ -550,16 +504,16 @@ func (c *Catalog) updateStatistics(only string) {
 		if nonEmpty > 0 {
 			p = float64(tcard) / float64(nonEmpty)
 		}
-		t.Stats = RelStats{HasStats: true, NCard: ncard, TCard: tcard, P: p}
-		if decodable {
-			colStats := make([]ColStats, len(t.Columns))
-			for ci := range colStats {
-				colStats[ci] = buildColStats(colVals[ci], MaxHistBuckets)
-			}
-			t.ColStats = colStats
-		} else {
-			t.ColStats = nil
+		rels[i] = RelStats{HasStats: true, NCard: ncard, TCard: tcard, P: p}
+		cols[i] = make([]ColStats, len(t.Columns))
+		for ci, vals := range colVals {
+			cols[i][ci] = buildColStats(vals, MaxHistBuckets)
 		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, t := range tables {
+		t.Stats, t.ColStats = rels[i], cols[i]
 		for _, ix := range t.Indexes {
 			icard, icardLead, nindx, low, high := ix.Tree.Stats()
 			ix.Stats = IndexStats{HasStats: true, ICard: icard, ICardLead: icardLead, NIndx: nindx, Low: low, High: high}
@@ -568,10 +522,8 @@ func (c *Catalog) updateStatistics(only string) {
 	// A statistics refresh changes what the optimizer would choose: advance
 	// the epoch so plans costed against the old statistics recompile.
 	c.bump()
-	// Publish the refreshed statistics through the queryable catalogs.
-	if err := c.refreshSystemCatalogsLocked(); err != nil {
-		// The catalogs are advisory; statistics themselves are already
-		// updated. Refresh failures (full pages) leave stale catalog rows.
-		return
-	}
+	// Publish the refreshed statistics through the queryable catalogs. They
+	// are advisory: a refresh that fails (full pages) leaves stale rows.
+	_ = c.refreshSystemCatalogsLocked()
+	return nil
 }

@@ -1,24 +1,26 @@
-package catalog
+package catalog_test
 
 import (
 	"strings"
 	"testing"
 
+	"systemr/internal/catalog"
 	"systemr/internal/storage"
+	"systemr/internal/testutil"
 	"systemr/internal/value"
 )
 
-func newCat() *Catalog { return New(storage.NewDisk()) }
+func newCat() *catalog.Catalog { return catalog.New(storage.NewDisk()) }
 
-func cols(names ...string) []Column {
-	out := make([]Column, len(names))
+func cols(names ...string) []catalog.Column {
+	out := make([]catalog.Column, len(names))
 	for i, n := range names {
-		out[i] = Column{Name: n, Type: value.KindInt}
+		out[i] = catalog.Column{Name: n, Type: value.KindInt}
 	}
 	return out
 }
 
-func insertRows(t *testing.T, tab *Table, rows []value.Row) {
+func insertRows(t *testing.T, tab *catalog.Table, rows []value.Row) {
 	t.Helper()
 	for _, r := range rows {
 		rec := storage.EncodeVersionedRow(storage.VersionHeader{Xmin: storage.FrozenXID, Prev: storage.NoPrevTID}, r)
@@ -87,7 +89,7 @@ func TestCreateIndexAndBulkLoad(t *testing.T) {
 		{value.NewInt(2), value.NewInt(20)},
 	}
 	insertRows(t, tab, rows)
-	ix, err := c.CreateIndex("T_A", "T", []string{"A"}, false, false)
+	ix, err := c.CreateIndex("T_A", "T", []string{"A"}, false, false, testutil.HeapRows(c.Disk()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,13 +108,13 @@ func TestCreateIndexAndBulkLoad(t *testing.T) {
 		}
 		prev = e.Key[0].Int
 	}
-	if _, err := c.CreateIndex("T_A", "T", []string{"A"}, false, false); err == nil {
+	if _, err := c.CreateIndex("T_A", "T", []string{"A"}, false, false, testutil.HeapRows(c.Disk())); err == nil {
 		t.Fatal("duplicate index name must fail")
 	}
-	if _, err := c.CreateIndex("T_Z", "T", []string{"Z"}, false, false); err == nil {
+	if _, err := c.CreateIndex("T_Z", "T", []string{"Z"}, false, false, testutil.HeapRows(c.Disk())); err == nil {
 		t.Fatal("unknown column must fail")
 	}
-	if _, err := c.CreateIndex("U_A", "U", []string{"A"}, false, false); err == nil {
+	if _, err := c.CreateIndex("U_A", "U", []string{"A"}, false, false, testutil.HeapRows(c.Disk())); err == nil {
 		t.Fatal("unknown table must fail")
 	}
 }
@@ -121,7 +123,7 @@ func TestUniqueIndexViolationOnBuild(t *testing.T) {
 	c := newCat()
 	tab, _ := c.CreateTable("T", cols("A"), "")
 	insertRows(t, tab, []value.Row{{value.NewInt(1)}, {value.NewInt(1)}})
-	if _, err := c.CreateIndex("T_A", "T", []string{"A"}, true, false); err == nil {
+	if _, err := c.CreateIndex("T_A", "T", []string{"A"}, true, false, testutil.HeapRows(c.Disk())); err == nil {
 		t.Fatal("unique index over duplicate data must fail")
 	} else if !strings.Contains(err.Error(), "duplicate key") {
 		t.Fatalf("unexpected error: %v", err)
@@ -131,10 +133,10 @@ func TestUniqueIndexViolationOnBuild(t *testing.T) {
 func TestSingleClusteredIndex(t *testing.T) {
 	c := newCat()
 	c.CreateTable("T", cols("A", "B"), "")
-	if _, err := c.CreateIndex("T_A", "T", []string{"A"}, false, true); err != nil {
+	if _, err := c.CreateIndex("T_A", "T", []string{"A"}, false, true, testutil.HeapRows(c.Disk())); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.CreateIndex("T_B", "T", []string{"B"}, false, true); err == nil {
+	if _, err := c.CreateIndex("T_B", "T", []string{"B"}, false, true, testutil.HeapRows(c.Disk())); err == nil {
 		t.Fatal("second clustered index must fail")
 	}
 	tab, _ := c.Table("T")
@@ -145,15 +147,15 @@ func TestSingleClusteredIndex(t *testing.T) {
 
 func TestUpdateStatistics(t *testing.T) {
 	c := newCat()
-	tab, _ := c.CreateTable("T", []Column{{Name: "A", Type: value.KindInt}, {Name: "PAD", Type: value.KindString}}, "")
+	tab, _ := c.CreateTable("T", []catalog.Column{{Name: "A", Type: value.KindInt}, {Name: "PAD", Type: value.KindString}}, "")
 	pad := strings.Repeat("x", 500)
 	var rows []value.Row
 	for i := 0; i < 40; i++ {
 		rows = append(rows, value.Row{value.NewInt(int64(i % 8)), value.NewString(pad)})
 	}
 	insertRows(t, tab, rows)
-	c.CreateIndex("T_A", "T", []string{"A"}, false, false)
-	c.UpdateStatistics()
+	c.CreateIndex("T_A", "T", []string{"A"}, false, false, testutil.HeapRows(c.Disk()))
+	c.UpdateStatistics("", testutil.HeapRows(c.Disk()))
 
 	st := tab.Stats
 	if !st.HasStats || st.NCard != 40 {
@@ -180,8 +182,8 @@ func TestUpdateStatistics(t *testing.T) {
 
 func TestUpdateStatisticsSharedSegmentP(t *testing.T) {
 	c := newCat()
-	a, _ := c.CreateTable("A", []Column{{Name: "PAD", Type: value.KindString}}, "S")
-	b, _ := c.CreateTable("B", []Column{{Name: "PAD", Type: value.KindString}}, "S")
+	a, _ := c.CreateTable("A", []catalog.Column{{Name: "PAD", Type: value.KindString}}, "S")
+	b, _ := c.CreateTable("B", []catalog.Column{{Name: "PAD", Type: value.KindString}}, "S")
 	pad := value.Row{value.NewString(strings.Repeat("y", 1000))}
 	for i := 0; i < 12; i++ {
 		insertRows(t, a, []value.Row{pad})
@@ -190,7 +192,7 @@ func TestUpdateStatisticsSharedSegmentP(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		insertRows(t, b, []value.Row{pad})
 	}
-	c.UpdateStatistics()
+	c.UpdateStatistics("", testutil.HeapRows(c.Disk()))
 	if a.Stats.P >= 1.0 || b.Stats.P >= 1.0 {
 		t.Fatalf("shared segment should give P < 1: A=%f B=%f", a.Stats.P, b.Stats.P)
 	}
@@ -200,15 +202,15 @@ func TestUpdateStatisticsSharedSegmentP(t *testing.T) {
 }
 
 func TestStatDefaults(t *testing.T) {
-	var rs RelStats
-	if rs.EffNCard() != DefaultNCard || rs.EffTCard() != DefaultTCard || rs.EffP() != DefaultP {
+	var rs catalog.RelStats
+	if rs.EffNCard() != catalog.DefaultNCard || rs.EffTCard() != catalog.DefaultTCard || rs.EffP() != catalog.DefaultP {
 		t.Fatal("relation defaults wrong")
 	}
-	var is IndexStats
-	if is.EffICard() != DefaultICard || is.EffICardLead() != DefaultICard || is.EffNIndx() != 1 {
+	var is catalog.IndexStats
+	if is.EffICard() != catalog.DefaultICard || is.EffICardLead() != catalog.DefaultICard || is.EffNIndx() != 1 {
 		t.Fatal("index defaults wrong")
 	}
-	rs = RelStats{HasStats: true, NCard: 5, TCard: 2, P: 0.5}
+	rs = catalog.RelStats{HasStats: true, NCard: 5, TCard: 2, P: 0.5}
 	if rs.EffNCard() != 5 || rs.EffTCard() != 2 || rs.EffP() != 0.5 {
 		t.Fatal("real statistics not passed through")
 	}
@@ -217,7 +219,7 @@ func TestStatDefaults(t *testing.T) {
 func TestIndexKeyFor(t *testing.T) {
 	c := newCat()
 	tab, _ := c.CreateTable("T", cols("A", "B", "C"), "")
-	ix, _ := c.CreateIndex("T_CA", "T", []string{"C", "A"}, false, false)
+	ix, _ := c.CreateIndex("T_CA", "T", []string{"C", "A"}, false, false, testutil.HeapRows(c.Disk()))
 	key := ix.KeyFor(value.Row{value.NewInt(1), value.NewInt(2), value.NewInt(3)})
 	if key[0].Int != 3 || key[1].Int != 1 {
 		t.Fatalf("KeyFor = %v", key)
@@ -248,9 +250,9 @@ func TestVersionBumps(t *testing.T) {
 		}
 	}
 	step("CREATE TABLE", func() { c.CreateTable("T", cols("A"), "") })
-	step("CREATE INDEX", func() { c.CreateIndex("T_A", "T", []string{"A"}, false, false) })
-	step("UPDATE STATISTICS", func() { c.UpdateStatistics() })
-	step("UPDATE STATISTICS FOR", func() { c.UpdateStatisticsFor("T") })
+	step("CREATE INDEX", func() { c.CreateIndex("T_A", "T", []string{"A"}, false, false, testutil.HeapRows(c.Disk())) })
+	step("UPDATE STATISTICS", func() { c.UpdateStatistics("", testutil.HeapRows(c.Disk())) })
+	step("UPDATE STATISTICS FOR", func() { c.UpdateStatistics("T", testutil.HeapRows(c.Disk())) })
 	step("DROP INDEX", func() {
 		if err := c.DropIndex("T_A"); err != nil {
 			t.Fatal(err)
@@ -274,8 +276,8 @@ func TestVersionBumps(t *testing.T) {
 func TestDropIndex(t *testing.T) {
 	c := newCat()
 	tab, _ := c.CreateTable("T", cols("A", "B"), "")
-	c.CreateIndex("T_A", "T", []string{"A"}, false, false)
-	c.CreateIndex("T_B", "T", []string{"B"}, false, false)
+	c.CreateIndex("T_A", "T", []string{"A"}, false, false, testutil.HeapRows(c.Disk()))
+	c.CreateIndex("T_B", "T", []string{"B"}, false, false, testutil.HeapRows(c.Disk()))
 	held := tab.Indexes                        // a cached plan's view of the index list
 	if err := c.DropIndex("t_a"); err != nil { // case-insensitive
 		t.Fatal(err)
@@ -296,13 +298,13 @@ func TestDropIndex(t *testing.T) {
 }
 
 // TestEffICardEmptyIndex: an analyzed index over an empty relation must not
-// fall back to DefaultICard (that would be treating measured emptiness as
+// fall back to catalog.DefaultICard (that would be treating measured emptiness as
 // missing statistics) nor divide selectivity by zero — it floors at 1.
 func TestEffICardEmptyIndex(t *testing.T) {
 	c := newCat()
 	c.CreateTable("T", cols("A"), "")
-	c.CreateIndex("T_A", "T", []string{"A"}, false, false)
-	c.UpdateStatistics()
+	c.CreateIndex("T_A", "T", []string{"A"}, false, false, testutil.HeapRows(c.Disk()))
+	c.UpdateStatistics("", testutil.HeapRows(c.Disk()))
 	tab, _ := c.Table("T")
 	st := tab.Indexes[0].Stats
 	if !st.HasStats {

@@ -33,8 +33,7 @@ const MaxHistBuckets = 64
 // ColStats are the per-column statistics UPDATE STATISTICS builds for every
 // column of an analyzed relation (indexed or not).
 type ColStats struct {
-	// HasStats is false until UPDATE STATISTICS runs (or when the column's
-	// rows could not be decoded).
+	// HasStats is false until UPDATE STATISTICS runs.
 	HasStats bool
 	// NDistinct counts distinct non-null values observed.
 	NDistinct int

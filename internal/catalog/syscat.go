@@ -41,106 +41,78 @@ func IsSystemTable(name string) bool {
 	return false
 }
 
-// ensureSystemCatalogs creates the three catalog relations on first use.
-func (c *Catalog) ensureSystemCatalogsLocked() error {
+// ensureSystemCatalogsLocked creates the five catalog relations on first use.
+func (c *Catalog) ensureSystemCatalogsLocked() {
 	if _, ok := c.tables[SysTables]; ok {
-		return nil
+		return
 	}
-	mk := func(name string, cols []Column) error {
+	mk := func(name string, cols ...Column) {
 		seg := c.segmentLocked("__SYSCAT_" + name)
 		t := &Table{ID: c.nextRel, Name: name, Columns: cols, Segment: seg, System: true}
 		c.nextRel++
 		c.tables[name] = t
 		c.byID[t.ID] = t
-		return nil
 	}
-	if err := mk(SysTables, []Column{
-		{Name: "TNAME", Type: value.KindString},
-		{Name: "NCARD", Type: value.KindInt},
-		{Name: "TCARD", Type: value.KindInt},
-		{Name: "PFRAC", Type: value.KindFloat},
-	}); err != nil {
-		return err
-	}
-	if err := mk(SysColumns, []Column{
-		{Name: "TNAME", Type: value.KindString},
-		{Name: "CNAME", Type: value.KindString},
-		{Name: "COLNO", Type: value.KindInt},
-		{Name: "COLTYPE", Type: value.KindString},
-	}); err != nil {
-		return err
-	}
-	if err := mk(SysIndexes, []Column{
-		{Name: "INAME", Type: value.KindString},
-		{Name: "TNAME", Type: value.KindString},
-		{Name: "COLNAMES", Type: value.KindString},
-		{Name: "UNIQUEFLAG", Type: value.KindInt},
-		{Name: "CLUSTERFLAG", Type: value.KindInt},
-		{Name: "ICARD", Type: value.KindInt},
-		{Name: "NINDX", Type: value.KindInt},
-	}); err != nil {
-		return err
-	}
-	if err := mk(SysColStats, []Column{
-		{Name: "TNAME", Type: value.KindString},
-		{Name: "CNAME", Type: value.KindString},
-		{Name: "NDISTINCT", Type: value.KindInt},
-		{Name: "NULLS", Type: value.KindInt},
-		{Name: "NROWS", Type: value.KindInt},
-		{Name: "NBUCKETS", Type: value.KindInt},
-	}); err != nil {
-		return err
-	}
-	return mk(SysHist, []Column{
-		{Name: "TNAME", Type: value.KindString},
-		{Name: "CNAME", Type: value.KindString},
-		{Name: "BUCKETNO", Type: value.KindInt},
-		{Name: "HIKEY", Type: value.KindString},
-		{Name: "NROWS", Type: value.KindInt},
-		{Name: "NDISTINCT", Type: value.KindInt},
-	})
+	mk(SysTables,
+		Column{Name: "TNAME", Type: value.KindString},
+		Column{Name: "NCARD", Type: value.KindInt},
+		Column{Name: "TCARD", Type: value.KindInt},
+		Column{Name: "PFRAC", Type: value.KindFloat})
+	mk(SysColumns,
+		Column{Name: "TNAME", Type: value.KindString},
+		Column{Name: "CNAME", Type: value.KindString},
+		Column{Name: "COLNO", Type: value.KindInt},
+		Column{Name: "COLTYPE", Type: value.KindString})
+	mk(SysIndexes,
+		Column{Name: "INAME", Type: value.KindString},
+		Column{Name: "TNAME", Type: value.KindString},
+		Column{Name: "COLNAMES", Type: value.KindString},
+		Column{Name: "UNIQUEFLAG", Type: value.KindInt},
+		Column{Name: "CLUSTERFLAG", Type: value.KindInt},
+		Column{Name: "ICARD", Type: value.KindInt},
+		Column{Name: "NINDX", Type: value.KindInt})
+	mk(SysColStats,
+		Column{Name: "TNAME", Type: value.KindString},
+		Column{Name: "CNAME", Type: value.KindString},
+		Column{Name: "NDISTINCT", Type: value.KindInt},
+		Column{Name: "NULLS", Type: value.KindInt},
+		Column{Name: "NROWS", Type: value.KindInt},
+		Column{Name: "NBUCKETS", Type: value.KindInt})
+	mk(SysHist,
+		Column{Name: "TNAME", Type: value.KindString},
+		Column{Name: "CNAME", Type: value.KindString},
+		Column{Name: "BUCKETNO", Type: value.KindInt},
+		Column{Name: "HIKEY", Type: value.KindString},
+		Column{Name: "NROWS", Type: value.KindInt},
+		Column{Name: "NDISTINCT", Type: value.KindInt})
 }
 
 // refreshSystemCatalogsLocked rewrites the catalog relations from current
-// metadata. Old tuples are deleted in place (their pages are reused on the
-// next refresh cycle's inserts only when space permits; the segments stay
-// small in practice).
+// metadata and returns the first insert's error. Each lives alone in its
+// private segment (CreateTable refuses the reserved names), so every slot of
+// it is deleted in place without reading a record (the pages are reused on
+// the next refresh cycle's inserts only when space permits; the segments
+// stay small in practice).
 func (c *Catalog) refreshSystemCatalogsLocked() error {
-	if err := c.ensureSystemCatalogsLocked(); err != nil {
-		return err
-	}
-	clear := func(t *Table) {
-		for _, pid := range t.Segment.Pages() {
-			page := c.disk.Page(pid)
-			for s := uint16(0); s < page.NumSlots(); s++ {
-				if _, rel, ok := page.Record(s); ok && rel == t.ID {
-					page.Delete(s)
-				}
-			}
-		}
-	}
+	c.ensureSystemCatalogsLocked()
 	st := c.tables[SysTables]
 	sc := c.tables[SysColumns]
 	si := c.tables[SysIndexes]
 	scs := c.tables[SysColStats]
 	sh := c.tables[SysHist]
-	clear(st)
-	clear(sc)
-	clear(si)
-	clear(scs)
-	clear(sh)
-
-	// Catalog rows are frozen: created by XID 0 ("always committed"), so
-	// they are visible to every snapshot without registry traffic.
-	insert := func(t *Table, row value.Row) error {
-		rec := storage.EncodeVersionedRow(storage.VersionHeader{Xmin: storage.FrozenXID, Prev: storage.NoPrevTID}, row)
-		// Validated like rss.Insert's records: scans decode only what they
-		// return.
-		if err := storage.CheckEncodedRow(rec[storage.VersionHeaderSize:]); err != nil {
-			return err
+	for _, t := range []*Table{st, sc, si, scs, sh} {
+		for _, pid := range t.Segment.Pages() {
+			page := c.disk.Page(pid)
+			for s := uint16(0); s < page.NumSlots(); s++ {
+				page.Delete(s)
+			}
 		}
-		_, err := t.Segment.Insert(t.ID, rec)
-		return err
+	}
+	var err error
+	put := func(t *Table, row ...value.Value) {
+		if err == nil {
+			err = insertFrozen(t, row)
+		}
 	}
 	// Deterministic order: sorted table names.
 	names := make([]string, 0, len(c.tables))
@@ -150,73 +122,50 @@ func (c *Catalog) refreshSystemCatalogsLocked() error {
 	sort.Strings(names)
 	for _, n := range names {
 		t := c.tables[n]
-		if err := insert(st, value.Row{
-			value.NewString(t.Name),
-			value.NewInt(int64(t.Stats.NCard)),
-			value.NewInt(int64(t.Stats.TCard)),
-			value.NewFloat(t.Stats.P),
-		}); err != nil {
-			return err
-		}
+		put(st, value.NewString(t.Name), value.NewInt(int64(t.Stats.NCard)),
+			value.NewInt(int64(t.Stats.TCard)), value.NewFloat(t.Stats.P))
 		for i, col := range t.Columns {
-			if err := insert(sc, value.Row{
-				value.NewString(t.Name),
-				value.NewString(col.Name),
-				value.NewInt(int64(i)),
-				value.NewString(col.Type.String()),
-			}); err != nil {
-				return err
-			}
+			put(sc, value.NewString(t.Name), value.NewString(col.Name),
+				value.NewInt(int64(i)), value.NewString(col.Type.String()))
 		}
 		for _, ix := range t.Indexes {
-			if err := insert(si, value.Row{
-				value.NewString(ix.Name),
-				value.NewString(t.Name),
+			put(si, value.NewString(ix.Name), value.NewString(t.Name),
 				value.NewString(strings.Join(ix.ColumnNames(), ",")),
-				boolInt(ix.Unique),
-				boolInt(ix.Clustered),
-				value.NewInt(int64(ix.Stats.ICard)),
-				value.NewInt(int64(ix.Stats.NIndx)),
-			}); err != nil {
-				return err
-			}
+				boolInt(ix.Unique), boolInt(ix.Clustered),
+				value.NewInt(int64(ix.Stats.ICard)), value.NewInt(int64(ix.Stats.NIndx)))
 		}
 		for ci, cs := range t.ColStats {
 			if !cs.HasStats {
 				continue
 			}
+			cname := value.NewString(t.Columns[ci].Name)
 			nrows, nbuckets := int64(0), 0
 			if cs.Hist != nil {
 				nrows, nbuckets = cs.Hist.NRows, len(cs.Hist.Buckets)
-			}
-			if err := insert(scs, value.Row{
-				value.NewString(t.Name),
-				value.NewString(t.Columns[ci].Name),
-				value.NewInt(int64(cs.NDistinct)),
-				value.NewInt(int64(cs.NullCount)),
-				value.NewInt(nrows),
-				value.NewInt(int64(nbuckets)),
-			}); err != nil {
-				return err
-			}
-			if cs.Hist == nil {
-				continue
-			}
-			for bi, b := range cs.Hist.Buckets {
-				if err := insert(sh, value.Row{
-					value.NewString(t.Name),
-					value.NewString(t.Columns[ci].Name),
-					value.NewInt(int64(bi)),
-					value.NewString(b.Hi.String()),
-					value.NewInt(b.Rows),
-					value.NewInt(b.Distinct),
-				}); err != nil {
-					return err
+				for bi, b := range cs.Hist.Buckets {
+					put(sh, value.NewString(t.Name), cname, value.NewInt(int64(bi)),
+						value.NewString(b.Hi.String()), value.NewInt(b.Rows), value.NewInt(b.Distinct))
 				}
 			}
+			put(scs, value.NewString(t.Name), cname, value.NewInt(int64(cs.NDistinct)),
+				value.NewInt(int64(cs.NullCount)), value.NewInt(nrows), value.NewInt(int64(nbuckets)))
 		}
 	}
-	return nil
+	return err
+}
+
+// insertFrozen stores row in system catalog t. Catalog rows are frozen:
+// created by XID 0 ("always committed"), so they are visible to every
+// snapshot without registry traffic.
+func insertFrozen(t *Table, row value.Row) error {
+	rec := storage.EncodeVersionedRow(storage.VersionHeader{Xmin: storage.FrozenXID, Prev: storage.NoPrevTID}, row)
+	// Validated like rss.Insert's records: scans decode only what they
+	// return.
+	if err := storage.CheckEncodedRow(rec[storage.VersionHeaderSize:]); err != nil {
+		return err
+	}
+	_, err := t.Segment.Insert(t.ID, rec)
+	return err
 }
 
 func boolInt(b bool) value.Value {

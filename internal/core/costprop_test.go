@@ -13,6 +13,7 @@ import (
 	"systemr/internal/rss"
 	"systemr/internal/sem"
 	"systemr/internal/storage"
+	"systemr/internal/testutil"
 	"systemr/internal/value"
 )
 
@@ -39,12 +40,12 @@ func randomCostDB(t testing.TB, rnd *rand.Rand) *catalog.Catalog {
 		}, storage.FrozenXID, storage.NoPrevTID, cat.Disk())
 	}
 	if rnd.Intn(2) == 0 {
-		cat.CreateIndex("R_A", "R", []string{"A"}, false, rnd.Intn(2) == 0)
+		cat.CreateIndex("R_A", "R", []string{"A"}, false, rnd.Intn(2) == 0, testutil.HeapRows(cat.Disk()))
 	}
 	if rnd.Intn(2) == 0 {
-		cat.CreateIndex("R_B", "R", []string{"B"}, false, false)
+		cat.CreateIndex("R_B", "R", []string{"B"}, false, false, testutil.HeapRows(cat.Disk()))
 	}
-	cat.UpdateStatistics()
+	cat.UpdateStatistics("", testutil.HeapRows(cat.Disk()))
 	return cat
 }
 

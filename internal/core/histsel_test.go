@@ -12,6 +12,7 @@ import (
 	"systemr/internal/catalog"
 	"systemr/internal/rss"
 	"systemr/internal/storage"
+	"systemr/internal/testutil"
 	"systemr/internal/value"
 )
 
@@ -53,10 +54,10 @@ func TestHistogramSkewedEqSelectivity(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		rss.Insert(z, value.Row{value.NewInt(int64(1000 + i))}, storage.FrozenXID, storage.NoPrevTID, cat.Disk())
 	}
-	if _, err := cat.CreateIndex("R_A", "R", []string{"A"}, false, false); err != nil {
+	if _, err := cat.CreateIndex("R_A", "R", []string{"A"}, false, false, testutil.HeapRows(cat.Disk())); err != nil {
 		t.Fatal(err)
 	}
-	cat.UpdateStatistics()
+	cat.UpdateStatistics("", testutil.HeapRows(cat.Disk()))
 
 	hot := histSel(t, cat, "R", "A = 1")
 	approx(t, hot, 0.5, "heavy hitter eq (isolated bucket)")
@@ -138,7 +139,7 @@ func TestOutOfRangeAfterInsert(t *testing.T) {
 func TestColStatsPrefersAnalyzedIndex(t *testing.T) {
 	cat := testDB(t)
 	// Created after UpdateStatistics, so R_A2 has no statistics.
-	if _, err := cat.CreateIndex("R_A2", "R", []string{"A"}, false, false); err != nil {
+	if _, err := cat.CreateIndex("R_A2", "R", []string{"A"}, false, false, testutil.HeapRows(cat.Disk())); err != nil {
 		t.Fatal(err)
 	}
 	r, _ := cat.Table("R")

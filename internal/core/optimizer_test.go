@@ -113,14 +113,14 @@ func uniqueDB(t testing.TB) *catalog.Catalog {
 	}
 	mustIndex := func(name string, cols []string, unique, clustered bool) {
 		t.Helper()
-		if _, err := cat.CreateIndex(name, "U", cols, unique, clustered); err != nil {
+		if _, err := cat.CreateIndex(name, "U", cols, unique, clustered, testutil.HeapRows(cat.Disk())); err != nil {
 			t.Fatal(err)
 		}
 	}
 	mustIndex("U_A", []string{"A"}, true, false)
 	mustIndex("U_B", []string{"B"}, false, true)
 	mustIndex("U_C", []string{"C"}, false, false)
-	cat.UpdateStatistics()
+	cat.UpdateStatistics("", testutil.HeapRows(cat.Disk()))
 	return cat
 }
 
@@ -291,11 +291,11 @@ func joinDB(t testing.TB, tables int, rows int) *catalog.Catalog {
 		for i := 0; i < rows; i++ {
 			rss.Insert(tab, value.Row{value.NewInt(int64(i % 20)), value.NewInt(int64(i))}, storage.FrozenXID, storage.NoPrevTID, cat.Disk())
 		}
-		if _, err := cat.CreateIndex(fmt.Sprintf("T%d_K", ti), fmt.Sprintf("T%d", ti), []string{"K"}, false, false); err != nil {
+		if _, err := cat.CreateIndex(fmt.Sprintf("T%d_K", ti), fmt.Sprintf("T%d", ti), []string{"K"}, false, false, testutil.HeapRows(cat.Disk())); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cat.UpdateStatistics()
+	cat.UpdateStatistics("", testutil.HeapRows(cat.Disk()))
 	return cat
 }
 
@@ -436,13 +436,13 @@ func TestTraceRenderFigures(t *testing.T) {
 			name: "join4",
 			cat: func(t *testing.T) *catalog.Catalog {
 				cat := joinDB(t, 4, 120)
-				if _, err := cat.CreateIndex("T3_V", "T3", []string{"V"}, true, false); err != nil {
+				if _, err := cat.CreateIndex("T3_V", "T3", []string{"V"}, true, false, testutil.HeapRows(cat.Disk())); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := cat.CreateIndex("T2_V", "T2", []string{"V"}, false, true); err != nil {
+				if _, err := cat.CreateIndex("T2_V", "T2", []string{"V"}, false, true, testutil.HeapRows(cat.Disk())); err != nil {
 					t.Fatal(err)
 				}
-				cat.UpdateStatistics()
+				cat.UpdateStatistics("", testutil.HeapRows(cat.Disk()))
 				return cat
 			},
 			query: "SELECT T1.V, T4.K FROM T1, T2, T3, T4 WHERE T1.K = T2.K AND T2.V < T3.V" +
@@ -492,8 +492,8 @@ func TestCompositeIndexMatching(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		rss.Insert(outer, value.Row{value.NewInt(int64(i))}, storage.FrozenXID, storage.NoPrevTID, cat.Disk())
 	}
-	cat.CreateIndex("M_AB", "M", []string{"A", "B"}, false, false)
-	cat.UpdateStatistics()
+	cat.CreateIndex("M_AB", "M", []string{"A", "B"}, false, false, testutil.HeapRows(cat.Disk()))
+	cat.UpdateStatistics("", testutil.HeapRows(cat.Disk()))
 
 	for _, c := range []struct {
 		where        string

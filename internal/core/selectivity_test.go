@@ -11,6 +11,7 @@ import (
 	"systemr/internal/sem"
 	"systemr/internal/sql"
 	"systemr/internal/storage"
+	"systemr/internal/testutil"
 	"systemr/internal/value"
 )
 
@@ -56,10 +57,10 @@ func testDBWith(t testing.TB, rows int, analyze bool) *catalog.Catalog {
 			t.Fatal(err)
 		}
 	}
-	if _, err := cat.CreateIndex("R_A", "R", []string{"A"}, false, false); err != nil {
+	if _, err := cat.CreateIndex("R_A", "R", []string{"A"}, false, false, testutil.HeapRows(cat.Disk())); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cat.CreateIndex("R_C", "R", []string{"C"}, false, false); err != nil {
+	if _, err := cat.CreateIndex("R_C", "R", []string{"C"}, false, false, testutil.HeapRows(cat.Disk())); err != nil {
 		t.Fatal(err)
 	}
 	s, err := cat.CreateTable("S", []catalog.Column{
@@ -74,11 +75,11 @@ func testDBWith(t testing.TB, rows int, analyze bool) *catalog.Catalog {
 			t.Fatal(err)
 		}
 	}
-	if _, err := cat.CreateIndex("S_A", "S", []string{"A"}, false, false); err != nil {
+	if _, err := cat.CreateIndex("S_A", "S", []string{"A"}, false, false, testutil.HeapRows(cat.Disk())); err != nil {
 		t.Fatal(err)
 	}
 	if analyze {
-		cat.UpdateStatistics()
+		cat.UpdateStatistics("", testutil.HeapRows(cat.Disk()))
 	}
 	return cat
 }
@@ -385,7 +386,7 @@ func TestDefaultStatisticsSelectivities(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		rss.Insert(r, value.Row{value.NewInt(int64(i))}, storage.FrozenXID, storage.NoPrevTID, cat.Disk())
 	}
-	cat.CreateIndex("R_A", "R", []string{"A"}, false, false)
+	cat.CreateIndex("R_A", "R", []string{"A"}, false, false, testutil.HeapRows(cat.Disk()))
 	// No UpdateStatistics: ICARD defaults to DefaultICard.
 	st, _ := sql.Parse("SELECT A FROM R WHERE A = 5")
 	blk, err := sem.Analyze(st.(*sql.SelectStmt), cat)

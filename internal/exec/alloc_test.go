@@ -21,6 +21,7 @@ import (
 	"systemr/internal/plan"
 	"systemr/internal/rss"
 	"systemr/internal/storage"
+	"systemr/internal/testutil"
 	"systemr/internal/value"
 )
 
@@ -47,10 +48,10 @@ func loadWide(t *testing.T, n int) *env {
 			}
 		}
 	}
-	if _, err := e.cat.CreateIndex("T_A", "T", []string{"A"}, false, true); err != nil {
+	if _, err := e.cat.CreateIndex("T_A", "T", []string{"A"}, false, true, testutil.HeapRows(e.cat.Disk())); err != nil {
 		t.Fatal(err)
 	}
-	e.cat.UpdateStatistics()
+	e.cat.UpdateStatistics("", testutil.HeapRows(e.cat.Disk()))
 	e.rt.Snap = &storage.Snapshot{Self: 10, Max: 10}
 	return e
 }
@@ -127,10 +128,10 @@ func loadNames(t *testing.T, n int, xmin storage.XID) *env {
 			t.Fatal(err)
 		}
 	}
-	if _, err := e.cat.CreateIndex("N_A", "N", []string{"A"}, false, true); err != nil {
+	if _, err := e.cat.CreateIndex("N_A", "N", []string{"A"}, false, true, testutil.HeapRows(e.cat.Disk())); err != nil {
 		t.Fatal(err)
 	}
-	e.cat.UpdateStatistics()
+	e.cat.UpdateStatistics("", testutil.HeapRows(e.cat.Disk()))
 	e.rt.Snap = &storage.Snapshot{Self: 10, Max: 10}
 	return e
 }

@@ -72,9 +72,9 @@ func (e *env) loadPair(t testing.TB) {
 	for i, k := range []int64{1, 2, 2, 5} {
 		rss.Insert(r, value.Row{value.NewInt(k), value.NewInt(int64(100 + i))}, storage.FrozenXID, storage.NoPrevTID, e.disk)
 	}
-	e.cat.CreateIndex("L_K", "L", []string{"K"}, false, false)
-	e.cat.CreateIndex("R_K", "R", []string{"K"}, false, false)
-	e.cat.UpdateStatistics()
+	e.cat.CreateIndex("L_K", "L", []string{"K"}, false, false, testutil.HeapRows(e.cat.Disk()))
+	e.cat.CreateIndex("R_K", "R", []string{"K"}, false, false, testutil.HeapRows(e.cat.Disk()))
+	e.cat.UpdateStatistics("", testutil.HeapRows(e.cat.Disk()))
 }
 
 func TestJoinDuplicateSemantics(t *testing.T) {
@@ -107,7 +107,7 @@ func TestMergeJoinNullKeysMatchNothing(t *testing.T) {
 	rss.Insert(l, value.Row{value.NewInt(1)}, storage.FrozenXID, storage.NoPrevTID, e.disk)
 	rss.Insert(r, value.Row{value.Null()}, storage.FrozenXID, storage.NoPrevTID, e.disk)
 	rss.Insert(r, value.Row{value.NewInt(1)}, storage.FrozenXID, storage.NoPrevTID, e.disk)
-	e.cat.UpdateStatistics()
+	e.cat.UpdateStatistics("", testutil.HeapRows(e.cat.Disk()))
 	for _, cfg := range []core.Config{{Joins: core.MergeOnly}, {Joins: core.NestedLoopsOnly}} {
 		rows, _ := e.exec(t, "SELECT L.K FROM L, R WHERE L.K = R.K", cfg)
 		if len(rows) != 1 {
@@ -127,8 +127,8 @@ func TestCorrelatedSubqueryCaching(t *testing.T) {
 			rss.Insert(tab, value.Row{value.NewInt(int64(g)), value.NewInt(int64(g*3 + i))}, storage.FrozenXID, storage.NoPrevTID, e.disk)
 		}
 	}
-	e.cat.CreateIndex("T_G", "T", []string{"G"}, false, true)
-	e.cat.UpdateStatistics()
+	e.cat.CreateIndex("T_G", "T", []string{"G"}, false, true, testutil.HeapRows(e.cat.Disk()))
+	e.cat.UpdateStatistics("", testutil.HeapRows(e.cat.Disk()))
 
 	// The outer scan delivers rows in G order (clustered index), so the
 	// same-value cache of Section 6 re-evaluates once per distinct G.
@@ -145,7 +145,7 @@ func TestNonCorrelatedSubqueryEvaluatedOnce(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		rss.Insert(tab, value.Row{value.NewInt(int64(i))}, storage.FrozenXID, storage.NoPrevTID, e.disk)
 	}
-	e.cat.UpdateStatistics()
+	e.cat.UpdateStatistics("", testutil.HeapRows(e.cat.Disk()))
 	rows, stats := e.exec(t, "SELECT V FROM T WHERE V > (SELECT AVG(V) FROM T)", core.Config{})
 	if len(rows) != 25 {
 		t.Fatalf("want 25 rows, got %d", len(rows))
@@ -160,7 +160,7 @@ func TestScalarSubqueryCardinalityError(t *testing.T) {
 	tab, _ := e.cat.CreateTable("T", []catalog.Column{{Name: "V", Type: value.KindInt}}, "")
 	rss.Insert(tab, value.Row{value.NewInt(1)}, storage.FrozenXID, storage.NoPrevTID, e.disk)
 	rss.Insert(tab, value.Row{value.NewInt(2)}, storage.FrozenXID, storage.NoPrevTID, e.disk)
-	e.cat.UpdateStatistics()
+	e.cat.UpdateStatistics("", testutil.HeapRows(e.cat.Disk()))
 	st, _ := sql.Parse("SELECT V FROM T WHERE V = (SELECT V FROM T)")
 	blk, err := sem.Analyze(st.(*sql.SelectStmt), e.cat)
 	if err != nil {
@@ -179,7 +179,7 @@ func TestEmptyScalarSubqueryIsNull(t *testing.T) {
 	e := newEnv(t)
 	tab, _ := e.cat.CreateTable("T", []catalog.Column{{Name: "V", Type: value.KindInt}}, "")
 	rss.Insert(tab, value.Row{value.NewInt(1)}, storage.FrozenXID, storage.NoPrevTID, e.disk)
-	e.cat.UpdateStatistics()
+	e.cat.UpdateStatistics("", testutil.HeapRows(e.cat.Disk()))
 	// Empty subquery → NULL → comparison false → no rows.
 	rows, _ := e.exec(t, "SELECT V FROM T WHERE V = (SELECT V FROM T WHERE V = 99)", core.Config{})
 	if len(rows) != 0 {
@@ -190,7 +190,7 @@ func TestEmptyScalarSubqueryIsNull(t *testing.T) {
 func TestScalarAggregateOverEmptyInput(t *testing.T) {
 	e := newEnv(t)
 	e.cat.CreateTable("T", []catalog.Column{{Name: "V", Type: value.KindInt}}, "")
-	e.cat.UpdateStatistics()
+	e.cat.UpdateStatistics("", testutil.HeapRows(e.cat.Disk()))
 	rows, _ := e.exec(t, "SELECT COUNT(*), COUNT(V), SUM(V), AVG(V), MIN(V), MAX(V) FROM T", core.Config{})
 	if len(rows) != 1 {
 		t.Fatalf("scalar aggregate must yield one row, got %d", len(rows))
@@ -209,7 +209,7 @@ func TestScalarAggregateOverEmptyInput(t *testing.T) {
 func TestGroupedQueryOverEmptyInputHasNoRows(t *testing.T) {
 	e := newEnv(t)
 	e.cat.CreateTable("T", []catalog.Column{{Name: "G", Type: value.KindInt}, {Name: "V", Type: value.KindInt}}, "")
-	e.cat.UpdateStatistics()
+	e.cat.UpdateStatistics("", testutil.HeapRows(e.cat.Disk()))
 	rows, _ := e.exec(t, "SELECT G, COUNT(*) FROM T GROUP BY G", core.Config{})
 	if len(rows) != 0 {
 		t.Fatalf("no groups expected: %v", rows)
@@ -222,7 +222,7 @@ func TestAggregateNullHandling(t *testing.T) {
 	rss.Insert(tab, value.Row{value.NewInt(10)}, storage.FrozenXID, storage.NoPrevTID, e.disk)
 	rss.Insert(tab, value.Row{value.Null()}, storage.FrozenXID, storage.NoPrevTID, e.disk)
 	rss.Insert(tab, value.Row{value.NewInt(20)}, storage.FrozenXID, storage.NoPrevTID, e.disk)
-	e.cat.UpdateStatistics()
+	e.cat.UpdateStatistics("", testutil.HeapRows(e.cat.Disk()))
 	rows, _ := e.exec(t, "SELECT COUNT(*), COUNT(V), SUM(V), AVG(V) FROM T", core.Config{})
 	r := rows[0]
 	if r[0].Int != 3 || r[1].Int != 2 || r[2].Int != 30 || r[3].Float != 15 {
@@ -236,7 +236,7 @@ func TestDistinctPreservesOrder(t *testing.T) {
 	for _, v := range []int64{3, 1, 3, 2, 1, 2, 2} {
 		rss.Insert(tab, value.Row{value.NewInt(v)}, storage.FrozenXID, storage.NoPrevTID, e.disk)
 	}
-	e.cat.UpdateStatistics()
+	e.cat.UpdateStatistics("", testutil.HeapRows(e.cat.Disk()))
 	rows, _ := e.exec(t, "SELECT DISTINCT V FROM T ORDER BY V", core.Config{})
 	if len(rows) != 3 {
 		t.Fatalf("distinct: %v", rows)
@@ -256,7 +256,7 @@ func TestSortSpillsThroughTempPages(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		rss.Insert(tab, value.Row{value.NewInt(int64((i * 7919) % 2000)), value.NewString(pad)}, storage.FrozenXID, storage.NoPrevTID, e.disk)
 	}
-	e.cat.UpdateStatistics()
+	e.cat.UpdateStatistics("", testutil.HeapRows(e.cat.Disk()))
 	rows, stats := e.exec(t, "SELECT V FROM T ORDER BY V", core.Config{BufferPages: 8})
 	if len(rows) != 2000 {
 		t.Fatalf("row count %d", len(rows))
@@ -289,7 +289,7 @@ func TestProjectionExpressions(t *testing.T) {
 	tab, _ := e.cat.CreateTable("T", []catalog.Column{
 		{Name: "A", Type: value.KindInt}, {Name: "B", Type: value.KindFloat}}, "")
 	rss.Insert(tab, value.Row{value.NewInt(7), value.NewFloat(2.5)}, storage.FrozenXID, storage.NoPrevTID, e.disk)
-	e.cat.UpdateStatistics()
+	e.cat.UpdateStatistics("", testutil.HeapRows(e.cat.Disk()))
 	rows, _ := e.exec(t, "SELECT A * 2 + 1, B / 0, -A FROM T", core.Config{})
 	r := rows[0]
 	if r[0].Int != 15 {
@@ -364,9 +364,9 @@ func TestManyJoinKeysStress(t *testing.T) {
 			rss.Insert(r, value.Row{value.NewInt(int64(k))}, storage.FrozenXID, storage.NoPrevTID, e.disk)
 		}
 	}
-	e.cat.CreateIndex("L_K", "L", []string{"K"}, false, false)
-	e.cat.CreateIndex("R_K", "R", []string{"K"}, false, false)
-	e.cat.UpdateStatistics()
+	e.cat.CreateIndex("L_K", "L", []string{"K"}, false, false, testutil.HeapRows(e.cat.Disk()))
+	e.cat.CreateIndex("R_K", "R", []string{"K"}, false, false, testutil.HeapRows(e.cat.Disk()))
+	e.cat.UpdateStatistics("", testutil.HeapRows(e.cat.Disk()))
 	want := 25 * 3 * 2
 	for _, cfg := range []core.Config{{Joins: core.MergeOnly}, {Joins: core.NestedLoopsOnly}, {}} {
 		rows, _ := e.exec(t, "SELECT L.K FROM L, R WHERE L.K = R.K", cfg)
@@ -490,8 +490,8 @@ func TestCollectTargetsViaIndexPath(t *testing.T) {
 	for i := int64(0); i < 2000; i++ {
 		rss.Insert(r, value.Row{value.NewInt(i / 2), value.NewInt(100 + i)}, storage.FrozenXID, storage.NoPrevTID, e.disk)
 	}
-	e.cat.CreateIndex("R_K", "R", []string{"K"}, false, false)
-	e.cat.UpdateStatistics()
+	e.cat.CreateIndex("R_K", "R", []string{"K"}, false, false, testutil.HeapRows(e.cat.Disk()))
+	e.cat.UpdateStatistics("", testutil.HeapRows(e.cat.Disk()))
 
 	q, args := e.dmlPlan(t, "UPDATE R SET W = W + 1 WHERE K = 2")
 	if _, ok := q.Root.(*plan.Project).Input.(*plan.IndexScan); !ok || len(args) != 1 {
@@ -601,11 +601,11 @@ func loadJoin(t *testing.T, n int) *env {
 		}
 	}
 	for _, ix := range [][2]string{{"F_K", "F"}, {"D_K", "D"}} {
-		if _, err := e.cat.CreateIndex(ix[0], ix[1], []string{"K"}, false, false); err != nil {
+		if _, err := e.cat.CreateIndex(ix[0], ix[1], []string{"K"}, false, false, testutil.HeapRows(e.cat.Disk())); err != nil {
 			t.Fatal(err)
 		}
 	}
-	e.cat.UpdateStatistics()
+	e.cat.UpdateStatistics("", testutil.HeapRows(e.cat.Disk()))
 	e.rt.Snap = &storage.Snapshot{Self: 10, Max: 10}
 	return e
 }

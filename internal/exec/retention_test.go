@@ -60,7 +60,7 @@ func loadRetention(t *testing.T, e *env) {
 			}
 		}
 	}
-	e.cat.UpdateStatistics()
+	e.cat.UpdateStatistics("", testutil.HeapRows(e.cat.Disk()))
 	// Transaction 2 (the deleter) committed before the snapshot: the deleted
 	// versions are invisible to it, as they are to the reference evaluator.
 	e.rt.Snap = &storage.Snapshot{Self: 10, Max: 10}
@@ -261,10 +261,10 @@ func TestRetainedStringsSurviveArenaTurnover(t *testing.T) {
 func TestScanRowsSurviveStageReuse(t *testing.T) {
 	e := newEnv(t)
 	loadRetention(t, e)
-	if _, err := e.cat.CreateIndex("A_K", "A", []string{"K"}, false, false); err != nil {
+	if _, err := e.cat.CreateIndex("A_K", "A", []string{"K"}, false, false, testutil.HeapRows(e.cat.Disk())); err != nil {
 		t.Fatal(err)
 	}
-	e.cat.UpdateStatistics()
+	e.cat.UpdateStatistics("", testutil.HeapRows(e.cat.Disk()))
 	for _, tc := range []struct {
 		query string
 		find  func(*op) *op
@@ -339,10 +339,10 @@ func loadGroups(t *testing.T, e *env) {
 			}
 		}
 	}
-	if _, err := e.cat.CreateIndex("G_S", "G", []string{"S"}, false, true); err != nil {
+	if _, err := e.cat.CreateIndex("G_S", "G", []string{"S"}, false, true, testutil.HeapRows(e.cat.Disk())); err != nil {
 		t.Fatal(err)
 	}
-	e.cat.UpdateStatistics()
+	e.cat.UpdateStatistics("", testutil.HeapRows(e.cat.Disk()))
 	e.rt.Snap = &storage.Snapshot{Self: 10, Max: 10}
 }
 
@@ -385,10 +385,10 @@ func TestGroupByOverLendingScan(t *testing.T) {
 func TestJoinLendsItsRows(t *testing.T) {
 	e := newEnv(t)
 	loadRetention(t, e)
-	if _, err := e.cat.CreateIndex("B_K", "B", []string{"K"}, false, false); err != nil {
+	if _, err := e.cat.CreateIndex("B_K", "B", []string{"K"}, false, false, testutil.HeapRows(e.cat.Disk())); err != nil {
 		t.Fatal(err)
 	}
-	e.cat.UpdateStatistics()
+	e.cat.UpdateStatistics("", testutil.HeapRows(e.cat.Disk()))
 	const where = " FROM A, B WHERE A.K = B.K AND A.V <> B.K * 7 AND B.S <> 'b10'"
 	for _, parent := range []struct {
 		name, query string
@@ -469,11 +469,11 @@ func loadStacked(t *testing.T, e *env) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := e.cat.CreateIndex(tab.name+"_K", tab.name, []string{"K"}, false, false); err != nil {
+		if _, err := e.cat.CreateIndex(tab.name+"_K", tab.name, []string{"K"}, false, false, testutil.HeapRows(e.cat.Disk())); err != nil {
 			t.Fatal(err)
 		}
 	}
-	e.cat.UpdateStatistics()
+	e.cat.UpdateStatistics("", testutil.HeapRows(e.cat.Disk()))
 }
 
 // TestStackedJoinsCopyWhatTheyKeep: a join's output, lent batch by batch,

@@ -7,6 +7,7 @@ import (
 	"systemr/internal/catalog"
 	"systemr/internal/sem"
 	"systemr/internal/storage"
+	"systemr/internal/testutil"
 	"systemr/internal/value"
 )
 
@@ -20,7 +21,7 @@ func testTable(t *testing.T) *catalog.Table {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cat.CreateIndex("T_A", "T", []string{"A"}, true, true); err != nil {
+	if _, err := cat.CreateIndex("T_A", "T", []string{"A"}, true, true, testutil.HeapRows(cat.Disk())); err != nil {
 		t.Fatal(err)
 	}
 	return tab

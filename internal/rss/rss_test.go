@@ -7,6 +7,7 @@ import (
 
 	"systemr/internal/catalog"
 	"systemr/internal/storage"
+	"systemr/internal/testutil"
 	"systemr/internal/value"
 )
 
@@ -193,7 +194,7 @@ func TestSargOnEncodedRows(t *testing.T) {
 func TestCorruptSargColumnFailsScan(t *testing.T) {
 	e := newEnv(t, 16)
 	tab := e.newEmp(t, 20)
-	if _, err := e.cat.CreateIndex("EMP_DNO", "EMP", []string{"DNO"}, false, false); err != nil {
+	if _, err := e.cat.CreateIndex("EMP_DNO", "EMP", []string{"DNO"}, false, false, testutil.HeapRows(e.cat.Disk())); err != nil {
 		t.Fatal(err)
 	}
 	ix, _ := e.cat.Index("EMP_DNO")
@@ -231,7 +232,7 @@ func TestCorruptSargColumnFailsScan(t *testing.T) {
 func TestIndexScanRange(t *testing.T) {
 	e := newEnv(t, 16)
 	e.newEmp(t, 100)
-	if _, err := e.cat.CreateIndex("EMP_SAL", "EMP", []string{"SAL"}, true, false); err != nil {
+	if _, err := e.cat.CreateIndex("EMP_SAL", "EMP", []string{"SAL"}, true, false, testutil.HeapRows(e.cat.Disk())); err != nil {
 		t.Fatal(err)
 	}
 	ix, _ := e.cat.Index("EMP_SAL")
@@ -274,7 +275,7 @@ func TestIndexScanRange(t *testing.T) {
 func TestIndexScanDuplicatesAndSargs(t *testing.T) {
 	e := newEnv(t, 16)
 	tab := e.newEmp(t, 100)
-	if _, err := e.cat.CreateIndex("EMP_DNO", "EMP", []string{"DNO"}, false, false); err != nil {
+	if _, err := e.cat.CreateIndex("EMP_DNO", "EMP", []string{"DNO"}, false, false, testutil.HeapRows(e.cat.Disk())); err != nil {
 		t.Fatal(err)
 	}
 	ix, _ := e.cat.Index("EMP_DNO")
@@ -299,7 +300,7 @@ func TestIndexScanDuplicatesAndSargs(t *testing.T) {
 func TestIndexScanSkipsDeleted(t *testing.T) {
 	e := newEnv(t, 16)
 	tab := e.newEmp(t, 20)
-	e.cat.CreateIndex("EMP_SAL", "EMP", []string{"SAL"}, true, false)
+	e.cat.CreateIndex("EMP_SAL", "EMP", []string{"SAL"}, true, false, testutil.HeapRows(e.cat.Disk()))
 	ix, _ := e.cat.Index("EMP_SAL")
 
 	// Delete the tuple with SAL=5 via a scan (stale index entries must be
@@ -356,7 +357,7 @@ func TestInsertValidation(t *testing.T) {
 func TestUniqueIndexRejectsDuplicates(t *testing.T) {
 	e := newEnv(t, 16)
 	tab := e.newEmp(t, 10)
-	if _, err := e.cat.CreateIndex("EMP_SAL", "EMP", []string{"SAL"}, true, false); err != nil {
+	if _, err := e.cat.CreateIndex("EMP_SAL", "EMP", []string{"SAL"}, true, false, testutil.HeapRows(e.cat.Disk())); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := Insert(tab, value.Row{value.NewInt(0), value.NewInt(5), value.NewString("dup")}, storage.FrozenXID, storage.NoPrevTID, e.disk); err == nil {
@@ -378,7 +379,7 @@ func TestUniqueIndexRejectsDuplicates(t *testing.T) {
 func TestClearDeletedUndoesMark(t *testing.T) {
 	e := newEnv(t, 16)
 	tab := e.newEmp(t, 10)
-	if _, err := e.cat.CreateIndex("EMP_SAL", "EMP", []string{"SAL"}, true, false); err != nil {
+	if _, err := e.cat.CreateIndex("EMP_SAL", "EMP", []string{"SAL"}, true, false, testutil.HeapRows(e.cat.Disk())); err != nil {
 		t.Fatal(err)
 	}
 	ix, _ := e.cat.Index("EMP_SAL")
@@ -429,7 +430,7 @@ func TestClearDeletedUndoesMark(t *testing.T) {
 func TestRemoveReclaimsVersion(t *testing.T) {
 	e := newEnv(t, 16)
 	tab := e.newEmp(t, 10)
-	if _, err := e.cat.CreateIndex("EMP_SAL", "EMP", []string{"SAL"}, true, false); err != nil {
+	if _, err := e.cat.CreateIndex("EMP_SAL", "EMP", []string{"SAL"}, true, false, testutil.HeapRows(e.cat.Disk())); err != nil {
 		t.Fatal(err)
 	}
 	ix, _ := e.cat.Index("EMP_SAL")
@@ -457,7 +458,7 @@ func TestRemoveReclaimsVersion(t *testing.T) {
 func TestVacuumTableReclaimsDeadVersions(t *testing.T) {
 	e := newEnv(t, 16)
 	tab := e.newEmp(t, 10)
-	if _, err := e.cat.CreateIndex("EMP_SAL", "EMP", []string{"SAL"}, true, false); err != nil {
+	if _, err := e.cat.CreateIndex("EMP_SAL", "EMP", []string{"SAL"}, true, false, testutil.HeapRows(e.cat.Disk())); err != nil {
 		t.Fatal(err)
 	}
 	ix, _ := e.cat.Index("EMP_SAL")
@@ -523,7 +524,7 @@ func TestClosedScanErrors(t *testing.T) {
 	if _, _, _, err := s.Next(); err == nil {
 		t.Fatal("Next before Open must error")
 	}
-	e.cat.CreateIndex("EMP_SAL", "EMP", []string{"SAL"}, true, false)
+	e.cat.CreateIndex("EMP_SAL", "EMP", []string{"SAL"}, true, false, testutil.HeapRows(e.cat.Disk()))
 	ix, _ := e.cat.Index("EMP_SAL")
 	is := &IndexScan{Index: ix, Pool: e.pool}
 	if _, _, _, err := is.Next(); err == nil {

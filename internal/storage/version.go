@@ -87,8 +87,7 @@ func ParseVersionHeader(rec []byte) (VersionHeader, []byte, error) {
 //
 // A nil *Snapshot means "latest committed": a version is visible exactly
 // when it carries no delete mark. That is correct only when no writer can be
-// concurrently active — catalog statistics (under the exclusive catalog
-// lock) use it.
+// concurrently active.
 type Snapshot struct {
 	// Self is the reading transaction's own ID; its own writes are visible.
 	Self XID

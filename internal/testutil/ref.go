@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 
+	"systemr/internal/catalog"
 	"systemr/internal/sem"
 	"systemr/internal/storage"
 	"systemr/internal/value"
@@ -99,28 +100,46 @@ done:
 
 func loadTable(disk *storage.Disk, r *sem.RelRef) ([]value.Row, error) {
 	var rows []value.Row
-	for _, pid := range r.Table.Segment.Pages() {
-		page := disk.Page(pid)
-		for s := uint16(0); s < page.NumSlots(); s++ {
-			rec, rel, ok := page.Record(s)
-			if !ok || rel != r.Table.ID {
-				continue
+	err := HeapRows(disk)(r.Table, func(row value.Row, _ storage.TID) error {
+		rows = append(rows, row) // HeapRows decodes each row afresh
+		return nil
+	})
+	return rows, err
+}
+
+// HeapRows is the reference catalog.RowSource: it walks a table's pages
+// straight off the disk, sharing no code with the RSS scans, and hands on
+// every version no delete mark has retired — the rows any reader sees once
+// every writer has finished. Package tests build indexes and statistics
+// from it, and oracles compare what the engine's scans feed the catalog
+// with it.
+func HeapRows(disk *storage.Disk) catalog.RowSource {
+	return func(t *catalog.Table, visit func(value.Row, storage.TID) error) error {
+		for _, pid := range t.Segment.Pages() {
+			page := disk.Page(pid)
+			for s := uint16(0); s < page.NumSlots(); s++ {
+				rec, rel, ok := page.Record(s)
+				if !ok || rel != t.ID {
+					continue
+				}
+				h, body, err := storage.ParseVersionHeader(rec)
+				if err != nil {
+					return err
+				}
+				if h.Xmax != 0 {
+					continue // dead version awaiting vacuum
+				}
+				row, err := storage.DecodeRow(body)
+				if err != nil {
+					return err
+				}
+				if err := visit(row, storage.TID{Page: pid, Slot: s}); err != nil {
+					return err
+				}
 			}
-			h, body, err := storage.ParseVersionHeader(rec)
-			if err != nil {
-				return nil, err
-			}
-			if h.Xmax != 0 {
-				continue // dead version awaiting vacuum
-			}
-			row, err := storage.DecodeRow(body)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, row)
 		}
+		return nil
 	}
-	return rows, nil
 }
 
 func sortComps(comps [][]value.Row, keys []sem.OrderKey) {

@@ -7,6 +7,7 @@ import (
 	"systemr/internal/catalog"
 	"systemr/internal/lock"
 	"systemr/internal/storage"
+	"systemr/internal/testutil"
 	"systemr/internal/value"
 )
 
@@ -28,7 +29,7 @@ func newEnv(t *testing.T) (*env, *catalog.Table) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cat.CreateIndex("T_K", "T", []string{"K"}, true, false); err != nil {
+	if _, err := cat.CreateIndex("T_K", "T", []string{"K"}, true, false, testutil.HeapRows(cat.Disk())); err != nil {
 		t.Fatal(err)
 	}
 	return &env{disk: disk, cat: cat, mgr: lock.NewManager(), reg: NewRegistry()}, tab

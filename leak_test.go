@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 	"testing"
 
@@ -124,6 +125,18 @@ var entryPoints = []struct {
 		return err
 	}},
 	{"dump", func(db *systemr.DB) error { return db.DumpSQL(io.Discard) }},
+	{"create_index", func(db *systemr.DB) error {
+		// Dropped again, so every run builds the index afresh.
+		if _, err := db.Exec("CREATE INDEX EMP_SAL ON EMP (SAL)"); err != nil {
+			return err
+		}
+		_, err := db.Exec("DROP INDEX EMP_SAL")
+		return err
+	}},
+	{"update_statistics", func(db *systemr.DB) error {
+		_, err := db.Exec("UPDATE STATISTICS")
+		return err
+	}},
 	{"run_planned", func(db *systemr.DB) error {
 		q, err := db.PlanSelect(ledgerJoin)
 		if err != nil {
@@ -164,9 +177,29 @@ var faultModes = []struct {
 		}},
 }
 
+// catalogState renders what a failed statement must leave as it was: the
+// catalog version, and every table's statistics and indexes (the
+// statistics and index trees by identity, as a refresh or build replaces
+// them wholesale).
+func catalogState(db *systemr.DB) string {
+	cat := db.Catalog()
+	tables := cat.Tables()
+	sort.Slice(tables, func(i, j int) bool { return tables[i].Name < tables[j].Name })
+	var b strings.Builder
+	fmt.Fprintf(&b, "version %d\n", cat.Version())
+	for _, t := range tables {
+		fmt.Fprintf(&b, "%s %+v %p\n", t.Name, t.Stats, t.ColStats)
+		for _, ix := range t.Indexes {
+			fmt.Fprintf(&b, "  %s %p %+v\n", ix.Name, ix.Tree, ix.Stats)
+		}
+	}
+	return b.String()
+}
+
 // TestLeakLedgerSweep fails fetch k of each entry point's run k, for every k
 // until a run completes without reaching a faulted fetch, and checks the
-// ledger after every run; then runs the entry point once more, clean.
+// ledger, and that the catalog is as it was, after every run; then runs the
+// entry point once more, clean.
 func TestLeakLedgerSweep(t *testing.T) {
 	for _, ep := range entryPoints {
 		for _, mode := range faultModes {
@@ -180,6 +213,7 @@ func TestLeakLedgerSweep(t *testing.T) {
 					}
 					db.Pool().SetFaultInjector(mode.inject(n))
 					db.Pool().Flush()
+					before := catalogState(db)
 					err := ep.run(db)
 					assertClean(t, db)
 					if err == nil {
@@ -187,6 +221,9 @@ func TestLeakLedgerSweep(t *testing.T) {
 					}
 					if !mode.is(err) {
 						t.Fatalf("fault at fetch %d: got %v, want an injected %s", n, err, mode.name)
+					}
+					if after := catalogState(db); after != before {
+						t.Fatalf("fault at fetch %d changed the catalog from\n%s\nto\n%s", n, before, after)
 					}
 					faulted++
 				}

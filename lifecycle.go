@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"time"
 
 	"systemr/internal/compile"
@@ -142,6 +143,10 @@ func (db *DB) lifecycle(ctx context.Context, cur *txn.Txn, st *statement) (err e
 	return err
 }
 
+// catalogShared is the shared catalog lock, which pins the catalog version:
+// a transaction holds it from BEGIN, and Prepare and DumpSQL hold it alone.
+var catalogShared = []lock.Request{{Table: compile.CatalogLock, Mode: lock.Shared}}
+
 // lockSet derives the lock set a statement runs under: a prepared
 // statement's from its current plan, a cached statement's from the peeked
 // plan-cache entry, anything else's from its parse.
@@ -168,14 +173,14 @@ func (db *DB) lockSet(st *statement, explicit bool) ([]lock.Request, error) {
 	switch stmt.(type) {
 	case *sql.BeginStmt, *sql.CommitStmt, *sql.RollbackStmt:
 		return nil, errors.New("systemr: transaction control needs a session: use DB.Conn (SQL) or DB.Begin (API)")
-	case *sql.CreateTableStmt, *sql.CreateIndexStmt, *sql.DropTableStmt,
-		*sql.DropIndexStmt, *sql.UpdateStatsStmt:
-		if explicit {
-			return nil, errors.New("systemr: DDL and UPDATE STATISTICS cannot run inside a transaction (catalog changes are not undoable); commit first")
-		}
+	}
+	reqs := compile.LockRequests(stmt, true)
+	// A statement that changes the catalog locks it exclusively.
+	if explicit && slices.Contains(reqs, lock.Request{Table: compile.CatalogLock, Mode: lock.Exclusive}) {
+		return nil, errors.New("systemr: DDL and UPDATE STATISTICS cannot run inside a transaction (catalog changes are not undoable); commit first")
 	}
 	st.parsed = stmt
-	return compile.LockRequests(stmt, true), nil
+	return reqs, nil
 }
 
 // cachedLocks returns the lock set of a cached statement: its plan's, or for

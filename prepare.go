@@ -22,7 +22,6 @@ import (
 	"systemr/internal/compile"
 	"systemr/internal/core"
 	"systemr/internal/exec"
-	"systemr/internal/lock"
 	"systemr/internal/sql"
 	"systemr/internal/txn"
 	"systemr/internal/value"
@@ -55,8 +54,7 @@ func (db *DB) Prepare(text string) (*Stmt, error) {
 	}
 	// Compiling reads only the catalog: the statement's own locks, an
 	// UPDATE's exclusive table lock among them, are each run's.
-	held, err := db.locks.AcquireContext(context.Background(),
-		[]lock.Request{{Table: compile.CatalogLock, Mode: lock.Shared}})
+	held, err := db.locks.AcquireContext(context.Background(), catalogShared)
 	if err != nil {
 		return nil, fmt.Errorf("systemr: Prepare: %w", err)
 	}
@@ -140,8 +138,7 @@ func (s *Stmt) Explain() string {
 	if s.lits == nil {
 		return cp.Query.Explain()
 	}
-	held, err := s.db.locks.AcquireContext(context.Background(),
-		[]lock.Request{{Table: compile.CatalogLock, Mode: lock.Shared}})
+	held, err := s.db.locks.AcquireContext(context.Background(), catalogShared)
 	defer held.Release()
 	if err != nil || cp.Version != s.db.cat.Version() {
 		return cp.Query.Explain(s.lits...)

@@ -1,0 +1,397 @@
+package systemr_test
+
+// Oracles for the catalog's two builders. UPDATE STATISTICS and CREATE
+// INDEX read their tables through RSS segment scans under the statement's
+// snapshot; what they build must equal what the same builders build from
+// testutil's reference heap walk, on databases that hold delete-marked
+// versions vacuum has not yet reclaimed.
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"systemr"
+	"systemr/internal/catalog"
+	"systemr/internal/compile"
+	"systemr/internal/lock"
+	"systemr/internal/storage"
+	"systemr/internal/testutil"
+	"systemr/internal/value"
+	"systemr/internal/workload"
+)
+
+// tableStats is one table's statistics as a refresh left them.
+type tableStats struct {
+	Rel  catalog.RelStats
+	Cols []catalog.ColStats
+}
+
+// userStats returns every user table's statistics.
+func userStats(db *systemr.DB) map[string]tableStats {
+	out := map[string]tableStats{}
+	for _, t := range db.Catalog().Tables() {
+		if !t.System {
+			out[t.Name] = tableStats{t.Stats, t.ColStats}
+		}
+	}
+	return out
+}
+
+// checkStatsOracle runs UPDATE STATISTICS, then the catalog's builder over
+// the reference walk, and compares every user table's statistics.
+func checkStatsOracle(t *testing.T, name string, db *systemr.DB) {
+	t.Helper()
+	db.MustExec("UPDATE STATISTICS")
+	engine := userStats(db)
+	cat := db.Catalog()
+	if err := cat.UpdateStatistics("", testutil.HeapRows(cat.Disk())); err != nil {
+		t.Fatal(err)
+	}
+	for table, ref := range userStats(db) {
+		if got := engine[table]; !reflect.DeepEqual(got, ref) {
+			t.Errorf("%s: UPDATE STATISTICS built %s's statistics as %+v, the reference walk as %+v", name, table, got, ref)
+		}
+	}
+}
+
+// checkIndexOracle creates an index through SQL and checks it holds exactly
+// the (key, TID) pairs of the rows the reference walk reads, then drops it.
+func checkIndexOracle(t *testing.T, name string, db *systemr.DB, ixName, create string) {
+	t.Helper()
+	db.MustExec(create)
+	ix, ok := db.Catalog().Index(ixName)
+	if !ok {
+		t.Fatalf("%s: %s created no index %s", name, create, ixName)
+	}
+	var want, got []string
+	err := testutil.HeapRows(db.Catalog().Disk())(ix.Table, func(row value.Row, tid storage.TID) error {
+		want = append(want, fmt.Sprint(ix.KeyFor(row), tid))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	it := ix.Tree.Seek(storage.StmtIO{}, nil)
+	for e, ok := it.Next(); ok; e, ok = it.Next() {
+		got = append(got, fmt.Sprint(e.Key, e.TID))
+	}
+	sort.Strings(want)
+	sort.Strings(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("%s: %s holds %d entries %v, want the %d visible rows' %v", name, create, len(got), got, len(want), want)
+	}
+	db.MustExec("DROP INDEX " + ixName)
+}
+
+// deadVersions counts the delete-marked versions still stored in db.
+func deadVersions(db *systemr.DB) int {
+	n := 0
+	for _, t := range db.Catalog().Tables() {
+		for _, pid := range t.Segment.Pages() {
+			page := db.Catalog().Disk().Page(pid)
+			for s := uint16(0); s < page.NumSlots(); s++ {
+				rec, rel, ok := page.Record(s)
+				if !ok || rel != t.ID {
+					continue
+				}
+				if h, _, err := storage.ParseVersionHeader(rec); err == nil && h.Xmax != 0 {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
+// randomDBWithDeadVersions builds a workload.RandomDB, then deletes and
+// updates some of each table's rows, leaving delete-marked versions whose
+// SERIAL values live versions repeat.
+func randomDBWithDeadVersions(seed int64) *systemr.DB {
+	rnd := rand.New(rand.NewSource(seed))
+	db := workload.RandomDB(rnd, workload.RandomDBConfig{})
+	for _, t := range db.Catalog().Tables() {
+		if t.System {
+			continue
+		}
+		db.MustExec(fmt.Sprintf("DELETE FROM %s WHERE K = %d", t.Name, rnd.Intn(10)))
+		db.MustExec(fmt.Sprintf("UPDATE %s SET K = K + 1 WHERE SERIAL > %d", t.Name, rnd.Intn(20)))
+	}
+	return db
+}
+
+// TestStatisticsMatchReferenceWalk: every RelStats and ColStats UPDATE
+// STATISTICS builds equals what the reference walk feeds the same builder,
+// on the EMP/DEPT/JOB and skew fixtures and on random databases holding
+// delete-marked versions.
+func TestStatisticsMatchReferenceWalk(t *testing.T) {
+	checkStatsOracle(t, "emp", openEmpDB(workload.EmpConfig{Emps: 500, SharedSegment: true}))
+	checkStatsOracle(t, "emp/dept/job", newEmpDeptJobDB(t))
+	skew, _ := openSkewDB(workload.SkewConfig{Rows: 5000, Seed: 3})
+	checkStatsOracle(t, "skew", skew)
+	dead := 0
+	for seed := int64(1); seed <= 20; seed++ {
+		db := randomDBWithDeadVersions(seed)
+		dead += deadVersions(db)
+		checkStatsOracle(t, fmt.Sprintf("random seed %d", seed), db)
+	}
+	if dead == 0 {
+		t.Fatal("the random databases hold no delete-marked versions")
+	}
+}
+
+// TestIndexHoldsVisibleVersions: an index built over delete-marked versions
+// holds exactly the visible rows' (key, TID) pairs. The UPDATE that left
+// each dead version kept its SERIAL, so the unique build also shows dead
+// versions cannot violate uniqueness.
+func TestIndexHoldsVisibleVersions(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		db := randomDBWithDeadVersions(seed)
+		if deadVersions(db) == 0 {
+			continue
+		}
+		for _, tab := range db.Catalog().Tables() {
+			if tab.System {
+				continue
+			}
+			name := fmt.Sprintf("random seed %d", seed)
+			checkIndexOracle(t, name, db, "ORACLE_K", fmt.Sprintf("CREATE INDEX ORACLE_K ON %s (K)", tab.Name))
+			checkIndexOracle(t, name, db, "ORACLE_S", fmt.Sprintf("CREATE UNIQUE INDEX ORACLE_S ON %s (SERIAL)", tab.Name))
+		}
+	}
+}
+
+// TestUniqueIndexOverDeletedDuplicate: a unique index builds when the only
+// duplicate of a key is a deleted version vacuum has not reclaimed, and
+// vacuum later reclaims that version though the index never held it. A live
+// duplicate fails the build.
+func TestUniqueIndexOverDeletedDuplicate(t *testing.T) {
+	db := openDB(systemr.Config{})
+	db.MustExec("CREATE TABLE U (A INTEGER, B INTEGER)")
+	db.MustExec("INSERT INTO U VALUES (1, 10), (2, 20)")
+	db.MustExec("UPDATE U SET B = 11 WHERE A = 1")
+	if n := deadVersions(db); n != 1 {
+		t.Fatalf("%d delete-marked versions, want the UPDATE's one", n)
+	}
+	db.MustExec("CREATE UNIQUE INDEX U_A ON U (A)")
+	if ix, _ := db.Catalog().Index("U_A"); ix.Tree.Len() != 2 {
+		t.Fatalf("U_A holds %d entries, want the 2 live rows", ix.Tree.Len())
+	}
+	if n := db.Vacuum(); n != 1 {
+		t.Fatalf("vacuum reclaimed %d versions, want 1", n)
+	}
+	res := db.MustExec("SELECT B FROM U WHERE A = 1")
+	if len(res.Rows) != 1 || res.Rows[0][0] != int64(11) {
+		t.Fatalf("SELECT B WHERE A = 1 read %v, want [[11]]", res.Rows)
+	}
+
+	db.MustExec("DROP INDEX U_A")
+	db.MustExec("INSERT INTO U VALUES (2, 21)")
+	if _, err := db.Exec("CREATE UNIQUE INDEX U_A ON U (A)"); err == nil || !strings.Contains(err.Error(), "duplicate key") {
+		t.Fatalf("unique index over a live duplicate: %v, want a duplicate-key error", err)
+	}
+	if _, ok := db.Catalog().Index("U_A"); ok {
+		t.Fatal("the failed build left index U_A behind")
+	}
+}
+
+// TestMaintenanceStatementsMeasureTheirScans: on a flushed buffer pool,
+// UPDATE STATISTICS and CREATE INDEX report one RSI call per row they read
+// and the page fetches of their segment scans, and no rows.
+func TestMaintenanceStatementsMeasureTheirScans(t *testing.T) {
+	db := newEmpDeptJobDB(t)
+	db.Pool().Flush()
+	db.MustExec("UPDATE STATISTICS")
+	if st := db.LastStats(); st.RSICalls != sumNCard(db) || st.PageFetches == 0 || st.Rows != 0 {
+		t.Errorf("UPDATE STATISTICS: LastStats = %+v, want %d RSI calls, page fetches and no rows", st, sumNCard(db))
+	}
+	dept, _ := db.Catalog().Table("DEPT")
+	db.Pool().Flush()
+	db.MustExec("UPDATE STATISTICS DEPT")
+	if st := db.LastStats(); st.RSICalls != 30 || st.PageFetches != int64(dept.Segment.NumPages()) || st.Rows != 0 {
+		t.Errorf("UPDATE STATISTICS DEPT: LastStats = %+v, want 30 RSI calls and %d page fetches", st, dept.Segment.NumPages())
+	}
+	emp, _ := db.Catalog().Table("EMP")
+	db.Pool().Flush()
+	db.MustExec("CREATE INDEX EMP_SAL ON EMP (SAL)")
+	if st := db.LastStats(); st.RSICalls != 300 || st.PageFetches != int64(emp.Segment.NumPages()) || st.Rows != 0 {
+		t.Errorf("CREATE INDEX: LastStats = %+v, want 300 RSI calls and %d page fetches", st, emp.Segment.NumPages())
+	}
+}
+
+// TestStatisticsUnderWriters: writers commit while UPDATE STATISTICS and
+// CREATE INDEX run. Every writer transaction keeps W at n rows, and each
+// maintenance statement reads under a snapshot taken once every transaction
+// before it ended, so every NCARD it publishes is n. After the writers
+// stop, the statistics equal a recompute from the reference walk, and a
+// new index holds exactly the visible rows.
+func TestStatisticsUnderWriters(t *testing.T) {
+	const n, writers, rounds = 40, 2, 100
+	db := openDB(systemr.Config{})
+	db.MustExec("CREATE TABLE W (K INTEGER, V INTEGER)")
+	var rows []string
+	for k := 0; k < n; k++ {
+		rows = append(rows, fmt.Sprintf("(%d, 0)", k))
+	}
+	db.MustExec("INSERT INTO W VALUES " + strings.Join(rows, ", "))
+
+	// tolerated reports the failures a writer or the maintenance loop moves
+	// past: a write conflict or a deadlock abort, or a lock wait that timed
+	// out behind the others.
+	tolerated := func(err error) bool {
+		return errors.Is(err, systemr.ErrWriteConflict) || errors.Is(err, systemr.ErrDeadlock) ||
+			errors.Is(err, systemr.ErrLockTimeout) || errors.Is(err, systemr.ErrTxnAborted)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, writers+1)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				k := (w*rounds + r) % n
+				// Move row k: delete it and insert it again with V + 1.
+				x := db.Begin()
+				_, err := x.Exec(fmt.Sprintf("DELETE FROM W WHERE K = %d", k))
+				if err == nil {
+					_, err = x.Exec(fmt.Sprintf("INSERT INTO W VALUES (%d, %d)", k, r+1))
+				}
+				if err == nil {
+					err = x.Commit()
+				} else {
+					_ = x.Rollback()
+				}
+				if err == nil {
+					_, err = db.Exec(fmt.Sprintf("UPDATE W SET V = V + 1 WHERE K = %d", k))
+				}
+				if err != nil && !tolerated(err) {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	w, _ := db.Catalog().Table("W")
+	for stopped := false; !stopped; {
+		select {
+		case <-done:
+			stopped = true
+		default:
+		}
+		if _, err := db.Exec("UPDATE STATISTICS W"); err != nil && !tolerated(err) {
+			t.Fatal(err)
+		} else if err == nil && w.Stats.NCard != n {
+			t.Fatalf("UPDATE STATISTICS under writers: NCARD %d, want %d", w.Stats.NCard, n)
+		}
+		if _, err := db.Exec("CREATE INDEX W_V ON W (V)"); err == nil {
+			db.MustExec("DROP INDEX W_V")
+		} else if !tolerated(err) {
+			t.Fatal(err)
+		}
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	checkStatsOracle(t, "after the writers", db)
+	checkIndexOracle(t, "after the writers", db, "W_V", "CREATE INDEX W_V ON W (V)")
+}
+
+// TestCatalogChangeWaitsForIdleTransaction: a transaction holds the shared
+// catalog lock from BEGIN, so CREATE INDEX, which indexes only the versions
+// its own snapshot sees, waits even for a transaction that has run nothing
+// yet — whose older snapshot still sees a row a later commit deleted.
+func TestCatalogChangeWaitsForIdleTransaction(t *testing.T) {
+	db := systemr.Open(systemr.Config{LockTimeout: 20 * time.Millisecond})
+	db.MustExec("CREATE TABLE I (A INTEGER, B INTEGER)")
+	var rows []string
+	for a := 0; a < 500; a++ {
+		rows = append(rows, fmt.Sprintf("(%d, %d)", a, 10*a))
+	}
+	db.MustExec("INSERT INTO I VALUES " + strings.Join(rows, ", "))
+	x := db.Begin()
+	defer x.Rollback()
+	db.MustExec("DELETE FROM I WHERE A = 7")
+	if _, err := db.Exec("CREATE INDEX I_A ON I (A)"); !errors.Is(err, systemr.ErrLockTimeout) {
+		t.Fatalf("CREATE INDEX beside an idle transaction: %v, want ErrLockTimeout", err)
+	}
+	res, err := x.Query("SELECT B FROM I WHERE A = 7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0] != int64(70) {
+		t.Fatalf("the transaction read %v, want the row its snapshot holds", res.Rows)
+	}
+	if err := x.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	db.MustExec("CREATE INDEX I_A ON I (A)")
+}
+
+// TestBeginBehindDDLTimesOut: Begin waits for a running DDL statement's
+// exclusive catalog lock under Config.LockTimeout like any lock wait. When
+// the wait times out, Begin returns a transaction the engine has already
+// aborted: it counts one lock timeout, holds no lock, fails every statement
+// with ErrTxnAborted, and Rollback acknowledges it.
+func TestBeginBehindDDLTimesOut(t *testing.T) {
+	db := openDB(systemr.Config{LockTimeout: 20 * time.Millisecond})
+	db.MustExec("CREATE TABLE B (A INTEGER)")
+	ddl := db.Locks().Acquire([]lock.Request{{Table: compile.CatalogLock, Mode: lock.Exclusive}})
+	if ddl == nil {
+		t.Fatal("could not take the catalog lock")
+	}
+	timeouts := db.Locks().LockTimeouts()
+	x := db.Begin()
+	if n := db.Locks().LockTimeouts() - timeouts; n != 1 {
+		t.Fatalf("Begin behind DDL counted %d lock timeouts, want 1", n)
+	}
+	ddl.Release()
+	if _, err := x.Exec("INSERT INTO B VALUES (1)"); !errors.Is(err, systemr.ErrTxnAborted) {
+		t.Fatalf("statement on a timed-out Begin: %v, want ErrTxnAborted", err)
+	}
+	if err := x.Commit(); !errors.Is(err, systemr.ErrTxnAborted) {
+		t.Fatalf("Commit of a timed-out Begin: %v, want ErrTxnAborted", err)
+	}
+	if err := x.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	assertClean(t, db)
+	y := db.Begin()
+	if _, err := y.Exec("INSERT INTO B VALUES (1)"); err != nil {
+		t.Fatal(err)
+	}
+	if err := y.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReservedSegmentNames: segment names beginning with "__" belong to the
+// engine. The system catalogs' segments are cleared slot by slot on every
+// refresh, so a user table placed in one would lose its rows; CREATE TABLE
+// refuses such a name in any case.
+func TestReservedSegmentNames(t *testing.T) {
+	db := openDB(systemr.Config{})
+	db.MustExec("CREATE TABLE K (A INTEGER)")
+	db.MustExec("UPDATE STATISTICS")
+	for _, seg := range []string{"__SYSCAT_SYSTABLES", "__syscat_syscolumns", "__PRIVATE_0"} {
+		text := fmt.Sprintf("CREATE TABLE X (A INTEGER) IN SEGMENT %s", seg)
+		if _, err := db.Exec(text); err == nil || !strings.Contains(err.Error(), "reserved") {
+			t.Fatalf("%s: %v, want a reserved-name error", text, err)
+		}
+	}
+	db.MustExec("CREATE TABLE X (A INTEGER) IN SEGMENT SHARED_1")
+	db.MustExec("INSERT INTO X VALUES (1), (2)")
+	db.MustExec("UPDATE STATISTICS")
+	if res := db.MustExec("SELECT A FROM X"); len(res.Rows) != 2 {
+		t.Fatalf("X holds %v after UPDATE STATISTICS, want its 2 rows", res.Rows)
+	}
+}

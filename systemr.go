@@ -70,7 +70,9 @@ type Config struct {
 	// wait-for-graph deadlock detector resolves true deadlocks immediately;
 	// the timeout is the fallback for waits it cannot classify, such as a
 	// lock held by a stalled transaction. A tripped timeout surfaces as a
-	// *StatementError wrapping ErrLockTimeout.
+	// *StatementError wrapping ErrLockTimeout (in Begin, an aborted Txn).
+	// DDL waits for every open transaction, an idle one included: DDL run
+	// beside the session's own open Txn waits on itself.
 	LockTimeout time.Duration
 }
 
@@ -147,7 +149,9 @@ type Result struct {
 // (EXPLAIN ANALYZE included), the rows a cursor streamed before it closed,
 // and the rows an INSERT, DELETE or UPDATE affected, including the partial
 // count of an aborted one; it is 0 for DDL, UPDATE STATISTICS and plain
-// EXPLAIN.
+// EXPLAIN. CREATE INDEX and UPDATE STATISTICS read their tables through RSS
+// segment scans, so they report those scans' page fetches and RSI calls
+// (one per row read).
 type ExecStats struct {
 	PageFetches   int64
 	PagesWritten  int64
@@ -400,6 +404,33 @@ func (db *DB) runtime(g *governor.Budget, snap *storage.Snapshot) *exec.Runtime 
 		OnBatch: db.metrics.observeBatch}
 }
 
+// tableRows is the engine's catalog.RowSource: an RSS segment scan of each
+// table under snap, whose page fetches and RSI calls count into io. CREATE
+// INDEX and UPDATE STATISTICS pass their statement's ledger and snapshot;
+// their exclusive catalog lock has waited out every transaction, so that
+// snapshot sees what any current or future reader can. The scans carry no
+// budget: whether maintenance obeys per-statement limits is still open.
+func (db *DB) tableRows(io *storage.IOStats, snap *storage.Snapshot) catalog.RowSource {
+	return func(t *catalog.Table, visit func(value.Row, storage.TID) error) error {
+		scan := rss.SegmentScan{Table: t, Pool: db.pool, Stmt: io, Snap: snap}
+		if err := scan.Open(); err != nil {
+			return err
+		}
+		defer func() { _ = scan.Close() }() // a segment scan's Close cannot fail
+		var row value.Row
+		for {
+			next, tid, ok, err := scan.NextInto(row[:0])
+			if err != nil || !ok {
+				return err
+			}
+			if err := visit(next, tid); err != nil {
+				return err
+			}
+			row = next
+		}
+	}
+}
+
 // newGovernor creates one statement's execution budget from the configured
 // limits, over a fresh per-statement I/O accumulator: the fetch budget is
 // enforced against this statement's fetches alone, and the same accumulator
@@ -546,17 +577,13 @@ func (db *DB) execStmt(cur *txn.Txn, st *statement) (*Result, error) {
 		}
 		_, err = db.cat.CreateTable(x.Name, cols, x.Segment)
 	case *sql.CreateIndexStmt:
-		_, err = db.cat.CreateIndex(x.Name, x.Table, x.Columns, x.Unique, x.Clustered)
+		_, err = db.cat.CreateIndex(x.Name, x.Table, x.Columns, x.Unique, x.Clustered, db.tableRows(st.gov.IO(), cur.Snapshot()))
 	case *sql.DropTableStmt:
 		err = db.cat.DropTable(x.Name)
 	case *sql.DropIndexStmt:
 		err = db.cat.DropIndex(x.Name)
 	case *sql.UpdateStatsStmt:
-		if x.Table == "" {
-			db.cat.UpdateStatistics()
-		} else if !db.cat.UpdateStatisticsFor(x.Table) {
-			err = fmt.Errorf("systemr: table %s does not exist", x.Table)
-		}
+		err = db.cat.UpdateStatistics(x.Table, db.tableRows(st.gov.IO(), cur.Snapshot()))
 	case *sql.InsertStmt:
 		return db.execInsert(cur, st, x)
 	case *sql.ExplainStmt:

@@ -14,9 +14,12 @@ package systemr
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
+	"systemr/internal/check"
+	"systemr/internal/lock"
 	"systemr/internal/txn"
 )
 
@@ -35,10 +38,26 @@ type Txn struct {
 
 // Begin starts a transaction. The API-level equivalent of executing BEGIN on
 // a Conn.
+//
+// The transaction holds the shared catalog lock from BEGIN to its end, so
+// catalog changes wait for it even while it is idle: no older snapshot
+// outlives a CREATE INDEX that indexes only the versions its own snapshot
+// sees. Begin waits for a running DDL statement under Config.LockTimeout; on
+// a timeout the returned transaction is already aborted, as after a lock
+// timeout in any statement.
 func (db *DB) Begin() *Txn {
-	t := db.newTxn(db.txns.Begin())
+	t := db.newTxn(nil)
 	db.activeTxns.Add(1)
 	db.metrics.txnBegins.Inc()
+	if err := t.Locks.AcquireContext(context.Background(), catalogShared); err != nil {
+		if !errors.Is(err, lock.ErrLockTimeout) {
+			check.Failf("systemr: BEGIN's catalog lock: %v", err)
+		}
+		db.metrics.lockTimeouts.Inc()
+		_ = db.abort(t, true, err) // nothing to undo
+		return &Txn{db: db, t: t}
+	}
+	t.Register(db.txns.Begin())
 	return &Txn{db: db, t: t}
 }
 
