@@ -2,8 +2,12 @@ package systemr_test
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+
+	"systemr"
 
 	"systemr/internal/testutil"
 	"systemr/internal/workload"
@@ -180,5 +184,103 @@ func TestRowsCloseIdempotent(t *testing.T) {
 	// accounting registered above stays balanced.
 	if _, err := db.Exec("UPDATE EMP SET SAL = SAL WHERE DNO = 3"); err != nil {
 		t.Fatalf("write after double close: %v", err)
+	}
+}
+
+// TestEveryEntryPointMeasuresTheSame: every entry point runs a plan through
+// the executor's one driver, so one query with an IN subquery returns the
+// same rows and publishes the same LastStats — page fetches from a flushed
+// pool, temp pages written, RSI calls, subquery evaluations and rows —
+// through DB.Query,
+// Txn.Query, Conn.Query, Stmt.Run, a drained Stmt.Open cursor and EXPLAIN
+// ANALYZE, whose statement line reports the same fetches and RSI calls. A
+// cursor closed part way publishes exactly the rows it streamed.
+func TestEveryEntryPointMeasuresTheSame(t *testing.T) {
+	const query = "SELECT NAME, SAL FROM EMP WHERE DNO IN (SELECT DNO FROM DEPT WHERE LOC = 'DENVER') ORDER BY SAL"
+	db := newEmpDeptJobDB(t)
+	stmt, err := db.Prepare(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cursor := func() (*systemr.Result, error) {
+		rows, err := stmt.Open()
+		if err != nil {
+			return nil, err
+		}
+		res := &systemr.Result{Columns: rows.Columns()}
+		for {
+			row, ok, err := rows.Next()
+			if err != nil || !ok {
+				return res, err
+			}
+			res.Rows = append(res.Rows, row)
+		}
+	}
+	var explained string
+	entries := []struct {
+		name string
+		run  func() (*systemr.Result, error)
+	}{
+		{"DB.Query", func() (*systemr.Result, error) { return db.Query(query) }},
+		{"Txn.Query", func() (*systemr.Result, error) {
+			x := db.Begin()
+			defer func() { _ = x.Commit() }()
+			return x.Query(query)
+		}},
+		{"Conn.Query", func() (*systemr.Result, error) { return db.Conn().Query(query) }},
+		{"Stmt.Run", func() (*systemr.Result, error) { return stmt.Run() }},
+		{"Stmt.Open", cursor},
+		{"EXPLAIN ANALYZE", func() (*systemr.Result, error) {
+			res, err := db.Exec("EXPLAIN ANALYZE " + query)
+			if err == nil {
+				explained = res.Plan
+			}
+			return nil, err
+		}},
+	}
+	var want []systemr.ExecStats
+	var wantRows [][]any
+	for _, e := range entries {
+		db.Pool().Flush()
+		res, err := e.run()
+		if err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+		s := db.LastStats()
+		got := systemr.ExecStats{PageFetches: s.PageFetches, PagesWritten: s.PagesWritten,
+			RSICalls: s.RSICalls, SubqueryEvals: s.SubqueryEvals, Rows: s.Rows}
+		if want == nil {
+			want, wantRows = []systemr.ExecStats{got}, res.Rows
+			if got.Rows == 0 || got.SubqueryEvals != 1 || got.PageFetches == 0 {
+				t.Fatalf("%s: stats %+v, want rows, one subquery evaluation and fetches", e.name, got)
+			}
+			continue
+		}
+		if got != want[0] {
+			t.Errorf("%s: stats %+v, want %+v as through %s", e.name, got, want[0], entries[0].name)
+		}
+		if res != nil && !reflect.DeepEqual(res.Rows, wantRows) {
+			t.Errorf("%s: %d rows differ from %s's %d", e.name, len(res.Rows), entries[0].name, len(wantRows))
+		}
+	}
+	line := fmt.Sprintf("statement: fetches=%d writes=%d rsi=%d ", want[0].PageFetches, want[0].PagesWritten, want[0].RSICalls)
+	if !strings.Contains(explained, line) {
+		t.Errorf("EXPLAIN ANALYZE lacks %q:\n%s", line, explained)
+	}
+
+	rows, err := stmt.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, ok, err := rows.Next(); !ok || err != nil {
+			t.Fatalf("row %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	if err := rows.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s := db.LastStats(); s.Rows != 2 || s.SubqueryEvals != 1 {
+		t.Fatalf("partly drained cursor: Rows=%d SubqueryEvals=%d, want 2 and 1", s.Rows, s.SubqueryEvals)
 	}
 }

@@ -22,7 +22,10 @@
 package compile
 
 import (
+	"cmp"
 	"math"
+	"slices"
+	"strings"
 	"sync/atomic"
 
 	"systemr/internal/catalog"
@@ -48,7 +51,9 @@ const CatalogLock = "__CATALOG__"
 // snapshotReads false they take shared locks (pure two-phase locking).
 // Every statement still locks the catalog shared, pinning the catalog
 // version against DDL. The set depends only on the statement text, so it is
-// stored on the compiled plan and stays valid across recompilations.
+// stored on the compiled plan and stays valid across recompilations. It is
+// canonical (see canonical), the form lock.Txn.AcquireContext grants as
+// given.
 func LockRequests(stmt sql.Statement, snapshotReads bool) []lock.Request {
 	reqs := []lock.Request{{Table: CatalogLock, Mode: lock.Shared}}
 	switch stmt.(type) {
@@ -69,7 +74,31 @@ func LockRequests(stmt sql.Statement, snapshotReads bool) []lock.Request {
 	for _, t := range write {
 		reqs = append(reqs, lock.Request{Table: t, Mode: lock.Exclusive})
 	}
-	return reqs
+	return canonical(reqs)
+}
+
+// canonical puts a lock set in the one order every lock set is granted in,
+// in place: table names upper-cased, one request per table with exclusive
+// winning, the catalog lock first and the tables after it by name. One
+// total order keeps statement-scope acquisitions free of deadlock.
+func canonical(reqs []lock.Request) []lock.Request {
+	for i := range reqs {
+		reqs[i].Table = strings.ToUpper(reqs[i].Table)
+	}
+	slices.SortFunc(reqs, func(a, b lock.Request) int {
+		// Exclusive sorts before shared, so the compaction keeps it.
+		return cmp.Or(strings.Compare(lockOrder(a), lockOrder(b)), cmp.Compare(b.Mode, a.Mode))
+	})
+	return slices.CompactFunc(reqs, func(a, b lock.Request) bool { return a.Table == b.Table })
+}
+
+// lockOrder is a request's sort key in a canonical set: its table, or ""
+// for the catalog lock, which comes first.
+func lockOrder(r lock.Request) string {
+	if r.Table == CatalogLock {
+		return ""
+	}
+	return r.Table
 }
 
 // CompiledPlan is the immutable product of one trip through the pipeline —

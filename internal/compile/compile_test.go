@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -122,6 +123,57 @@ func TestLockRequests(t *testing.T) {
 		if len(reqs) != 1 || reqs[0] != (lock.Request{Table: CatalogLock, Mode: lock.Exclusive}) {
 			t.Fatalf("%s: reqs = %v, want exclusive catalog lock only", ddl, reqs)
 		}
+	}
+}
+
+// TestCanonicalLockSet: a lock set is put in canonical form where it is
+// built, since the lock manager grants a set as given. Names are
+// upper-cased, a table asked for twice is locked once with exclusive
+// winning, and the catalog lock sorts before the tables, which sort by name.
+func TestCanonicalLockSet(t *testing.T) {
+	for _, c := range []struct {
+		in, want []lock.Request
+	}{
+		{
+			in: []lock.Request{
+				{Table: "a", Mode: lock.Shared},
+				{Table: "A", Mode: lock.Exclusive},
+				{Table: "B", Mode: lock.Shared},
+				{Table: "b", Mode: lock.Shared},
+			},
+			want: []lock.Request{{Table: "A", Mode: lock.Exclusive}, {Table: "B", Mode: lock.Shared}},
+		},
+		{
+			in: []lock.Request{
+				{Table: "Z", Mode: lock.Exclusive},
+				{Table: CatalogLock, Mode: lock.Shared},
+				{Table: "T", Mode: lock.Shared},
+				{Table: "t", Mode: lock.Exclusive},
+			},
+			want: []lock.Request{
+				{Table: CatalogLock, Mode: lock.Shared},
+				{Table: "T", Mode: lock.Exclusive},
+				{Table: "Z", Mode: lock.Exclusive},
+			},
+		},
+	} {
+		if got := canonical(slices.Clone(c.in)); !slices.Equal(got, c.want) {
+			t.Errorf("canonical(%v) = %v, want %v", c.in, got, c.want)
+		}
+	}
+	// A table both read and written under two-phase locking is locked once,
+	// exclusively, after the catalog lock.
+	stmt, err := sql.Parse("UPDATE T SET A = 1 WHERE A IN (SELECT A FROM T) AND A IN (SELECT A FROM U)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []lock.Request{
+		{Table: CatalogLock, Mode: lock.Shared},
+		{Table: "T", Mode: lock.Exclusive},
+		{Table: "U", Mode: lock.Shared},
+	}
+	if got := LockRequests(stmt, false); !slices.Equal(got, want) {
+		t.Fatalf("LockRequests = %v, want %v", got, want)
 	}
 }
 

@@ -146,7 +146,7 @@ func scanRejectsAll(t *testing.T, xmin storage.XID, query string, find func(*op)
 		e := loadNames(t, n, xmin)
 		text := fmt.Sprintf(query, n)
 		_, q := e.plan(t, text, core.Config{})
-		ctx := newBlockCtx(e.rt, q, new(int))
+		ctx := testBlock(e, q)
 		root, err := ctx.buildRoot()
 		if err != nil {
 			t.Fatal(err)
@@ -555,5 +555,52 @@ func TestSmallSortAllocs(t *testing.T) {
 		if allocs > tc.allocs {
 			t.Errorf("%s: %.0f allocations per run, want <= %.0f", tc.query, allocs, tc.allocs)
 		}
+	}
+}
+
+// TestCorrelatedSubqueryAllocsPerEval bounds what one evaluation of a
+// correlated subquery allocates: every outer row of G distinct values
+// re-runs the inner block, an index probe under AVG, through its own
+// cursor. The per-evaluation count is the difference between two table
+// sizes over the difference in evaluations, so the statement's fixed
+// allocations cancel out. The bound is the count measured before every
+// evaluation ran through a cursor, 28; the cursor, which shares its
+// parent's fetch tracker and takes its parameter values without a copy,
+// makes 26.
+func TestCorrelatedSubqueryAllocsPerEval(t *testing.T) {
+	const query = "SELECT V FROM T X WHERE V > (SELECT AVG(V) FROM T WHERE G = X.G)"
+	allocs := func(n int) float64 {
+		e := newEnv(t)
+		tab, err := e.cat.CreateTable("T", []catalog.Column{
+			{Name: "G", Type: value.KindInt}, {Name: "V", Type: value.KindInt}}, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for g := 0; g < n; g++ {
+			if _, _, err := rss.Insert(tab, value.Row{value.NewInt(int64(g)), value.NewInt(int64(g))}, storage.FrozenXID, storage.NoPrevTID, e.disk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := e.cat.CreateIndex("T_G", "T", []string{"G"}, false, true, testutil.HeapRows(e.cat.Disk())); err != nil {
+			t.Fatal(err)
+		}
+		e.cat.UpdateStatistics("", testutil.HeapRows(e.cat.Disk()))
+		_, q := e.plan(t, query, core.Config{})
+		var stats *Stats
+		got := testing.AllocsPerRun(5, func() {
+			var err error
+			if _, stats, err = RunQuery(e.rt, q, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if stats.SubqueryEvals != n {
+			t.Fatalf("%d subquery evaluations over %d distinct outer values", stats.SubqueryEvals, n)
+		}
+		return got
+	}
+	const small, large = 64, 320
+	perEval := (allocs(large) - allocs(small)) / (large - small)
+	if max := 28.0; perEval > max {
+		t.Errorf("%.2f allocations per correlated subquery evaluation, want at most %.2f", perEval, max)
 	}
 }

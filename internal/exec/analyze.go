@@ -41,29 +41,27 @@ type Analysis struct {
 }
 
 // RunQueryAnalyze is RunQuery keeping the instrumented operator tree for
-// rendering. The Analysis is returned even when execution aborts (canceled,
-// budget exceeded, storage fault), carrying the actuals up to the abort —
-// nil only if the plan could not be built.
+// rendering: the Analysis reads the finished run's block. It is returned even
+// when execution aborts (canceled, budget exceeded, storage fault), carrying
+// the actuals up to the abort — nil only if the plan could not be built.
 func RunQueryAnalyze(rt *Runtime, q *plan.Query, args []value.Value) ([]value.Row, *Stats, *Analysis, error) {
-	rows, stats, ctx, err := runQuery(rt, q, args)
-	if ctx == nil || ctx.root == nil {
-		return rows, stats, nil, err
+	rows, c, err := runBlock(rt, q, args, nil)
+	if c.root == nil {
+		return rows, c.Stats(), nil, err
 	}
 	a := &Analysis{
 		Query:      q,
-		Root:       ctx.root,
+		Root:       c.root,
 		SubEvals:   make([]int, len(q.Subs)),
 		SubFetches: make([]int64, len(q.Subs)),
-		IO:         stats.IO,
-		lits:       ctx.lits,
+		IO:         c.stats.IO,
+		lits:       c.ctx.lits,
 	}
 	for i, sp := range q.Subs {
-		if st, ok := ctx.subs[sp.Sub]; ok {
-			a.SubEvals[i] = st.evals
-			a.SubFetches[i] = st.fetches
-		}
+		st := c.ctx.subs[sp.Sub]
+		a.SubEvals[i], a.SubFetches[i] = st.evals, st.fetches
 	}
-	return rows, stats, a, err
+	return rows, c.Stats(), a, err
 }
 
 // Format renders the annotated plan tree. w is the optimizer's CPU weighting

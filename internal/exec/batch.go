@@ -40,7 +40,7 @@ const DefaultBatchSize = 256
 // grouping its group's representative, a nested loop and a merge join the
 // inner values of the rows they keep, a merge join its inner group and a
 // hash join its build. Projection, aggregation and duplicate elimination
-// hand out fresh rows, because the block driver, cursors and DML targets
+// hand out fresh rows, because drained queries, cursors and DML targets
 // keep them. Below them, once its chunks have grown to a batch, no operator
 // allocates per batch but a hash build, which keeps what it copies.
 type Batch struct {

@@ -5,7 +5,8 @@ package exec
 // analyzed as the single-relation block SELECT *, <SET values> FROM t WHERE
 // ... (sem.AnalyzeLifted), so the optimizer's chosen access path (index probe
 // or segment scan, with SARGs) locates the affected tuples and one operator
-// tree yields each one's stored image and new values. Targets are fully
+// tree yields each one's stored image and new values. The block runs through
+// the same Cursor as a query, stepped a row at a time. Targets are fully
 // collected before any mutation, which also avoids re-visiting tuples the
 // statement itself moves (the Halloween problem).
 
@@ -26,11 +27,11 @@ type Target struct {
 
 // CollectTargets runs a planned DML block to completion, binding the
 // statement's arguments args as RunQuery does, and returns its targets and
-// the subquery evaluations the run made. It sets rt.BatchSize
-// to 1 and runs the block as a cursor: every fill below the root holds one
-// row, so after each fetch the access path's last TID names the row just
-// projected. The scan goes through the same instrumented, governor-checked
-// boundary as query execution.
+// the subquery evaluations the run made. It sets rt.BatchSize to 1 and steps
+// the block's cursor: every fill below the root holds one row, so after each
+// fetch the access path's last TID names the row just projected. The scan
+// goes through the same instrumented, governor-checked boundary as query
+// execution.
 func CollectTargets(rt *Runtime, q *plan.Query, args []value.Value) (ts []Target, evals int, err error) {
 	rt.BatchSize = 1
 	c, err := OpenQuery(rt, q, args)
@@ -52,7 +53,7 @@ func CollectTargets(rt *Runtime, q *plan.Query, args []value.Value) (ts []Target
 	for {
 		row, ok, err := c.Next()
 		if err != nil || !ok {
-			return ts, c.evals, err
+			return ts, c.stats.SubqueryEvals, err
 		}
 		ts = append(ts, Target{TID: src.lastTID(), Row: row[:n:n], Sets: row[n:]})
 	}

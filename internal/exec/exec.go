@@ -1,5 +1,12 @@
 package exec
 
+// The one driver. Every run of a plan — a query, a cursor, EXPLAIN ANALYZE,
+// DML tuple location and each subquery evaluation — goes through a Cursor:
+// open builds the block's operator tree, binds its arguments and opens it
+// (finishing on a failed open or a panic); the caller then steps it a row at
+// a time (Next) or drains it a batch at a time (drain); finish closes the
+// tree and sets the run's Stats, once.
+
 import (
 	"errors"
 	"fmt"
@@ -37,8 +44,8 @@ type Runtime struct {
 	// DefaultBatchSize). It never affects plan choice — only how many rows
 	// cross each instrumented operator boundary per call.
 	BatchSize int
-	// OnBatch, when non-nil, observes the size of every batch the block
-	// driver consumes from the root operator (metrics hook).
+	// OnBatch, when non-nil, observes the size of every root batch a drain
+	// consumes — queries' and subqueries', never a cursor's (metrics hook).
 	OnBatch func(rows int)
 
 	// Snap is the MVCC snapshot every scan in this statement reads under:
@@ -46,16 +53,6 @@ type Runtime struct {
 	// version without a delete mark, another transaction's uncommitted
 	// insert included: it is for callers that exclude concurrent writers.
 	Snap *storage.Snapshot
-}
-
-// ensureIO guarantees the runtime carries a statement accumulator, creating
-// a fresh one for callers (tests, experiment drivers) that did not supply
-// one.
-func (rt *Runtime) ensureIO() *storage.IOStats {
-	if rt.IO == nil {
-		rt.IO = &storage.IOStats{}
-	}
-	return rt.IO
 }
 
 // Stats summarizes one statement's measured execution.
@@ -68,49 +65,27 @@ type Stats struct {
 // RunQuery executes a planned query block and returns the output rows, with
 // the values of its lifted literals bound positionally from args: the
 // program-supplied values of its host variables, or the literals sql.Lift
-// lifted out of its text (nil for a plan with neither).
+// lifted out of its text (nil for a plan with neither). An aborted run
+// (canceled, budget exceeded, storage fault) reports its work so far.
 func RunQuery(rt *Runtime, q *plan.Query, args []value.Value) ([]value.Row, *Stats, error) {
-	rows, stats, _, err := runQuery(rt, q, args)
-	return rows, stats, err
+	rows, c, err := runBlock(rt, q, args, nil)
+	return rows, c.Stats(), err
 }
 
-// runQuery is the shared body of RunQuery and RunQueryAnalyze: execute
-// the block and return the rows, the statement stats, and the block context
-// whose operator tree now holds the per-operator actuals.
-func runQuery(rt *Runtime, q *plan.Query, args []value.Value) ([]value.Row, *Stats, *blockCtx, error) {
-	before := rt.ensureIO().Snapshot()
-	evals := 0
-	mkStats := func(rows int) *Stats {
-		after := rt.IO.Snapshot()
-		return &Stats{IO: after.Sub(before), SubqueryEvals: evals, Rows: rows}
-	}
-	ctx := newBlockCtx(rt, q, &evals)
-	if err := bindHostArgs(ctx, q, args); err != nil {
-		return nil, mkStats(0), ctx, err
-	}
-	rows, err := ctx.run()
+// runBlock opens q's block and drains it, returning the finished cursor:
+// how RunQuery, RunQueryAnalyze and each subquery evaluation run a block.
+func runBlock(rt *Runtime, q *plan.Query, args []value.Value, parent *blockCtx) ([]value.Row, *Cursor, error) {
+	c, err := open(rt, q, args, parent, 0)
 	if err != nil {
-		// Stats are still returned so aborted statements (canceled, budget
-		// exceeded, storage fault) report the work done up to the abort.
-		return nil, mkStats(0), ctx, err
+		return nil, c, err
 	}
-	return rows, mkStats(len(rows)), ctx, nil
+	rows, err := c.drain()
+	return rows, c, err
 }
 
-// bindHostArgs checks the argument count against the block's lifted
-// literals — its host variables, or the literals sql.Lift lifted out of its
-// text — and makes args their values.
-func bindHostArgs(ctx *blockCtx, q *plan.Query, args []value.Value) error {
-	if n := q.Block.Lifted; len(args) != n {
-		return fmt.Errorf("exec: statement has %d host variable(s), %d argument(s) supplied", n, len(args))
-	}
-	ctx.lits = args
-	return nil
-}
-
-// blockCtx is the runtime state of one executing query block instance. It
-// fills the 144-byte allocation size class exactly; TestScanOpsFitSizeClass
-// pins it.
+// blockCtx is the runtime state of one executing query block instance,
+// embedded in the Cursor that runs it. It fits the 144-byte allocation size
+// class; TestScanOpsFitSizeClass pins it.
 type blockCtx struct {
 	rt      *Runtime
 	q       *plan.Query
@@ -126,29 +101,10 @@ type blockCtx struct {
 	// block, not double-counted against the operator. Shared (like evals)
 	// between a block and its subquery blocks.
 	subFetches *int64
-	root       *op // the block's operator tree, kept for EXPLAIN ANALYZE
 	// strs is the arena the block's scans carve decoded VARCHAR values
 	// from: one chunk serves many rows, and a row kept past its batch keeps
 	// its strings (see storage.Strings).
 	strs storage.Strings
-}
-
-func newBlockCtx(rt *Runtime, q *plan.Query, evals *int) *blockCtx {
-	rt.ensureIO()
-	ctx := &blockCtx{
-		rt:         rt,
-		q:          q,
-		params:     make([]value.Value, q.NumParams),
-		evals:      evals,
-		subFetches: new(int64),
-	}
-	if len(q.Subs) > 0 {
-		ctx.subs = make(map[*sem.Subquery]*subState, len(q.Subs))
-		for _, sp := range q.Subs {
-			ctx.subs[sp.Sub] = &subState{sp: sp}
-		}
-	}
-	return ctx
 }
 
 // batchN is the target rows per NextBatch: Runtime.BatchSize, or
@@ -169,42 +125,6 @@ func (ctx *blockCtx) fetchCount() int64 { return ctx.rt.IO.FetchCount() }
 // are attributed to the subquery's own block).
 func (ctx *blockCtx) opFetchBase() int64 { return ctx.fetchCount() - *ctx.subFetches }
 
-// run drives the block's operator tree to completion. The close is deferred
-// before open so that every exit path — including errors mid-open and panics
-// — releases the plan's scans; close errors surface unless an earlier error
-// is already being returned.
-func (ctx *blockCtx) run() (rows []value.Row, err error) {
-	root, err := ctx.buildRoot()
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		if cerr := root.Close(); cerr != nil && err == nil {
-			rows, err = nil, cerr
-		}
-	}()
-	if err := root.Open(); err != nil {
-		return nil, err
-	}
-	// The root's instrumented boundary is paid once per batch.
-	b := NewBatch(ctx.batchN())
-	for {
-		if err := root.NextBatch(b); err != nil {
-			return nil, err
-		}
-		if b.Len() == 0 {
-			return rows, nil
-		}
-		if f := ctx.rt.OnBatch; f != nil {
-			f(b.Len())
-		}
-		rows = slices.Grow(rows, b.Len())
-		for _, c := range b.rows {
-			rows = append(rows, outRow(c))
-		}
-	}
-}
-
 func (ctx *blockCtx) numRels() int { return len(ctx.q.Block.Rels) }
 
 // applyResidual evaluates the residual predicates attached to a node.
@@ -221,52 +141,105 @@ func (ctx *blockCtx) applyResidual(c comp, exprs []sem.Expr) (bool, error) {
 	return true, nil
 }
 
-// Cursor streams a planned query's output rows one at a time — the
-// tuple-at-a-time host-language interface the paper's Section 2 describes
-// (generated code returning tuples to PL/I or COBOL programs). Each Next
-// drives the root with a one-row batch, so every cursor fetch crosses the
-// root's instrumented, governor-checked boundary exactly once while the
-// operators below it still exchange full batches. Stats are finalized when
-// the cursor closes or drains.
+// Cursor runs one planned block (see the file comment). Stepped through
+// Next — the tuple-at-a-time host-language interface of the paper's Section
+// 2 — it drives the root with a one-row batch, so every fetch crosses the
+// root's instrumented, governor-checked boundary once while the operators
+// below still exchange full batches.
 type Cursor struct {
-	rt     *Runtime
-	root   *op
-	one    *Batch
-	before storage.IOStatsSnapshot
-	evals  int
-	rows   int
-	done   bool
-	stats  *Stats
+	ctx  blockCtx
+	root *op
+	b    *Batch // the root's batch; nil until the tree is open
+	done bool
+	// stats counts rows and subquery evaluations as they happen; IO holds
+	// the statement's counters at the start until finish sets the delta.
+	stats      Stats
+	subFetches int64
+}
+
+// open readies a cursor over q's block under rt, builds its operator tree
+// and opens it, with root batches aiming at rootN rows (0: the block's batch
+// size). A top-level block binds args as the values of its lifted literals
+// and counts into its own cursor. A subquery's block (parent non-nil) takes
+// args as its correlation parameters' values, and reads the parent's
+// literals and counts into the parent's evaluations and fetches. A failed
+// or panicking open finishes the cursor, releasing the scans it opened; a
+// failed one returns it, Stats set, with the error.
+func open(rt *Runtime, q *plan.Query, args []value.Value, parent *blockCtx, rootN int) (c *Cursor, err error) {
+	if rt.IO == nil {
+		rt.IO = &storage.IOStats{} // callers such as tests may leave it unset
+	}
+	c = &Cursor{stats: Stats{IO: rt.IO.Snapshot()}}
+	c.ctx = blockCtx{rt: rt, q: q, lits: args, evals: &c.stats.SubqueryEvals, subFetches: &c.subFetches}
+	if parent != nil {
+		c.ctx.params, c.ctx.lits, c.ctx.evals, c.ctx.subFetches = args, parent.lits, parent.evals, parent.subFetches
+	} else {
+		c.ctx.params = make([]value.Value, q.NumParams)
+	}
+	if len(q.Subs) > 0 {
+		c.ctx.subs = make(map[*sem.Subquery]*subState, len(q.Subs))
+		for _, sp := range q.Subs {
+			c.ctx.subs[sp.Sub] = &subState{sp: sp}
+		}
+	}
+	defer func() {
+		if c.b == nil {
+			err = errors.Join(err, c.finish())
+		}
+	}()
+	if n := q.Block.Lifted; parent == nil && len(args) != n {
+		return c, fmt.Errorf("exec: statement has %d host variable(s), %d argument(s) supplied", n, len(args))
+	}
+	if c.root, err = c.ctx.buildRoot(); err != nil {
+		return c, err
+	}
+	if err := c.root.Open(); err != nil {
+		return c, err
+	}
+	if rootN == 0 {
+		rootN = c.ctx.batchN()
+	}
+	c.b = NewBatch(rootN)
+	return c, nil
 }
 
 // OpenQuery begins streaming execution of a planned block with its lifted
-// literals' values bound from args, as in RunQuery. An open that fails or
-// panics releases any scans the plan managed to open first.
-func OpenQuery(rt *Runtime, q *plan.Query, args []value.Value) (_ *Cursor, err error) {
-	c := &Cursor{rt: rt, before: rt.ensureIO().Snapshot()}
-	ctx := newBlockCtx(rt, q, &c.evals)
-	if err := bindHostArgs(ctx, q, args); err != nil {
-		return nil, err
-	}
-	root, err := ctx.buildRoot()
+// literals' values bound from args, as in RunQuery.
+func OpenQuery(rt *Runtime, q *plan.Query, args []value.Value) (*Cursor, error) {
+	c, err := open(rt, q, args, nil, 1)
 	if err != nil {
 		return nil, err
 	}
+	return c, nil
+}
+
+// drain fills the root's batches to the end, keeping every row, and reports
+// each batch to Runtime.OnBatch. The cursor finishes on every exit, a panic
+// included.
+func (c *Cursor) drain() (rows []value.Row, err error) {
 	defer func() {
-		// Release partially-opened scans (e.g. a hash join's build input);
-		// a close failure rides along rather than vanishing.
-		if c.root == nil {
-			if cerr := root.Close(); cerr != nil {
-				err = errors.Join(err, cerr)
-			}
+		if !c.done {
+			c.finish() // a panic: release the plan's scans on the way out
 		}
 	}()
-	if err := root.Open(); err != nil {
-		return nil, err
+	for {
+		if err := c.root.NextBatch(c.b); err != nil {
+			c.finish()
+			return nil, err
+		}
+		n := c.b.Len()
+		if n == 0 {
+			c.stats.Rows = len(rows)
+			return rows, c.finish()
+		}
+		if f := c.ctx.rt.OnBatch; f != nil {
+			f(n)
+		}
+		rows = slices.Grow(rows, n)
+		for _, r := range c.b.rows {
+			rows = append(rows, outRow(r))
+		}
 	}
-	c.root = root
-	c.one = NewBatch(1)
-	return c, nil
 }
 
 // Next returns the next output row; ok is false at end of results. An error
@@ -276,15 +249,15 @@ func (c *Cursor) Next() (value.Row, bool, error) {
 	if c.done {
 		return nil, false, nil
 	}
-	if err := c.root.NextBatch(c.one); err != nil {
+	if err := c.root.NextBatch(c.b); err != nil {
 		c.finish()
 		return nil, false, err
 	}
-	if c.one.Len() == 0 {
+	if c.b.Len() == 0 {
 		return nil, false, c.finish()
 	}
-	c.rows++
-	return outRow(c.one.Row(0)), true, nil
+	c.stats.Rows++
+	return outRow(c.b.Row(0)), true, nil
 }
 
 // Close releases the cursor; safe to call at any point and idempotent. It
@@ -296,14 +269,23 @@ func (c *Cursor) Close() error {
 	return nil
 }
 
+// finish closes the tree, if one was built, and sets the run's I/O: the one
+// place a run's Stats become final.
 func (c *Cursor) finish() error {
 	c.done = true
-	err := c.root.Close()
-	after := c.rt.IO.Snapshot()
-	c.stats = &Stats{IO: after.Sub(c.before), SubqueryEvals: c.evals, Rows: c.rows}
+	var err error
+	if c.root != nil {
+		err = c.root.Close()
+	}
+	c.stats.IO = c.ctx.rt.IO.Snapshot().Sub(c.stats.IO)
 	return err
 }
 
-// Stats returns the measured execution statistics; valid after the cursor
-// has drained or closed, nil before.
-func (c *Cursor) Stats() *Stats { return c.stats }
+// Stats returns the measured execution statistics; valid once the cursor
+// has finished, nil before. They live in the cursor, which they keep alive.
+func (c *Cursor) Stats() *Stats {
+	if !c.done {
+		return nil
+	}
+	return &c.stats
+}

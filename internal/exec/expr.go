@@ -156,12 +156,12 @@ func (ctx *blockCtx) evalExpr(c comp, e sem.Expr) (value.Value, error) {
 		if v.IsNull() {
 			return boolVal(false), nil
 		}
-		set, err := ctx.subSet(c, x.Sub)
+		st, err := ctx.evaluate(c, x.Sub)
 		if err != nil {
 			return value.Value{}, err
 		}
 		var kb [32]byte // the lookup's key converts without allocating
-		found := set[string(storage.AppendEncodedRow(kb[:0], value.Row{v}))]
+		found := st.set[string(storage.AppendEncodedRow(kb[:0], value.Row{v}))]
 		if x.Negated {
 			return boolVal(!found), nil
 		}

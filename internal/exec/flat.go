@@ -74,7 +74,7 @@ func (it *projectOp) close() error { return it.input.Close() }
 // and output rows and their single-slot composites are carved from chunks
 // that double, up to the batch target, from one row, so a scalar aggregate
 // allocates for one row. Its output rows are fresh, never written again:
-// the block driver, cursors and DML targets keep them.
+// drained queries, cursors and DML targets keep them.
 type groupAggOp struct {
 	ctx   *blockCtx
 	input *op

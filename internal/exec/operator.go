@@ -233,17 +233,12 @@ func producesOutput(n plan.Node) bool {
 }
 
 // buildRoot builds the block's whole operator tree, validating that the root
-// produces output rows, and records it for EXPLAIN ANALYZE.
+// produces output rows.
 func (ctx *blockCtx) buildRoot() (*op, error) {
 	if !producesOutput(ctx.q.Root) {
 		return nil, fmt.Errorf("exec: node %T cannot produce output rows", ctx.q.Root)
 	}
-	root, err := ctx.build(ctx.q.Root)
-	if err != nil {
-		return nil, err
-	}
-	ctx.root = root
-	return root, nil
+	return ctx.build(ctx.q.Root)
 }
 
 // outRow unwraps a final output row from the single-slot composite in which

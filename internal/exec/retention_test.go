@@ -98,10 +98,19 @@ func findOp[T plan.Node](o *op) *op {
 	return nil
 }
 
+// testBlock readies q's top-level block the way a cursor does, without
+// building or opening its tree.
+func testBlock(e *env, q *plan.Query) *blockCtx {
+	if e.rt.IO == nil {
+		e.rt.IO = &storage.IOStats{}
+	}
+	return &blockCtx{rt: e.rt, q: q, params: make([]value.Value, q.NumParams), evals: new(int), subFetches: new(int64)}
+}
+
 // mustBuild builds q's operator tree.
 func mustBuild(t *testing.T, e *env, q *plan.Query) *op {
 	t.Helper()
-	root, err := newBlockCtx(e.rt, q, new(int)).buildRoot()
+	root, err := testBlock(e, q).buildRoot()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,23 +71,18 @@ func (ctx *blockCtx) evaluate(c comp, sub *sem.Subquery) (*subState, error) {
 	if !ok {
 		return nil, fmt.Errorf("exec: subquery #%d has no plan", sub.ID)
 	}
-	n := sub.Block.NumParams
 	childParams, err := ctx.bindChildParams(c, sub, st.sp.Query.NumParams)
 	if err != nil {
 		return nil, err
 	}
-	if st.valid && sameKey(st.lastKey, childParams, n) {
+	if st.valid && sameKey(st.lastKey, childParams, sub.Block.NumParams) {
 		return st, nil
 	}
-	child := newBlockCtx(ctx.rt, st.sp.Query, ctx.evals)
-	child.lits = ctx.lits
-	// The subquery-fetch tracker is shared down the nesting so every level's
+	// The child block shares the subquery-fetch tracker, so every level's
 	// operator attribution excludes the same evaluations.
-	child.subFetches = ctx.subFetches
 	sub0 := *ctx.subFetches
 	f0 := ctx.fetchCount()
-	copy(child.params, childParams)
-	rows, err := child.run()
+	rows, _, err := runBlock(ctx.rt, st.sp.Query, childParams, ctx)
 	// Everything this evaluation fetched — nested sub-subqueries included —
 	// belongs to the subquery's block: exclude it from the enclosing
 	// operator's delta exactly once (overwrite, don't add, so fetches a
@@ -99,9 +94,7 @@ func (ctx *blockCtx) evaluate(c comp, sub *sem.Subquery) (*subState, error) {
 		return nil, err
 	}
 	st.evals++
-	if ctx.evals != nil {
-		*ctx.evals++
-	}
+	*ctx.evals++
 	st.valid = true
 	st.lastKey = childParams
 	if sub.Scalar {
@@ -131,13 +124,4 @@ func (ctx *blockCtx) subScalar(c comp, sub *sem.Subquery) (value.Value, error) {
 		return value.Value{}, err
 	}
 	return st.scalar, nil
-}
-
-// subSet returns the membership set of an IN subquery.
-func (ctx *blockCtx) subSet(c comp, sub *sem.Subquery) (map[string]bool, error) {
-	st, err := ctx.evaluate(c, sub)
-	if err != nil {
-		return nil, err
-	}
-	return st.set, nil
 }

@@ -27,7 +27,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -173,16 +172,17 @@ type grant struct {
 }
 
 // AcquireContext blocks until every requested lock is granted to the
-// transaction. Duplicate tables are collapsed (exclusive wins) and grants
-// happen in sorted order; tables the transaction already holds in a
-// sufficient mode are skipped, and Shared-to-Exclusive upgrades wait for the
-// other holders to drain. On failure — context done, lock timeout, or this
-// transaction chosen as a deadlock victim — the locks granted by this call
-// (upgrades included) are rolled back and the error is returned; locks from
-// earlier calls stay held.
+// transaction, in the order given. reqs must be a canonical lock set, as
+// compile.LockRequests builds them: upper-case table names, one request per
+// table (exclusive wins), in the one total order every caller uses. Tables
+// the transaction already holds in a sufficient mode are skipped, and
+// Shared-to-Exclusive upgrades wait for the other holders to drain. On
+// failure — context done, lock timeout, or this transaction chosen as a
+// deadlock victim — the locks granted by this call (upgrades included) are
+// rolled back and the error is returned; locks from earlier calls stay
+// held.
 func (t *Txn) AcquireContext(ctx context.Context, reqs []Request) error {
 	m := t.mgr
-	normalized := normalize(reqs)
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -194,7 +194,8 @@ func (t *Txn) AcquireContext(ctx context.Context, reqs []Request) error {
 			timer.Stop()
 		}
 	}()
-	var granted []grant
+	var room [4]grant // a statement's lock set rarely names more tables
+	granted := room[:0]
 	m.mu.Lock()
 	// fail rolls back this call's grants and returns err. Called with m.mu
 	// held; returns with it released.
@@ -218,7 +219,7 @@ func (t *Txn) AcquireContext(ctx context.Context, reqs []Request) error {
 		m.mu.Unlock()
 		return fmt.Errorf("lock: acquire on a released transaction")
 	}
-	for _, r := range normalized {
+	for _, r := range reqs {
 		if cur, ok := t.held[r.Table]; ok && (cur == Exclusive || cur == r.Mode) {
 			continue
 		}
@@ -287,7 +288,7 @@ func (t *Txn) ReleaseAll() {
 	for table := range t.held {
 		delete(m.tables[table].holders, t)
 	}
-	t.held = make(map[string]Mode)
+	clear(t.held)
 	m.broadcastLocked()
 	m.mu.Unlock()
 }
@@ -380,11 +381,11 @@ type Held struct {
 	txn *Txn
 }
 
-// Acquire blocks until every requested lock is granted. Duplicate tables are
-// collapsed (exclusive wins); grants happen in sorted order. It returns nil
-// when the acquisition fails — the ephemeral transaction was a deadlock
-// victim or a wait exceeded the lock timeout — and the error is lost: code
-// that must know uses AcquireContext.
+// Acquire blocks until every lock of the canonical set reqs (see
+// Txn.AcquireContext) is granted. It returns nil when the acquisition fails
+// — the ephemeral transaction was a deadlock victim or a wait exceeded the
+// lock timeout — and the error is lost: code that must know uses
+// AcquireContext.
 func (m *Manager) Acquire(reqs []Request) *Held {
 	h, _ := m.AcquireContext(context.Background(), reqs)
 	return h
@@ -403,13 +404,13 @@ func (m *Manager) AcquireContext(ctx context.Context, reqs []Request) (*Held, er
 	return &Held{txn: t}, nil
 }
 
-// TryAcquire attempts a non-blocking grant of all requests; it returns nil
-// when any lock is unavailable.
+// TryAcquire attempts a non-blocking grant of the canonical set reqs (see
+// Txn.AcquireContext); it returns nil when any lock is unavailable.
 func (m *Manager) TryAcquire(reqs []Request) *Held {
 	t := m.Begin()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, r := range normalize(reqs) {
+	for _, r := range reqs {
 		if !m.grantableLocked(t, r) {
 			for table := range t.held {
 				delete(m.tables[table].holders, t)
@@ -434,22 +435,6 @@ func (h *Held) Release() {
 func (m *Manager) broadcastLocked() {
 	close(m.wake)
 	m.wake = make(chan struct{})
-}
-
-func normalize(reqs []Request) []Request {
-	byTable := make(map[string]Mode, len(reqs))
-	for _, r := range reqs {
-		name := strings.ToUpper(r.Table)
-		if cur, ok := byTable[name]; !ok || r.Mode == Exclusive && cur == Shared {
-			byTable[name] = r.Mode
-		}
-	}
-	out := make([]Request, 0, len(byTable))
-	for name, mode := range byTable {
-		out = append(out, Request{Table: name, Mode: mode})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Table < out[j].Table })
-	return out
 }
 
 func (m *Manager) entry(name string) *tableLock {

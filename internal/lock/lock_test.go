@@ -69,14 +69,35 @@ func TestWriterWaitsForReaders(t *testing.T) {
 	}
 }
 
-func TestNormalizeDedupesAndUpgrades(t *testing.T) {
+// TestAcquireGrantsTheSetAsGiven: a lock set arrives canonical (built by
+// compile.LockRequests, which TestCanonicalLockSet covers), and
+// AcquireContext grants it in the order given, neither sorting nor merging
+// it: with B held exclusively elsewhere, [A X, B S] holds A while it waits
+// for B. Once granted, each table is held once in its mode, and ReleaseAll
+// frees both.
+func TestAcquireGrantsTheSetAsGiven(t *testing.T) {
 	m := NewManager()
-	h := m.Acquire([]Request{
-		{Table: "a", Mode: Shared},
-		{Table: "A", Mode: Exclusive},
-		{Table: "B", Mode: Shared},
-		{Table: "b", Mode: Shared},
-	})
+	blocker := m.Acquire([]Request{{Table: "B", Mode: Exclusive}})
+	tx := m.Begin()
+	done := make(chan error, 1)
+	go func() {
+		done <- tx.AcquireContext(context.Background(), []Request{
+			{Table: "A", Mode: Exclusive},
+			{Table: "B", Mode: Shared},
+		})
+	}()
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, w := m.Holders("A"); w {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("A not granted before the wait on B")
+		}
+	}
+	blocker.Release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
 	readersA, writerA := m.Holders("A")
 	if readersA != 0 || !writerA {
 		t.Fatalf("A should be exclusively locked once: %d %v", readersA, writerA)
@@ -85,7 +106,7 @@ func TestNormalizeDedupesAndUpgrades(t *testing.T) {
 	if readersB != 1 || writerB {
 		t.Fatalf("B should be shared once: %d %v", readersB, writerB)
 	}
-	h.Release()
+	tx.ReleaseAll()
 	if r, w := m.Holders("A"); r != 0 || w {
 		t.Fatal("A not fully released")
 	}
@@ -107,8 +128,8 @@ func TestReleaseIdempotent(t *testing.T) {
 }
 
 // TestNoDeadlockUnderContention: goroutines repeatedly lock overlapping
-// table sets in conflicting orders; sorted acquisition must prevent
-// deadlock. Run with -race.
+// table sets with conflicting modes, each set sorted as every caller's is;
+// sorted acquisition must prevent deadlock. Run with -race.
 func TestNoDeadlockUnderContention(t *testing.T) {
 	m := NewManager()
 	tables := []string{"A", "B", "C", "D"}
@@ -120,18 +141,18 @@ func TestNoDeadlockUnderContention(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for time.Now().Before(deadline) {
-				// Each goroutine asks for two tables in "wrong" order with
-				// mixed modes.
+				// Each goroutine asks for two tables with mixed modes.
 				a := tables[g%len(tables)]
 				b := tables[(g+1+g%2)%len(tables)]
 				mode := Shared
 				if g%3 == 0 {
 					mode = Exclusive
 				}
-				h := m.Acquire([]Request{
-					{Table: b, Mode: mode},
-					{Table: a, Mode: Shared},
-				})
+				reqs := []Request{{Table: b, Mode: mode}, {Table: a, Mode: Shared}}
+				if a < b { // lock sets arrive sorted (compile.LockRequests)
+					reqs[0], reqs[1] = reqs[1], reqs[0]
+				}
+				h := m.Acquire(reqs)
 				atomic.AddInt64(&ops, 1)
 				h.Release()
 			}
@@ -146,6 +167,9 @@ func TestNoDeadlockUnderContention(t *testing.T) {
 	}
 	if ops == 0 {
 		t.Fatal("no operations completed")
+	}
+	if n := m.Deadlocks(); n != 0 {
+		t.Fatalf("%d deadlock victims under sorted acquisition", n)
 	}
 	for _, tb := range tables {
 		if r, w := m.Holders(tb); r != 0 || w {

@@ -17,6 +17,7 @@ import (
 
 	"systemr/internal/compile"
 	"systemr/internal/core"
+	"systemr/internal/exec"
 	"systemr/internal/governor"
 	"systemr/internal/lock"
 	"systemr/internal/sql"
@@ -41,27 +42,34 @@ type statement struct {
 	res  *Result
 	rows *Rows
 
-	// The measurements: gov's ledger holds the I/O; the body records the
-	// rows (result rows, rows a cursor streamed, or rows INSERT, DELETE or
-	// UPDATE affected; 0 for DDL and plain EXPLAIN) and subquery evaluations.
+	// The measurements: gov's ledger holds the I/O; run (or a cursor's
+	// own) the plan's rows — result rows, or the targets a DELETE or UPDATE
+	// located — and subquery evaluations; nrows the rows an INSERT wrote.
 	gov   *governor.Budget
+	run   *exec.Stats
 	nrows int
-	evals int
 }
 
 // stats reads the statement's measurements: its I/O from the governor's
 // ledger, which every runtime of the statement counts into, and the rows
-// and subquery evaluations its body recorded.
+// and subquery evaluations of its plan's run, or the rows its INSERT wrote.
 func (st *statement) stats() ExecStats {
 	io := st.gov.IO().Snapshot()
-	return ExecStats{
-		PageFetches:   io.PageFetches,
-		PagesWritten:  io.PagesWritten,
-		LogicalReads:  io.LogicalReads,
-		RSICalls:      io.RSICalls,
-		SubqueryEvals: st.evals,
-		Rows:          st.nrows,
+	s := ExecStats{
+		PageFetches:  io.PageFetches,
+		PagesWritten: io.PagesWritten,
+		LogicalReads: io.LogicalReads,
+		RSICalls:     io.RSICalls,
+		Rows:         st.nrows,
 	}
+	run := st.run
+	if st.rows != nil {
+		run = st.rows.cursor.Stats()
+	}
+	if run != nil {
+		s.Rows, s.SubqueryEvals = run.Rows, run.SubqueryEvals
+	}
+	return s
 }
 
 // lifecycle runs one statement, autocommitted (cur == nil: an ephemeral
@@ -144,7 +152,8 @@ func (db *DB) lifecycle(ctx context.Context, cur *txn.Txn, st *statement) (err e
 }
 
 // catalogShared is the shared catalog lock, which pins the catalog version:
-// a transaction holds it from BEGIN, and Prepare and DumpSQL hold it alone.
+// a transaction holds it from BEGIN, and Prepare, DumpSQL, PlanSelect and
+// Tables hold it alone. A single request is already a canonical lock set.
 var catalogShared = []lock.Request{{Table: compile.CatalogLock, Mode: lock.Shared}}
 
 // lockSet derives the lock set a statement runs under: a prepared

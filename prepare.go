@@ -258,8 +258,6 @@ func (r *Rows) Close() error {
 	}
 	r.closed = true
 	err := r.cursor.Close()
-	cs := r.cursor.Stats()
-	r.st.nrows, r.st.evals = cs.Rows, cs.SubqueryEvals
 	r.db.setLast(r.st.stats())
 	r.db.endTxn(r.t, false, true)
 	return err

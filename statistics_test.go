@@ -395,3 +395,47 @@ func TestReservedSegmentNames(t *testing.T) {
 		t.Fatalf("X holds %v after UPDATE STATISTICS, want its 2 rows", res.Rows)
 	}
 }
+
+// TestCatalogReadersBesideDDL: DB.Tables (rsql's \d) and DB.PlanSelect read
+// table and index statistics and the index list, so each must hold the
+// shared catalog lock against UPDATE STATISTICS and CREATE/DROP INDEX, which
+// change them. Run with -race: a reader without the lock races the writes.
+func TestCatalogReadersBesideDDL(t *testing.T) {
+	const rounds = 30
+	db := openDB(systemr.Config{})
+	db.MustExec("CREATE TABLE R (K INTEGER, V INTEGER)")
+	db.MustExec("INSERT INTO R VALUES (1, 10), (2, 20), (3, 30), (4, 40)")
+	done := make(chan struct{})
+	readerErr := make(chan error, 1)
+	go func() {
+		defer close(readerErr)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if s := db.Tables(); !strings.Contains(s, "R (K INTEGER, V INTEGER)") {
+				readerErr <- fmt.Errorf("Tables() = %q", s)
+				return
+			}
+			if _, err := db.PlanSelect("SELECT K FROM R WHERE V = 20"); err != nil {
+				readerErr <- err
+				return
+			}
+		}
+	}()
+	for r := 0; r < rounds; r++ {
+		db.MustExec("UPDATE STATISTICS R")
+		db.MustExec("CREATE INDEX R_V ON R (V)")
+		db.MustExec("UPDATE STATISTICS")
+		db.MustExec("DROP INDEX R_V")
+	}
+	close(done)
+	if err := <-readerErr; err != nil {
+		t.Fatal(err)
+	}
+	if n := db.Locks().Outstanding(); n != 0 {
+		t.Fatalf("%d locks outstanding after the readers", n)
+	}
+}

@@ -493,6 +493,7 @@ func (db *DB) Vacuum() int {
 
 // vacuumTable vacuums one table under a non-blocking exclusive lock. A table
 // locked by a concurrent writer is skipped until the next pass: (0, nil).
+// The pair is a canonical lock set: the catalog lock comes first.
 func (db *DB) vacuumTable(t *catalog.Table, horizon storage.XID, onChain func(int)) (int, error) {
 	held := db.locks.TryAcquire([]lock.Request{
 		{Table: compile.CatalogLock, Mode: lock.Shared},
@@ -505,9 +506,9 @@ func (db *DB) vacuumTable(t *catalog.Table, horizon storage.XID, onChain func(in
 	return rss.VacuumTable(t, db.disk, horizon, onChain)
 }
 
-// PlanSelect analyzes and optimizes a SELECT without executing it
-// (ungoverned, uncached, its literals planned as written — the experiment
-// drivers' entry point).
+// PlanSelect analyzes and optimizes a SELECT without executing it, under
+// the shared catalog lock (ungoverned, uncached, its literals planned as
+// written — the experiment drivers' entry point).
 func (db *DB) PlanSelect(text string) (*plan.Query, error) {
 	stmt, err := sql.Parse(text)
 	if err != nil {
@@ -516,6 +517,11 @@ func (db *DB) PlanSelect(text string) (*plan.Query, error) {
 	if _, ok := stmt.(*sql.SelectStmt); !ok {
 		return nil, fmt.Errorf("systemr: not a SELECT: %s", text)
 	}
+	held, err := db.locks.AcquireContext(context.Background(), catalogShared)
+	if err != nil {
+		return nil, fmt.Errorf("systemr: PlanSelect: %w", err)
+	}
+	defer held.Release()
 	cp, err := db.compile(nil, text, stmt, nil)
 	if err != nil {
 		return nil, err
@@ -663,14 +669,16 @@ func (db *DB) execInsert(cur *txn.Txn, st *statement, ins *sql.InsertStmt) (*Res
 	return &Result{Affected: st.nrows}, nil
 }
 
-// runCompiled runs a resolved plan: a DELETE or UPDATE writes its targets,
-// and a query returns its rows and, unless it is a prepared run, observes
-// its misestimation.
+// runCompiled runs a resolved plan under the statement's governor and
+// snapshot: a DELETE or UPDATE writes its targets, and a query returns its
+// rows and, unless it is a prepared run, observes its misestimation. All
+// execution state lives in the run, so cached plans run concurrently.
 func (db *DB) runCompiled(t *txn.Txn, st *statement, cp *compile.CompiledPlan) (*Result, error) {
 	if cp.DML {
 		return db.execDML(t, st, cp)
 	}
-	rows, _, err := db.runPlan(t, st, cp.Query, false)
+	rows, run, err := exec.RunQuery(db.runtime(st.gov, t.Snapshot()), cp.Query, st.vals)
+	st.run = run
 	if err != nil {
 		return nil, err
 	}
@@ -678,27 +686,6 @@ func (db *DB) runCompiled(t *txn.Txn, st *statement, cp *compile.CompiledPlan) (
 		db.observeMiss(cp.Query, float64(len(rows)))
 	}
 	return queryResult(cp.Query, rows), nil
-}
-
-// runPlan executes a plan under the statement's governor and transaction
-// snapshot, binding the statement's host-variable values, and records the
-// result rows and subquery evaluations on the statement. The plan itself is
-// never mutated — all execution state lives in the run — so cached plans
-// execute concurrently. analyze keeps the instrumented operator tree for
-// EXPLAIN ANALYZE.
-func (db *DB) runPlan(t *txn.Txn, st *statement, q *plan.Query, analyze bool) ([]value.Row, *exec.Analysis, error) {
-	rt := db.runtime(st.gov, t.Snapshot())
-	var rows []value.Row
-	var stats *exec.Stats
-	var an *exec.Analysis
-	var err error
-	if analyze {
-		rows, stats, an, err = exec.RunQueryAnalyze(rt, q, st.vals)
-	} else {
-		rows, stats, err = exec.RunQuery(rt, q, st.vals)
-	}
-	st.nrows, st.evals = stats.Rows, stats.SubqueryEvals
-	return rows, an, err
 }
 
 // queryResult materializes a query's rows as native Go values (see
@@ -763,7 +750,8 @@ func (db *DB) execExplain(cur *txn.Txn, st *statement, ex *sql.ExplainStmt) (*Re
 	if !ex.Analyze {
 		return &Result{Plan: q.ExplainWith(est, st.vals...) + cacheNote}, nil
 	}
-	rows, analysis, err := db.runPlan(cur, st, q, true)
+	rows, run, analysis, err := exec.RunQueryAnalyze(db.runtime(st.gov, cur.Snapshot()), q, st.vals)
+	st.run = run
 	if err != nil {
 		return nil, err
 	}
@@ -786,7 +774,7 @@ func (db *DB) execDML(cur *txn.Txn, st *statement, cp *compile.CompiledPlan) (*R
 		return nil, fmt.Errorf("systemr: %s is a read-only system catalog", t.Name)
 	}
 	targets, evals, err := exec.CollectTargets(db.runtime(st.gov, cur.Snapshot()), cp.Query, st.vals)
-	st.evals = evals
+	st.run = &exec.Stats{SubqueryEvals: evals, Rows: len(targets)}
 	if err != nil {
 		return nil, err
 	}
@@ -806,9 +794,8 @@ func (db *DB) execDML(cur *txn.Txn, st *statement, cp *compile.CompiledPlan) (*R
 				return nil, err
 			}
 		}
-		st.nrows++
 	}
-	return &Result{Affected: st.nrows}, nil
+	return &Result{Affected: len(targets)}, nil
 }
 
 // FormatResult renders a result as an aligned text table (the rsql shell's
@@ -858,8 +845,14 @@ func FormatResult(res *Result) string {
 }
 
 // Tables lists the catalog's relations with their statistics, sorted by
-// name — the rsql shell's \d command.
+// name — the rsql shell's \d command — under the shared catalog lock; a
+// failed acquisition (Config.LockTimeout) is reported in their place.
 func (db *DB) Tables() string {
+	held, err := db.locks.AcquireContext(context.Background(), catalogShared)
+	if err != nil {
+		return fmt.Sprintf("systemr: tables: %v\n", err)
+	}
+	defer held.Release()
 	ts := db.cat.Tables()
 	sort.Slice(ts, func(i, j int) bool { return ts[i].Name < ts[j].Name })
 	var b strings.Builder
