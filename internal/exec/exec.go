@@ -84,8 +84,8 @@ func runBlock(rt *Runtime, q *plan.Query, args []value.Value, parent *blockCtx) 
 }
 
 // blockCtx is the runtime state of one executing query block instance,
-// embedded in the Cursor that runs it. It fits the 144-byte allocation size
-// class; TestScanOpsFitSizeClass pins it.
+// embedded in the Cursor that runs it; TestScanOpsFitSizeClass pins both
+// to their allocation size classes.
 type blockCtx struct {
 	rt      *Runtime
 	q       *plan.Query

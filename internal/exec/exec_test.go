@@ -644,8 +644,9 @@ func TestSortFreesTempPages(t *testing.T) {
 // each fits the 1 KB size class. A pointerful object over 512 bytes carries
 // an 8-byte malloc header, so the limit is 1,016 bytes; one word more
 // moves every scan to the 1,152-byte class. Every block allocates one
-// blockCtx, which holds the block's string arena and fits the 144-byte
-// class (no header below 512 bytes); one word more moves it to 160 bytes.
+// Cursor, which embeds the block's blockCtx (with its string arena) and
+// fits the 240-byte class (no header below 512 bytes); the blockCtx alone
+// stays within the 144-byte class it filled when it was allocated apart.
 // Every join allocates one join operator, each embedding a joiner and its
 // value chunk: a nested loop fits the 112-byte class, and the merge and
 // hash joins the 224-byte class (the merge join is 168 bytes).
@@ -654,6 +655,7 @@ func TestScanOpsFitSizeClass(t *testing.T) {
 		"segScanOp":   {unsafe.Sizeof(segScanOp{}), 1024 - 8},
 		"indexScanOp": {unsafe.Sizeof(indexScanOp{}), 1024 - 8},
 		"blockCtx":    {unsafe.Sizeof(blockCtx{}), 144},
+		"Cursor":      {unsafe.Sizeof(Cursor{}), 240},
 		"nlJoinOp":    {unsafe.Sizeof(nlJoinOp{}), 112},
 		"mergeJoinOp": {unsafe.Sizeof(mergeJoinOp{}), 224},
 		"hashJoinOp":  {unsafe.Sizeof(hashJoinOp{}), 224},
