@@ -31,13 +31,7 @@ func compareEntries(a, b Entry) int {
 	if c := value.CompareKey(a.Key, b.Key); c != 0 {
 		return c
 	}
-	switch {
-	case a.TID.Less(b.TID):
-		return -1
-	case b.TID.Less(a.TID):
-		return 1
-	}
-	return 0
+	return a.TID.Compare(b.TID)
 }
 
 // ComparePrefix compares a full key against a (possibly shorter) prefix,
@@ -462,6 +456,19 @@ func (t *BTree) Stats() (icard, icardLead, nindx int, low, high value.Value) {
 		}
 	}
 	return icard, icardLead, nindx, low, high
+}
+
+// Leaves returns every leaf's entries in leaf-chain order: the tree's leaf
+// sequence, which tests compare with a reference build. The slices alias
+// the tree; callers must not modify them.
+func (t *BTree) Leaves() [][]Entry {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	var out [][]Entry
+	for n := t.firstLeaf; n != nil; n = n.next {
+		out = append(out, n.entries)
+	}
+	return out
 }
 
 // Validate checks structural invariants: sorted leaves, correct entry count,

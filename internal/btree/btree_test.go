@@ -135,7 +135,7 @@ func TestDeleteAgainstOracle(t *testing.T) {
 		if remaining[i].k != remaining[j].k {
 			return remaining[i].k < remaining[j].k
 		}
-		return remaining[i].t.Less(remaining[j].t)
+		return remaining[i].t.Compare(remaining[j].t) < 0
 	})
 	it := tree.Seek(storage.StmtIO{}, nil)
 	for i, e := range remaining {
@@ -339,6 +339,31 @@ func TestBulkLoadEdgeSizes(t *testing.T) {
 			if !ok || e.Key[0].Int != int64(i) {
 				t.Fatalf("n=%d: key %d not found", n, i)
 			}
+		}
+	}
+}
+
+// TestBulkLoadLeavesStayApart: a bulk load lays its leaves over the sorted
+// entries themselves, so an insert into any leaf must copy it out rather
+// than write over the next leaf's first entries.
+func TestBulkLoadLeavesStayApart(t *testing.T) {
+	const n = 1000
+	var entries []Entry
+	for i := 0; i < n; i++ {
+		entries = append(entries, Entry{Key: key(int64(2 * i)), TID: tid(2 * i)})
+	}
+	tree := BulkLoad(storage.NewDisk(), Config{Order: 16}, entries)
+	for i := 0; i < n; i++ {
+		tree.Insert(key(int64(2*i+1)), tid(2*i+1))
+	}
+	if err := tree.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	it := tree.Seek(storage.StmtIO{}, nil)
+	for want := int64(0); want < 2*n; want++ {
+		e, ok := it.Next()
+		if !ok || e.Key[0].Int != want {
+			t.Fatalf("entry %d: got %v (ok=%v), want key %d", want, e.Key, ok, want)
 		}
 	}
 }

@@ -18,9 +18,10 @@ const loadFill = 0.9
 // SortEntries sorts entries in place into BulkLoad's order: by key, then TID.
 func SortEntries(entries []Entry) { slices.SortFunc(entries, compareEntries) }
 
-// BulkLoad builds a tree from entries, sorting a copy by key then TID
-// unless they already are in that order (SortEntries). Exact (key, TID)
-// duplicates are collapsed.
+// BulkLoad builds a tree from entries, which it takes over: it sorts them
+// in place by key, then TID, unless they already are in that order
+// (SortEntries), collapses exact (key, TID) duplicates, and lays the leaves
+// over the array itself. The caller must not use entries again.
 func BulkLoad(disk *storage.Disk, cfg Config, entries []Entry) *BTree {
 	t := New(disk, cfg)
 	if len(entries) == 0 {
@@ -29,13 +30,12 @@ func BulkLoad(disk *storage.Disk, cfg Config, entries []Entry) *BTree {
 	// compareEntries is a total order on (key, TID), and entries it calls
 	// equal collapse into one below, so an unstable sort builds the same
 	// tree as a stable one.
-	sorted := slices.Clone(entries)
-	if !slices.IsSortedFunc(sorted, compareEntries) {
-		slices.SortFunc(sorted, compareEntries)
+	if !slices.IsSortedFunc(entries, compareEntries) {
+		SortEntries(entries)
 	}
 	// Collapse exact duplicates.
-	dedup := sorted[:1]
-	for _, e := range sorted[1:] {
+	dedup := entries[:1]
+	for _, e := range entries[1:] {
 		if compareEntries(dedup[len(dedup)-1], e) != 0 {
 			dedup = append(dedup, e)
 		}
@@ -46,15 +46,18 @@ func BulkLoad(disk *storage.Disk, cfg Config, entries []Entry) *BTree {
 		perLeaf = 2
 	}
 
-	// Build packed leaves. The root leaf created by New becomes the first.
+	// Build packed leaves, each over its run of dedup, capped so that an
+	// insert into a leaf copies it out instead of overwriting the next. The
+	// root leaf created by New becomes the first.
 	var leaves []*node
 	first := t.root
-	first.entries = append(first.entries, dedup[:minInt(perLeaf, len(dedup))]...)
+	end := minInt(perLeaf, len(dedup))
+	first.entries = dedup[:end:end]
 	leaves = append(leaves, first)
 	for off := perLeaf; off < len(dedup); off += perLeaf {
 		leaf := t.newNode(true)
 		end := minInt(off+perLeaf, len(dedup))
-		leaf.entries = append(leaf.entries, dedup[off:end]...)
+		leaf.entries = dedup[off:end:end]
 		prev := leaves[len(leaves)-1]
 		prev.next = leaf
 		leaf.prev = prev

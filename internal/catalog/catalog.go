@@ -179,11 +179,15 @@ type Index struct {
 
 // KeyFor extracts the index key from a full row.
 func (ix *Index) KeyFor(row value.Row) value.Row {
-	key := make(value.Row, len(ix.ColIdxs))
-	for i, c := range ix.ColIdxs {
-		key[i] = row[c]
+	return ix.AppendKey(make(value.Row, 0, len(ix.ColIdxs)), row)
+}
+
+// AppendKey appends the index key of a full row to dst.
+func (ix *Index) AppendKey(dst, row value.Row) value.Row {
+	for _, c := range ix.ColIdxs {
+		dst = append(dst, row[c])
 	}
-	return key
+	return dst
 }
 
 // ColumnNames returns the key column names, major first.
@@ -383,16 +387,22 @@ func (c *Catalog) CreateIndex(name, table string, columns []string, unique, clus
 		Unique:    unique,
 		Clustered: clustered,
 	}
-	var entries []btree.Entry
+	// One entry per visible row, its key carved from one array. Both are
+	// sized by the relation's stored records, which bound its visible rows.
+	n := t.Segment.RecordsOf(t.ID)
+	entries := make([]btree.Entry, 0, n)
+	keys := make([]value.Value, 0, n*len(colIdxs))
 	err := src(t, func(row value.Row, tid storage.TID) error {
-		entries = append(entries, btree.Entry{Key: ix.KeyFor(row), TID: tid})
+		start := len(keys)
+		keys = ix.AppendKey(keys, row)
+		entries = append(entries, btree.Entry{Key: keys[start:len(keys):len(keys)], TID: tid})
 		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("catalog: building index %s: %w", name, err)
 	}
+	btree.SortEntries(entries) // BulkLoad's order, so it does not sort again
 	if unique {
-		btree.SortEntries(entries) // BulkLoad's order, so it does not sort again
 		for i := 1; i < len(entries); i++ {
 			if value.CompareKey(entries[i-1].Key, entries[i].Key) == 0 {
 				return nil, fmt.Errorf("catalog: duplicate key %v violates unique index %s", entries[i].Key, name)
@@ -410,7 +420,7 @@ func (c *Catalog) CreateIndex(name, table string, columns []string, unique, clus
 		return nil, fmt.Errorf("catalog: table %s already has a clustered index", table)
 	}
 	// Bulk-load the tree bottom-up (sorted, packed pages — System R's index
-	// build).
+	// build). The tree takes the entries over.
 	ix.Tree = btree.BulkLoad(c.disk, btree.Config{}, entries)
 	t.Indexes = append(t.Indexes, ix)
 	c.bump()
@@ -485,9 +495,15 @@ func (c *Catalog) UpdateStatistics(table string, src RowSource) error {
 		// NCARD counts the visible rows: delete-marked versions awaiting
 		// vacuum occupy pages (they still shape TCARD) but are not tuples
 		// the optimizer's cardinality model should see. The same pass
-		// collects every column's values for the equi-depth histograms.
-		ncard := 0
+		// collects every column's values for the equi-depth histograms,
+		// into arrays carved from one, sized by the relation's stored
+		// records, which bound its visible rows.
+		ncard, n := 0, t.Segment.RecordsOf(t.ID)
+		all := make([]value.Value, n*len(t.Columns))
 		colVals := make([][]value.Value, len(t.Columns))
+		for ci := range colVals {
+			colVals[ci] = all[ci*n : ci*n : (ci+1)*n]
+		}
 		err := src(t, func(row value.Row, _ storage.TID) error {
 			ncard++
 			for ci := range colVals {

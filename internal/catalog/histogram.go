@@ -20,6 +20,7 @@ package catalog
 // every factor's F is assigned (core's selectivity).
 
 import (
+	"slices"
 	"sort"
 
 	"systemr/internal/value"
@@ -74,7 +75,7 @@ type Histogram struct {
 func buildColStats(vals []value.Value, maxBuckets int) ColStats {
 	cs := ColStats{HasStats: true}
 	// NULLs sort first under value.Compare; strip them off the front.
-	sort.Slice(vals, func(i, j int) bool { return value.Compare(vals[i], vals[j]) < 0 })
+	slices.SortFunc(vals, value.Compare)
 	firstNonNull := 0
 	for firstNonNull < len(vals) && vals[firstNonNull].IsNull() {
 		firstNonNull++

@@ -119,7 +119,7 @@ func TestOutOfRangeFloorInterpolation(t *testing.T) {
 func TestOutOfRangeAfterInsert(t *testing.T) {
 	cat := testDB(t)
 	r, _ := cat.Table("R")
-	if _, _, err := rss.Insert(r, value.Row{
+	if _, err := rss.Insert(r, value.Row{
 		value.NewInt(500), value.NewInt(3), value.NewString("C99"), value.NewFloat(0), value.NewInt(7),
 	}, storage.FrozenXID, storage.NoPrevTID, cat.Disk()); err != nil {
 		t.Fatal(err)

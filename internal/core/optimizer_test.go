@@ -100,7 +100,7 @@ func uniqueDB(t testing.TB) *catalog.Catalog {
 	pad := strings.Repeat("p", 100)
 	for i := 0; i < 1000; i++ {
 		// B increases monotonically → physically clustered by insertion.
-		_, _, err := rss.Insert(u, value.Row{
+		_, err := rss.Insert(u, value.Row{
 			value.NewInt(int64(i)),
 			value.NewInt(int64(i / 10)),
 			value.NewInt(int64((i * 7) % 100)),

@@ -46,7 +46,7 @@ func testDBWith(t testing.TB, rows int, analyze bool) *catalog.Catalog {
 		t.Fatal(err)
 	}
 	for i := 0; i < rows; i++ {
-		_, _, err := rss.Insert(r, value.Row{
+		_, err := rss.Insert(r, value.Row{
 			value.NewInt(int64(i % 50)),
 			value.NewInt(int64(i % 10)),
 			value.NewString(fmt.Sprintf("C%02d", i%20)),
@@ -71,7 +71,7 @@ func testDBWith(t testing.TB, rows int, analyze bool) *catalog.Catalog {
 		t.Fatal(err)
 	}
 	for i := 0; i < rows/4; i++ {
-		if _, _, err := rss.Insert(s, value.Row{value.NewInt(int64(i % 10)), value.NewInt(int64(i))}, storage.FrozenXID, storage.NoPrevTID, cat.Disk()); err != nil {
+		if _, err := rss.Insert(s, value.Row{value.NewInt(int64(i % 10)), value.NewInt(int64(i))}, storage.FrozenXID, storage.NoPrevTID, cat.Disk()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -38,7 +38,7 @@ func loadWide(t *testing.T, n int) *env {
 	}
 	for i := 0; i < n; i++ {
 		row := value.Row{value.NewInt(int64(i)), value.NewInt(int64((i * 7919) % n)), value.NewFloat(float64(i) / 3)}
-		tid, _, err := rss.Insert(tab, row, storage.FrozenXID, storage.NoPrevTID, e.disk)
+		tid, err := rss.Insert(tab, row, storage.FrozenXID, storage.NoPrevTID, e.disk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func loadNames(t *testing.T, n int, xmin storage.XID) *env {
 	}
 	for i := 0; i < n; i++ {
 		row := value.Row{value.NewInt(int64(i)), value.NewString(fmt.Sprintf("name-%018d", i))}
-		if _, _, err := rss.Insert(tab, row, xmin, storage.NoPrevTID, e.disk); err != nil {
+		if _, err := rss.Insert(tab, row, xmin, storage.NoPrevTID, e.disk); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -577,7 +577,7 @@ func TestCorrelatedSubqueryAllocsPerEval(t *testing.T) {
 			t.Fatal(err)
 		}
 		for g := 0; g < n; g++ {
-			if _, _, err := rss.Insert(tab, value.Row{value.NewInt(int64(g)), value.NewInt(int64(g))}, storage.FrozenXID, storage.NoPrevTID, e.disk); err != nil {
+			if _, err := rss.Insert(tab, value.Row{value.NewInt(int64(g)), value.NewInt(int64(g))}, storage.FrozenXID, storage.NoPrevTID, e.disk); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -602,5 +602,62 @@ func TestCorrelatedSubqueryAllocsPerEval(t *testing.T) {
 	perEval := (allocs(large) - allocs(small)) / (large - small)
 	if max := 28.0; perEval > max {
 		t.Errorf("%.2f allocations per correlated subquery evaluation, want at most %.2f", perEval, max)
+	}
+}
+
+// TestRepeatedCorrelationAllocsNothing: an outer row whose correlation
+// value equals the previous row's reuses the last evaluation and allocates
+// nothing. O holds ten groups in G order, of 20 and then of 40 rows, so
+// both sizes evaluate the subquery over I ten times, with the same inner
+// work, and both outer scans have grown their stage to a full page's rows
+// (smaller tables allocate less there); the difference in allocations over
+// the difference in rows is what a reusing row costs.
+func TestRepeatedCorrelationAllocsNothing(t *testing.T) {
+	const groups, query = 10, "SELECT COUNT(*) FROM O WHERE V > (SELECT AVG(V) FROM I WHERE I.G = O.G)"
+	allocs := func(perGroup int) float64 {
+		e := newEnv(t)
+		cols := []catalog.Column{{Name: "G", Type: value.KindInt}, {Name: "V", Type: value.KindInt}}
+		outer, err := e.cat.CreateTable("O", cols, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		inner, err := e.cat.CreateTable("I", cols, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for g := 0; g < groups; g++ {
+			rows := []struct {
+				tab *catalog.Table
+				row value.Row
+			}{{inner, value.Row{value.NewInt(int64(g)), value.NewInt(int64(g))}}}
+			for i := 0; i < perGroup; i++ {
+				rows = append(rows, struct {
+					tab *catalog.Table
+					row value.Row
+				}{outer, value.Row{value.NewInt(int64(g)), value.NewInt(int64(i))}})
+			}
+			for _, r := range rows {
+				if _, err := rss.Insert(r.tab, r.row, storage.FrozenXID, storage.NoPrevTID, e.disk); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		e.cat.UpdateStatistics("", testutil.HeapRows(e.cat.Disk()))
+		_, q := e.plan(t, query, core.Config{})
+		var stats *Stats
+		got := testing.AllocsPerRun(5, func() {
+			var err error
+			if _, stats, err = RunQuery(e.rt, q, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if stats.SubqueryEvals != groups {
+			t.Fatalf("%d subquery evaluations over %d groups of %d rows", stats.SubqueryEvals, groups, perGroup)
+		}
+		return got
+	}
+	const small, large = 20, 40
+	if perRow := (allocs(large) - allocs(small)) / (groups * (large - small)); perRow > 0 {
+		t.Errorf("%.2f allocations per outer row that reuses the last evaluation, want 0", perRow)
 	}
 }

@@ -591,11 +591,11 @@ func loadJoin(t *testing.T, n int) *env {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if _, _, err := rss.Insert(f, value.Row{value.NewInt(int64(i % 64)), value.NewInt(int64(i)), value.NewInt(int64(i % 64))}, storage.FrozenXID, storage.NoPrevTID, e.disk); err != nil {
+		if _, err := rss.Insert(f, value.Row{value.NewInt(int64(i % 64)), value.NewInt(int64(i)), value.NewInt(int64(i % 64))}, storage.FrozenXID, storage.NoPrevTID, e.disk); err != nil {
 			t.Fatal(err)
 		}
 		if i < 64 {
-			if _, _, err := rss.Insert(d, value.Row{value.NewInt(int64(i))}, storage.FrozenXID, storage.NoPrevTID, e.disk); err != nil {
+			if _, err := rss.Insert(d, value.Row{value.NewInt(int64(i))}, storage.FrozenXID, storage.NoPrevTID, e.disk); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -44,7 +44,7 @@ func loadRetention(t *testing.T, e *env) {
 	}
 	for i := 0; i < 600; i++ {
 		row := value.Row{value.NewInt(int64(i % 40)), value.NewString(fmt.Sprintf("a%d%s", i, strings.Repeat("x", i%9))), value.NewInt(int64(i))}
-		tid, _, err := rss.Insert(a, row, storage.FrozenXID, storage.NoPrevTID, e.disk)
+		tid, err := rss.Insert(a, row, storage.FrozenXID, storage.NoPrevTID, e.disk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func loadRetention(t *testing.T, e *env) {
 		}
 		if i%2 == 0 {
 			row := value.Row{value.NewInt(int64(i % 50)), value.NewString(fmt.Sprintf("b%d%s", i, strings.Repeat("y", i%5)))}
-			if _, _, err := rss.Insert(b, row, storage.FrozenXID, storage.NoPrevTID, e.disk); err != nil {
+			if _, err := rss.Insert(b, row, storage.FrozenXID, storage.NoPrevTID, e.disk); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -338,7 +338,7 @@ func loadGroups(t *testing.T, e *env) {
 	for i := 0; i < 600; i++ {
 		grp := i * 23 / 600
 		row := value.Row{value.NewString(fmt.Sprintf("g%02d%s", grp, strings.Repeat("z", grp%5))), value.NewInt(int64(i)), value.NewInt(int64(i % 9))}
-		tid, _, err := rss.Insert(g, row, storage.FrozenXID, storage.NoPrevTID, e.disk)
+		tid, err := rss.Insert(g, row, storage.FrozenXID, storage.NoPrevTID, e.disk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -474,7 +474,7 @@ func loadStacked(t *testing.T, e *env) {
 		for i := 0; i < tab.rows; i++ {
 			s := fmt.Sprintf("%s%d%s", strings.ToLower(tab.name), i, strings.Repeat("s", i%11))
 			row := value.Row{value.NewInt(int64(i % tab.keys)), value.NewString(s), value.NewInt(int64(i))}[:len(tab.cols)]
-			if _, _, err := rss.Insert(tb, row, storage.FrozenXID, storage.NoPrevTID, e.disk); err != nil {
+			if _, err := rss.Insert(tb, row, storage.FrozenXID, storage.NoPrevTID, e.disk); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -12,6 +12,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"systemr/internal/plan"
 	"systemr/internal/sem"
@@ -24,6 +25,7 @@ type subState struct {
 	sp      *plan.SubPlan
 	valid   bool
 	lastKey []value.Value // correlation parameter values at last evaluation
+	params  []value.Value // the current row's values, bound before the cache is consulted
 	scalar  value.Value
 	set     map[string]bool
 	evals   int
@@ -31,25 +33,25 @@ type subState struct {
 }
 
 // bindChildParams computes the child block's correlation parameter values
-// from the current composite row and this block's own parameters.
-func (ctx *blockCtx) bindChildParams(c comp, sub *sem.Subquery, n int) ([]value.Value, error) {
-	params := make([]value.Value, n)
+// from the current composite row and this block's own parameters, into
+// params, which has a slot for each of the child query's parameters.
+func (ctx *blockCtx) bindChildParams(params []value.Value, c comp, sub *sem.Subquery) error {
 	for _, cr := range sub.Block.CorrelRefs {
 		var v value.Value
 		if cr.FromParam {
 			if cr.ParentParam >= len(ctx.params) {
-				return nil, fmt.Errorf("exec: correlation parameter $%d out of range", cr.ParentParam)
+				return fmt.Errorf("exec: correlation parameter $%d out of range", cr.ParentParam)
 			}
 			v = ctx.params[cr.ParentParam]
 		} else {
 			if c == nil || cr.FromCol.Rel >= len(c) || c[cr.FromCol.Rel] == nil {
-				return nil, fmt.Errorf("exec: correlation column %d.%d unavailable", cr.FromCol.Rel, cr.FromCol.Col)
+				return fmt.Errorf("exec: correlation column %d.%d unavailable", cr.FromCol.Rel, cr.FromCol.Col)
 			}
 			v = c[cr.FromCol.Rel][cr.FromCol.Col]
 		}
 		params[cr.ParamID] = v
 	}
-	return params, nil
+	return nil
 }
 
 func sameKey(a, b []value.Value, n int) bool {
@@ -65,19 +67,24 @@ func sameKey(a, b []value.Value, n int) bool {
 }
 
 // evaluate runs the subquery if its correlation values changed since the
-// last evaluation (always runs the first time).
+// last evaluation (always runs the first time). The values are bound into
+// the state's own buffer, so a row that reuses the last result allocates
+// nothing; an evaluation takes a copy, which the next rows compare with.
 func (ctx *blockCtx) evaluate(c comp, sub *sem.Subquery) (*subState, error) {
 	st, ok := ctx.subs[sub]
 	if !ok {
 		return nil, fmt.Errorf("exec: subquery #%d has no plan", sub.ID)
 	}
-	childParams, err := ctx.bindChildParams(c, sub, st.sp.Query.NumParams)
-	if err != nil {
+	if st.params == nil {
+		st.params = make([]value.Value, st.sp.Query.NumParams)
+	}
+	if err := ctx.bindChildParams(st.params, c, sub); err != nil {
 		return nil, err
 	}
-	if st.valid && sameKey(st.lastKey, childParams, sub.Block.NumParams) {
+	if st.valid && sameKey(st.lastKey, st.params, sub.Block.NumParams) {
 		return st, nil
 	}
+	childParams := slices.Clone(st.params)
 	// The child block shares the subquery-fetch tracker, so every level's
 	// operator attribution excludes the same evaluations.
 	sub0 := *ctx.subFetches

@@ -485,39 +485,39 @@ func (s *IndexScan) Close() error {
 // this one supersedes (UPDATE) or NoPrevTID (INSERT). Unique-index
 // violations are detected against *live* heap versions — dead versions keep
 // their index entries until vacuum, so the index alone cannot arbitrate.
-// The returned row is the stored image (after coercion) — the image a
-// transaction's undo log must record, since index keys are derived from it.
-func Insert(t *catalog.Table, row value.Row, xid storage.XID, prev storage.TID, disk *storage.Disk) (storage.TID, value.Row, error) {
+// Insert coerces row to the column types in place, so row becomes the
+// stored image — the image a transaction's undo log must record, since index
+// keys are derived from it — and the caller hands it over.
+func Insert(t *catalog.Table, row value.Row, xid storage.XID, prev storage.TID, disk *storage.Disk) (storage.TID, error) {
 	if len(row) != len(t.Columns) {
-		return storage.TID{}, nil, fmt.Errorf("rss: table %s has %d columns, row has %d", t.Name, len(t.Columns), len(row))
+		return storage.TID{}, fmt.Errorf("rss: table %s has %d columns, row has %d", t.Name, len(t.Columns), len(row))
 	}
-	coerced := make(value.Row, len(row))
 	for i, v := range row {
 		cv, err := coerce(v, t.Columns[i].Type)
 		if err != nil {
-			return storage.TID{}, nil, fmt.Errorf("rss: column %s of %s: %w", t.Columns[i].Name, t.Name, err)
+			return storage.TID{}, fmt.Errorf("rss: column %s of %s: %w", t.Columns[i].Name, t.Name, err)
 		}
-		coerced[i] = cv
+		row[i] = cv
 	}
 	for _, ix := range t.Indexes {
-		if ix.Unique && indexHasLiveKey(ix, ix.KeyFor(coerced), disk) {
-			return storage.TID{}, nil, fmt.Errorf("rss: duplicate key %v violates unique index %s", ix.KeyFor(coerced), ix.Name)
+		if ix.Unique && indexHasLiveKey(ix, ix.KeyFor(row), disk) {
+			return storage.TID{}, fmt.Errorf("rss: duplicate key %v violates unique index %s", ix.KeyFor(row), ix.Name)
 		}
 	}
-	rec := storage.EncodeVersionedRow(storage.VersionHeader{Xmin: xid, Prev: prev}, coerced)
+	rec := storage.EncodeVersionedRow(storage.VersionHeader{Xmin: xid, Prev: prev}, row)
 	// Scans read single columns of stored records and decode only the
 	// versions they return, so no malformed record may reach a page.
 	if err := storage.CheckEncodedRow(rec[storage.VersionHeaderSize:]); err != nil {
-		return storage.TID{}, nil, fmt.Errorf("rss: row for %s: %w", t.Name, err)
+		return storage.TID{}, fmt.Errorf("rss: row for %s: %w", t.Name, err)
 	}
 	tid, err := t.Segment.Insert(t.ID, rec)
 	if err != nil {
-		return storage.TID{}, nil, err
+		return storage.TID{}, err
 	}
 	for _, ix := range t.Indexes {
-		ix.Tree.Insert(ix.KeyFor(coerced), tid)
+		ix.Tree.Insert(ix.KeyFor(row), tid)
 	}
-	return tid, coerced, nil
+	return tid, nil
 }
 
 // indexHasLiveKey reports whether a live heap version carries key in ix.

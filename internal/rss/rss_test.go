@@ -43,7 +43,7 @@ func (e *env) newEmp(t *testing.T, n int) *catalog.Table {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		_, _, err := Insert(tab, value.Row{
+		_, err := Insert(tab, value.Row{
 			value.NewInt(int64(i % 10)),
 			value.NewInt(int64(i)),
 			value.NewString("E" + strings.Repeat("x", i%5)),
@@ -333,15 +333,15 @@ func TestIndexScanSkipsDeleted(t *testing.T) {
 func TestInsertValidation(t *testing.T) {
 	e := newEnv(t, 16)
 	tab := e.newEmp(t, 1)
-	if _, _, err := Insert(tab, value.Row{value.NewInt(1)}, storage.FrozenXID, storage.NoPrevTID, e.disk); err == nil {
+	if _, err := Insert(tab, value.Row{value.NewInt(1)}, storage.FrozenXID, storage.NoPrevTID, e.disk); err == nil {
 		t.Fatal("arity mismatch must fail")
 	}
-	if _, _, err := Insert(tab, value.Row{value.NewString("x"), value.NewInt(1), value.NewString("n")}, storage.FrozenXID, storage.NoPrevTID, e.disk); err == nil {
+	if _, err := Insert(tab, value.Row{value.NewString("x"), value.NewInt(1), value.NewString("n")}, storage.FrozenXID, storage.NoPrevTID, e.disk); err == nil {
 		t.Fatal("type mismatch must fail")
 	}
 	// Int widens into float columns.
 	tab2, _ := e.cat.CreateTable("F", []catalog.Column{{Name: "X", Type: value.KindFloat}}, "")
-	if _, _, err := Insert(tab2, value.Row{value.NewInt(3)}, storage.FrozenXID, storage.NoPrevTID, e.disk); err != nil {
+	if _, err := Insert(tab2, value.Row{value.NewInt(3)}, storage.FrozenXID, storage.NoPrevTID, e.disk); err != nil {
 		t.Fatal(err)
 	}
 	rows := drainScan(t, &SegmentScan{Table: tab2, Pool: e.pool})
@@ -349,7 +349,7 @@ func TestInsertValidation(t *testing.T) {
 		t.Fatalf("widening failed: %v", rows[0])
 	}
 	// NULLs store into any column.
-	if _, _, err := Insert(tab2, value.Row{value.Null()}, storage.FrozenXID, storage.NoPrevTID, e.disk); err != nil {
+	if _, err := Insert(tab2, value.Row{value.Null()}, storage.FrozenXID, storage.NoPrevTID, e.disk); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -360,11 +360,11 @@ func TestUniqueIndexRejectsDuplicates(t *testing.T) {
 	if _, err := e.cat.CreateIndex("EMP_SAL", "EMP", []string{"SAL"}, true, false, testutil.HeapRows(e.cat.Disk())); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Insert(tab, value.Row{value.NewInt(0), value.NewInt(5), value.NewString("dup")}, storage.FrozenXID, storage.NoPrevTID, e.disk); err == nil {
+	if _, err := Insert(tab, value.Row{value.NewInt(0), value.NewInt(5), value.NewString("dup")}, storage.FrozenXID, storage.NoPrevTID, e.disk); err == nil {
 		t.Fatal("unique violation must fail")
 	}
 	// A distinct key still inserts and maintains the index.
-	if _, _, err := Insert(tab, value.Row{value.NewInt(0), value.NewInt(999), value.NewString("new")}, storage.FrozenXID, storage.NoPrevTID, e.disk); err != nil {
+	if _, err := Insert(tab, value.Row{value.NewInt(0), value.NewInt(999), value.NewString("new")}, storage.FrozenXID, storage.NoPrevTID, e.disk); err != nil {
 		t.Fatal(err)
 	}
 	ix, _ := e.cat.Index("EMP_SAL")
@@ -383,7 +383,7 @@ func TestClearDeletedUndoesMark(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix, _ := e.cat.Index("EMP_SAL")
-	tid, _, err := Insert(tab, value.Row{value.NewInt(3), value.NewInt(500), value.NewString("victim")}, storage.FrozenXID, storage.NoPrevTID, e.disk)
+	tid, err := Insert(tab, value.Row{value.NewInt(3), value.NewInt(500), value.NewString("victim")}, storage.FrozenXID, storage.NoPrevTID, e.disk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +434,8 @@ func TestRemoveReclaimsVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix, _ := e.cat.Index("EMP_SAL")
-	tid, row, err := Insert(tab, value.Row{value.NewInt(3), value.NewInt(500), value.NewString("victim")}, 7, storage.NoPrevTID, e.disk)
+	row := value.Row{value.NewInt(3), value.NewInt(500), value.NewString("victim")}
+	tid, err := Insert(tab, row, 7, storage.NoPrevTID, e.disk)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,10 +44,23 @@ type DropTableStmt struct{ Name string }
 // System R) invalidates every compiled plan that depends on it.
 type DropIndexStmt struct{ Name string }
 
-// InsertStmt is INSERT INTO table VALUES (...), (...).
+// InsertStmt is INSERT INTO table VALUES (...), (...). Rows holds each
+// row's values, carved from one array per statement: a literal — a number,
+// a string, NULL, or a negated number — is read straight into its row, and
+// only a value that is not one keeps its expression, in Exprs, with NULL in
+// its row slot until execution evaluates it there. Execution also coerces
+// the rows in place, so a parsed INSERT runs once.
 type InsertStmt struct {
 	Table string
-	Rows  [][]Expr
+	Rows  []value.Row
+	Exprs []RowExpr // ascending by (Row, Col)
+}
+
+// RowExpr is an INSERT value that is not a literal: Rows[Row][Col]'s
+// expression.
+type RowExpr struct {
+	Row, Col int
+	Expr     Expr
 }
 
 // DeleteStmt is DELETE FROM table [alias] [WHERE expr].

@@ -8,14 +8,20 @@ import (
 )
 
 // FuzzParse is a native fuzz target (go test -fuzz=FuzzParse ./internal/sql);
-// in normal runs it exercises the seed corpus. Invariant: Parse returns a
-// statement or an error — it never panics.
+// in normal runs it exercises the seed corpus. Invariants: Parse returns a
+// statement or an error — it never panics — and an INSERT's expressions
+// name, in order, slots of its rows that hold NULL until they are
+// evaluated.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		"SELECT a FROM t WHERE b = 1 AND c IN (1,2,3) ORDER BY a",
 		"SELECT DISTINCT x.y FROM t x GROUP BY x.y HAVING COUNT(*) > ? ORDER BY x.y DESC",
 		"CREATE UNIQUE CLUSTERED INDEX i ON t (a, b)",
 		"INSERT INTO t VALUES (1, 'it''s', 2.5e3, NULL), (-1, '', 0, 4)",
+		"INSERT INTO t VALUES (-0.0, - 5, -'x', (NULL)), (1 + 2, -(3), 'a''b', NULL), (7)",
+		"INSERT INTO t VALUES (1, -",
+		"INSERT INTO t VALUES (), (1,)",
+		"INSERT INTO t VALUES (?, (SELECT a FROM u), x, -y)",
 		"UPDATE t SET a = a * 2 WHERE b BETWEEN ? AND ?",
 		"DELETE FROM t WHERE a IN (SELECT a FROM u WHERE b = t.c)",
 		"EXPLAIN SELECT (SELECT MAX(x) FROM s) FROM t WHERE NOT a <> 5",
@@ -25,7 +31,19 @@ func FuzzParse(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
-		_, _ = Parse(input) // must not panic
+		st, err := Parse(input) // must not panic
+		ins, ok := st.(*InsertStmt)
+		if err != nil || !ok {
+			return
+		}
+		for i, e := range ins.Exprs {
+			if e.Row >= len(ins.Rows) || e.Col >= len(ins.Rows[e.Row]) || !ins.Rows[e.Row][e.Col].IsNull() {
+				t.Fatalf("%q: expression %d names row %d column %d, outside its rows or over a value", input, i, e.Row, e.Col)
+			}
+			if i > 0 && (e.Row < ins.Exprs[i-1].Row || e.Row == ins.Exprs[i-1].Row && e.Col <= ins.Exprs[i-1].Col) {
+				t.Fatalf("%q: expressions out of order at %d", input, i)
+			}
+		}
 	})
 }
 

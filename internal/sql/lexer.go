@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"unicode"
+	"unsafe"
+
+	"systemr/internal/freelist"
 )
 
 // tokenKind classifies lexical tokens.
@@ -63,26 +65,32 @@ type lexError struct {
 
 func (e *lexError) Error() string { return fmt.Sprintf("syntax error at offset %d: %s", e.pos, e.msg) }
 
-// tokPool holds the token slices Parse and normalize lex into. Both are
-// done with their tokens when they return, so each reuses a slice an
-// earlier text grew instead of growing one by appending.
-var tokPool = sync.Pool{New: func() any { return new([]token) }}
+// tokMaxBytes caps the token slices tokens keeps: 32,768 tokens, more
+// than a 500-row INSERT of four columns lexes into.
+const tokMaxBytes = 1 << 20
 
-// lexPooled lexes input into a slice from tokPool. The caller hands the
+// tokens holds the token slices Parse and normalize lex into. Both are done
+// with their tokens when they return, so each reuses a slice an earlier
+// text grew instead of growing one by appending.
+var tokens = freelist.New(tokMaxBytes, func(p *[]token) int {
+	return cap(*p) * int(unsafe.Sizeof(token{}))
+})
+
+// lexPooled lexes input into a slice from tokens. The caller hands the
 // slice back with releaseTokens on every path, the error path included,
 // and keeps no token: the tokens' strings are cleared.
 func lexPooled(input string) (*[]token, []token, error) {
-	p := tokPool.Get().(*[]token)
+	p := tokens.Get()
 	toks, err := appendTokens((*p)[:0], input)
 	return p, toks, err
 }
 
-// releaseTokens clears toks, which lexPooled returned with p, so the pool
-// pins no statement text, and returns the slice to the pool.
+// releaseTokens clears toks, which lexPooled returned with p, so the free
+// list pins no statement text, and returns the slice to the list.
 func releaseTokens(p *[]token, toks []token) {
 	clear(toks)
 	*p = toks[:0]
-	tokPool.Put(p)
+	tokens.Put(p)
 }
 
 // appendTokens appends input's tokens, ending with tokEOF, to toks. On an

@@ -2,7 +2,6 @@ package sql
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"systemr/internal/value"
@@ -316,33 +315,98 @@ func (p *parser) parseInsert() (Statement, error) {
 	if _, err := p.expect(tokKeyword, "VALUES"); err != nil {
 		return nil, err
 	}
-	var rows [][]Expr
+	// Every value is carved from vals, and rows are sized by what the tokens
+	// left promise: the exact counts when every value is a literal. A row
+	// carved before vals outgrows its array keeps the old one.
+	nvals, nrows := valuesSize(p.toks[p.i:])
+	ins := &InsertStmt{Table: strings.ToUpper(table), Rows: make([]value.Row, 0, nrows)}
+	vals := make([]value.Value, 0, nvals)
 	for {
 		if _, err := p.expect(tokPunct, "("); err != nil {
 			return nil, err
 		}
-		var row []Expr
+		start := len(vals)
 		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
+			v, ok := p.literal()
+			if !ok {
+				e, err := p.parseExpr()
+				if err != nil {
+					return nil, err
+				}
+				if lit, isLit := e.(*Literal); isLit {
+					v = lit.Val
+				} else {
+					ins.Exprs = append(ins.Exprs, RowExpr{Row: len(ins.Rows), Col: len(vals) - start, Expr: e})
+				}
 			}
-			row = append(row, e)
-			if p.accept(tokPunct, ",") {
-				continue
+			vals = append(vals, v)
+			if !p.accept(tokPunct, ",") {
+				break
 			}
-			break
 		}
 		if _, err := p.expect(tokPunct, ")"); err != nil {
 			return nil, err
 		}
-		rows = append(rows, row)
-		if p.accept(tokPunct, ",") {
-			continue
+		ins.Rows = append(ins.Rows, vals[start:len(vals):len(vals)])
+		if !p.accept(tokPunct, ",") {
+			return ins, nil
 		}
-		break
 	}
-	return &InsertStmt{Table: strings.ToUpper(table), Rows: rows}, nil
+}
+
+// literal reads the value at the parser's position when it is a literal
+// that stands alone — a number, a string, NULL, or a negated number,
+// followed by ',' or ')' — which parseExpr would fold to a *Literal, so a
+// VALUES list of literals builds no expression.
+func (p *parser) literal() (value.Value, bool) {
+	i := p.i
+	neg := isPunct(p.toks[i], "-")
+	if neg {
+		i++
+	}
+	t := p.toks[i]
+	if t.kind == tokEOF || !isPunct(p.toks[i+1], ",") && !isPunct(p.toks[i+1], ")") {
+		return value.Value{}, false
+	}
+	var v value.Value
+	switch {
+	case t.kind == tokInt || t.kind == tokFloat:
+		v = literalValue(t)
+		if neg {
+			v = negate(v)
+		}
+	case neg:
+		return value.Value{}, false
+	case t.kind == tokString:
+		v = literalValue(t)
+	case isKeyword(t, "NULL"):
+	default:
+		return value.Value{}, false
+	}
+	p.i = i + 1
+	return v, true
+}
+
+// valuesSize bounds the values and rows of a VALUES list of literals by
+// counting toks' number, string and NULL tokens and its '(' tokens.
+func valuesSize(toks []token) (vals, rows int) {
+	for _, t := range toks {
+		switch {
+		case t.kind == tokInt || t.kind == tokFloat || t.kind == tokString || isKeyword(t, "NULL"):
+			vals++
+		case isPunct(t, "("):
+			rows++
+		}
+	}
+	return vals, rows
+}
+
+// negate folds a negated number literal, as the parser reads -5 or -2.5.
+func negate(v value.Value) value.Value {
+	if v.Kind == value.KindInt {
+		return value.NewInt(-v.Int)
+	}
+	return value.NewFloat(-v.Float)
 }
 
 func (p *parser) parseDelete() (Statement, error) {
@@ -729,13 +793,8 @@ func (p *parser) parseFactor() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if lit, ok := e.(*Literal); ok { // fold negative literals
-			switch lit.Val.Kind {
-			case value.KindInt:
-				return &Literal{Val: value.NewInt(-lit.Val.Int)}, nil
-			case value.KindFloat:
-				return &Literal{Val: value.NewFloat(-lit.Val.Float)}, nil
-			}
+		if lit, ok := e.(*Literal); ok && (lit.Val.Kind == value.KindInt || lit.Val.Kind == value.KindFloat) {
+			return &Literal{Val: negate(lit.Val)}, nil // fold negative literals
 		}
 		return &NegExpr{E: e}, nil
 	}
@@ -747,17 +806,9 @@ var aggregates = map[string]bool{"COUNT": true, "SUM": true, "AVG": true, "MIN":
 func (p *parser) parsePrimary() (Expr, error) {
 	t := p.peek()
 	switch t.kind {
-	case tokInt:
+	case tokInt, tokFloat, tokString:
 		p.next()
-		v, _ := strconv.ParseInt(t.text, 10, 64)
-		return &Literal{Val: value.NewInt(v)}, nil
-	case tokFloat:
-		p.next()
-		v, _ := strconv.ParseFloat(t.text, 64)
-		return &Literal{Val: value.NewFloat(v)}, nil
-	case tokString:
-		p.next()
-		return &Literal{Val: value.NewString(t.text)}, nil
+		return &Literal{Val: literalValue(t)}, nil
 	case tokKeyword:
 		switch {
 		case t.text == "NULL":

@@ -54,21 +54,39 @@ func TestParseCreateIndex(t *testing.T) {
 }
 
 func TestParseInsert(t *testing.T) {
-	st := mustParse(t, "INSERT INTO t VALUES (1, 'a', 2.5, NULL), (-3, 'b''c', 1e3, 4)").(*InsertStmt)
-	if st.Table != "T" || len(st.Rows) != 2 || len(st.Rows[0]) != 4 {
+	st := mustParse(t, "INSERT INTO t VALUES (1, 'a', 2.5, NULL), (-3, 'b''c', 1e3, 4), (- 2.5, -(4), 1 + 2, -'x')").(*InsertStmt)
+	if st.Table != "T" || len(st.Rows) != 3 || len(st.Rows[0]) != 4 {
 		t.Fatalf("%+v", st)
 	}
-	if lit := st.Rows[0][3].(*Literal); !lit.Val.IsNull() {
+	if !st.Rows[0][3].IsNull() {
 		t.Fatal("NULL literal")
 	}
-	if lit := st.Rows[1][0].(*Literal); lit.Val.Int != -3 {
-		t.Fatalf("negative literal folded to %v", lit.Val)
+	if v := st.Rows[1][0]; v.Int != -3 {
+		t.Fatalf("negative literal folded to %v", v)
 	}
-	if lit := st.Rows[1][1].(*Literal); lit.Val.Str != "b'c" {
-		t.Fatalf("quote escape: %q", lit.Val.Str)
+	if v := st.Rows[1][1]; v.Str != "b'c" {
+		t.Fatalf("quote escape: %q", v.Str)
 	}
-	if lit := st.Rows[1][2].(*Literal); lit.Val.Float != 1000 {
-		t.Fatalf("scientific literal: %v", lit.Val)
+	if v := st.Rows[1][2]; v.Float != 1000 {
+		t.Fatalf("scientific literal: %v", v)
+	}
+	if v := st.Rows[2][0]; v.Kind != value.KindFloat || v.Float != -2.5 {
+		t.Fatalf("spaced negative literal folded to %v", v)
+	}
+	if v := st.Rows[2][1]; v.Kind != value.KindInt || v.Int != -4 {
+		t.Fatalf("negated parenthesized literal folded to %v", v)
+	}
+	// Only the values that are not literals keep an expression, and their
+	// slots hold NULL until execution evaluates them.
+	if len(st.Exprs) != 2 || st.Exprs[0].Row != 2 || st.Exprs[0].Col != 2 || st.Exprs[1].Col != 3 {
+		t.Fatalf("expressions %+v, want rows 2's columns 2 and 3", st.Exprs)
+	}
+	if _, ok := st.Exprs[0].Expr.(*BinaryExpr); !ok || !st.Rows[2][2].IsNull() {
+		t.Fatalf("1 + 2 parsed to %#v in a slot holding %v", st.Exprs[0].Expr, st.Rows[2][2])
+	}
+	// Rows are carved from one array and cannot grow into one another.
+	if cap(st.Rows[0]) != len(st.Rows[0]) {
+		t.Fatalf("row 0 has capacity %d for %d values", cap(st.Rows[0]), len(st.Rows[0]))
 	}
 }
 

@@ -8,6 +8,7 @@
 package storage
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -40,13 +41,13 @@ type TID struct {
 // String renders the TID as page.slot.
 func (t TID) String() string { return fmt.Sprintf("%d.%d", t.Page, t.Slot) }
 
-// Less orders TIDs by page then slot; used to break ties among duplicate
-// index keys deterministically.
-func (t TID) Less(o TID) bool {
-	if t.Page != o.Page {
-		return t.Page < o.Page
+// Compare orders TIDs by page, then slot, returning -1, 0 or +1; it breaks
+// ties among duplicate index keys deterministically.
+func (t TID) Compare(o TID) int {
+	if c := cmp.Compare(t.Page, o.Page); c != 0 {
+		return c
 	}
-	return t.Slot < o.Slot
+	return cmp.Compare(t.Slot, o.Slot)
 }
 
 // Page layout (little-endian):
@@ -230,6 +231,19 @@ func (p *Page) HasRecordsFor(rel RelID) bool {
 		}
 	}
 	return false
+}
+
+// RecordsFor counts the live slots on the page that belong to rel.
+func (p *Page) RecordsFor(rel RelID) int {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	n := 0
+	for i := uint16(0); i < p.NumSlots(); i++ {
+		if _, r, ok := p.record(i); ok && r == rel {
+			n++
+		}
+	}
+	return n
 }
 
 // LiveRecords returns the number of live (non-deleted) slots.

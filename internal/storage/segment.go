@@ -111,3 +111,17 @@ func (s *Segment) PagesHolding(rel RelID) int {
 	}
 	return n
 }
+
+// RecordsOf counts the live records of rel. Every version a snapshot can see
+// is one, and so is every delete-marked version vacuum has not reclaimed,
+// so the count bounds the rows any scan of rel returns.
+func (s *Segment) RecordsOf(rel RelID) int {
+	s.mu.Lock()
+	pages := s.pages
+	s.mu.Unlock()
+	n := 0
+	for _, id := range pages {
+		n += s.disk.page(id).RecordsFor(rel)
+	}
+	return n
+}

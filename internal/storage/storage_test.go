@@ -289,7 +289,7 @@ func TestTIDOrdering(t *testing.T) {
 	a := TID{Page: 1, Slot: 5}
 	b := TID{Page: 1, Slot: 6}
 	c := TID{Page: 2, Slot: 0}
-	if !a.Less(b) || !b.Less(c) || c.Less(a) {
+	if a.Compare(b) >= 0 || b.Compare(c) >= 0 || c.Compare(a) < 0 {
 		t.Fatal("TID order broken")
 	}
 	if a.String() != "1.5" {

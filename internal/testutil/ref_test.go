@@ -38,7 +38,7 @@ func setup(t *testing.T) (*catalog.Catalog, *storage.Disk) {
 		{value.NewInt(1), value.NewInt(20)},
 		{value.NewInt(2), value.NewInt(30)},
 	} {
-		if _, _, err := rss.Insert(a, r, storage.FrozenXID, storage.NoPrevTID, disk); err != nil {
+		if _, err := rss.Insert(a, r, storage.FrozenXID, storage.NoPrevTID, disk); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -47,7 +47,7 @@ func setup(t *testing.T) (*catalog.Catalog, *storage.Disk) {
 		{value.NewInt(2), value.NewString("y")},
 		{value.NewInt(3), value.NewString("z")},
 	} {
-		if _, _, err := rss.Insert(b, r, storage.FrozenXID, storage.NoPrevTID, disk); err != nil {
+		if _, err := rss.Insert(b, r, storage.FrozenXID, storage.NoPrevTID, disk); err != nil {
 			t.Fatal(err)
 		}
 	}

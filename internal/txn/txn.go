@@ -23,6 +23,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"systemr/internal/catalog"
 	"systemr/internal/lock"
@@ -177,20 +178,26 @@ func (t *Txn) tick() error {
 // Insert stores a row through the RSI as a new version created by this
 // transaction and logs its inverse. prev links the version this one
 // supersedes (the delete half of an UPDATE) or storage.NoPrevTID for a plain
-// INSERT. The log entry is appended after the store: rss.Insert either
-// completes fully or mutates nothing (validation and unique checks precede
-// the segment write), so there is no half-applied state to log for.
+// INSERT. rss.Insert coerces row in place, and the log keeps it as the
+// stored image, so the caller hands row over. The log entry is appended
+// after the store: rss.Insert either completes fully or stores nothing
+// (validation and unique checks precede the segment write), so there is no
+// half-applied state to log for.
 func (t *Txn) Insert(tab *catalog.Table, row value.Row, prev storage.TID) (storage.TID, error) {
 	if err := t.tick(); err != nil {
 		return storage.TID{}, err
 	}
-	tid, stored, err := rss.Insert(tab, row, t.XID(), prev, t.disk)
+	tid, err := rss.Insert(tab, row, t.XID(), prev, t.disk)
 	if err != nil {
 		return storage.TID{}, err
 	}
-	t.undo = append(t.undo, undoRec{op: opInsert, table: tab, tid: tid, row: stored})
+	t.undo = append(t.undo, undoRec{op: opInsert, table: tab, tid: tid, row: row})
 	return tid, nil
 }
+
+// Reserve makes room in the undo log for n more mutations, so a statement
+// that knows how many rows it writes grows the log once.
+func (t *Txn) Reserve(n int) { t.undo = slices.Grow(t.undo, n) }
 
 // Delete stamps this transaction as the deleter of the version at tid
 // (stored image row) through the RSI and logs its inverse. The log entry is

@@ -11,13 +11,12 @@
 // merges compare bytes, never values.
 //
 // Memory: run generation encodes rows into a byte arena and sorts small
-// entries over it. A sort takes both from a pool and gives them back once
-// no merger reads the arena — when its Result closes, or when it fails or
-// finds its input empty — so later sorts reuse the room an earlier one grew
-// instead of regrowing their own by doubling. The pool holds no more
-// arena-and-entries pairs than there are Ps plus sorts running at once,
-// each no larger than the largest run's, and sync.Pool drops them within
-// two garbage collections.
+// entries over it. A sort takes both from a free list and gives them back
+// once no merger reads the arena — when its Result closes, or when it fails
+// or finds its input empty — so later sorts reuse the room an earlier one
+// grew instead of regrowing their own by doubling, whenever the garbage
+// collector runs. The list keeps at most GOMAXPROCS arena-and-entries
+// pairs, each of at most bufMaxBytes.
 package xsort
 
 import (
@@ -27,8 +26,9 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
+	"unsafe"
 
+	"systemr/internal/freelist"
 	"systemr/internal/governor"
 	"systemr/internal/storage"
 	"systemr/internal/value"
@@ -89,19 +89,27 @@ type entry struct {
 const firstRows = 4
 
 // buffers are a sort's run-generation arena and entries (see the package
-// comment), kept as grown between the sorts that take them from bufPool.
+// comment), kept as grown between the sorts that take them from bufs.
 type buffers struct {
 	arena   []byte
 	entries []entry
 }
 
-var bufPool = sync.Pool{New: func() any { return new(buffers) }}
+// bufMaxBytes caps the buffers bufs keeps. A sort's pair grows to about
+// four times its BufferBytes (a little over 4 MiB under a 256-page pool's
+// 1 MiB runs), so this keeps the pairs of pools up to 512 pages; a sort
+// that grew more leaves its buffers to the garbage collector.
+const bufMaxBytes = 8 << 20
 
-// put keeps arena and entries in b, emptied, and returns b to the pool.
-// The caller must not read either again.
+var bufs = freelist.New(bufMaxBytes, func(b *buffers) int {
+	return cap(b.arena) + cap(b.entries)*int(unsafe.Sizeof(entry{}))
+})
+
+// put keeps arena and entries in b, emptied, and returns b to the free
+// list. The caller must not read either again.
 func (b *buffers) put(arena []byte, entries []entry) {
 	b.arena, b.entries = arena[:0], entries[:0]
-	bufPool.Put(b)
+	bufs.Put(b)
 }
 
 // Sort consumes the input, sorts it, and returns a Result for streaming the
@@ -110,7 +118,7 @@ func (b *buffers) put(arena []byte, entries []entry) {
 // memory. Every tuple written into the temporary list by run generation and
 // every tuple delivered from it is charged one RSI call, mirroring the cost
 // model's CPU term for sorts. A sort that fails gives every temp page it
-// wrote back to the disk, and its buffers back to the pool.
+// wrote back to the disk, and its buffers back to the free list.
 func Sort(cfg Config, in Input) (_ *Result, err error) {
 	if cfg.BufferBytes <= 0 {
 		cfg.BufferBytes = cfg.Pool.Capacity() * storage.PageSize
@@ -126,7 +134,7 @@ func Sort(cfg Config, in Input) (_ *Result, err error) {
 	// reuses, so the input may reuse its row. A run ends when its records
 	// reach BufferBytes; keys never count, so run boundaries — and with them
 	// every temp page — follow the records alone.
-	buf := bufPool.Get().(*buffers)
+	buf := bufs.Get()
 	var (
 		runs     []*run // the runs this sort holds
 		entries  = buf.entries
@@ -605,7 +613,7 @@ func (res *Result) Next() (value.Row, bool, error) {
 }
 
 // Close releases the temporary pages from the buffer pool and gives them
-// back to the disk, and returns the sort's buffers to the pool once the
+// back to the disk, and returns the sort's buffers to the free list once the
 // merge that reads them is dropped.
 func (res *Result) Close() {
 	if res.closed {

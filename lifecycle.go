@@ -34,7 +34,7 @@ type statement struct {
 	args   []any
 	cursor bool // the transaction lives on until Rows.Close
 
-	norm   string        // the normalized text, with literals lifted by sql.Lift
+	norm   string        // the normalized text, with literals lifted by sql.Lift; "" for an INSERT
 	parsed sql.Statement // nil on a plan-cache hit and for prepared runs
 	// vals are a prepared run's host-variable values, or the literals
 	// sql.Lift lifted out of the text: either way, the plan's arguments.
@@ -168,11 +168,15 @@ func (db *DB) lockSet(st *statement, explicit bool) ([]lock.Request, error) {
 		st.vals = vals
 		return st.prep.current().Locks, nil
 	}
-	norm, lits, normOK := sql.Lift(st.text)
-	st.norm, st.vals = norm, lits
-	if normOK {
-		if locks, ok := db.cachedLocks(norm, lits); ok {
-			return locks, nil
+	// INSERT is never compiled, so no plan-cache entry can serve it: its
+	// text, often one long VALUES list, is lexed once, by the parse.
+	if sql.LeadingKeyword(st.text) != "INSERT" {
+		norm, lits, normOK := sql.Lift(st.text)
+		st.norm, st.vals = norm, lits
+		if normOK {
+			if locks, ok := db.cachedLocks(norm, lits); ok {
+				return locks, nil
+			}
 		}
 	}
 	stmt, err := st.parse()

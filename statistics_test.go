@@ -11,15 +11,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"systemr"
-	"systemr/internal/catalog"
 	"systemr/internal/compile"
 	"systemr/internal/lock"
 	"systemr/internal/storage"
@@ -28,42 +25,42 @@ import (
 	"systemr/internal/workload"
 )
 
-// tableStats is one table's statistics as a refresh left them.
-type tableStats struct {
-	Rel  catalog.RelStats
-	Cols []catalog.ColStats
-}
-
-// userStats returns every user table's statistics.
-func userStats(db *systemr.DB) map[string]tableStats {
-	out := map[string]tableStats{}
-	for _, t := range db.Catalog().Tables() {
-		if !t.System {
-			out[t.Name] = tableStats{t.Stats, t.ColStats}
-		}
-	}
-	return out
-}
-
-// checkStatsOracle runs UPDATE STATISTICS, then the catalog's builder over
-// the reference walk, and compares every user table's statistics.
+// checkStatsOracle runs UPDATE STATISTICS and compares every user table's
+// RelStats and ColStats with what the frozen reference builder
+// (builders_ref_test.go) makes of testutil's reference heap walk, and every
+// index's IndexStats with the reference's reading of the index's leaves:
+// with reflect.DeepEqual, and bit for bit, so that it matters which of two
+// equal values (FLOAT 0.0 and -0.0) becomes a histogram's Lo or a bucket's
+// Hi.
 func checkStatsOracle(t *testing.T, name string, db *systemr.DB) {
 	t.Helper()
 	db.MustExec("UPDATE STATISTICS")
-	engine := userStats(db)
-	cat := db.Catalog()
-	if err := cat.UpdateStatistics("", testutil.HeapRows(cat.Disk())); err != nil {
-		t.Fatal(err)
-	}
-	for table, ref := range userStats(db) {
-		if got := engine[table]; !reflect.DeepEqual(got, ref) {
-			t.Errorf("%s: UPDATE STATISTICS built %s's statistics as %+v, the reference walk as %+v", name, table, got, ref)
+	src := testutil.HeapRows(db.Catalog().Disk())
+	for _, tab := range db.Catalog().Tables() {
+		if tab.System {
+			continue
+		}
+		rel, cols, err := refTableStats(tab, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(tab.Stats, rel) || !reflect.DeepEqual(tab.ColStats, cols) || colStatsBits(tab.ColStats) != colStatsBits(cols) {
+			t.Errorf("%s: UPDATE STATISTICS built %s's statistics as %+v %s, the reference as %+v %s",
+				name, tab.Name, tab.Stats, colStatsBits(tab.ColStats), rel, colStatsBits(cols))
+		}
+		for _, ix := range tab.Indexes {
+			want := refIndexStats(ix.Tree.Leaves(), ix.Tree.NumPages())
+			if !reflect.DeepEqual(ix.Stats, want) || indexStatsBits(ix.Stats) != indexStatsBits(want) {
+				t.Errorf("%s: index %s's statistics are %s, the reference's %s", name, ix.Name, indexStatsBits(ix.Stats), indexStatsBits(want))
+			}
 		}
 	}
 }
 
-// checkIndexOracle creates an index through SQL and checks it holds exactly
-// the (key, TID) pairs of the rows the reference walk reads, then drops it.
+// checkIndexOracle creates an index through SQL and checks its tree against
+// the frozen reference bulk load over the reference heap walk — height,
+// node count and leaf sequence, bit for bit — and its statistics, then
+// drops it.
 func checkIndexOracle(t *testing.T, name string, db *systemr.DB, ixName, create string) {
 	t.Helper()
 	db.MustExec(create)
@@ -71,22 +68,19 @@ func checkIndexOracle(t *testing.T, name string, db *systemr.DB, ixName, create 
 	if !ok {
 		t.Fatalf("%s: %s created no index %s", name, create, ixName)
 	}
-	var want, got []string
-	err := testutil.HeapRows(db.Catalog().Disk())(ix.Table, func(row value.Row, tid storage.TID) error {
-		want = append(want, fmt.Sprint(ix.KeyFor(row), tid))
-		return nil
-	})
+	want, err := refBulkLoad(ix, testutil.HeapRows(db.Catalog().Disk()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := ix.Tree.Seek(storage.StmtIO{}, nil)
-	for e, ok := it.Next(); ok; e, ok = it.Next() {
-		got = append(got, fmt.Sprint(e.Key, e.TID))
+	if h, n := ix.Tree.Height(), ix.Tree.NumPages(); h != want.height || n != want.nodes {
+		t.Errorf("%s: %s built a tree of height %d and %d nodes, the reference %d and %d", name, create, h, n, want.height, want.nodes)
 	}
-	sort.Strings(want)
-	sort.Strings(got)
-	if !slices.Equal(got, want) {
-		t.Errorf("%s: %s holds %d entries %v, want the %d visible rows' %v", name, create, len(got), got, len(want), want)
+	if got, ref := leavesBits(ix.Tree.Leaves()), leavesBits(want.leaves); got != ref {
+		t.Errorf("%s: %s laid out the leaves %s, the reference %s", name, create, got, ref)
+	}
+	db.MustExec("UPDATE STATISTICS " + ix.Table.Name)
+	if ref := refIndexStats(want.leaves, want.nodes); !reflect.DeepEqual(ix.Stats, ref) || indexStatsBits(ix.Stats) != indexStatsBits(ref) {
+		t.Errorf("%s: %s's statistics are %s, the reference's %s", name, create, indexStatsBits(ix.Stats), indexStatsBits(ref))
 	}
 	db.MustExec("DROP INDEX " + ixName)
 }
@@ -163,6 +157,97 @@ func TestIndexHoldsVisibleVersions(t *testing.T) {
 			}
 			name := fmt.Sprintf("random seed %d", seed)
 			checkIndexOracle(t, name, db, "ORACLE_K", fmt.Sprintf("CREATE INDEX ORACLE_K ON %s (K)", tab.Name))
+			checkIndexOracle(t, name, db, "ORACLE_S", fmt.Sprintf("CREATE UNIQUE INDEX ORACLE_S ON %s (SERIAL)", tab.Name))
+		}
+	}
+}
+
+// TestBuildersMatchFrozenReference: UPDATE STATISTICS and CREATE INDEX
+// build exactly what the frozen reference builders build, on a bench-shaped
+// database (analytic_skew's zipfian EVENTS and its KEYS, loaded by 500-row
+// INSERTs) and on random databases holding delete-marked versions, NULLs,
+// FLOAT zeros of both signs, and VARCHARs. Each index is built again under
+// another name, and so is one on every column.
+func TestBuildersMatchFrozenReference(t *testing.T) {
+	skew, _ := openSkewDB(workload.SkewConfig{Rows: 20000, Seed: 5})
+	var rows []string
+	for k := 0; k < 1000; k++ {
+		rows = append(rows, fmt.Sprintf("(%d, %d, 'K%04d')", k, k%20, k*7919%1000))
+	}
+	skew.MustExec("CREATE TABLE KEYS (KEY INTEGER, GRP INTEGER, NAME VARCHAR)")
+	skew.MustExec("INSERT INTO KEYS VALUES " + strings.Join(rows[:500], ", "))
+	skew.MustExec("INSERT INTO KEYS VALUES " + strings.Join(rows[500:], ", "))
+	skew.MustExec("CREATE UNIQUE INDEX KEYS_KEY ON KEYS (KEY)")
+	skew.MustExec("CREATE INDEX KEYS_GRP ON KEYS (GRP)")
+	// Z's FLOAT column mixes the two zeros among few other values, so the
+	// sort decides which zero becomes a bucket's boundary.
+	rnd := rand.New(rand.NewSource(5))
+	rows = rows[:0]
+	for i := 0; i < 2000; i++ {
+		rows = append(rows, fmt.Sprintf("(%d, %s)", i, []string{"0.0", "-0.0", "-0.0", "1.5", "-2.5", "NULL"}[rnd.Intn(6)]))
+	}
+	skew.MustExec("CREATE TABLE Z (ID INTEGER, F FLOAT)")
+	for i := 0; i < len(rows); i += 500 {
+		skew.MustExec("INSERT INTO Z VALUES " + strings.Join(rows[i:i+500], ", "))
+	}
+	checkBuilders(t, "analytic_skew-shaped", skew)
+	checkBuilders(t, "emp", openEmpDB(workload.EmpConfig{Emps: 2000}))
+	for seed := int64(1); seed <= 20; seed++ {
+		db := randomDBWithDeadVersions(seed)
+		for _, tab := range db.Catalog().Tables() {
+			if tab.System {
+				continue
+			}
+			var rows []string
+			for r := 0; r < 6; r++ {
+				vals := []string{"NULL", fmt.Sprint(1000 + r)}
+				if r%3 != 0 {
+					vals[0] = fmt.Sprint(r)
+				}
+				for _, c := range tab.Columns[2:] {
+					switch {
+					case r%2 == 0:
+						vals = append(vals, "NULL")
+					case c.Type == value.KindFloat:
+						vals = append(vals, []string{"0.0", "-0.0", "-0.0"}[r/2])
+					case c.Type == value.KindInt:
+						vals = append(vals, fmt.Sprint(-r))
+					default:
+						vals = append(vals, fmt.Sprintf("'V%d'", r))
+					}
+				}
+				rows = append(rows, "("+strings.Join(vals, ", ")+")")
+			}
+			db.MustExec(fmt.Sprintf("INSERT INTO %s VALUES %s", tab.Name, strings.Join(rows[:3], ", ")))
+			for _, row := range rows[3:] {
+				db.MustExec(fmt.Sprintf("INSERT INTO %s VALUES %s", tab.Name, row))
+			}
+		}
+		checkBuilders(t, fmt.Sprintf("random seed %d", seed), db)
+	}
+}
+
+// checkBuilders runs both oracles on db: its statistics, then every
+// index's build again, and a build on every column, and a unique one on
+// SERIAL where the table has one.
+func checkBuilders(t *testing.T, name string, db *systemr.DB) {
+	t.Helper()
+	checkStatsOracle(t, name, db)
+	for _, tab := range db.Catalog().Tables() {
+		if tab.System {
+			continue
+		}
+		for _, ix := range tab.Indexes {
+			unique := ""
+			if ix.Unique {
+				unique = "UNIQUE "
+			}
+			checkIndexOracle(t, name, db, "ORACLE_IX", fmt.Sprintf("CREATE %sINDEX ORACLE_IX ON %s (%s)", unique, tab.Name, strings.Join(ix.ColumnNames(), ", ")))
+		}
+		for _, c := range tab.Columns {
+			checkIndexOracle(t, name, db, "ORACLE_C", fmt.Sprintf("CREATE INDEX ORACLE_C ON %s (%s)", tab.Name, c.Name))
+		}
+		if tab.ColumnIndex("SERIAL") >= 0 {
 			checkIndexOracle(t, name, db, "ORACLE_S", fmt.Sprintf("CREATE UNIQUE INDEX ORACLE_S ON %s (SERIAL)", tab.Name))
 		}
 	}

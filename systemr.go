@@ -563,7 +563,8 @@ func (db *DB) PlanCacheStats() PlanCacheStats {
 
 // execStmt dispatches one statement under the statement's governor, writing
 // through cur's undo log. st.norm is the statement's normalized text (""
-// only if normalization failed, which implies parsing failed first), and
+// for an INSERT, which needs none, or if normalization failed, which
+// implies parsing failed first), and
 // st.parsed its parse, nil on a plan-cache hit. A SELECT, UPDATE or DELETE
 // resolves its plan — which caches a freshly compiled plan for next time —
 // and runs it.
@@ -606,9 +607,9 @@ func (db *DB) execStmt(cur *txn.Txn, st *statement) (*Result, error) {
 // constArith maps the SQL arithmetic operators to value.Arith's.
 var constArith = map[sql.BinOp]byte{sql.OpAdd: '+', sql.OpSub: '-', sql.OpMul: '*', sql.OpDiv: '/'}
 
-// evalConstExpr evaluates INSERT VALUES expressions: literals and constant
-// arithmetic, whose operands pass the same type checks as in SELECT and
-// UPDATE.
+// evalConstExpr evaluates the INSERT VALUES expressions that are not
+// literals: constant arithmetic, whose operands pass the same type checks as
+// in SELECT and UPDATE.
 func evalConstExpr(e sql.Expr) (value.Value, error) {
 	switch x := e.(type) {
 	case *sql.Literal:
@@ -649,18 +650,21 @@ func (db *DB) execInsert(cur *txn.Txn, st *statement, ins *sql.InsertStmt) (*Res
 	if t.System {
 		return nil, fmt.Errorf("systemr: %s is a read-only system catalog", t.Name)
 	}
-	for _, rowExprs := range ins.Rows {
+	cur.Reserve(len(ins.Rows))
+	exprs := ins.Exprs
+	for r, row := range ins.Rows {
 		if err := st.gov.Tick(); err != nil {
 			return nil, err
 		}
-		row := make(value.Row, len(rowExprs))
-		for i, e := range rowExprs {
-			v, err := evalConstExpr(e)
+		for ; len(exprs) > 0 && exprs[0].Row == r; exprs = exprs[1:] {
+			v, err := evalConstExpr(exprs[0].Expr)
 			if err != nil {
 				return nil, err
 			}
-			row[i] = v
+			row[exprs[0].Col] = v
 		}
+		// The row is the parse's own: the insert coerces it in place, and
+		// the undo log keeps it.
 		if _, err := cur.Insert(t, row, storage.NoPrevTID); err != nil {
 			return nil, err
 		}
