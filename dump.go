@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 
@@ -77,9 +78,30 @@ func (db *DB) DumpSQL(w io.Writer) (err error) {
 func sqlRow(row value.Row) string {
 	parts := make([]string, len(row))
 	for i, v := range row {
-		parts[i] = v.SQL()
+		parts[i] = sqlValue(v)
 	}
 	return strings.Join(parts, ", ")
+}
+
+// sqlValue spells v so that the script reloads the same value. value.SQL
+// spells a FLOAT as strconv does, which reads back as written but for
+// three: NaN and the infinities, which no literal spells and are written
+// as constant expressions that evaluate to them, and -0.0, whose "-0"
+// would reload as the INTEGER 0 and be stored as +0.0.
+func sqlValue(v value.Value) string {
+	if v.Kind == value.KindFloat {
+		switch f := v.Float; {
+		case math.IsNaN(f):
+			return "(1e308 * 10 - 1e308 * 10)"
+		case math.IsInf(f, 1):
+			return "(1e308 * 10)"
+		case math.IsInf(f, -1):
+			return "(-1e308 * 10)"
+		case f == 0 && math.Signbit(f):
+			return "-0.0"
+		}
+	}
+	return v.SQL()
 }
 
 // RunScript executes a multi-statement SQL script (statements separated by

@@ -1,6 +1,8 @@
 package systemr_test
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -108,6 +110,40 @@ func mustRows(t *testing.T, db *systemr.DB, q string) []value.Row {
 		out[i] = row
 	}
 	return out
+}
+
+// TestDumpRoundTripsFloats: every FLOAT a table can hold reloads from its
+// dump as the same value, bit for bit — NaN (by math.IsNaN, as no literal
+// fixes its bits), both infinities and both zeros included.
+func TestDumpRoundTripsFloats(t *testing.T) {
+	src := openDB(systemr.Config{})
+	src.MustExec("CREATE TABLE Z (N INTEGER, F FLOAT)")
+	for i, e := range []string{"1e308 * 10 - 1e308 * 10", "1e308 * 10", "-1e308 * 10",
+		"-0.0", "0.0", "1.5", "-2.25e-300", "5e-324", "1.7976931348623157e308", "0.1", "3"} {
+		src.MustExec(fmt.Sprintf("INSERT INTO Z VALUES (%d, %s)", i, e))
+	}
+	var script strings.Builder
+	if err := src.DumpSQL(&script); err != nil {
+		t.Fatal(err)
+	}
+	dst := openDB(systemr.Config{})
+	if _, err := dst.RunScript(strings.NewReader(script.String())); err != nil {
+		t.Fatalf("restore: %v\n%s", err, script.String())
+	}
+	const q = "SELECT N, F FROM Z ORDER BY N"
+	want, got := src.MustExec(q).Rows, dst.MustExec(q).Rows
+	if len(got) != len(want) {
+		t.Fatalf("restored %d rows, want %d", len(got), len(want))
+	}
+	for i := range want {
+		w, g := want[i][1].(float64), got[i][1].(float64)
+		if math.IsNaN(w) != math.IsNaN(g) || !math.IsNaN(w) && math.Float64bits(w) != math.Float64bits(g) {
+			t.Errorf("row %d: dumped %v (bits %#x), reloaded %v (bits %#x)", i, w, math.Float64bits(w), g, math.Float64bits(g))
+		}
+	}
+	if !math.IsNaN(want[0][1].(float64)) || !math.IsInf(want[1][1].(float64), 1) || !math.Signbit(want[3][1].(float64)) {
+		t.Fatalf("source rows lack NaN, +Inf or -0.0: %v", want)
+	}
 }
 
 func TestRunScriptErrorPosition(t *testing.T) {

@@ -135,11 +135,13 @@ func (t *BTree) Height() int {
 }
 
 // Insert adds a (key, tid) pair. Duplicate keys are allowed; duplicate
-// (key, tid) pairs are rejected.
+// (key, tid) pairs are rejected. The tree keeps key itself, not a copy: the
+// caller hands it over and must not change it afterwards (nor append to it
+// in place, when it shares an array with other keys).
 func (t *BTree) Insert(key value.Row, tid storage.TID) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	e := Entry{Key: key.Clone(), TID: tid}
+	e := Entry{Key: key, TID: tid}
 	mid, right, dup := t.insert(t.root, e)
 	if dup {
 		return false

@@ -1,10 +1,13 @@
 package exec
 
 // EXPLAIN ANALYZE support: run a planned block and keep its instrumented
-// operator tree, then render the optimizer's Table-1/Table-2 estimates next
-// to the measured actuals, one operator per line. Page fetches and wall time
-// are self-attributed (an operator's inclusive delta minus its children's),
-// so the numbers in the tree sum to the statement totals.
+// operator trees, then render the optimizer's Table-1/Table-2 estimates next
+// to the measured actuals, one operator per line, for the main block and
+// then for each subquery block, whose tree ran once per evaluation. Page
+// fetches and wall time are self-attributed: an operator's inclusive delta
+// minus its children's. A block's fetch deltas exclude its subquery
+// evaluations, so the fetches of all blocks' lines sum to the statement's;
+// its wall time includes them.
 
 import (
 	"fmt"
@@ -16,77 +19,68 @@ import (
 	"systemr/internal/value"
 )
 
-// Analysis is the outcome of an instrumented execution: the plan, the
-// operator tree holding per-operator actuals, how often each top-level
-// subquery block was evaluated (and what it fetched), and the statement's
-// measured I/O totals.
+// Analysis is the outcome of an instrumented execution: the operator trees
+// holding per-operator actuals — the main block's and, kept in its context,
+// each subquery block's — and the statement's measured I/O totals.
 type Analysis struct {
-	Query *plan.Query
-	Root  Operator
-	// SubEvals[i] counts evaluations of Query.Subs[i] (the same-value cache
-	// of Section 6 makes this smaller than the candidate-tuple count).
-	SubEvals []int
-	// SubFetches[i] counts the statement-local page fetches spent inside
-	// Query.Subs[i] across all of its evaluations (nested blocks included) —
-	// I/O excluded from the enclosing operators' attribution.
-	SubFetches []int64
+	Root Operator
 	// IO is the statement's measured totals, from its own accumulator: the
 	// quantities of COST = PAGE FETCHES + W*(RSI CALLS).
 	IO storage.IOStatsSnapshot
 	// Est, when set, prices the plan's nodes in place of their own
 	// estimates: a cached plan re-costed at the statement's values.
 	Est plan.Estimates
-	// lits are the statement's lifted literals, spelled in the rendering.
-	lits []value.Value
+	// ctx is the finished run's main block, whose subs hold the subquery
+	// blocks' trees and whose lits spell the statement's lifted literals.
+	ctx *blockCtx
 }
 
-// RunQueryAnalyze is RunQuery keeping the instrumented operator tree for
-// rendering: the Analysis reads the finished run's block. It is returned even
-// when execution aborts (canceled, budget exceeded, storage fault), carrying
-// the actuals up to the abort — nil only if the plan could not be built.
+// RunQueryAnalyze is RunQuery keeping the instrumented operator trees for
+// rendering: the Analysis reads the finished run's blocks. It is returned
+// even when execution aborts (canceled, budget exceeded, storage fault),
+// carrying the actuals up to the abort — nil only if the plan could not be
+// built.
 func RunQueryAnalyze(rt *Runtime, q *plan.Query, args []value.Value) ([]value.Row, *Stats, *Analysis, error) {
-	rows, c, err := runBlock(rt, q, args, nil)
+	rows, c, err := runBlock(rt, q, args)
 	if c.root == nil {
 		return rows, c.Stats(), nil, err
 	}
-	a := &Analysis{
-		Query:      q,
-		Root:       c.root,
-		SubEvals:   make([]int, len(q.Subs)),
-		SubFetches: make([]int64, len(q.Subs)),
-		IO:         c.stats.IO,
-		lits:       c.ctx.lits,
-	}
-	for i, sp := range q.Subs {
-		st := c.ctx.subs[sp.Sub]
-		a.SubEvals[i], a.SubFetches[i] = st.evals, st.fetches
-	}
-	return rows, c.Stats(), a, err
+	return rows, c.Stats(), &Analysis{Root: c.root, IO: c.stats.IO, ctx: &c.ctx}, err
 }
 
-// Format renders the annotated plan tree. w is the optimizer's CPU weighting
-// factor, used to collapse each node's estimated (pages, rsi) cost into the
-// single COST number the paper's formula produces.
+// Format renders the annotated plan trees, each subquery block after its
+// parent's. w is the optimizer's CPU weighting factor, used to collapse each
+// node's estimated (pages, rsi) cost into the single COST number the
+// paper's formula produces.
 func (a *Analysis) Format(w float64) string {
 	var b strings.Builder
 	b.WriteString("QUERY BLOCK (main)\n")
-	formatOp(&b, a.Root, 1, w, a.Est, a.lits)
-	for i, sp := range a.Query.Subs {
+	formatOp(&b, a.Root, 1, w, a.Est, a.ctx.lits)
+	a.formatSubs(&b, a.ctx, w)
+	fmt.Fprintf(&b, "statement: fetches=%d writes=%d rsi=%d cost=%.1f (W=%g)\n",
+		a.IO.PageFetches, a.IO.PagesWritten, a.IO.RSICalls, a.IO.Cost(w), w)
+	return b.String()
+}
+
+// formatSubs renders ctx's subquery blocks, each headed by its evaluation
+// count, its root's Opens: the Section 6 same-value cache makes it smaller
+// than the candidate-tuple count. Its operators' loops count evaluations as
+// a nested-loop inner's count outer rows.
+func (a *Analysis) formatSubs(b *strings.Builder, ctx *blockCtx, w float64) {
+	for _, sp := range ctx.q.Subs {
+		st := ctx.subs[sp.Sub]
 		kind := "subquery"
 		if sp.Sub.Correlated {
 			kind = "correlated subquery"
 		}
 		times := "times"
-		if a.SubEvals[i] == 1 {
+		if st.root.stats.Opens == 1 {
 			times = "time"
 		}
-		fmt.Fprintf(&b, "QUERY BLOCK (%s #%d)  [evaluated %d %s, fetches=%d; estimates only]\n",
-			kind, sp.Sub.ID, a.SubEvals[i], times, a.SubFetches[i])
-		formatEstOnly(&b, sp.Query, a.Est, a.lits)
+		fmt.Fprintf(b, "QUERY BLOCK (%s #%d)  [evaluated %d %s]\n", kind, sp.Sub.ID, st.root.stats.Opens, times)
+		formatOp(b, st.root, 1, w, a.Est, a.ctx.lits)
+		a.formatSubs(b, &st.ctx, w)
 	}
-	fmt.Fprintf(&b, "statement: fetches=%d writes=%d rsi=%d cost=%.1f (W=%g)\n",
-		a.IO.PageFetches, a.IO.PagesWritten, a.IO.RSICalls, a.IO.Cost(w), w)
-	return b.String()
 }
 
 // formatOp writes one operator's estimate-vs-actual line and recurses.
@@ -127,27 +121,4 @@ func formatElapsed(d time.Duration) string {
 		return d.Round(10 * time.Microsecond).String()
 	}
 	return d.Round(time.Microsecond).String()
-}
-
-// formatEstOnly renders a nested block's plan with estimates alone: subquery
-// blocks execute through fresh per-evaluation contexts, so no single
-// operator tree holds their actuals.
-func formatEstOnly(b *strings.Builder, q *plan.Query, est plan.Estimates, lits []value.Value) {
-	estNode(b, q.Root, 1, est, lits)
-	for _, sp := range q.Subs {
-		kind := "subquery"
-		if sp.Sub.Correlated {
-			kind = "correlated subquery"
-		}
-		fmt.Fprintf(b, "QUERY BLOCK (%s #%d)  [estimates only]\n", kind, sp.Sub.ID)
-		formatEstOnly(b, sp.Query, est, lits)
-	}
-}
-
-func estNode(b *strings.Builder, n plan.Node, depth int, est plan.Estimates, lits []value.Value) {
-	e := est.Of(n)
-	fmt.Fprintf(b, "%s%s  {est rows=%.1f cost: %s}\n", strings.Repeat("  ", depth), n.Label(lits...), e.Rows, e.Cost)
-	for _, c := range n.Children() {
-		estNode(b, c, depth+1, est, lits)
-	}
 }

@@ -1,11 +1,12 @@
 package exec
 
-// The one driver. Every run of a plan — a query, a cursor, EXPLAIN ANALYZE,
-// DML tuple location and each subquery evaluation — goes through a Cursor:
-// open builds the block's operator tree, binds its arguments and opens it
-// (finishing on a failed open or a panic); the caller then steps it a row at
-// a time (Next) or drains it a batch at a time (drain); finish closes the
-// tree and sets the run's Stats, once.
+// The one driver. Every run of a plan — a query, a cursor, EXPLAIN ANALYZE
+// and DML tuple location — goes through a Cursor: open builds the block's
+// operator tree, with one tree for each subquery block beneath it (see
+// subquery.go), binds its arguments and opens it (finishing on a failed
+// open or a panic); the caller then steps it a row at a time (Next) or
+// drains it a batch at a time (drain); finish closes the tree and sets the
+// run's Stats, once.
 
 import (
 	"errors"
@@ -68,24 +69,55 @@ type Stats struct {
 // lifted out of its text (nil for a plan with neither). An aborted run
 // (canceled, budget exceeded, storage fault) reports its work so far.
 func RunQuery(rt *Runtime, q *plan.Query, args []value.Value) ([]value.Row, *Stats, error) {
-	rows, c, err := runBlock(rt, q, args, nil)
+	rows, c, err := runBlock(rt, q, args)
 	return rows, c.Stats(), err
 }
 
 // runBlock opens q's block and drains it, returning the finished cursor:
-// how RunQuery, RunQueryAnalyze and each subquery evaluation run a block.
-func runBlock(rt *Runtime, q *plan.Query, args []value.Value, parent *blockCtx) ([]value.Row, *Cursor, error) {
-	c, err := open(rt, q, args, parent, 0)
-	if err != nil {
+// how RunQuery and RunQueryAnalyze run a block. The cursor finishes on
+// every exit, a panic included.
+func runBlock(rt *Runtime, q *plan.Query, args []value.Value) (rows []value.Row, c *Cursor, err error) {
+	if c, err = open(rt, q, args, 0); err != nil {
 		return nil, c, err
 	}
-	rows, err := c.drain()
-	return rows, c, err
+	defer func() {
+		if !c.done {
+			c.finish() // a panic: release the plan's scans on the way out
+		}
+	}()
+	err = c.ctx.drain(c.root, c.b, func(out []comp) {
+		rows = slices.Grow(rows, len(out))
+		for _, r := range out {
+			rows = append(rows, outRow(r))
+		}
+	})
+	if err != nil {
+		c.finish()
+		return nil, c, err
+	}
+	c.stats.Rows = len(rows)
+	return rows, c, c.finish()
+}
+
+// drain fills b from root to the end of its input, handing each batch's
+// rows to each and reporting its size to Runtime.OnBatch: how a block run
+// and a subquery evaluation consume their roots.
+func (ctx *blockCtx) drain(root *op, b *Batch, each func([]comp)) error {
+	for {
+		if err := root.NextBatch(b); err != nil || b.Len() == 0 {
+			return err
+		}
+		if f := ctx.rt.OnBatch; f != nil {
+			f(b.Len())
+		}
+		each(b.rows)
+	}
 }
 
 // blockCtx is the runtime state of one executing query block instance,
-// embedded in the Cursor that runs it; TestScanOpsFitSizeClass pins both
-// to their allocation size classes.
+// embedded in the Cursor that runs it, or in a subquery block's subState;
+// TestScanOpsFitSizeClass pins it and the Cursor to their allocation size
+// classes.
 type blockCtx struct {
 	rt      *Runtime
 	q       *plan.Query
@@ -93,13 +125,13 @@ type blockCtx struct {
 	lits    []value.Value               // the statement's arguments, read by lifted Consts
 	subs    map[*sem.Subquery]*subState // nil when the plan has no subqueries
 	aggVals []value.Value
-	evals   *int // shared subquery-evaluation counter
+	evals   *int // the statement's subquery-evaluation counter
 	// subFetches tracks, across the whole statement, the page fetches spent
 	// inside subquery evaluations. Operator instrumentation deltas
 	// (fetchCount - subFetches), so a correlated subquery re-evaluated in the
 	// middle of an outer operator's Next is attributed to its own query
 	// block, not double-counted against the operator. Shared (like evals)
-	// between a block and its subquery blocks.
+	// by every block of the statement.
 	subFetches *int64
 	// strs is the arena the block's scans carve decoded VARCHAR values
 	// from: one chunk serves many rows, and a row kept past its batch keeps
@@ -157,37 +189,24 @@ type Cursor struct {
 	subFetches int64
 }
 
-// open readies a cursor over q's block under rt, builds its operator tree
-// and opens it, with root batches aiming at rootN rows (0: the block's batch
-// size). A top-level block binds args as the values of its lifted literals
-// and counts into its own cursor. A subquery's block (parent non-nil) takes
-// args as its correlation parameters' values, and reads the parent's
-// literals and counts into the parent's evaluations and fetches. A failed
-// or panicking open finishes the cursor, releasing the scans it opened; a
-// failed one returns it, Stats set, with the error.
-func open(rt *Runtime, q *plan.Query, args []value.Value, parent *blockCtx, rootN int) (c *Cursor, err error) {
+// open readies a cursor over q's block under rt, binding args as the
+// values of its lifted literals, builds its operator tree and opens it,
+// with root batches aiming at rootN rows (0: the block's batch size). A
+// failed or panicking open finishes the cursor, releasing the scans it
+// opened; a failed one returns it, Stats set, with the error.
+func open(rt *Runtime, q *plan.Query, args []value.Value, rootN int) (c *Cursor, err error) {
 	if rt.IO == nil {
 		rt.IO = &storage.IOStats{} // callers such as tests may leave it unset
 	}
 	c = &Cursor{stats: Stats{IO: rt.IO.Snapshot()}}
-	c.ctx = blockCtx{rt: rt, q: q, lits: args, evals: &c.stats.SubqueryEvals, subFetches: &c.subFetches}
-	if parent != nil {
-		c.ctx.params, c.ctx.lits, c.ctx.evals, c.ctx.subFetches = args, parent.lits, parent.evals, parent.subFetches
-	} else {
-		c.ctx.params = make([]value.Value, q.NumParams)
-	}
-	if len(q.Subs) > 0 {
-		c.ctx.subs = make(map[*sem.Subquery]*subState, len(q.Subs))
-		for _, sp := range q.Subs {
-			c.ctx.subs[sp.Sub] = &subState{sp: sp}
-		}
-	}
+	c.ctx = blockCtx{rt: rt, q: q, params: make([]value.Value, q.NumParams), lits: args,
+		evals: &c.stats.SubqueryEvals, subFetches: &c.subFetches}
 	defer func() {
 		if c.b == nil {
 			err = errors.Join(err, c.finish())
 		}
 	}()
-	if n := q.Block.Lifted; parent == nil && len(args) != n {
+	if n := q.Block.Lifted; len(args) != n {
 		return c, fmt.Errorf("exec: statement has %d host variable(s), %d argument(s) supplied", n, len(args))
 	}
 	if c.root, err = c.ctx.buildRoot(); err != nil {
@@ -206,40 +225,11 @@ func open(rt *Runtime, q *plan.Query, args []value.Value, parent *blockCtx, root
 // OpenQuery begins streaming execution of a planned block with its lifted
 // literals' values bound from args, as in RunQuery.
 func OpenQuery(rt *Runtime, q *plan.Query, args []value.Value) (*Cursor, error) {
-	c, err := open(rt, q, args, nil, 1)
+	c, err := open(rt, q, args, 1)
 	if err != nil {
 		return nil, err
 	}
 	return c, nil
-}
-
-// drain fills the root's batches to the end, keeping every row, and reports
-// each batch to Runtime.OnBatch. The cursor finishes on every exit, a panic
-// included.
-func (c *Cursor) drain() (rows []value.Row, err error) {
-	defer func() {
-		if !c.done {
-			c.finish() // a panic: release the plan's scans on the way out
-		}
-	}()
-	for {
-		if err := c.root.NextBatch(c.b); err != nil {
-			c.finish()
-			return nil, err
-		}
-		n := c.b.Len()
-		if n == 0 {
-			c.stats.Rows = len(rows)
-			return rows, c.finish()
-		}
-		if f := c.ctx.rt.OnBatch; f != nil {
-			f(n)
-		}
-		rows = slices.Grow(rows, n)
-		for _, r := range c.b.rows {
-			rows = append(rows, outRow(r))
-		}
-	}
 }
 
 // Next returns the next output row; ok is false at end of results. An error

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"systemr/internal/plan"
+	"systemr/internal/sem"
 	"systemr/internal/storage"
 	"systemr/internal/value"
 )
@@ -233,10 +234,24 @@ func producesOutput(n plan.Node) bool {
 }
 
 // buildRoot builds the block's whole operator tree, validating that the root
-// produces output rows.
+// produces output rows. It first builds each subquery block the same way,
+// in a context that shares the statement's literals and counters; each
+// evaluation re-opens that tree (see subquery.go).
 func (ctx *blockCtx) buildRoot() (*op, error) {
 	if !producesOutput(ctx.q.Root) {
 		return nil, fmt.Errorf("exec: node %T cannot produce output rows", ctx.q.Root)
+	}
+	if len(ctx.q.Subs) > 0 {
+		ctx.subs = make(map[*sem.Subquery]*subState, len(ctx.q.Subs))
+	}
+	for _, sp := range ctx.q.Subs {
+		st := &subState{b: NewBatch(ctx.batchN()), ctx: blockCtx{rt: ctx.rt, q: sp.Query,
+			params: make([]value.Value, sp.Query.NumParams), lits: ctx.lits, evals: ctx.evals, subFetches: ctx.subFetches}}
+		ctx.subs[sp.Sub] = st
+		var err error
+		if st.root, err = st.ctx.buildRoot(); err != nil {
+			return nil, err
+		}
 	}
 	return ctx.build(ctx.q.Root)
 }

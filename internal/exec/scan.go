@@ -123,15 +123,17 @@ func (st *scanStage) emit(ctx *blockCtx, b *Batch, relIdx int) {
 // A scan's start and stop keys and its search arguments are resolved to
 // values in the slices of the RSS scan that reads them. The first open
 // resolves every term into fresh slices. A later one — a nested loop's
-// inner scan re-opening for the next outer row — re-resolves, in place,
-// only the join-bound terms: the parameters the optimizer binds from the
-// outer row, the slots past the block's own. Constants, lifted literals —
-// host variables among them —, correlation values and subquery results hold
-// for the operator's whole life, which is one run of its block.
+// inner scan re-opening for the next outer row, or any scan of a subquery
+// block re-opening for the next evaluation — re-resolves, in place, every
+// term but the constants: parameters bound from the outer row or from the
+// correlation values, and subquery results, which the Section 6 cache
+// returns without re-evaluating while their correlation values hold.
+// Constants and lifted literals — host variables among them — hold for the
+// operator's whole life, which is one run of its statement.
 
 // resolveTerm resolves b into dst, unless a re-open finds it still holds.
 func (ctx *blockCtx) resolveTerm(first bool, dst *value.Value, b sem.Bound) error {
-	if !first && (b.Kind != sem.BoundParam || b.Param < ctx.q.Block.NumParams) {
+	if !first && b.Kind == sem.BoundConst {
 		return nil
 	}
 	v, err := ctx.resolveBound(nil, b)

@@ -9,27 +9,30 @@ package exec
 // previous candidate tuple: "if they are the same, the previous evaluation
 // result can be used again", which pays off exactly when the referenced
 // relation is ordered on the referenced column.
+//
+// A subquery block is one operator tree per statement run, built with its
+// parent's (buildRoot) and re-opened per evaluation, as a nested-loop inner
+// is per outer row; its root's Opens count the evaluations.
 
 import (
 	"fmt"
 	"slices"
 
-	"systemr/internal/plan"
 	"systemr/internal/sem"
 	"systemr/internal/storage"
 	"systemr/internal/value"
 )
 
-// subState caches one subquery's latest evaluation.
+// subState is one subquery block of a run: its context and operator tree,
+// and its latest evaluation's result.
 type subState struct {
-	sp      *plan.SubPlan
+	ctx     blockCtx
+	root    *op
+	b       *Batch
 	valid   bool
 	lastKey []value.Value // correlation parameter values at last evaluation
-	params  []value.Value // the current row's values, bound before the cache is consulted
 	scalar  value.Value
 	set     map[string]bool
-	evals   int
-	fetches int64 // statement-local page fetches spent across evaluations
 }
 
 // bindChildParams computes the child block's correlation parameter values
@@ -54,74 +57,84 @@ func (ctx *blockCtx) bindChildParams(params []value.Value, c comp, sub *sem.Subq
 	return nil
 }
 
-func sameKey(a, b []value.Value, n int) bool {
-	if a == nil {
-		return false
-	}
-	for i := 0; i < n; i++ {
-		if value.Compare(a[i], b[i]) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // evaluate runs the subquery if its correlation values changed since the
 // last evaluation (always runs the first time). The values are bound into
-// the state's own buffer, so a row that reuses the last result allocates
-// nothing; an evaluation takes a copy, which the next rows compare with.
+// the block's own parameters and compared with a copy of the last
+// evaluation's, kept in place, so neither a row that reuses the last result
+// nor an evaluation allocates for them.
 func (ctx *blockCtx) evaluate(c comp, sub *sem.Subquery) (*subState, error) {
 	st, ok := ctx.subs[sub]
 	if !ok {
 		return nil, fmt.Errorf("exec: subquery #%d has no plan", sub.ID)
 	}
-	if st.params == nil {
-		st.params = make([]value.Value, st.sp.Query.NumParams)
-	}
-	if err := ctx.bindChildParams(st.params, c, sub); err != nil {
+	params := st.ctx.params
+	if err := ctx.bindChildParams(params, c, sub); err != nil {
 		return nil, err
 	}
-	if st.valid && sameKey(st.lastKey, st.params, sub.Block.NumParams) {
+	key := params[:sub.Block.NumParams]
+	if st.valid && slices.EqualFunc(st.lastKey, key, func(a, b value.Value) bool { return value.Compare(a, b) == 0 }) {
 		return st, nil
 	}
-	childParams := slices.Clone(st.params)
+	st.valid = false
+	st.lastKey = append(st.lastKey[:0], key...)
 	// The child block shares the subquery-fetch tracker, so every level's
 	// operator attribution excludes the same evaluations.
 	sub0 := *ctx.subFetches
 	f0 := ctx.fetchCount()
-	rows, _, err := runBlock(ctx.rt, st.sp.Query, childParams, ctx)
+	err := st.run(sub)
 	// Everything this evaluation fetched — nested sub-subqueries included —
 	// belongs to the subquery's block: exclude it from the enclosing
 	// operator's delta exactly once (overwrite, don't add, so fetches a
 	// nested evaluation already registered are not counted twice).
-	delta := ctx.fetchCount() - f0
-	*ctx.subFetches = sub0 + delta
-	st.fetches += delta
+	*ctx.subFetches = sub0 + ctx.fetchCount() - f0
 	if err != nil {
 		return nil, err
 	}
-	st.evals++
 	*ctx.evals++
 	st.valid = true
-	st.lastKey = childParams
-	if sub.Scalar {
-		switch len(rows) {
-		case 0:
-			st.scalar = value.Null()
-		case 1:
-			st.scalar = rows[0][0]
-		default:
-			return nil, fmt.Errorf("exec: scalar subquery #%d returned %d rows", sub.ID, len(rows))
-		}
-	} else {
-		st.set = make(map[string]bool, len(rows))
-		var key []byte
-		for _, r := range rows {
-			key = storage.AppendEncodedRow(key[:0], value.Row{r[0]})
-			st.set[string(key)] = true
-		}
-	}
 	return st, nil
+}
+
+// run evaluates the block once into the state's result: it opens the root,
+// drains it through the state's batch and closes it, on every path, so no
+// scan of the block stays open between evaluations. The block's own
+// subqueries start the run unevaluated, as they did when every evaluation
+// built its tree afresh.
+func (st *subState) run(sub *sem.Subquery) (err error) {
+	for _, nested := range st.ctx.subs {
+		nested.valid = false
+	}
+	defer func() {
+		if cerr := st.root.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	if err := st.root.Open(); err != nil {
+		return err
+	}
+	if st.set == nil && !sub.Scalar {
+		st.set = make(map[string]bool)
+	}
+	clear(st.set)
+	st.scalar = value.Null()
+	rows := 0
+	var key []byte
+	err = st.ctx.drain(st.root, st.b, func(out []comp) {
+		for _, r := range out {
+			rows++
+			switch v := outRow(r)[0]; {
+			case !sub.Scalar:
+				key = storage.AppendEncodedRow(key[:0], value.Row{v})
+				st.set[string(key)] = true
+			case rows == 1:
+				st.scalar = v
+			}
+		}
+	})
+	if err == nil && sub.Scalar && rows > 1 {
+		err = fmt.Errorf("exec: scalar subquery #%d returned %d rows", sub.ID, rows)
+	}
+	return err
 }
 
 // subScalar returns the single value of a scalar subquery.

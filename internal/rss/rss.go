@@ -499,9 +499,18 @@ func Insert(t *catalog.Table, row value.Row, xid storage.XID, prev storage.TID, 
 		}
 		row[i] = cv
 	}
+	// Each index's key is built once, every one carved from one array: the
+	// unique checks read them, and then each tree keeps its own.
+	n := 0
 	for _, ix := range t.Indexes {
-		if ix.Unique && indexHasLiveKey(ix, ix.KeyFor(row), disk) {
-			return storage.TID{}, fmt.Errorf("rss: duplicate key %v violates unique index %s", ix.KeyFor(row), ix.Name)
+		n += len(ix.ColIdxs)
+	}
+	keys := make(value.Row, 0, n)
+	for _, ix := range t.Indexes {
+		at := len(keys)
+		keys = ix.AppendKey(keys, row)
+		if key := keys[at:]; ix.Unique && indexHasLiveKey(ix, key, disk) {
+			return storage.TID{}, fmt.Errorf("rss: duplicate key %v violates unique index %s", key, ix.Name)
 		}
 	}
 	rec := storage.EncodeVersionedRow(storage.VersionHeader{Xmin: xid, Prev: prev}, row)
@@ -515,7 +524,9 @@ func Insert(t *catalog.Table, row value.Row, xid storage.XID, prev storage.TID, 
 		return storage.TID{}, err
 	}
 	for _, ix := range t.Indexes {
-		ix.Tree.Insert(ix.KeyFor(row), tid)
+		w := len(ix.ColIdxs)
+		ix.Tree.Insert(keys[:w:w], tid)
+		keys = keys[w:]
 	}
 	return tid, nil
 }
@@ -526,7 +537,8 @@ func Insert(t *catalog.Table, row value.Row, xid storage.XID, prev storage.TID, 
 // committed writer's, and any unmarked version is a genuine duplicate (its
 // own earlier insert, or a committed row).
 func indexHasLiveKey(ix *catalog.Index, key value.Row, disk *storage.Disk) bool {
-	it := ix.Tree.Seek(storage.StmtIO{}, key)
+	var it btree.Iterator
+	ix.Tree.SeekInto(&it, storage.StmtIO{}, key)
 	for {
 		e, ok := it.Next()
 		if !ok || btree.ComparePrefix(e.Key, key) != 0 {

@@ -145,6 +145,29 @@ var entryPoints = []struct {
 		_, _, err = db.RunPlanned(q)
 		return err
 	}},
+	{"subquery_query", func(db *systemr.DB) error {
+		_, err := db.Query(ledgerCorrelated)
+		return err
+	}},
+	{"subquery_cursor_closed_early", func(db *systemr.DB) error {
+		stmt, err := db.Prepare(ledgerCorrelated)
+		if err != nil {
+			return err
+		}
+		rows, err := stmt.Open()
+		if err != nil {
+			return err
+		}
+		if _, _, err := rows.Next(); err != nil {
+			return err
+		}
+		return rows.Close()
+	}},
+	{"subquery_delete", func(db *systemr.DB) error {
+		_, err := db.Exec("DELETE FROM EMP WHERE SAL > " +
+			"(SELECT AVG(E2.SAL) FROM EMP E2 WHERE E2.DNO = EMP.DNO) AND JOB = 5")
+		return err
+	}},
 	{"prepare_sem_error", func(db *systemr.DB) error {
 		if _, err := db.Prepare("SELECT E.NOSUCH FROM EMP E"); err == nil {
 			return errors.New("Prepare accepted a column EMP does not have")
@@ -152,6 +175,12 @@ var entryPoints = []struct {
 		return nil
 	}},
 }
+
+// ledgerCorrelated evaluates its subquery block once per employee, by
+// re-opening the block's index scan on EMP_DNO, so a fault can strike in
+// the middle of any evaluation.
+const ledgerCorrelated = "SELECT NAME, DNO FROM EMP E WHERE SAL > " +
+	"(SELECT AVG(E2.SAL) FROM EMP E2 WHERE E2.DNO = E.DNO)"
 
 func openLedgerJoin(db *systemr.DB) (*systemr.Rows, error) {
 	stmt, err := db.Prepare(ledgerJoin)
